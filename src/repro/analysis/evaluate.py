@@ -20,14 +20,17 @@ This module is the computational backend of the ``"paper"`` strategy in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.placement import PrefetchAccounting, WeightResidency
 from ..core.schedule import BlockProgram, RuntimeCategory
 from ..core.scheduler import BlockScheduler
 from ..energy.model import EnergyModel, EnergyReport
 from ..graph.workload import Workload
+from ..hw.chip import ChipModel
 from ..hw.platform import MultiChipPlatform
 from ..kernels.library import KernelLibrary
 from ..sim.simulator import simulate_block
@@ -144,6 +147,78 @@ class BlockReport:
         )
 
 
+#: The program memo of the session whose engine call is running, if any
+#: (set by :meth:`ProgramMemo.active`); :func:`evaluate_block` consults it.
+_ACTIVE_PROGRAMS: ContextVar[Optional["ProgramMemo"]] = ContextVar(
+    "repro_active_programs", default=None
+)
+
+
+class ProgramMemo:
+    """Scheduled block programs of one session, shared by structure.
+
+    :meth:`BlockScheduler.build` reads the workload, the chip count, the
+    group size, the chip model except its cluster clock, the kernel
+    library and the prefetch accounting — nothing else.  Link bandwidth,
+    link energy and the clock only *price* a program, in the simulator
+    and the energy model, so design points differing only in them share
+    one program: built once, then rebound to each caller's platform
+    (:meth:`BlockScheduler.rebind`).
+
+    A :class:`~repro.api.Session` owns one memo and activates it around
+    each engine call.  It lives in memory only and is never persisted.
+    """
+
+    def __init__(self) -> None:
+        self._programs: Dict[str, BlockProgram] = {}
+        # id(chip) -> (chip, the chip at a neutral clock).  Holding the
+        # chip keeps its id from being reused while the entry exists.
+        self._unpriced: Dict[int, Tuple[ChipModel, ChipModel]] = {}
+
+    def __len__(self) -> int:
+        return len(self._programs)
+
+    def clear(self) -> None:
+        """Forget every program."""
+        self._programs.clear()
+        self._unpriced.clear()
+
+    @contextmanager
+    def active(self) -> Iterator["ProgramMemo"]:
+        """Make :func:`evaluate_block` consult this memo inside the block."""
+        token = _ACTIVE_PROGRAMS.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_PROGRAMS.reset(token)
+
+    def program(self, scheduler: BlockScheduler, workload: Workload) -> BlockProgram:
+        """``scheduler.build(workload)``, built once per structure."""
+        from ..api.session import content_hash  # repro.api imports this module
+
+        platform = scheduler.platform
+        key = content_hash(
+            workload,
+            platform.num_chips,
+            platform.group_size,
+            self._unpriced_chip(platform.chip),
+            scheduler.kernel_library,
+            scheduler.prefetch_accounting,
+        )
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = scheduler.build(workload)
+            return program
+        return scheduler.rebind(program, workload)
+
+    def _unpriced_chip(self, chip: ChipModel) -> ChipModel:
+        entry = self._unpriced.get(id(chip))
+        if entry is None:
+            unpriced = replace(chip, cluster=replace(chip.cluster, frequency_hz=1.0))
+            entry = self._unpriced[id(chip)] = (chip, unpriced)
+        return entry[1]
+
+
 def evaluate_block(
     workload: Workload,
     platform: MultiChipPlatform,
@@ -173,7 +248,12 @@ def evaluate_block(
         kernel_library=kernel_library,
         prefetch_accounting=prefetch_accounting,
     )
-    program = scheduler.build(workload)
+    programs = _ACTIVE_PROGRAMS.get()
+    program = (
+        scheduler.build(workload)
+        if programs is None
+        else programs.program(scheduler, workload)
+    )
     simulation = simulate_block(program, record_events=record_events)
     if energy_model is None:
         energy_model = EnergyModel(platform)

@@ -18,15 +18,15 @@ Location (first match wins):
 
 ``REPRO_NO_CACHE=1`` (or ``--no-cache``) disables the default store.
 
-Keys are salted with a schema version and the package version; using a
-store written by a different schema or code version drops its entries,
-so stale results never leak across releases.  The salt distinguishes
-*releases*, not working trees: after editing cost-model code without
-bumping ``repro.__version__``, run ``repro cache clear`` (or export
-``REPRO_NO_CACHE=1``) so old results cannot mask the change.  Corrupt
-stores are rebuilt (and unreadable entries treated as misses) rather
-than raised: the cache is an accelerator, never a correctness
-dependency.
+Stores are stamped with a schema version and a code version: the
+package version plus a digest of every source on the evaluation path
+(graph, hardware, kernels, partition and scheduler, simulator, energy,
+baselines, architectures, models, the strategies and the result type).
+Opening a store written under a different stamp drops its entries, so
+editing cost-model code in a working tree — not only a release bump —
+can never be answered with results of the old code.  Corrupt stores are
+rebuilt (and unreadable entries treated as misses) rather than raised:
+the cache is an accelerator, never a correctness dependency.
 
 Sessions configured with a custom ``energy`` factory never attach a
 store: arbitrary callables content-hash by qualified name only, which
@@ -36,11 +36,13 @@ would collide across processes.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import sqlite3
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -101,10 +103,45 @@ class CacheStats:
     code_version: str
 
 
+#: Package-relative sources that decide what an evaluation returns: a
+#: change to any of them must never be answered from an older store.
+_EVALUATION_SOURCES = (
+    "analysis/evaluate.py",
+    "api/result.py",
+    "api/strategies.py",
+    "arch",
+    "baselines",
+    "core",
+    "energy",
+    "graph",
+    "hw",
+    "kernels",
+    "models",
+    "sim",
+    "units.py",
+)
+
+
+@lru_cache(maxsize=None)
 def _code_version() -> str:
+    """The package version plus a digest of the evaluation-path sources.
+
+    Computed once per process.  The digest covers file contents and
+    package-relative paths, so editing, adding or removing a module on
+    the evaluation path empties every store written before the edit.
+    """
     from .. import __version__
 
-    return __version__
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for entry in _EVALUATION_SOURCES:
+        path = package / entry
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(source.relative_to(package).as_posix().encode())
+            digest.update(b"\x00")
+            digest.update(source.read_bytes())
+            digest.update(b"\x00")
+    return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
 class EvalCache:

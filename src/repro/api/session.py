@@ -35,10 +35,13 @@ from typing import (
     Union,
 )
 
+from ..analysis.evaluate import ProgramMemo
 from ..core.placement import PrefetchAccounting
 from ..errors import AnalysisError, ReproError
 from ..graph.transformer import TransformerConfig
 from ..graph.workload import Workload
+from ..hw.chip import ChipModel
+from ..hw.interconnect import ChipToChipLink
 from ..hw.platform import MultiChipPlatform
 from ..hw.presets import siracusa_platform
 from ..kernels.library import KernelLibrary
@@ -64,12 +67,16 @@ __all__ = [
 #: Workloads, platforms, and model configurations are hashed on every
 #: ``Session.run`` — serving simulations and design-space searches hash
 #: the same objects thousands of times, so recomputing the walk each
-#: time leaves the profile entirely.
+#: time leaves the profile entirely.  Chips and links are memoised too:
+#: a design-space search builds a fresh platform per point around a few
+#: shared chip and link objects (see :func:`repro.dse.space.materialise`).
 _MEMOISED_CANONICAL_TYPES = (
     Workload,
     MultiChipPlatform,
     TransformerConfig,
     EvalOptions,
+    ChipModel,
+    ChipToChipLink,
 )
 
 _CANONICAL_MEMO_ATTR = "_repro_canonical_memo"
@@ -448,6 +455,9 @@ class Session:
             elif persistent:
                 self._store = open_default_cache()
         self._cache: Dict[str, EvalResult] = {}
+        # Block programs by structure, reused across design points that
+        # differ only in pricing (clock, link); in memory, never persisted.
+        self._programs = ProgramMemo()
         self._default_options: Optional[EvalOptions] = None
         self._default_options_config: Optional[tuple] = None
         self._hits = 0
@@ -534,6 +544,7 @@ class Session:
         ``session.persistent_cache.clear()`` or ``repro cache clear``.
         """
         self._cache.clear()
+        self._programs.clear()
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
@@ -593,7 +604,11 @@ class Session:
 
         Results are memoised by content hash of (strategy, workload,
         platform, options): repeated calls with equal inputs return the
-        cached :class:`EvalResult` object without re-simulating.
+        cached :class:`EvalResult` object without re-simulating.  Below
+        that, simulator-backed strategies reuse the scheduled block
+        program of any earlier call with the same structure (see
+        :class:`~repro.analysis.evaluate.ProgramMemo`), so points that
+        differ only in clock or link are simulated but not rescheduled.
         """
         # The isinstance gate keeps spec detection off the hot path:
         # serving and DSE call run() thousands of times with a Workload.
@@ -631,7 +646,8 @@ class Session:
                 self._cache[key] = cached
                 return cached
         self._misses += 1
-        result = impl.evaluate(workload, resolved, options)
+        with self._programs.active():
+            result = impl.evaluate(workload, resolved, options)
         self._cache[key] = result
         if store is not None:
             store.put(key, result)

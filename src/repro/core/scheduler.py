@@ -178,6 +178,25 @@ class BlockScheduler:
         object.__setattr__(program, "_schedules_are_canonical", True)
         return program
 
+    def rebind(self, program: BlockProgram, workload: Workload) -> BlockProgram:
+        """``program`` re-targeted at this scheduler's platform and library.
+
+        ``program`` must have been built by :meth:`build` for ``workload``
+        on a platform that differs from this scheduler's only in what
+        :meth:`build` does not read: the cluster clock and the link.  The
+        copy shares its schedules and memory plans (both immutable) and
+        skips ``__post_init__`` validation, which the original passed.
+        The simulator and the energy model price a program from its
+        platform, so pointing it at the caller's platform is what makes
+        the reuse correct.
+        """
+        rebound = object.__new__(BlockProgram)
+        rebound.__dict__.update(program.__dict__)
+        rebound.__dict__.update(
+            workload=workload, platform=self.platform, kernel_library=self._library
+        )
+        return rebound
+
     # ------------------------------------------------------------------
     # Per-chip schedule construction
     # ------------------------------------------------------------------

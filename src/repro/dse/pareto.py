@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import le
 from typing import List, Sequence, Tuple, TypeVar
 
 from ..errors import AnalysisError, ConfigurationError
@@ -49,11 +50,18 @@ def dominates(a, b, objectives: Sequence[Objective]) -> bool:
         raise AnalysisError("dominance needs at least one objective")
     if not (a.feasible and b.feasible):
         raise AnalysisError("dominance is only defined between feasible candidates")
-    vec_a = objective_vector(a, objectives)
-    vec_b = objective_vector(b, objectives)
-    return all(x <= y for x, y in zip(vec_a, vec_b)) and any(
-        x < y for x, y in zip(vec_a, vec_b)
+    return _vector_dominates(
+        objective_vector(a, objectives), objective_vector(b, objectives)
     )
+
+
+def _vector_dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
+    """Dominance between minimisation vectors: ``<=`` everywhere and unequal.
+
+    A NaN fails every ``<=``, so a vector holding one neither dominates
+    nor is dominated.
+    """
+    return a != b and all(map(le, a, b))
 
 
 def pareto_front(
@@ -62,20 +70,33 @@ def pareto_front(
     """The non-dominated feasible candidates, in input order.
 
     Candidates with identical objective vectors are all kept (neither
-    dominates the other); infeasible candidates are skipped.
+    dominates the other); infeasible candidates are skipped.  A vector
+    holding a NaN compares false both ways, so its candidate neither
+    dominates nor is dominated and is always kept.
+
+    Each objective vector is computed once.  Sorted lexicographically, a
+    dominator always precedes what it dominates, and dominance is
+    transitive, so each candidate only needs testing against the front
+    built so far: O(n log n + n * |front|) instead of O(n^2).
     """
     if not objectives:
         raise AnalysisError("a Pareto front needs at least one objective")
     feasible = [c for c in candidates if c.feasible]
-    front: List[CandidateT] = []
-    for candidate in feasible:
-        if not any(
-            dominates(other, candidate, objectives)
-            for other in feasible
-            if other is not candidate
-        ):
-            front.append(candidate)
-    return front
+    if len(feasible) < 2:
+        return feasible
+    vectors = [objective_vector(candidate, objectives) for candidate in feasible]
+    members: List[int] = []
+    comparable: List[int] = []
+    for index, vector in enumerate(vectors):
+        has_nan = any(value != value for value in vector)
+        (members if has_nan else comparable).append(index)
+    front: List[Tuple[float, ...]] = []
+    for index in sorted(comparable, key=vectors.__getitem__):
+        vector = vectors[index]
+        if not any(_vector_dominates(other, vector) for other in front):
+            front.append(vector)
+            members.append(index)
+    return [feasible[index] for index in sorted(members)]
 
 
 # ----------------------------------------------------------------------

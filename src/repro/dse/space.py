@@ -18,11 +18,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..api.registry import get_strategy
 from ..errors import ArchitectureError, ConfigurationError
+from ..graph.transformer import TransformerConfig
 from ..graph.workload import Workload
+from ..hw.chip import ChipModel
 from ..hw.interconnect import ChipToChipLink
 from ..hw.platform import MultiChipPlatform
 from ..hw.presets import (
@@ -413,15 +416,70 @@ def _materialise_workload(
         window = _require_int("attention_window", point["attention_window"])
         overrides["attention_window"] = window if window > 0 else None
         suffix.append(f"w{window}")
+    return _model_variant(
+        workload, config, tuple(overrides.items()), "-".join(suffix)
+    )
+
+
+@lru_cache(maxsize=256)
+def _model_variant(
+    workload: Workload,
+    config: TransformerConfig,
+    overrides: Tuple[Tuple[str, Optional[int]], ...],
+    suffix: str,
+) -> Workload:
+    """``workload`` running ``config`` with the architecture overrides.
+
+    Equal arguments share one immutable workload, so its memoised
+    content hash serves every design point of that variant.
+    """
     if overrides:
-        name = f"{config.name}+{'-'.join(suffix)}"
+        name = f"{config.name}+{suffix}"
         try:
-            config = replace(config, name=name, **overrides)
+            config = replace(config, name=name, **dict(overrides))
         except ConfigurationError as error:
             raise ArchitectureError(str(error)) from None
     if config is workload.config:
         return workload
     return replace(workload, config=config, name=None)
+
+
+@lru_cache(maxsize=256)
+def _design_chip(
+    cores: Optional[int], freq_hz: Optional[float], l2_kib: Optional[int]
+) -> ChipModel:
+    """The paper's Siracusa chip with a point's chip axes applied.
+
+    ``None`` keeps the paper's value.  Equal axis values share one
+    immutable chip, so its memoised content hash serves every design
+    point built around it.
+    """
+    chip = siracusa_chip()
+    if cores is not None:
+        chip = replace(chip, cluster=replace(chip.cluster, num_cores=cores))
+    if freq_hz is not None:
+        chip = replace(chip, cluster=replace(chip.cluster, frequency_hz=freq_hz))
+    if l2_kib is not None:
+        l2_bytes = kib(l2_kib)
+        memory = replace(chip.memory, l2=replace(chip.memory.l2, size_bytes=l2_bytes))
+        # Keep the calibrated runtime reserve, clamped so any L2 size
+        # leaves at least half the scratchpad for model data.
+        reserve = min(SIRACUSA_L2_RUNTIME_RESERVE_BYTES, l2_bytes // 2)
+        chip = replace(chip, memory=memory, l2_runtime_reserve_bytes=reserve)
+    return chip
+
+
+@lru_cache(maxsize=256)
+def _design_link(
+    link_gbps: Optional[float], link_pj_per_byte: Optional[float]
+) -> ChipToChipLink:
+    """The paper's MIPI link with a point's link axes applied (shared)."""
+    link = mipi_link()
+    if link_gbps is not None:
+        link = replace(link, bandwidth_bytes_per_s=gigabytes_per_second(link_gbps))
+    if link_pj_per_byte is not None:
+        link = replace(link, energy_pj_per_byte=link_pj_per_byte)
+    return link
 
 
 def materialise(
@@ -453,43 +511,23 @@ def materialise(
         raise ConfigurationError(f"axis 'chips' must be positive, got {chips}")
     group_size = _require_int("group_size", point.get("group_size", 4))
 
-    chip = siracusa_chip()
-    if "cores" in point:
-        cores = _require_int("cores", point["cores"])
-        chip = replace(chip, cluster=replace(chip.cluster, num_cores=cores))
-    if "freq_mhz" in point:
-        freq_hz = _require_number("freq_mhz", point["freq_mhz"]) * 1e6
-        chip = replace(chip, cluster=replace(chip.cluster, frequency_hz=freq_hz))
-    if "l2_kib" in point:
-        l2_bytes = kib(_require_int("l2_kib", point["l2_kib"]))
-        memory = replace(chip.memory, l2=replace(chip.memory.l2, size_bytes=l2_bytes))
-        # Keep the calibrated runtime reserve, clamped so any L2 size
-        # leaves at least half the scratchpad for model data.
-        reserve = min(SIRACUSA_L2_RUNTIME_RESERVE_BYTES, l2_bytes // 2)
-        chip = replace(chip, memory=memory, l2_runtime_reserve_bytes=reserve)
-
-    base_link = mipi_link()
+    # Axis values are validated (and their types normalised) here, so
+    # equal values share one chip and one link object.
+    chip = _design_chip(
+        _require_int("cores", point["cores"]) if "cores" in point else None,
+        (
+            _require_number("freq_mhz", point["freq_mhz"]) * 1e6
+            if "freq_mhz" in point
+            else None
+        ),
+        _require_int("l2_kib", point["l2_kib"]) if "l2_kib" in point else None,
+    )
     link_gbps = point.get("link_gbps")
     link_pj = point.get("link_pj_per_byte")
-    if link_gbps is not None or link_pj is not None:
-        bandwidth = (
-            gigabytes_per_second(_require_number("link_gbps", link_gbps))
-            if link_gbps is not None
-            else base_link.bandwidth_bytes_per_s
-        )
-        energy = (
-            _require_number("link_pj_per_byte", link_pj)
-            if link_pj is not None
-            else base_link.energy_pj_per_byte
-        )
-        link = ChipToChipLink(
-            name=base_link.name,
-            bandwidth_bytes_per_s=bandwidth,
-            energy_pj_per_byte=energy,
-            latency_cycles=base_link.latency_cycles,
-        )
-    else:
-        link = base_link
+    link = _design_link(
+        None if link_gbps is None else _require_number("link_gbps", link_gbps),
+        None if link_pj is None else _require_number("link_pj_per_byte", link_pj),
+    )
 
     platform = MultiChipPlatform(
         chip=chip, num_chips=chips, link=link, group_size=group_size

@@ -40,6 +40,13 @@ class ChipModel:
                 "L2 reserve must be smaller than the L2 capacity"
             )
 
+    def __getstate__(self) -> dict:
+        # The content-hash memo (repro.api.session) is per-process state
+        # and would bloat every cached evaluation.
+        state = dict(self.__dict__)
+        state.pop("_repro_canonical_memo", None)
+        return state
+
     @property
     def l1(self) -> MemoryLevel:
         """The L1 tightly-coupled data memory."""

@@ -42,6 +42,13 @@ class ChipToChipLink:
         if self.latency_cycles < 0:
             raise ConfigurationError("link latency must be non-negative")
 
+    def __getstate__(self) -> dict:
+        # The content-hash memo (repro.api.session) is per-process state
+        # and would bloat every cached evaluation.
+        state = dict(self.__dict__)
+        state.pop("_repro_canonical_memo", None)
+        return state
+
     def bytes_per_cycle(self, frequency_hz: float) -> float:
         """Link bandwidth expressed in bytes per cluster cycle."""
         if frequency_hz <= 0:

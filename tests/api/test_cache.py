@@ -8,11 +8,17 @@ engine — including the ``sweep --parallel`` worker path.
 
 from __future__ import annotations
 
+import os
 import pickle
+import shutil
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.analysis.evaluate as evaluate_module
 from repro.api import EvalCache, Session, default_cache_dir, open_default_cache
 from repro.api.cache import persistent_cache_disabled
@@ -97,6 +103,43 @@ class TestVersioning:
         store.put("key", _evaluate(workload))
         store.close()
         assert EvalCache(store.directory).get("key") is not None
+
+    def test_editing_evaluation_code_empties_older_stores(self, tmp_path):
+        # A working-tree edit without a version bump: the store written
+        # before the edit must come back empty after it.
+        source = tmp_path / "src"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            source / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "import sys, repro\n"
+            "from repro.api import EvalCache\n"
+            "assert repro.__file__.startswith(sys.argv[1]), repro.__file__\n"
+            "store = EvalCache(sys.argv[2])\n"
+            "if sys.argv[3] == 'put':\n"
+            "    store.put('key', 'value')\n"
+            "print(len(store))\n"
+        )
+
+        def entries_seen(action: str) -> int:
+            completed = subprocess.run(
+                [sys.executable, "-c", script, str(source), str(tmp_path / "store"), action],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(source)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            return int(completed.stdout)
+
+        assert entries_seen("put") == 1
+        assert entries_seen("get") == 1  # unedited code keeps the entry
+        module = source / "repro" / "kernels" / "matmul.py"
+        module.write_text(module.read_text() + "\n# an edit\n")
+        assert entries_seen("get") == 0
 
     def test_stats_is_read_only_on_mismatched_stores(self, store, workload):
         store.put("key", _evaluate(workload))

@@ -98,6 +98,12 @@ class TestDominance:
     def test_strictly_better_dominates(self):
         assert dominates(make_candidate(1.0, 1.0), make_candidate(2.0, 2.0), OBJECTIVES)
 
+    def test_tie_on_one_objective_and_better_on_another_dominates(self):
+        a = make_candidate(1.0, 1.0)
+        b = make_candidate(1.0, 2.0)
+        assert dominates(a, b, OBJECTIVES)
+        assert not dominates(b, a, OBJECTIVES)
+
     def test_trade_off_does_not_dominate(self):
         a = make_candidate(1.0, 2.0)
         b = make_candidate(2.0, 1.0)

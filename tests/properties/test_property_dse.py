@@ -8,7 +8,9 @@ candidates directly.
 
 from __future__ import annotations
 
+import math
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -144,3 +146,65 @@ def test_pareto_front_contains_no_dominated_point(candidates):
             assert any(
                 dominates(other, candidate, OBJECTIVES) for other in feasible
             )
+
+
+def quadratic_front(candidates, objectives):
+    """The definition of the front, O(n^2): the oracle of ``pareto_front``."""
+    feasible = [candidate for candidate in candidates if candidate.feasible]
+    return [
+        candidate
+        for candidate in feasible
+        if not any(
+            dominates(other, candidate, objectives)
+            for other in feasible
+            if other is not candidate
+        )
+    ]
+
+
+#: Values that stress the comparisons: ties, signed zeros, infinities, NaN.
+AWKWARD_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def mixed_sense_problems(draw):
+    """1-4 objectives of mixed sense, and candidates with awkward values.
+
+    Values come mostly from a small pool, so duplicate vectors and ties
+    on single objectives are common; some candidates are infeasible.
+    """
+    objectives = tuple(
+        SimpleNamespace(name=f"o{index}", sense=draw(st.sampled_from(Sense)))
+        for index in range(draw(st.integers(min_value=1, max_value=4)))
+    )
+    values = st.one_of(
+        st.sampled_from(AWKWARD_VALUES),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    candidates = []
+    for index in range(draw(st.integers(min_value=0, max_value=30))):
+        feasible = draw(st.booleans()) or draw(st.booleans())
+        candidates.append(
+            Candidate(
+                point=(("id", index),),
+                strategy="paper",
+                num_chips=1,
+                feasible=feasible,
+                objective_values=(
+                    tuple((objective.name, draw(values)) for objective in objectives)
+                    if feasible
+                    else ()
+                ),
+            )
+        )
+    return candidates, objectives
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=mixed_sense_problems())
+def test_pareto_front_matches_the_quadratic_definition(problem):
+    candidates, objectives = problem
+    front = pareto_front(candidates, objectives)
+    expected = quadratic_front(candidates, objectives)
+    # Same members (by identity), in the same (input) order.
+    assert [id(member) for member in front] == [id(member) for member in expected]
