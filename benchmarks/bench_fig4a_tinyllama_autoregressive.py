@@ -20,7 +20,7 @@ def test_fig4a_runtime_breakdown(run_once):
     print(runtime_breakdown_table(sweep))
 
     speedups = sweep.speedups()
-    breakdowns = sweep.breakdowns()
+    breakdowns = {r.num_chips: r.runtime_breakdown() for r in sweep.results}
 
     # Paper shape: 1-4 chips are dominated by off-chip (L3) DMA ...
     for num_chips in (1, 2, 4):
@@ -29,7 +29,7 @@ def test_fig4a_runtime_breakdown(run_once):
         assert speedups[num_chips] <= num_chips * 1.15
     # ... and the 8-chip system runs from on-chip memory with a clearly
     # super-linear speedup in the neighbourhood of the paper's 26.1x.
-    eight = sweep.report_for(8)
+    eight = sweep.result_for(8)
     assert eight.runs_from_on_chip_memory
     assert breakdowns[8][RuntimeCategory.DMA_L3_L2] == 0.0
     assert speedups[8] > 8

@@ -19,7 +19,7 @@ def test_fig4b_runtime_breakdown(run_once):
     print(runtime_breakdown_table(sweep))
 
     speedups = sweep.speedups()
-    breakdowns = sweep.breakdowns()
+    breakdowns = {r.num_chips: r.runtime_breakdown() for r in sweep.results}
 
     # Prompt mode is computation-dominated on every chip count (Sec. V-B).
     for num_chips, breakdown in breakdowns.items():

@@ -25,10 +25,13 @@ def test_fig4c_runtime_and_energy(run_once):
     assert speedups[4] > 4.0
     assert 4.0 < speedups[4] < 5.5
     # The 4-chip system runs with on-chip weights, the single chip does not.
-    assert sweep.report_for(4).runs_from_on_chip_memory
-    assert not sweep.report_for(1).runs_from_on_chip_memory
+    assert sweep.result_for(4).runs_from_on_chip_memory
+    assert not sweep.result_for(1).runs_from_on_chip_memory
     # Off-chip traffic drops by an order of magnitude at 4 chips.
-    assert sweep.report_for(1).total_l3_bytes > 4 * sweep.report_for(4).total_l3_bytes
+    assert (
+        sweep.result_for(1).l3_bytes_per_block
+        > 4 * sweep.result_for(4).l3_bytes_per_block
+    )
     # ... but the energy per block slightly increases (utilisation loss).
     assert energies[4] > energies[1]
     assert energies[4] < energies[1] * 1.25

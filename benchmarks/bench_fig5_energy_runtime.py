@@ -20,8 +20,8 @@ def test_fig5_energy_runtime(run_once):
     # TinyLlama autoregressive: runtime collapses, energy stays in range
     # (paper: ~0.7 mJ at 1 chip vs 0.64 mJ at 8 chips).
     autoregressive = result.autoregressive
-    one = autoregressive.report_for(1)
-    eight = autoregressive.report_for(8)
+    one = autoregressive.result_for(1)
+    eight = autoregressive.result_for(8)
     assert eight.block_cycles < one.block_cycles / 8
     assert 0.7 < eight.block_energy_joules / one.block_energy_joules < 1.3
     assert 0.3e-3 < eight.block_energy_joules < 1.0e-3
@@ -30,15 +30,15 @@ def test_fig5_energy_runtime(run_once):
     # energy per block drops below the double-buffered 16-chip point.
     scaled = result.autoregressive_scaled
     assert (
-        scaled.report_for(32).block_energy_joules
-        < scaled.report_for(16).block_energy_joules
+        scaled.result_for(32).block_energy_joules
+        < scaled.result_for(16).block_energy_joules
     )
-    assert scaled.report_for(32).total_l3_bytes == 0
-    assert scaled.report_for(16).total_l3_bytes > 0
+    assert scaled.result_for(32).l3_bytes_per_block == 0
+    assert scaled.result_for(16).l3_bytes_per_block > 0
 
     # MobileBERT: slight energy increase at 4 chips.
     mobilebert = result.mobilebert
     assert (
-        mobilebert.report_for(4).block_energy_joules
-        > mobilebert.report_for(1).block_energy_joules
+        mobilebert.result_for(4).block_energy_joules
+        > mobilebert.result_for(1).block_energy_joules
     )

@@ -42,8 +42,7 @@ def test_fig6_scalability(run_once):
     from repro.core.placement import WeightResidency
 
     residency = {
-        report.num_chips: report.residencies()[0]
-        for report in result.autoregressive.reports
+        r.num_chips: r.residencies()[0] for r in result.autoregressive.results
     }
     assert residency[8] is WeightResidency.DOUBLE_BUFFERED
     assert residency[16] is WeightResidency.DOUBLE_BUFFERED

@@ -117,8 +117,8 @@ wall = time.perf_counter() - start
 print(json.dumps({
     "wall_s": wall,
     "speedup_64_autoregressive": result.autoregressive.speedups()[64],
-    "chip_counts": len(result.autoregressive.reports)
-                   + len(result.prompt.reports),
+    "chip_counts": len(result.autoregressive.results)
+                   + len(result.prompt.results),
 }))
 """
 

@@ -11,7 +11,7 @@ the curve (streamed -> double-buffered -> everything resident on chip).
 
 from __future__ import annotations
 
-from repro import autoregressive, chip_count_sweep, prompt, tinyllama_scaled
+from repro import Session, autoregressive, prompt, scaling_points, tinyllama_scaled
 from repro.analysis.tables import scaling_table
 from repro.units import format_energy
 
@@ -19,6 +19,7 @@ CHIP_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def main() -> None:
+    session = Session()
     model = tinyllama_scaled()
     print(f"Scaled-up model: {model.name} "
           f"({model.num_heads} heads of dimension {model.head_dim})")
@@ -29,14 +30,15 @@ def main() -> None:
          autoregressive(model, 128)),
         ("prompt mode (S=16)", prompt(model, 16)),
     ):
-        sweep = chip_count_sweep(workload, CHIP_COUNTS)
-        print(scaling_table(sweep.scaling(), title=f"Scalability, {label}"))
+        sweep = session.sweep(workload, CHIP_COUNTS)
+        print(scaling_table(scaling_points(sweep.results),
+                            title=f"Scalability, {label}"))
         print()
         print("Weight residency and energy per chip count:")
-        for report in sweep.reports:
-            residency = report.residencies()[0].value
-            print(f"  {report.num_chips:>3} chips: {residency:<16} "
-                  f"energy/block {format_energy(report.block_energy_joules)}")
+        for result in sweep.results:
+            residency = result.residencies()[0].value
+            print(f"  {result.num_chips:>3} chips: {residency:<16} "
+                  f"energy/block {format_energy(result.block_energy_joules)}")
         print()
 
     print("Expected shape (paper): super-linear speedup once a block fits "

@@ -34,17 +34,16 @@ New partitioning ideas plug in through the strategy registry (see
     @register_strategy
     class MyStrategy: ...
 
-The seed's entry points (:func:`evaluate_block`, :func:`chip_count_sweep`,
-``compare_approaches``) remain available as thin shims over the session.
+Every evaluation returns one result schema, :class:`EvalResult`; sweeps
+and comparisons collect them into :class:`EvalSweep` and
+:class:`Comparison`.  :func:`evaluate_block` is the engine behind the
+``"paper"`` strategy, returning the full simulator :class:`BlockReport`.
 """
 
 from .analysis import (
     BlockReport,
-    ChipCountSweep,
     GenerationReport,
     ScalingPoint,
-    SweepResult,
-    chip_count_sweep,
     evaluate_block,
     evaluate_generation,
     scaling_points,
@@ -165,7 +164,6 @@ __all__ = [
     "BlockProgram",
     "BlockReport",
     "BlockScheduler",
-    "ChipCountSweep",
     "ChipModel",
     "ChipPartition",
     "ChipToChipLink",
@@ -197,13 +195,11 @@ __all__ = [
     "ServingScenario",
     "Session",
     "SimulationResult",
-    "SweepResult",
     "TransformerConfig",
     "TuneResult",
     "WeightResidency",
     "Workload",
     "autoregressive",
-    "chip_count_sweep",
     "chip_footprint",
     "default_session",
     "default_space",

@@ -25,7 +25,6 @@ from .metrics import (
     scaling_points,
     speedup,
 )
-from .sweep import ChipCountSweep, SweepResult, chip_count_sweep
 from .tables import (
     comparison_table,
     energy_runtime_table,
@@ -36,12 +35,9 @@ from .tables import (
 
 __all__ = [
     "BlockReport",
-    "ChipCountSweep",
     "GenerationReport",
     "GenerationStep",
     "ScalingPoint",
-    "SweepResult",
-    "chip_count_sweep",
     "comparison_table",
     "comparison_to_json",
     "eval_result_to_dict",

@@ -7,15 +7,16 @@ everything the examples, benchmarks, and figure harnesses need: runtime,
 runtime breakdown, traffic, energy, energy-delay product, and the
 weight-residency regime of every chip.
 
-This module is the computational backend of the ``"paper"`` strategy in
-:mod:`repro.api`; new code should prefer the unified front door::
+:func:`evaluate_block` is the engine of the simulator-backed strategies in
+:mod:`repro.api` (``"paper"``, ``"single_chip"``, ``"tensor_parallel"``),
+which attach its report to the one result schema,
+:class:`~repro.api.EvalResult`.  Evaluate through a session to get that
+schema and memoisation::
 
     from repro.api import Session
 
     result = Session().run(workload, strategy="paper", chips=8)
-
-:func:`evaluate_block` remains supported as the engine that strategy calls
-(and as a convenience shim for one-off evaluations).
+    report = result.report
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Dict, List
 from ..core.schedule import RuntimeCategory
 from ..errors import AnalysisError
 from .evaluate import BlockReport
-from .sweep import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle with repro.api
     from ..api.result import EvalResult
@@ -78,17 +77,27 @@ def report_to_dict(report: BlockReport, speedup: float | None = None) -> Dict[st
     return record
 
 
-def sweep_to_records(sweep: SweepResult) -> List[Dict[str, Any]]:
-    """Flatten a sweep into one record per chip count."""
+def sweep_to_records(sweep: "EvalSweep") -> List[Dict[str, Any]]:
+    """Flatten a simulator-backed sweep into one record per chip count.
+
+    Raises:
+        AnalysisError: If the sweep's strategy is analytical (its results
+            carry no :class:`BlockReport`; use :func:`eval_sweep_to_dict`).
+    """
+    if any(result.report is None for result in sweep.results):
+        raise AnalysisError(
+            f"strategy {sweep.strategy!r} is analytical; only simulator-backed "
+            "sweeps export per-chip records"
+        )
     speedups = sweep.speedups()
     return [
-        report_to_dict(report, speedup=speedups[report.num_chips])
-        for report in sweep.reports
+        report_to_dict(result.report, speedup=speedups[result.num_chips])
+        for result in sweep.results
     ]
 
 
-def sweep_to_json(sweep: SweepResult, *, indent: int = 2) -> str:
-    """Serialise a sweep to a JSON document."""
+def sweep_to_json(sweep: "EvalSweep", *, indent: int = 2) -> str:
+    """Serialise a simulator-backed sweep to a JSON document."""
     document = {
         "workload": sweep.workload.name,
         "chip_counts": sweep.chip_counts,
@@ -298,8 +307,8 @@ def comparison_to_json(comparison: "Comparison", *, indent: int = 2) -> str:
     return json.dumps(comparison_to_dict(comparison), indent=indent, sort_keys=True)
 
 
-def sweep_to_csv(sweep: SweepResult) -> str:
-    """Serialise a sweep to CSV (one row per chip count)."""
+def sweep_to_csv(sweep: "EvalSweep") -> str:
+    """Serialise a simulator-backed sweep to CSV (one row per chip count)."""
     records = sweep_to_records(sweep)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=SWEEP_CSV_COLUMNS, extrasaction="ignore")
@@ -309,22 +318,31 @@ def sweep_to_csv(sweep: SweepResult) -> str:
     return buffer.getvalue()
 
 
-def write_sweep(sweep: SweepResult, path: str) -> None:
+def check_sweep_path(path: str) -> None:
+    """Reject a :func:`write_sweep` path before anything is evaluated.
+
+    Raises:
+        AnalysisError: Unless ``path`` ends in ``.json`` or ``.csv``.
+    """
+    if not path.lower().endswith((".json", ".csv")):
+        raise AnalysisError(
+            f"unsupported export extension for {path!r}; use .json or .csv"
+        )
+
+
+def write_sweep(sweep: "EvalSweep", path: str) -> None:
     """Write a sweep to ``path``; the format follows the file extension.
 
     ``.json`` produces the JSON document, ``.csv`` the CSV table.
 
     Raises:
-        AnalysisError: For unsupported extensions.
+        AnalysisError: For unsupported extensions (see
+            :func:`check_sweep_path`).
     """
-    lowered = path.lower()
-    if lowered.endswith(".json"):
+    check_sweep_path(path)
+    if path.lower().endswith(".json"):
         payload = sweep_to_json(sweep)
-    elif lowered.endswith(".csv"):
-        payload = sweep_to_csv(sweep)
     else:
-        raise AnalysisError(
-            f"unsupported export extension for {path!r}; use .json or .csv"
-        )
+        payload = sweep_to_csv(sweep)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import AnalysisError
-from .evaluate import BlockReport
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
+    from ..api.result import EvalResult
 
 
 def speedup(baseline_cycles: float, cycles: float) -> float:
@@ -73,36 +75,37 @@ class ScalingPoint:
         return self.speedup > self.num_chips
 
 
-def scaling_points(reports: Sequence[BlockReport]) -> list[ScalingPoint]:
+def scaling_points(results: Sequence["EvalResult"]) -> list[ScalingPoint]:
     """Turn a chip-count sweep into scaling points relative to its first entry.
 
-    The first report of the sequence is used as the baseline (the paper
-    always normalises to the single-chip system).
+    Pass ``sweep.results`` of an :class:`~repro.api.EvalSweep`.  The first
+    result is used as the baseline (the paper always normalises to the
+    single-chip system).
 
     Raises:
         AnalysisError: If the sequence is empty or mixes workloads.
     """
-    if not reports:
+    if not results:
         raise AnalysisError("cannot compute scaling points of an empty sweep")
-    names = {report.workload.name for report in reports}
+    names = {result.workload.name for result in results}
     if len(names) > 1:
         raise AnalysisError(f"sweep mixes different workloads: {sorted(names)}")
-    baseline = reports[0]
+    baseline = results[0]
     points = []
-    for report in reports:
+    for result in results:
         points.append(
             ScalingPoint(
-                num_chips=report.num_chips,
-                cycles=report.block_cycles,
-                energy_joules=report.block_energy_joules,
-                speedup=speedup(baseline.block_cycles, report.block_cycles),
+                num_chips=result.num_chips,
+                cycles=result.block_cycles,
+                energy_joules=result.block_energy_joules,
+                speedup=speedup(baseline.block_cycles, result.block_cycles),
                 energy_improvement=energy_ratio(
-                    baseline.block_energy_joules, report.block_energy_joules
+                    baseline.block_energy_joules, result.block_energy_joules
                 ),
                 edp_improvement=edp_improvement(
-                    baseline.energy_delay_product, report.energy_delay_product
+                    baseline.energy_delay_product, result.energy_delay_product
                 ),
-                runs_from_on_chip_memory=report.runs_from_on_chip_memory,
+                runs_from_on_chip_memory=result.runs_from_on_chip_memory,
             )
         )
     return points

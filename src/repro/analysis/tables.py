@@ -7,12 +7,14 @@ test suite) without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..core.schedule import RuntimeCategory
 from ..units import format_bytes, format_energy, format_time
 from .metrics import ScalingPoint
-from .sweep import SweepResult
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
+    from ..api.session import EvalSweep
 
 _BREAKDOWN_ORDER = (
     RuntimeCategory.COMPUTE,
@@ -53,28 +55,34 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def runtime_breakdown_table(sweep: SweepResult) -> str:
-    """Fig. 4-style table: runtime breakdown and speedup per chip count."""
+def runtime_breakdown_table(sweep: "EvalSweep") -> str:
+    """Fig. 4-style table: runtime breakdown and speedup per chip count.
+
+    Needs a simulator-backed sweep (every result carries its report).
+    """
     headers = ["Chips", "Cycles"] + [
         _BREAKDOWN_LABELS[category] for category in _BREAKDOWN_ORDER
     ] + ["Speedup", "Linear", "On-chip"]
     speedups = sweep.speedups()
     rows: List[List[str]] = []
-    for report in sweep.reports:
-        breakdown = report.runtime_breakdown()
-        row = [str(report.num_chips), f"{report.block_cycles:,.0f}"]
+    for result in sweep.results:
+        breakdown = result.runtime_breakdown()
+        row = [str(result.num_chips), f"{result.block_cycles:,.0f}"]
         row.extend(
             f"{breakdown.get(category, 0.0):,.0f}" for category in _BREAKDOWN_ORDER
         )
-        row.append(f"{speedups[report.num_chips]:.2f}x")
-        row.append(f"{report.num_chips:.2f}x")
-        row.append("yes" if report.runs_from_on_chip_memory else "no")
+        row.append(f"{speedups[result.num_chips]:.2f}x")
+        row.append(f"{result.num_chips:.2f}x")
+        row.append("yes" if result.runs_from_on_chip_memory else "no")
         rows.append(row)
     return format_table(headers, rows)
 
 
-def energy_runtime_table(sweep: SweepResult) -> str:
-    """Fig. 5-style table: runtime vs. energy per chip count."""
+def energy_runtime_table(sweep: "EvalSweep") -> str:
+    """Fig. 5-style table: runtime vs. energy per chip count.
+
+    Needs a simulator-backed sweep (every result measures its C2C traffic).
+    """
     headers = [
         "Chips",
         "Cycles",
@@ -85,16 +93,16 @@ def energy_runtime_table(sweep: SweepResult) -> str:
         "C2C traffic",
     ]
     rows: List[List[str]] = []
-    for report in sweep.reports:
+    for result in sweep.results:
         rows.append(
             [
-                str(report.num_chips),
-                f"{report.block_cycles:,.0f}",
-                format_time(report.block_runtime_seconds),
-                format_energy(report.block_energy_joules),
-                f"{report.energy_delay_product * 1e6:.3f}",
-                format_bytes(report.total_l3_bytes),
-                format_bytes(report.total_c2c_bytes),
+                str(result.num_chips),
+                f"{result.block_cycles:,.0f}",
+                format_time(result.block_runtime_seconds),
+                format_energy(result.block_energy_joules),
+                f"{result.energy_delay_product * 1e6:.3f}",
+                format_bytes(result.l3_bytes_per_block),
+                format_bytes(result.c2c_bytes_per_block),
             ]
         )
     return format_table(headers, rows)

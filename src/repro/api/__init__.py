@@ -12,9 +12,8 @@ One front door for the paper's partitioning scheme and every baseline:
   memoisation (``Session(cache_dir=...)``, shared by CLI invocations,
   sweep workers, serving cost models, and DSE searchers).
 
-See ``docs/API.md`` for the full protocol description and the migration
-guide from the legacy ``evaluate_block``/``compare_approaches`` entry
-points (which remain available as thin shims over this package).
+See ``docs/API.md`` for the full protocol description and the table of
+removed legacy names and their replacements.
 """
 
 from .cache import (

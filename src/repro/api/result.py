@@ -2,15 +2,10 @@
 
 :class:`EvalResult` is the one schema every registered strategy produces,
 whether the strategy runs the full event-driven simulator (the paper's
-scheme) or an analytical cost model (the Table I baselines).  It absorbs
-both of the seed's result types:
-
-* :class:`repro.analysis.evaluate.BlockReport` — the simulator-backed
-  report of the paper's tensor-parallel scheme (runtime breakdown, traces,
-  memory plans), carried in the optional :attr:`EvalResult.report` field;
-* :class:`repro.baselines.types.BaselineResult` — the comparison-table
-  summary of the ablation baselines, recoverable exactly through
-  :meth:`EvalResult.to_baseline_result`.
+scheme) or an analytical cost model (the Table I baselines, which build
+it directly).  Simulator-backed strategies also attach the complete
+:class:`repro.analysis.evaluate.BlockReport` (runtime breakdown, traces,
+memory plans) in the optional :attr:`EvalResult.report` field.
 
 All strategies therefore expose the same runtime, energy, traffic, and
 placement fields, which is what makes :meth:`repro.api.Session.compare`
@@ -20,10 +15,9 @@ and cross-strategy sweeps possible without per-strategy special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..analysis.evaluate import BlockReport
-from ..baselines.types import BaselineResult
 from ..core.placement import WeightResidency
 from ..core.schedule import RuntimeCategory
 from ..errors import AnalysisError
@@ -114,7 +108,7 @@ class EvalResult:
             return None
         return self.report.runtime_breakdown()
 
-    def speedup_over(self, other: Union["EvalResult", BaselineResult]) -> float:
+    def speedup_over(self, other: "EvalResult") -> float:
         """Runtime speedup of this result over another."""
         return other.block_cycles / self.block_cycles
 
@@ -165,21 +159,6 @@ class EvalResult:
             f"{self.block_energy_joules * 1e3:.3f} mJ/block"
         )
 
-    def to_baseline_result(self) -> BaselineResult:
-        """Project this result onto the seed's comparison-table schema."""
-        return BaselineResult(
-            approach=self.approach,
-            num_chips=self.num_chips,
-            block_cycles=self.block_cycles,
-            block_energy_joules=self.block_energy_joules,
-            l3_bytes_per_block=self.l3_bytes_per_block,
-            weight_bytes_per_chip=self.weight_bytes_per_chip,
-            weights_replicated=self.weights_replicated,
-            synchronisations_per_block=self.synchronisations_per_block,
-            uses_pipelining=self.uses_pipelining,
-            notes=self.notes,
-        )
-
     @classmethod
     def from_block_report(
         cls,
@@ -214,36 +193,5 @@ class EvalResult:
             uses_pipelining=uses_pipelining,
             notes=notes,
             c2c_bytes_per_block=report.total_c2c_bytes,
-            report=report,
-        )
-
-    @classmethod
-    def from_baseline_result(
-        cls,
-        result: BaselineResult,
-        *,
-        strategy: str,
-        workload: Workload,
-        frequency_hz: float,
-        report: Optional[BlockReport] = None,
-    ) -> "EvalResult":
-        """Lift a seed :class:`BaselineResult` into the unified schema."""
-        return cls(
-            strategy=strategy,
-            approach=result.approach,
-            workload=workload,
-            num_chips=result.num_chips,
-            frequency_hz=frequency_hz,
-            block_cycles=result.block_cycles,
-            block_energy_joules=result.block_energy_joules,
-            l3_bytes_per_block=result.l3_bytes_per_block,
-            weight_bytes_per_chip=result.weight_bytes_per_chip,
-            weights_replicated=result.weights_replicated,
-            synchronisations_per_block=result.synchronisations_per_block,
-            uses_pipelining=result.uses_pipelining,
-            notes=result.notes,
-            c2c_bytes_per_block=(
-                report.total_c2c_bytes if report is not None else None
-            ),
             report=report,
         )

@@ -13,9 +13,9 @@ sweeps out over a process pool when asked to::
     sweep = session.sweep(workload, chips=(1, 2, 4, 8))
     table = session.compare(workload, chips=8)
 
-The seed's ``evaluate_block``/``chip_count_sweep``/``compare_approaches``
-entry points survive as thin shims over this class, so existing callers
-and the figure harnesses keep working unchanged.
+Every call returns the one result schema, :class:`~repro.api.EvalResult`
+(collected into an :class:`EvalSweep` or a :class:`Comparison`), which the
+figure harnesses, tables and exporters consume directly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import (
 
 from ..analysis.evaluate import ProgramMemo
 from ..core.placement import PrefetchAccounting
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, ReproError, UnknownStrategyError
 from ..graph.transformer import TransformerConfig
 from ..graph.workload import Workload
 from ..hw.chip import ChipModel
@@ -230,25 +230,6 @@ class EvalSweep:
             for result in self.results
         }
 
-    def to_sweep_result(self):
-        """Convert to the seed's :class:`~repro.analysis.sweep.SweepResult`.
-
-        Only possible when every point carries a simulator-backed
-        :class:`~repro.analysis.evaluate.BlockReport` (i.e. the ``paper``
-        strategy); the figure harnesses rely on this bridge.
-        """
-        from ..analysis.sweep import SweepResult
-
-        if any(result.report is None for result in self.results):
-            raise AnalysisError(
-                f"strategy {self.strategy!r} does not produce BlockReports; "
-                "only report-backed sweeps convert to SweepResult"
-            )
-        return SweepResult(
-            workload=self.workload,
-            reports=tuple(result.report for result in self.results),
-        )
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -274,9 +255,13 @@ class Comparison:
         return [result.strategy for result in self.results]
 
     def result_for(self, strategy: str) -> EvalResult:
-        """The result of one particular strategy."""
+        """The result of one particular strategy, named or aliased."""
+        try:
+            name = get_strategy(strategy).name  # results carry canonical names
+        except UnknownStrategyError:
+            name = strategy
         for result in self.results:
-            if result.strategy == strategy:
+            if result.strategy == name:
                 return result
         raise AnalysisError(f"comparison has no entry for strategy {strategy!r}")
 

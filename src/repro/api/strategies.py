@@ -27,10 +27,10 @@ PartitionStrategy` interface:
     cycles and energy to ``paper`` under default options, presented with
     the ablation's metadata.  Simulator-backed, report attached.
 
-The simulator-backed strategies invoke the same engine calls as the seed's
-:mod:`repro.baselines` adapters, and the analytical ones delegate to them
-directly, so every number is bit-identical to the seed's
-``compare_approaches`` ablation (asserted by ``tests/api/test_parity.py``).
+The simulator-backed strategies wrap :func:`repro.analysis.evaluate_block`;
+the analytical ones return the :class:`EvalResult` their
+:mod:`repro.baselines` cost model builds.  Every number is pinned by
+``tests/data/paper_golden.json``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ class SingleChipStrategy:
         platform: MultiChipPlatform,
         options: EvalOptions,
     ) -> EvalResult:
-        # Same engine invocation as the seed's evaluate_single_chip, but
-        # keeping the simulator report attached to the unified result.
         report = evaluate_block(workload, platform.with_num_chips(1))
         return EvalResult.from_block_report(
             report,
@@ -127,13 +125,7 @@ class WeightReplicatedStrategy:
         platform: MultiChipPlatform,
         options: EvalOptions,
     ) -> EvalResult:
-        result = evaluate_weight_replicated(workload, platform)
-        return EvalResult.from_baseline_result(
-            result,
-            strategy=self.name,
-            workload=workload,
-            frequency_hz=platform.frequency_hz,
-        )
+        return evaluate_weight_replicated(workload, platform)
 
 
 @register_strategy
@@ -149,13 +141,7 @@ class PipelineParallelStrategy:
         platform: MultiChipPlatform,
         options: EvalOptions,
     ) -> EvalResult:
-        result = evaluate_pipeline_parallel(workload, platform)
-        return EvalResult.from_baseline_result(
-            result,
-            strategy=self.name,
-            workload=workload,
-            frequency_hz=platform.frequency_hz,
-        )
+        return evaluate_pipeline_parallel(workload, platform)
 
 
 @register_strategy
@@ -171,8 +157,7 @@ class TensorParallelStrategy:
         platform: MultiChipPlatform,
         options: EvalOptions,
     ) -> EvalResult:
-        # Same engine invocation (default options) as the seed's
-        # evaluate_tensor_parallel, but keeping the report attached.
+        # Default options: the Table I entry ignores the session's knobs.
         report = evaluate_block(workload, platform)
         return EvalResult.from_block_report(
             report,

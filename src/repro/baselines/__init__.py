@@ -1,24 +1,12 @@
 """Baseline partitioning approaches used for the Table I ablation."""
 
-from .compare import (
-    compare_approaches,
-    comparison_rows,
-    qualitative_table,
-    render_comparison,
-)
+from .compare import comparison_rows, qualitative_table, render_comparison
 from .pipeline_parallel import evaluate_pipeline_parallel
-from .single_chip import evaluate_single_chip
-from .tensor_parallel import evaluate_tensor_parallel
-from .types import BaselineResult
 from .weight_replicated import evaluate_weight_replicated
 
 __all__ = [
-    "BaselineResult",
-    "compare_approaches",
     "comparison_rows",
     "evaluate_pipeline_parallel",
-    "evaluate_single_chip",
-    "evaluate_tensor_parallel",
     "evaluate_weight_replicated",
     "qualitative_table",
     "render_comparison",

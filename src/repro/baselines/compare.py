@@ -1,9 +1,11 @@
-"""Head-to-head comparison of the partitioning approaches (Table I ablation).
+"""Rendering of the partitioning-approach comparison (Table I ablation).
 
-The paper's Table I is a qualitative comparison of prior work; this module
-backs it with a quantitative ablation in which every approach runs on the
-same Siracusa-like platform, the same workload, and the same cost models,
-so the differences come only from the partitioning strategy.
+The paper's Table I is a qualitative comparison of prior work.
+:meth:`repro.api.Session.compare` backs it with a quantitative ablation in
+which every approach runs on the same Siracusa-like platform, the same
+workload, and the same cost models, so the differences come only from the
+partitioning strategy; this module renders its :class:`EvalResult` rows
+next to the published table.
 """
 
 from __future__ import annotations
@@ -11,34 +13,14 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..analysis.tables import format_table
-from ..graph.workload import Workload
-from ..hw.platform import MultiChipPlatform
+from ..api.result import EvalResult
 from ..units import format_bytes, format_energy
-from .types import BaselineResult
 
 
-def compare_approaches(
-    workload: Workload, platform: MultiChipPlatform
-) -> List[BaselineResult]:
-    """Evaluate all approaches on the same workload and platform.
-
-    Legacy shim over :meth:`repro.api.Session.compare`: the ablation runs
-    through the strategy registry and is projected back onto the seed's
-    :class:`BaselineResult` schema.  Returns the results ordered as:
-    single chip, weight-replicated sequence parallelism, pipeline
-    parallelism, and the paper's tensor-parallel scheme.
-    """
-    from ..api.session import Session
-
-    comparison = Session(platform=platform).compare(workload)
-    return [result.to_baseline_result() for result in comparison.results]
-
-
-def comparison_rows(results: Sequence) -> List[List[str]]:
+def comparison_rows(results: Sequence[EvalResult]) -> List[List[str]]:
     """Render comparison results as table rows (one per approach).
 
-    Accepts both the legacy :class:`BaselineResult` and the unified
-    :class:`repro.api.EvalResult` — the rendered columns exist on both.
+    Speedups are relative to the first result.
     """
     baseline = results[0]
     rows: List[List[str]] = []
@@ -60,7 +42,7 @@ def comparison_rows(results: Sequence) -> List[List[str]]:
     return rows
 
 
-def render_comparison(results: Sequence) -> str:
+def render_comparison(results: Sequence[EvalResult]) -> str:
     """Plain-text Table-I-style comparison with measured columns."""
     headers = [
         "Approach",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from ..api.result import EvalResult
 from ..core.footprint import chip_footprint
 from ..core.partition import partition_block
 from ..core.placement import plan_memory
@@ -24,12 +25,11 @@ from ..energy.model import EnergyModel
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
 from ..sim.simulator import simulate_block
-from .types import BaselineResult
 
 
 def evaluate_pipeline_parallel(
     workload: Workload, platform: MultiChipPlatform
-) -> BaselineResult:
+) -> EvalResult:
     """Analytically evaluate a layer-wise pipeline across the platform.
 
     Each stage is modelled as a single-chip execution of its layers: the
@@ -75,15 +75,17 @@ def evaluate_pipeline_parallel(
         config.num_layers * block_energy + num_boundaries * transfer_energy
     )
 
-    plan = program.memory_plan(0)
     footprint = chip_footprint(
         stage_config, stage_workload, partition_block(stage_config, 1).chips[0]
     )
     plan = plan_memory(platform.chip, footprint)
 
-    return BaselineResult(
+    return EvalResult(
+        strategy="pipeline_parallel",
         approach="Pipeline parallel (layer split)",
+        workload=workload,
         num_chips=num_chips,
+        frequency_hz=platform.frequency_hz,
         block_cycles=inference_cycles / config.num_layers,
         block_energy_joules=inference_energy / config.num_layers,
         l3_bytes_per_block=simulation.total_l3_l2_bytes,

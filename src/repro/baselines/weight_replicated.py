@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 
+from ..api.result import EvalResult
 from ..core.footprint import ChipFootprint, activation_footprint
 from ..core.partition import partition_block
 from ..core.placement import WeightResidency, plan_memory
@@ -28,12 +29,11 @@ from ..graph.transformer import BlockSlice, build_block_operators, full_block_sl
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
 from ..kernels.library import KernelLibrary
-from .types import BaselineResult
 
 
 def evaluate_weight_replicated(
     workload: Workload, platform: MultiChipPlatform
-) -> BaselineResult:
+) -> EvalResult:
     """Analytically evaluate the weight-replicated sequence-parallel scheme."""
     config = workload.config
     num_chips = platform.num_chips
@@ -126,9 +126,12 @@ def evaluate_weight_replicated(
     l3_energy = l3_bytes_total * platform.chip.l3.access_energy_pj_per_byte * 1e-12
     c2c_energy = platform.link.transfer_energy_joules(int(c2c_bytes_total))
 
-    return BaselineResult(
+    return EvalResult(
+        strategy="weight_replicated",
         approach="Sequence parallel, replicated weights",
+        workload=workload,
         num_chips=num_chips,
+        frequency_hz=platform.frequency_hz,
         block_cycles=block_cycles,
         block_energy_joules=compute_energy + l2_energy + l3_energy + c2c_energy,
         l3_bytes_per_block=l3_bytes_total,

@@ -63,6 +63,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .analysis.export import (
+    check_sweep_path,
     comparison_to_json,
     eval_result_to_dict,
     eval_sweep_to_json,
@@ -1453,12 +1454,14 @@ def _command_sweep(args: argparse.Namespace) -> List[str]:
     if args.emit_spec:
         return [spec.to_json().rstrip("\n")]
     session = _session_from_args(args)
+    # Pure argument validation: fail before the (possibly long) sweep.
     if args.json and args.output and not args.output.lower().endswith(".json"):
-        # Pure argument validation: fail before the (possibly long) sweep.
         raise AnalysisError(
             f"--json writes a JSON document; use a .json path "
             f"(got {args.output!r}) or drop --json for the CSV exporter"
         )
+    if args.output:
+        check_sweep_path(args.output)
     workload = spec.workload.build()
     sweep = session.sweep(spec)
     if args.json:
@@ -1469,14 +1472,13 @@ def _command_sweep(args: argparse.Namespace) -> List[str]:
         return lines
     lines = [f"Chip-count sweep for {workload.name} (strategy: {sweep.strategy})"]
     if all(result.report is not None for result in sweep.results):
-        classic = sweep.to_sweep_result()
         lines += [
-            runtime_breakdown_table(classic),
+            runtime_breakdown_table(sweep),
             "",
-            energy_runtime_table(classic),
+            energy_runtime_table(sweep),
         ]
         if args.output:
-            write_sweep(classic, args.output)
+            write_sweep(sweep, args.output)
             lines.append(f"wrote {args.output}")
     else:
         lines.append(_strategy_sweep_table(sweep))

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..analysis.sweep import SweepResult
 from ..analysis.tables import runtime_breakdown_table
-from ..api.session import default_session
+from ..api.session import EvalSweep, default_session
 from ..graph.workload import Workload, autoregressive, encoder, prompt
 from ..models.mobilebert import MOBILEBERT_SEQ_LEN, mobilebert
 from ..models.tinyllama import (
@@ -34,9 +33,9 @@ MOBILEBERT_CHIP_COUNTS = (1, 2, 4)
 class Fig4Result:
     """The three sweeps behind Fig. 4."""
 
-    autoregressive: SweepResult
-    prompt: SweepResult
-    mobilebert: SweepResult
+    autoregressive: EvalSweep
+    prompt: EvalSweep
+    mobilebert: EvalSweep
 
     def speedups(self) -> Dict[str, Dict[int, float]]:
         """Speedup series of the three panels."""
@@ -62,22 +61,22 @@ def mobilebert_workload() -> Workload:
     return encoder(mobilebert(), MOBILEBERT_SEQ_LEN)
 
 
-def session_sweep(workload: Workload, chip_counts: Sequence[int]) -> SweepResult:
+def session_sweep(workload: Workload, chip_counts: Sequence[int]) -> EvalSweep:
     """Run one figure sweep through the shared evaluation session."""
-    return default_session().sweep(workload, chip_counts).to_sweep_result()
+    return default_session().sweep(workload, chip_counts)
 
 
-def run_fig4a(chip_counts: Sequence[int] = TINYLLAMA_CHIP_COUNTS) -> SweepResult:
+def run_fig4a(chip_counts: Sequence[int] = TINYLLAMA_CHIP_COUNTS) -> EvalSweep:
     """Fig. 4(a): TinyLlama autoregressive mode, 1-8 chips."""
     return session_sweep(tinyllama_autoregressive_workload(), chip_counts)
 
 
-def run_fig4b(chip_counts: Sequence[int] = TINYLLAMA_CHIP_COUNTS) -> SweepResult:
+def run_fig4b(chip_counts: Sequence[int] = TINYLLAMA_CHIP_COUNTS) -> EvalSweep:
     """Fig. 4(b): TinyLlama prompt mode, 1-8 chips."""
     return session_sweep(tinyllama_prompt_workload(), chip_counts)
 
 
-def run_fig4c(chip_counts: Sequence[int] = MOBILEBERT_CHIP_COUNTS) -> SweepResult:
+def run_fig4c(chip_counts: Sequence[int] = MOBILEBERT_CHIP_COUNTS) -> EvalSweep:
     """Fig. 4(c): MobileBERT, 1-4 chips."""
     return session_sweep(mobilebert_workload(), chip_counts)
 

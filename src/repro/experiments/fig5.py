@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis.sweep import SweepResult
 from ..analysis.tables import energy_runtime_table
+from ..api.session import EvalSweep
 from ..graph.workload import autoregressive, prompt
 from ..models.tinyllama import (
     TINYLLAMA_AUTOREGRESSIVE_SEQ_LEN,
@@ -38,18 +38,18 @@ SCALED_CHIP_COUNTS = (16, 32, 64)
 class Fig5Result:
     """The energy/runtime series behind Fig. 5."""
 
-    autoregressive: SweepResult
-    autoregressive_scaled: SweepResult
-    prompt: SweepResult
-    prompt_scaled: SweepResult
-    mobilebert: SweepResult
+    autoregressive: EvalSweep
+    autoregressive_scaled: EvalSweep
+    prompt: EvalSweep
+    prompt_scaled: EvalSweep
+    mobilebert: EvalSweep
 
     def points(self) -> Dict[str, List[Tuple[int, float, float]]]:
         """(chips, cycles, energy_joules) tuples per panel and series."""
-        def series(sweep: SweepResult) -> List[Tuple[int, float, float]]:
+        def series(sweep: EvalSweep) -> List[Tuple[int, float, float]]:
             return [
-                (report.num_chips, report.block_cycles, report.block_energy_joules)
-                for report in sweep.reports
+                (result.num_chips, result.block_cycles, result.block_energy_joules)
+                for result in sweep.results
             ]
 
         return {

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..analysis.sweep import SweepResult
+from ..analysis.metrics import scaling_points
 from ..analysis.tables import scaling_table
+from ..api.session import EvalSweep
 from ..graph.workload import autoregressive, prompt
 from ..models.tinyllama import (
     TINYLLAMA_AUTOREGRESSIVE_SEQ_LEN,
@@ -30,8 +31,8 @@ SCALABILITY_CHIP_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 class Fig6Result:
     """The two speedup curves of Fig. 6."""
 
-    autoregressive: SweepResult
-    prompt: SweepResult
+    autoregressive: EvalSweep
+    prompt: EvalSweep
 
     def speedups(self) -> Dict[str, Dict[int, float]]:
         """Speedup series for both modes."""
@@ -61,12 +62,12 @@ def render_fig6(result: Fig6Result) -> str:
     """Plain-text rendering of the two speedup curves."""
     parts = [
         scaling_table(
-            result.autoregressive.scaling(),
+            scaling_points(result.autoregressive.results),
             title="Fig. 6 Scaled-up TinyLlama, autoregressive mode",
         ),
         "",
         scaling_table(
-            result.prompt.scaling(),
+            scaling_points(result.prompt.results),
             title="Fig. 6 Scaled-up TinyLlama, prompt mode",
         ),
     ]

@@ -63,8 +63,8 @@ def run_headline() -> HeadlineResult:
     prompt_sweep = run_fig4b()
     mobilebert_sweep = run_fig4c()
 
-    ar8 = autoregressive_sweep.report_for(8)
-    ar1 = autoregressive_sweep.report_for(1)
+    ar8 = autoregressive_sweep.result_for(8)
+    ar1 = autoregressive_sweep.result_for(1)
     speedups_ar = autoregressive_sweep.speedups()
     speedups_prompt = prompt_sweep.speedups()
     speedups_mb = mobilebert_sweep.speedups()
@@ -84,8 +84,8 @@ def run_headline() -> HeadlineResult:
     )
     scaled_speedup = scaled_ar_sweep.speedups()[64]
     scaled_energy_gain = (
-        scaled_ar_sweep.report_for(1).block_energy_joules
-        / scaled_ar_sweep.report_for(64).block_energy_joules
+        scaled_ar_sweep.result_for(1).block_energy_joules
+        / scaled_ar_sweep.result_for(64).block_energy_joules
     )
 
     metrics = [

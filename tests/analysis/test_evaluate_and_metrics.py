@@ -13,6 +13,7 @@ from repro.analysis.metrics import (
     scaling_points,
     speedup,
 )
+from repro.api import Session
 from repro.core.placement import PrefetchAccounting, WeightResidency
 from repro.core.schedule import RuntimeCategory
 from repro.errors import AnalysisError
@@ -100,11 +101,7 @@ class TestMetrics:
 
     def test_scaling_points_normalise_to_first_entry(self):
         workload = autoregressive(tinyllama_42m(), 128)
-        reports = [
-            evaluate_block(workload, siracusa_platform(1)),
-            evaluate_block(workload, siracusa_platform(8)),
-        ]
-        points = scaling_points(reports)
+        points = scaling_points(Session().sweep(workload, (1, 8)).results)
         assert points[0].speedup == pytest.approx(1.0)
         assert points[0].energy_improvement == pytest.approx(1.0)
         assert points[1].num_chips == 8
@@ -113,12 +110,13 @@ class TestMetrics:
         assert points[1].parallel_efficiency > 1.0
 
     def test_scaling_points_reject_mixed_workloads(self):
-        reports = [
-            evaluate_block(autoregressive(tinyllama_42m(), 128), siracusa_platform(1)),
-            evaluate_block(prompt(tinyllama_42m(), 16), siracusa_platform(1)),
+        session = Session()
+        results = [
+            session.run(autoregressive(tinyllama_42m(), 128), chips=1),
+            session.run(prompt(tinyllama_42m(), 16), chips=1),
         ]
         with pytest.raises(AnalysisError, match="mixes"):
-            scaling_points(reports)
+            scaling_points(results)
 
     def test_scaling_points_reject_empty(self):
         with pytest.raises(AnalysisError):

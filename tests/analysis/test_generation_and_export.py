@@ -16,8 +16,8 @@ from repro.analysis.export import (
     write_sweep,
 )
 from repro.analysis.generation import evaluate_generation
-from repro.analysis.sweep import chip_count_sweep
 from repro.analysis.evaluate import evaluate_block
+from repro.api import Session
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
@@ -26,7 +26,7 @@ from repro.models.tinyllama import tinyllama_42m
 
 @pytest.fixture(scope="module")
 def sweep():
-    return chip_count_sweep(autoregressive(tinyllama_42m(), 128), (1, 8))
+    return Session().sweep(autoregressive(tinyllama_42m(), 128), (1, 8))
 
 
 class TestGeneration:
@@ -208,6 +208,14 @@ class TestExport:
         assert csv_path.read_text().startswith("workload,")
         with pytest.raises(AnalysisError):
             write_sweep(sweep, str(tmp_path / "sweep.txt"))
+
+    def test_sweep_records_need_simulator_backed_results(self):
+        analytical = Session().sweep(
+            autoregressive(tinyllama_42m(), 128), (1, 8),
+            strategy="weight_replicated",
+        )
+        with pytest.raises(AnalysisError, match="weight_replicated"):
+            sweep_to_records(analytical)
 
 
 class TestEvalResultExport:

@@ -1,10 +1,10 @@
-"""Unit tests for chip-count sweeps and the plain-text table renderers."""
+"""Unit tests for session chip-count sweeps and the plain-text table renderers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sweep import ChipCountSweep, SweepResult, chip_count_sweep
+from repro.analysis.metrics import scaling_points
 from repro.analysis.tables import (
     comparison_table,
     energy_runtime_table,
@@ -12,6 +12,7 @@ from repro.analysis.tables import (
     runtime_breakdown_table,
     scaling_table,
 )
+from repro.api import EvalSweep, Session
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.models.tinyllama import tinyllama_42m
@@ -20,16 +21,16 @@ from repro.models.tinyllama import tinyllama_42m
 @pytest.fixture(scope="module")
 def small_sweep():
     workload = autoregressive(tinyllama_42m(), 128)
-    return chip_count_sweep(workload, (1, 8))
+    return Session().sweep(workload, (1, 8))
 
 
-class TestChipCountSweep:
+class TestSessionSweep:
     def test_sweep_structure(self, small_sweep):
         assert small_sweep.chip_counts == [1, 8]
         assert small_sweep.baseline.num_chips == 1
-        assert small_sweep.report_for(8).num_chips == 8
+        assert small_sweep.result_for(8).num_chips == 8
         with pytest.raises(AnalysisError):
-            small_sweep.report_for(3)
+            small_sweep.result_for(3)
 
     def test_speedups_and_energies(self, small_sweep):
         speedups = small_sweep.speedups()
@@ -40,28 +41,21 @@ class TestChipCountSweep:
         cycles = small_sweep.cycles()
         assert cycles[8] < cycles[1]
 
-    def test_breakdowns_indexed_by_chip_count(self, small_sweep):
-        breakdowns = small_sweep.breakdowns()
-        assert set(breakdowns) == {1, 8}
-
-    def test_empty_sweep_rejected(self):
-        workload = autoregressive(tinyllama_42m(), 128)
-        with pytest.raises(AnalysisError):
-            chip_count_sweep(workload, ())
-        with pytest.raises(AnalysisError):
-            ChipCountSweep().run(workload, [0])
+    def test_every_result_carries_a_breakdown(self, small_sweep):
+        for result in small_sweep.results:
+            assert sum(result.runtime_breakdown().values()) > 0
 
     def test_sweep_caches_repeated_points(self):
         workload = autoregressive(tinyllama_42m(), 128)
-        sweep = ChipCountSweep()
-        first = sweep.run(workload, (8,)).report_for(8)
-        second = sweep.run(workload, (8,)).report_for(8)
+        session = Session()
+        first = session.sweep(workload, (8,)).result_for(8)
+        second = session.sweep(workload, (8,)).result_for(8)
         assert first is second
 
-    def test_sweep_result_requires_reports(self):
+    def test_sweep_requires_results(self):
         workload = autoregressive(tinyllama_42m(), 128)
         with pytest.raises(AnalysisError):
-            SweepResult(workload=workload, reports=())
+            EvalSweep(workload=workload, strategy="paper", results=())
 
 
 class TestTables:
@@ -88,7 +82,7 @@ class TestTables:
         assert "MiB" in table
 
     def test_scaling_table_contents(self, small_sweep):
-        table = scaling_table(small_sweep.scaling(), title="Scaling")
+        table = scaling_table(scaling_points(small_sweep.results), title="Scaling")
         assert table.startswith("Scaling")
         assert "Efficiency" in table and "EDP gain" in table
 

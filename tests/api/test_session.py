@@ -148,13 +148,12 @@ class TestSweep:
         sweep = session.sweep(workload, (1, 8), strategy="pipeline_parallel")
         assert sweep.strategy == "pipeline_parallel"
         assert all(result.uses_pipelining for result in sweep.results)
-        with pytest.raises(AnalysisError):
-            sweep.to_sweep_result()  # analytical strategy: no BlockReports
+        assert all(result.report is None for result in sweep.results)
 
-    def test_paper_sweep_converts_to_classic_sweep_result(self, session, workload):
-        classic = session.sweep(workload, (1, 8)).to_sweep_result()
-        assert classic.chip_counts == [1, 8]
-        assert classic.report_for(8).num_chips == 8
+    def test_paper_sweep_results_carry_block_reports(self, session, workload):
+        sweep = session.sweep(workload, (1, 8))
+        assert sweep.chip_counts == [1, 8]
+        assert sweep.result_for(8).report.num_chips == 8
 
     def test_parallel_sweep_matches_serial(self, workload):
         serial = Session().sweep(workload, (1, 2, 4))
@@ -176,15 +175,23 @@ class TestCompare:
         assert comparison.best().strategy == "tensor_parallel"
 
     def test_compare_custom_strategies_and_lookup(self, session, workload):
+        # "ours" is an alias: the results carry the canonical "paper".
         comparison = session.compare(
-            workload, chips=8, strategies=("paper", "single_chip")
+            workload, chips=8, strategies=("ours", "single_chip")
         )
+        assert comparison.strategies == ["paper", "single_chip"]
         assert comparison.result_for("paper").report is not None
+        assert comparison.result_for("ours") is comparison.result_for("paper")
         with pytest.raises(AnalysisError):
             comparison.result_for("pipeline_parallel")
+        with pytest.raises(AnalysisError):
+            comparison.result_for("sequence_parallel")  # alias, not evaluated
+        with pytest.raises(AnalysisError):
+            comparison.result_for("nope")  # not registered
         speedups = comparison.speedups_over("single_chip")
         assert speedups["paper"] > 8
         assert speedups["single_chip"] == pytest.approx(1.0)
+        assert comparison.speedups_over("ours")["paper"] == 1.0
 
     def test_compare_requires_strategies(self, session, workload):
         with pytest.raises(AnalysisError):

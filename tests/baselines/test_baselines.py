@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import EvalResult, Session
 from repro.baselines import (
-    BaselineResult,
-    compare_approaches,
     evaluate_pipeline_parallel,
-    evaluate_single_chip,
-    evaluate_tensor_parallel,
     evaluate_weight_replicated,
     qualitative_table,
     render_comparison,
@@ -31,40 +28,41 @@ def decode_workload():
     return autoregressive(tinyllama_42m(), 128)
 
 
-class TestBaselineResult:
+@pytest.fixture(scope="module")
+def session():
+    return Session()
+
+
+def analytical_result(**overrides) -> EvalResult:
+    fields = dict(
+        strategy="analytical", approach="analytical",
+        workload=autoregressive(tinyllama_42m(), 128), num_chips=1,
+        frequency_hz=500e6, block_cycles=1000, block_energy_joules=1e-3,
+        l3_bytes_per_block=0, weight_bytes_per_chip=0,
+        weights_replicated=False, synchronisations_per_block=0,
+    )
+    fields.update(overrides)
+    return EvalResult(**fields)
+
+
+class TestAnalyticalResult:
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            BaselineResult(
-                approach="bad",
-                num_chips=0,
-                block_cycles=1,
-                block_energy_joules=0,
-                l3_bytes_per_block=0,
-                weight_bytes_per_chip=0,
-                weights_replicated=False,
-                synchronisations_per_block=0,
-            )
+            analytical_result(num_chips=0)
 
     def test_speedup_and_edp(self):
-        slow = BaselineResult(
-            approach="slow", num_chips=1, block_cycles=1000,
-            block_energy_joules=1e-3, l3_bytes_per_block=0,
-            weight_bytes_per_chip=0, weights_replicated=False,
-            synchronisations_per_block=0,
-        )
-        fast = BaselineResult(
+        slow = analytical_result(approach="slow")
+        fast = analytical_result(
             approach="fast", num_chips=8, block_cycles=100,
-            block_energy_joules=1e-3, l3_bytes_per_block=0,
-            weight_bytes_per_chip=0, weights_replicated=False,
             synchronisations_per_block=2,
         )
         assert fast.speedup_over(slow) == pytest.approx(10.0)
-        assert fast.energy_delay_product == pytest.approx(0.1)
+        assert fast.edp_joule_cycles == pytest.approx(0.1)
 
 
 class TestSingleChip:
-    def test_matches_one_chip_evaluation(self, decode_workload, platform):
-        result = evaluate_single_chip(decode_workload, platform)
+    def test_matches_one_chip_evaluation(self, session, decode_workload, platform):
+        result = session.run(decode_workload, "single_chip", platform=platform)
         assert result.num_chips == 1
         assert not result.weights_replicated
         assert result.synchronisations_per_block == 0
@@ -72,19 +70,21 @@ class TestSingleChip:
 
 
 class TestWeightReplicated:
-    def test_autoregressive_mode_gets_no_parallelism(self, decode_workload, platform):
+    def test_autoregressive_mode_gets_no_parallelism(
+        self, session, decode_workload, platform
+    ):
         """With one query row, the sequence-parallel scheme cannot spread
         work, which is exactly why the paper rejects it for real-time
         decoding."""
-        single = evaluate_single_chip(decode_workload, platform)
+        single = session.run(decode_workload, "single_chip", platform=platform)
         replicated = evaluate_weight_replicated(decode_workload, platform)
         assert replicated.weights_replicated
         assert replicated.weight_bytes_per_chip == single.weight_bytes_per_chip
         assert replicated.block_cycles >= 0.9 * single.block_cycles
 
-    def test_prompt_mode_splits_rows_but_keeps_weights(self, platform):
+    def test_prompt_mode_splits_rows_but_keeps_weights(self, session, platform):
         workload = prompt(tinyllama_42m(), 16)
-        single = evaluate_single_chip(workload, platform)
+        single = session.run(workload, "single_chip", platform=platform)
         replicated = evaluate_weight_replicated(workload, platform)
         # Some speedup from splitting the rows ...
         assert replicated.block_cycles < single.block_cycles
@@ -102,8 +102,10 @@ class TestWeightReplicated:
 
 
 class TestPipelineParallel:
-    def test_single_request_latency_not_reduced_much(self, decode_workload, platform):
-        single = evaluate_single_chip(decode_workload, platform)
+    def test_single_request_latency_not_reduced_much(
+        self, session, decode_workload, platform
+    ):
+        single = session.run(decode_workload, "single_chip", platform=platform)
         pipeline = evaluate_pipeline_parallel(decode_workload, platform)
         assert pipeline.uses_pipelining
         assert not pipeline.weights_replicated
@@ -119,9 +121,11 @@ class TestPipelineParallel:
 
 
 class TestTensorParallel:
-    def test_ours_wins_on_latency_without_replication(self, decode_workload, platform):
-        ours = evaluate_tensor_parallel(decode_workload, platform)
-        single = evaluate_single_chip(decode_workload, platform)
+    def test_ours_wins_on_latency_without_replication(
+        self, session, decode_workload, platform
+    ):
+        ours = session.run(decode_workload, "tensor_parallel", platform=platform)
+        single = session.run(decode_workload, "single_chip", platform=platform)
         assert not ours.weights_replicated
         assert ours.synchronisations_per_block == 2
         assert ours.speedup_over(single) > 8
@@ -131,14 +135,16 @@ class TestTensorParallel:
 
 
 class TestComparison:
-    def test_compare_approaches_order_and_types(self, decode_workload, platform):
-        results = compare_approaches(decode_workload, platform)
+    def test_compare_order_and_types(self, decode_workload, platform):
+        results = Session(platform=platform).compare(decode_workload).results
         assert [r.approach for r in results][0] == "Single chip"
         assert "tensor parallel" in results[-1].approach.lower()
         assert len(results) == 4
+        assert all(isinstance(r, EvalResult) for r in results)
 
     def test_render_comparison_contains_all_rows(self, decode_workload, platform):
-        text = render_comparison(compare_approaches(decode_workload, platform))
+        results = Session(platform=platform).compare(decode_workload).results
+        text = render_comparison(results)
         assert "Single chip" in text
         assert "Pipeline parallel" in text
         assert "replicated" in text.lower()

@@ -1,0 +1,135 @@
+"""Regenerate ``paper_golden.json``, the pinned numbers of the paper's evaluation.
+
+The golden document holds, with every float at full ``repr`` precision:
+
+* every chip-count sweep behind Fig. 4, 5 and 6;
+* the 8-chip Table I comparison of the four ablation strategies;
+* the nine headline numbers of the abstract and Sec. V-B;
+* each registered model (the ``tinyllama`` alias excluded) under the
+  ``paper`` strategy, autoregressive at context 128, on one chip and on
+  the most chips it partitions to (8, or 4 for ``mobilebert`` and
+  ``gqa-moe-tiny``);
+* the per-stage artefact sha256 of five shipped studies.
+
+``tests/integration/test_paper_golden.py`` recomputes the document and
+compares it with ``==``.  A change that moves any number fails that test;
+re-pin only on purpose, and say why in the change log.  Regenerate from
+the repository root with::
+
+    PYTHONPATH=src python tests/data/make_paper_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+from typing import Any, Dict
+
+from repro import Session, Study, autoregressive, encoder, prompt
+from repro.analysis.export import (
+    comparison_to_dict,
+    eval_result_to_dict,
+    eval_sweep_to_dict,
+)
+from repro.experiments.headline import run_headline
+from repro.models.registry import get_model
+from repro.models.mobilebert import mobilebert
+from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
+from repro.spec.studies import get_study
+
+GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "paper_golden.json"
+
+#: Model registry name -> the most chips it partitions to.
+MODEL_CHIPS = {
+    "encdec-small": 8,
+    "gqa-1b": 8,
+    "gqa-moe-tiny": 4,
+    "longctx-4k": 8,
+    "mobilebert": 4,
+    "moe-8x": 8,
+    "mqa-270m": 8,
+    "tinyllama-42m": 8,
+    "tinyllama-42m-64h": 8,
+    "tinyllama-42m-gated": 8,
+}
+
+#: Shipped studies whose artefact digests are pinned.
+STUDIES = ("fig4", "fig6", "table1", "quickstart", "paper-pipeline")
+
+
+def _sweeps(session: Session) -> Dict[str, Any]:
+    """Every Fig. 4/5/6 sweep, keyed by panel."""
+    scaled = tinyllama_scaled()
+    tinyllama_counts = (1, 2, 4, 8)
+    scaled_counts = (16, 32, 64)
+    scalability_counts = (1, 2, 4, 8, 16, 32, 64)
+    sweeps = {
+        "fig4a": (autoregressive(tinyllama_42m(), 128), tinyllama_counts),
+        "fig4b": (prompt(tinyllama_42m(), 16), tinyllama_counts),
+        "fig4c": (encoder(mobilebert(), 268), (1, 2, 4)),
+        "fig5a_scaled": (autoregressive(scaled, 128), scaled_counts),
+        "fig5b_scaled": (prompt(scaled, 16), scaled_counts),
+        "fig6_autoregressive": (autoregressive(scaled, 128), scalability_counts),
+        "fig6_prompt": (prompt(scaled, 16), scalability_counts),
+    }
+    return {
+        name: eval_sweep_to_dict(session.sweep(workload, chips))
+        for name, (workload, chips) in sweeps.items()
+    }
+
+
+def _models(session: Session) -> Dict[str, Any]:
+    """Each registered model on one chip and on its largest partition."""
+    document = {}
+    for name, most_chips in MODEL_CHIPS.items():
+        workload = autoregressive(get_model(name), 128)
+        document[name] = {
+            str(chips): eval_result_to_dict(session.run(workload, chips=chips))
+            for chips in (1, most_chips)
+        }
+    return document
+
+
+def _study_digests() -> Dict[str, Dict[str, str]]:
+    """Stage name -> artefact sha256, per study."""
+    return {
+        name: {
+            stage["name"]: stage["sha256"]
+            for stage in Study(get_study(name)).run().manifest()["stages"]
+        }
+        for name in STUDIES
+    }
+
+
+def golden_document() -> Dict[str, Any]:
+    """Recompute the whole golden document from the current code."""
+    session = Session()
+    document = {
+        "sweeps": _sweeps(session),
+        "table1": comparison_to_dict(
+            session.compare(autoregressive(tinyllama_42m(), 128), chips=8)
+        ),
+        "headline": {
+            metric.name: metric.measured_value
+            for metric in run_headline().metrics
+        },
+        "models": _models(session),
+        "studies": _study_digests(),
+    }
+    # Tuples become lists, exactly as reading the committed file back.
+    return json.loads(render(document))
+
+
+def render(document: Dict[str, Any]) -> str:
+    """The committed text form: sorted keys, exact float ``repr``s."""
+    return json.dumps(document, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
+def main() -> None:
+    """Write the golden document next to this script."""
+    GOLDEN_PATH.write_text(render(golden_document()), encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -61,7 +61,7 @@ class TestFig4:
         assert all(speedups[n] <= n * 1.15 for n in (1, 2, 4))
 
     def test_autoregressive_l3_dominates_small_systems(self, fig4a):
-        breakdowns = fig4a.breakdowns()
+        breakdowns = {r.num_chips: r.runtime_breakdown() for r in fig4a.results}
         assert (
             breakdowns[1][RuntimeCategory.DMA_L3_L2]
             > breakdowns[1][RuntimeCategory.COMPUTE]
@@ -73,7 +73,7 @@ class TestFig4:
         assert fig4b.speedups()[8] < fig4a.speedups()[8]
 
     def test_prompt_is_compute_dominated(self, fig4b):
-        for breakdown in fig4b.breakdowns().values():
+        for breakdown in (r.runtime_breakdown() for r in fig4b.results):
             assert (
                 breakdown[RuntimeCategory.COMPUTE]
                 > breakdown[RuntimeCategory.DMA_L3_L2]
@@ -110,8 +110,8 @@ class TestFig5:
     def test_scaled_model_energy_drops_when_fully_resident(self, fig5):
         scaled = fig5.autoregressive_scaled
         assert (
-            scaled.report_for(32).block_energy_joules
-            < scaled.report_for(16).block_energy_joules
+            scaled.result_for(32).block_energy_joules
+            < scaled.result_for(16).block_energy_joules
         )
 
     def test_points_cover_all_series(self, fig5):
@@ -141,8 +141,8 @@ class TestFig6:
 
     def test_residency_transitions(self, fig6):
         residencies = {
-            report.num_chips: report.residencies()[0]
-            for report in fig6.autoregressive.reports
+            result.num_chips: result.residencies()[0]
+            for result in fig6.autoregressive.results
         }
         assert residencies[16] is WeightResidency.DOUBLE_BUFFERED
         assert residencies[32] is WeightResidency.ALL_RESIDENT

@@ -13,7 +13,7 @@ import pytest
 
 from repro import (
     autoregressive,
-    chip_count_sweep,
+    default_session,
     encoder,
     mobilebert,
     prompt,
@@ -26,22 +26,22 @@ from repro.core.schedule import RuntimeCategory
 
 @pytest.fixture(scope="module")
 def autoregressive_sweep():
-    return chip_count_sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
+    return default_session().sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def prompt_sweep():
-    return chip_count_sweep(prompt(tinyllama_42m(), 16), (1, 2, 4, 8))
+    return default_session().sweep(prompt(tinyllama_42m(), 16), (1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def mobilebert_sweep():
-    return chip_count_sweep(encoder(mobilebert(), 268), (1, 2, 4))
+    return default_session().sweep(encoder(mobilebert(), 268), (1, 2, 4))
 
 
 @pytest.fixture(scope="module")
 def scaled_sweep():
-    return chip_count_sweep(autoregressive(tinyllama_scaled(), 128), (1, 8, 16, 32, 64))
+    return default_session().sweep(autoregressive(tinyllama_scaled(), 128), (1, 8, 16, 32, 64))
 
 
 class TestAbstractClaims:
@@ -53,16 +53,16 @@ class TestAbstractClaims:
         assert speedup == pytest.approx(26.1, rel=0.35)
 
     def test_energy_per_block_near_0_64_mj(self, autoregressive_sweep):
-        energy = autoregressive_sweep.report_for(8).block_energy_joules
+        energy = autoregressive_sweep.result_for(8).block_energy_joules
         assert energy == pytest.approx(0.64e-3, rel=0.35)
 
     def test_latency_per_block_sub_millisecond(self, autoregressive_sweep):
-        latency = autoregressive_sweep.report_for(8).block_runtime_seconds
+        latency = autoregressive_sweep.result_for(8).block_runtime_seconds
         assert latency == pytest.approx(0.54e-3, rel=0.5)
 
     def test_edp_improvement_near_27x(self, autoregressive_sweep):
-        one = autoregressive_sweep.report_for(1)
-        eight = autoregressive_sweep.report_for(8)
+        one = autoregressive_sweep.result_for(1)
+        eight = autoregressive_sweep.result_for(8)
         improvement = one.energy_delay_product / eight.energy_delay_product
         assert improvement == pytest.approx(27.2, rel=0.35)
 
@@ -79,7 +79,7 @@ class TestSectionVB:
 
     def test_small_systems_dominated_by_off_chip_transfers(self, autoregressive_sweep):
         for num_chips in (1, 2, 4):
-            breakdown = autoregressive_sweep.report_for(num_chips).runtime_breakdown()
+            breakdown = autoregressive_sweep.result_for(num_chips).runtime_breakdown()
             total_busy = sum(
                 value
                 for category, value in breakdown.items()
@@ -97,8 +97,8 @@ class TestSectionVB:
     def test_prompt_mode_less_memory_bound_than_autoregressive(
         self, prompt_sweep, autoregressive_sweep
     ):
-        prompt_one = prompt_sweep.report_for(1).runtime_breakdown()
-        decode_one = autoregressive_sweep.report_for(1).runtime_breakdown()
+        prompt_one = prompt_sweep.result_for(1).runtime_breakdown()
+        decode_one = autoregressive_sweep.result_for(1).runtime_breakdown()
         prompt_l3_share = prompt_one[RuntimeCategory.DMA_L3_L2] / sum(prompt_one.values())
         decode_l3_share = decode_one[RuntimeCategory.DMA_L3_L2] / sum(decode_one.values())
         assert prompt_l3_share < decode_l3_share
@@ -129,20 +129,20 @@ class TestSectionVC:
 
     def test_double_buffering_needed_only_below_32_chips(self, scaled_sweep):
         residencies = {
-            report.num_chips: report.residencies()[0]
-            for report in scaled_sweep.reports
+            result.num_chips: result.residencies()[0]
+            for result in scaled_sweep.results
         }
         assert residencies[8] is WeightResidency.DOUBLE_BUFFERED
         assert residencies[16] is WeightResidency.DOUBLE_BUFFERED
         assert residencies[32] is WeightResidency.ALL_RESIDENT
         assert residencies[64] is WeightResidency.ALL_RESIDENT
-        assert scaled_sweep.report_for(32).total_l3_bytes == 0
+        assert scaled_sweep.result_for(32).l3_bytes_per_block == 0
 
     def test_no_weight_replication_at_any_scale(self, scaled_sweep):
         config = tinyllama_scaled()
-        for report in scaled_sweep.reports:
+        for result in scaled_sweep.results:
             total_weights = sum(
                 plan.block_weight_bytes
-                for plan in report.program.memory_plans.values()
+                for plan in result.report.program.memory_plans.values()
             )
             assert total_weights == config.block_weight_bytes

@@ -62,7 +62,7 @@ class TestHarnessSubsumption:
         for result in sweep.results:
             assert (
                 result.block_cycles
-                == harness.report_for(result.num_chips).block_cycles
+                == harness.result_for(result.num_chips).block_cycles
             )
 
     def test_table1_comparison_matches_the_harness(self):

@@ -185,6 +185,22 @@ class TestJsonOutput:
             ".json",
         )
 
+    def test_sweep_rejects_unknown_export_extension_before_evaluating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.api import Session
+
+        sweeps = []
+        monkeypatch.setattr(Session, "sweep", lambda *a, **k: sweeps.append(a))
+        expect_cli_error(
+            capsys,
+            ["sweep", "--chips", "1", "8",
+             "--output", str(tmp_path / "results.txt")],
+            "results.txt", ".json or .csv",
+        )
+        assert sweeps == []
+        assert not (tmp_path / "results.txt").exists()
+
 
 class TestDiscoveryCommands:
     def test_platforms_lists_presets_with_headline_parameters(self, capsys):
