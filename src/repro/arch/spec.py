@@ -12,10 +12,11 @@ long-context decode, and a (possibly quantised) ``kv_cache_dtype``.
 Both spec classes are frozen dataclasses on the :mod:`repro.spec`
 machinery, so they share its contract: sparse canonical ``to_dict()`` /
 ``to_json()`` (only non-default fields, sorted keys, schema tag,
-byte-deterministic), hand-typed ``from_dict`` through the path-tracking
-:class:`~repro.spec.base.Fields` reader, and ``validate(path=...)`` with
-precise document paths.  :func:`repro.arch.factory.build_model` lowers a
-validated spec into a plain :class:`~repro.graph.transformer.TransformerConfig`,
+byte-deterministic), ``from_dict`` decoded from the field annotations by
+:meth:`~repro.spec.base.SpecBase.from_dict`, and ``validate(path=...)``
+with precise document paths.  :func:`repro.arch.factory.build_model`
+lowers a validated spec into a plain
+:class:`~repro.graph.transformer.TransformerConfig`,
 which is why generated models flow through Session, DSE, serving, and
 fleet with zero changes to those layers.
 """
@@ -23,11 +24,10 @@ fleet with zero changes to those layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ArchitectureError, ReproError, SpecError
-from ..spec.base import Fields, SpecBase, spec_error
-from ..spec.specs import _register
+from ..spec.base import SpecBase, register, spec_error
 
 __all__ = [
     "ATTENTION_KINDS",
@@ -57,7 +57,7 @@ def _choice(path: str, field: str, value: str, choices: Tuple[str, ...]) -> None
         )
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class BlockGroupSpec(SpecBase):
     """A run of identical Transformer blocks within an architecture.
@@ -176,30 +176,8 @@ class BlockGroupSpec(SpecBase):
             # The resolvers' messages already lead with the precise path.
             raise SpecError(str(error)) from None
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "BlockGroupSpec":
-        reader = Fields(data, path, cls.kind)
-        spec = cls(
-            role=reader.str_("role", "decoder"),
-            repeat=reader.int_("repeat", 1),
-            num_heads=reader.int_("num_heads", 8),
-            ffn_dim=reader.int_("ffn_dim", 2048),
-            head_dim=reader.opt_int("head_dim"),
-            attention=reader.str_("attention", "mha"),
-            kv_heads=reader.opt_int("kv_heads"),
-            ffn=reader.str_("ffn", "dense"),
-            num_experts=reader.opt_int("num_experts"),
-            moe_top_k=reader.int_("moe_top_k", 2),
-            norm=reader.str_("norm", "layernorm"),
-            activation=reader.str_("activation", "gelu"),
-            weight_dtype=reader.opt_str("weight_dtype"),
-            act_dtype=reader.opt_str("act_dtype"),
-        )
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class ArchSpec(SpecBase):
     """A complete declarative model architecture.
@@ -272,28 +250,3 @@ class ArchSpec(SpecBase):
         from .factory import build_model
 
         return build_model(self)
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "ArchSpec":
-        reader = Fields(data, path, cls.kind)
-        raw_blocks = reader.seq("blocks", None)
-        if raw_blocks is None:
-            blocks: Tuple[BlockGroupSpec, ...] = (BlockGroupSpec(),)
-        else:
-            blocks = tuple(
-                BlockGroupSpec.from_dict(item, f"{path}.blocks[{index}]")
-                for index, item in enumerate(raw_blocks)
-            )
-        spec = cls(
-            name=reader.str_("name", "custom"),
-            embed_dim=reader.int_("embed_dim", 512),
-            blocks=blocks,
-            vocab_size=reader.int_("vocab_size", 32000),
-            tie_embeddings=reader.bool_("tie_embeddings", True),
-            weight_dtype=reader.str_("weight_dtype", "int8"),
-            act_dtype=reader.str_("act_dtype", "int8"),
-            kv_cache_dtype=reader.opt_str("kv_cache_dtype"),
-            attention_window=reader.opt_int("attention_window"),
-        )
-        reader.finish()
-        return spec

@@ -1,7 +1,8 @@
-"""Spec-layer foundation: schema version, serialisation, typed decoding.
+"""Spec-layer foundation: schema version, kind registry, serialisation, decoding.
 
-Every spec in :mod:`repro.spec` is a frozen dataclass deriving from
-:class:`SpecBase`.  The base class provides the generic half of the
+Every spec in :mod:`repro.spec` (and :mod:`repro.arch`) is a frozen
+dataclass deriving from :class:`SpecBase` and registered under its
+``kind`` tag with :func:`register`.  The base class provides the whole
 serialisation contract:
 
 * :meth:`SpecBase.to_dict` — a canonical, JSON-ready mapping: the spec's
@@ -9,29 +10,36 @@ serialisation contract:
   default (so documents stay small and diffs stay meaningful);
 * :meth:`SpecBase.to_json` — the canonical document text: sorted keys,
   two-space indent, a ``schema`` version tag, and a trailing newline —
-  byte-deterministic for equal specs.
+  byte-deterministic for equal specs;
+* :meth:`SpecBase.from_dict` — the inverse, derived from the dataclass
+  annotations: each field is read against its type, and the JSON path of
+  every value is tracked so a failure reports *where* the document is
+  wrong (``stages[2].spec.workload.seq_len: expected an integer, got
+  'long'``).  A missing field takes its default, a field without one is
+  required, and unknown fields are rejected so typos cannot silently
+  become defaults.
 
-Decoding is hand-written per spec class (the types are the contract), but
-all of it goes through the :class:`Fields` reader below, which tracks the
-JSON path of every access so a validation failure reports *where* the
-document is wrong (``stages[2].spec.workload.seq_len: expected a positive
-integer``), and rejects unknown fields so typos cannot silently become
-defaults.
+A class overrides ``from_dict`` only for what an annotation cannot say —
+a bare-string shorthand, a rule across fields — and ends the override in
+``super().from_dict(data, path)``.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import json
+import typing
 from dataclasses import MISSING, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple, Type, TypeVar, Union
 
 from ..errors import SpecError
 
 __all__ = [
-    "Fields",
     "SPEC_SCHEMA_VERSION",
     "SpecBase",
     "check_schema",
+    "decode_value",
+    "register",
     "spec_error",
 ]
 
@@ -39,6 +47,21 @@ __all__ = [
 #: to a spec's fields; :func:`check_schema` rejects documents written by a
 #: different version with a precise error instead of misparsing them.
 SPEC_SCHEMA_VERSION = 1
+
+#: Registered spec classes by kind tag (filled by :func:`register`).
+_KINDS: Dict[str, Type["SpecBase"]] = {}
+
+#: Per spec class: ``(name, annotation, required)`` of every field,
+#: resolved on the class's first decode.
+_FIELD_TYPES: Dict[type, Tuple[Tuple[str, Any, bool], ...]] = {}
+
+_Spec = TypeVar("_Spec", bound="SpecBase")
+
+
+def register(cls: Type[_Spec]) -> Type[_Spec]:
+    """Class decorator: make a spec class decodable by its ``kind`` tag."""
+    _KINDS[cls.kind] = cls
+    return cls
 
 
 def spec_error(path: str, message: str) -> SpecError:
@@ -72,8 +95,8 @@ class SpecBase:
     """Shared serialisation behaviour of every spec dataclass.
 
     Subclasses set a ``kind`` class attribute (the dispatch tag of the
-    serialised form) and implement ``from_dict(data, path)``; the generic
-    encoder here derives :meth:`to_dict` from the dataclass fields.
+    serialised form); encoding and decoding both derive from the
+    dataclass fields and their annotations.
     """
 
     kind: str = ""
@@ -98,187 +121,155 @@ class SpecBase:
         document = {"schema": SPEC_SCHEMA_VERSION, **self.to_dict()}
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
-
-class Fields:
-    """Typed, path-tracking reader over one spec mapping.
-
-    Every accessor removes the field it read; :meth:`finish` then rejects
-    whatever remains, so an unknown (or misspelled) field is an error with
-    the exact document path rather than a silently applied default.
-    """
-
-    #: Sentinel distinguishing "no default" from "default None".
-    REQUIRED = object()
-
-    def __init__(self, data: Any, path: str, kind: str) -> None:
+    @classmethod
+    def from_dict(cls: Type[_Spec], data: Any, path: str = "$") -> _Spec:
+        """Decode one spec mapping, reading every field against its annotation."""
         if not isinstance(data, Mapping):
             raise spec_error(
-                path, f"expected a {kind!r} mapping, got {type(data).__name__}"
+                path, f"expected a {cls.kind!r} mapping, got {type(data).__name__}"
             )
         check_schema(data, path)
         declared = data.get("kind")
-        if declared is not None and declared != kind:
+        if declared is not None and declared != cls.kind:
             raise spec_error(
-                f"{path}.kind", f"expected kind {kind!r}, got {declared!r}"
+                f"{path}.kind", f"expected kind {cls.kind!r}, got {declared!r}"
             )
-        self._data = {
-            key: value
-            for key, value in data.items()
-            if key not in ("kind", "schema")
-        }
-        self.path = path
-        self.kind = kind
-
-    # ------------------------------------------------------------------
-    # Raw access
-    # ------------------------------------------------------------------
-    def child_path(self, key: str) -> str:
-        return f"{self.path}.{key}"
-
-    def take(self, key: str, default: Any = REQUIRED) -> Any:
-        if key in self._data:
-            return self._data.pop(key)
-        if default is Fields.REQUIRED:
+        types = _field_types(cls)
+        unknown = set(data) - {name for name, _, _ in types} - {"kind", "schema"}
+        if unknown:
             raise spec_error(
-                self.path, f"missing required field {key!r} of a {self.kind} spec"
+                path,
+                f"unknown field(s) {', '.join(sorted(unknown))} for a "
+                f"{cls.kind} spec",
             )
-        return default
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-    def finish(self) -> None:
-        """Reject any fields no accessor consumed."""
-        if self._data:
-            unknown = ", ".join(sorted(self._data))
-            raise spec_error(
-                self.path,
-                f"unknown field(s) {unknown} for a {self.kind} spec",
-            )
-
-    # ------------------------------------------------------------------
-    # Typed accessors
-    # ------------------------------------------------------------------
-    def str_(self, key: str, default: Any = REQUIRED) -> Any:
-        value = self.take(key, default)
-        if value is not default and not isinstance(value, str):
-            raise spec_error(
-                self.child_path(key), f"expected a string, got {value!r}"
-            )
-        return value
-
-    def opt_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        value = self.take(key, default)
-        if value is not None and not isinstance(value, str):
-            raise spec_error(
-                self.child_path(key), f"expected a string or null, got {value!r}"
-            )
-        return value
-
-    def bool_(self, key: str, default: Any = REQUIRED) -> Any:
-        value = self.take(key, default)
-        if value is not default and not isinstance(value, bool):
-            raise spec_error(
-                self.child_path(key), f"expected a boolean, got {value!r}"
-            )
-        return value
-
-    def int_(self, key: str, default: Any = REQUIRED) -> Any:
-        value = self.take(key, default)
-        if value is default:
-            return value
-        return self._as_int(self.child_path(key), value)
-
-    def opt_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        value = self.take(key, default)
-        if value is None:
-            return None
-        return self._as_int(self.child_path(key), value)
-
-    def float_(self, key: str, default: Any = REQUIRED) -> Any:
-        value = self.take(key, default)
-        if value is default:
-            return value
-        return self._as_float(self.child_path(key), value)
-
-    def opt_float(
-        self, key: str, default: Optional[float] = None
-    ) -> Optional[float]:
-        value = self.take(key, default)
-        if value is None:
-            return None
-        return self._as_float(self.child_path(key), value)
-
-    def int_tuple(self, key: str, default: Any = REQUIRED) -> Any:
-        values = self._seq(key, default)
-        if not isinstance(values, (list, tuple)):
-            return values
-        return tuple(
-            self._as_int(f"{self.child_path(key)}[{index}]", value)
-            for index, value in enumerate(values)
-        )
-
-    def float_tuple(self, key: str, default: Any = REQUIRED) -> Any:
-        values = self._seq(key, default)
-        if not isinstance(values, (list, tuple)):
-            return values
-        return tuple(
-            self._as_float(f"{self.child_path(key)}[{index}]", value)
-            for index, value in enumerate(values)
-        )
-
-    def str_tuple(self, key: str, default: Any = REQUIRED) -> Any:
-        values = self._seq(key, default)
-        if not isinstance(values, (list, tuple)):
-            return values
-        for index, value in enumerate(values):
-            if not isinstance(value, str):
+        values = {}
+        for name, hint, required in types:
+            if name in data:
+                values[name] = decode_value(hint, data[name], f"{path}.{name}")
+            elif required:
                 raise spec_error(
-                    f"{self.child_path(key)}[{index}]",
-                    f"expected a string, got {value!r}",
+                    path, f"missing required field {name!r} of a {cls.kind} spec"
                 )
-        return tuple(values)
+        try:
+            return cls(**values)
+        except SpecError as error:
+            # A __post_init__ check knows no document path: prefix it once.
+            message = str(error)
+            if message.startswith((f"{path}.", f"{path}:")):
+                raise
+            raise spec_error(path, message) from None
 
-    def value_tuple(self, key: str, default: Any = REQUIRED) -> Any:
-        """A tuple of JSON scalars (bool/int/float/str), type preserved."""
-        values = self._seq(key, default)
-        if not isinstance(values, (list, tuple)):
-            return values
-        for index, value in enumerate(values):
-            if not isinstance(value, (bool, int, float, str)):
-                raise spec_error(
-                    f"{self.child_path(key)}[{index}]",
-                    f"expected a scalar value, got {value!r}",
-                )
-        return tuple(values)
 
-    def seq(self, key: str, default: Any = REQUIRED) -> Any:
-        """A raw sequence (items decoded by the caller)."""
-        return self._seq(key, default)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _seq(self, key: str, default: Any) -> Any:
-        value = self.take(key, default)
-        if value is default or value is None:
-            return value
-        if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
-            raise spec_error(
-                self.child_path(key), f"expected a list, got {value!r}"
+def _field_types(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
+    types = _FIELD_TYPES.get(cls)
+    if types is None:
+        # Annotations may name any registered spec class, including ones
+        # defined in a module that imports this package (``ArchSpec``).
+        hints = typing.get_type_hints(
+            cls, localns={spec.__name__: spec for spec in _KINDS.values()}
+        )
+        types = tuple(
+            (
+                field.name,
+                hints[field.name],
+                field.default is MISSING
+                and field.default_factory is MISSING,  # type: ignore[misc]
             )
-        return list(value)
+            for field in fields(cls)
+        )
+        _FIELD_TYPES[cls] = types
+    return types
 
-    @staticmethod
-    def _as_int(path: str, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise spec_error(path, f"expected an integer, got {value!r}")
+
+def decode_value(hint: Any, value: Any, path: str) -> Any:
+    """Decode one JSON value against a field annotation.
+
+    ``null`` is accepted only by ``Optional`` annotations; ``int`` takes
+    integral floats and ``float`` takes ints; a union of spec classes
+    dispatches on the value's ``kind`` tag, and a union of scalars keeps
+    the value's own type.
+    """
+    origin = typing.get_origin(hint)
+    if origin is Union:
+        options = typing.get_args(hint)
+        if type(None) in options:
+            if value is None:
+                return None
+            inner = Union[tuple(o for o in options if o is not type(None))]
+            if inner is str and not isinstance(value, str):
+                raise spec_error(path, f"expected a string or null, got {value!r}")
+            return decode_value(inner, value, path)
+        if all(issubclass(option, SpecBase) for option in options):
+            return _decode_tagged(options, value, path)
+        if not isinstance(value, options):
+            raise spec_error(path, f"expected a scalar value, got {value!r}")
         return value
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise spec_error(path, f"expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(
+            decode_value(item, entry, f"{path}[{index}]")
+            for index, entry in enumerate(value)
+        )
+    if origin is collections.abc.Mapping:
+        if not isinstance(value, Mapping):
+            raise spec_error(path, f"expected a mapping, got {value!r}")
+        return value
+    if hint is Any:
+        return value
+    if issubclass(hint, SpecBase):
+        return hint.from_dict(value, path)
+    return _SCALARS[hint](value, path)
 
-    @staticmethod
-    def _as_float(path: str, value: Any) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise spec_error(path, f"expected a number, got {value!r}")
-        return float(value)
+
+def _decode_tagged(classes: Tuple[type, ...], value: Any, path: str) -> Any:
+    """Decode a union of spec classes (a stage's runnable spec) by ``kind``."""
+    if not isinstance(value, Mapping):
+        raise spec_error(path, f"expected a spec mapping, got {value!r}")
+    by_kind = {cls.kind: cls for cls in classes}
+    declared = value.get("kind")
+    if not isinstance(declared, str) or declared not in by_kind:
+        raise spec_error(
+            f"{path}.kind",
+            f"stage specs must be one of {', '.join(sorted(by_kind))}; "
+            f"got {declared!r}",
+        )
+    return by_kind[declared].from_dict(value, path)
+
+
+def _read_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise spec_error(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _read_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise spec_error(path, f"expected a boolean, got {value!r}")
+    return value
+
+
+def _read_int(value: Any, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise spec_error(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _read_float(value: Any, path: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    raise spec_error(path, f"expected a number, got {value!r}")
+
+
+_SCALARS: Dict[type, Callable[[Any, str], Any]] = {
+    str: _read_str,
+    bool: _read_bool,
+    int: _read_int,
+    float: _read_float,
+}

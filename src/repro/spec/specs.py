@@ -25,15 +25,18 @@ document paths — see :mod:`repro.spec.base` for the machinery and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple, Type, Union
 
 from ..core.placement import PrefetchAccounting
 from ..errors import ReproError, SpecError
 from ..graph.transformer import InferenceMode, TransformerConfig
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
-from .base import Fields, SpecBase, spec_error
+from .base import _KINDS, SpecBase, decode_value, register, spec_error
+
+if TYPE_CHECKING:
+    from ..arch.spec import ArchSpec
 
 __all__ = [
     "AutoscalerSpec",
@@ -74,15 +77,6 @@ DEFAULT_SEQ_LEN = {
     InferenceMode.ENCODER: 268,
 }
 
-#: Registered spec classes by kind tag (filled by ``_register``).
-_KINDS: Dict[str, Type[SpecBase]] = {}
-
-
-def _register(cls):
-    _KINDS[cls.kind] = cls
-    return cls
-
-
 def _wrap(path: str, error: ReproError) -> SpecError:
     """Attach a document path to a registry/validation error."""
     return spec_error(path, str(error))
@@ -91,7 +85,7 @@ def _wrap(path: str, error: ReproError) -> SpecError:
 # ----------------------------------------------------------------------
 # Leaf specs: model, workload, platform
 # ----------------------------------------------------------------------
-@_register
+@register
 @dataclass(frozen=True)
 class ModelSpec(SpecBase):
     """A model configuration: a registry name *or* an inline architecture.
@@ -104,7 +98,7 @@ class ModelSpec(SpecBase):
     kind = "model"
 
     name: str = "tinyllama-42m"
-    arch: Optional[SpecBase] = None
+    arch: Optional["ArchSpec"] = None
 
     def __post_init__(self) -> None:
         if self.arch is not None and self.name != "tinyllama-42m":
@@ -129,7 +123,7 @@ class ModelSpec(SpecBase):
         if self.arch is not None:
             from ..arch import build_model
 
-            return build_model(self.arch)  # type: ignore[arg-type]
+            return build_model(self.arch)
         from ..models.registry import get_model
 
         return get_model(self.name)
@@ -137,23 +131,18 @@ class ModelSpec(SpecBase):
     @classmethod
     def from_dict(cls, data: Any, path: str = "$") -> "ModelSpec":
         if isinstance(data, str):  # shorthand: a bare registry name
-            return cls(name=data)
-        reader = Fields(data, path, cls.kind)
-        arch: Optional[SpecBase] = None
-        if reader.has("arch"):
-            if reader.has("name"):
-                raise spec_error(
-                    path, "give either a registry name or an inline arch, not both"
-                )
-            from ..arch import ArchSpec
+            data = {"name": data}
+        if isinstance(data, Mapping) and "name" in data and "arch" in data:
+            raise spec_error(
+                path, "give either a registry name or an inline arch, not both"
+            )
+        # Importing repro.arch registers ArchSpec, which `arch` names.
+        from ..arch import ArchSpec  # noqa: F401
 
-            arch = ArchSpec.from_dict(reader.take("arch"), reader.child_path("arch"))
-        spec = cls(name=reader.str_("name", "tinyllama-42m"), arch=arch)
-        reader.finish()
-        return spec
+        return super().from_dict(data, path)
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class WorkloadSpec(SpecBase):
     """A model plus inference mode and sequence length."""
@@ -193,28 +182,8 @@ class WorkloadSpec(SpecBase):
             config=self.model.build(), mode=mode, seq_len=seq_len, name=self.label
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "WorkloadSpec":
-        reader = Fields(data, path, cls.kind)
-        model = reader.take("model", None)
-        try:
-            spec = cls(
-                model=(
-                    ModelSpec.from_dict(model, reader.child_path("model"))
-                    if model is not None
-                    else ModelSpec()
-                ),
-                mode=reader.str_("mode", "autoregressive"),
-                seq_len=reader.opt_int("seq_len"),
-                label=reader.opt_str("label"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class PlatformSpec(SpecBase):
     """A registered hardware preset, optionally pinned to a chip count."""
@@ -246,25 +215,26 @@ class PlatformSpec(SpecBase):
     @classmethod
     def from_dict(cls, data: Any, path: str = "$") -> "PlatformSpec":
         if isinstance(data, str):  # shorthand: a bare preset name
-            return cls(preset=data)
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                preset=reader.str_("preset", "siracusa-mipi"),
-                chips=reader.opt_int("chips"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+            data = {"preset": data}
+        return super().from_dict(data, path)
 
 
-def _rescope(error: SpecError, path: str) -> SpecError:
-    """Prefix a post-init SpecError with the document path, once."""
-    message = str(error)
-    if message.startswith(f"{path}.") or message.startswith(f"{path}:"):
-        return error
-    return spec_error(path, message)
+def _shorthand(
+    cls: type, parse: Callable[[str], Any], text: str, path: str, **renamed: str
+) -> Dict[str, Any]:
+    """Parse a CLI shorthand string into the mapping form of spec ``cls``.
+
+    ``parse`` returns the runtime object; each spec field is read from the
+    attribute of the same name, or of the name ``renamed`` maps it to.
+    """
+    try:
+        parsed = parse(text)
+    except ReproError as error:
+        raise _wrap(path, error) from None
+    return {
+        field.name: getattr(parsed, renamed.get(field.name, field.name))
+        for field in fields(cls)
+    }
 
 
 def _prefetch_value(value: str) -> str:
@@ -289,7 +259,7 @@ def _check_strategy(name: str, path: str) -> None:
 # ----------------------------------------------------------------------
 # Runnable specs
 # ----------------------------------------------------------------------
-@_register
+@register
 @dataclass(frozen=True)
 class EvalSpec(SpecBase):
     """One ``Session.run`` invocation as data.
@@ -315,24 +285,8 @@ class EvalSpec(SpecBase):
         self.platform.validate(f"{path}.platform")
         _check_strategy(self.strategy, f"{path}.strategy")
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "EvalSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                workload=_sub_workload(reader),
-                strategy=reader.str_("strategy", "paper"),
-                platform=_sub_platform(reader),
-                platform_from=reader.opt_str("platform_from"),
-                prefetch=reader.str_("prefetch", "hidden"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class SweepSpec(SpecBase):
     """One ``Session.sweep`` invocation as data (chip-count sweep)."""
@@ -367,25 +321,8 @@ class SweepSpec(SpecBase):
         self.platform.validate(f"{path}.platform")
         _check_strategy(self.strategy, f"{path}.strategy")
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "SweepSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                workload=_sub_workload(reader),
-                chips=reader.int_tuple("chips", (1, 2, 4, 8)),
-                strategy=reader.str_("strategy", "paper"),
-                platform=_sub_platform(reader),
-                parallel=reader.opt_int("parallel"),
-                prefetch=reader.str_("prefetch", "hidden"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class CompareSpec(SpecBase):
     """One ``Session.compare`` invocation as data (strategy ablation)."""
@@ -415,32 +352,8 @@ class CompareSpec(SpecBase):
         for index, name in enumerate(self.strategies):
             _check_strategy(name, f"{path}.strategies[{index}]")
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "CompareSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                workload=_sub_workload(reader),
-                strategies=reader.str_tuple(
-                    "strategies",
-                    (
-                        "single_chip",
-                        "weight_replicated",
-                        "pipeline_parallel",
-                        "tensor_parallel",
-                    ),
-                ),
-                platform=_sub_platform(reader),
-                platform_from=reader.opt_str("platform_from"),
-                prefetch=reader.str_("prefetch", "hidden"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class TraceSpec(SpecBase):
     """A declarative traffic trace (the serving generators' parameters)."""
@@ -573,43 +486,8 @@ class TraceSpec(SpecBase):
             priority_levels=self.priority_levels,
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "TraceSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                source=reader.str_("source", "poisson"),
-                rate_rps=reader.float_("rate_rps", 2.0),
-                duration_s=reader.float_("duration_s", 300.0),
-                burst_rate_rps=reader.opt_float("burst_rate_rps"),
-                mean_base_s=reader.float_("mean_base_s", 20.0),
-                mean_burst_s=reader.float_("mean_burst_s", 5.0),
-                clients=reader.int_("clients", 8),
-                requests_per_client=reader.int_("requests_per_client", 16),
-                mean_think_s=reader.float_("mean_think_s", 1.0),
-                prompt_mean=reader.float_("prompt_mean", 64.0),
-                output_mean=reader.float_("output_mean", 32.0),
-                sigma=reader.float_("sigma", 0.5),
-                prompt_min=reader.int_("prompt_min", 1),
-                prompt_max=reader.int_("prompt_max", 256),
-                output_min=reader.int_("output_min", 1),
-                output_max=reader.int_("output_max", 128),
-                priority_levels=reader.int_("priority_levels", 1),
-                path=reader.opt_str("path"),
-                amplitude=reader.float_("amplitude", 0.6),
-                period_s=reader.float_("period_s", 86_400.0),
-                phase_s=reader.float_("phase_s", 0.0),
-                spike_starts_s=reader.float_tuple("spike_starts_s", ()),
-                spike_duration_s=reader.float_("spike_duration_s", 600.0),
-                spike_rate_rps=reader.opt_float("spike_rate_rps"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class ServingSpec(SpecBase):
     """One ``Session.serve`` invocation as data.
@@ -650,41 +528,11 @@ class ServingSpec(SpecBase):
         except ReproError as error:
             raise _wrap(f"{path}.policy", error) from None
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "ServingSpec":
-        reader = Fields(data, path, cls.kind)
-        model = reader.take("model", None)
-        trace = reader.take("trace", None)
-        try:
-            spec = cls(
-                model=(
-                    ModelSpec.from_dict(model, reader.child_path("model"))
-                    if model is not None
-                    else ModelSpec()
-                ),
-                trace=(
-                    TraceSpec.from_dict(trace, reader.child_path("trace"))
-                    if trace is not None
-                    else TraceSpec()
-                ),
-                policy=reader.str_("policy", "fifo"),
-                strategy=reader.str_("strategy", "paper"),
-                platform=_sub_platform(reader),
-                platform_from=reader.opt_str("platform_from"),
-                seed=reader.int_("seed", 0),
-                max_context=reader.int_("max_context", 1024),
-                slo_targets=reader.float_tuple("slo_targets", None),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
-
 
 # ----------------------------------------------------------------------
 # Fleet specs
 # ----------------------------------------------------------------------
-@_register
+@register
 @dataclass(frozen=True)
 class FleetPlatformSpec(SpecBase):
     """One heterogeneous platform entry of a fleet."""
@@ -733,31 +581,11 @@ class FleetPlatformSpec(SpecBase):
         if isinstance(data, str):  # shorthand: preset[:chips][xN][@role]
             from ..fleet import FleetPlatform
 
-            try:
-                parsed = FleetPlatform.parse(data)
-            except ReproError as error:
-                raise _wrap(path, error) from None
-            return cls(
-                preset=parsed.preset,
-                chips=parsed.chips,
-                replicas=parsed.replicas,
-                role=parsed.role,
-            )
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                preset=reader.str_("preset", "siracusa-mipi"),
-                chips=reader.opt_int("chips"),
-                replicas=reader.int_("replicas", 1),
-                role=reader.str_("role", "any"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+            data = _shorthand(cls, FleetPlatform.parse, data, path)
+        return super().from_dict(data, path)
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class SLOClassSpec(SpecBase):
     """One multi-tenant SLO class of a fleet's admission policy."""
@@ -790,25 +618,8 @@ class SLOClassSpec(SpecBase):
             timeout_s=self.timeout_s,
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "SLOClassSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                name=reader.str_("name", "default"),
-                rate_rps=reader.opt_float("rate_rps"),
-                burst=reader.int_("burst", 1),
-                priority=reader.int_("priority", 0),
-                ttft_slo_s=reader.opt_float("ttft_slo_s"),
-                timeout_s=reader.opt_float("timeout_s"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class AutoscalerSpec(SpecBase):
     """The fleet autoscaler's knobs (see :class:`repro.fleet.AutoscalerConfig`)."""
@@ -853,27 +664,8 @@ class AutoscalerSpec(SpecBase):
             min_attainment=self.min_attainment,
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "AutoscalerSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                preset=reader.str_("preset", "siracusa-mipi"),
-                chips=reader.opt_int("chips"),
-                max_extra=reader.int_("max_extra", 4),
-                check_interval_s=reader.float_("check_interval_s", 60.0),
-                scale_up_depth=reader.float_("scale_up_depth", 4.0),
-                scale_down_depth=reader.float_("scale_down_depth", 0.5),
-                ttft_slo_s=reader.opt_float("ttft_slo_s"),
-                min_attainment=reader.float_("min_attainment", 0.95),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class FaultEventSpec(SpecBase):
     """One scheduled fault of a fleet's fault model.
@@ -915,33 +707,11 @@ class FaultEventSpec(SpecBase):
         if isinstance(data, str):  # shorthand: kind[:replica]@start[+dur[xf]]
             from ..fleet import FaultEvent
 
-            try:
-                parsed = FaultEvent.parse(data)
-            except ReproError as error:
-                raise _wrap(path, error) from None
-            return cls(
-                fault=parsed.kind,
-                replica=parsed.replica,
-                start_s=parsed.start_s,
-                duration_s=parsed.duration_s,
-                factor=parsed.factor,
-            )
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                fault=reader.str_("fault", "crash"),
-                replica=reader.opt_int("replica"),
-                start_s=reader.float_("start_s", 0.0),
-                duration_s=reader.opt_float("duration_s"),
-                factor=reader.float_("factor", 1.0),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+            data = _shorthand(cls, FaultEvent.parse, data, path, fault="kind")
+        return super().from_dict(data, path)
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class FaultSpec(SpecBase):
     """A fleet's fault schedule plus graceful-degradation knobs.
@@ -984,40 +754,8 @@ class FaultSpec(SpecBase):
             shed_keep=self.shed_keep,
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "FaultSpec":
-        reader = Fields(data, path, cls.kind)
-        raw_events = reader.take("events", None)
-        events_path = reader.child_path("events")
-        if raw_events is None:
-            events: Tuple[FaultEventSpec, ...] = ()
-        elif isinstance(raw_events, (list, tuple)):
-            events = tuple(
-                FaultEventSpec.from_dict(item, f"{events_path}[{index}]")
-                for index, item in enumerate(raw_events)
-            )
-        else:
-            raise spec_error(
-                events_path,
-                f"expected a list of fault events, got {raw_events!r}",
-            )
-        try:
-            spec = cls(
-                events=events,
-                crash_mtbf_s=reader.opt_float("crash_mtbf_s"),
-                crash_mttr_s=reader.float_("crash_mttr_s", 30.0),
-                horizon_s=reader.opt_float("horizon_s"),
-                seed=reader.int_("seed", 0),
-                shed_below=reader.opt_float("shed_below"),
-                shed_keep=reader.int_("shed_keep", 1),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class RetryPolicySpec(SpecBase):
     """Failover policy of requests stranded by a crash.
@@ -1058,33 +796,11 @@ class RetryPolicySpec(SpecBase):
         if isinstance(data, str):  # shorthand: [timeout][:retries[:backoff[:hedge]]]
             from ..fleet import RetryPolicy
 
-            try:
-                parsed = RetryPolicy.parse(data)
-            except ReproError as error:
-                raise _wrap(path, error) from None
-            return cls(
-                max_retries=parsed.max_retries,
-                backoff_s=parsed.backoff_s,
-                backoff_multiplier=parsed.backoff_multiplier,
-                timeout_s=parsed.timeout_s,
-                hedge_after_s=parsed.hedge_after_s,
-            )
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                max_retries=reader.int_("max_retries", 2),
-                backoff_s=reader.float_("backoff_s", 0.0),
-                backoff_multiplier=reader.float_("backoff_multiplier", 2.0),
-                timeout_s=reader.opt_float("timeout_s"),
-                hedge_after_s=reader.opt_float("hedge_after_s"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+            data = _shorthand(cls, RetryPolicy.parse, data, path)
+        return super().from_dict(data, path)
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class FleetSpec(SpecBase):
     """One ``Session.serve_fleet`` invocation as data.
@@ -1166,96 +882,11 @@ class FleetSpec(SpecBase):
         except ReproError as error:
             raise _wrap(f"{path}.policy", error) from None
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "FleetSpec":
-        reader = Fields(data, path, cls.kind)
-        model = reader.take("model", None)
-        trace = reader.take("trace", None)
-        raw_platforms = reader.take("platforms", None)
-        raw_classes = reader.take("classes", None)
-        raw_autoscaler = reader.take("autoscaler", None)
-        raw_faults = reader.take("faults", None)
-        raw_retry = reader.take("retry", None)
-        platforms_path = reader.child_path("platforms")
-        if raw_platforms is None:
-            platforms: Tuple[FleetPlatformSpec, ...] = (FleetPlatformSpec(),)
-        elif isinstance(raw_platforms, (list, tuple)):
-            platforms = tuple(
-                FleetPlatformSpec.from_dict(item, f"{platforms_path}[{index}]")
-                for index, item in enumerate(raw_platforms)
-            )
-        else:
-            raise spec_error(
-                platforms_path,
-                f"expected a list of fleet platforms, got {raw_platforms!r}",
-            )
-        classes_path = reader.child_path("classes")
-        if raw_classes is None:
-            classes: Tuple[SLOClassSpec, ...] = ()
-        elif isinstance(raw_classes, (list, tuple)):
-            classes = tuple(
-                SLOClassSpec.from_dict(item, f"{classes_path}[{index}]")
-                for index, item in enumerate(raw_classes)
-            )
-        else:
-            raise spec_error(
-                classes_path,
-                f"expected a list of SLO classes, got {raw_classes!r}",
-            )
-        try:
-            spec = cls(
-                model=(
-                    ModelSpec.from_dict(model, reader.child_path("model"))
-                    if model is not None
-                    else ModelSpec()
-                ),
-                trace=(
-                    TraceSpec.from_dict(trace, reader.child_path("trace"))
-                    if trace is not None
-                    else TraceSpec()
-                ),
-                platforms=platforms,
-                router=reader.str_("router", "round_robin"),
-                policy=reader.str_("policy", "fifo"),
-                strategy=reader.str_("strategy", "paper"),
-                classes=classes,
-                autoscaler=(
-                    AutoscalerSpec.from_dict(
-                        raw_autoscaler, reader.child_path("autoscaler")
-                    )
-                    if raw_autoscaler is not None
-                    else None
-                ),
-                faults=(
-                    FaultSpec.from_dict(
-                        raw_faults, reader.child_path("faults")
-                    )
-                    if raw_faults is not None
-                    else None
-                ),
-                retry=(
-                    RetryPolicySpec.from_dict(
-                        raw_retry, reader.child_path("retry")
-                    )
-                    if raw_retry is not None
-                    else None
-                ),
-                platform_from=reader.opt_str("platform_from"),
-                seed=reader.int_("seed", 0),
-                max_context=reader.int_("max_context", 1024),
-                slo_targets=reader.float_tuple("slo_targets", None),
-                record_threshold=reader.opt_int("record_threshold"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
-
 
 # ----------------------------------------------------------------------
 # DSE specs
 # ----------------------------------------------------------------------
-@_register
+@register
 @dataclass(frozen=True)
 class AxisSpec(SpecBase):
     """One search-space axis: categorical choice, int grid, or float range."""
@@ -1338,33 +969,15 @@ class AxisSpec(SpecBase):
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "$") -> "AxisSpec":
-        reader = Fields(data, path, cls.kind)
-        axis = reader.str_("axis", "choice")
-        try:
-            spec = cls(
-                axis=axis,
-                name=reader.str_("name", ""),
-                choices=reader.value_tuple("choices", None),
-                low=(
-                    reader.opt_int("low")
-                    if axis == "int"
-                    else reader.opt_float("low")
-                ),
-                high=(
-                    reader.opt_int("high")
-                    if axis == "int"
-                    else reader.opt_float("high")
-                ),
-                step=reader.int_("step", 1),
-                levels=reader.float_tuple("levels", None),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+        if isinstance(data, Mapping) and data.get("axis") == "int":
+            # The bounds of an int axis are integers, not the float the
+            # field's annotation admits for the other axis kinds.
+            for bound in ("low", "high"):
+                decode_value(Optional[int], data.get(bound), f"{path}.{bound}")
+        return super().from_dict(data, path)
 
 
-@_register
+@register
 @dataclass(frozen=True)
 class SpaceSpec(SpecBase):
     """An ordered set of axes — the serialisable form of a search space."""
@@ -1390,23 +1003,8 @@ class SpaceSpec(SpecBase):
 
         return SearchSpace(axes=tuple(axis.build() for axis in self.axes))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "SpaceSpec":
-        reader = Fields(data, path, cls.kind)
-        raw_axes = reader.seq("axes")
-        axes = tuple(
-            AxisSpec.from_dict(item, f"{reader.child_path('axes')}[{index}]")
-            for index, item in enumerate(raw_axes)
-        )
-        try:
-            spec = cls(axes=axes)
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class ScenarioSpec(SpecBase):
     """The fixed serving scenario behind serving-level tune objectives."""
@@ -1445,25 +1043,8 @@ class ScenarioSpec(SpecBase):
             max_context=self.max_context,
         )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "ScenarioSpec":
-        reader = Fields(data, path, cls.kind)
-        try:
-            spec = cls(
-                rate_rps=reader.float_("rate_rps", 2.0),
-                duration_s=reader.float_("duration_s", 20.0),
-                policy=reader.str_("policy", "fifo"),
-                seed=reader.int_("seed", 0),
-                ttft_slo_s=reader.float_("ttft_slo_s", 1.0),
-                max_context=reader.int_("max_context", 1024),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class TuneSpec(SpecBase):
     """One ``Session.tune`` invocation as data.
@@ -1531,41 +1112,8 @@ class TuneSpec(SpecBase):
             except ReproError as error:
                 raise _wrap(f"{path}.constraints[{index}]", error) from None
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "TuneSpec":
-        reader = Fields(data, path, cls.kind)
-        space = reader.take("space", None)
-        serving = reader.take("serving", None)
-        try:
-            spec = cls(
-                workload=_sub_workload(reader),
-                space=(
-                    SpaceSpec.from_dict(space, reader.child_path("space"))
-                    if space is not None
-                    else None
-                ),
-                searcher=reader.str_("searcher", "random"),
-                budget=reader.int_("budget", 24),
-                seed=reader.int_("seed", 0),
-                objectives=reader.str_tuple("objectives", ("latency", "energy")),
-                constraints=reader.str_tuple("constraints", ()),
-                serving=(
-                    ScenarioSpec.from_dict(serving, reader.child_path("serving"))
-                    if serving is not None
-                    else None
-                ),
-                chips_from=reader.opt_str("chips_from"),
-                prefetch=reader.str_("prefetch", "hidden"),
-                parallel=reader.opt_int("parallel"),
-                checkpoint_every=reader.opt_int("checkpoint_every"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class SearchStateSpec(SpecBase):
     """A tuning run's checkpoint document (``repro tune --checkpoint``).
@@ -1614,33 +1162,15 @@ class SearchStateSpec(SpecBase):
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "$") -> "SearchStateSpec":
-        reader = Fields(data, path, cls.kind)
-        raw_candidates = reader.seq("candidates")
-        for index, item in enumerate(raw_candidates):
-            if not isinstance(item, Mapping) or "point" not in item:
-                raise spec_error(
-                    f"{reader.child_path('candidates')}[{index}]",
-                    "expected a serialised candidate mapping with a 'point'",
-                )
-        try:
-            spec = cls(
-                searcher=reader.str_("searcher"),
-                seed=reader.int_("seed"),
-                budget=reader.int_("budget"),
-                workload=reader.str_("workload"),
-                axes=reader.str_tuple("axes"),
-                space_size=reader.opt_int("space_size"),
-                objectives=reader.str_tuple("objectives"),
-                constraints=reader.str_tuple("constraints"),
-                evaluations_requested=reader.int_("evaluations_requested"),
-                rng_state=reader.take("rng_state"),
-                candidates=tuple(raw_candidates),
-                front=reader.int_tuple("front"),
-            )
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
+        candidates = data.get("candidates") if isinstance(data, Mapping) else None
+        if isinstance(candidates, (list, tuple)):
+            for index, item in enumerate(candidates):
+                if not isinstance(item, Mapping) or "point" not in item:
+                    raise spec_error(
+                        f"{path}.candidates[{index}]",
+                        "expected a serialised candidate mapping with a 'point'",
+                    )
+        return super().from_dict(data, path)
 
 
 #: The six spec kinds a study stage (or ``Session`` method) can execute.
@@ -1670,7 +1200,7 @@ _STAGE_NAME = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 # ----------------------------------------------------------------------
 # Studies
 # ----------------------------------------------------------------------
-@_register
+@register
 @dataclass(frozen=True)
 class StageSpec(SpecBase):
     """One named stage of a study: a runnable spec plus its artifact name.
@@ -1702,31 +1232,8 @@ class StageSpec(SpecBase):
                 + ", ".join(sorted(RUNNABLE_KINDS))
             )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "StageSpec":
-        reader = Fields(data, path, cls.kind)
-        name = reader.str_("name")
-        raw = reader.take("spec")
-        spec_path = reader.child_path("spec")
-        if not isinstance(raw, Mapping):
-            raise spec_error(spec_path, f"expected a spec mapping, got {raw!r}")
-        declared = raw.get("kind")
-        if declared not in RUNNABLE_KINDS:
-            raise spec_error(
-                f"{spec_path}.kind",
-                f"stage specs must be one of "
-                f"{', '.join(sorted(RUNNABLE_KINDS))}; got {declared!r}",
-            )
-        inner = RUNNABLE_KINDS[declared].from_dict(raw, spec_path)  # type: ignore[attr-defined]
-        try:
-            spec = cls(name=name, spec=inner)  # type: ignore[arg-type]
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
 
-
-@_register
+@register
 @dataclass(frozen=True)
 class StudySpec(SpecBase):
     """A named pipeline of runnable stages — a whole experiment as data.
@@ -1801,41 +1308,10 @@ class StudySpec(SpecBase):
             completed[stage.name] = stage.spec.kind
         return None
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "StudySpec":
-        reader = Fields(data, path, cls.kind)
-        name = reader.str_("name", "")
-        description = reader.str_("description", "")
-        raw_stages = reader.seq("stages")
-        stages = tuple(
-            StageSpec.from_dict(item, f"{reader.child_path('stages')}[{index}]")
-            for index, item in enumerate(raw_stages)
-        )
-        try:
-            spec = cls(name=name, description=description, stages=stages)
-        except SpecError as error:
-            raise _rescope(error, path)
-        reader.finish()
-        return spec
-
 
 # ----------------------------------------------------------------------
-# Shared decode helpers / top-level entry points
+# Top-level entry points
 # ----------------------------------------------------------------------
-def _sub_workload(reader: Fields) -> WorkloadSpec:
-    value = reader.take("workload", None)
-    if value is None:
-        return WorkloadSpec()
-    return WorkloadSpec.from_dict(value, reader.child_path("workload"))
-
-
-def _sub_platform(reader: Fields) -> PlatformSpec:
-    value = reader.take("platform", None)
-    if value is None:
-        return PlatformSpec()
-    return PlatformSpec.from_dict(value, reader.child_path("platform"))
-
-
 def spec_from_dict(data: Any, path: str = "$") -> SpecBase:
     """Decode any spec mapping by its ``kind`` tag."""
     if not isinstance(data, Mapping):
@@ -1843,21 +1319,19 @@ def spec_from_dict(data: Any, path: str = "$") -> SpecBase:
     kind = data.get("kind")
     if kind is None:
         raise spec_error(path, "missing the 'kind' tag")
-    cls = _KINDS.get(kind)
-    if cls is None:
+    if isinstance(kind, str) and kind not in _KINDS:
         # Architecture specs live in repro.arch (which registers its kinds
         # on import); load it lazily so documents decode without callers
         # importing the package first.
         from .. import arch  # noqa: F401
-
-        cls = _KINDS.get(kind)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise spec_error(
             f"{path}.kind",
             f"unknown spec kind {kind!r}; known kinds: "
             + ", ".join(sorted(_KINDS)),
         )
-    return cls.from_dict(data, path)  # type: ignore[attr-defined]
+    return cls.from_dict(data, path)
 
 
 def loads(text: str, path: str = "$") -> SpecBase:

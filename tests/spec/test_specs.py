@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -28,6 +29,27 @@ from repro.spec import (
     loads,
     spec_from_dict,
 )
+
+
+#: A complete checkpoint document (every search_state field is required).
+CHECKPOINT = {
+    "kind": "search_state",
+    "searcher": "random",
+    "seed": 0,
+    "budget": 4,
+    "workload": "tinyllama-42m/autoregressive",
+    "axes": ["chips"],
+    "space_size": 2,
+    "objectives": ["latency"],
+    "constraints": [],
+    "evaluations_requested": 1,
+    "rng_state": [3, [1, 2], None],
+    "candidates": [{"point": {"chips": 1}, "feasible": True}],
+    "front": [0],
+}
+
+#: Far beyond float range: float() of it overflows.
+HUGE = 10**400
 
 
 def roundtrip(spec):
@@ -181,6 +203,17 @@ class TestValidationErrors:
         with pytest.raises(SpecError, match="unknown spec kind"):
             spec_from_dict({"kind": "wibble"})
 
+    def test_non_string_kind_is_an_unknown_kind(self):
+        with pytest.raises(SpecError, match=r"\$\.kind: unknown spec kind \[\]"):
+            spec_from_dict({"kind": []})
+        with pytest.raises(
+            SpecError, match=r"\$\.stages\[0\]\.spec\.kind: stage specs must be one of"
+        ):
+            spec_from_dict(
+                {"kind": "study", "name": "s",
+                 "stages": [{"name": "a", "spec": {"kind": ["sweep"]}}]}
+            )
+
     def test_missing_kind(self):
         with pytest.raises(SpecError, match="missing the 'kind' tag"):
             spec_from_dict({"name": "x"})
@@ -250,6 +283,114 @@ class TestValidationErrors:
                     StageSpec(name="a", spec=EvalSpec()),
                     StageSpec(name="a", spec=EvalSpec()),
                 ),
+            )
+
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            ({"kind": "sweep", "chips": None}, "$.chips"),
+            ({"kind": "compare", "strategies": None}, "$.strategies"),
+            ({"kind": "tune", "objectives": None}, "$.objectives"),
+            ({"kind": "tune", "constraints": None}, "$.constraints"),
+            ({"kind": "space", "axes": None}, "$.axes"),
+            ({"kind": "study", "name": "s", "stages": None}, "$.stages"),
+            ({"kind": "trace", "spike_starts_s": None}, "$.spike_starts_s"),
+            ({**CHECKPOINT, "axes": None}, "$.axes"),
+            ({**CHECKPOINT, "objectives": None}, "$.objectives"),
+            ({**CHECKPOINT, "constraints": None}, "$.constraints"),
+            ({**CHECKPOINT, "candidates": None}, "$.candidates"),
+            ({**CHECKPOINT, "front": None}, "$.front"),
+            ({"kind": "fleet", "platforms": None}, "$.platforms"),
+            ({"kind": "arch", "blocks": None}, "$.blocks"),
+        ],
+    )
+    def test_null_list_field_is_an_error_at_its_path(self, document, path):
+        with pytest.raises(
+            SpecError, match=re.escape(f"{path}: expected a list, got None")
+        ):
+            spec_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            ({"kind": "trace", "rate_rps": HUGE}, "$.rate_rps"),
+            (
+                {"kind": "faults", "crash_mtbf_s": HUGE, "horizon_s": 60.0},
+                "$.crash_mtbf_s",
+            ),
+            (
+                {"kind": "axis", "axis": "float", "name": "f", "low": 0.0,
+                 "high": 1.0, "levels": [HUGE]},
+                "$.levels[0]",
+            ),
+            ({"kind": "fleet", "slo_targets": [HUGE]}, "$.slo_targets[0]"),
+        ],
+    )
+    def test_integer_beyond_float_range_is_an_error_at_its_path(
+        self, document, path
+    ):
+        with pytest.raises(
+            SpecError, match=re.escape(f"{path}: expected a number, got 1000")
+        ):
+            spec_from_dict(document)
+
+    def test_integer_literal_beyond_float_range_in_a_document(self):
+        text = '{"kind": "trace", "rate_rps": 1' + "0" * 400 + "}"
+        with pytest.raises(SpecError, match=r"\$\.rate_rps: expected a number"):
+            loads(text)
+
+    @pytest.mark.parametrize(
+        "document, path, kind",
+        [
+            ({"kind": "evaluate", "workload": None}, "$.workload", "workload"),
+            ({"kind": "evaluate", "platform": None}, "$.platform", "platform"),
+            ({"kind": "serve", "trace": None}, "$.trace", "trace"),
+            ({"kind": "workload", "model": None}, "$.model", "model"),
+        ],
+    )
+    def test_null_is_accepted_only_by_optional_fields(self, document, path, kind):
+        with pytest.raises(
+            SpecError,
+            match=re.escape(f"{path}: expected a {kind!r} mapping, got NoneType"),
+        ):
+            spec_from_dict(document)
+        # An Optional field takes null as "absent".
+        assert spec_from_dict({"kind": "workload", "seq_len": None}) == WorkloadSpec()
+
+    @pytest.mark.parametrize(
+        "bound, value", [("low", 1.5), ("high", "8"), ("low", True)]
+    )
+    def test_int_axis_bounds_must_be_integers(self, bound, value):
+        document = {"kind": "axis", "axis": "int", "name": "a", "low": 1,
+                    "high": 8, bound: value}
+        with pytest.raises(
+            SpecError, match=re.escape(f"$.{bound}: expected an integer")
+        ):
+            spec_from_dict(document)
+
+    def test_int_axis_takes_integral_floats(self):
+        spec = spec_from_dict(
+            {"kind": "axis", "axis": "int", "name": "a", "low": 2.0, "high": 8}
+        )
+        assert (spec.low, spec.high) == (2, 8)
+        assert isinstance(spec.low, int)
+
+    def test_search_state_space_size_is_required(self):
+        document = dict(CHECKPOINT)
+        del document["space_size"]
+        with pytest.raises(
+            SpecError, match="missing required field 'space_size'"
+        ):
+            spec_from_dict(document)
+
+    def test_post_init_error_is_prefixed_with_the_document_path(self):
+        with pytest.raises(
+            SpecError, match=re.escape("$.stages[0].spec: invalid chip count 0")
+        ):
+            spec_from_dict(
+                {"kind": "study", "name": "s", "stages": [
+                    {"name": "a", "spec": {"kind": "sweep", "chips": [0]}}
+                ]}
             )
 
     def test_stage_spec_must_be_runnable(self):

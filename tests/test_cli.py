@@ -325,6 +325,19 @@ class TestTuneOrchestratorFlags:
             capsys, self.TUNE + ["--resume", str(bad)], "not valid JSON",
         )
 
+    def test_resume_from_a_malformed_checkpoint_errors(self, capsys, tmp_path):
+        checkpoint = tmp_path / "ck.json"
+        assert main(self.TUNE + ["--checkpoint", str(checkpoint)]) == 0
+        capsys.readouterr()
+        document = json.loads(checkpoint.read_text(encoding="utf-8"))
+        document["front"] = None
+        checkpoint.write_text(json.dumps(document), encoding="utf-8")
+        err = expect_cli_error(
+            capsys, self.TUNE + ["--resume", str(checkpoint)],
+            "front", "expected a list",
+        )
+        assert err.startswith(f"error: {checkpoint}.front: ")
+
     def test_resume_from_a_different_search_errors(self, capsys, tmp_path):
         checkpoint = tmp_path / "ck.json"
         assert main(
@@ -776,6 +789,14 @@ class TestStudyCommands:
         bad.write_text('{"kind": "study", "name": "x", "stages": [{"name": '
                        '"a", "spec": {"kind": "evaluate", "strategy": 42}}]}')
         expect_cli_error(capsys, ["study", "validate", str(bad)], "strategy")
+
+    def test_study_validate_null_list_field_errors(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "sweep", "chips": null}')
+        err = expect_cli_error(
+            capsys, ["study", "validate", str(bad)], "chips", "expected a list"
+        )
+        assert err.startswith(f"error: {bad}.chips: ")
 
     def test_study_validate_without_files_errors(self, capsys):
         expect_cli_error(capsys, ["study", "validate"], "at least one")
