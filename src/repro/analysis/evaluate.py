@@ -164,7 +164,9 @@ class ProgramMemo:
     link energy and the clock only *price* a program, in the simulator
     and the energy model, so design points differing only in them share
     one program: built once, then rebound to each caller's platform
-    (:meth:`BlockScheduler.rebind`).
+    (:meth:`BlockScheduler.rebind`).  A program served more than once
+    also shares its compiled simulator sweep (:mod:`repro.sim.fastpath`)
+    across its rebinds; one served once keeps none.
 
     A :class:`~repro.api.Session` owns one memo and activates it around
     each engine call.  It lives in memory only and is never persisted.
@@ -180,7 +182,11 @@ class ProgramMemo:
         return len(self._programs)
 
     def clear(self) -> None:
-        """Forget every program."""
+        """Forget every program and drop its compiled sweep."""
+        for program in self._programs.values():
+            holder = program.__dict__.get("_compiled_sweep")
+            if holder is not None:
+                holder[0] = None
         self._programs.clear()
         self._unpriced.clear()
 
@@ -210,6 +216,9 @@ class ProgramMemo:
         if program is None:
             program = self._programs[key] = scheduler.build(workload)
             return program
+        if "_compiled_sweep" not in program.__dict__:
+            # Reused: the first price fills the slot, rebinds share it.
+            object.__setattr__(program, "_compiled_sweep", [None])
         return scheduler.rebind(program, workload)
 
     def _unpriced_chip(self, chip: ChipModel) -> ChipModel:

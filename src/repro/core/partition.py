@@ -248,6 +248,16 @@ class BlockPartition:
 
     @staticmethod
     def _check_disjoint(ranges, total: int, what: str) -> None:
+        # Non-empty ranges that tile [0, total) pass; anything else falls
+        # through to the index walk, which names the first offending index.
+        end = 0
+        for offset, length in sorted(item for item in ranges if item[1] > 0):
+            if offset != end:
+                break
+            end += length
+        else:
+            if end == total:
+                return
         covered = [False] * total
         for offset, length in ranges:
             for index in range(offset, offset + length):

@@ -241,9 +241,11 @@ class BlockProgram:
     # programs keep their schedules verbatim.  The per-chip memory plans
     # are flattened to value rows and rebuilt in one batch.  This is what
     # keeps the persistent evaluation cache (`repro.api.cache`) and
-    # process-pool result transfers cheap.
+    # process-pool result transfers cheap.  A compiled simulator sweep
+    # (see `repro.sim.fastpath`) is in-memory reuse state and is dropped.
     def __getstate__(self) -> Dict:
         state = dict(self.__dict__)
+        state.pop("_compiled_sweep", None)
         if state.pop("_schedules_are_canonical", False):
             state.pop("schedules", None)
             state["_schedules_are_canonical"] = True

@@ -184,8 +184,9 @@ class BlockScheduler:
         ``program`` must have been built by :meth:`build` for ``workload``
         on a platform that differs from this scheduler's only in what
         :meth:`build` does not read: the cluster clock and the link.  The
-        copy shares its schedules and memory plans (both immutable) and
-        skips ``__post_init__`` validation, which the original passed.
+        copy shares its schedules and memory plans (both immutable), and
+        the compiled-sweep slot when the original carries one, and skips
+        ``__post_init__`` validation, which the original passed.
         The simulator and the energy model price a program from its
         platform, so pointing it at the caller's platform is what makes
         the reuse correct.

@@ -208,3 +208,42 @@ def test_nested_sessions_keep_their_own_memos():
         inner.run(workload, chips=2)
     assert len(inner._programs) == 1
     assert len(outer._programs) == 0
+
+
+def _clock_points(session: Session, *freqs_mhz: float):
+    """TinyLlama-42M decode on 4 chips at each clock: one structure."""
+    workload = autoregressive(get_model("tinyllama-42m"), 128)
+    results = []
+    for freq_mhz in freqs_mhz:
+        design = materialise({"chips": 4, "freq_mhz": freq_mhz}, workload=workload)
+        results.append(session.run(workload, platform=design.platform))
+    return results
+
+
+def test_a_structure_evaluated_once_keeps_no_compiled_sweep():
+    session = Session()
+    (result,) = _clock_points(session, 200.0)
+    assert "_compiled_sweep" not in result.report.program.__dict__
+    (stored,) = session._programs._programs.values()
+    assert "_compiled_sweep" not in stored.__dict__
+
+
+def test_rebinds_of_a_structure_share_one_compiled_sweep():
+    session = Session()
+    first, second, third = _clock_points(session, 200.0, 300.0, 400.0)
+    programs = [result.report.program for result in (first, second, third)]
+    holders = [program.__dict__["_compiled_sweep"] for program in programs]
+    # The stored program (the first result's) got the slot on reuse.
+    assert holders[0] is holders[1] is holders[2]
+    assert holders[0][0] is not None
+    assert len({id(program) for program in programs}) == 3
+
+
+def test_cache_clear_drops_compiled_sweeps():
+    session = Session()
+    _, reused = _clock_points(session, 200.0, 400.0)
+    holder = reused.report.program.__dict__["_compiled_sweep"]
+    assert holder[0] is not None
+    session.cache_clear()
+    assert holder[0] is None
+    assert len(session._programs) == 0

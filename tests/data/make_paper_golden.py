@@ -9,7 +9,7 @@ The golden document holds, with every float at full ``repr`` precision:
   ``paper`` strategy, autoregressive at context 128, on one chip and on
   the most chips it partitions to (8, or 4 for ``mobilebert`` and
   ``gqa-moe-tiny``);
-* the per-stage artefact sha256 of five shipped studies.
+* the per-stage artefact sha256 of every shipped study.
 
 ``tests/integration/test_paper_golden.py`` recomputes the document and
 compares it with ``==``.  A change that moves any number fails that test;
@@ -53,8 +53,20 @@ MODEL_CHIPS = {
     "tinyllama-42m-gated": 8,
 }
 
-#: Shipped studies whose artefact digests are pinned.
-STUDIES = ("fig4", "fig6", "table1", "quickstart", "paper-pipeline")
+#: Every shipped study; each one's artefact digests are pinned.
+STUDIES = (
+    "chaos-capacity",
+    "dse-scale",
+    "fig4",
+    "fig6",
+    "fleet-capacity",
+    "model-zoo",
+    "paper-pipeline",
+    "platform-tuning",
+    "quickstart",
+    "serving-capacity",
+    "table1",
+)
 
 
 def _sweeps(session: Session) -> Dict[str, Any]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import partition_block, split_evenly
+from repro.core.partition import BlockPartition, partition_block, split_evenly
+from repro.errors import PartitioningError
 from repro.graph.transformer import TransformerConfig
 
 
@@ -96,3 +97,58 @@ def test_partition_is_deterministic(config):
     assert [chip.head_offset for chip in first.chips] == [
         chip.head_offset for chip in second.chips
     ]
+
+
+def _reference_check_disjoint(ranges, total, what):
+    """The index walk alone: the error message it raises, or ``None``."""
+    covered = [False] * total
+    for offset, length in ranges:
+        for index in range(offset, offset + length):
+            if index < 0 or index >= total:
+                return f"{what} index {index} out of range"
+            if covered[index]:
+                return f"{what} {index} assigned to two chips"
+            covered[index] = True
+    if not all(covered):
+        return f"{what} {covered.index(False)} assigned to no chip"
+    return None
+
+
+@st.composite
+def range_lists(draw):
+    """``(ranges, total)``: arbitrary ranges, or a shuffled, perturbed tiling."""
+    total = draw(st.integers(min_value=0, max_value=40))
+    pair = st.tuples(
+        st.integers(min_value=-6, max_value=45), st.integers(min_value=-6, max_value=20)
+    )
+    if draw(st.booleans()):
+        return draw(st.lists(pair, max_size=8)), total
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=total), max_size=6))
+    ranges, offset = [], 0
+    for length in lengths:
+        length = min(length, total - offset)
+        ranges.append((offset, length))
+        offset += length
+    if offset < total:
+        ranges.append((offset, total - offset))
+    ranges = draw(st.permutations(ranges))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        ranges.insert(draw(st.integers(min_value=0, max_value=len(ranges))), draw(pair))
+    if ranges and draw(st.booleans()):
+        index = draw(st.integers(min_value=0, max_value=len(ranges) - 1))
+        offset, length = ranges[index]
+        shift, grow = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        ranges[index] = (offset + shift, length + grow)
+    return ranges, total
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=range_lists())
+def test_disjointness_check_matches_the_index_walk(case):
+    ranges, total = case
+    try:
+        BlockPartition._check_disjoint(ranges, total=total, what="head")
+        outcome = None
+    except PartitioningError as error:
+        outcome = str(error)
+    assert outcome == _reference_check_disjoint(ranges, total, "head")

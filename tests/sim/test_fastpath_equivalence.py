@@ -10,6 +10,8 @@ identical error behaviour (deadlocks must deadlock on both engines).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -87,6 +89,48 @@ def test_fastpath_matches_event_engine_on_scheduled_programs(program):
     event = MultiChipSimulator(program=program).run()
     fast = simulate_block_fast(program)
     assert_identical_results(event, fast)
+
+
+# ----------------------------------------------------------------------
+# One compiled sweep, priced on other clocks and links
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    program=scheduled_programs(),
+    frequency_hz=st.floats(min_value=50e6, max_value=1e9),
+    bandwidth=st.floats(min_value=1e7, max_value=1e10),
+    latency_cycles=st.integers(min_value=0, max_value=20_000),
+    energy_pj_per_byte=st.floats(min_value=0.0, max_value=500.0),
+)
+def test_compiled_sweep_prices_a_rebound_program_like_a_fresh_build(
+    program, frequency_hz, bandwidth, latency_cycles, energy_pj_per_byte
+):
+    """A's compiled sweep, priced on B, equals the event engine on a B build."""
+    platform = program.platform
+    other = replace(
+        platform,
+        chip=replace(
+            platform.chip,
+            cluster=replace(platform.chip.cluster, frequency_hz=frequency_hz),
+        ),
+        link=replace(
+            platform.link,
+            bandwidth_bytes_per_s=bandwidth,
+            latency_cycles=latency_cycles,
+            energy_pj_per_byte=energy_pj_per_byte,
+        ),
+    )
+    object.__setattr__(program, "_compiled_sweep", [None])
+    simulate_block_fast(program)
+    compiled = program._compiled_sweep[0]
+    scheduler = BlockScheduler(
+        platform=other, prefetch_accounting=program.prefetch_accounting
+    )
+    rebound = scheduler.rebind(program, program.workload)
+    priced = simulate_block_fast(rebound)
+    assert rebound._compiled_sweep[0] is compiled
+    event = MultiChipSimulator(program=scheduler.build(program.workload)).run()
+    assert_identical_results(event, priced)
 
 
 # ----------------------------------------------------------------------
