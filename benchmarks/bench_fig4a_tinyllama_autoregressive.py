@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from repro.analysis.tables import runtime_breakdown_table
 from repro.core.schedule import RuntimeCategory
-from repro.experiments.fig4 import run_fig4a
 
 
-def test_fig4a_runtime_breakdown(run_once):
-    sweep = run_once(run_fig4a)
+def test_fig4a_runtime_breakdown(run_study):
+    sweep = run_study("fig4").stage("tinyllama-autoregressive").result
     print()
     print("Fig. 4(a) TinyLlama autoregressive mode")
     print(runtime_breakdown_table(sweep))

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from repro.analysis.tables import runtime_breakdown_table
 from repro.core.schedule import RuntimeCategory
-from repro.experiments.fig4 import run_fig4a, run_fig4b
 
 
-def test_fig4b_runtime_breakdown(run_once):
-    sweep = run_once(run_fig4b)
+def test_fig4b_runtime_breakdown(run_study):
+    fig4 = run_study("fig4")
+    sweep = fig4.stage("tinyllama-prompt").result
     print()
     print("Fig. 4(b) TinyLlama prompt mode")
     print(runtime_breakdown_table(sweep))
@@ -29,5 +29,5 @@ def test_fig4b_runtime_breakdown(run_once):
     # clearly less super-linear than the memory-bound autoregressive mode.
     assert speedups[8] > 8
     assert 8.0 < speedups[8] < 16.0
-    autoregressive_speedups = run_fig4a().speedups()
+    autoregressive_speedups = fig4.stage("tinyllama-autoregressive").result.speedups()
     assert autoregressive_speedups[8] > speedups[8]

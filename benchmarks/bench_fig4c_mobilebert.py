@@ -8,11 +8,10 @@ per-inference energy (smaller kernels utilise the cluster less well).
 from __future__ import annotations
 
 from repro.analysis.tables import energy_runtime_table, runtime_breakdown_table
-from repro.experiments.fig4 import run_fig4c
 
 
-def test_fig4c_runtime_and_energy(run_once):
-    sweep = run_once(run_fig4c)
+def test_fig4c_runtime_and_energy(run_study):
+    sweep = run_study("fig4").stage("mobilebert").result
     print()
     print("Fig. 4(c) MobileBERT")
     print(runtime_breakdown_table(sweep))

@@ -9,17 +9,17 @@ the 4-chip energy is slightly higher than the single-chip energy.
 
 from __future__ import annotations
 
-from repro.experiments.fig5 import render_fig5, run_fig5
+from repro.analysis import render_fig5
 
 
-def test_fig5_energy_runtime(run_once):
-    result = run_once(run_fig5)
+def test_fig5_energy_runtime(run_study):
+    result = run_study("fig5")
     print()
     print(render_fig5(result))
 
     # TinyLlama autoregressive: runtime collapses, energy stays in range
     # (paper: ~0.7 mJ at 1 chip vs 0.64 mJ at 8 chips).
-    autoregressive = result.autoregressive
+    autoregressive = result.stage("tinyllama-autoregressive").result
     one = autoregressive.result_for(1)
     eight = autoregressive.result_for(8)
     assert eight.block_cycles < one.block_cycles / 8
@@ -28,7 +28,7 @@ def test_fig5_energy_runtime(run_once):
 
     # Scaled-up model: once every weight is resident (32/64 chips) the
     # energy per block drops below the double-buffered 16-chip point.
-    scaled = result.autoregressive_scaled
+    scaled = result.stage("scaled-autoregressive").result
     assert (
         scaled.result_for(32).block_energy_joules
         < scaled.result_for(16).block_energy_joules
@@ -37,7 +37,7 @@ def test_fig5_energy_runtime(run_once):
     assert scaled.result_for(16).l3_bytes_per_block > 0
 
     # MobileBERT: slight energy increase at 4 chips.
-    mobilebert = result.mobilebert
+    mobilebert = result.stage("mobilebert").result
     assert (
         mobilebert.result_for(4).block_energy_joules
         > mobilebert.result_for(1).block_energy_joules

@@ -8,16 +8,16 @@ up to 16 chips and then shows diminishing returns.
 
 from __future__ import annotations
 
-from repro.experiments.fig6 import render_fig6, run_fig6
+from repro.analysis import render_fig6
 
 
-def test_fig6_scalability(run_once):
-    result = run_once(run_fig6)
+def test_fig6_scalability(run_study):
+    result = run_study("fig6")
     print()
     print(render_fig6(result))
 
-    autoregressive = result.autoregressive.speedups()
-    prompt = result.prompt.speedups()
+    autoregressive = result.stage("autoregressive").result.speedups()
+    prompt = result.stage("prompt").result.speedups()
 
     # Autoregressive: speedup grows monotonically with the chip count and
     # lands in the neighbourhood of the paper's 60.1x at 64 chips.
@@ -42,7 +42,8 @@ def test_fig6_scalability(run_once):
     from repro.core.placement import WeightResidency
 
     residency = {
-        r.num_chips: r.residencies()[0] for r in result.autoregressive.results
+        r.num_chips: r.residencies()[0]
+        for r in result.stage("autoregressive").result.results
     }
     assert residency[8] is WeightResidency.DOUBLE_BUFFERED
     assert residency[16] is WeightResidency.DOUBLE_BUFFERED

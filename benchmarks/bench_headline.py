@@ -8,16 +8,17 @@ for the scaled-up model on 64 chips.
 
 from __future__ import annotations
 
-from repro.experiments.headline import render_headline, run_headline
+from repro.analysis import headline_metrics, render_headline
 
 
-def test_headline_numbers(run_once):
-    result = run_once(run_headline)
+def test_headline_numbers(run_study):
+    result = run_study("headline")
     print()
     print(render_headline(result))
+    metrics = {metric.name: metric for metric in headline_metrics(result)}
 
     def measured(name: str) -> float:
-        return result.metric(name).measured_value
+        return metrics[name].measured_value
 
     # Speedups: super-linear where the paper claims super-linear, and within
     # a factor ~1.5 of the reported magnitudes.

@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one figure or table of the paper.  The
-underlying experiments are deterministic analytical simulations, so a
+Every benchmark regenerates one figure or table of the paper, each one a
+shipped study.  The underlying studies are deterministic analytical
+simulations, so a
 single round per benchmark is enough; the value of the harness is the
 printed series (compared against the paper in EXPERIMENTS.md) and the
 shape assertions, not statistical timing.
@@ -20,5 +21,17 @@ def run_once(benchmark):
         return benchmark.pedantic(
             function, args=args, kwargs=kwargs, rounds=1, iterations=1
         )
+
+    return _run
+
+
+@pytest.fixture
+def run_study(run_once):
+    """Run the shipped study ``name`` exactly once and return its result."""
+    from repro.api import Study
+    from repro.spec import get_study
+
+    def _run(name):
+        return run_once(lambda: Study(get_study(name)).run())
 
     return _run

@@ -110,15 +110,16 @@ def _run_child(
 # ----------------------------------------------------------------------
 _FIG6_CHILD = """
 import json, time
-from repro.experiments.fig6 import run_fig6
+from repro.api import Study
+from repro.spec import get_study
 start = time.perf_counter()
-result = run_fig6()
+result = Study(get_study("fig6")).run()
 wall = time.perf_counter() - start
+autoregressive = result.stage("autoregressive").result
 print(json.dumps({
     "wall_s": wall,
-    "speedup_64_autoregressive": result.autoregressive.speedups()[64],
-    "chip_counts": len(result.autoregressive.results)
-                   + len(result.prompt.results),
+    "speedup_64_autoregressive": autoregressive.speedups()[64],
+    "chip_counts": sum(len(stage.result.results) for stage in result.stages),
 }))
 """
 

@@ -113,7 +113,8 @@ def searcher_shootout() -> None:
 def declarative_twin() -> None:
     """The same grid study as data, plus a serving run on the winner.
 
-    The shipped "platform-tuning" study (examples/specs/platform_tuning.json,
+    The shipped "platform-tuning" study
+    (src/repro/spec/shipped/platform_tuning.json,
     `repro study run platform-tuning`) declares study 1 as a tune stage and
     then serves traffic on the best design via a `platform_from` stage
     reference — no Python required.

@@ -78,7 +78,7 @@ def main() -> None:
     print()
 
     # This whole script also ships as data: the "quickstart" study
-    # (examples/specs/quickstart.json, `repro study run quickstart`)
+    # (src/repro/spec/shipped/quickstart.json, `repro study run quickstart`)
     # declares the same three stages, and its artifacts match these
     # imperative calls bit for bit.
     from repro.api import Study

@@ -7,8 +7,8 @@ evaluate, sweep, compare, serve, tune — that execute through one shared
 (and therefore cache-hot) session, with later stages referencing earlier
 ones.  This example walks the full loop:
 
-1. load the shipped ``paper-pipeline`` study (also committed as
-   ``examples/specs/paper_pipeline.json``): a chip-count sweep, the
+1. load the shipped ``paper-pipeline`` study (committed as
+   ``src/repro/spec/shipped/paper_pipeline.json``): a chip-count sweep, the
    Table I ablation, a design-space search pinned to the sweep's fastest
    chip count (``chips_from``), and a serving run on the tuned design
    (``platform_from``),
@@ -22,7 +22,7 @@ ones.  This example walks the full loop:
 The same pipeline runs from the command line::
 
     repro study run paper-pipeline --output-dir out/
-    repro study run examples/specs/paper_pipeline.json
+    repro study run src/repro/spec/shipped/paper_pipeline.json
 
 and any ordinary invocation can be captured as a replayable spec with
 ``--emit-spec`` (e.g. ``repro sweep --chips 1 2 4 8 --emit-spec``).

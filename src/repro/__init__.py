@@ -5,8 +5,8 @@ Transformers on Low-Power MCUs" (DATE 2025): a tensor-parallel partitioning
 scheme that scatters Transformer weights across a network of Siracusa-like
 MCUs with no replication and only two synchronisations per block, an
 event-driven multi-chip simulator, the paper's analytical energy model, and
-the experiment harness that regenerates every figure and table of the
-paper's evaluation.
+one shipped study per figure and table of the paper's evaluation
+(``repro experiments`` regenerates them).
 
 The front door is :class:`repro.api.Session`, which evaluates any
 registered partitioning strategy — the paper's scheme (``"paper"``) or any

@@ -1317,9 +1317,8 @@ _DEFAULT_SESSION: Optional[Session] = None
 def set_default_session(session: Optional[Session]) -> Optional[Session]:
     """Install ``session`` as the process-wide shared session.
 
-    The experiment harnesses evaluate through :func:`default_session`;
-    installing a configured session (e.g. one with a persistent cache,
-    as ``repro experiments`` does) redirects them all.  Returns the
+    Code that evaluates through :func:`default_session` then uses the
+    installed session (e.g. one with a persistent cache).  Returns the
     previously installed session (``None`` if none existed yet) so
     callers can scope the override and restore it afterwards.
     """
@@ -1332,9 +1331,8 @@ def set_default_session(session: Optional[Session]) -> Optional[Session]:
 def default_session() -> Session:
     """The process-wide shared session on the paper's Siracusa preset.
 
-    The experiment harnesses (Figs. 4-6, Table I, the headline numbers)
-    share this session, so a workload/chip-count pair simulated for one
-    figure is reused by every other figure instead of being recomputed.
+    Every caller shares this session, so a workload/chip-count pair
+    simulated once is reused instead of being recomputed.
     """
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:

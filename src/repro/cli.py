@@ -19,7 +19,8 @@ without writing any Python:
   replicas (routing, admission control, autoscaling),
 * ``tune``        — design-space exploration (searchable platform space,
   multi-objective search, Pareto front),
-* ``experiments`` — regenerate the paper's figures and tables,
+* ``experiments`` — regenerate the paper's figures and tables (each one a
+  shipped study, rendered as text),
 * ``verify``      — numerically verify the partitioning scheme's exactness,
 * ``cache``       — inspect or clear the persistent evaluation cache,
 * ``study``       — run, validate, or scaffold declarative study specs,
@@ -37,13 +38,13 @@ machine-readable format instead of the human tables; the Session-driven
 JSON documents include the session's cache statistics so memoisation
 reuse is observable.
 
-The same six commands (plus ``experiments``, for the studies it maps to)
-take ``--emit-spec``, which prints the invocation as a replayable
-:mod:`repro.spec` JSON document instead of running it; ``repro study run``
-replays such a document — or a whole multi-stage study file — bit for
-bit.  Invalid input of any kind (bad flags aside, which argparse reports
-itself) exits with status 2 and a one-line ``error: ...`` on stderr
-rather than a traceback.
+The same six commands (plus ``experiments``, which prints the shipped
+study it runs) take ``--emit-spec``, which prints the invocation as a
+replayable :mod:`repro.spec` JSON document instead of running it;
+``repro study run`` replays such a document — or a whole multi-stage
+study file — bit for bit.  Invalid input of any kind (bad flags aside,
+which argparse reports itself) exits with status 2 and a one-line
+``error: ...`` on stderr rather than a traceback.
 
 Every evaluating command also shares the persistent cross-process
 evaluation cache (:mod:`repro.api.cache`): results land on disk under
@@ -62,6 +63,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .analysis import figures
 from .analysis.export import (
     check_sweep_path,
     comparison_to_json,
@@ -96,6 +98,8 @@ from .spec import (
     TraceSpec,
     TuneSpec,
     WorkloadSpec,
+    get_study,
+    list_studies,
 )
 from .units import format_bytes, format_energy, format_time
 
@@ -1619,80 +1623,52 @@ def _command_tune(args: argparse.Namespace) -> List[str]:
     return [result.render()]
 
 
-#: ``experiments --only`` values that have a faithful shipped study.
-_EXPERIMENT_STUDIES = {
-    "fig4": "fig4",
-    "fig6": "fig6",
-    "table1": "table1",
-    "serving": "serving-capacity",
+#: ``experiments --only`` value -> (the shipped study it runs, its renderer).
+_EXPERIMENTS = {
+    "dse": ("dse-budget", figures.render_dse),
+    "fig4": ("fig4", figures.render_fig4),
+    "fig5": ("fig5", figures.render_fig5),
+    "fig6": ("fig6", figures.render_fig6),
+    "headline": ("headline", figures.render_headline),
+    "serving": ("serving-capacity", figures.render_serving),
+    "table1": ("table1", figures.render_table1),
 }
+
+#: The sections of ``experiments --only all``, in order.
+_ALL_EXPERIMENTS = (
+    ("fig4", "Figure 4 — runtime breakdown and speedup"),
+    ("fig5", "Figure 5 — energy vs. runtime"),
+    ("fig6", "Figure 6 — scalability study (scaled-up TinyLlama)"),
+    ("table1", "Table I — partitioning-approach comparison"),
+    ("headline", "Headline numbers — paper vs. measured"),
+)
+
+
+def _render_experiment(only: str, session: Session) -> str:
+    """Run ``only``'s shipped study through ``session`` and render it."""
+    from .api.study import Study
+
+    name, render = _EXPERIMENTS[only]
+    return render(Study(get_study(name), session=session).run())
 
 
 def _command_experiments(args: argparse.Namespace) -> List[str]:
-    from .api.session import set_default_session
-
-    if getattr(args, "emit_spec", False):
-        from .spec import get_study
-
-        study_name = _EXPERIMENT_STUDIES.get(args.only)
-        if study_name is None:
-            expressible = ", ".join(sorted(_EXPERIMENT_STUDIES))
-            if args.only == "all":
-                raise AnalysisError(
-                    "--emit-spec needs a single experiment; pass --only "
-                    f"with one of: {expressible}"
-                )
-            raise AnalysisError(
-                f"experiment {args.only!r} has no declarative study "
-                "equivalent (it aggregates derived analytics); spec-"
-                f"expressible experiments: {expressible}"
-            )
-        return [get_study(study_name).to_json().rstrip("\n")]
-
-    # The harnesses evaluate through the shared default session; install
-    # one honouring the cache flags so figure regeneration also reuses
-    # (and feeds) the persistent cross-process cache.  The override is
-    # scoped to this command so programmatic main() callers (and the
-    # test suite) keep their own default session afterwards.
-    previous = set_default_session(_session_from_args(args))
-    try:
-        return _run_experiments(args)
-    finally:
-        set_default_session(previous)
-
-
-def _run_experiments(args: argparse.Namespace) -> List[str]:
-    from .experiments import (
-        render_dse,
-        render_fig4,
-        render_fig5,
-        render_fig6,
-        render_headline,
-        render_serving,
-        render_table1,
-        run_dse,
-        run_fig4,
-        run_fig5,
-        run_fig6,
-        run_headline,
-        run_serving,
-        run_table1,
-    )
-
-    runners = {
-        "fig4": lambda: render_fig4(run_fig4()),
-        "fig5": lambda: render_fig5(run_fig5()),
-        "fig6": lambda: render_fig6(run_fig6()),
-        "table1": lambda: render_table1(run_table1()),
-        "headline": lambda: render_headline(run_headline()),
-        "serving": lambda: render_serving(run_serving()),
-        "dse": lambda: render_dse(run_dse()),
-    }
     if args.only == "all":
-        from .experiments.runner import render_all, run_all
-
-        return [render_all(run_all())]
-    return [runners[args.only]()]
+        if args.emit_spec:
+            raise AnalysisError(
+                "--emit-spec needs a single experiment; pass --only with "
+                "one of: " + ", ".join(_EXPERIMENTS)
+            )
+        session = _session_from_args(args)
+        lines = ["=" * 72]
+        for only, title in _ALL_EXPERIMENTS:
+            body = _render_experiment(only, session)
+            lines += [title, "-" * len(title), body, ""]
+        return ["\n".join(lines)]
+    if args.emit_spec:
+        name, _ = _EXPERIMENTS[args.only]
+        return [get_study(name).to_json().rstrip("\n")]
+    return [_render_experiment(args.only, _session_from_args(args))]
 
 
 def _command_cache(args: argparse.Namespace) -> List[str]:
@@ -1756,14 +1732,7 @@ def _load_study_target(target: str):
     Single-command specs (as emitted by ``--emit-spec``) are wrapped into
     a one-stage study so any captured invocation replays directly.
     """
-    from .spec import (
-        RUNNABLE_KINDS,
-        StageSpec,
-        StudySpec,
-        get_study,
-        list_studies,
-        load_spec,
-    )
+    from .spec import RUNNABLE_KINDS, StageSpec, StudySpec, load_spec
 
     if not Path(target).exists():
         if target in list_studies():
@@ -1840,13 +1809,11 @@ def _command_study(args: argparse.Namespace) -> List[str]:
 
 
 def _command_studies() -> List[str]:
-    from .spec import get_study, list_studies, study_description
-
     lines = []
     for name in list_studies():
         spec = get_study(name)
         lines.append(f"{name:<20} {len(spec.stages):>3} stage(s)  "
-                     f"{study_description(name)}")
+                     f"{spec.description}")
     return lines
 
 

@@ -18,7 +18,8 @@ paths), and replayed bit-for-bit:
 * capture any CLI invocation as a spec with ``--emit-spec``.
 
 See ``docs/SPECS.md`` for the schema reference and
-:mod:`repro.spec.studies` for the shipped example studies.
+:mod:`repro.spec.studies` for the shipped studies, whose JSON documents
+live in this package's ``shipped/`` directory.
 """
 
 from .base import SPEC_SCHEMA_VERSION, SpecBase
@@ -52,7 +53,7 @@ from .specs import (
     loads,
     spec_from_dict,
 )
-from .studies import get_study, list_studies, register_study, study_description
+from .studies import get_study, list_studies, register_study
 
 __all__ = [
     "AutoscalerSpec",
@@ -88,5 +89,4 @@ __all__ = [
     "loads",
     "register_study",
     "spec_from_dict",
-    "study_description",
 ]

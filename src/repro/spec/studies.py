@@ -1,12 +1,15 @@
-"""Shipped example studies.
+"""The shipped studies: each one a JSON document, defined nowhere else.
 
-Each entry re-expresses one of the library's canned experiments — the
-figure harnesses of :mod:`repro.experiments` and the walk-through
-``examples/`` scripts — as a :class:`~repro.spec.StudySpec`, proving the
-declarative layer subsumes them.  ``repro studies`` lists the registry;
-``repro study run <name>`` executes an entry by name, and the serialised
-forms are committed under ``examples/specs/`` (kept in sync by the test
-suite).
+Every paper figure and table (``fig4``, ``fig5``, ``fig6``, ``table1``,
+``headline``), the serving and design-space studies behind
+``repro experiments``, and the walk-through ``examples/`` scripts are
+committed as :class:`~repro.spec.StudySpec` documents in the package-data
+directory ``shipped/`` next to this module.  The registry scans that
+directory at import and registers each file under its stem, with ``_``
+turned into ``-`` (``serving_capacity.json`` is ``serving-capacity``); a
+file is decoded only when :func:`get_study` asks for it.  ``repro
+studies`` lists the registry; ``repro study run <name>`` executes an
+entry by name.
 
 Like the strategy/policy/searcher registries, this one is open: register
 your own study factory with :func:`register_study` and it becomes
@@ -15,41 +18,26 @@ runnable from the CLI by name.
 
 from __future__ import annotations
 
+from functools import partial
+from pathlib import Path
 from typing import Callable, Dict, List
 
 from ..errors import ConfigurationError
-from .specs import (
-    AxisSpec,
-    CompareSpec,
-    EvalSpec,
-    FaultEventSpec,
-    FaultSpec,
-    FleetPlatformSpec,
-    FleetSpec,
-    ModelSpec,
-    PlatformSpec,
-    RetryPolicySpec,
-    ServingSpec,
-    SLOClassSpec,
-    SpaceSpec,
-    StageSpec,
-    StudySpec,
-    SweepSpec,
-    TraceSpec,
-    TuneSpec,
-    WorkloadSpec,
-)
+from .specs import StudySpec, load_spec
 
-__all__ = ["get_study", "list_studies", "register_study", "study_description"]
+__all__ = ["SHIPPED_DIR", "get_study", "list_studies", "register_study"]
 
-#: Study name -> (description, StudySpec factory).
-_STUDIES: Dict[str, "tuple[str, Callable[[], StudySpec]]"] = {}
+#: The package-data directory holding one JSON document per shipped study.
+SHIPPED_DIR = Path(__file__).resolve().parent / "shipped"
+
+#: Study name -> StudySpec factory.
+_STUDIES: Dict[str, Callable[[], StudySpec]] = {}
 
 
-def register_study(
-    name: str, description: str, factory: Callable[[], StudySpec]
-) -> None:
+def register_study(name: str, factory: Callable[[], StudySpec]) -> None:
     """Register a study factory under ``name``.
+
+    The study's description is its spec's ``description`` field.
 
     Raises:
         ConfigurationError: If the name is already registered.
@@ -59,7 +47,7 @@ def register_study(
         raise ConfigurationError("study name must be non-empty")
     if key in _STUDIES:
         raise ConfigurationError(f"study {name!r} is already registered")
-    _STUDIES[key] = (description, factory)
+    _STUDIES[key] = factory
 
 
 def get_study(name: str) -> StudySpec:
@@ -74,18 +62,7 @@ def get_study(name: str) -> StudySpec:
         raise ConfigurationError(
             f"unknown study {name!r}; registered studies: {known}"
         )
-    return _STUDIES[key][1]()
-
-
-def study_description(name: str) -> str:
-    """The one-line description of a registered study."""
-    key = name.strip().lower()
-    if key not in _STUDIES:
-        known = ", ".join(sorted(_STUDIES)) or "<none>"
-        raise ConfigurationError(
-            f"unknown study {name!r}; registered studies: {known}"
-        )
-    return _STUDIES[key][0]
+    return _STUDIES[key]()
 
 
 def list_studies() -> List[str]:
@@ -93,555 +70,5 @@ def list_studies() -> List[str]:
     return sorted(_STUDIES)
 
 
-# ----------------------------------------------------------------------
-# The shipped entries
-# ----------------------------------------------------------------------
-def _quickstart() -> StudySpec:
-    """examples/quickstart.py as data: 1-chip vs 8-chip, then Table I."""
-    workload = WorkloadSpec()  # tinyllama-42m, autoregressive, S=128
-    return StudySpec(
-        name="quickstart",
-        description=(
-            "Single-chip vs 8-chip TinyLlama block, then the Table I "
-            "strategy ablation (the quickstart example as data)"
-        ),
-        stages=(
-            StageSpec(
-                name="single-chip",
-                spec=EvalSpec(workload=workload, platform=PlatformSpec(chips=1)),
-            ),
-            StageSpec(
-                name="distributed",
-                spec=EvalSpec(workload=workload, platform=PlatformSpec(chips=8)),
-            ),
-            StageSpec(
-                name="ablation",
-                spec=CompareSpec(workload=workload, platform=PlatformSpec(chips=8)),
-            ),
-        ),
-    )
-
-
-def _fig4() -> StudySpec:
-    """The three chip-count sweeps behind the paper's Fig. 4."""
-    return StudySpec(
-        name="fig4",
-        description=(
-            "The paper's Fig. 4 sweeps: TinyLlama autoregressive + prompt "
-            "and MobileBERT encoder across chip counts"
-        ),
-        stages=(
-            StageSpec(
-                name="tinyllama-autoregressive",
-                spec=SweepSpec(
-                    workload=WorkloadSpec(mode="autoregressive", seq_len=128),
-                    chips=(1, 2, 4, 8),
-                ),
-            ),
-            StageSpec(
-                name="tinyllama-prompt",
-                spec=SweepSpec(
-                    workload=WorkloadSpec(mode="prompt", seq_len=16),
-                    chips=(1, 2, 4, 8),
-                ),
-            ),
-            StageSpec(
-                name="mobilebert",
-                spec=SweepSpec(
-                    workload=WorkloadSpec(
-                        model=ModelSpec(name="mobilebert"),
-                        mode="encoder",
-                        seq_len=268,
-                    ),
-                    chips=(1, 2, 4),
-                ),
-            ),
-        ),
-    )
-
-
-def _fig6() -> StudySpec:
-    """The scaled-up (64-head) TinyLlama scalability sweeps of Fig. 6."""
-    scaled = ModelSpec(name="tinyllama-42m-64h")
-    chips = (1, 2, 4, 8, 16, 32, 64)
-    return StudySpec(
-        name="fig6",
-        description=(
-            "The paper's Fig. 6 scalability study: 64-head TinyLlama, "
-            "1-64 chips, both inference modes"
-        ),
-        stages=(
-            StageSpec(
-                name="autoregressive",
-                spec=SweepSpec(
-                    workload=WorkloadSpec(
-                        model=scaled, mode="autoregressive", seq_len=128
-                    ),
-                    chips=chips,
-                ),
-            ),
-            StageSpec(
-                name="prompt",
-                spec=SweepSpec(
-                    workload=WorkloadSpec(model=scaled, mode="prompt", seq_len=16),
-                    chips=chips,
-                ),
-            ),
-        ),
-    )
-
-
-def _table1() -> StudySpec:
-    """The Table I baseline ablation on the paper's 8-chip platform."""
-    return StudySpec(
-        name="table1",
-        description=(
-            "The paper's Table I ablation: the four baselines on 8 chips"
-        ),
-        stages=(
-            StageSpec(
-                name="ablation",
-                spec=CompareSpec(
-                    workload=WorkloadSpec(mode="autoregressive", seq_len=128),
-                    platform=PlatformSpec(chips=8),
-                ),
-            ),
-        ),
-    )
-
-
-def _serving_capacity() -> StudySpec:
-    """The capacity-vs-SLO serving matrix of ``repro experiments --only serving``."""
-    stages = []
-    for rate in (1.0, 2.0, 3.0, 4.0, 5.0):
-        for policy in ("fifo", "shortest_prompt", "continuous"):
-            stages.append(
-                StageSpec(
-                    name=f"rate{rate:g}-{policy}".replace("_", "-"),
-                    spec=ServingSpec(
-                        trace=TraceSpec(rate_rps=rate, duration_s=60.0),
-                        policy=policy,
-                        platform=PlatformSpec(chips=8),
-                        seed=0,
-                        slo_targets=(1.0,),
-                    ),
-                )
-            )
-    return StudySpec(
-        name="serving-capacity",
-        description=(
-            "Capacity vs SLO: Poisson load 1-5 req/s under three "
-            "scheduling policies on the 8-chip platform"
-        ),
-        stages=tuple(stages),
-    )
-
-
-def _fleet_capacity() -> StudySpec:
-    """Minimum fleet size for a target load under two routing policies.
-
-    Each stage serves the same seeded diurnal day-in-ten-minutes trace on
-    a fleet of 1-4 identical replicas; comparing the stages' p99 TTFT
-    against the SLO grid answers "how many platforms do I need for this
-    load at p99 TTFT <= Y?" per router.
-    """
-    trace = TraceSpec(
-        source="diurnal",
-        rate_rps=4.0,
-        duration_s=600.0,
-        amplitude=0.5,
-        period_s=600.0,
-    )
-    stages = []
-    for router in ("round_robin", "least_loaded"):
-        for count in (1, 2, 3, 4):
-            stages.append(
-                StageSpec(
-                    name=f"{router}-x{count}".replace("_", "-"),
-                    spec=FleetSpec(
-                        trace=trace,
-                        platforms=(FleetPlatformSpec(replicas=count),),
-                        router=router,
-                        seed=0,
-                        slo_targets=(0.2, 0.5, 1.0),
-                    ),
-                )
-            )
-    return StudySpec(
-        name="fleet-capacity",
-        description=(
-            "Minimum fleet size for a diurnal load: 1-4 replicas under "
-            "two routing policies, p99 TTFT vs the SLO grid"
-        ),
-        stages=tuple(stages),
-    )
-
-
-def _chaos_capacity() -> StudySpec:
-    """Routing policies under a crash-and-recover fault schedule.
-
-    Both stages serve the same seeded diurnal trace on three replicas
-    through the same fault schedule — a straggler window softening
-    replica 0 before it crashes, three staggered crash-and-recover
-    windows that overlap into a total outage over [240, 300), and a
-    fleet-wide brownout during the recovery tail — differing only in the
-    router.  Comparing the stages' resilience blocks (goodput, retries,
-    shed requests, unavailability, healthy/degraded SLO attainment)
-    answers "which routing policy degrades more gracefully?".
-    """
-    trace = TraceSpec(
-        source="diurnal",
-        rate_rps=6.0,
-        duration_s=600.0,
-        amplitude=0.5,
-        period_s=600.0,
-        priority_levels=2,
-    )
-    faults = FaultSpec(
-        events=(
-            FaultEventSpec(fault="slowdown", replica=0, start_s=90.0,
-                           duration_s=60.0, factor=4.0),
-            FaultEventSpec(fault="crash", replica=0, start_s=120.0,
-                           duration_s=180.0),
-            FaultEventSpec(fault="crash", replica=1, start_s=200.0,
-                           duration_s=160.0),
-            FaultEventSpec(fault="crash", replica=2, start_s=240.0,
-                           duration_s=60.0),
-            FaultEventSpec(fault="brownout", start_s=420.0,
-                           duration_s=60.0, factor=2.0),
-        ),
-        shed_below=0.9,
-        shed_keep=1,
-    )
-    retry = RetryPolicySpec(
-        max_retries=3,
-        backoff_s=0.5,
-        timeout_s=45.0,
-        hedge_after_s=1.0,
-    )
-    classes = (
-        SLOClassSpec(name="interactive", rate_rps=6.0, burst=8, priority=1,
-                     ttft_slo_s=0.5),
-        SLOClassSpec(name="batch", priority=0),
-    )
-    stages = tuple(
-        StageSpec(
-            name=router.replace("_", "-"),
-            spec=FleetSpec(
-                trace=trace,
-                platforms=(FleetPlatformSpec(replicas=3),),
-                router=router,
-                classes=classes,
-                faults=faults,
-                retry=retry,
-                seed=0,
-                slo_targets=(0.2, 0.5, 1.0),
-            ),
-        )
-        for router in ("round_robin", "least_loaded")
-    )
-    return StudySpec(
-        name="chaos-capacity",
-        description=(
-            "Crash-and-recover chaos run: three replicas through a "
-            "straggler window, a rolling triple crash with a total "
-            "outage, and a brownout, under two routing policies"
-        ),
-        stages=stages,
-    )
-
-
-def _platform_tuning() -> StudySpec:
-    """examples/platform_tuning.py as data: grid search, then serve the winner."""
-    space = SpaceSpec(
-        axes=(
-            AxisSpec(axis="choice", name="chips", choices=(1, 2, 4, 8)),
-            AxisSpec(
-                axis="float",
-                name="link_gbps",
-                low=0.25,
-                high=1.0,
-                levels=(0.25, 0.5, 1.0),
-            ),
-            AxisSpec(axis="choice", name="l2_kib", choices=(1024, 2048, 4096)),
-            AxisSpec(axis="choice", name="strategy", choices=("paper",)),
-        )
-    )
-    return StudySpec(
-        name="platform-tuning",
-        description=(
-            "Exhaustive latency/hardware-cost trade-off over a 36-design "
-            "space, then a serving run on the fastest feasible design"
-        ),
-        stages=(
-            StageSpec(
-                name="tune",
-                spec=TuneSpec(
-                    space=space,
-                    searcher="grid",
-                    budget=36,
-                    objectives=("latency", "hw_cost"),
-                ),
-            ),
-            StageSpec(
-                name="serve-best",
-                spec=ServingSpec(
-                    trace=TraceSpec(rate_rps=2.0, duration_s=60.0),
-                    platform_from="tune",
-                    seed=0,
-                ),
-            ),
-        ),
-    )
-
-
-def _paper_pipeline() -> StudySpec:
-    """The full pipeline: sweep -> compare -> tune (pinned) -> serve (tuned)."""
-    workload = WorkloadSpec(mode="autoregressive", seq_len=128)
-    space = SpaceSpec(
-        axes=(
-            AxisSpec(axis="choice", name="chips", choices=(1, 2, 4, 8)),
-            AxisSpec(
-                axis="float",
-                name="link_gbps",
-                low=0.25,
-                high=2.0,
-                levels=(0.25, 0.5, 1.0, 2.0),
-            ),
-            AxisSpec(axis="choice", name="l2_kib", choices=(1024, 2048)),
-            AxisSpec(axis="choice", name="strategy", choices=("paper",)),
-        )
-    )
-    return StudySpec(
-        name="paper-pipeline",
-        description=(
-            "Sweep chip counts, ablate strategies, tune the platform at "
-            "the fastest chip count, then serve traffic on the tuned "
-            "design — one replayable pipeline"
-        ),
-        stages=(
-            StageSpec(
-                name="sweep",
-                spec=SweepSpec(workload=workload, chips=(1, 2, 4, 8)),
-            ),
-            StageSpec(
-                name="compare",
-                spec=CompareSpec(
-                    workload=workload, platform=PlatformSpec(chips=8)
-                ),
-            ),
-            StageSpec(
-                name="tune",
-                spec=TuneSpec(
-                    workload=workload,
-                    space=space,
-                    searcher="random",
-                    budget=12,
-                    seed=0,
-                    objectives=("latency", "hw_cost"),
-                    chips_from="sweep",
-                ),
-            ),
-            StageSpec(
-                name="serve",
-                spec=ServingSpec(
-                    trace=TraceSpec(rate_rps=2.0, duration_s=30.0),
-                    platform_from="tune",
-                    seed=0,
-                ),
-            ),
-        ),
-    )
-
-
-def _dse_scale() -> StudySpec:
-    """Production-scale surrogate search over a ~14k-point design space."""
-    space = SpaceSpec(
-        axes=(
-            AxisSpec(axis="choice", name="chips", choices=(1, 2, 4, 8, 16)),
-            AxisSpec(
-                axis="float",
-                name="link_gbps",
-                low=0.125,
-                high=2.0,
-                levels=(0.125, 0.25, 0.5, 1.0, 2.0),
-            ),
-            AxisSpec(
-                axis="choice",
-                name="l2_kib",
-                choices=(1024, 2048, 4096, 8192),
-            ),
-            AxisSpec(
-                axis="float",
-                name="freq_mhz",
-                low=200.0,
-                high=500.0,
-                levels=(200.0, 300.0, 400.0, 500.0),
-            ),
-            AxisSpec(
-                axis="float",
-                name="link_pj_per_byte",
-                low=50.0,
-                high=200.0,
-                levels=(50.0, 100.0, 200.0),
-            ),
-            AxisSpec(axis="choice", name="group_size", choices=(2, 4)),
-            AxisSpec(axis="choice", name="kv_heads", choices=(2, 4, 8)),
-            AxisSpec(
-                axis="choice",
-                name="strategy",
-                choices=("paper", "tensor_parallel"),
-            ),
-        )
-    )
-    return StudySpec(
-        name="dse-scale",
-        description=(
-            "Surrogate-guided search over a 14,400-point platform x "
-            "partition x architecture space with periodic checkpoints; "
-            "parallel and interrupted-then-resumed runs are byte-"
-            "identical to a serial uninterrupted one"
-        ),
-        stages=(
-            StageSpec(
-                name="search",
-                spec=TuneSpec(
-                    space=space,
-                    searcher="surrogate",
-                    budget=32,
-                    seed=0,
-                    objectives=("latency", "energy", "hw_cost"),
-                    checkpoint_every=8,
-                ),
-            ),
-        ),
-    )
-
-
-def _model_zoo() -> StudySpec:
-    """Partition strategies across the generated architecture zoo."""
-    platform = PlatformSpec(chips=4)
-    strategies = ("paper", "single_chip", "tensor_parallel")
-    stages = [
-        StageSpec(
-            name=name,
-            spec=CompareSpec(
-                workload=WorkloadSpec(
-                    model=ModelSpec(name=name),
-                    mode="autoregressive",
-                    seq_len=seq_len,
-                ),
-                strategies=strategies,
-                platform=platform,
-            ),
-        )
-        for name, seq_len in (
-            ("gqa-moe-tiny", 128),
-            ("moe-8x", 128),
-            ("mqa-270m", 128),
-            ("longctx-4k", 4096),
-            ("encdec-small", 128),
-        )
-    ]
-    stages.append(
-        StageSpec(
-            name="tune",
-            spec=TuneSpec(
-                space=SpaceSpec(
-                    axes=(
-                        AxisSpec(axis="choice", name="chips", choices=(2, 4)),
-                        AxisSpec(
-                            axis="choice",
-                            name="model",
-                            choices=("gqa-moe-tiny", "moe-8x", "mqa-270m"),
-                        ),
-                        AxisSpec(
-                            axis="choice", name="strategy", choices=("paper",)
-                        ),
-                    )
-                ),
-                searcher="grid",
-                budget=6,
-                objectives=("latency", "energy"),
-            ),
-        )
-    )
-    stages.append(
-        StageSpec(
-            name="fleet",
-            spec=FleetSpec(
-                model=ModelSpec(name="gqa-moe-tiny"),
-                trace=TraceSpec(rate_rps=2.0, duration_s=30.0),
-                platforms=(FleetPlatformSpec(chips=4, replicas=2),),
-                seed=0,
-                slo_targets=(1.0,),
-            ),
-        )
-    )
-    return StudySpec(
-        name="model-zoo",
-        description=(
-            "Partition-strategy ablation across five generated zoo "
-            "architectures (GQA+MoE, MoE, MQA, sliding-window, enc/dec), "
-            "an architecture-axis tune, and a fleet run on the GQA+MoE "
-            "decoder"
-        ),
-        stages=tuple(stages),
-    )
-
-
-register_study(
-    "quickstart",
-    "1-chip vs 8-chip block evaluation plus the Table I ablation",
-    _quickstart,
-)
-register_study(
-    "fig4",
-    "The paper's Fig. 4 chip-count sweeps (three workloads)",
-    _fig4,
-)
-register_study(
-    "fig6",
-    "The paper's Fig. 6 scalability sweeps (64-head TinyLlama, 1-64 chips)",
-    _fig6,
-)
-register_study(
-    "table1",
-    "The paper's Table I strategy ablation on 8 chips",
-    _table1,
-)
-register_study(
-    "serving-capacity",
-    "Capacity vs SLO: load x scheduling-policy serving matrix",
-    _serving_capacity,
-)
-register_study(
-    "fleet-capacity",
-    "Minimum fleet size per routing policy under a diurnal load",
-    _fleet_capacity,
-)
-register_study(
-    "chaos-capacity",
-    "Router comparison under a crash-and-recover fault schedule",
-    _chaos_capacity,
-)
-register_study(
-    "platform-tuning",
-    "Latency/cost design-space grid plus serving the best design",
-    _platform_tuning,
-)
-register_study(
-    "paper-pipeline",
-    "Sweep + compare + tune + serve as one replayable pipeline",
-    _paper_pipeline,
-)
-register_study(
-    "dse-scale",
-    "10k+-point surrogate-guided platform search with checkpoint/resume",
-    _dse_scale,
-)
-register_study(
-    "model-zoo",
-    "Strategy ablation + tune + fleet across the generated model zoo",
-    _model_zoo,
-)
+for _path in sorted(SHIPPED_DIR.glob("*.json")):
+    register_study(_path.stem.replace("_", "-"), partial(load_spec, _path))

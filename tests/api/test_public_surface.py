@@ -14,7 +14,13 @@ import pytest
 
 from repro.api import EvalResult, EvalSweep
 
-PUBLIC_MODULES = ("repro", "repro.api", "repro.analysis", "repro.baselines")
+PUBLIC_MODULES = (
+    "repro",
+    "repro.api",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.spec",
+)
 
 #: Module -> names it no longer exports.
 REMOVED_NAMES = {
@@ -26,6 +32,7 @@ REMOVED_NAMES = {
         "evaluate_single_chip",
         "evaluate_tensor_parallel",
     ),
+    "repro.spec": ("study_description",),
 }
 
 REMOVED_MODULES = (
@@ -33,6 +40,7 @@ REMOVED_MODULES = (
     "repro.baselines.types",
     "repro.baselines.single_chip",
     "repro.baselines.tensor_parallel",
+    "repro.experiments",
 )
 
 

@@ -17,21 +17,26 @@ re-pin only on purpose, and say why in the change log.  Regenerate from
 the repository root with::
 
     PYTHONPATH=src python tests/data/make_paper_golden.py
+
+``--diff`` recomputes the document and prints each value that differs
+from the committed file, with its old value, new value and relative
+change, without writing anything; quote it when re-pinning.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import Session, Study, autoregressive, encoder, prompt
+from repro.analysis import headline_metrics
 from repro.analysis.export import (
     comparison_to_dict,
     eval_result_to_dict,
     eval_sweep_to_dict,
 )
-from repro.experiments.headline import run_headline
 from repro.models.registry import get_model
 from repro.models.mobilebert import mobilebert
 from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
@@ -56,10 +61,13 @@ MODEL_CHIPS = {
 #: Every shipped study; each one's artefact digests are pinned.
 STUDIES = (
     "chaos-capacity",
+    "dse-budget",
     "dse-scale",
     "fig4",
+    "fig5",
     "fig6",
     "fleet-capacity",
+    "headline",
     "model-zoo",
     "paper-pipeline",
     "platform-tuning",
@@ -123,7 +131,7 @@ def golden_document() -> Dict[str, Any]:
         ),
         "headline": {
             metric.name: metric.measured_value
-            for metric in run_headline().metrics
+            for metric in headline_metrics(Study(get_study("headline")).run())
         },
         "models": _models(session),
         "studies": _study_digests(),
@@ -137,9 +145,53 @@ def render(document: Dict[str, Any]) -> str:
     return json.dumps(document, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
-def main() -> None:
-    """Write the golden document next to this script."""
-    GOLDEN_PATH.write_text(render(golden_document()), encoding="utf-8")
+def leaves(node: Any, path: str = "$") -> Iterator[Tuple[str, Any]]:
+    """(JSON path, value) of every scalar in a document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from leaves(value, f"{path}[{index}]")
+    else:
+        yield path, node
+
+
+def diff(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
+    """One line per changed leaf: path, old value, new value, relative change."""
+    before, after = dict(leaves(old)), dict(leaves(new))
+    lines = []
+    for path in sorted(before.keys() | after.keys()):
+        was, now = before.get(path, "<absent>"), after.get(path, "<absent>")
+        if was == now:
+            continue
+        line = f"{path}: {was!r} -> {now!r}"
+        numbers = all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in (was, now)
+        )
+        if numbers and was != 0:
+            line += f" ({(now - was) / abs(was):+.3%})"
+        lines.append(line)
+    return lines
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """Write the golden document next to this script, or diff against it."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print every value that differs from the committed golden "
+        "and write nothing",
+    )
+    args = parser.parse_args(argv)
+    document = golden_document()
+    if args.diff:
+        committed = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        print("\n".join(diff(committed, document)) or "no change")
+        return
+    GOLDEN_PATH.write_text(render(document), encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
 
 

@@ -2,7 +2,8 @@
 
 The corpus starts from valid base documents:
 
-* every committed ``examples/specs/**/*.json``;
+* every committed zoo architecture (``examples/specs/arch/*.json``), then
+  every shipped study (``src/repro/spec/shipped/*.json``);
 * a hand-built, fully populated ``fleet`` (platforms, SLO classes, an
   autoscaler, faults with events, a retry policy, a diurnal trace);
 * a ``tune`` with a three-axis space and a serving scenario;
@@ -46,7 +47,13 @@ from repro.spec import (
 )
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "spec_error_golden.json"
-SPECS_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Directories of committed base documents, in corpus order.
+SPEC_DIRS = (
+    REPO_ROOT / "examples" / "specs" / "arch",
+    REPO_ROOT / "src" / "repro" / "spec" / "shipped",
+)
 
 #: (label, value) pairs each field is set to, one at a time.
 FAULT_VALUES: Tuple[Tuple[str, Any], ...] = (
@@ -230,9 +237,10 @@ SHORTHANDS = (
 def base_documents() -> List[Tuple[str, Dict[str, Any]]]:
     """(source label, document) for every base document, in a fixed order."""
     documents = [
-        (path.relative_to(SPECS_DIR.parent.parent).as_posix(),
+        (path.relative_to(REPO_ROOT).as_posix(),
          json.loads(path.read_text(encoding="utf-8")))
-        for path in sorted(SPECS_DIR.rglob("*.json"))
+        for directory in SPEC_DIRS
+        for path in sorted(directory.glob("*.json"))
     ]
     documents += [
         ("fleet", FLEET), ("tune", TUNE), ("search_state", SEARCH_STATE),

@@ -1,55 +1,72 @@
-"""Integration tests for the experiment drivers (one per figure/table).
+"""Integration tests for the paper's figures and tables, one study each.
 
-These are the programmatic counterpart of EXPERIMENTS.md: each test runs
-one experiment and asserts the qualitative shape of the corresponding
-figure or table of the paper.  The benchmarks in ``benchmarks/`` print the
-full series; here we only assert.
+Each figure or table is a shipped study; these tests run it and assert
+the qualitative shape of the corresponding figure or table of the paper
+on its stage results.  The benchmarks in ``benchmarks/`` print the full
+series; here we only assert.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import (
+    dse_matrix,
+    headline_metrics,
+    max_sustainable_rate,
+    render_dse,
+    render_fig4,
+    render_fig5,
+    render_fig6,
+    render_headline,
+    render_serving,
+    render_table1,
+    serving_matrix,
+)
+from repro.api import Study
 from repro.core.placement import WeightResidency
 from repro.core.schedule import RuntimeCategory
-from repro.experiments.fig4 import (
-    mobilebert_workload,
-    render_fig4,
-    run_fig4,
-    run_fig4a,
-    run_fig4b,
-    run_fig4c,
-    tinyllama_autoregressive_workload,
-    tinyllama_prompt_workload,
-)
-from repro.experiments.fig5 import render_fig5, run_fig5
-from repro.experiments.fig6 import render_fig6, run_fig6
-from repro.experiments.headline import render_headline, run_headline
-from repro.experiments.table1 import render_table1, run_table1
+from repro.spec import get_study
+
+
+def run_study(name):
+    return Study(get_study(name)).run()
 
 
 @pytest.fixture(scope="module")
-def fig4a():
-    return run_fig4a()
+def fig4():
+    return run_study("fig4")
 
 
 @pytest.fixture(scope="module")
-def fig4b():
-    return run_fig4b()
+def fig4a(fig4):
+    return fig4.stage("tinyllama-autoregressive").result
 
 
 @pytest.fixture(scope="module")
-def fig4c():
-    return run_fig4c()
+def fig4b(fig4):
+    return fig4.stage("tinyllama-prompt").result
+
+
+@pytest.fixture(scope="module")
+def fig4c(fig4):
+    return fig4.stage("mobilebert").result
 
 
 class TestWorkloadDefinitions:
     def test_fig4_workloads_match_paper_setup(self):
-        decode = tinyllama_autoregressive_workload()
+        spec = get_study("fig4")
+
+        def workload(stage):
+            return spec.stage(stage).spec.workload.build()
+
+        decode = workload("tinyllama-autoregressive")
         assert decode.config.embed_dim == 512
         assert decode.seq_len == 128
-        assert tinyllama_prompt_workload().seq_len == 16
-        bert = mobilebert_workload()
+        assert workload("tinyllama-prompt").seq_len == 16
+        bert = workload("mobilebert")
         assert bert.seq_len == 268
         assert bert.config.num_heads == 4
 
@@ -84,40 +101,38 @@ class TestFig4:
         energies = fig4c.energies_joules()
         assert energies[4] > energies[1]
 
-    def test_run_fig4_bundles_all_panels(self):
-        result = run_fig4()
-        speedups = result.speedups()
+    def test_run_fig4_bundles_all_panels(self, fig4):
+        speedups = {stage.name: stage.result.speedups() for stage in fig4.stages}
         assert set(speedups) == {
-            "tinyllama_autoregressive",
-            "tinyllama_prompt",
+            "tinyllama-autoregressive",
+            "tinyllama-prompt",
             "mobilebert",
         }
 
-    def test_render_fig4_mentions_every_panel(self):
-        text = render_fig4(run_fig4())
+    def test_render_fig4_mentions_every_panel(self, fig4):
+        text = render_fig4(fig4)
         assert "Fig. 4(a)" in text and "Fig. 4(b)" in text and "Fig. 4(c)" in text
 
 
 class TestFig5:
     @pytest.fixture(scope="class")
     def fig5(self):
-        return run_fig5()
+        return run_study("fig5")
 
     def test_energy_stays_in_range_for_tinyllama(self, fig5):
-        energies = fig5.autoregressive.energies_joules()
+        energies = fig5.stage("tinyllama-autoregressive").result.energies_joules()
         assert 0.8 < energies[8] / energies[1] < 1.2
 
     def test_scaled_model_energy_drops_when_fully_resident(self, fig5):
-        scaled = fig5.autoregressive_scaled
+        scaled = fig5.stage("scaled-autoregressive").result
         assert (
             scaled.result_for(32).block_energy_joules
             < scaled.result_for(16).block_energy_joules
         )
 
     def test_points_cover_all_series(self, fig5):
-        points = fig5.points()
-        assert len(points) == 5
-        assert all(points.values())
+        assert len(fig5.stages) == 5
+        assert all(stage.result.results for stage in fig5.stages)
 
     def test_render_fig5(self, fig5):
         text = render_fig5(fig5)
@@ -127,22 +142,22 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def fig6(self):
-        return run_fig6()
+        return run_study("fig6")
 
     def test_quasi_linear_autoregressive_scaling(self, fig6):
-        speedups = fig6.autoregressive.speedups()
+        speedups = fig6.stage("autoregressive").result.speedups()
         assert speedups[64] > 0.7 * 64
         assert speedups[8] > 8 and speedups[32] > 32
 
     def test_prompt_has_diminishing_returns(self, fig6):
-        speedups = fig6.prompt.speedups()
+        speedups = fig6.stage("prompt").result.speedups()
         assert speedups[64] / 64 < 0.5
         assert speedups[16] / 16 > 0.7
 
     def test_residency_transitions(self, fig6):
         residencies = {
             result.num_chips: result.residencies()[0]
-            for result in fig6.autoregressive.results
+            for result in fig6.stage("autoregressive").result.results
         }
         assert residencies[16] is WeightResidency.DOUBLE_BUFFERED
         assert residencies[32] is WeightResidency.ALL_RESIDENT
@@ -155,13 +170,18 @@ class TestFig6:
 class TestTable1:
     @pytest.fixture(scope="class")
     def table1(self):
-        return run_table1()
+        return run_study("table1")
 
     def test_ours_is_last_and_fastest(self, table1):
-        ours = table1.ours()
+        measured = table1.stage("ablation").result.results
+        ours = measured[-1]
         assert "tensor parallel" in ours.approach.lower()
-        assert ours.block_cycles == min(r.block_cycles for r in table1.measured)
-        assert table1.speedup_over_best_baseline() > 8
+        assert ours.block_cycles == min(r.block_cycles for r in measured)
+        best_baseline = min(
+            (r for r in measured[:-1] if r.num_chips == ours.num_chips),
+            key=lambda result: result.block_cycles,
+        )
+        assert ours.speedup_over(best_baseline) > 8
 
     def test_render_contains_qualitative_and_measured_parts(self, table1):
         text = render_table1(table1)
@@ -173,61 +193,81 @@ class TestTable1:
 class TestHeadline:
     @pytest.fixture(scope="class")
     def headline(self):
-        return run_headline()
+        return run_study("headline")
 
-    def test_every_metric_has_paper_and_measured_value(self, headline):
-        assert len(headline.metrics) >= 8
-        for metric in headline.metrics:
+    @pytest.fixture(scope="class")
+    def metrics(self, headline):
+        return {metric.name: metric for metric in headline_metrics(headline)}
+
+    def test_every_metric_has_paper_and_measured_value(self, metrics):
+        assert len(metrics) >= 8
+        for metric in metrics.values():
             assert metric.paper_value > 0
             assert metric.measured_value > 0
             assert metric.ratio > 0
 
-    def test_direction_of_headline_claims(self, headline):
-        assert headline.metric("tinyllama_autoregressive_speedup_8_chips").measured_value > 8
-        assert headline.metric("mobilebert_speedup_4_chips").measured_value > 4
-        assert headline.metric("scaled_tinyllama_energy_reduction_64_chips").measured_value > 1
-
-    def test_unknown_metric_raises(self, headline):
-        with pytest.raises(KeyError):
-            headline.metric("does_not_exist")
+    def test_direction_of_headline_claims(self, metrics):
+        assert metrics["tinyllama_autoregressive_speedup_8_chips"].measured_value > 8
+        assert metrics["mobilebert_speedup_4_chips"].measured_value > 4
+        assert metrics["scaled_tinyllama_energy_reduction_64_chips"].measured_value > 1
 
     def test_render_headline(self, headline):
         text = render_headline(headline)
         assert "Paper" in text and "Measured" in text
 
 
+def trimmed(name, keep):
+    """The shipped study ``name`` reduced to the stages ``keep`` accepts."""
+    spec = get_study(name)
+    return replace(spec, stages=tuple(stage for stage in spec.stages if keep(stage)))
+
+
 class TestServingCapacity:
     @pytest.fixture(scope="class")
     def capacity(self):
-        from repro.experiments.serving import run_serving
-
-        # A trimmed sweep keeps the test fast; the defaults drive the CLI.
-        return run_serving(
-            rates_rps=(1.0, 5.0), policies=("fifo", "continuous"),
-            duration_s=30.0,
+        # A trimmed matrix keeps the test fast; the full study drives the CLI.
+        spec = trimmed(
+            "serving-capacity",
+            lambda stage: stage.spec.trace.rate_rps in (1.0, 5.0)
+            and stage.spec.policy in ("fifo", "continuous"),
         )
+        stages = tuple(
+            replace(
+                stage,
+                spec=replace(
+                    stage.spec, trace=replace(stage.spec.trace, duration_s=30.0)
+                ),
+            )
+            for stage in spec.stages
+        )
+        return Study(replace(spec, stages=stages)).run()
 
-    def test_matrix_covers_every_cell(self, capacity):
-        assert capacity.rates() == (1.0, 5.0)
-        assert capacity.policies() == ("fifo", "continuous")
-        assert len(capacity.points) == 4
+    @pytest.fixture(scope="class")
+    def matrix(self, capacity):
+        return serving_matrix(capacity)
 
-    def test_attainment_degrades_with_load(self, capacity):
-        for policy in capacity.policies():
-            light = capacity.point(1.0, policy)
-            heavy = capacity.point(5.0, policy)
-            assert light.attainment >= heavy.attainment
+    def test_matrix_covers_every_cell(self, matrix):
+        assert tuple(dict.fromkeys(rate for rate, _ in matrix)) == (1.0, 5.0)
+        assert tuple(dict.fromkeys(policy for _, policy in matrix)) == (
+            "fifo",
+            "continuous",
+        )
+        assert len(matrix) == 4
+
+    def test_attainment_degrades_with_load(self, matrix):
+        for policy in ("fifo", "continuous"):
+            light, light_attainment = matrix[1.0, policy]
+            heavy, heavy_attainment = matrix[5.0, policy]
+            assert light_attainment >= heavy_attainment
             assert heavy.metrics.ttft.p95 > light.metrics.ttft.p95
 
-    def test_continuous_sustains_more_load_than_fifo(self, capacity):
-        fifo = capacity.max_sustainable_rate("fifo")
-        continuous = capacity.max_sustainable_rate("continuous")
+    def test_continuous_sustains_more_load_than_fifo(self, matrix):
+        fifo = max_sustainable_rate(matrix, "fifo")
+        continuous = max_sustainable_rate(matrix, "continuous")
         assert continuous == 5.0
         assert fifo is None or fifo <= continuous
 
     def test_render_shows_the_matrix(self, capacity):
-        from repro.experiments.serving import render_serving
-
         text = render_serving(capacity)
         assert "Capacity vs. SLO" in text
         assert "max sustainable rate" in text
@@ -237,40 +277,50 @@ class TestServingCapacity:
 class TestDseStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        from repro.experiments.dse import run_dse
+        # A trimmed matrix keeps the test fast; the full study drives the CLI.
+        return Study(
+            trimmed(
+                "dse-budget",
+                lambda stage: stage.name
+                in ("reference", "random-6", "random-24", "anneal-6", "anneal-24"),
+            )
+        ).run()
 
-        # A trimmed matrix keeps the test fast; the defaults drive the CLI.
-        return run_dse(budgets=(6, 24), searchers=("random", "anneal"))
+    @pytest.fixture(scope="class")
+    def matrix(self, study):
+        return dse_matrix(study)
 
-    def test_matrix_covers_every_cell(self, study):
-        assert study.searchers() == ("random", "anneal")
-        assert study.budgets() == (6, 24)
-        assert len(study.points) == 4
+    def test_matrix_covers_every_cell(self, matrix):
+        assert tuple(dict.fromkeys(searcher for searcher, _ in matrix)) == (
+            "random",
+            "anneal",
+        )
+        assert tuple(dict.fromkeys(budget for _, budget in matrix)) == (6, 24)
+        assert len(matrix) == 4
         with pytest.raises(KeyError):
-            study.point("grid", 6)
+            matrix["grid", 6]
 
     def test_reference_front_is_exhaustive_and_non_trivial(self, study):
-        assert len(study.reference.candidates) == study.reference.space.size
-        assert len(study.reference.front) >= 2
+        reference = study.stage("reference").result
+        assert len(reference.candidates) == reference.space.size
+        assert len(reference.front) >= 2
 
-    def test_recovered_fraction_is_a_valid_share(self, study):
-        for point in study.points:
-            assert 0.0 <= point.recovered_fraction <= 1.0
-            assert point.unique_evaluations <= point.budget
+    def test_recovered_fraction_is_a_valid_share(self, matrix):
+        for (_, budget), (result, recovered) in matrix.items():
+            assert 0.0 <= recovered <= 1.0
+            assert len(result.candidates) <= budget
 
-    def test_bigger_random_budgets_never_recover_less(self, study):
+    def test_bigger_random_budgets_never_recover_less(self, matrix):
         # Only 'random' guarantees this: with one seed its budget-24 visit
         # set is a superset of the budget-6 one, and a true-front point can
         # never be displaced by new candidates.  Annealing's trajectory
         # depends on the budget (cooling schedule), so it carries no such
         # invariant.
-        small = study.point("random", 6)
-        large = study.point("random", 24)
-        assert large.recovered_fraction >= small.recovered_fraction
+        _, small = matrix["random", 6]
+        _, large = matrix["random", 24]
+        assert large >= small
 
     def test_render_shows_the_matrix(self, study):
-        from repro.experiments.dse import render_dse
-
         text = render_dse(study)
         assert "Budget vs. Pareto front" in text
         assert "random" in text and "anneal" in text

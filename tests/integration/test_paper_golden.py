@@ -52,3 +52,21 @@ def test_golden_covers_every_section(golden, recomputed):
         "pipeline_parallel",
         "tensor_parallel",
     ]
+
+
+def test_headline_ratios_stay_in_the_paper_band():
+    # Separate from the exact pin: a re-pin may move a number, but every
+    # Measured/Paper ratio of the nine headline values must stay within
+    # 30% of the paper (0.76-1.14 when this band was set).
+    from repro import Study
+    from repro.analysis import headline_metrics
+    from repro.spec import get_study
+
+    metrics = headline_metrics(Study(get_study("headline")).run())
+    assert len(metrics) == 9
+    outside = {
+        metric.name: metric.ratio
+        for metric in metrics
+        if not 0.70 <= metric.ratio <= 1.30
+    }
+    assert outside == {}

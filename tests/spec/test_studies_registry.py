@@ -1,4 +1,4 @@
-"""The shipped-studies registry and its subsumption of the experiment harnesses."""
+"""The shipped-studies registry, and its studies against direct Session calls."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.api import Session, Study
 from repro.errors import ConfigurationError
-from repro.spec import (
-    StudySpec,
-    get_study,
-    list_studies,
-    register_study,
-    study_description,
-)
+from repro.spec import StudySpec, get_study, list_studies, register_study
 
 
 class TestRegistry:
@@ -21,8 +15,11 @@ class TestRegistry:
         for expected in (
             "quickstart",
             "fig4",
+            "fig5",
             "fig6",
             "table1",
+            "headline",
+            "dse-budget",
             "serving-capacity",
             "fleet-capacity",
             "platform-tuning",
@@ -36,26 +33,27 @@ class TestRegistry:
             assert isinstance(spec, StudySpec)
             assert spec.name == name
             spec.validate()
-            assert study_description(name)
+            assert spec.description
 
     def test_unknown_study_errors_list_the_known_names(self):
-        with pytest.raises(ConfigurationError, match="quickstart"):
+        with pytest.raises(
+            ConfigurationError, match="registered studies: .*quickstart"
+        ):
             get_study("nope")
-        with pytest.raises(ConfigurationError, match="registered studies"):
-            study_description("nope")
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_study("quickstart", "dup", lambda: get_study("quickstart"))
+            register_study("quickstart", lambda: get_study("quickstart"))
 
 
 class TestHarnessSubsumption:
-    """The shipped studies reproduce the experiment harnesses' numbers."""
+    """The shipped studies reproduce the equivalent direct Session calls."""
 
     def test_fig4a_sweep_matches_the_harness(self):
-        from repro.experiments.fig4 import run_fig4a
+        from repro.graph.workload import autoregressive
+        from repro.models.tinyllama import tinyllama_42m
 
-        harness = run_fig4a()
+        harness = Session().sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
         study = Study(get_study("fig4")).run()
         sweep = study.stage("tinyllama-autoregressive").result
         assert sweep.chip_counts == list(harness.chip_counts)
@@ -66,13 +64,17 @@ class TestHarnessSubsumption:
             )
 
     def test_table1_comparison_matches_the_harness(self):
-        from repro.experiments.table1 import run_table1
+        from repro.graph.workload import autoregressive
+        from repro.hw.presets import siracusa_platform
+        from repro.models.tinyllama import tinyllama_42m
 
-        harness = run_table1()
+        harness = Session().compare(
+            autoregressive(tinyllama_42m(), 128), platform=siracusa_platform(8)
+        )
         study = Study(get_study("table1")).run()
         comparison = study.stage("ablation").result
         by_cycles = sorted(r.block_cycles for r in comparison.results)
-        harness_cycles = sorted(r.block_cycles for r in harness.measured)
+        harness_cycles = sorted(r.block_cycles for r in harness.results)
         assert by_cycles == harness_cycles
 
     def test_quickstart_study_matches_direct_session_calls(self):

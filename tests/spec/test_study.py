@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 
 import pytest
 
@@ -24,9 +23,7 @@ from repro.spec import (
     WorkloadSpec,
     load_spec,
 )
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SPECS_DIR = REPO_ROOT / "examples" / "specs"
+from repro.spec.studies import SHIPPED_DIR
 
 
 def tiny_study() -> StudySpec:
@@ -147,7 +144,7 @@ class TestImperativeParity:
         from repro.graph.workload import autoregressive
         from repro.models.tinyllama import tinyllama_42m
 
-        spec = load_spec(SPECS_DIR / "paper_pipeline.json")
+        spec = load_spec(SHIPPED_DIR / "paper_pipeline.json")
         study = Study(spec).run()
 
         session = Session()
@@ -202,7 +199,7 @@ class TestImperativeParity:
 
 class TestCommittedSpecs:
     def test_every_committed_spec_loads_and_validates(self):
-        paths = sorted(SPECS_DIR.glob("*.json"))
+        paths = sorted(SHIPPED_DIR.glob("*.json"))
         assert len(paths) >= 7
         for path in paths:
             spec = load_spec(path)
@@ -212,9 +209,13 @@ class TestCommittedSpecs:
     def test_committed_specs_match_the_registered_studies(self):
         from repro.spec import get_study, list_studies
 
-        for name in list_studies():
-            path = SPECS_DIR / f"{name.replace('-', '_')}.json"
-            assert path.exists(), f"missing committed spec for study {name}"
-            assert load_spec(path) == get_study(name)
+        # One study per shipped file and one file per study, registered
+        # under the file's stem with '_' turned into '-'.
+        paths = sorted(SHIPPED_DIR.glob("*.json"))
+        names = [path.stem.replace("_", "-") for path in paths]
+        assert sorted(names) == list_studies()
+        for name, path in zip(names, paths):
+            spec = get_study(name)
+            assert spec.name == name
             # ... and the committed bytes are the canonical serialisation.
-            assert path.read_text(encoding="utf-8") == get_study(name).to_json()
+            assert path.read_text(encoding="utf-8") == spec.to_json()

@@ -734,13 +734,26 @@ class TestEmitSpec:
     def test_experiments_emit_spec_maps_to_the_shipped_study(self, capsys):
         from repro.spec import get_study, loads
 
-        assert main(["experiments", "--only", "fig4", "--emit-spec"]) == 0
-        assert loads(capsys.readouterr().out) == get_study("fig4")
+        studies = {
+            "dse": "dse-budget",
+            "fig4": "fig4",
+            "fig5": "fig5",
+            "fig6": "fig6",
+            "headline": "headline",
+            "serving": "serving-capacity",
+            "table1": "table1",
+        }
+        for only, name in studies.items():
+            assert main(["experiments", "--only", only, "--emit-spec"]) == 0
+            text = capsys.readouterr().out
+            assert loads(text) == get_study(name)
+            assert text == get_study(name).to_json()
 
-    def test_experiments_emit_spec_unmapped_errors(self, capsys):
+    def test_experiments_emit_spec_all_errors(self, capsys):
         expect_cli_error(
             capsys,
-            ["experiments", "--only", "headline", "--emit-spec"],
+            ["experiments", "--only", "all", "--emit-spec"],
+            "--emit-spec needs a single experiment",
             "headline",
         )
 
