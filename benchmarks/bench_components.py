@@ -1,9 +1,10 @@
 """Micro-benchmarks of the library's own components.
 
-These measure the tooling itself (partitioner, scheduler, event-driven
-simulator, numerical verification) rather than the modelled hardware, so
-regressions in the reproduction's performance are caught early.  Unlike the
-figure benchmarks these use several rounds, since the functions are cheap.
+These measure the tooling itself (partitioner, scheduler, the event-engine
+oracle the block simulator is checked against, numerical verification)
+rather than the modelled hardware, so regressions in the reproduction's
+performance are caught early.  Unlike the figure benchmarks these use
+several rounds, since the functions are cheap.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from repro import autoregressive, encoder, mobilebert, partition_block, tinyllam
 from repro.core.scheduler import BlockScheduler
 from repro.hw.presets import siracusa_platform
 from repro.numerics import verify_partition_equivalence
-from repro.sim.simulator import MultiChipSimulator
+from sim_oracle import MultiChipSimulator
 
 
 def test_partitioner_throughput(benchmark):

@@ -10,7 +10,16 @@ shape assertions, not statistical timing.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The event-engine oracle (``tests/sim_oracle.py``) is test support that
+# the component benchmarks time as well.
+_TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 
 @pytest.fixture

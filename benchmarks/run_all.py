@@ -35,8 +35,11 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+#: Holds ``sim_oracle``, the event-engine oracle the fast path is timed against.
+TESTS = REPO_ROOT / "tests"
+for _path in (TESTS, SRC):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 #: Generous regression floors enforced by ``--check``.  They are not
 #: targets: the measured numbers should be far better (see BENCH.json);
@@ -44,9 +47,9 @@ if str(SRC) not in sys.path:
 CHECKS = {
     # Session.run wrapper overhead over a direct evaluate_block call.
     "session_overhead_frac_max": 0.20,
-    # Fast-path simulator vs the event engine on one block program.
+    # Fast-path simulator vs the event-engine oracle on one block program.
     "sim_fastpath_speedup_min": 2.0,
-    # End-to-end Fig. 6 regeneration, fast path vs forced event engine.
+    # End-to-end Fig. 6 regeneration, fast path vs the installed oracle.
     "fig6_fastpath_speedup_min": 1.3,
     # Second-process sweep on a warm persistent cache vs a cold one.
     "warm_sweep_speedup_min": 5.0,
@@ -63,31 +66,29 @@ CHECKS = {
     # fewer cores the workers time-share and the ratio is meaningless.
     "dse_parallel_speedup_min": 3.0,
     # Absolute floor on parallel orchestrator throughput, enforced on
-    # any core count (event engine, 64-chip designs).
+    # any core count (event-engine oracle, 64-chip designs).
     "dse_parallel_evals_per_s_min": 5.0,
 }
 
 
 def _child_env() -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+    paths = (str(SRC), str(TESTS), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
     return env
 
 
-def _run_child(
-    code: str,
-    extra_env: dict = None,
-    args: tuple = (),
-    pythonpath: str = None,
-) -> dict:
+#: Prepended to a child's code to run it on the event-engine oracle.  It
+#: patches ``simulate_block`` before any worker pool forks, so the
+#: workers simulate on the oracle too.
+_ORACLE = "import sim_oracle\nsim_oracle.install()\n"
+
+
+def _run_child(code: str, args: tuple = (), pythonpath: str = None) -> dict:
     """Run ``code`` in a fresh interpreter and parse its JSON stdout."""
     env = _child_env()
     if pythonpath is not None:
         env["PYTHONPATH"] = pythonpath
-    if extra_env:
-        env.update(extra_env)
     completed = subprocess.run(
         [sys.executable, "-c", code, *args],
         env=env,
@@ -125,9 +126,9 @@ print(json.dumps({
 
 
 def bench_fig6(record, mode):
-    """Fig. 6 cold regeneration: the default fast path vs the event engine."""
-    fast = _run_child(_FIG6_CHILD, {"REPRO_SIM_ENGINE": "fast"})
-    event = _run_child(_FIG6_CHILD, {"REPRO_SIM_ENGINE": "event"})
+    """Fig. 6 cold regeneration: the fast path vs the event-engine oracle."""
+    fast = _run_child(_FIG6_CHILD)
+    event = _run_child(_ORACLE + _FIG6_CHILD)
     record(
         "fig6_scalability",
         wall_s=fast["wall_s"],
@@ -189,8 +190,8 @@ def bench_sim_engines(record, mode):
     from repro.graph.workload import autoregressive
     from repro.hw.presets import siracusa_platform
     from repro.models.tinyllama import tinyllama_scaled
-    from repro.sim.fastpath import simulate_block_fast
-    from repro.sim.simulator import MultiChipSimulator
+    from repro.sim import simulate_block
+    from sim_oracle import MultiChipSimulator
 
     iterations = 10 if mode == "smoke" else 50
     program = BlockScheduler(platform=siracusa_platform(64)).build(
@@ -201,14 +202,14 @@ def bench_sim_engines(record, mode):
     )
     # Warm both paths once before timing.
     MultiChipSimulator(program=program).run()
-    simulate_block_fast(program)
+    simulate_block(program)
     start = time.perf_counter()
     for _ in range(iterations):
         MultiChipSimulator(program=program).run()
     event_s = (time.perf_counter() - start) / iterations
     start = time.perf_counter()
     for _ in range(iterations):
-        simulate_block_fast(program)
+        simulate_block(program)
     fast_s = (time.perf_counter() - start) / iterations
     record(
         "block_sim_64chip",
@@ -480,9 +481,8 @@ from repro.models.registry import get_model
 
 workers, budget = int(sys.argv[1]), int(sys.argv[2])
 # The heaviest feasible evaluations: the 64-head scalability model on 64
-# chips under the cycle-accurate event engine (REPRO_SIM_ENGINE=event is
-# set by the parent), so the engine dominates and worker fan-out has
-# something real to parallelise.
+# chips under the event-engine oracle (which the parent installs), so the
+# engine dominates and worker fan-out has something real to parallelise.
 space = SearchSpace((
     ChoiceAxis("chips", (64,)),
     FloatAxis("link_gbps", 0.125, 1.0, levels=(0.125, 0.25, 0.5, 1.0)),
@@ -524,9 +524,9 @@ def bench_dse_parallel(record, mode):
     """
     cpus = os.cpu_count() or 1
     budget = 192 if mode == "smoke" else 384
-    env = {"REPRO_SIM_ENGINE": "event"}
-    serial = _run_child(_DSE_PARALLEL_CHILD, env, args=("1", str(budget)))
-    parallel = _run_child(_DSE_PARALLEL_CHILD, env, args=("4", str(budget)))
+    child = _ORACLE + _DSE_PARALLEL_CHILD
+    serial = _run_child(child, args=("1", str(budget)))
+    parallel = _run_child(child, args=("4", str(budget)))
     speedup = serial["wall_s"] / parallel["wall_s"]
     evals_per_s = parallel["evaluations"] / parallel["wall_s"]
     record(

@@ -3,8 +3,8 @@
 A reproduction of "Distributed Inference with Minimal Off-Chip Traffic for
 Transformers on Low-Power MCUs" (DATE 2025): a tensor-parallel partitioning
 scheme that scatters Transformer weights across a network of Siracusa-like
-MCUs with no replication and only two synchronisations per block, an
-event-driven multi-chip simulator, the paper's analytical energy model, and
+MCUs with no replication and only two synchronisations per block, a
+multi-chip block simulator, the paper's analytical energy model, and
 one shipped study per figure and table of the paper's evaluation
 (``repro experiments`` regenerates them).
 
@@ -120,7 +120,7 @@ from .models import (
     tinyllama_gated,
     tinyllama_scaled,
 )
-from .sim import MultiChipSimulator, SimulationResult, simulate_block
+from .sim import SimulationResult, simulate_block
 from .spec import (
     CompareSpec,
     EvalSpec,
@@ -186,7 +186,6 @@ __all__ = [
     "MatmulEfficiencyModel",
     "MemoryPlan",
     "MultiChipPlatform",
-    "MultiChipSimulator",
     "PartitionStrategy",
     "PlatformPreset",
     "PrefetchAccounting",

@@ -34,7 +34,7 @@ from ..graph.workload import Workload
 from ..hw.chip import ChipModel
 from ..hw.platform import MultiChipPlatform
 from ..kernels.library import KernelLibrary
-from ..sim.simulator import simulate_block
+from ..sim import simulate_block
 from ..sim.trace import SimulationResult
 
 

@@ -1,7 +1,7 @@
 """The unified evaluation result shared by every partitioning strategy.
 
 :class:`EvalResult` is the one schema every registered strategy produces,
-whether the strategy runs the full event-driven simulator (the paper's
+whether the strategy runs the full block simulator (the paper's
 scheme) or an analytical cost model (the Table I baselines, which build
 it directly).  Simulator-backed strategies also attach the complete
 :class:`repro.analysis.evaluate.BlockReport` (runtime breakdown, traces,

@@ -6,7 +6,7 @@ PartitionStrategy` interface:
 
 ``paper``
     The paper's tensor-parallel scheme run through the full pipeline
-    (partition → schedule → event-driven simulation → energy model).  The
+    (partition → schedule → block simulation → energy model).  The
     returned :class:`~repro.api.EvalResult` carries the complete
     :class:`~repro.analysis.evaluate.BlockReport` and honours every
     :class:`~repro.api.EvalOptions` knob.

@@ -24,7 +24,7 @@ from ..core.scheduler import BlockScheduler
 from ..energy.model import EnergyModel
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
-from ..sim.simulator import simulate_block
+from ..sim import simulate_block
 
 
 def evaluate_pipeline_parallel(

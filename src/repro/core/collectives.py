@@ -178,7 +178,7 @@ def estimate_plan_cycles(
 
     Within a round, transfers with distinct receivers run in parallel and
     transfers with the same receiver serialise; rounds are separated by a
-    barrier.  The event-driven simulator produces the same value for
+    barrier.  The block simulator produces the same value for
     schedules where communication does not overlap with computation, which
     the unit tests cross-check.
     """

@@ -5,7 +5,7 @@ Transformer block: kernel invocations, blocking DMA loads, background
 prefetches, and the point-to-point messages that make up the two
 synchronisations.  Schedules are produced by
 :class:`repro.core.scheduler.BlockScheduler` and executed by the
-event-driven simulator in :mod:`repro.sim`, which turns them into runtime,
+block simulator in :mod:`repro.sim`, which turns them into runtime,
 a runtime breakdown, and per-memory-level traffic counters.
 """
 

@@ -11,7 +11,7 @@ The scheduler stitches together everything built so far:
 4. the hierarchical collective plans (the two synchronisations per block),
 
 and emits a :class:`~repro.core.schedule.BlockProgram` that the
-event-driven simulator executes.  The schedule it builds for one block is
+block simulator executes.  The schedule it builds for one block is
 exactly the paper's execution scheme (Sec. IV and Fig. 3):
 
 * every chip computes its partial MHSA (Q/K/V projections for its heads,

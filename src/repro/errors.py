@@ -30,7 +30,7 @@ class SchedulingError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The event-driven simulator reached an inconsistent state.
+    """The block simulator reached an inconsistent state.
 
     Typical causes are deadlocks (a chip waits on a message that is never
     sent) or schedules that reference unknown chips or channels.

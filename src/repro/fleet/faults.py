@@ -31,6 +31,7 @@ See ``docs/RESILIENCE.md`` for the full grammar and semantics.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -53,6 +54,14 @@ def _fault_error(text: str, why: str) -> ConfigurationError:
     return ConfigurationError(
         f"cannot parse fault {text!r} ({why}); {_GRAMMAR_HINT}"
     )
+
+
+def _require_finite(prefix: str, owner: object, names: Sequence[str]) -> None:
+    """Reject NaN and infinities, which slip past range checks (``nan < 0``)."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{prefix}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,7 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; choose from "
                 + ", ".join(FAULT_KINDS)
             )
+        _require_finite("fault ", self, ("start_s", "duration_s", "factor"))
         if self.start_s < 0:
             raise ConfigurationError(
                 f"fault start_s must be non-negative, got {self.start_s}"
@@ -202,6 +212,7 @@ class FaultModel:
                 raise ConfigurationError(
                     f"FaultModel events must be FaultEvent, got {event!r}"
                 )
+        _require_finite("", self, ("crash_mtbf_s", "crash_mttr_s", "horizon_s"))
         if self.crash_mtbf_s is not None:
             if self.crash_mtbf_s <= 0:
                 raise ConfigurationError(

@@ -45,6 +45,7 @@ from ..serving.costs import RequestCostModel
 from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S
 from ..serving.policies import SchedulingPolicy, get_policy
 from ..serving.request import ActiveRequest, Request, RequestPhase
+from ..serving.simulator import serve_grant
 from ..serving.traces import RequestSource, TrafficTrace
 from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
@@ -443,7 +444,9 @@ class FleetSimulator:
                     if replica is not race[0]:
                         hedge_wins += 1
                     copies[rid] = [replica]
-            duration = self._grant(replica, chosen, now)
+            duration = serve_grant(
+                self.policy, replica.costs, chosen, now, replica.decode_cache
+            )
             if resilient:
                 factor = replica.slow_factor * brownout
                 if factor != 1.0:
@@ -997,52 +1000,6 @@ class FleetSimulator:
             scaling_events=tuple(scaling_events),
             resilience=resilience,
         )
-
-    # ------------------------------------------------------------------
-    # One service grant on one replica
-    # ------------------------------------------------------------------
-    def _grant(
-        self, replica: _Replica, chosen: ActiveRequest, now: float
-    ) -> float:
-        """Advance ``chosen`` by one grant; returns the grant's duration."""
-        request = chosen.request
-        if not chosen.prefill_done:
-            cost = replica.costs.prefill_cost(request.prompt_tokens)
-            if chosen.first_scheduled_s is None:
-                chosen.first_scheduled_s = now
-            chosen.phase = RequestPhase.PREFILL
-            chosen.first_token_s = now + cost.seconds
-            chosen.tokens_emitted = 1
-            chosen.energy_joules += cost.energy_joules
-            chosen.phase = RequestPhase.DECODE
-            return cost.seconds
-
-        quantum = self.policy.decode_quantum
-        remaining = chosen.remaining_tokens
-        steps = remaining if quantum is None else min(quantum, remaining)
-        if steps <= 0:
-            raise SimulationError(
-                f"policy {self.policy.name!r} selected the finished request "
-                f"{request.request_id}"
-            )
-        seconds = 0.0
-        energy = 0.0
-        cache = replica.decode_cache
-        base = request.prompt_tokens + chosen.tokens_emitted
-        for step in range(steps):
-            # The k-th decode step attends to the prompt plus the tokens
-            # emitted so far (same accounting as the serving simulator).
-            context = base + step
-            pair = cache[context]
-            if pair is None:
-                cost = replica.costs.decode_cost(context)
-                pair = (cost.seconds, cost.energy_joules)
-                cache[context] = pair
-            seconds += pair[0]
-            energy += pair[1]
-        chosen.tokens_emitted += steps
-        chosen.energy_joules += energy
-        return seconds
 
 
 def _replica_utilisation(replica: _Replica, makespan_s: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import SimulationError
 from .costs import RequestCostModel
@@ -31,7 +31,7 @@ from .policies import SchedulingPolicy, get_policy
 from .request import ActiveRequest, RequestPhase, RequestRecord
 from .traces import RequestSource
 
-__all__ = ["ServingResult", "ServingSimulator"]
+__all__ = ["ServingResult", "ServingSimulator", "serve_grant"]
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class ServingSimulator:
                     "not in the ready set"
                 )
 
-            grant = self._serve(chosen, now)
+            grant = serve_grant(self.policy, self.costs, chosen, now)
             busy_s += grant
             if busy_intervals and busy_intervals[-1][1] == now:
                 busy_intervals[-1] = (busy_intervals[-1][0], now + grant)
@@ -178,40 +178,56 @@ class ServingSimulator:
             busy_intervals=tuple(busy_intervals),
         )
 
-    # ------------------------------------------------------------------
-    # One service grant
-    # ------------------------------------------------------------------
-    def _serve(self, chosen: ActiveRequest, now: float) -> float:
-        """Advance ``chosen`` by one grant; returns the grant's duration."""
-        request = chosen.request
-        if not chosen.prefill_done:
-            cost = self.costs.prefill_cost(request.prompt_tokens)
-            if chosen.first_scheduled_s is None:
-                chosen.first_scheduled_s = now
-            chosen.phase = RequestPhase.PREFILL
-            chosen.first_token_s = now + cost.seconds
-            chosen.tokens_emitted = 1
-            chosen.energy_joules += cost.energy_joules
-            chosen.phase = RequestPhase.DECODE
-            return cost.seconds
 
-        quantum = self.policy.decode_quantum
-        remaining = chosen.remaining_tokens
-        steps = remaining if quantum is None else min(quantum, remaining)
-        if steps <= 0:
-            raise SimulationError(
-                f"policy {self.policy.name!r} selected the finished request "
-                f"{request.request_id}"
-            )
-        seconds = 0.0
-        energy = 0.0
-        for step in range(steps):
-            # The k-th decode step of the reply attends to the prompt plus
-            # the tokens emitted so far (matching analysis/generation.py).
-            context = request.prompt_tokens + chosen.tokens_emitted + step
-            cost = self.costs.decode_cost(context)
-            seconds += cost.seconds
-            energy += cost.energy_joules
-        chosen.tokens_emitted += steps
-        chosen.energy_joules += energy
-        return seconds
+def serve_grant(
+    policy: SchedulingPolicy,
+    costs: RequestCostModel,
+    chosen: ActiveRequest,
+    now: float,
+    decode_cache: Optional[List[Optional[Tuple[float, float]]]] = None,
+) -> float:
+    """Advance ``chosen`` by one service grant; returns its duration.
+
+    A request that has not been prefilled gets its prefill pass; otherwise
+    it decodes ``policy.decode_quantum`` steps (all remaining steps when
+    the quantum is ``None``).  ``decode_cache``, indexed by context
+    length, memoises each decode step's ``(seconds, energy)``; without it
+    every step asks ``costs``.  The fleet keeps one cache per replica.
+    """
+    request = chosen.request
+    if not chosen.prefill_done:
+        cost = costs.prefill_cost(request.prompt_tokens)
+        if chosen.first_scheduled_s is None:
+            chosen.first_scheduled_s = now
+        chosen.phase = RequestPhase.PREFILL
+        chosen.first_token_s = now + cost.seconds
+        chosen.tokens_emitted = 1
+        chosen.energy_joules += cost.energy_joules
+        chosen.phase = RequestPhase.DECODE
+        return cost.seconds
+
+    quantum = policy.decode_quantum
+    remaining = chosen.remaining_tokens
+    steps = remaining if quantum is None else min(quantum, remaining)
+    if steps <= 0:
+        raise SimulationError(
+            f"policy {policy.name!r} selected the finished request "
+            f"{request.request_id}"
+        )
+    seconds = 0.0
+    energy = 0.0
+    base = request.prompt_tokens + chosen.tokens_emitted
+    for context in range(base, base + steps):
+        # The k-th decode step of the reply attends to the prompt plus
+        # the tokens emitted so far (matching analysis/generation.py).
+        pair = None if decode_cache is None else decode_cache[context]
+        if pair is None:
+            cost = costs.decode_cost(context)
+            pair = (cost.seconds, cost.energy_joules)
+            if decode_cache is not None:
+                decode_cache[context] = pair
+        seconds += pair[0]
+        energy += pair[1]
+    chosen.tokens_emitted += steps
+    chosen.energy_joules += energy
+    return seconds

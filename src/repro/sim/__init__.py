@@ -1,27 +1,19 @@
 """Multi-chip simulation (the GVSoC substitute).
 
-Two engines execute the same :class:`~repro.core.schedule.BlockProgram`
-semantics: the analytic fast path (:mod:`repro.sim.fastpath`, the
-default) and the generator-based event engine (:mod:`repro.sim.engine` +
-:mod:`repro.sim.simulator`, used for per-step traces and custom step
-types).  :func:`simulate_block` dispatches between them.
+:func:`simulate_block` executes a :class:`~repro.core.schedule.BlockProgram`
+by compiling its per-chip schedules into a timing-independent sweep and
+pricing that sweep on the program's platform (:mod:`repro.sim.fastpath`).
+It returns a :class:`SimulationResult`: the block runtime, each chip's
+runtime breakdown and traffic counters, and, when asked for, each chip's
+per-step :class:`TraceEvent` spans.
 """
 
-from .engine import AllOf, Environment, Event, Process, Timeout
-from .fastpath import simulate_block_fast
-from .simulator import MultiChipSimulator, simulate_block
+from .fastpath import simulate_block
 from .trace import ChipTrace, SimulationResult, TraceEvent
 
 __all__ = [
-    "AllOf",
     "ChipTrace",
-    "Environment",
-    "Event",
-    "MultiChipSimulator",
-    "Process",
     "SimulationResult",
-    "Timeout",
     "TraceEvent",
     "simulate_block",
-    "simulate_block_fast",
 ]

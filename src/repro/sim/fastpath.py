@@ -1,9 +1,8 @@
-"""Fast-path analytic execution of a :class:`BlockProgram`: compile, then price.
+"""The block simulator: compile a :class:`BlockProgram`, then price it.
 
 Each chip's schedule is a *linear* step list whose only cross-chip
-interaction is the send/receive rendezvous, so the event engine's
-generality (:mod:`repro.sim.engine`) is not needed: a per-chip-clock
-sweep executes the same semantics, in two passes.
+interaction is the send/receive rendezvous, so no event queue is needed:
+a per-chip-clock sweep executes the program, in two passes.
 
 **Compile** does not depend on timing.  Which chip runs next, and which
 rendezvous completes when, is set by a runnable stack (last chip first; a
@@ -13,17 +12,15 @@ Compile walks the schedules in that order and records the rendezvous in
 completion order, every prefetch and join, the durations of the local
 steps before each, and each chip's timing-independent counters.  It
 resolves each distinct step object once from the chip's DMA models
-(chips with equal slices share step objects).  It raises what the sweep
-meets, where it meets it: :class:`UnsupportedProgramError` for an unknown
-step; :class:`~repro.errors.SimulationError` for mismatched payload
-sizes, a message posted twice, or a deadlock.
+(chips with equal slices share step objects).  It raises a
+:class:`~repro.errors.SimulationError` for what the sweep meets, where it
+meets it: an unknown step type, mismatched payload sizes, a message
+posted twice, or a deadlock.
 
 **Price** replays the record on one platform.  The only values it
 computes from the platform are the link transfer cycles, one per distinct
 payload size, so one compiled sweep prices every platform that differs
-only in clock and link.  It applies the event engine's floating-point
-operations per chip, in schedule order, so results are bit-identical
-(``tests/sim/test_fastpath_equivalence.py``):
+only in clock and link.  Per chip, in schedule order:
 
 * local steps: ``clock += duration``; a category counter is incremented
   only by a nonzero value, byte counters always;
@@ -33,11 +30,22 @@ operations per chip, in schedule order, so results are bit-identical
 * a prefetch: ``ready = max(clock, ready) + cycles``; a join waits
   ``ready - clock`` when ``ready > clock``.
 
+**Traced runs** (``record_events=True``) also keep each rendezvous's
+``(start, end)`` window, per chip, while pricing, then walk every
+schedule once more with the same clock operations to emit each step's
+:class:`~repro.sim.trace.TraceEvent` spans, following
+:meth:`~repro.sim.trace.ChipTrace.add`: a span is kept only when its
+cycles are nonzero and its step is named.  A compute step's exposed
+L2<->L1 span starts, like its compute span, at the step's start.
+
+Results, spans included, are bit-identical to a generator-based
+discrete-event engine, which the test suite keeps as its oracle
+(``tests/sim_oracle.py``, checked by
+``tests/sim/test_fastpath_equivalence.py``).
+
 A program may carry a one-slot ``_compiled_sweep`` list: the session's
 program memo attaches it when it serves a structure a second time, every
 rebind shares it, the first price fills it, and pickling drops it.
-:func:`repro.sim.simulator.simulate_block` falls back to the event engine
-on :class:`UnsupportedProgramError`.
 """
 
 from __future__ import annotations
@@ -60,9 +68,9 @@ from ..core.schedule import (
 )
 from ..core.scheduler import L3_STREAM_TILE_BYTES
 from ..errors import SimulationError
-from .trace import ChipTrace, SimulationResult
+from .trace import ChipTrace, SimulationResult, TraceEvent
 
-__all__ = ["UnsupportedProgramError", "simulate_block_fast"]
+__all__ = ["simulate_block"]
 
 #: Steps that end a run of local steps.
 _POINT_STEPS = (SendStep, RecvStep, PrefetchStep, PrefetchJoinStep)
@@ -73,14 +81,6 @@ _CATEGORIES = tuple(RuntimeCategory)
 #: Kinds of synchronisation point: the ops of a compiled sweep, plus an
 #: unknown step, which compile raises on when the walk reaches it.
 _RENDEZVOUS, _PREFETCH, _JOIN, _UNKNOWN = range(4)
-
-
-class UnsupportedProgramError(SimulationError):
-    """The program contains a step shape the fast path cannot execute.
-
-    Callers (notably :func:`repro.sim.simulator.simulate_block`) treat
-    this as "use the event engine instead", not as a user-facing error.
-    """
 
 
 class _CompiledSweep(NamedTuple):
@@ -106,22 +106,34 @@ class _CompiledSweep(NamedTuple):
     chips: Tuple[tuple, ...]
 
 
-def simulate_block_fast(program: BlockProgram) -> SimulationResult:
-    """Execute ``program`` analytically and return its trace.
+def simulate_block(
+    program: BlockProgram, record_events: bool = False
+) -> SimulationResult:
+    """Simulate one block program and return its trace.
+
+    Args:
+        program: The block program to execute.
+        record_events: Also fill every chip's ``events`` with its
+            per-step :class:`~repro.sim.trace.TraceEvent` spans.
 
     Raises:
-        UnsupportedProgramError: If any schedule contains a step type the
-            fast path does not implement (callers fall back to the event
-            engine).
-        SimulationError: If the program deadlocks, a rendezvous has
-            mismatched payload sizes, or a message is posted twice.
+        SimulationError: If a schedule holds an unknown step type, the
+            program deadlocks, a rendezvous has mismatched payload sizes,
+            or a message is posted twice.
     """
     holder = program.__dict__.get("_compiled_sweep")
     if holder is None:
-        return _price(_compile(program), program)
-    if holder[0] is None:
-        holder[0] = _compile(program)
-    return _price(holder[0], program)
+        sweep = _compile(program)
+    elif holder[0] is None:
+        sweep = holder[0] = _compile(program)
+    else:
+        sweep = holder[0]
+    if not record_events:
+        return _price(sweep, program)
+    windows: List[List[Tuple[float, float]]] = [[] for _ in sweep.chips]
+    result = _price(sweep, program, windows)
+    _record_events(program, windows, result.chip_traces)
+    return result
 
 
 def _compile(program: BlockProgram) -> _CompiledSweep:
@@ -168,7 +180,7 @@ def _compile(program: BlockProgram) -> _CompiledSweep:
                 cursor[other] += 1
                 runnable.append(other)
             elif kind == _UNKNOWN:
-                raise UnsupportedProgramError(point[1])
+                raise SimulationError(point[1])
             else:
                 ops.append((kind, chip, run, None, (), None, point[1]))
             index += 1
@@ -219,10 +231,8 @@ def _split(chip_id: int, steps, resolved: Dict[int, Optional[tuple]], dma):
                 l2_l1_bytes += num_bytes
             continue
         if isinstance(step, PrefetchStep):
-            transfers = max(1, math.ceil(step.num_bytes / L3_STREAM_TILE_BYTES))
-            cycles = dma.l3_l2.transfer_cycles(int(step.num_bytes), transfers)
             l3_l2_bytes += step.num_bytes
-            point = (_PREFETCH, cycles)
+            point = (_PREFETCH, _prefetch_cycles(step, dma))
         elif isinstance(step, PrefetchJoinStep):
             point = (_JOIN, tuple(l3_run))
             l3_run = []
@@ -267,8 +277,22 @@ def _resolve(step, dma) -> Optional[tuple]:
     return None
 
 
-def _price(sweep: _CompiledSweep, program: BlockProgram) -> SimulationResult:
-    """Replay ``sweep`` on ``program``'s platform."""
+def _prefetch_cycles(step: PrefetchStep, dma) -> float:
+    """L3->L2 cycles of a prefetch, streamed in L3 tiles."""
+    transfers = max(1, math.ceil(step.num_bytes / L3_STREAM_TILE_BYTES))
+    return dma.l3_l2.transfer_cycles(int(step.num_bytes), transfers)
+
+
+def _price(
+    sweep: _CompiledSweep,
+    program: BlockProgram,
+    windows: Optional[List[List[Tuple[float, float]]]] = None,
+) -> SimulationResult:
+    """Replay ``sweep`` on ``program``'s platform.
+
+    ``windows``, when given, receives each rendezvous's ``(start, end)``
+    on both chips' lists, in each chip's schedule order.
+    """
     platform = program.platform
     link, frequency = platform.link, platform.frequency_hz
     link_cycles = [link.transfer_cycles(size, frequency) for size in sweep.sizes]
@@ -302,6 +326,9 @@ def _price(sweep: _CompiledSweep, program: BlockProgram) -> SimulationResult:
                 c2c_cycles[chip] += transfer
                 c2c_cycles[partner] += transfer
             clocks[chip] = clocks[partner] = end
+            if windows is not None:
+                windows[chip].append((start, end))
+                windows[partner].append((start, end))
         elif kind == _PREFETCH:
             ready[chip] = max(clock, ready[chip]) + value
             clocks[chip] = clock
@@ -333,3 +360,46 @@ def _price(sweep: _CompiledSweep, program: BlockProgram) -> SimulationResult:
     return SimulationResult(
         program=program, total_cycles=total_cycles, chip_traces=traces
     )
+
+
+def _record_events(
+    program: BlockProgram,
+    windows: List[List[Tuple[float, float]]],
+    traces: Dict[int, ChipTrace],
+) -> None:
+    """Fill each chip's ``events`` by walking its schedule once more.
+
+    The walk repeats :func:`_price`'s clock operations, taking every
+    rendezvous's ``(start, end)`` from ``windows``, and keeps a span under
+    :meth:`ChipTrace.add`'s rule: nonzero cycles and a named step.
+    """
+    dma = program.platform.chip.dma
+    compute, dma_l3_l2, dma_l2_l1, chip_to_chip, idle = _CATEGORIES
+    for chip in program.chip_ids:
+        spans = []  # (step, category, start, cycles)
+        chip_windows = iter(windows[chip])
+        clock = ready = 0.0
+        for step in program.schedules[chip].steps:
+            if isinstance(step, (SendStep, RecvStep)):
+                start, end = next(chip_windows)
+                spans.append((step, idle, clock, max(0.0, start - clock)))
+                spans.append((step, chip_to_chip, start, end - start))
+                clock = end
+            elif isinstance(step, PrefetchStep):
+                ready = max(clock, ready) + _prefetch_cycles(step, dma)
+            elif isinstance(step, PrefetchJoinStep):
+                if ready > clock:
+                    wait = ready - clock
+                    spans.append((step, dma_l3_l2, clock, wait))
+                    clock += wait
+            else:
+                duration, cycles, l2_l1, l3_l2 = _resolve(step, dma)[:4]
+                spans.append((step, compute, clock, cycles))
+                spans.append((step, dma_l2_l1, clock, l2_l1))
+                spans.append((step, dma_l3_l2, clock, l3_l2))
+                clock += duration
+        traces[chip].events.extend(
+            TraceEvent(chip, step.name, category, start, start + cycles)
+            for step, category, start, cycles in spans
+            if cycles and step.name
+        )

@@ -1,17 +1,21 @@
 """The public surface: every exported name resolves, removed names stay gone.
 
 :class:`~repro.api.EvalResult` is the one result schema; the legacy
-result types, their converters and the seed's shims were removed (see
-the removal table in ``docs/API.md``).
+result types, their converters and the seed's shims were removed.
+:func:`repro.sim.simulate_block` is the one block simulator; the event
+engine moved to the tests as their oracle (see the removal table in
+``docs/API.md``).
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 
 import pytest
 
+import repro.sim.fastpath
 from repro.api import EvalResult, EvalSweep
 
 PUBLIC_MODULES = (
@@ -19,18 +23,33 @@ PUBLIC_MODULES = (
     "repro.api",
     "repro.analysis",
     "repro.baselines",
+    "repro.sim",
     "repro.spec",
 )
 
 #: Module -> names it no longer exports.
 REMOVED_NAMES = {
-    "repro": ("ChipCountSweep", "SweepResult", "chip_count_sweep"),
+    "repro": (
+        "ChipCountSweep",
+        "MultiChipSimulator",
+        "SweepResult",
+        "chip_count_sweep",
+    ),
     "repro.analysis": ("ChipCountSweep", "SweepResult", "chip_count_sweep"),
     "repro.baselines": (
         "BaselineResult",
         "compare_approaches",
         "evaluate_single_chip",
         "evaluate_tensor_parallel",
+    ),
+    "repro.sim": (
+        "AllOf",
+        "Environment",
+        "Event",
+        "MultiChipSimulator",
+        "Process",
+        "Timeout",
+        "simulate_block_fast",
     ),
     "repro.spec": ("study_description",),
 }
@@ -41,6 +60,8 @@ REMOVED_MODULES = (
     "repro.baselines.single_chip",
     "repro.baselines.tensor_parallel",
     "repro.experiments",
+    "repro.sim.engine",
+    "repro.sim.simulator",
 )
 
 
@@ -60,3 +81,11 @@ def test_removed_modules_and_converters_are_gone():
     assert not hasattr(EvalResult, "to_baseline_result")
     assert not hasattr(EvalResult, "from_baseline_result")
     assert not hasattr(EvalSweep, "to_sweep_result")
+
+
+def test_simulate_block_has_one_engine():
+    assert not hasattr(repro.sim.fastpath, "UnsupportedProgramError")
+    assert repro.sim.simulate_block is repro.sim.fastpath.simulate_block
+    parameters = inspect.signature(repro.sim.simulate_block).parameters
+    assert list(parameters) == ["program", "record_events"]
+    assert parameters["record_events"].default is False

@@ -21,7 +21,6 @@ def _isolated_persistent_cache(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
 
 
 @pytest.fixture

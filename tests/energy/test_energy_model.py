@@ -10,7 +10,7 @@ from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
 from repro.models.tinyllama import tinyllama_42m
-from repro.sim.simulator import simulate_block
+from repro.sim import simulate_block
 
 
 class TestEnergyBreakdown:

@@ -108,6 +108,23 @@ class TestFaultEventParsing:
         with pytest.raises(ConfigurationError, match="fault"):
             FaultEvent.parse(text)
 
+    @pytest.mark.parametrize("field, value", [
+        ("start_s", float("nan")),
+        ("start_s", float("inf")),
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("factor", float("nan")),
+        ("factor", float("inf")),
+    ])
+    def test_non_finite_values_are_rejected(self, field, value):
+        # nan < 0 is false, so only an explicit finiteness check stops
+        # these before they reach the fleet's event heap.
+        fields = dict(kind="slowdown", replica=0, start_s=1.0,
+                      duration_s=2.0, factor=2.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            FaultEvent(**fields)
+
 
 class TestFaultModelParsing:
     def test_mixed_tokens(self):
@@ -130,6 +147,14 @@ class TestFaultModelParsing:
             FaultModel.parse(["random:abc"])
         with pytest.raises(ConfigurationError, match="fault"):
             FaultModel.parse(["random:1:2:3:4"])
+
+    @pytest.mark.parametrize("field", ["crash_mtbf_s", "crash_mttr_s", "horizon_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_random_layer_is_rejected(self, field, value):
+        fields = dict(crash_mtbf_s=100.0, crash_mttr_s=20.0, horizon_s=600.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            FaultModel(**fields)
 
     def test_shed_validation(self):
         with pytest.raises(ConfigurationError, match="shed_below"):

@@ -1,7 +1,7 @@
 """End-to-end integration tests across the whole pipeline.
 
 These tests exercise the full chain — model config, partitioner, footprint,
-placement, scheduler, event-driven simulator, energy model, analysis — and
+placement, scheduler, block simulator, energy model, analysis — and
 check cross-module consistency (the kind of bug unit tests cannot see).
 """
 
@@ -23,7 +23,7 @@ from repro.core.collectives import estimate_plan_cycles, hierarchical_all_reduce
 from repro.core.schedule import RuntimeCategory, SendStep
 from repro.core.scheduler import BlockScheduler
 from repro.kernels.library import KernelLibrary
-from repro.sim.simulator import simulate_block
+from repro.sim import simulate_block
 
 
 class TestTrafficConsistency:

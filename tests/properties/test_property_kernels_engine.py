@@ -1,4 +1,4 @@
-"""Property-based tests of the kernel cost models and the event engine."""
+"""Property-based tests of the kernel cost models and the oracle's event engine."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.hw.cluster import ClusterModel
 from repro.kernels.elementwise import ElementwiseModel
 from repro.kernels.library import KernelLibrary
 from repro.kernels.matmul import MatmulEfficiencyModel, linear_cost
-from repro.sim.engine import Environment
+from sim_oracle import Environment
 
 
 CLUSTER = ClusterModel()

@@ -1,11 +1,11 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the oracle's discrete-event kernel (``tests/sim_oracle.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment
+from sim_oracle import Environment
 
 
 class TestTimeouts:

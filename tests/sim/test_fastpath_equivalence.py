@@ -1,11 +1,14 @@
-"""Equivalence of the fast-path and event-engine simulators.
+"""Equivalence of the block simulator and the event-engine oracle.
 
-The fast path (:mod:`repro.sim.fastpath`) must be a drop-in replacement
-for the event engine on every program the scheduler can emit — and on
-adversarial hand-built programs too.  These hypothesis suites check
-**bit-identical** totals (no tolerance): total cycles, per-chip runtime
-breakdowns, per-level traffic counters, and finish cycles, plus
-identical error behaviour (deadlocks must deadlock on both engines).
+:func:`repro.sim.simulate_block` compiles and prices each program
+(:mod:`repro.sim.fastpath`).  The generator-based event engine it
+replaced lives on in ``tests/sim_oracle.py`` as an independent
+implementation of the same semantics.  These suites check
+**bit-identical** results (no tolerance) on every program the scheduler
+can emit, on every zoo model, and on adversarial hand-built programs:
+total cycles, per-chip runtime breakdowns, per-level traffic counters
+and finish cycles; every chip's traced spans; and identical error
+messages (deadlocks must deadlock on both).
 """
 
 from __future__ import annotations
@@ -29,14 +32,17 @@ from repro.core.schedule import (
     SendStep,
     Step,
 )
+from repro.cli import main
 from repro.core.scheduler import BlockScheduler
-from repro.errors import SimulationError
+from repro.errors import PartitioningError, SimulationError
 from repro.graph.transformer import InferenceMode, TransformerConfig
-from repro.graph.workload import Workload, autoregressive
+from repro.graph.workload import Workload, autoregressive, prompt
 from repro.hw.presets import siracusa_platform
+from repro.models import get_model, list_models
 from repro.models.tinyllama import tinyllama_42m
-from repro.sim.fastpath import UnsupportedProgramError, simulate_block_fast
-from repro.sim.simulator import MultiChipSimulator, simulate_block
+from repro.sim import simulate_block
+
+import sim_oracle
 
 
 def assert_identical_results(first, second) -> None:
@@ -54,6 +60,27 @@ def assert_identical_results(first, second) -> None:
     assert first.total_l3_l2_bytes == second.total_l3_l2_bytes
     assert first.total_l2_l1_bytes == second.total_l2_l1_bytes
     assert first.total_c2c_bytes == second.total_c2c_bytes
+
+
+def _outcome(simulate, program, record_events):
+    try:
+        return simulate(program, record_events), None
+    except SimulationError as error:
+        return None, str(error)
+
+
+def assert_matches_oracle(program) -> None:
+    """Plain and traced runs equal the oracle's traced run, errors included."""
+    oracle, oracle_error = _outcome(sim_oracle.simulate_block, program, True)
+    for record_events in (False, True):
+        result, error = _outcome(simulate_block, program, record_events)
+        assert error == oracle_error
+        if oracle is None:
+            continue
+        assert_identical_results(oracle, result)
+        for chip_id, trace in oracle.chip_traces.items():
+            expected = trace.events if record_events else []
+            assert result.chip_traces[chip_id].events == expected
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +113,24 @@ def scheduled_programs(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=scheduled_programs())
 def test_fastpath_matches_event_engine_on_scheduled_programs(program):
-    event = MultiChipSimulator(program=program).run()
-    fast = simulate_block_fast(program)
-    assert_identical_results(event, fast)
+    assert_matches_oracle(program)
+
+
+@pytest.mark.parametrize("name", list_models())
+def test_fastpath_matches_event_engine_on_zoo_models(name):
+    """Every zoo model at 1/2/4/8 chips, autoregressive and prompt."""
+    config = get_model(name)
+    built = 0
+    for chips in (1, 2, 4, 8):
+        for workload in (autoregressive(config, 128), prompt(config, 64)):
+            scheduler = BlockScheduler(platform=siracusa_platform(chips))
+            try:
+                program = scheduler.build(workload)
+            except PartitioningError:
+                continue  # e.g. four heads cannot cover eight chips
+            assert_matches_oracle(program)
+            built += 1
+    assert built >= 2
 
 
 # ----------------------------------------------------------------------
@@ -121,16 +163,18 @@ def test_compiled_sweep_prices_a_rebound_program_like_a_fresh_build(
         ),
     )
     object.__setattr__(program, "_compiled_sweep", [None])
-    simulate_block_fast(program)
+    simulate_block(program)
     compiled = program._compiled_sweep[0]
     scheduler = BlockScheduler(
         platform=other, prefetch_accounting=program.prefetch_accounting
     )
     rebound = scheduler.rebind(program, program.workload)
-    priced = simulate_block_fast(rebound)
+    priced = simulate_block(rebound, record_events=True)
     assert rebound._compiled_sweep[0] is compiled
-    event = MultiChipSimulator(program=scheduler.build(program.workload)).run()
+    event = sim_oracle.simulate_block(scheduler.build(program.workload), True)
     assert_identical_results(event, priced)
+    for chip_id, trace in event.chip_traces.items():
+        assert priced.chip_traces[chip_id].events == trace.events
 
 
 # ----------------------------------------------------------------------
@@ -231,81 +275,24 @@ def synthetic_programs(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=synthetic_programs())
 def test_fastpath_matches_event_engine_on_synthetic_programs(program):
-    try:
-        event = MultiChipSimulator(program=program).run()
-        event_error = None
-    except SimulationError as error:
-        event, event_error = None, str(error)
-    try:
-        fast = simulate_block_fast(program)
-        fast_error = None
-    except SimulationError as error:
-        fast, fast_error = None, str(error)
-
-    assert event_error == fast_error
-    if event is not None:
-        assert_identical_results(event, fast)
+    assert_matches_oracle(program)
 
 
 # ----------------------------------------------------------------------
-# Dispatch behaviour of simulate_block
+# simulate_block's options and errors
 # ----------------------------------------------------------------------
-class TestDispatch:
-    def test_default_dispatch_equals_forced_engines(self, eight_chip_platform):
-        program = BlockScheduler(platform=eight_chip_platform).build(
-            autoregressive(tinyllama_42m(), 128)
-        )
-        default = simulate_block(program)
-        fast = simulate_block(program, engine="fast")
-        event = simulate_block(program, engine="event")
-        assert_identical_results(default, fast)
-        assert_identical_results(default, event)
-
-    def test_environment_variable_forces_event_engine(
-        self, eight_chip_platform, monkeypatch
-    ):
-        program = BlockScheduler(platform=eight_chip_platform).build(
-            autoregressive(tinyllama_42m(), 128)
-        )
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        event = simulate_block(program)
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
-        fast = simulate_block(program)
-        assert_identical_results(event, fast)
-
-    def test_unknown_engine_name_rejected(self, eight_chip_platform):
-        program = BlockScheduler(platform=eight_chip_platform).build(
-            autoregressive(tinyllama_42m(), 128)
-        )
-        with pytest.raises(SimulationError, match="unknown simulation engine"):
-            simulate_block(program, engine="warp")
-
-    def test_forced_fast_engine_conflicts_with_record_events(
-        self, eight_chip_platform
-    ):
-        program = BlockScheduler(platform=eight_chip_platform).build(
-            autoregressive(tinyllama_42m(), 128)
-        )
-        with pytest.raises(SimulationError, match="event engine"):
-            simulate_block(program, record_events=True, engine="fast")
-        # The environment variable is a preference, not a command: traced
-        # runs quietly use the event engine.
-        os_traced = simulate_block(program, record_events=True)
-        assert os_traced.chip_trace(0).events
-
-    def test_record_events_uses_event_engine_with_identical_totals(
-        self, four_chip_platform
-    ):
+class TestSimulateBlock:
+    def test_record_events_keeps_identical_totals(self, four_chip_platform):
         program = BlockScheduler(platform=four_chip_platform).build(
             autoregressive(tinyllama_42m(), 128)
         )
         traced = simulate_block(program, record_events=True)
-        fast = simulate_block(program)
+        plain = simulate_block(program)
         assert traced.chip_trace(0).events  # per-step spans were kept
-        assert not fast.chip_trace(0).events
-        assert_identical_results(traced, fast)
+        assert not plain.chip_trace(0).events
+        assert_identical_results(traced, plain)
 
-    def test_unsupported_step_falls_back_to_event_engine(self):
+    def test_unknown_step_is_a_simulation_error(self):
         class ExoticStep(Step):
             pass
 
@@ -314,24 +301,40 @@ class TestDispatch:
             1: ChipSchedule(chip_id=1, steps=()),
         }
         program = _make_program(schedules)
-        with pytest.raises(UnsupportedProgramError):
-            simulate_block_fast(program)
-        # The dispatcher falls back to the event engine, which reports
-        # the unknown step as a proper simulation error.
-        with pytest.raises(SimulationError, match="unknown step type"):
-            simulate_block(program)
+        message = "chip 0: unknown step type ExoticStep"
+        for record_events in (False, True):
+            with pytest.raises(SimulationError) as raised:
+                simulate_block(program, record_events=record_events)
+            assert str(raised.value) == message
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            sim_oracle.simulate_block(program)
 
-    def test_forced_fast_engine_surfaces_unsupported_steps(self):
-        class ExoticStep(Step):
-            pass
 
-        schedules = {
-            0: ChipSchedule(chip_id=0, steps=(ExoticStep(name="weird"),)),
-            1: ChipSchedule(chip_id=1, steps=()),
-        }
-        program = _make_program(schedules)
-        with pytest.raises(UnsupportedProgramError):
-            simulate_block(program, engine="fast")
+def test_grid_tune_prints_the_same_bytes_on_the_oracle(capsys, monkeypatch):
+    """Six structures, each priced at 20 clock x link points.
+
+    The package re-prices one compiled sweep per structure; the oracle
+    simulates every point afresh.  The JSON documents must match byte
+    for byte.
+    """
+    argv = [
+        "tune", "--searcher", "grid", "--budget", "120",
+        "--chips", "1", "2", "4", "8", "--freq-mhz", "200", "300", "400", "500",
+        "--json", "--no-cache",
+    ]
+    assert main(argv) == 0
+    package = capsys.readouterr().out
+    calls = []
+
+    def oracle(program, record_events=False):
+        calls.append(program)
+        return sim_oracle.simulate_block(program, record_events)
+
+    for module in sim_oracle.CALL_SITES:
+        monkeypatch.setattr(f"{module}.simulate_block", oracle)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == package
+    assert calls
 
 
 class TestProgramPickling:
@@ -349,9 +352,7 @@ class TestProgramPickling:
         for chip_id in program.chip_ids:
             assert clone.schedule(chip_id) == program.schedule(chip_id)
         assert clone.memory_plans == program.memory_plans
-        assert_identical_results(
-            simulate_block_fast(program), simulate_block_fast(clone)
-        )
+        assert_identical_results(simulate_block(program), simulate_block(clone))
 
     def test_hand_built_program_keeps_schedules_verbatim(self):
         import pickle

@@ -23,7 +23,7 @@ from repro.errors import SimulationError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
 from repro.models.tinyllama import tinyllama_42m
-from repro.sim.simulator import MultiChipSimulator, simulate_block
+from repro.sim import simulate_block
 
 
 def make_plan(chip_id: int) -> MemoryPlan:
@@ -268,8 +268,8 @@ class TestEndToEndDeterminism:
     def test_repeated_runs_are_identical(self, eight_chip_platform):
         workload = autoregressive(tinyllama_42m(), 128)
         program = BlockScheduler(platform=eight_chip_platform).build(workload)
-        first = MultiChipSimulator(program=program).run()
-        second = MultiChipSimulator(program=program).run()
+        first = simulate_block(program)
+        second = simulate_block(program)
         assert first.total_cycles == second.total_cycles
         for chip_id in program.chip_ids:
             assert (
@@ -279,7 +279,7 @@ class TestEndToEndDeterminism:
     def test_record_events_produces_spans(self, single_chip_platform):
         workload = autoregressive(tinyllama_42m(), 128)
         program = BlockScheduler(platform=single_chip_platform).build(workload)
-        result = MultiChipSimulator(program=program, record_events=True).run()
+        result = simulate_block(program, record_events=True)
         events = result.chip_trace(0).events
         assert events
         assert all(event.duration >= 0 for event in events)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.schedule import RuntimeCategory
 from repro.core.scheduler import BlockScheduler
 from repro.errors import SimulationError
-from repro.sim.simulator import MultiChipSimulator
+from repro.sim import simulate_block
 from repro.sim.trace import ChipTrace
 
 
@@ -49,7 +49,7 @@ class TestSimulationResultViews:
         program = BlockScheduler(platform=eight_chip_platform).build(
             autoregressive_workload
         )
-        return MultiChipSimulator(program=program).run()
+        return simulate_block(program)
 
     def test_runtime_seconds(self, result):
         assert result.runtime_seconds == pytest.approx(

@@ -1,7 +1,28 @@
-"""Event-driven execution of a :class:`BlockProgram` on a multi-chip system.
+"""The event-engine oracle: the block simulator the fast path must equal.
 
-Every chip of the platform becomes one simulation process that walks its
-schedule step by step:
+:mod:`repro.sim.fastpath` is the package's only block simulator.  This
+module keeps the generator-based discrete-event engine it replaced, as an
+independent second implementation of the same :class:`BlockProgram`
+semantics.  The equivalence suite (``tests/sim/test_fastpath_equivalence.py``)
+checks the fast path against it bit for bit, traced spans included, and
+``benchmarks/run_all.py`` times the fast path against it.
+
+The engine is a deterministic, generator-based discrete-event kernel in the
+style of SimPy, reduced to the features the multi-chip simulator needs:
+
+* :class:`Environment` — the event queue and the simulation clock,
+* :class:`Event` — a one-shot occurrence processes can wait on,
+* :class:`Process` — a Python generator driven by the environment; every
+  value it yields must be an :class:`Event`, and the process resumes when
+  that event fires,
+* ``Environment.timeout`` — an event that fires after a delay,
+* :class:`AllOf` — an event that fires when several events have all fired.
+
+Simultaneous events are processed in the order they were scheduled, so
+repeated runs of the same program produce identical traces.
+
+:class:`MultiChipSimulator` turns every chip of the platform into one
+simulation process that walks its schedule step by step:
 
 * kernel steps advance time by the kernel's compute cycles (with the
   L2<->L1 staging either double-buffered against the computation or
@@ -10,23 +31,23 @@ schedule step by step:
 * prefetch steps start a background transfer on the off-chip DMA channel
   and only consume time if a later join step has to wait for them,
 * send/receive pairs rendezvous over the chip-to-chip link; transfers that
-  converge on the same receiver serialise at that receiver's ingress port,
-  which is what makes the flat all-to-one reduction scale poorly and the
-  paper's hierarchical scheme scale well.
+  converge on the same receiver serialise at that receiver's ingress port.
 
-The result is a :class:`~repro.sim.trace.SimulationResult` holding the
-block runtime, the per-chip runtime breakdown, and the per-level traffic
-counters used by the energy model.
+:func:`simulate_block` has the package function's signature, and
+:func:`install` puts it where the package looks its simulator up (the
+modules in :data:`CALL_SITES`), so a whole command can run on the oracle.
 """
 
 from __future__ import annotations
 
+import heapq
+import importlib
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..core.schedule import (
+from repro.core.schedule import (
     BlockProgram,
     ChipSchedule,
     ComputeStep,
@@ -38,10 +59,201 @@ from ..core.schedule import (
     RuntimeCategory,
     SendStep,
 )
-from ..core.scheduler import L3_STREAM_TILE_BYTES
-from ..errors import SimulationError
-from .engine import Environment, Event
-from .trace import ChipTrace, SimulationResult
+from repro.core.scheduler import L3_STREAM_TILE_BYTES
+from repro.errors import SimulationError
+from repro.sim.trace import ChipTrace, SimulationResult
+
+#: The modules that call ``simulate_block`` by their own global name.
+CALL_SITES = ("repro.analysis.evaluate", "repro.baselines.pipeline_parallel")
+
+
+class Event:
+    """A one-shot occurrence that processes can wait on.
+
+    An event goes through three states: *pending* (created), *triggered*
+    (scheduled to fire at some simulation time), and *processed* (its
+    callbacks have run).  Callbacks added after the event has been
+    processed are invoked at the current simulation time via a small proxy
+    event, so latecomers never deadlock.
+    """
+
+    def __init__(self, env: "Environment", name: str = "event") -> None:
+        self.env = env
+        self.name = name
+        self.triggered = False
+        self.processed = False
+        self.value: object = None
+        self._callbacks: List[Callable[["Event"], None]] = []
+
+    def succeed(self, value: object = None) -> "Event":
+        """Trigger the event at the current simulation time."""
+        if self.triggered:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self.triggered = True
+        self.value = value
+        self.env._schedule(self, delay=0.0)
+        return self
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Register a callback invoked when the event fires.
+
+        If the event has already been processed the callback is invoked at
+        the current simulation time (through a proxy event), preserving the
+        run loop's determinism.
+        """
+        if self.processed:
+            # The proxy reuses this event's name: building a derived
+            # f-string per late callback is measurable on the hot path
+            # and the name is only ever read while debugging.
+            proxy = Event(self.env, name=self.name)
+            proxy._callbacks.append(callback)
+            proxy.triggered = True
+            proxy.value = self.value
+            self.env._schedule(proxy, delay=0.0)
+        else:
+            self._callbacks.append(callback)
+
+    def _process_callbacks(self) -> None:
+        self.processed = True
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+
+class Timeout(Event):
+    """An event that fires ``delay`` time units after its creation."""
+
+    def __init__(self, env: "Environment", delay: float, name: str = "timeout") -> None:
+        if delay < 0:
+            raise SimulationError(f"timeout delay must be non-negative, got {delay}")
+        super().__init__(env, name=name)
+        self.delay = delay
+        self.triggered = True
+        env._schedule(self, delay=delay)
+
+
+class AllOf(Event):
+    """An event that fires once all constituent events have fired."""
+
+    def __init__(
+        self, env: "Environment", events: Iterable[Event], name: str = "all_of"
+    ) -> None:
+        super().__init__(env, name=name)
+        self._pending = 0
+        for event in events:
+            if event.processed:
+                continue
+            self._pending += 1
+            event.add_callback(self._on_child)
+        if self._pending == 0:
+            self.succeed()
+
+    def _on_child(self, _event: Event) -> None:
+        self._pending -= 1
+        if self._pending == 0 and not self.triggered:
+            self.succeed()
+
+
+class Process(Event):
+    """A generator-based simulation process.
+
+    The process itself is an event that fires when the generator finishes,
+    so processes can wait for each other.
+    """
+
+    def __init__(
+        self,
+        env: "Environment",
+        generator: Generator[Event, object, None],
+        name: str = "process",
+    ) -> None:
+        super().__init__(env, name=name)
+        self._generator = generator
+        # The bootstrap shares the process name; a per-process f-string
+        # buys nothing (the name is only read while debugging).
+        bootstrap = Event(env, name=name)
+        bootstrap.add_callback(self._resume)
+        bootstrap.succeed()
+
+    def _resume(self, event: Event) -> None:
+        try:
+            target = self._generator.send(event.value)
+        except StopIteration as stop:
+            if not self.triggered:
+                self.succeed(getattr(stop, "value", None))
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must "
+                "yield Event instances"
+            )
+        target.add_callback(self._resume)
+
+
+class Environment:
+    """The simulation clock and event queue."""
+
+    def __init__(self) -> None:
+        self.now: float = 0.0
+        self._queue: List = []
+        self._sequence = itertools.count()
+
+    # ------------------------------------------------------------------
+    # Event creation helpers
+    # ------------------------------------------------------------------
+    def event(self, name: str = "event") -> Event:
+        """Create an untriggered event."""
+        return Event(self, name=name)
+
+    def timeout(self, delay: float, name: str = "timeout") -> Timeout:
+        """Create an event firing ``delay`` time units from now."""
+        return Timeout(self, delay, name=name)
+
+    def all_of(self, events: Iterable[Event], name: str = "all_of") -> AllOf:
+        """Create an event firing when all ``events`` have fired."""
+        return AllOf(self, events, name=name)
+
+    def process(
+        self, generator: Generator[Event, object, None], name: str = "process"
+    ) -> Process:
+        """Start a new process from a generator."""
+        return Process(self, generator, name=name)
+
+    # ------------------------------------------------------------------
+    # Scheduling and execution
+    # ------------------------------------------------------------------
+    def _schedule(self, event: Event, delay: float) -> None:
+        heapq.heappush(self._queue, (self.now + delay, next(self._sequence), event))
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the event queue drains (or until the given time).
+
+        Returns:
+            The final simulation time.
+
+        Raises:
+            SimulationError: If ``until`` lies in the past.
+        """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}, current time is already {self.now}"
+            )
+        while self._queue:
+            scheduled_time, sequence, event = heapq.heappop(self._queue)
+            if until is not None and scheduled_time > until:
+                heapq.heappush(self._queue, (scheduled_time, sequence, event))
+                self.now = until
+                return self.now
+            self.now = scheduled_time
+            event._process_callbacks()
+        if until is not None:
+            self.now = max(self.now, until)
+        return self.now
+
+    @property
+    def pending_events(self) -> int:
+        """Number of events still waiting in the queue."""
+        return len(self._queue)
 
 
 @dataclass
@@ -267,54 +479,17 @@ class MultiChipSimulator:
 
 
 def simulate_block(
-    program: BlockProgram,
-    record_events: bool = False,
-    *,
-    engine: Optional[str] = None,
+    program: BlockProgram, record_events: bool = False
 ) -> SimulationResult:
-    """Simulate one block program, choosing the fastest capable engine.
-
-    By default the analytic fast path in :mod:`repro.sim.fastpath`
-    executes the program; the event engine is used when per-step trace
-    events are requested (``record_events=True``) or when the program
-    contains a step shape the fast path does not support.  Both engines
-    produce bit-identical :class:`~repro.sim.trace.SimulationResult`
-    totals (enforced by the hypothesis equivalence suite).
-
-    Args:
-        program: The block program to execute.
-        record_events: Keep per-step trace events (event engine only;
-            combining it with ``engine="fast"`` is an error, while the
-            ``REPRO_SIM_ENGINE=fast`` preference quietly yields to the
-            event engine for traced runs).
-        engine: Force an engine: ``"fast"``, ``"event"``, or ``None`` to
-            honour the ``REPRO_SIM_ENGINE`` environment variable and fall
-            back to automatic dispatch.
-
-    Raises:
-        SimulationError: On deadlock, rendezvous mismatches, an unknown
-            ``engine`` name, or ``engine="fast"`` with ``record_events``.
-    """
-    if engine == "fast" and record_events:
-        raise SimulationError(
-            "per-step trace events need the event engine; drop "
-            "engine='fast' or record_events"
-        )
-    choice = (
-        engine
-        if engine is not None
-        else (os.environ.get("REPRO_SIM_ENGINE") or None)  # "" means unset
-    )
-    if choice not in (None, "fast", "event"):
-        raise SimulationError(
-            f"unknown simulation engine {choice!r}; use 'fast' or 'event'"
-        )
-    if choice != "event" and not record_events:
-        from .fastpath import UnsupportedProgramError, simulate_block_fast
-
-        try:
-            return simulate_block_fast(program)
-        except UnsupportedProgramError:
-            if choice == "fast":
-                raise
+    """Simulate ``program`` on the event engine."""
     return MultiChipSimulator(program=program, record_events=record_events).run()
+
+
+def install() -> None:
+    """Make every call site in :data:`CALL_SITES` simulate on the oracle.
+
+    Benchmark children call this before any pool forks, so the workers
+    inherit it; tests patch the same sites with ``monkeypatch`` instead.
+    """
+    for name in CALL_SITES:
+        importlib.import_module(name).simulate_block = simulate_block

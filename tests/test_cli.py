@@ -634,6 +634,21 @@ class TestFleetCommand:
             "static",
         )
 
+    def test_fleet_non_finite_faults_errors(self, capsys):
+        expect_cli_error(
+            capsys,
+            ["fleet", "--faults", "random:inf:inf:inf"],
+            "crash_mtbf_s must be finite",
+        )
+        for extra in ([], ["--emit-spec"]):
+            expect_cli_error(
+                capsys,
+                ["fleet", "--faults", "crash:0@nan", *extra],
+                "cannot parse fault",
+                "start_s must be finite",
+            )
+        assert capsys.readouterr().out == ""
+
     def test_fleet_malformed_retry_errors(self, capsys):
         expect_cli_error(
             capsys,
@@ -810,6 +825,18 @@ class TestStudyCommands:
             capsys, ["study", "validate", str(bad)], "chips", "expected a list"
         )
         assert err.startswith(f"error: {bad}.chips: ")
+
+    def test_study_validate_rejects_a_non_finite_fault(self, capsys, tmp_path):
+        assert main(["fleet", "--faults", "crash:0@5", "--emit-spec"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        (event,) = document["faults"]["events"]
+        event["start_s"] = float("nan")
+        bad = tmp_path / "fleet.json"
+        bad.write_text(json.dumps(document))  # writes the NaN literal
+        err = expect_cli_error(
+            capsys, ["study", "validate", str(bad)], "start_s must be finite"
+        )
+        assert err.startswith(f"error: {bad}.faults.events[0]: ")
 
     def test_study_validate_without_files_errors(self, capsys):
         expect_cli_error(capsys, ["study", "validate"], "at least one")
