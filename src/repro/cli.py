@@ -82,17 +82,11 @@ from .errors import AnalysisError, ReproError
 from .graph.transformer import InferenceMode
 from .models.registry import get_model, list_models
 from .spec import (
-    AutoscalerSpec,
     CompareSpec,
     EvalSpec,
-    FaultEventSpec,
-    FaultSpec,
-    FleetPlatformSpec,
     FleetSpec,
     ModelSpec,
     PlatformSpec,
-    RetryPolicySpec,
-    SLOClassSpec,
     ServingSpec,
     SweepSpec,
     TraceSpec,
@@ -1044,8 +1038,8 @@ def _serve_spec_from_args(args: argparse.Namespace) -> ServingSpec:
     )
 
 
-def _parse_slo_class(text: str, index: int) -> SLOClassSpec:
-    """One ``--class NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]`` value as a spec.
+def _parse_slo_class(text: str, index: int):
+    """One ``--class NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]`` value as a class.
 
     The class's scheduling priority is its position in the ``--class``
     list, matching how a request's ``priority`` field selects its class.
@@ -1069,7 +1063,9 @@ def _parse_slo_class(text: str, index: int) -> SLOClassSpec:
             "NAME[:RATE_RPS[:BURST[:TTFT_SLO_S[:TIMEOUT_S]]]], "
             "e.g. interactive:2:4:0.5"
         ) from None
-    return SLOClassSpec(
+    from .fleet import SLOClass
+
+    return SLOClass(
         name=name,
         rate_rps=rate,
         burst=burst,
@@ -1079,65 +1075,7 @@ def _parse_slo_class(text: str, index: int) -> SLOClassSpec:
     )
 
 
-def _fault_spec_from_args(args: argparse.Namespace) -> Optional[FaultSpec]:
-    """The ``--faults``/``--shed-*`` flags as a spec (``None``: no faults).
-
-    Parsing goes through :meth:`FaultModel.parse` so CLI shorthand and
-    spec documents agree on grammar and validation; malformed values
-    raise :class:`~repro.errors.ConfigurationError`, which the CLI maps
-    to an ``error:`` line and exit status 2 like every other bad flag.
-    """
-    if not args.faults and args.shed_below is None:
-        return None
-    from .fleet import FaultModel
-
-    model = FaultModel.parse(
-        args.faults,
-        seed=args.fault_seed,
-        shed_below=args.shed_below,
-        shed_keep=args.shed_keep,
-    )
-    return FaultSpec(
-        events=tuple(
-            FaultEventSpec(
-                fault=event.kind,
-                replica=event.replica,
-                start_s=event.start_s,
-                duration_s=event.duration_s,
-                factor=event.factor,
-            )
-            for event in model.events
-        ),
-        crash_mtbf_s=model.crash_mtbf_s,
-        crash_mttr_s=model.crash_mttr_s,
-        horizon_s=model.horizon_s,
-        seed=model.seed,
-        shed_below=model.shed_below,
-        shed_keep=model.shed_keep,
-    )
-
-
-def _retry_spec_from_args(
-    args: argparse.Namespace,
-) -> Optional[RetryPolicySpec]:
-    """The ``--retry`` shorthand as a spec (``None``: no retry policy)."""
-    if args.retry is None:
-        return None
-    from .fleet import RetryPolicy
-
-    policy = RetryPolicy.parse(args.retry)
-    return RetryPolicySpec(
-        max_retries=policy.max_retries,
-        backoff_s=policy.backoff_s,
-        backoff_multiplier=policy.backoff_multiplier,
-        timeout_s=policy.timeout_s,
-        hedge_after_s=policy.hedge_after_s,
-    )
-
-
-def _autoscaler_spec_from_args(
-    args: argparse.Namespace,
-) -> Optional[AutoscalerSpec]:
+def _autoscaler_from_args(args: argparse.Namespace):
     if args.autoscale is None:
         return None
     preset, _, chips_text = args.autoscale.partition(":")
@@ -1148,7 +1086,9 @@ def _autoscaler_spec_from_args(
             f"cannot parse --autoscale {args.autoscale!r}; expected "
             "PRESET[:CHIPS], e.g. siracusa-mipi:4"
         ) from None
-    return AutoscalerSpec(
+    from .fleet import AutoscalerConfig
+
+    return AutoscalerConfig(
         preset=preset,
         chips=chips,
         max_extra=args.autoscale_max,
@@ -1183,26 +1123,16 @@ def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
             output_max=args.output_max,
             priority_levels=args.priority_levels,
         )
-    from .fleet import FleetPlatform
+    from .fleet import FaultModel, FleetPlatform, RetryPolicy
 
+    # Parse the shorthands directly: a CLI flag error should not carry the
+    # spec-document path that from_dict prefixes.  A malformed value raises
+    # ConfigurationError, which main() reports as one `error:` line.
     entries = args.platform if args.platform else ["siracusa-mipi"]
-    platforms = []
-    for entry in entries:
-        # Parse the shorthand directly: a CLI flag error should not carry
-        # the spec-document path that FleetPlatformSpec.from_dict prefixes.
-        parsed = FleetPlatform.parse(entry)
-        platforms.append(
-            FleetPlatformSpec(
-                preset=parsed.preset,
-                chips=parsed.chips,
-                replicas=parsed.replicas,
-                role=parsed.role,
-            )
-        )
     return FleetSpec(
         model=ModelSpec(name=args.model),
         trace=trace,
-        platforms=tuple(platforms),
+        platforms=tuple(FleetPlatform.parse(entry) for entry in entries),
         router=args.router,
         policy=args.policy,
         strategy=args.strategy,
@@ -1210,9 +1140,18 @@ def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
             _parse_slo_class(text, index)
             for index, text in enumerate(args.slo_class)
         ),
-        autoscaler=_autoscaler_spec_from_args(args),
-        faults=_fault_spec_from_args(args),
-        retry=_retry_spec_from_args(args),
+        autoscaler=_autoscaler_from_args(args),
+        faults=(
+            FaultModel.parse(
+                args.faults,
+                seed=args.fault_seed,
+                shed_below=args.shed_below,
+                shed_keep=args.shed_keep,
+            )
+            if args.faults or args.shed_below is not None
+            else None
+        ),
+        retry=RetryPolicy.parse(args.retry) if args.retry is not None else None,
         seed=args.seed if args.seed is not None else 0,
         max_context=args.max_context,
         slo_targets=tuple(args.slo_ttft) if args.slo_ttft is not None else None,

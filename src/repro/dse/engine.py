@@ -21,9 +21,11 @@ from ..errors import (
     ArchitectureError,
     MemoryCapacityError,
     PartitioningError,
+    ReproError,
     SchedulingError,
 )
 from ..graph.workload import Workload
+from ..spec.base import SpecBase, register, require_finite, spec_error
 from .objectives import Measurement, Objective, Sense, get_objective
 from .pareto import Constraint, filter_constraints, pareto_front, parse_constraint
 from .space import (
@@ -48,13 +50,15 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Serving scenario
 # ----------------------------------------------------------------------
+@register
 @dataclass(frozen=True)
-class ServingScenario:
+class ServingScenario(SpecBase):
     """The fixed traffic scenario behind serving-level objectives.
 
     Objectives with ``requires_serving`` (SLO attainment, energy per
     request) simulate this scenario once per unique design point; the
     scenario is deliberately small so a tuning run stays interactive.
+    Spec kind ``serving_scenario``.
 
     Attributes:
         rate_rps: Mean Poisson arrival rate.
@@ -65,12 +69,26 @@ class ServingScenario:
         max_context: Serving context window.
     """
 
+    kind = "serving_scenario"
+
     rate_rps: float = 2.0
     duration_s: float = 20.0
     policy: str = "fifo"
     seed: int = 0
     ttft_slo_s: float = 1.0
     max_context: int = 1024
+
+    def __post_init__(self) -> None:
+        require_finite("", self, ("rate_rps", "duration_s", "ttft_slo_s"))
+
+    def validate(self, path: str = "$") -> None:
+        """Check that the scenario's scheduling policy is registered."""
+        from ..serving.policies import get_policy
+
+        try:
+            get_policy(self.policy)
+        except ReproError as error:
+            raise spec_error(f"{path}.policy", str(error)) from None
 
     def trace(self):
         """Build the scenario's traffic trace."""

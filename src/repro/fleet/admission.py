@@ -20,13 +20,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..serving.request import Request
+from ..spec.base import SpecBase, register, require_finite
 
 __all__ = ["AdmissionController", "ClassStats", "SLOClass"]
 
 
+@register
 @dataclass(frozen=True)
-class SLOClass:
+class SLOClass(SpecBase):
     """One tenant class of the fleet's admission policy.
+
+    Spec kind ``slo_class``.
 
     Attributes:
         name: Class name (reported per class in the fleet metrics).
@@ -43,6 +47,8 @@ class SLOClass:
             policy's ``timeout_s`` for requests of this class.
     """
 
+    kind = "slo_class"
+
     name: str = "default"
     rate_rps: Optional[float] = None
     burst: int = 1
@@ -53,6 +59,9 @@ class SLOClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("an SLO class needs a non-empty name")
+        require_finite(
+            f"class {self.name!r}: ", self, ("rate_rps", "ttft_slo_s", "timeout_s")
+        )
         if self.rate_rps is not None and self.rate_rps <= 0:
             raise ConfigurationError(
                 f"class {self.name!r}: rate_rps must be positive"

@@ -19,14 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
+from ..hw.presets import get_platform_preset
+from ..spec.base import SpecBase, register, require_finite, spec_error
 
 __all__ = ["Autoscaler", "AutoscalerConfig", "ScaleEvent"]
 
 
+@register
 @dataclass(frozen=True)
-class AutoscalerConfig:
-    """Knobs of the reactive autoscaler.
+class AutoscalerConfig(SpecBase):
+    """Knobs of the reactive autoscaler (spec kind ``autoscaler``).
 
     Attributes:
         preset: Registered platform preset new replicas are built from.
@@ -45,6 +48,8 @@ class AutoscalerConfig:
             this fraction (only with ``ttft_slo_s`` set).
     """
 
+    kind = "autoscaler"
+
     preset: str = "siracusa-mipi"
     chips: Optional[int] = None
     max_extra: int = 4
@@ -55,6 +60,10 @@ class AutoscalerConfig:
     min_attainment: float = 0.95
 
     def __post_init__(self) -> None:
+        require_finite("", self, (
+            "check_interval_s", "scale_up_depth", "scale_down_depth",
+            "ttft_slo_s", "min_attainment",
+        ))
         if self.max_extra < 1:
             raise ConfigurationError("max_extra must be at least 1")
         if self.check_interval_s <= 0:
@@ -70,6 +79,13 @@ class AutoscalerConfig:
             raise ConfigurationError("min_attainment must be in (0, 1]")
         if self.chips is not None and self.chips <= 0:
             raise ConfigurationError("chips must be positive")
+
+    def validate(self, path: str = "$") -> None:
+        """Check that the scaled replicas' preset is registered."""
+        try:
+            get_platform_preset(self.preset)
+        except ReproError as error:
+            raise spec_error(f"{path}.preset", str(error)) from None
 
 
 @dataclass(frozen=True)

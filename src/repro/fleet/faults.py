@@ -31,12 +31,12 @@ See ``docs/RESILIENCE.md`` for the full grammar and semantics.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..spec.base import SpecBase, register, require_finite, spec_error
 
 __all__ = ["FaultEvent", "FaultModel", "RetryPolicy"]
 
@@ -56,20 +56,15 @@ def _fault_error(text: str, why: str) -> ConfigurationError:
     )
 
 
-def _require_finite(prefix: str, owner: object, names: Sequence[str]) -> None:
-    """Reject NaN and infinities, which slip past range checks (``nan < 0``)."""
-    for name in names:
-        value = getattr(owner, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{prefix}{name} must be finite, got {value}")
-
-
+@register
 @dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault, as the user states it.
+class FaultEvent(SpecBase):
+    """One scheduled fault, as the user states it (spec kind ``fault_event``).
+
+    Accepts the :meth:`parse` shorthand as a bare string in documents.
 
     Attributes:
-        kind: ``"crash"`` (replica leaves service, in-flight requests
+        fault: ``"crash"`` (replica leaves service, in-flight requests
             fail over), ``"slowdown"`` (replica serves ``factor`` times
             slower), or ``"brownout"`` (every replica serves ``factor``
             times slower — a fleet-wide link/bandwidth event).
@@ -82,19 +77,21 @@ class FaultEvent:
             (strictly greater than 1; crashes ignore it).
     """
 
-    kind: str
+    kind = "fault_event"
+
+    fault: str = "crash"
     replica: Optional[int] = None
     start_s: float = 0.0
     duration_s: Optional[float] = None
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.fault not in FAULT_KINDS:
             raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; choose from "
+                f"unknown fault kind {self.fault!r}; choose from "
                 + ", ".join(FAULT_KINDS)
             )
-        _require_finite("fault ", self, ("start_s", "duration_s", "factor"))
+        require_finite("fault ", self, ("start_s", "duration_s", "factor"))
         if self.start_s < 0:
             raise ConfigurationError(
                 f"fault start_s must be non-negative, got {self.start_s}"
@@ -103,7 +100,7 @@ class FaultEvent:
             raise ConfigurationError(
                 f"fault duration_s must be positive, got {self.duration_s}"
             )
-        if self.kind == "brownout":
+        if self.fault == "brownout":
             if self.replica is not None:
                 raise ConfigurationError(
                     "a brownout is fleet-wide; it cannot target a replica"
@@ -111,16 +108,16 @@ class FaultEvent:
         else:
             if self.replica is None or self.replica < 0:
                 raise ConfigurationError(
-                    f"a {self.kind} fault needs a non-negative replica id"
+                    f"a {self.fault} fault needs a non-negative replica id"
                 )
-        if self.kind in ("slowdown", "brownout"):
+        if self.fault in ("slowdown", "brownout"):
             if self.duration_s is None:
                 raise ConfigurationError(
-                    f"a {self.kind} fault needs a duration"
+                    f"a {self.fault} fault needs a duration"
                 )
             if self.factor <= 1.0:
                 raise ConfigurationError(
-                    f"a {self.kind} factor must be greater than 1, "
+                    f"a {self.fault} factor must be greater than 1, "
                     f"got {self.factor}"
                 )
 
@@ -145,12 +142,12 @@ class FaultEvent:
         if not sep or not when:
             raise _fault_error(original, "missing @START")
         kind_text, _, replica_text = head.partition(":")
-        kind = {"crash": "crash", "slow": "slowdown",
-                "slowdown": "slowdown", "brownout": "brownout"}.get(kind_text)
-        if kind is None:
+        fault = {"crash": "crash", "slow": "slowdown",
+                 "slowdown": "slowdown", "brownout": "brownout"}.get(kind_text)
+        if fault is None:
             raise _fault_error(original, f"unknown kind {kind_text!r}")
         replica: Optional[int] = None
-        if kind == "brownout":
+        if fault == "brownout":
             if replica_text:
                 raise _fault_error(original, "brownouts are fleet-wide")
         else:
@@ -171,15 +168,27 @@ class FaultEvent:
         except ValueError:
             raise _fault_error(original, "bad number") from None
         try:
-            return cls(kind=kind, replica=replica, start_s=start,
+            return cls(fault=fault, replica=replica, start_s=start,
                        duration_s=duration, factor=factor)
         except ConfigurationError as error:
             raise _fault_error(original, str(error)) from None
 
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "$") -> "FaultEvent":
+        if isinstance(data, str):
+            try:
+                return cls.parse(data)
+            except ConfigurationError as error:
+                raise spec_error(path, str(error)) from None
+        return super().from_dict(data, path)
 
+
+@register
 @dataclass(frozen=True)
-class FaultModel:
+class FaultModel(SpecBase):
     """The full fault schedule of one fleet run, plus degradation policy.
+
+    Spec kind ``faults``.
 
     Attributes:
         events: Explicit fault events (any kind, any overlap).
@@ -197,6 +206,8 @@ class FaultModel:
             being admitted while the fleet is degraded.
     """
 
+    kind = "faults"
+
     events: Tuple[FaultEvent, ...] = ()
     crash_mtbf_s: Optional[float] = None
     crash_mttr_s: float = 30.0
@@ -212,7 +223,7 @@ class FaultModel:
                 raise ConfigurationError(
                     f"FaultModel events must be FaultEvent, got {event!r}"
                 )
-        _require_finite("", self, ("crash_mtbf_s", "crash_mttr_s", "horizon_s"))
+        require_finite("", self, ("crash_mtbf_s", "crash_mttr_s", "horizon_s"))
         if self.crash_mtbf_s is not None:
             if self.crash_mtbf_s <= 0:
                 raise ConfigurationError(
@@ -271,7 +282,7 @@ class FaultModel:
         Materialises the random crash layer (if any) for every replica in
         ``replica_ids`` using a string-seeded PRNG — stable across
         processes regardless of hash randomisation — then merges it with
-        the explicit events and sorts by ``(start, kind, replica)``.
+        the explicit events and sorts by ``(start, fault, replica)``.
         """
         events = list(self.events)
         if self.crash_mtbf_s is not None:
@@ -288,7 +299,6 @@ class FaultModel:
                     repair = rng.expovariate(1.0 / self.crash_mttr_s)
                     events.append(
                         FaultEvent(
-                            kind="crash",
                             replica=replica_id,
                             start_s=now,
                             duration_s=repair,
@@ -298,7 +308,7 @@ class FaultModel:
         events.sort(
             key=lambda e: (
                 e.start_s,
-                FAULT_KINDS.index(e.kind),
+                FAULT_KINDS.index(e.fault),
                 -1 if e.replica is None else e.replica,
                 e.duration_s if e.duration_s is not None else -1.0,
             )
@@ -316,9 +326,13 @@ class FaultModel:
                 )
 
 
+@register
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(SpecBase):
     """How the fleet fails over and abandons requests under faults.
+
+    Spec kind ``retry``; accepts the :meth:`parse` shorthand as a bare
+    string in documents.
 
     Attributes:
         max_retries: Bounded re-dispatch budget after a crash (0 fails
@@ -335,6 +349,8 @@ class RetryPolicy:
             cancelled.  ``None`` disables hedging.
     """
 
+    kind = "retry"
+
     max_retries: int = 2
     backoff_s: float = 0.0
     backoff_multiplier: float = 2.0
@@ -342,6 +358,9 @@ class RetryPolicy:
     hedge_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        require_finite(
+            "", self, ("backoff_s", "backoff_multiplier", "timeout_s", "hedge_after_s")
+        )
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be non-negative, got {self.max_retries}"
@@ -406,3 +425,12 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"cannot parse retry policy {original!r} ({error})"
             ) from None
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "$") -> "RetryPolicy":
+        if isinstance(data, str):
+            try:
+                return cls.parse(data)
+            except ConfigurationError as error:
+                raise spec_error(path, str(error)) from None
+        return super().from_dict(data, path)

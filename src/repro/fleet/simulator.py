@@ -38,15 +38,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import AnalysisError, ConfigurationError, SimulationError
+from ..errors import AnalysisError, ConfigurationError, ReproError, SimulationError
+from ..hw.presets import get_platform_preset
 from ..serving.costs import RequestCostModel
 from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S
 from ..serving.policies import SchedulingPolicy, get_policy
 from ..serving.request import ActiveRequest, Request, RequestPhase
 from ..serving.simulator import serve_grant
 from ..serving.traces import RequestSource, TrafficTrace
+from ..spec.base import SpecBase, register, spec_error
 from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .faults import FaultModel, RetryPolicy
@@ -83,9 +85,13 @@ _KIND_WINDOW_TICK = 6
 _KIND_ARRIVAL = 7
 
 
+@register
 @dataclass(frozen=True)
-class FleetPlatform:
+class FleetPlatform(SpecBase):
     """One heterogeneous platform entry of a fleet, as the user states it.
+
+    Spec kind ``fleet_platform``; accepts the :meth:`parse` shorthand as a
+    bare string in documents.
 
     Attributes:
         preset: Registered platform-preset name.
@@ -93,6 +99,8 @@ class FleetPlatform:
         replicas: How many identical replicas of this platform to run.
         role: Routing-pool tag (``any``, ``prefill``, or ``decode``).
     """
+
+    kind = "fleet_platform"
 
     preset: str = "siracusa-mipi"
     chips: Optional[int] = None
@@ -145,6 +153,22 @@ class FleetPlatform:
                 "preset[:chips][xN][@role], e.g. siracusa-mipi:8x2@prefill"
             )
         return cls(preset=preset, chips=chips, replicas=replicas, role=role)
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "$") -> "FleetPlatform":
+        if isinstance(data, str):
+            try:
+                return cls.parse(data)
+            except ConfigurationError as error:
+                raise spec_error(path, str(error)) from None
+        return super().from_dict(data, path)
+
+    def validate(self, path: str = "$") -> None:
+        """Check that the entry's preset is registered."""
+        try:
+            get_platform_preset(self.preset)
+        except ReproError as error:
+            raise spec_error(f"{path}.preset", str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -554,11 +578,11 @@ class FleetSimulator:
         push(self.timeline_window_s, _KIND_WINDOW_TICK, None)
         if fault_model is not None:
             for event in fault_model.schedule(tuple(range(static_count))):
-                if event.kind == "crash":
+                if event.fault == "crash":
                     push(event.start_s, _KIND_FAULT, ("crash", event))
                     if event.end_s is not None:
                         push(event.end_s, _KIND_FAULT, ("recover", event))
-                elif event.kind == "slowdown":
+                elif event.fault == "slowdown":
                     push(event.start_s, _KIND_FAULT, ("slow_start", event))
                     push(event.end_s, _KIND_FAULT, ("slow_end", event))
                 else:  # brownout

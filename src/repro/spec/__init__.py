@@ -7,7 +7,10 @@ JSON-serialisable spec — :class:`EvalSpec`, :class:`SweepSpec`,
 leaf specs they compose (:class:`ModelSpec`, :class:`WorkloadSpec`,
 :class:`PlatformSpec`, :class:`TraceSpec`, :class:`SpaceSpec`, ...), and
 :class:`StudySpec`, a named pipeline of stages with cross-stage
-references.  A spec can be saved, diffed, shared, validated
+references.  The fleet and DSE settings a spec holds are spec kinds in
+their home packages (:class:`repro.fleet.FleetPlatform`,
+:class:`repro.fleet.FaultModel`, :class:`repro.dse.ServingScenario`,
+...).  A spec can be saved, diffed, shared, validated
 (:meth:`~repro.spec.specs.StudySpec.validate`, with precise document
 paths), and replayed bit-for-bit:
 
@@ -24,22 +27,15 @@ live in this package's ``shipped/`` directory.
 
 from .base import SPEC_SCHEMA_VERSION, SpecBase
 from .specs import (
-    AutoscalerSpec,
     AxisSpec,
     CompareSpec,
     DEFAULT_SEQ_LEN,
     EvalSpec,
-    FaultEventSpec,
-    FaultSpec,
-    FleetPlatformSpec,
     FleetSpec,
     ModelSpec,
     PlatformSpec,
     RUNNABLE_KINDS,
-    RetryPolicySpec,
     RunnableSpec,
-    SLOClassSpec,
-    ScenarioSpec,
     SearchStateSpec,
     ServingSpec,
     SpaceSpec,
@@ -56,23 +52,16 @@ from .specs import (
 from .studies import get_study, list_studies, register_study
 
 __all__ = [
-    "AutoscalerSpec",
     "AxisSpec",
     "CompareSpec",
     "DEFAULT_SEQ_LEN",
     "EvalSpec",
-    "FaultEventSpec",
-    "FaultSpec",
-    "FleetPlatformSpec",
     "FleetSpec",
     "ModelSpec",
     "PlatformSpec",
     "RUNNABLE_KINDS",
-    "RetryPolicySpec",
     "RunnableSpec",
-    "SLOClassSpec",
     "SPEC_SCHEMA_VERSION",
-    "ScenarioSpec",
     "SearchStateSpec",
     "ServingSpec",
     "SpaceSpec",

@@ -1,6 +1,7 @@
 """Spec-layer foundation: schema version, kind registry, serialisation, decoding.
 
-Every spec in :mod:`repro.spec` (and :mod:`repro.arch`) is a frozen
+Every spec in :mod:`repro.spec` (and :mod:`repro.arch`, and the fleet and
+DSE settings of :mod:`repro.fleet` and :mod:`repro.dse`) is a frozen
 dataclass deriving from :class:`SpecBase` and registered under its
 ``kind`` tag with :func:`register`.  The base class provides the whole
 serialisation contract:
@@ -20,19 +21,22 @@ serialisation contract:
   become defaults.
 
 A class overrides ``from_dict`` only for what an annotation cannot say —
-a bare-string shorthand, a rule across fields — and ends the override in
-``super().from_dict(data, path)``.
+a bare-string shorthand, a rule across fields — and decodes every mapping
+through ``super().from_dict(data, path)``.  A ``ConfigurationError`` that
+a constructor raises reaches the caller as a :class:`SpecError` prefixed
+with the document path.
 """
 
 from __future__ import annotations
 
 import collections.abc
 import json
+import math
 import typing
 from dataclasses import MISSING, fields
-from typing import Any, Callable, Dict, Mapping, Tuple, Type, TypeVar, Union
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple, Type, TypeVar, Union
 
-from ..errors import SpecError
+from ..errors import ConfigurationError, SpecError
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
@@ -40,6 +44,7 @@ __all__ = [
     "check_schema",
     "decode_value",
     "register",
+    "require_finite",
     "spec_error",
 ]
 
@@ -67,6 +72,21 @@ def register(cls: Type[_Spec]) -> Type[_Spec]:
 def spec_error(path: str, message: str) -> SpecError:
     """A :class:`SpecError` whose message leads with the JSON path."""
     return SpecError(f"{path}: {message}")
+
+
+def require_finite(prefix: str, owner: object, names: Sequence[str]) -> None:
+    """Reject NaN and infinities, which slip past range checks (``nan < 0``).
+
+    Each named attribute of ``owner`` may be ``None``, a number, or a tuple
+    of numbers; the error names the attribute after ``prefix``.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if item is not None and not math.isfinite(item):
+                raise ConfigurationError(
+                    f"{prefix}{name} must be finite, got {item}"
+                )
 
 
 def check_schema(data: Mapping[str, Any], path: str) -> None:
@@ -152,10 +172,12 @@ class SpecBase:
                 )
         try:
             return cls(**values)
-        except SpecError as error:
+        except ConfigurationError as error:
             # A __post_init__ check knows no document path: prefix it once.
             message = str(error)
-            if message.startswith((f"{path}.", f"{path}:")):
+            if isinstance(error, SpecError) and message.startswith(
+                (f"{path}.", f"{path}:")
+            ):
                 raise
             raise spec_error(path, message) from None
 

@@ -238,13 +238,6 @@ def _execute_serve(session, spec: ServingSpec, stages):
 def _execute_fleet(session, spec: FleetSpec, stages):
     config = spec.model.build()
     trace = spec.trace.build()
-    entries = tuple(entry.build() for entry in spec.platforms)
-    classes = tuple(slo_class.build() for slo_class in spec.classes)
-    autoscaler = (
-        spec.autoscaler.build() if spec.autoscaler is not None else None
-    )
-    faults = spec.faults.build() if spec.faults is not None else None
-    retry = spec.retry.build() if spec.retry is not None else None
     if spec.platform_from is not None:
         platform, strategy = _resolve_platform(spec, stages)
     else:
@@ -252,19 +245,19 @@ def _execute_fleet(session, spec: FleetSpec, stages):
     return session.serve_fleet(
         config,
         trace,
-        platforms=entries,
+        platforms=spec.platforms,
         router=spec.router,
         policy=spec.policy,
         strategy=strategy,
-        classes=classes,
-        autoscaler=autoscaler,
+        classes=spec.classes,
+        autoscaler=spec.autoscaler,
         platform=platform,
         seed=spec.seed,
         max_context=spec.max_context,
         slo_targets=spec.slo_targets,
         record_threshold=spec.record_threshold,
-        faults=faults,
-        retry=retry,
+        faults=spec.faults,
+        retry=spec.retry,
     )
 
 
@@ -299,7 +292,6 @@ def _execute_tune(
         space = _pin_chips(spec.space, fastest.num_chips)
     else:
         space = spec.space.build() if spec.space is not None else None
-    scenario = spec.serving.build() if spec.serving is not None else None
     with _session_prefetch(session, spec.prefetch):
         return session.tune(
             workload,
@@ -309,7 +301,7 @@ def _execute_tune(
             seed=spec.seed,
             objectives=spec.objectives,
             constraints=spec.constraints,
-            serving=scenario,
+            serving=spec.serving,
             parallel=parallel if parallel is not None else spec.parallel,
             checkpoint=checkpoint,
             checkpoint_every=(

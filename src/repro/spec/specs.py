@@ -25,36 +25,31 @@ document paths — see :mod:`repro.spec.base` for the machinery and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple, Type, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Type, Union
 
 from ..core.placement import PrefetchAccounting
 from ..errors import ReproError, SpecError
 from ..graph.transformer import InferenceMode, TransformerConfig
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
-from .base import _KINDS, SpecBase, decode_value, register, spec_error
+from .base import _KINDS, SpecBase, decode_value, register, require_finite, spec_error
 
 if TYPE_CHECKING:
     from ..arch.spec import ArchSpec
+    from ..dse.engine import ServingScenario
+    from ..fleet import AutoscalerConfig, FaultModel, FleetPlatform, RetryPolicy, SLOClass
 
 __all__ = [
-    "AutoscalerSpec",
     "AxisSpec",
     "CompareSpec",
     "DEFAULT_SEQ_LEN",
     "EvalSpec",
-    "FaultEventSpec",
-    "FaultSpec",
-    "FleetPlatformSpec",
     "FleetSpec",
     "ModelSpec",
     "PlatformSpec",
     "RUNNABLE_KINDS",
-    "RetryPolicySpec",
     "RunnableSpec",
-    "SLOClassSpec",
-    "ScenarioSpec",
     "SearchStateSpec",
     "ServingSpec",
     "SpaceSpec",
@@ -219,24 +214,6 @@ class PlatformSpec(SpecBase):
         return super().from_dict(data, path)
 
 
-def _shorthand(
-    cls: type, parse: Callable[[str], Any], text: str, path: str, **renamed: str
-) -> Dict[str, Any]:
-    """Parse a CLI shorthand string into the mapping form of spec ``cls``.
-
-    ``parse`` returns the runtime object; each spec field is read from the
-    attribute of the same name, or of the name ``renamed`` maps it to.
-    """
-    try:
-        parsed = parse(text)
-    except ReproError as error:
-        raise _wrap(path, error) from None
-    return {
-        field.name: getattr(parsed, renamed.get(field.name, field.name))
-        for field in fields(cls)
-    }
-
-
 def _prefetch_value(value: str) -> str:
     choices = {policy.value for policy in PrefetchAccounting}
     if value not in choices:
@@ -254,6 +231,13 @@ def _check_strategy(name: str, path: str) -> None:
         get_strategy(name)
     except ReproError as error:
         raise _wrap(path, error) from None
+
+
+def _check_slo_targets(spec: Union["ServingSpec", "FleetSpec"]) -> None:
+    require_finite("", spec, ("slo_targets",))
+    for target in spec.slo_targets or ():
+        if target <= 0:
+            raise SpecError(f"slo_targets must be positive, got {target}")
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +371,15 @@ class TraceSpec(SpecBase):
 
     _SOURCES = ("poisson", "bursty", "closed", "replay", "diurnal")
 
+    _FLOATS = (
+        "rate_rps", "duration_s", "burst_rate_rps", "mean_base_s", "mean_burst_s",
+        "mean_think_s", "prompt_mean", "output_mean", "sigma", "amplitude",
+        "period_s", "phase_s", "spike_starts_s", "spike_duration_s", "spike_rate_rps",
+    )
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "spike_starts_s", tuple(self.spike_starts_s))
+        require_finite("", self, self._FLOATS)
         if self.source not in self._SOURCES:
             raise SpecError(
                 f"unknown trace source {self.source!r}; choose from "
@@ -511,6 +502,7 @@ class ServingSpec(SpecBase):
     def __post_init__(self) -> None:
         if self.slo_targets is not None:
             object.__setattr__(self, "slo_targets", tuple(self.slo_targets))
+            _check_slo_targets(self)
         if self.max_context <= 0:
             raise SpecError(
                 f"max_context must be positive, got {self.max_context}"
@@ -532,272 +524,11 @@ class ServingSpec(SpecBase):
 # ----------------------------------------------------------------------
 # Fleet specs
 # ----------------------------------------------------------------------
-@register
-@dataclass(frozen=True)
-class FleetPlatformSpec(SpecBase):
-    """One heterogeneous platform entry of a fleet."""
+def _default_platforms() -> Tuple["FleetPlatform", ...]:
+    """One default platform entry (imports :mod:`repro.fleet` on first use)."""
+    from ..fleet import FleetPlatform
 
-    kind = "fleet_platform"
-
-    preset: str = "siracusa-mipi"
-    chips: Optional[int] = None
-    replicas: int = 1
-    role: str = "any"
-
-    def __post_init__(self) -> None:
-        if self.chips is not None and self.chips <= 0:
-            raise SpecError(f"chips must be positive, got {self.chips}")
-        if self.replicas < 1:
-            raise SpecError(
-                f"replicas must be at least 1, got {self.replicas}"
-            )
-        if self.role not in ("any", "prefill", "decode"):
-            raise SpecError(
-                f"unknown replica role {self.role!r}; choose from "
-                "any, prefill, decode"
-            )
-
-    def validate(self, path: str = "$") -> None:
-        from ..hw.presets import get_platform_preset
-
-        try:
-            get_platform_preset(self.preset)
-        except ReproError as error:
-            raise _wrap(f"{path}.preset", error) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.FleetPlatform`."""
-        from ..fleet import FleetPlatform
-
-        return FleetPlatform(
-            preset=self.preset,
-            chips=self.chips,
-            replicas=self.replicas,
-            role=self.role,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "FleetPlatformSpec":
-        if isinstance(data, str):  # shorthand: preset[:chips][xN][@role]
-            from ..fleet import FleetPlatform
-
-            data = _shorthand(cls, FleetPlatform.parse, data, path)
-        return super().from_dict(data, path)
-
-
-@register
-@dataclass(frozen=True)
-class SLOClassSpec(SpecBase):
-    """One multi-tenant SLO class of a fleet's admission policy."""
-
-    kind = "slo_class"
-
-    name: str = "default"
-    rate_rps: Optional[float] = None
-    burst: int = 1
-    priority: int = 0
-    ttft_slo_s: Optional[float] = None
-    timeout_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        try:
-            self.build()
-        except ReproError as error:
-            raise SpecError(str(error)) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.SLOClass`."""
-        from ..fleet import SLOClass
-
-        return SLOClass(
-            name=self.name,
-            rate_rps=self.rate_rps,
-            burst=self.burst,
-            priority=self.priority,
-            ttft_slo_s=self.ttft_slo_s,
-            timeout_s=self.timeout_s,
-        )
-
-
-@register
-@dataclass(frozen=True)
-class AutoscalerSpec(SpecBase):
-    """The fleet autoscaler's knobs (see :class:`repro.fleet.AutoscalerConfig`)."""
-
-    kind = "autoscaler"
-
-    preset: str = "siracusa-mipi"
-    chips: Optional[int] = None
-    max_extra: int = 4
-    check_interval_s: float = 60.0
-    scale_up_depth: float = 4.0
-    scale_down_depth: float = 0.5
-    ttft_slo_s: Optional[float] = None
-    min_attainment: float = 0.95
-
-    def __post_init__(self) -> None:
-        try:
-            self.build()
-        except ReproError as error:
-            raise SpecError(str(error)) from None
-
-    def validate(self, path: str = "$") -> None:
-        from ..hw.presets import get_platform_preset
-
-        try:
-            get_platform_preset(self.preset)
-        except ReproError as error:
-            raise _wrap(f"{path}.preset", error) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.AutoscalerConfig`."""
-        from ..fleet import AutoscalerConfig
-
-        return AutoscalerConfig(
-            preset=self.preset,
-            chips=self.chips,
-            max_extra=self.max_extra,
-            check_interval_s=self.check_interval_s,
-            scale_up_depth=self.scale_up_depth,
-            scale_down_depth=self.scale_down_depth,
-            ttft_slo_s=self.ttft_slo_s,
-            min_attainment=self.min_attainment,
-        )
-
-
-@register
-@dataclass(frozen=True)
-class FaultEventSpec(SpecBase):
-    """One scheduled fault of a fleet's fault model.
-
-    Accepts the CLI shorthand as a bare string in documents:
-    ``crash:REPLICA@START[+DURATION]``,
-    ``slow:REPLICA@START+DURATIONxFACTOR``, or
-    ``brownout@START+DURATIONxFACTOR``.
-    """
-
-    kind = "fault_event"
-
-    fault: str = "crash"
-    replica: Optional[int] = None
-    start_s: float = 0.0
-    duration_s: Optional[float] = None
-    factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        try:
-            self.build()
-        except ReproError as error:
-            raise SpecError(str(error)) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.FaultEvent`."""
-        from ..fleet import FaultEvent
-
-        return FaultEvent(
-            kind=self.fault,
-            replica=self.replica,
-            start_s=self.start_s,
-            duration_s=self.duration_s,
-            factor=self.factor,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "FaultEventSpec":
-        if isinstance(data, str):  # shorthand: kind[:replica]@start[+dur[xf]]
-            from ..fleet import FaultEvent
-
-            data = _shorthand(cls, FaultEvent.parse, data, path, fault="kind")
-        return super().from_dict(data, path)
-
-
-@register
-@dataclass(frozen=True)
-class FaultSpec(SpecBase):
-    """A fleet's fault schedule plus graceful-degradation knobs.
-
-    See :class:`~repro.fleet.FaultModel` for the semantics: explicit
-    ``events`` merge with an optional seeded random crash layer
-    (``crash_mtbf_s``/``crash_mttr_s`` over ``horizon_s``), and
-    ``shed_below``/``shed_keep`` configure load shedding while healthy
-    capacity is below the floor.
-    """
-
-    kind = "faults"
-
-    events: Tuple[FaultEventSpec, ...] = ()
-    crash_mtbf_s: Optional[float] = None
-    crash_mttr_s: float = 30.0
-    horizon_s: Optional[float] = None
-    seed: int = 0
-    shed_below: Optional[float] = None
-    shed_keep: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        try:
-            self.build()
-        except ReproError as error:
-            raise SpecError(str(error)) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.FaultModel`."""
-        from ..fleet import FaultModel
-
-        return FaultModel(
-            events=tuple(event.build() for event in self.events),
-            crash_mtbf_s=self.crash_mtbf_s,
-            crash_mttr_s=self.crash_mttr_s,
-            horizon_s=self.horizon_s,
-            seed=self.seed,
-            shed_below=self.shed_below,
-            shed_keep=self.shed_keep,
-        )
-
-
-@register
-@dataclass(frozen=True)
-class RetryPolicySpec(SpecBase):
-    """Failover policy of requests stranded by a crash.
-
-    Accepts the CLI shorthand as a bare string in documents:
-    ``[TIMEOUT][:RETRIES[:BACKOFF[:HEDGE]]]`` (see
-    :meth:`repro.fleet.RetryPolicy.parse`).
-    """
-
-    kind = "retry"
-
-    max_retries: int = 2
-    backoff_s: float = 0.0
-    backoff_multiplier: float = 2.0
-    timeout_s: Optional[float] = None
-    hedge_after_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        try:
-            self.build()
-        except ReproError as error:
-            raise SpecError(str(error)) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.fleet.RetryPolicy`."""
-        from ..fleet import RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            backoff_multiplier=self.backoff_multiplier,
-            timeout_s=self.timeout_s,
-            hedge_after_s=self.hedge_after_s,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "RetryPolicySpec":
-        if isinstance(data, str):  # shorthand: [timeout][:retries[:backoff[:hedge]]]
-            from ..fleet import RetryPolicy
-
-            data = _shorthand(cls, RetryPolicy.parse, data, path)
-        return super().from_dict(data, path)
+    return (FleetPlatform(),)
 
 
 @register
@@ -815,14 +546,14 @@ class FleetSpec(SpecBase):
 
     model: ModelSpec = ModelSpec()
     trace: TraceSpec = TraceSpec()
-    platforms: Tuple[FleetPlatformSpec, ...] = (FleetPlatformSpec(),)
+    platforms: Tuple[FleetPlatform, ...] = field(default_factory=_default_platforms)
     router: str = "round_robin"
     policy: str = "fifo"
     strategy: str = "paper"
-    classes: Tuple[SLOClassSpec, ...] = ()
-    autoscaler: Optional[AutoscalerSpec] = None
-    faults: Optional[FaultSpec] = None
-    retry: Optional[RetryPolicySpec] = None
+    classes: Tuple[SLOClass, ...] = ()
+    autoscaler: Optional[AutoscalerConfig] = None
+    faults: Optional[FaultModel] = None
+    retry: Optional[RetryPolicy] = None
     platform_from: Optional[str] = None
     seed: int = 0
     max_context: int = 1024
@@ -834,6 +565,7 @@ class FleetSpec(SpecBase):
         object.__setattr__(self, "classes", tuple(self.classes))
         if self.slo_targets is not None:
             object.__setattr__(self, "slo_targets", tuple(self.slo_targets))
+            _check_slo_targets(self)
         if not self.platforms:
             raise SpecError("a fleet needs at least one platform entry")
         if self.trace.source == "closed":
@@ -857,10 +589,14 @@ class FleetSpec(SpecBase):
             )
         if self.faults is not None:
             static = sum(platform.replicas for platform in self.platforms)
-            try:
-                self.faults.build().validate_replicas(static)
-            except ReproError as error:
-                raise SpecError(str(error)) from None
+            self.faults.validate_replicas(static)
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "$") -> "FleetSpec":
+        # Importing repro.fleet registers the kinds the fields name.
+        from .. import fleet  # noqa: F401
+
+        return super().from_dict(data, path)
 
     def validate(self, path: str = "$") -> None:
         from ..fleet import get_router
@@ -938,6 +674,9 @@ class AxisSpec(SpecBase):
                 object.__setattr__(
                     self, "levels", tuple(float(level) for level in self.levels)
                 )
+            require_finite(
+                f"float axis {self.name!r}: ", self, ("low", "high", "levels")
+            )
             if self.choices is not None:
                 raise SpecError(
                     f"float axis {self.name!r} takes 'low'/'high'/'levels' only"
@@ -1006,46 +745,6 @@ class SpaceSpec(SpecBase):
 
 @register
 @dataclass(frozen=True)
-class ScenarioSpec(SpecBase):
-    """The fixed serving scenario behind serving-level tune objectives."""
-
-    kind = "serving_scenario"
-
-    rate_rps: float = 2.0
-    duration_s: float = 20.0
-    policy: str = "fifo"
-    seed: int = 0
-    ttft_slo_s: float = 1.0
-    max_context: int = 1024
-
-    def validate(self, path: str = "$") -> None:
-        from ..serving.policies import get_policy
-
-        try:
-            get_policy(self.policy)
-        except ReproError as error:
-            raise _wrap(f"{path}.policy", error) from None
-        try:
-            self.build()
-        except ReproError as error:
-            raise _wrap(path, error) from None
-
-    def build(self):
-        """Build the concrete :class:`~repro.dse.engine.ServingScenario`."""
-        from ..dse.engine import ServingScenario
-
-        return ServingScenario(
-            rate_rps=self.rate_rps,
-            duration_s=self.duration_s,
-            policy=self.policy,
-            seed=self.seed,
-            ttft_slo_s=self.ttft_slo_s,
-            max_context=self.max_context,
-        )
-
-
-@register
-@dataclass(frozen=True)
 class TuneSpec(SpecBase):
     """One ``Session.tune`` invocation as data.
 
@@ -1063,7 +762,7 @@ class TuneSpec(SpecBase):
     seed: int = 0
     objectives: Tuple[str, ...] = ("latency", "energy")
     constraints: Tuple[str, ...] = ()
-    serving: Optional[ScenarioSpec] = None
+    serving: Optional[ServingScenario] = None
     chips_from: Optional[str] = None
     prefetch: str = "hidden"
     parallel: Optional[int] = None
@@ -1320,10 +1019,10 @@ def spec_from_dict(data: Any, path: str = "$") -> SpecBase:
     if kind is None:
         raise spec_error(path, "missing the 'kind' tag")
     if isinstance(kind, str) and kind not in _KINDS:
-        # Architecture specs live in repro.arch (which registers its kinds
-        # on import); load it lazily so documents decode without callers
-        # importing the package first.
-        from .. import arch  # noqa: F401
+        # Architecture and fleet specs live in repro.arch and repro.fleet
+        # (which register their kinds on import); load them lazily so
+        # documents decode without callers importing the packages first.
+        from .. import arch, fleet  # noqa: F401
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise spec_error(

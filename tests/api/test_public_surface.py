@@ -3,8 +3,9 @@
 :class:`~repro.api.EvalResult` is the one result schema; the legacy
 result types, their converters and the seed's shims were removed.
 :func:`repro.sim.simulate_block` is the one block simulator; the event
-engine moved to the tests as their oracle (see the removal table in
-``docs/API.md``).
+engine moved to the tests as their oracle.  Each fleet and DSE setting is
+one type: the runtime class is its own spec kind, and the ``*Spec``
+mirrors are gone (see the removal table in ``docs/API.md``).
 """
 
 from __future__ import annotations
@@ -12,17 +13,34 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.sim.fastpath
 from repro.api import EvalResult, EvalSweep
+from repro.dse import ServingScenario
+from repro.fleet import (
+    AutoscalerConfig,
+    FaultEvent,
+    FaultModel,
+    FleetPlatform,
+    RetryPolicy,
+    SLOClass,
+)
+from repro.spec import spec_from_dict
 
 PUBLIC_MODULES = (
     "repro",
     "repro.api",
     "repro.analysis",
     "repro.baselines",
+    "repro.dse",
+    "repro.fleet",
     "repro.sim",
     "repro.spec",
 )
@@ -51,8 +69,29 @@ REMOVED_NAMES = {
         "Timeout",
         "simulate_block_fast",
     ),
-    "repro.spec": ("study_description",),
+    "repro.spec": (
+        "AutoscalerSpec",
+        "FaultEventSpec",
+        "FaultSpec",
+        "FleetPlatformSpec",
+        "RetryPolicySpec",
+        "SLOClassSpec",
+        "ScenarioSpec",
+        "study_description",
+    ),
 }
+
+#: Minimal valid document of each merged kind -> the runtime class it
+#: decodes to.
+MERGED_KINDS = (
+    ({"kind": "fleet_platform"}, FleetPlatform),
+    ({"kind": "slo_class"}, SLOClass),
+    ({"kind": "autoscaler"}, AutoscalerConfig),
+    ({"kind": "fault_event", "replica": 0}, FaultEvent),
+    ({"kind": "faults"}, FaultModel),
+    ({"kind": "retry"}, RetryPolicy),
+    ({"kind": "serving_scenario"}, ServingScenario),
+)
 
 REMOVED_MODULES = (
     "repro.analysis.sweep",
@@ -89,3 +128,44 @@ def test_simulate_block_has_one_engine():
     parameters = inspect.signature(repro.sim.simulate_block).parameters
     assert list(parameters) == ["program", "record_events"]
     assert parameters["record_events"].default is False
+
+
+@pytest.mark.parametrize(
+    "document, cls", MERGED_KINDS, ids=[doc["kind"] for doc, _ in MERGED_KINDS]
+)
+def test_each_fleet_and_dse_kind_decodes_to_its_runtime_class(document, cls):
+    spec = spec_from_dict(document)
+    assert type(spec) is cls
+    assert cls.kind == document["kind"]
+    assert not hasattr(cls, "build")
+
+
+def test_fault_event_names_its_fault_and_keeps_kind_as_the_tag():
+    event = FaultEvent.parse("crash:0@1")
+    assert event.fault == "crash"
+    assert event.kind == "fault_event"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sys, repro\n"
+        "loaded = {'repro.fleet', 'repro.serving'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n",
+        "import repro.fleet\n",
+        "import repro.dse\n",
+    ],
+    ids=["repro-leaves-fleet-and-serving-out", "fleet-first", "dse-first"],
+)
+def test_fresh_import_graph(code):
+    # `import repro` must not pay for the fleet and serving layers, and
+    # each layer that names spec kinds must import cleanly on its own.
+    source = pathlib.Path(repro.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -37,14 +37,8 @@ import json
 import pathlib
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.spec import (
-    FaultEventSpec,
-    FleetPlatformSpec,
-    ModelSpec,
-    PlatformSpec,
-    RetryPolicySpec,
-    spec_from_dict,
-)
+from repro.fleet import FaultEvent, FleetPlatform, RetryPolicy
+from repro.spec import ModelSpec, PlatformSpec, spec_from_dict
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "spec_error_golden.json"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -219,16 +213,16 @@ SEARCH_STATE: Dict[str, Any] = {
 SHORTHANDS = (
     (ModelSpec, ("mobilebert", "")),
     (PlatformSpec, ("siracusa-fast-link", "")),
-    (FleetPlatformSpec, (
+    (FleetPlatform, (
         "siracusa-mipi", "siracusa-mipi:8x2@decode", ":8", "siracusa-mipi:x",
         "siracusa-mipi:0", "siracusa-mipi:8x0", "siracusa-mipi@nowhere",
     )),
-    (FaultEventSpec, (
+    (FaultEvent, (
         "crash:0@120+180", "slow:1@90+60x4", "brownout@420+60x2", "crash:0",
         "melt:0@1", "brownout:1@5+1x2", "crash:x@1", "slow:0@1+2xq",
         "crash:0@-5",
     )),
-    (RetryPolicySpec, (
+    (RetryPolicy, (
         "30:3:0.5:2", ":3", "", "1:2:3:4:5", "x", "30:-1", "::-1",
     )),
 )

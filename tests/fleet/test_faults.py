@@ -76,7 +76,7 @@ def conserve(result):
 class TestFaultEventParsing:
     def test_crash_forms(self):
         permanent = FaultEvent.parse("crash:2@10")
-        assert permanent == FaultEvent(kind="crash", replica=2, start_s=10.0)
+        assert permanent == FaultEvent(fault="crash", replica=2, start_s=10.0)
         assert permanent.end_s is None
         window = FaultEvent.parse("crash:0@5+30")
         assert window.duration_s == 30.0
@@ -85,11 +85,11 @@ class TestFaultEventParsing:
     def test_slowdown_and_brownout_forms(self):
         slow = FaultEvent.parse("slow:1@10+20x3")
         assert slow == FaultEvent(
-            kind="slowdown", replica=1, start_s=10.0, duration_s=20.0,
+            fault="slowdown", replica=1, start_s=10.0, duration_s=20.0,
             factor=3.0,
         )
         brown = FaultEvent.parse("brownout@50+5x1.5")
-        assert brown.kind == "brownout"
+        assert brown.fault == "brownout"
         assert brown.replica is None
         assert brown.factor == 1.5
 
@@ -119,7 +119,7 @@ class TestFaultEventParsing:
     def test_non_finite_values_are_rejected(self, field, value):
         # nan < 0 is false, so only an explicit finiteness check stops
         # these before they reach the fleet's event heap.
-        fields = dict(kind="slowdown", replica=0, start_s=1.0,
+        fields = dict(fault="slowdown", replica=0, start_s=1.0,
                       duration_s=2.0, factor=2.0)
         fields[field] = value
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):

@@ -115,18 +115,17 @@ class TestServeFleetEndToEnd:
 
 class TestSpecParity:
     def test_spec_and_imperative_calls_match(self, session):
-        from repro.spec import FleetPlatformSpec, FleetSpec, TraceSpec
+        from repro.fleet import FleetPlatform
+        from repro.spec import FleetSpec, TraceSpec
 
         spec = FleetSpec(
             trace=TraceSpec(source="poisson", rate_rps=2.0, duration_s=30.0,
                             prompt_mean=30.0, output_mean=8.0,
                             prompt_max=64, output_max=16),
-            platforms=(FleetPlatformSpec(replicas=2),),
+            platforms=(FleetPlatform(replicas=2),),
             router="least_loaded",
             seed=0,
         )
-        from repro.fleet import FleetPlatform
-
         declarative = session.serve_fleet(spec)
         imperative = session.serve_fleet(
             tinyllama_42m(),
@@ -140,8 +139,8 @@ class TestSpecParity:
     def test_fleet_study_stage_writes_the_identical_artifact(
         self, session, tmp_path
     ):
+        from repro.fleet import FleetPlatform
         from repro.spec import (
-            FleetPlatformSpec,
             FleetSpec,
             StageSpec,
             StudySpec,
@@ -152,7 +151,7 @@ class TestSpecParity:
             trace=TraceSpec(source="diurnal", rate_rps=2.0, duration_s=60.0,
                             period_s=60.0, prompt_mean=30.0, output_mean=8.0,
                             prompt_max=64, output_max=16),
-            platforms=(FleetPlatformSpec(chips=8),),
+            platforms=(FleetPlatform(chips=8),),
             router="round_robin",
             seed=0,
         )

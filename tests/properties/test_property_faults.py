@@ -100,14 +100,14 @@ def fault_models(draw, replicas):
                                   allow_nan=False, allow_infinity=False))
         if kind == "crash":
             events.append(FaultEvent(
-                kind="crash",
+                fault="crash",
                 replica=draw(st.integers(0, replicas - 1)),
                 start_s=start,
                 duration_s=draw(st.one_of(st.none(), st.just(duration))),
             ))
         elif kind == "slowdown":
             events.append(FaultEvent(
-                kind="slowdown",
+                fault="slowdown",
                 replica=draw(st.integers(0, replicas - 1)),
                 start_s=start,
                 duration_s=duration,
@@ -115,7 +115,7 @@ def fault_models(draw, replicas):
             ))
         else:
             events.append(FaultEvent(
-                kind="brownout",
+                fault="brownout",
                 start_s=start,
                 duration_s=duration,
                 factor=draw(st.floats(min_value=1.5, max_value=4.0)),

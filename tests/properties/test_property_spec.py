@@ -21,25 +21,27 @@ import json
 from hypothesis import given, settings, strategies as st
 from test_property_arch import arch_specs, block_groups
 
+from repro.dse import ServingScenario
 from repro.dse.space import SearchSpace
 from repro.errors import SpecError
+from repro.fleet import (
+    AutoscalerConfig,
+    FaultEvent,
+    FaultModel,
+    FleetPlatform,
+    RetryPolicy,
+    SLOClass,
+)
 from repro.graph.workload import Workload
 from repro.hw.platform import MultiChipPlatform
 from repro.serving.traces import TrafficTrace
 from repro.spec import (
-    AutoscalerSpec,
     AxisSpec,
     CompareSpec,
     EvalSpec,
-    FaultEventSpec,
-    FaultSpec,
-    FleetPlatformSpec,
     FleetSpec,
     ModelSpec,
     PlatformSpec,
-    RetryPolicySpec,
-    SLOClassSpec,
-    ScenarioSpec,
     SearchStateSpec,
     ServingSpec,
     SpaceSpec,
@@ -230,7 +232,7 @@ def tune_specs():
         serving=st.one_of(
             st.none(),
             st.builds(
-                ScenarioSpec,
+                ServingScenario,
                 rate_rps=st.floats(min_value=0.5, max_value=4.0),
                 duration_s=st.floats(min_value=1.0, max_value=30.0),
                 seed=st.integers(min_value=0, max_value=10),
@@ -269,7 +271,7 @@ ROLES = ("any", "prefill", "decode")
 
 def fleet_platform_specs():
     return st.builds(
-        FleetPlatformSpec,
+        FleetPlatform,
         preset=st.sampled_from(PRESETS),
         chips=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
         replicas=st.integers(min_value=1, max_value=3),
@@ -280,7 +282,7 @@ def fleet_platform_specs():
 def slo_class_specs():
     positive = st.floats(min_value=0.01, max_value=100.0)
     return st.builds(
-        SLOClassSpec,
+        SLOClass,
         name=st.sampled_from(["default", "interactive", "batch", "bulk"]),
         rate_rps=st.one_of(st.none(), positive),
         burst=st.integers(min_value=1, max_value=16),
@@ -293,7 +295,7 @@ def slo_class_specs():
 @st.composite
 def autoscaler_specs(draw):
     scale_down = draw(st.floats(min_value=0.0, max_value=2.0))
-    return AutoscalerSpec(
+    return AutoscalerConfig(
         preset=draw(st.sampled_from(PRESETS)),
         chips=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8))),
         max_extra=draw(st.integers(min_value=1, max_value=6)),
@@ -318,14 +320,14 @@ def fault_event_specs(replicas: int = 4):
     replica = st.integers(min_value=0, max_value=replicas - 1)
     return st.one_of(
         st.builds(
-            FaultEventSpec,
+            FaultEvent,
             fault=st.just("crash"),
             replica=replica,
             start_s=FAULT_TIMES,
             duration_s=st.one_of(st.none(), FAULT_DURATIONS),
         ),
         st.builds(
-            FaultEventSpec,
+            FaultEvent,
             fault=st.just("slowdown"),
             replica=replica,
             start_s=FAULT_TIMES,
@@ -333,7 +335,7 @@ def fault_event_specs(replicas: int = 4):
             factor=FAULT_FACTORS,
         ),
         st.builds(
-            FaultEventSpec,
+            FaultEvent,
             fault=st.just("brownout"),
             start_s=FAULT_TIMES,
             duration_s=FAULT_DURATIONS,
@@ -346,7 +348,7 @@ def fault_event_specs(replicas: int = 4):
 def fault_specs(draw, replicas: int = 4):
     mtbf = draw(st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e6)))
     horizon = draw(st.floats(min_value=1.0, max_value=1e5))
-    return FaultSpec(
+    return FaultModel(
         events=draw(st.lists(fault_event_specs(replicas), max_size=3).map(tuple)),
         crash_mtbf_s=mtbf,
         crash_mttr_s=draw(st.floats(min_value=0.1, max_value=600.0)),
@@ -364,7 +366,7 @@ def fault_specs(draw, replicas: int = 4):
 def retry_specs():
     positive = st.floats(min_value=0.01, max_value=600.0)
     return st.builds(
-        RetryPolicySpec,
+        RetryPolicy,
         max_retries=st.integers(min_value=0, max_value=5),
         backoff_s=st.floats(min_value=0.0, max_value=10.0),
         backoff_multiplier=st.floats(min_value=1.0, max_value=4.0),
@@ -500,7 +502,7 @@ KIND_STRATEGIES = {
         ).map(tuple),
     ),
     "serving_scenario": st.builds(
-        ScenarioSpec,
+        ServingScenario,
         rate_rps=st.floats(min_value=0.5, max_value=4.0),
         duration_s=st.floats(min_value=1.0, max_value=30.0),
         seed=st.integers(min_value=0, max_value=10),
@@ -559,7 +561,7 @@ def _build_everything(spec) -> None:
         assert isinstance(space.build(), SearchSpace)
     serving = getattr(spec, "serving", None)
     if serving is not None:
-        serving.build()
+        assert isinstance(serving.trace(), TrafficTrace)
 
 
 def test_every_registered_kind_has_a_strategy():
@@ -619,15 +621,15 @@ def _retry_text(spec):
 @given(
     case=st.one_of(
         st.tuples(
-            st.just(FleetPlatformSpec),
+            st.just(FleetPlatform),
             # The shorthand states a replica count only after a chip count.
             fleet_platform_specs().filter(
                 lambda spec: spec.chips is not None or spec.replicas == 1
             ),
         ),
-        st.tuples(st.just(FaultEventSpec), fault_event_specs()),
+        st.tuples(st.just(FaultEvent), fault_event_specs()),
         st.tuples(
-            st.just(RetryPolicySpec),
+            st.just(RetryPolicy),
             retry_specs().map(
                 lambda spec: dataclasses.replace(spec, backoff_multiplier=2.0)
             ),
@@ -638,9 +640,9 @@ def test_shorthand_string_decodes_equal_to_its_mapping(case):
     """A bare shorthand string decodes to the spec its mapping form gives."""
     cls, spec = case
     render = {
-        FleetPlatformSpec: _fleet_platform_text,
-        FaultEventSpec: _fault_event_text,
-        RetryPolicySpec: _retry_text,
+        FleetPlatform: _fleet_platform_text,
+        FaultEvent: _fault_event_text,
+        RetryPolicy: _retry_text,
     }[cls]
     from_text = cls.from_dict(render(spec), "$")
     assert from_text == cls.from_dict(spec.to_dict(), "$") == spec

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from repro.dse import ServingScenario
 from repro.errors import SpecError
 from repro.spec import (
     SPEC_SCHEMA_VERSION,
@@ -15,7 +16,6 @@ from repro.spec import (
     EvalSpec,
     ModelSpec,
     PlatformSpec,
-    ScenarioSpec,
     ServingSpec,
     SpaceSpec,
     StageSpec,
@@ -69,7 +69,7 @@ class TestRoundTrip:
             CompareSpec(),
             TraceSpec(),
             ServingSpec(),
-            ScenarioSpec(),
+            ServingScenario(),
             TuneSpec(),
         ):
             roundtrip(spec)
@@ -167,7 +167,7 @@ class TestBuild:
         assert isinstance(TraceSpec(source="closed").build(), ClosedLoopTrace)
 
     def test_scenario_build(self):
-        scenario = ScenarioSpec(rate_rps=1.5, ttft_slo_s=0.5).build()
+        scenario = ServingScenario(rate_rps=1.5, ttft_slo_s=0.5)
         assert scenario.rate_rps == 1.5
         assert scenario.ttft_slo_s == 0.5
 

@@ -772,6 +772,34 @@ class TestEmitSpec:
             "headline",
         )
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ("fleet --class a:nan", "rate_rps must be finite"),
+            ("fleet --class a:1e400", "rate_rps must be finite"),
+            ("fleet --class a:1:1:nan:inf", "ttft_slo_s must be finite"),
+            ("fleet --retry nan", "timeout_s must be finite"),
+            ("fleet --retry inf:1:inf:inf", "must be finite"),
+            ("fleet --slo-ttft nan", "slo_targets must be finite"),
+            ("serve --slo-ttft -1", "slo_targets must be positive"),
+            ("fleet --autoscale --autoscale-interval nan",
+             "check_interval_s must be finite"),
+            ("fleet --autoscale --autoscale-slo inf", "ttft_slo_s must be finite"),
+            ("fleet --arrival-rate 1e400", "rate_rps must be finite"),
+            ("fleet --duration inf", "duration_s must be finite"),
+            ("serve --duration inf", "duration_s must be finite"),
+            ("serve --trace closed --think-time nan", "mean_think_s must be finite"),
+            ("fleet --trace diurnal --period inf", "period_s must be finite"),
+            ("fleet --trace diurnal --spike-start nan",
+             "spike_starts_s must be finite"),
+            ("tune --link-gbps nan", "must be finite"),
+        ],
+    )
+    def test_non_finite_or_negative_values_are_rejected(self, capsys, argv, needle):
+        # Each of these once printed NaN, Infinity or a negative target
+        # into the emitted spec (or ran without end) instead of failing.
+        expect_cli_error(capsys, argv.split() + ["--emit-spec"], needle)
+
 
 class TestStudyCommands:
     def test_studies_lists_the_shipped_registry(self, capsys):
