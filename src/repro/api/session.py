@@ -363,6 +363,11 @@ def _evaluate_chunk(payloads):
 class Session:
     """Evaluates registered partitioning strategies with memoisation.
 
+    Its methods take live objects (workloads, configs, traces, spaces);
+    a declarative :mod:`repro.spec` document runs on a session through
+    :func:`repro.spec.execute`, which resolves the spec and calls the
+    matching method here.
+
     Args:
         platform: Optional default platform; ``chips=`` arguments derive
             platforms from it via
@@ -544,37 +549,12 @@ class Session:
         canonical_name = get_strategy(strategy).name
         return content_hash(canonical_name, workload, platform, options)
 
-    @staticmethod
-    def _as_spec(value, spec_type, *, defaults_only: bool) -> Optional[object]:
-        """``value`` as a runnable spec of ``spec_type``, if it is one.
-
-        Each evaluating method accepts either today's imperative
-        arguments or one spec object in the leading position; mixing the
-        two is rejected so a spec stays the complete description of the
-        call.
-        """
-        from ..spec.specs import SpecBase
-
-        if not isinstance(value, SpecBase):
-            return None
-        if not isinstance(value, spec_type):
-            raise AnalysisError(
-                f"expected a {spec_type.__name__} (or imperative arguments), "
-                f"got a {type(value).__name__}"
-            )
-        if not defaults_only:
-            raise AnalysisError(
-                f"a {spec_type.__name__} is a complete description of the "
-                "call; pass either the spec or keyword arguments, not both"
-            )
-        return value
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def run(
         self,
-        workload: Union[Workload, "object"],
+        workload: Workload,
         strategy: str = PAPER_STRATEGY,
         *,
         chips: Optional[int] = None,
@@ -582,10 +562,6 @@ class Session:
         record_events: bool = False,
     ) -> EvalResult:
         """Evaluate one workload under one registered strategy.
-
-        The first argument may also be a :class:`repro.spec.EvalSpec`,
-        which fully describes the call (workload, platform preset,
-        strategy) and executes through the same memoised path.
 
         Results are memoised by content hash of (strategy, workload,
         platform, options): repeated calls with equal inputs return the
@@ -595,25 +571,6 @@ class Session:
         :class:`~repro.analysis.evaluate.ProgramMemo`), so points that
         differ only in clock or link are simulated but not rescheduled.
         """
-        # The isinstance gate keeps spec detection off the hot path:
-        # serving and DSE call run() thousands of times with a Workload.
-        if not isinstance(workload, Workload):
-            from ..spec.specs import EvalSpec
-
-            spec = self._as_spec(
-                workload,
-                EvalSpec,
-                defaults_only=(
-                    strategy == PAPER_STRATEGY
-                    and chips is None
-                    and platform is None
-                    and not record_events
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
         resolved = self.resolve_platform(chips, platform)
         options = self.options(record_events=record_events)
         impl = get_strategy(strategy)
@@ -640,19 +597,16 @@ class Session:
 
     def sweep(
         self,
-        workload: Union[Workload, "object"],
-        chips: Sequence[int] = (),
+        workload: Workload,
+        chips: Sequence[int],
         *,
         strategy: str = PAPER_STRATEGY,
         parallel: Optional[int] = None,
     ) -> EvalSweep:
         """Evaluate ``workload`` across several chip counts.
 
-        The first argument may also be a :class:`repro.spec.SweepSpec`
-        (with ``chips`` omitted), which fully describes the sweep.
-
         Args:
-            workload: The workload to sweep (or a sweep spec).
+            workload: The workload to sweep.
             chips: Chip counts, in presentation order.
             strategy: Any registered strategy name.
             parallel: Optional process-pool width; uncached points are
@@ -660,20 +614,6 @@ class Session:
                 Sessions with custom kernel or energy models stay serial
                 (the models may not survive pickling).
         """
-        if not isinstance(workload, Workload):
-            from ..spec.specs import SweepSpec
-
-            spec = self._as_spec(
-                workload,
-                SweepSpec,
-                defaults_only=(
-                    not chips and strategy == PAPER_STRATEGY and parallel is None
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
         if not chips:
             raise AnalysisError("chip_counts must not be empty")
         # Validate the chip counts before resolving the strategy so a bad
@@ -705,29 +645,10 @@ class Session:
     ) -> Comparison:
         """Evaluate several strategies on the same workload and platform.
 
-        The first argument may also be a :class:`repro.spec.CompareSpec`,
-        which fully describes the ablation.
-
         The default strategy list reproduces the seed's Table I ablation
         order: single chip, weight-replicated sequence parallelism,
         pipeline parallelism, then the paper's tensor-parallel scheme.
         """
-        if not isinstance(workload, Workload):
-            from ..spec.specs import CompareSpec
-
-            spec = self._as_spec(
-                workload,
-                CompareSpec,
-                defaults_only=(
-                    chips is None
-                    and platform is None
-                    and tuple(strategies) == tuple(BASELINE_STRATEGIES)
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
         if not strategies:
             raise AnalysisError("compare needs at least one strategy")
         resolved = self.resolve_platform(chips, platform)
@@ -742,8 +663,8 @@ class Session:
 
     def serve(
         self,
-        config,
-        trace=None,
+        config: TransformerConfig,
+        trace,
         *,
         policy: str = "fifo",
         strategy: str = PAPER_STRATEGY,
@@ -754,9 +675,6 @@ class Session:
         slo_targets: Optional[Sequence[float]] = None,
     ):
         """Simulate request-level serving of ``config`` under a traffic trace.
-
-        The first argument may also be a :class:`repro.spec.ServingSpec`
-        (with ``trace`` omitted), which fully describes the simulation.
 
         Materialises the trace deterministically from ``seed``, serves it
         with the named scheduling policy on a
@@ -779,32 +697,6 @@ class Session:
             slo_targets: TTFT targets of the SLO-attainment curve
                 (defaults to the serving package's standard grid).
         """
-        if not isinstance(config, TransformerConfig):
-            from ..spec.specs import ServingSpec
-
-            spec = self._as_spec(
-                config,
-                ServingSpec,
-                defaults_only=(
-                    trace is None
-                    and policy == "fifo"
-                    and strategy == PAPER_STRATEGY
-                    and chips is None
-                    and platform is None
-                    and seed == 0
-                    and max_context == 1024
-                    and slo_targets is None
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
-        if trace is None:
-            raise AnalysisError(
-                "serve needs a traffic trace (or a ServingSpec as the "
-                "single argument)"
-            )
         from ..serving.costs import RequestCostModel
         from ..serving.metrics import (
             DEFAULT_SLO_TTFT_TARGETS_S,
@@ -858,8 +750,8 @@ class Session:
 
     def serve_fleet(
         self,
-        config,
-        trace=None,
+        config: TransformerConfig,
+        trace,
         *,
         platforms: Optional[Sequence] = None,
         router: str = "round_robin",
@@ -877,10 +769,6 @@ class Session:
         retry=None,
     ):
         """Simulate a fleet of heterogeneous platforms serving one trace.
-
-        The first argument may also be a :class:`repro.spec.FleetSpec`
-        (with ``trace`` omitted), which fully describes the simulation
-        and produces the byte-identical report.
 
         Every fleet platform is a replica of a registered hardware preset
         backed by this session's memoised block evaluations (replicas of
@@ -927,39 +815,6 @@ class Session:
                 failover of requests stranded by a crash (bounded
                 retries, deterministic backoff, timeouts, hedging).
         """
-        if not isinstance(config, TransformerConfig):
-            from ..spec.specs import FleetSpec
-
-            spec = self._as_spec(
-                config,
-                FleetSpec,
-                defaults_only=(
-                    trace is None
-                    and platforms is None
-                    and router == "round_robin"
-                    and policy == "fifo"
-                    and strategy == PAPER_STRATEGY
-                    and not tuple(classes)
-                    and autoscaler is None
-                    and platform is None
-                    and seed == 0
-                    and max_context == 1024
-                    and slo_targets is None
-                    and record_threshold is None
-                    and timeline_window_s == 60.0
-                    and faults is None
-                    and retry is None
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
-        if trace is None:
-            raise AnalysisError(
-                "serve_fleet needs a traffic trace (or a FleetSpec as the "
-                "single argument)"
-            )
         from ..fleet import (
             DEFAULT_RECORD_THRESHOLD,
             AdmissionController,
@@ -1061,7 +916,7 @@ class Session:
 
     def tune(
         self,
-        workload: Union[Workload, "object"],
+        workload: Workload,
         space=None,
         *,
         searcher: str = "random",
@@ -1076,9 +931,6 @@ class Session:
         resume=None,
     ):
         """Search a platform/partition design space for ``workload``.
-
-        The first argument may also be a :class:`repro.spec.TuneSpec`,
-        which fully describes the search (space included).
 
         Drives a registered search algorithm over a
         :class:`~repro.dse.space.SearchSpace` (the standard platform
@@ -1121,30 +973,6 @@ class Session:
                 uninterrupted one, and checkpointed points are never
                 re-paid.
         """
-        if not isinstance(workload, Workload):
-            from ..spec.specs import TuneSpec
-
-            spec = self._as_spec(
-                workload,
-                TuneSpec,
-                defaults_only=(
-                    space is None
-                    and searcher == "random"
-                    and budget == 24
-                    and seed == 0
-                    and tuple(objectives) == ("latency", "energy")
-                    and not tuple(constraints)
-                    and serving is None
-                    and parallel is None
-                    and checkpoint is None
-                    and checkpoint_every is None
-                    and resume is None
-                ),
-            )
-            if spec is not None:
-                from ..spec.runner import execute
-
-                return execute(self, spec)
         from ..dse.engine import run_tune
 
         return run_tune(

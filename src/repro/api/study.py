@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -255,21 +255,20 @@ class Study:
         outcomes: Dict[str, StageOutcome] = {}
         ordered = []
         for stage in self.spec.stages:
+            spec = stage.spec
             overrides: Dict[str, Any] = {}
-            if stage.spec.kind == "tune":
+            if spec.kind == "tune":
                 if parallel is not None:
-                    overrides["parallel"] = parallel
+                    spec = replace(spec, parallel=parallel)
                 if (
                     resolved_dir is not None
-                    and stage.spec.checkpoint_every is not None
+                    and spec.checkpoint_every is not None
                 ):
                     checkpoint = resolved_dir / f"{stage.name}.checkpoint.json"
                     overrides["checkpoint"] = str(checkpoint)
                     if checkpoint.exists():
                         overrides["resume"] = str(checkpoint)
-            result = execute(
-                self.session, stage.spec, stages=outcomes, **overrides
-            )
+            result = execute(self.session, spec, stages=outcomes, **overrides)
             outcome = StageOutcome(
                 name=stage.name,
                 kind=stage.spec.kind,

@@ -26,7 +26,9 @@ without writing any Python:
 * ``study``       — run, validate, or scaffold declarative study specs,
 * ``studies``     — list the shipped (and registered) example studies.
 
-Every evaluating command runs through :class:`repro.api.Session`, so any
+Each evaluating command builds a :mod:`repro.spec` document from its
+flags and runs it with :func:`repro.spec.execute` on a
+:class:`repro.api.Session` — the path ``repro study run`` takes — so any
 strategy added with :func:`repro.api.register_strategy` (or scheduling
 policy added with :func:`repro.serving.register_policy`, fleet router
 added with :func:`repro.fleet.register_router`, search algorithm
@@ -61,7 +63,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .analysis import figures
 from .analysis.export import (
@@ -75,10 +77,11 @@ from .analysis.export import (
 )
 from .analysis.tables import energy_runtime_table, format_table, runtime_breakdown_table
 from .api.registry import get_strategy, list_strategies
-from .api.session import EvalSweep, Session
+from .api.result import EvalResult
+from .api.session import CacheInfo, EvalSweep, Session
 from .api.strategies import BASELINE_STRATEGIES, PAPER_STRATEGY
 from .core.placement import PrefetchAccounting
-from .errors import AnalysisError, ReproError
+from .errors import AnalysisError, ConfigurationError, ReproError
 from .graph.transformer import InferenceMode
 from .models.registry import get_model, list_models
 from .spec import (
@@ -92,6 +95,7 @@ from .spec import (
     TraceSpec,
     TuneSpec,
     WorkloadSpec,
+    execute,
     get_study,
     list_studies,
 )
@@ -99,7 +103,11 @@ from .units import format_bytes, format_energy, format_time
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for the ``repro`` CLI."""
+    """Construct the argument parser for the ``repro`` CLI.
+
+    Each subcommand's parser sets ``args.handler``, the function that
+    turns its parsed arguments into the lines printed on stdout.
+    """
     from . import __version__
 
     parser = argparse.ArgumentParser(
@@ -118,8 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_arguments(parser, suppress=False)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    models_parser = subparsers.add_parser(
-        "models", help="list registered model configurations"
+    def command(name, handler, summary, **kwargs) -> argparse.ArgumentParser:
+        subparser = subparsers.add_parser(name, help=summary, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    models_parser = command(
+        "models", _command_models, "list registered model configurations"
     )
     models_parser.add_argument(
         "names",
@@ -133,29 +146,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit machine-readable JSON instead of the table",
     )
 
-    subparsers.add_parser(
-        "strategies", help="list registered partitioning strategies"
+    command(
+        "strategies", _command_strategies, "list registered partitioning strategies"
     )
-
-    subparsers.add_parser(
-        "policies", help="list registered serving scheduler policies"
+    command("policies", _command_policies, "list registered serving scheduler policies")
+    command("routers", _command_routers, "list registered fleet routing policies")
+    command(
+        "platforms", _command_platforms, "list registered hardware platform presets"
     )
-
-    subparsers.add_parser(
-        "routers", help="list registered fleet routing policies"
-    )
-
-    subparsers.add_parser(
-        "platforms", help="list registered hardware platform presets"
-    )
-
-    subparsers.add_parser(
+    command(
         "searchers",
-        help="list registered design-space searchers and objectives",
+        _command_searchers,
+        "list registered design-space searchers and objectives",
     )
 
-    evaluate = subparsers.add_parser(
-        "evaluate", help="evaluate one Transformer block on a chip count"
+    evaluate = command(
+        "evaluate", _command_evaluate, "evaluate one Transformer block on a chip count"
     )
     _add_workload_arguments(evaluate)
     _add_strategy_argument(evaluate)
@@ -164,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(evaluate)
 
-    sweep = subparsers.add_parser(
-        "sweep", help="run a chip-count sweep and print the figure tables"
+    sweep = command(
+        "sweep", _command_sweep, "run a chip-count sweep and print the figure tables"
     )
     _add_workload_arguments(sweep)
     _add_strategy_argument(sweep)
@@ -191,8 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(sweep)
 
-    compare = subparsers.add_parser(
-        "compare", help="strategy ablation on one chip count (Table I style)"
+    compare = command(
+        "compare",
+        _command_compare,
+        "strategy ablation on one chip count (Table I style)",
     )
     _add_workload_arguments(compare)
     compare.add_argument(
@@ -210,15 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(compare)
 
-    serve = subparsers.add_parser(
+    serve = command(
         "serve",
-        help="request-level serving simulation (queueing + tail latency)",
+        _command_serve,
+        "request-level serving simulation (queueing + tail latency)",
     )
-    serve.add_argument(
-        "--model",
-        default="tinyllama-42m",
-        help="registered model name (see `repro models`)",
-    )
+    _add_shared_flags(serve, "--model")
     serve.add_argument(
         "--chips", type=int, default=8, help="number of chips (default: 8)"
     )
@@ -235,27 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="poisson",
         help="synthetic traffic generator (default: poisson)",
     )
-    serve.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=2.0,
-        metavar="RPS",
-        help="mean arrival rate in requests/s (default: 2)",
-    )
-    serve.add_argument(
-        "--burst-rate",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="burst-state arrival rate for --trace bursty (default: 4x base)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="arrival horizon in seconds (default: 300)",
-    )
+    _add_shared_flags(serve, "--arrival-rate", "--burst-rate", "--duration")
     serve.add_argument(
         "--clients",
         type=int,
@@ -275,55 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="mean closed-loop think time in seconds (default: 1)",
     )
-    serve.add_argument(
+    _add_shared_flags(
+        serve,
         "--prompt-mean",
-        type=float,
-        default=64.0,
-        help="mean prompt length in tokens (default: 64)",
-    )
-    serve.add_argument(
         "--output-mean",
-        type=float,
-        default=32.0,
-        help="mean reply length in tokens (default: 32)",
-    )
-    serve.add_argument(
         "--prompt-max",
-        type=int,
-        default=256,
-        help="largest sampled prompt length (default: 256)",
-    )
-    serve.add_argument(
         "--output-max",
-        type=int,
-        default=128,
-        help="largest sampled reply length (default: 128)",
-    )
-    serve.add_argument(
         "--priority-levels",
-        type=int,
-        default=1,
-        help="uniform priority classes assigned by the trace (default: 1)",
-    )
-    serve.add_argument(
         "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "trace seed; equal seeds give byte-identical output "
-            "(default: 0; meaningless with --replay)"
-        ),
-    )
-    serve.add_argument(
         "--replay",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "replay a recorded JSON trace verbatim instead of generating "
-            "one (the generator flags and --seed do not apply)"
-        ),
     )
     serve.add_argument(
         "--save-trace",
@@ -332,19 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the materialised trace as replayable JSON",
     )
-    serve.add_argument(
-        "--slo-ttft",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="S",
-        help="TTFT targets of the SLO-attainment curve (default: standard grid)",
-    )
+    _add_shared_flags(serve, "--slo-ttft")
     _add_json_argument(serve)
 
-    fleet = subparsers.add_parser(
+    fleet = command(
         "fleet",
-        help="fleet-level serving across heterogeneous platform replicas",
+        _command_fleet,
+        "fleet-level serving across heterogeneous platform replicas",
         description=(
             "Simulate a fleet of serving platforms behind a routing policy: "
             "heterogeneous replica pools (repeat --platform), multi-tenant "
@@ -352,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
             "autoscaler (--autoscale)."
         ),
     )
-    fleet.add_argument(
-        "--model",
-        default="tinyllama-42m",
-        help="registered model name (see `repro models`)",
-    )
+    _add_shared_flags(fleet, "--model")
     fleet.add_argument(
         "--platform",
         action="append",
@@ -396,27 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             "day-long sinusoidal rate with optional spikes)"
         ),
     )
-    fleet.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=2.0,
-        metavar="RPS",
-        help="mean arrival rate in requests/s (default: 2)",
-    )
-    fleet.add_argument(
-        "--burst-rate",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="burst-state arrival rate for --trace bursty (default: 4x base)",
-    )
-    fleet.add_argument(
-        "--duration",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="arrival horizon in seconds (default: 300)",
-    )
+    _add_shared_flags(fleet, "--arrival-rate", "--burst-rate", "--duration")
     fleet.add_argument(
         "--amplitude",
         type=float,
@@ -459,35 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RPS",
         help="extra arrival rate inside a spike (default: 2x base rate)",
     )
-    fleet.add_argument(
+    _add_shared_flags(
+        fleet,
         "--prompt-mean",
-        type=float,
-        default=64.0,
-        help="mean prompt length in tokens (default: 64)",
-    )
-    fleet.add_argument(
         "--output-mean",
-        type=float,
-        default=32.0,
-        help="mean reply length in tokens (default: 32)",
-    )
-    fleet.add_argument(
         "--prompt-max",
-        type=int,
-        default=256,
-        help="largest sampled prompt length (default: 256)",
-    )
-    fleet.add_argument(
         "--output-max",
-        type=int,
-        default=128,
-        help="largest sampled reply length (default: 128)",
-    )
-    fleet.add_argument(
         "--priority-levels",
-        type=int,
-        default=1,
-        help="uniform priority classes assigned by the trace (default: 1)",
     )
     fleet.add_argument(
         "--class",
@@ -589,26 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: 1)"
         ),
     )
-    fleet.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "trace seed; equal seeds give byte-identical output "
-            "(default: 0; meaningless with --replay)"
-        ),
-    )
-    fleet.add_argument(
-        "--replay",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "replay a recorded JSON trace verbatim instead of generating "
-            "one (the generator flags and --seed do not apply)"
-        ),
-    )
+    _add_shared_flags(fleet, "--seed", "--replay")
     fleet.add_argument(
         "--max-context",
         type=int,
@@ -616,14 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TOKENS",
         help="serving context window of every replica (default: 1024)",
     )
-    fleet.add_argument(
-        "--slo-ttft",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="S",
-        help="TTFT targets of the SLO-attainment curve (default: standard grid)",
-    )
+    _add_shared_flags(fleet, "--slo-ttft")
     fleet.add_argument(
         "--record-threshold",
         type=int,
@@ -636,9 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(fleet)
 
-    tune = subparsers.add_parser(
+    tune = command(
         "tune",
-        help="design-space exploration (multi-objective platform search)",
+        _command_tune,
+        "design-space exploration (multi-objective platform search)",
     )
     _add_workload_arguments(tune)
     tune.add_argument(
@@ -756,14 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(tune)
 
-    studies = subparsers.add_parser(
-        "studies", help="list the registered example studies"
-    )
-    del studies  # listing-only: no further arguments
+    command("studies", _command_studies, "list the registered example studies")
 
-    study = subparsers.add_parser(
+    study = command(
         "study",
-        help="run, validate, or scaffold declarative study specs",
+        _command_study,
+        "run, validate, or scaffold declarative study specs",
         description=(
             "run: execute a study spec (a JSON file or a registered study "
             "name; single-command specs emitted by --emit-spec are wrapped "
@@ -810,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(study)
 
-    experiments = subparsers.add_parser(
-        "experiments", help="regenerate the paper's figures and tables"
+    experiments = command(
+        "experiments", _command_experiments, "regenerate the paper's figures and tables"
     )
     experiments.add_argument(
         "--only",
@@ -827,15 +693,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    verify = subparsers.add_parser(
-        "verify", help="numerically verify the partitioning scheme's exactness"
+    verify = command(
+        "verify",
+        _command_verify,
+        "numerically verify the partitioning scheme's exactness",
     )
     verify.add_argument("--model", default="tinyllama-42m")
     verify.add_argument("--chips", type=int, default=8)
     verify.add_argument("--rows", type=int, default=4)
 
-    cache = subparsers.add_parser(
-        "cache", help="inspect or clear the persistent evaluation cache"
+    cache = command(
+        "cache", _command_cache, "inspect or clear the persistent evaluation cache"
     )
     cache.add_argument(
         "action",
@@ -871,12 +739,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
+#: Flags that ``serve`` and ``fleet`` (and, for ``--model``, every
+#: workload command) declare verbatim, registered from this one table;
+#: each command adds them where its ``--help`` lists them.
+_SHARED_FLAGS = {
+    "--model": dict(
         default="tinyllama-42m",
         help="registered model name (see `repro models`)",
-    )
+    ),
+    "--arrival-rate": dict(
+        type=float,
+        default=2.0,
+        metavar="RPS",
+        help="mean arrival rate in requests/s (default: 2)",
+    ),
+    "--burst-rate": dict(
+        type=float,
+        default=None,
+        metavar="RPS",
+        help="burst-state arrival rate for --trace bursty (default: 4x base)",
+    ),
+    "--duration": dict(
+        type=float,
+        default=300.0,
+        metavar="S",
+        help="arrival horizon in seconds (default: 300)",
+    ),
+    "--prompt-mean": dict(
+        type=float,
+        default=64.0,
+        help="mean prompt length in tokens (default: 64)",
+    ),
+    "--output-mean": dict(
+        type=float,
+        default=32.0,
+        help="mean reply length in tokens (default: 32)",
+    ),
+    "--prompt-max": dict(
+        type=int,
+        default=256,
+        help="largest sampled prompt length (default: 256)",
+    ),
+    "--output-max": dict(
+        type=int,
+        default=128,
+        help="largest sampled reply length (default: 128)",
+    ),
+    "--priority-levels": dict(
+        type=int,
+        default=1,
+        help="uniform priority classes assigned by the trace (default: 1)",
+    ),
+    # ``None`` (not 0) so that an explicit --seed beside --replay is caught.
+    "--seed": dict(
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "trace seed; equal seeds give byte-identical output "
+            "(default: 0; meaningless with --replay)"
+        ),
+    ),
+    "--replay": dict(
+        type=str,
+        default=None,
+        metavar="PATH",
+        help=(
+            "replay a recorded JSON trace verbatim instead of generating "
+            "one (the generator flags and --seed do not apply)"
+        ),
+    ),
+    "--slo-ttft": dict(
+        type=float,
+        nargs="+",
+        default=None,
+        metavar="S",
+        help="TTFT targets of the SLO-attainment curve (default: standard grid)",
+    ),
+}
+
+
+def _add_shared_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
+def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_shared_flags(parser, "--model")
     parser.add_argument(
         "--mode",
         choices=[mode.value for mode in InferenceMode],
@@ -1002,7 +951,33 @@ def _compare_spec_from_args(args: argparse.Namespace) -> CompareSpec:
     )
 
 
+#: The :class:`TraceSpec` field each generator flag sets; a field whose
+#: flag the command lacks (``serve`` has no diurnal shape, ``fleet`` no
+#: closed loop) keeps its default.
+_TRACE_FIELDS = {
+    "trace": "source",
+    "arrival_rate": "rate_rps",
+    "duration": "duration_s",
+    "burst_rate": "burst_rate_rps",
+    "clients": "clients",
+    "requests_per_client": "requests_per_client",
+    "think_time": "mean_think_s",
+    "amplitude": "amplitude",
+    "period": "period_s",
+    "phase": "phase_s",
+    "spike_start": "spike_starts_s",
+    "spike_duration": "spike_duration_s",
+    "spike_rate": "spike_rate_rps",
+    "prompt_mean": "prompt_mean",
+    "output_mean": "output_mean",
+    "prompt_max": "prompt_max",
+    "output_max": "output_max",
+    "priority_levels": "priority_levels",
+}
+
+
 def _trace_spec_from_args(args: argparse.Namespace) -> TraceSpec:
+    """The ``serve``/``fleet`` traffic trace: a replay or a generator."""
     if args.replay is not None:
         if args.seed is not None:
             raise AnalysisError(
@@ -1011,18 +986,11 @@ def _trace_spec_from_args(args: argparse.Namespace) -> TraceSpec:
             )
         return TraceSpec(source="replay", path=args.replay)
     return TraceSpec(
-        source=args.trace,
-        rate_rps=args.arrival_rate,
-        duration_s=args.duration,
-        burst_rate_rps=args.burst_rate,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        mean_think_s=args.think_time,
-        prompt_mean=args.prompt_mean,
-        output_mean=args.output_mean,
-        prompt_max=args.prompt_max,
-        output_max=args.output_max,
-        priority_levels=args.priority_levels,
+        **{
+            field: getattr(args, flag)
+            for flag, field in _TRACE_FIELDS.items()
+            if hasattr(args, flag)
+        }
     )
 
 
@@ -1038,92 +1006,15 @@ def _serve_spec_from_args(args: argparse.Namespace) -> ServingSpec:
     )
 
 
-def _parse_slo_class(text: str, index: int):
-    """One ``--class NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]`` value as a class.
-
-    The class's scheduling priority is its position in the ``--class``
-    list, matching how a request's ``priority`` field selects its class.
-    """
-    parts = text.split(":")
-    name = parts[0]
-    if not name or len(parts) > 5:
-        raise AnalysisError(
-            f"cannot parse SLO class {text!r}; expected "
-            "NAME[:RATE_RPS[:BURST[:TTFT_SLO_S[:TIMEOUT_S]]]], "
-            "e.g. interactive:2:4:0.5"
-        )
-    try:
-        rate = float(parts[1]) if len(parts) > 1 and parts[1] else None
-        burst = int(parts[2]) if len(parts) > 2 and parts[2] else 1
-        slo = float(parts[3]) if len(parts) > 3 and parts[3] else None
-        timeout = float(parts[4]) if len(parts) > 4 and parts[4] else None
-    except ValueError:
-        raise AnalysisError(
-            f"cannot parse SLO class {text!r}; expected "
-            "NAME[:RATE_RPS[:BURST[:TTFT_SLO_S[:TIMEOUT_S]]]], "
-            "e.g. interactive:2:4:0.5"
-        ) from None
-    from .fleet import SLOClass
-
-    return SLOClass(
-        name=name,
-        rate_rps=rate,
-        burst=burst,
-        priority=index,
-        ttft_slo_s=slo,
-        timeout_s=timeout,
-    )
-
-
-def _autoscaler_from_args(args: argparse.Namespace):
-    if args.autoscale is None:
-        return None
-    preset, _, chips_text = args.autoscale.partition(":")
-    try:
-        chips = int(chips_text) if chips_text else None
-    except ValueError:
-        raise AnalysisError(
-            f"cannot parse --autoscale {args.autoscale!r}; expected "
-            "PRESET[:CHIPS], e.g. siracusa-mipi:4"
-        ) from None
-    from .fleet import AutoscalerConfig
-
-    return AutoscalerConfig(
-        preset=preset,
-        chips=chips,
-        max_extra=args.autoscale_max,
-        check_interval_s=args.autoscale_interval,
-        ttft_slo_s=args.autoscale_slo,
-    )
-
-
 def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
-    if args.replay is not None:
-        if args.seed is not None:
-            raise AnalysisError(
-                "--seed has no effect with --replay (the trace is replayed "
-                "verbatim); drop one of the two flags"
-            )
-        trace = TraceSpec(source="replay", path=args.replay)
-    else:
-        trace = TraceSpec(
-            source=args.trace,
-            rate_rps=args.arrival_rate,
-            duration_s=args.duration,
-            burst_rate_rps=args.burst_rate,
-            amplitude=args.amplitude,
-            period_s=args.period,
-            phase_s=args.phase,
-            spike_starts_s=tuple(args.spike_start),
-            spike_duration_s=args.spike_duration,
-            spike_rate_rps=args.spike_rate,
-            prompt_mean=args.prompt_mean,
-            output_mean=args.output_mean,
-            prompt_max=args.prompt_max,
-            output_max=args.output_max,
-            priority_levels=args.priority_levels,
-        )
-    from .fleet import FaultModel, FleetPlatform, RetryPolicy
+    trace = _trace_spec_from_args(args)
+    from .fleet import (
+        AutoscalerConfig,
+        FaultModel,
+        FleetPlatform,
+        RetryPolicy,
+        SLOClass,
+    )
 
     # Parse the shorthands directly: a CLI flag error should not carry the
     # spec-document path that from_dict prefixes.  A malformed value raises
@@ -1136,11 +1027,21 @@ def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
         router=args.router,
         policy=args.policy,
         strategy=args.strategy,
+        # A request's priority field indexes the --class list.
         classes=tuple(
-            _parse_slo_class(text, index)
+            SLOClass.parse(text, priority=index)
             for index, text in enumerate(args.slo_class)
         ),
-        autoscaler=_autoscaler_from_args(args),
+        autoscaler=(
+            AutoscalerConfig.parse(
+                args.autoscale,
+                max_extra=args.autoscale_max,
+                check_interval_s=args.autoscale_interval,
+                ttft_slo_s=args.autoscale_slo,
+            )
+            if args.autoscale is not None
+            else None
+        ),
         faults=(
             FaultModel.parse(
                 args.faults,
@@ -1272,7 +1173,7 @@ def _command_models(args: argparse.Namespace) -> List[str]:
     return lines
 
 
-def _command_strategies() -> List[str]:
+def _command_strategies(args: argparse.Namespace) -> List[str]:
     lines = []
     for name in list_strategies():
         strategy = get_strategy(name)
@@ -1280,7 +1181,7 @@ def _command_strategies() -> List[str]:
     return lines
 
 
-def _command_policies() -> List[str]:
+def _command_policies(args: argparse.Namespace) -> List[str]:
     from .serving import get_policy, list_policies
 
     lines = []
@@ -1290,7 +1191,7 @@ def _command_policies() -> List[str]:
     return lines
 
 
-def _command_routers() -> List[str]:
+def _command_routers(args: argparse.Namespace) -> List[str]:
     from .fleet import list_routers, router_label
 
     lines = []
@@ -1299,7 +1200,7 @@ def _command_routers() -> List[str]:
     return lines
 
 
-def _command_platforms() -> List[str]:
+def _command_platforms(args: argparse.Namespace) -> List[str]:
     from .hw.presets import get_platform_preset, list_platform_presets
 
     lines = []
@@ -1320,7 +1221,7 @@ def _command_platforms() -> List[str]:
     return lines
 
 
-def _command_searchers() -> List[str]:
+def _command_searchers(args: argparse.Namespace) -> List[str]:
     from .dse import get_objective, get_searcher, list_objectives, list_searchers
 
     lines = []
@@ -1335,14 +1236,31 @@ def _command_searchers() -> List[str]:
     return lines
 
 
-def _command_evaluate(args: argparse.Namespace) -> List[str]:
-    spec = _evaluate_spec_from_args(args)
+def _run_spec(
+    args: argparse.Namespace,
+    spec,
+    to_json: Callable[[object, CacheInfo], str],
+    to_text: Callable[[object], List[str]],
+    **overrides,
+) -> List[str]:
+    """The one path of the six evaluating commands.
+
+    ``--emit-spec`` prints ``spec``; otherwise :func:`repro.spec.execute`
+    runs it (with tune's checkpoint paths as ``overrides``) on the session
+    the cache flags describe, and the result is rendered by ``to_json``
+    (given the session's cache statistics) under ``--json``, else by
+    ``to_text``.
+    """
     if args.emit_spec:
         return [spec.to_json().rstrip("\n")]
     session = _session_from_args(args)
-    result = session.run(spec)
+    result = execute(session, spec, **overrides)
     if args.json:
-        return [json.dumps(eval_result_to_dict(result), indent=2, sort_keys=True)]
+        return [to_json(result, session.cache_info())]
+    return to_text(result)
+
+
+def _evaluate_text(result: EvalResult) -> List[str]:
     lines = [
         result.summary()
         + (
@@ -1374,6 +1292,17 @@ def _command_evaluate(args: argparse.Namespace) -> List[str]:
     return lines
 
 
+def _command_evaluate(args: argparse.Namespace) -> List[str]:
+    return _run_spec(
+        args,
+        _evaluate_spec_from_args(args),
+        lambda result, cache: json.dumps(
+            eval_result_to_dict(result), indent=2, sort_keys=True
+        ),
+        _evaluate_text,
+    )
+
+
 def _strategy_sweep_table(sweep: EvalSweep) -> str:
     """Generic cycles/speedup/energy table for any strategy's sweep."""
     rows = []
@@ -1394,53 +1323,50 @@ def _strategy_sweep_table(sweep: EvalSweep) -> str:
 
 def _command_sweep(args: argparse.Namespace) -> List[str]:
     spec = _sweep_spec_from_args(args)
-    if args.emit_spec:
-        return [spec.to_json().rstrip("\n")]
-    session = _session_from_args(args)
-    # Pure argument validation: fail before the (possibly long) sweep.
-    if args.json and args.output and not args.output.lower().endswith(".json"):
-        raise AnalysisError(
-            f"--json writes a JSON document; use a .json path "
-            f"(got {args.output!r}) or drop --json for the CSV exporter"
-        )
-    if args.output:
-        check_sweep_path(args.output)
-    workload = spec.workload.build()
-    sweep = session.sweep(spec)
-    if args.json:
-        lines = [eval_sweep_to_json(sweep, cache=session.cache_info())]
+    if not args.emit_spec:
+        # Pure argument validation: fail before the (possibly long) sweep.
+        if args.json and args.output and not args.output.lower().endswith(".json"):
+            raise AnalysisError(
+                f"--json writes a JSON document; use a .json path "
+                f"(got {args.output!r}) or drop --json for the CSV exporter"
+            )
+        if args.output:
+            check_sweep_path(args.output)
+
+    def to_json(sweep: EvalSweep, cache: CacheInfo) -> str:
+        text = eval_sweep_to_json(sweep, cache=cache)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(lines[0])
-        return lines
-    lines = [f"Chip-count sweep for {workload.name} (strategy: {sweep.strategy})"]
-    if all(result.report is not None for result in sweep.results):
-        lines += [
-            runtime_breakdown_table(sweep),
-            "",
-            energy_runtime_table(sweep),
+                handle.write(text)
+        return text
+
+    def to_text(sweep: EvalSweep) -> List[str]:
+        lines = [
+            f"Chip-count sweep for {sweep.workload.name} "
+            f"(strategy: {sweep.strategy})"
         ]
-        if args.output:
-            write_sweep(sweep, args.output)
-            lines.append(f"wrote {args.output}")
-    else:
-        lines.append(_strategy_sweep_table(sweep))
-        if args.output:
-            lines.append(
-                "export is only supported for simulator-backed strategies "
-                f"(strategy {sweep.strategy!r} is analytical)"
-            )
-    return lines
+        if all(result.report is not None for result in sweep.results):
+            lines += [
+                runtime_breakdown_table(sweep),
+                "",
+                energy_runtime_table(sweep),
+            ]
+            if args.output:
+                write_sweep(sweep, args.output)
+                lines.append(f"wrote {args.output}")
+        else:
+            lines.append(_strategy_sweep_table(sweep))
+            if args.output:
+                lines.append(
+                    "export is only supported for simulator-backed strategies "
+                    f"(strategy {sweep.strategy!r} is analytical)"
+                )
+        return lines
+
+    return _run_spec(args, spec, to_json, to_text)
 
 
-def _command_compare(args: argparse.Namespace) -> List[str]:
-    spec = _compare_spec_from_args(args)
-    if args.emit_spec:
-        return [spec.to_json().rstrip("\n")]
-    session = _session_from_args(args)
-    comparison = session.compare(spec)
-    if args.json:
-        return [comparison_to_json(comparison)]
+def _compare_text(comparison) -> List[str]:
     best = comparison.best()
     return [
         (
@@ -1455,36 +1381,47 @@ def _command_compare(args: argparse.Namespace) -> List[str]:
     ]
 
 
+def _command_compare(args: argparse.Namespace) -> List[str]:
+    return _run_spec(
+        args,
+        _compare_spec_from_args(args),
+        lambda comparison, cache: comparison_to_json(comparison),
+        _compare_text,
+    )
+
+
 def _command_serve(args: argparse.Namespace) -> List[str]:
     from .serving import save_trace
 
-    spec = _serve_spec_from_args(args)
-    if args.emit_spec:
-        return [spec.to_json().rstrip("\n")]
-    session = _session_from_args(args)
-    report = session.serve(spec)
-    if args.save_trace is not None:
+    def saved(report) -> List[str]:
+        """Write ``--save-trace`` if given; the line the text report adds."""
+        if args.save_trace is None:
+            return []
         save_trace(
             [record.request for record in report.result.records],
             args.save_trace,
         )
-    if args.json:
-        return [report.to_json(cache=session.cache_info())]
-    lines = [report.render()]
-    if args.save_trace is not None:
-        lines.append(f"wrote trace {args.save_trace}")
-    return lines
+        return [f"wrote trace {args.save_trace}"]
+
+    def to_json(report, cache: CacheInfo) -> str:
+        saved(report)
+        return report.to_json(cache=cache)
+
+    return _run_spec(
+        args,
+        _serve_spec_from_args(args),
+        to_json,
+        lambda report: [report.render()] + saved(report),
+    )
 
 
 def _command_fleet(args: argparse.Namespace) -> List[str]:
-    spec = _fleet_spec_from_args(args)
-    if args.emit_spec:
-        return [spec.to_json().rstrip("\n")]
-    session = _session_from_args(args)
-    report = session.serve_fleet(spec)
-    if args.json:
-        return [fleet_report_to_json(report, cache=session.cache_info())]
-    return [report.render()]
+    return _run_spec(
+        args,
+        _fleet_spec_from_args(args),
+        lambda report, cache: fleet_report_to_json(report, cache=cache),
+        lambda report: [report.render()],
+    )
 
 
 def _positive_int_flag(value: Optional[str], flag: str) -> Optional[int]:
@@ -1496,8 +1433,6 @@ def _positive_int_flag(value: Optional[str], flag: str) -> Optional[int]:
     """
     if value is None:
         return None
-    from .errors import ConfigurationError
-
     try:
         parsed = int(value)
     except ValueError:
@@ -1513,8 +1448,6 @@ def _checkpoint_path_flag(value: Optional[str], flag: str) -> Optional[str]:
     """Validate a checkpoint path flag (non-blank, not a directory)."""
     if value is None:
         return None
-    from .errors import ConfigurationError
-
     if not value.strip():
         raise ConfigurationError(f"{flag} needs a file path, got {value!r}")
     if Path(value).is_dir():
@@ -1526,8 +1459,6 @@ def _checkpoint_path_flag(value: Optional[str], flag: str) -> Optional[str]:
 
 
 def _command_tune(args: argparse.Namespace) -> List[str]:
-    from .errors import ConfigurationError
-
     spec = _tune_spec_from_args(args)
     parallel = _positive_int_flag(args.parallel, "--parallel")
     checkpoint = _checkpoint_path_flag(args.checkpoint, "--checkpoint")
@@ -1540,26 +1471,16 @@ def _command_tune(args: argparse.Namespace) -> List[str]:
             "--checkpoint-every needs --checkpoint to set where "
             "checkpoints are written"
         )
-    if args.emit_spec:
-        if parallel is not None or checkpoint_every is not None:
-            spec = replace(
-                spec, parallel=parallel, checkpoint_every=checkpoint_every
-            )
-        return [spec.to_json().rstrip("\n")]
-    session = _session_from_args(args)
-    from .spec.runner import execute
-
-    result = execute(
-        session,
-        spec,
-        parallel=parallel,
+    # The pool width and cadence are spec fields (and so reach
+    # --emit-spec); where checkpoints are written and read is not.
+    return _run_spec(
+        args,
+        replace(spec, parallel=parallel, checkpoint_every=checkpoint_every),
+        lambda result, cache: tune_result_to_json(result),
+        lambda result: [result.render()],
         checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
         resume=resume,
     )
-    if args.json:
-        return [tune_result_to_json(result)]
-    return [result.render()]
 
 
 #: ``experiments --only`` value -> (the shipped study it runs, its renderer).
@@ -1747,7 +1668,7 @@ def _command_study(args: argparse.Namespace) -> List[str]:
     return lines
 
 
-def _command_studies() -> List[str]:
+def _command_studies(args: argparse.Namespace) -> List[str]:
     lines = []
     for name in list_studies():
         spec = get_study(name)
@@ -1773,46 +1694,6 @@ def _command_verify(args: argparse.Namespace) -> List[str]:
     ]
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[str]:
-    if args.command == "models":
-        return _command_models(args)
-    if args.command == "strategies":
-        return _command_strategies()
-    if args.command == "policies":
-        return _command_policies()
-    if args.command == "routers":
-        return _command_routers()
-    if args.command == "platforms":
-        return _command_platforms()
-    if args.command == "searchers":
-        return _command_searchers()
-    if args.command == "studies":
-        return _command_studies()
-    if args.command == "study":
-        return _command_study(args)
-    if args.command == "tune":
-        return _command_tune(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "fleet":
-        return _command_fleet(args)
-    if args.command == "evaluate":
-        return _command_evaluate(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "compare":
-        return _command_compare(args)
-    if args.command == "experiments":
-        return _command_experiments(args)
-    if args.command == "verify":
-        return _command_verify(args)
-    if args.command == "cache":
-        return _command_cache(args)
-    # pragma: no cover - argparse enforces the choices
-    parser.error(f"unknown command {args.command!r}")
-    raise AssertionError("unreachable")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro`` command-line interface.
 
@@ -1822,10 +1703,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     exit status argparse itself uses for unparseable flags.  Tracebacks
     are reserved for genuine bugs.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        lines = _dispatch(args, parser)
+        lines = args.handler(args)
     except ReproError as error:
         message = " ".join(str(error).split())  # one line, however raised
         print(f"error: {message}", file=sys.stderr)

@@ -79,6 +79,40 @@ class SLOClass(SpecBase):
                 f"class {self.name!r}: timeout_s must be positive"
             )
 
+    @classmethod
+    def parse(cls, text: str, priority: int = 0) -> "SLOClass":
+        """Parse the CLI shorthand ``NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]``.
+
+        Empty positions keep their defaults, e.g. ``interactive:2:4:0.5``
+        or ``batch::8``.  The CLI passes each ``--class``'s list position
+        as ``priority``, matching how a request's ``priority`` field
+        selects its class.
+        """
+        error = ConfigurationError(
+            f"cannot parse SLO class {text!r}; expected "
+            "NAME[:RATE_RPS[:BURST[:TTFT_SLO_S[:TIMEOUT_S]]]], "
+            "e.g. interactive:2:4:0.5"
+        )
+        parts = text.split(":")
+        if not parts[0] or len(parts) > 5:
+            raise error
+        rate, burst, slo, timeout = (parts[1:] + [""] * 4)[:4]
+        try:
+            rate_rps = float(rate) if rate else None
+            burst_size = int(burst) if burst else 1
+            ttft_slo_s = float(slo) if slo else None
+            timeout_s = float(timeout) if timeout else None
+        except ValueError:
+            raise error from None
+        return cls(
+            name=parts[0],
+            rate_rps=rate_rps,
+            burst=burst_size,
+            priority=priority,
+            ttft_slo_s=ttft_slo_s,
+            timeout_s=timeout_s,
+        )
+
 
 @dataclass
 class ClassStats:

@@ -80,6 +80,23 @@ class AutoscalerConfig(SpecBase):
         if self.chips is not None and self.chips <= 0:
             raise ConfigurationError("chips must be positive")
 
+    @classmethod
+    def parse(cls, text: str, **overrides: object) -> "AutoscalerConfig":
+        """Parse the CLI shorthand ``PRESET[:CHIPS]`` of scaled replicas.
+
+        Keyword overrides (``max_extra``, ``ttft_slo_s``, ...) pass
+        through to the constructor.
+        """
+        preset, _, chips_text = text.partition(":")
+        try:
+            chips = int(chips_text) if chips_text else None
+        except ValueError:
+            raise ConfigurationError(
+                f"cannot parse --autoscale {text!r}; expected "
+                "PRESET[:CHIPS], e.g. siracusa-mipi:4"
+            ) from None
+        return cls(preset=preset, chips=chips, **overrides)  # type: ignore[arg-type]
+
     def validate(self, path: str = "$") -> None:
         """Check that the scaled replicas' preset is registered."""
         try:

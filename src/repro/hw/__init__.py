@@ -1,6 +1,6 @@
 """Hardware models: chips, memories, DMA engines, links, and platforms."""
 
-from .chip import ChipInstance, ChipModel
+from .chip import ChipModel
 from .cluster import ClusterModel
 from .dma import DmaChannelModel, DmaModel
 from .interconnect import ChipToChipLink, mipi_link
@@ -26,7 +26,6 @@ from .presets import (
 )
 
 __all__ = [
-    "ChipInstance",
     "ChipModel",
     "ChipToChipLink",
     "ClusterModel",

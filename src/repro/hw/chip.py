@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from .cluster import ClusterModel
@@ -78,25 +78,3 @@ class ChipModel:
             raise ConfigurationError("byte count must be non-negative")
         pj_per_byte = self.memory.level(level).access_energy_pj_per_byte
         return num_bytes * pj_per_byte * 1e-12
-
-
-@dataclass(frozen=True)
-class ChipInstance:
-    """A placed chip inside a multi-chip system.
-
-    Attributes:
-        chip_id: Zero-based index of the chip in the system.
-        model: The chip's hardware model (shared between instances).
-    """
-
-    chip_id: int
-    model: ChipModel = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.chip_id < 0:
-            raise ConfigurationError("chip id must be non-negative")
-
-    @property
-    def name(self) -> str:
-        """Stable identifier of the chip inside the system."""
-        return f"chip{self.chip_id}"

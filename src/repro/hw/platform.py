@@ -10,11 +10,11 @@ and broadcast) are produced by :mod:`repro.core.collectives`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from ..errors import ConfigurationError
-from .chip import ChipInstance, ChipModel
+from .chip import ChipModel
 from .interconnect import ChipToChipLink
 
 
@@ -34,44 +34,18 @@ class MultiChipPlatform:
     num_chips: int
     link: ChipToChipLink
     group_size: int = 4
-    chips: Tuple[ChipInstance, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_chips <= 0:
             raise ConfigurationError("platform needs at least one chip")
         if self.group_size < 2:
             raise ConfigurationError("group size must be at least 2")
-        object.__setattr__(
-            self,
-            "chips",
-            tuple(ChipInstance(chip_id=i, model=self.chip) for i in range(self.num_chips)),
-        )
 
-    # ------------------------------------------------------------------
-    # Compact pickling
-    # ------------------------------------------------------------------
-    # The per-chip instance tuple is derived state (``__post_init__``
-    # builds it from ``chip`` and ``num_chips``); dropping it from the
-    # pickle keeps persistent-cache entries and process-pool transfers
-    # small.  It is rebuilt on first access after unpickling.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("chips", None)
         # The content-hash memo (repro.api.session) is per-process state.
         state.pop("_repro_canonical_memo", None)
         return state
-
-    def __getattr__(self, name: str):
-        if name == "chips":
-            chips = tuple(
-                ChipInstance(chip_id=i, model=self.chip)
-                for i in range(self.num_chips)
-            )
-            object.__setattr__(self, "chips", chips)
-            return chips
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # ------------------------------------------------------------------
     # Structure queries

@@ -14,8 +14,9 @@ their home packages (:class:`repro.fleet.FleetPlatform`,
 (:meth:`~repro.spec.specs.StudySpec.validate`, with precise document
 paths), and replayed bit-for-bit:
 
-* pass a spec straight to :class:`repro.api.Session`
-  (``session.run(EvalSpec(...))``),
+* run one spec on a :class:`repro.api.Session` with :func:`execute`
+  (``execute(session, EvalSpec(...))``), the one path every evaluating
+  CLI command takes,
 * run a whole pipeline with :class:`repro.api.Study` or
   ``repro study run <spec.json>``,
 * capture any CLI invocation as a spec with ``--emit-spec``.
@@ -49,6 +50,7 @@ from .specs import (
     loads,
     spec_from_dict,
 )
+from .runner import execute
 from .studies import get_study, list_studies, register_study
 
 __all__ = [
@@ -72,6 +74,7 @@ __all__ = [
     "TraceSpec",
     "TuneSpec",
     "WorkloadSpec",
+    "execute",
     "get_study",
     "list_studies",
     "load_spec",

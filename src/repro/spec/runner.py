@@ -1,22 +1,19 @@
 """Execution of runnable specs on a :class:`~repro.api.Session`.
 
-:func:`execute` is the single dispatch point behind both the spec-accepting
-``Session.run/sweep/compare/serve/serve_fleet/tune`` overloads and the
-:class:`~repro.api.study.Study` pipeline runner.  It resolves a spec's
-registry names into live objects, honours stage references (a serve stage
-running on a tuned platform, a tune stage pinning its chip axis to a
-sweep's fastest count), and returns exactly the object the equivalent
-imperative call would have returned — same types, same values, same
-memoisation keys — so declarative and imperative drives of the library
-are byte-identical.
+:func:`execute` is the one way to run a single spec: the CLI's evaluating
+commands and the :class:`~repro.api.study.Study` pipeline runner both
+call it.  It resolves a spec's registry names into live objects, honours
+stage references (a serve stage running on a tuned platform, a tune stage
+pinning its chip axis to a sweep's fastest count), and calls the
+session's imperative method with them, so a spec and the equivalent
+imperative call return the same object under the same memoisation keys.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
 
-from ..api.session import Session
 from ..core.placement import PrefetchAccounting
 from ..errors import AnalysisError, SpecError
 from ..hw.platform import MultiChipPlatform
@@ -31,6 +28,9 @@ from .specs import (
     SweepSpec,
     TuneSpec,
 )
+
+if TYPE_CHECKING:  # annotations only: repro.api imports this module
+    from ..api.session import Session
 
 __all__ = ["execute"]
 
@@ -125,30 +125,30 @@ def execute(
     spec: RunnableSpec,
     *,
     stages: Optional[Mapping[str, Any]] = None,
-    parallel: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: Optional[str] = None,
 ):
     """Run one spec through ``session`` and return its native result.
+
+    The one way to run a single spec.  It returns what the matching
+    ``Session`` method returns for the resolved objects: an
+    :class:`~repro.api.EvalResult` for an ``EvalSpec``; an ``EvalSweep``,
+    ``Comparison``, ``ServingReport``, ``FleetReport`` or ``TuneResult``
+    for the other kinds.
 
     ``stages`` maps earlier stage names to their outcomes (objects with
     ``kind`` and ``result`` attributes) when executing inside a study;
     standalone execution passes none, and any reference then fails with
     a precise error.
 
-    ``parallel``, ``checkpoint``, ``checkpoint_every``, and ``resume``
-    are orchestrator overrides for tune specs (CLI flags and Study
-    auto-resume); ``parallel``/``checkpoint_every`` fall back to the
-    spec's own fields when not given.  Passing any of them with a
-    non-tune spec is an error.
+    ``checkpoint`` and ``resume`` are the checkpoint file paths of a
+    tune spec (``repro tune --checkpoint/--resume`` and Study
+    auto-resume); where checkpoints live is not part of a spec.  Passing
+    either with a non-tune spec is an error.
     """
-    overrides = (parallel, checkpoint, checkpoint_every, resume)
-    if any(value is not None for value in overrides) and not isinstance(
-        spec, TuneSpec
-    ):
+    if (checkpoint, resume) != (None, None) and not isinstance(spec, TuneSpec):
         raise AnalysisError(
-            "parallel/checkpoint/resume apply to tune specs only, not "
+            "checkpoint/resume apply to tune specs only, not "
             f"{type(spec).__name__}"
         )
     if isinstance(spec, EvalSpec):
@@ -163,13 +163,7 @@ def execute(
         return _execute_fleet(session, spec, stages)
     if isinstance(spec, TuneSpec):
         return _execute_tune(
-            session,
-            spec,
-            stages,
-            parallel=parallel,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
+            session, spec, stages, checkpoint=checkpoint, resume=resume
         )
     if isinstance(spec, StudySpec):
         raise AnalysisError(
@@ -209,10 +203,7 @@ def _execute_sweep(session, spec: SweepSpec):
 
 def _execute_compare(session, spec: CompareSpec, stages):
     workload = spec.workload.build()
-    if spec.platform_from is not None:
-        platform, _ = _resolve_platform(spec, stages)
-    else:
-        platform = spec.platform.build()
+    platform, _ = _resolve_platform(spec, stages)
     with _session_prefetch(session, spec.prefetch):
         return session.compare(
             workload, platform=platform, strategies=spec.strategies
@@ -280,9 +271,7 @@ def _execute_tune(
     spec: TuneSpec,
     stages,
     *,
-    parallel: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: Optional[str] = None,
 ):
     workload = spec.workload.build()
@@ -302,12 +291,8 @@ def _execute_tune(
             objectives=spec.objectives,
             constraints=spec.constraints,
             serving=spec.serving,
-            parallel=parallel if parallel is not None else spec.parallel,
+            parallel=spec.parallel,
             checkpoint=checkpoint,
-            checkpoint_every=(
-                checkpoint_every
-                if checkpoint_every is not None
-                else spec.checkpoint_every
-            ),
+            checkpoint_every=spec.checkpoint_every,
             resume=resume,
         )

@@ -872,7 +872,7 @@ class SearchStateSpec(SpecBase):
         return super().from_dict(data, path)
 
 
-#: The six spec kinds a study stage (or ``Session`` method) can execute.
+#: The six spec kinds :func:`repro.spec.execute` (and so a study stage) can run.
 RunnableSpec = Union[
     EvalSpec, SweepSpec, CompareSpec, ServingSpec, FleetSpec, TuneSpec
 ]

@@ -6,10 +6,13 @@ result types, their converters and the seed's shims were removed.
 engine moved to the tests as their oracle.  Each fleet and DSE setting is
 one type: the runtime class is its own spec kind, and the ``*Spec``
 mirrors are gone (see the removal table in ``docs/API.md``).
+:func:`repro.spec.execute` is the one way to run a spec; ``Session``'s
+methods take imperative arguments only.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -21,8 +24,10 @@ import sys
 import pytest
 
 import repro
+import repro.api.session
 import repro.sim.fastpath
-from repro.api import EvalResult, EvalSweep
+import repro.spec.runner
+from repro.api import EvalResult, EvalSweep, Session
 from repro.dse import ServingScenario
 from repro.fleet import (
     AutoscalerConfig,
@@ -41,6 +46,7 @@ PUBLIC_MODULES = (
     "repro.baselines",
     "repro.dse",
     "repro.fleet",
+    "repro.hw",
     "repro.sim",
     "repro.spec",
 )
@@ -69,6 +75,7 @@ REMOVED_NAMES = {
         "Timeout",
         "simulate_block_fast",
     ),
+    "repro.hw": ("ChipInstance",),
     "repro.spec": (
         "AutoscalerSpec",
         "FaultEventSpec",
@@ -120,6 +127,22 @@ def test_removed_modules_and_converters_are_gone():
     assert not hasattr(EvalResult, "to_baseline_result")
     assert not hasattr(EvalResult, "from_baseline_result")
     assert not hasattr(EvalSweep, "to_sweep_result")
+
+
+def test_execute_is_the_one_way_to_run_a_spec():
+    assert "execute" in repro.spec.__all__
+    assert repro.spec.execute is repro.spec.runner.execute
+    assert not hasattr(Session, "_as_spec")
+    tree = ast.parse(pathlib.Path(repro.api.session.__file__).read_text())
+    imported = [
+        node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert not [name for name in imported if "spec" in name.split(".")]
+    for method in (Session.serve, Session.serve_fleet):
+        trace = inspect.signature(method).parameters["trace"]
+        assert trace.default is inspect.Parameter.empty
 
 
 def test_simulate_block_has_one_engine():

@@ -30,6 +30,21 @@ class TestSLOClass:
         with pytest.raises(ConfigurationError):
             SLOClass(ttft_slo_s=-1.0)
 
+    def test_parse_shorthand(self):
+        assert SLOClass.parse("interactive:2:4:0.5:10", priority=1) == SLOClass(
+            name="interactive",
+            rate_rps=2.0,
+            burst=4,
+            priority=1,
+            ttft_slo_s=0.5,
+            timeout_s=10.0,
+        )
+        # Empty positions keep their defaults.
+        assert SLOClass.parse("batch::8") == SLOClass(name="batch", burst=8)
+        for text in ("", ":2", "gold:fast", "a:1:2:3:4:5"):
+            with pytest.raises(ConfigurationError, match="cannot parse SLO"):
+                SLOClass.parse(text)
+
 
 class TestAdmission:
     def test_default_controller_admits_everything(self):

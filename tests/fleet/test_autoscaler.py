@@ -31,6 +31,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             AutoscalerConfig(chips=0)
 
+    def test_parse_shorthand(self):
+        assert AutoscalerConfig.parse("siracusa-big-l2:4", max_extra=2) == (
+            AutoscalerConfig(preset="siracusa-big-l2", chips=4, max_extra=2)
+        )
+        assert AutoscalerConfig.parse("siracusa-mipi") == AutoscalerConfig()
+        with pytest.raises(ConfigurationError, match="cannot parse --autoscale"):
+            AutoscalerConfig.parse("siracusa-mipi:zz")
+        with pytest.raises(ConfigurationError, match="chips must be positive"):
+            AutoscalerConfig.parse("siracusa-mipi:0")
+
 
 class TestDecisionRule:
     def test_deep_queues_scale_up(self):

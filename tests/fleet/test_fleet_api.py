@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.api import Session, Study
-from repro.errors import AnalysisError
 from repro.models.tinyllama import tinyllama_42m
 from repro.serving import DiurnalTrace, LengthModel, PoissonTrace
 
@@ -109,14 +108,14 @@ class TestServeFleetEndToEnd:
         assert reports[0] != reports[1]
 
     def test_fleet_requires_a_trace(self, session):
-        with pytest.raises(AnalysisError, match="trace"):
+        with pytest.raises(TypeError, match="trace"):
             session.serve_fleet(tinyllama_42m())
 
 
 class TestSpecParity:
     def test_spec_and_imperative_calls_match(self, session):
         from repro.fleet import FleetPlatform
-        from repro.spec import FleetSpec, TraceSpec
+        from repro.spec import FleetSpec, TraceSpec, execute
 
         spec = FleetSpec(
             trace=TraceSpec(source="poisson", rate_rps=2.0, duration_s=30.0,
@@ -126,7 +125,7 @@ class TestSpecParity:
             router="least_loaded",
             seed=0,
         )
-        declarative = session.serve_fleet(spec)
+        declarative = execute(session, spec)
         imperative = session.serve_fleet(
             tinyllama_42m(),
             spec.trace.build(),
@@ -145,6 +144,7 @@ class TestSpecParity:
             StageSpec,
             StudySpec,
             TraceSpec,
+            execute,
         )
 
         fleet = FleetSpec(
@@ -160,6 +160,6 @@ class TestSpecParity:
             stages=(StageSpec(name="fleet", spec=fleet),),
         )
         study = Study(study_spec, session=session).run(str(tmp_path))
-        report = session.serve_fleet(fleet)
+        report = execute(session, fleet)
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         assert study.stage("fleet").artifact_text().rstrip("\n") == expected

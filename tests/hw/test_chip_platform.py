@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.chip import ChipInstance
 from repro.hw.memory import MemoryLevelName
 from repro.hw.platform import MultiChipPlatform
 from repro.hw.presets import (
@@ -36,18 +35,11 @@ class TestChipModel:
         with pytest.raises(ConfigurationError):
             chip.access_energy_joules(MemoryLevelName.L2, -1)
 
-    def test_chip_instance_naming(self):
-        chip = ChipInstance(chip_id=3, model=siracusa_chip())
-        assert chip.name == "chip3"
-        with pytest.raises(ConfigurationError):
-            ChipInstance(chip_id=-1, model=siracusa_chip())
-
 
 class TestMultiChipPlatform:
     def test_basic_structure(self):
         platform = siracusa_platform(8)
         assert platform.num_chips == 8
-        assert len(platform.chips) == 8
         assert platform.chip_ids() == list(range(8))
         assert platform.root_chip_id == 0
         assert not platform.is_single_chip

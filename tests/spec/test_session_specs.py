@@ -1,11 +1,11 @@
-"""Specs as Session arguments: the declarative and imperative paths agree."""
+"""Specs run through ``execute``: the declarative and imperative paths agree."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import Session
-from repro.errors import AnalysisError, SpecError
+from repro.errors import SpecError
 from repro.graph.workload import autoregressive
 from repro.models.tinyllama import tinyllama_42m
 from repro.spec import (
@@ -16,7 +16,7 @@ from repro.spec import (
     SweepSpec,
     TraceSpec,
     TuneSpec,
-    WorkloadSpec,
+    execute,
 )
 
 
@@ -32,18 +32,19 @@ def workload():
 
 class TestSpecOverloads:
     def test_run_spec_hits_the_same_cache_entry(self, session, workload):
-        declarative = session.run(EvalSpec(platform=PlatformSpec(chips=2)))
+        declarative = execute(session, EvalSpec(platform=PlatformSpec(chips=2)))
         imperative = session.run(workload, "paper", chips=2)
         # Identity, not just equality: both paths share one memoised entry.
         assert declarative is imperative
 
     def test_sweep_spec_matches_imperative(self, session, workload):
-        declarative = session.sweep(SweepSpec(chips=(1, 2)))
+        declarative = execute(session, SweepSpec(chips=(1, 2)))
         imperative = session.sweep(workload, (1, 2))
         assert declarative == imperative
 
     def test_compare_spec_matches_imperative(self, session, workload):
-        declarative = session.compare(
+        declarative = execute(
+            session,
             CompareSpec(
                 strategies=("single_chip", "paper"),
                 platform=PlatformSpec(chips=2),
@@ -56,8 +57,9 @@ class TestSpecOverloads:
 
     def test_serve_spec_matches_imperative(self, session):
         trace = TraceSpec(rate_rps=2.0, duration_s=10.0)
-        declarative = session.serve(
-            ServingSpec(trace=trace, platform=PlatformSpec(chips=2), seed=3)
+        declarative = execute(
+            session,
+            ServingSpec(trace=trace, platform=PlatformSpec(chips=2), seed=3),
         )
         imperative = session.serve(
             tinyllama_42m(), trace.build(), chips=2, seed=3
@@ -66,7 +68,7 @@ class TestSpecOverloads:
         assert declarative.num_chips == imperative.num_chips == 2
 
     def test_tune_spec_matches_imperative(self, session, workload):
-        declarative = session.tune(TuneSpec(budget=4, seed=1))
+        declarative = execute(session, TuneSpec(budget=4, seed=1))
         imperative = session.tune(workload, budget=4, seed=1)
         assert declarative.candidates == imperative.candidates
         assert declarative.front == imperative.front
@@ -74,8 +76,9 @@ class TestSpecOverloads:
     def test_sweep_spec_with_nondefault_preset(self, session, workload):
         from repro.hw.presets import siracusa_fast_link_platform
 
-        declarative = session.sweep(
-            SweepSpec(chips=(1, 2), platform=PlatformSpec(preset="siracusa-fast-link"))
+        declarative = execute(
+            session,
+            SweepSpec(chips=(1, 2), platform=PlatformSpec(preset="siracusa-fast-link")),
         )
         fast = Session(platform_factory=siracusa_fast_link_platform)
         imperative = fast.sweep(workload, (1, 2))
@@ -93,48 +96,32 @@ class TestSpecOverloads:
             platform=PlatformSpec(preset="siracusa-big-l2"),
             parallel=2,
         )
-        parallel = session.sweep(spec)
-        serial = Session().sweep(
-            SweepSpec(chips=(1, 2), platform=PlatformSpec(preset="siracusa-big-l2"))
+        parallel = execute(session, spec)
+        serial = execute(
+            Session(),
+            SweepSpec(chips=(1, 2), platform=PlatformSpec(preset="siracusa-big-l2")),
         )
         assert parallel == serial
 
 
 class TestSpecArgumentRules:
-    def test_spec_plus_kwargs_is_rejected(self, session):
-        with pytest.raises(AnalysisError, match="not both"):
-            session.run(EvalSpec(), chips=4)
-        with pytest.raises(AnalysisError, match="not both"):
-            session.sweep(SweepSpec(), (1, 2))
-        with pytest.raises(AnalysisError, match="not both"):
-            session.compare(CompareSpec(), chips=4)
-        with pytest.raises(AnalysisError, match="not both"):
-            session.serve(ServingSpec(), seed=1)
-        with pytest.raises(AnalysisError, match="not both"):
-            session.tune(TuneSpec(), budget=3)
-
-    def test_wrong_spec_type_is_rejected(self, session):
-        with pytest.raises(AnalysisError, match="expected a EvalSpec"):
-            session.run(SweepSpec())
-        with pytest.raises(AnalysisError, match="expected a SweepSpec"):
-            session.sweep(EvalSpec())
-
     def test_serve_without_trace_or_spec_is_rejected(self, session):
-        with pytest.raises(AnalysisError, match="traffic trace"):
+        # A spec runs through execute(), so serve() always needs a trace.
+        with pytest.raises(TypeError, match="trace"):
             session.serve(tinyllama_42m())
 
     def test_standalone_reference_fails_precisely(self, session):
         with pytest.raises(SpecError, match="platform_from"):
-            session.run(EvalSpec(platform_from="tune"))
+            execute(session, EvalSpec(platform_from="tune"))
 
     def test_prefetch_override_is_scoped_to_the_call(self, session):
         from repro.core.placement import PrefetchAccounting
 
         before = session.prefetch_accounting
-        blocking = session.run(
-            EvalSpec(platform=PlatformSpec(chips=2), prefetch="blocking")
+        blocking = execute(
+            session, EvalSpec(platform=PlatformSpec(chips=2), prefetch="blocking")
         )
-        hidden = session.run(EvalSpec(platform=PlatformSpec(chips=2)))
+        hidden = execute(session, EvalSpec(platform=PlatformSpec(chips=2)))
         assert session.prefetch_accounting is before is PrefetchAccounting.HIDDEN
         # Distinct option sets must map to distinct cache entries.
         assert blocking is not hidden

@@ -92,6 +92,33 @@ class TestStudyRun:
         info = session.cache_info()
         assert info.hits > 0  # later stages reused earlier evaluations
 
+    def test_tune_stage_gets_the_worker_count_and_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        tune = Session.tune
+
+        def recording_tune(self, *args, **kwargs):
+            calls.append(kwargs)
+            return tune(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "tune", recording_tune)
+        spec = StudySpec(
+            name="tuned",
+            stages=(
+                StageSpec(
+                    name="tune", spec=TuneSpec(budget=3, checkpoint_every=2)
+                ),
+            ),
+        )
+        checkpoint = str(tmp_path / "tune.checkpoint.json")
+        first = Study(spec).run(tmp_path, parallel=1)
+        second = Study(spec).run(tmp_path)
+        assert [call["parallel"] for call in calls] == [1, None]
+        assert [call["checkpoint"] for call in calls] == [checkpoint] * 2
+        assert [call["resume"] for call in calls] == [None, checkpoint]
+        assert second.manifest() == first.manifest()
+
 
 class TestArtifacts:
     def test_two_runs_write_byte_identical_artifacts(self, tmp_path):

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -696,6 +701,36 @@ class TestFleetCommand:
         }))
         expect_cli_error(capsys, ["study", "validate", str(bad_router)],
                          ".router", "unknown router")
+
+
+class TestHugeChipCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--platform", "siracusa-mipi:99999999999999999999"],
+            ["evaluate", "--chips", "99999999999999999999"],
+        ],
+        ids=["fleet-platform", "evaluate-chips"],
+    )
+    def test_huge_chip_count_fails_fast(self, argv):
+        # A platform holds no per-chip objects, so a chip count far past
+        # any head count is rejected by the partitioner at once.
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--no-cache"],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: cannot distribute 8 attention heads across "
+            "99999999999999999999 chips"
+        )
 
 
 class TestVersion:
