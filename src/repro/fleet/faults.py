@@ -43,6 +43,11 @@ __all__ = ["FaultEvent", "FaultModel", "RetryPolicy"]
 #: Valid fault-event kinds.
 FAULT_KINDS = ("crash", "slowdown", "brownout")
 
+#: Most crash windows the random layer may expect per replica,
+#: ``horizon_s / (crash_mtbf_s + crash_mttr_s)``; drawing that many
+#: takes about 0.6 s of :meth:`FaultModel.schedule` per replica.
+MAX_RANDOM_CRASHES = 100_000
+
 _GRAMMAR_HINT = (
     "expected crash:REPLICA@START[+DURATION], "
     "slow:REPLICA@START+DURATIONxFACTOR, "
@@ -238,6 +243,15 @@ class FaultModel(SpecBase):
             raise ConfigurationError(
                 f"crash_mttr_s must be positive, got {self.crash_mttr_s}"
             )
+        if self.crash_mtbf_s is not None:
+            expected = self.horizon_s / (self.crash_mtbf_s + self.crash_mttr_s)
+            if expected > MAX_RANDOM_CRASHES:
+                raise ConfigurationError(
+                    f"a random crash layer expects {expected:.3g} crashes per "
+                    "replica (horizon_s / (crash_mtbf_s + crash_mttr_s)), "
+                    f"above the bound of {MAX_RANDOM_CRASHES}; raise "
+                    "crash_mtbf_s or crash_mttr_s, or shorten horizon_s"
+                )
         if self.shed_below is not None and not 0.0 < self.shed_below <= 1.0:
             raise ConfigurationError(
                 f"shed_below must be in (0, 1], got {self.shed_below}"

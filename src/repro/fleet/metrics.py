@@ -71,6 +71,18 @@ class StreamingSummary:
         self.total += value
         if value > self.max_value:
             self.max_value = value
+        values = self._values
+        if values is None:
+            self._bin(value)
+            return
+        values.append(value)
+        if self.count > self.threshold:
+            # Exact mode ends; the histogram takes over from every sample.
+            for sample in values:
+                self._bin(sample)
+            self._values = None
+
+    def _bin(self, value: float) -> None:
         if value < _HIST_LO:
             index = 0
         else:
@@ -79,10 +91,6 @@ class StreamingSummary:
             )
             index = 1 + min(offset, _HIST_BINS)
         self._bins[index] += 1
-        if self._values is not None:
-            self._values.append(value)
-            if self.count > self.threshold:
-                self._values = None  # exact mode ends; histogram takes over
 
     @property
     def approximate(self) -> bool:

@@ -44,7 +44,7 @@ from ..errors import AnalysisError, ConfigurationError, ReproError, SimulationEr
 from ..hw.presets import get_platform_preset
 from ..serving.costs import RequestCostModel
 from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S
-from ..serving.policies import SchedulingPolicy, get_policy
+from ..serving.policies import ReadyQueue, SchedulingPolicy, get_policy
 from ..serving.request import ActiveRequest, Request, RequestPhase
 from ..serving.simulator import serve_grant
 from ..serving.traces import RequestSource, TrafficTrace
@@ -209,7 +209,11 @@ def iter_requests(trace: TrafficTrace, seed: int) -> Iterator[Request]:
 
 
 class _Replica:
-    """One platform subsimulator (also the router's read-only view)."""
+    """One platform subsimulator (also the router's read-only view).
+
+    ``active`` is the replica's ready queue: every request dispatched to
+    it and not yet finished, the one in service included.
+    """
 
     __slots__ = (
         "replica_id",
@@ -241,6 +245,7 @@ class _Replica:
         template: ReplicaTemplate,
         source: str,
         added_s: float,
+        policy: SchedulingPolicy,
     ) -> None:
         self.replica_id = replica_id
         self.preset = template.preset
@@ -248,7 +253,7 @@ class _Replica:
         self.role = template.role
         self.source = source
         self.costs = template.costs
-        self.active: Dict[int, ActiveRequest] = {}
+        self.active = ReadyQueue(policy)
         self.busy = False
         self.busy_s = 0.0
         self.added_s = added_s
@@ -344,7 +349,7 @@ class FleetSimulator:
     def run(self, requests: Iterable[Request]) -> FleetResult:
         """Drain the arrival stream and return the aggregated result."""
         all_replicas: List[_Replica] = [
-            _Replica(index, template, "static", 0.0)
+            _Replica(index, template, "static", 0.0, self.policy)
             for index, template in enumerate(self._templates)
         ]
         serving: List[_Replica] = list(all_replicas)
@@ -442,13 +447,7 @@ class FleetSimulator:
 
         def start_grant(replica: _Replica, now: float) -> None:
             nonlocal hedge_wins
-            ready = [replica.active[rid] for rid in sorted(replica.active)]
-            chosen = self.policy.select(ready, now)
-            if chosen.request.request_id not in replica.active:
-                raise SimulationError(
-                    f"policy {self.policy.name!r} selected a request that is "
-                    f"not on replica {replica.replica_id}"
-                )
+            chosen = replica.active.select(now)
             if resilient:
                 # First copy to enter service wins a hedge race: cancel
                 # the still-queued sibling before any work is charged.
@@ -558,7 +557,7 @@ class FleetSimulator:
                 deadline_s=deadline_of.get(rid),
                 hedged=hedged,
             )
-            replica.active[rid] = active
+            replica.active.add(active)
             if hedged:
                 copies[rid].append(replica)
             else:
@@ -568,6 +567,8 @@ class FleetSimulator:
             if not replica.busy:
                 start_grant(replica, now)
 
+        # The fleet's serving window; only a joining replica can shrink it.
+        max_context = min(r.costs.max_context for r in all_replicas)
         push_next_arrival()
         if self.autoscaler is not None:
             push(
@@ -651,6 +652,8 @@ class FleetSimulator:
                         for position, target in enumerate(self.slo_targets):
                             if ttft_s <= target:
                                 split_hits[position] += 1
+                else:
+                    replica.active.requeue(chosen)
                 if replica.active:
                     start_grant(replica, now)
                 elif replica.draining and replica.drained_s is None:
@@ -793,7 +796,6 @@ class FleetSimulator:
                 request = payload  # type: ignore[assignment]
                 arrived += 1
                 required = request.prompt_tokens + request.output_tokens - 1
-                max_context = min(r.costs.max_context for r in all_replicas)
                 if required > max_context:
                     raise ConfigurationError(
                         f"request {request.request_id} needs a context of "
@@ -854,7 +856,7 @@ class FleetSimulator:
                                 _KIND_HEDGE,
                                 (rid, request),
                             )
-                    chosen_replica.active[request.request_id] = chosen_active
+                    chosen_replica.active.add(chosen_active)
                     if not chosen_replica.busy:
                         start_grant(chosen_replica, now)
                 push_next_arrival()
@@ -872,9 +874,14 @@ class FleetSimulator:
                 if decision in ("queue-depth", "slo-attainment"):
                     assert self.scale_template is not None
                     replica = _Replica(
-                        len(all_replicas), self.scale_template, "autoscaled", now
+                        len(all_replicas),
+                        self.scale_template,
+                        "autoscaled",
+                        now,
+                        self.policy,
                     )
                     all_replicas.append(replica)
+                    max_context = min(max_context, replica.costs.max_context)
                     serving.append(replica)
                     serving.sort(key=lambda r: r.replica_id)
                     scaled_stack.append(replica)

@@ -47,6 +47,7 @@ from .policies import (
     ContinuousBatchingPolicy,
     FifoPolicy,
     PriorityPolicy,
+    ReadyQueue,
     SchedulingPolicy,
     ShortestPromptPolicy,
     get_policy,
@@ -82,6 +83,7 @@ __all__ = [
     "PhaseCost",
     "PoissonTrace",
     "PriorityPolicy",
+    "ReadyQueue",
     "ReplayTrace",
     "Request",
     "RequestCostModel",

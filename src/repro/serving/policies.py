@@ -1,11 +1,13 @@
-"""Pluggable scheduling policies and their registry.
+"""Pluggable scheduling policies, their registry, and the ready queue.
 
 A *scheduling policy* decides, at every decision point of the serving
 simulator, which admitted request the engine advances next.  Policies
 register themselves by name with :func:`register_policy` — mirroring the
 partitioning-strategy registry of :mod:`repro.api` — so a new queueing idea
 becomes available to ``Session.serve`` and the ``repro serve`` CLI by
-writing one small class::
+writing one small class.  A policy states its choice in one of two forms.
+The general form is ``select``, which sees the whole ready set and the
+clock::
 
     from repro.serving import register_policy
 
@@ -17,6 +19,29 @@ writing one small class::
 
         def select(self, ready, now_s):
             return min(ready, key=lambda a: a.request.arrival_s + 2.0)
+
+When the choice is "the request with the smallest key", a policy also
+declares ``order_key``, a function of one request's own state, and the
+engines keep the ready requests in a heap ordered by it instead of
+sorting and scanning them on every grant::
+
+    @register_policy
+    class DeadlinePolicy:
+        name = "deadline"
+        label = "Earliest deadline first"
+        decode_quantum = None
+
+        def order_key(self, active):
+            return (active.request.arrival_s + 2.0,)
+
+        def select(self, ready, now_s):
+            return min(ready, key=self.order_key)
+
+A key may change only while its request is being served (the engine
+re-files the request after every grant), and ties fall to the lower
+``request_id``, exactly as ``min`` over the ``request_id``-ordered ready
+list resolves them.  A choice that depends on ``now_s`` or on the other
+ready requests has no such key and keeps the ``select`` form.
 
 The engine is non-preemptive *within a service grant*; the grant size is
 the policy's choice.  ``decode_quantum = None`` runs a selected request's
@@ -31,15 +56,27 @@ seeded traces) is what makes simulations bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
+import heapq
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
-from ..errors import ConfigurationError, UnknownPolicyError
+from ..errors import ConfigurationError, SimulationError, UnknownPolicyError
 from .request import ActiveRequest
 
 __all__ = [
     "ContinuousBatchingPolicy",
     "FifoPolicy",
     "PriorityPolicy",
+    "ReadyQueue",
     "SchedulingPolicy",
     "ShortestPromptPolicy",
     "get_policy",
@@ -52,6 +89,11 @@ __all__ = [
 @runtime_checkable
 class SchedulingPolicy(Protocol):
     """What the registry requires of a scheduling policy.
+
+    A policy may also define ``order_key(active) -> tuple``, the key its
+    ``select`` minimises (see the module docstring).  It is optional, so
+    it is not a member of this protocol: policies without one still
+    register, and the engines then call ``select`` on every grant.
 
     Attributes:
         name: Registry key (lowercase snake_case by convention).
@@ -90,8 +132,9 @@ def register_policy(policy):
     unchanged so it can be used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, or the
-            object does not implement :class:`SchedulingPolicy`.
+        ConfigurationError: If the name is missing, already taken, the
+            object does not implement :class:`SchedulingPolicy`, or its
+            ``order_key`` is set but not callable.
     """
     instance = policy() if isinstance(policy, type) else policy
     name = getattr(instance, "name", None)
@@ -103,6 +146,11 @@ def register_policy(policy):
         raise ConfigurationError(
             f"policy {name!r} does not implement the SchedulingPolicy "
             "protocol (name, label, decode_quantum, select)"
+        )
+    order_key = getattr(instance, "order_key", None)
+    if order_key is not None and not callable(order_key):
+        raise ConfigurationError(
+            f"policy {name!r} has a non-callable order_key {order_key!r}"
         )
     quantum = instance.decode_quantum
     if quantum is not None and quantum < 1:
@@ -153,6 +201,82 @@ def _unknown_message(name: str) -> str:
 
 
 # ----------------------------------------------------------------------
+# The ready queue
+# ----------------------------------------------------------------------
+class ReadyQueue(dict[int, ActiveRequest]):
+    """One engine's admitted, unfinished requests, in its policy's order.
+
+    The queue *is* a dict from request id to :class:`ActiveRequest`, so
+    ``len``, ``in`` and ``get`` cost what they cost on a dict.  Add
+    requests with :meth:`add`, never by item assignment; remove them
+    with any dict operation (``del``, ``pop``, ``clear``).
+
+    For a policy with an ``order_key`` the queue also keeps a heap of
+    ``(key, request_id, seq, active)`` entries.  Removing a request
+    leaves its entry behind; :meth:`select` pops past every entry whose
+    id no longer maps to that exact object, and ``seq`` keeps a stale
+    and a live entry of one request id from ever comparing the
+    unorderable requests.  :meth:`select` takes the chosen request off
+    the heap, so the engine hands it back with :meth:`requeue` after an
+    unfinished grant.  For a policy without a key, :meth:`select` calls
+    the policy's ``select`` over the ready list in ``request_id`` order.
+
+    Args:
+        policy: The scheduling policy that orders the queue.
+    """
+
+    __slots__ = ("policy", "_key", "_heap", "_seq")
+
+    def __init__(self, policy: SchedulingPolicy) -> None:
+        super().__init__()
+        self.policy = policy
+        self._key: Optional[Callable[[ActiveRequest], Tuple[Any, ...]]] = (
+            getattr(policy, "order_key", None)
+        )
+        self._heap: List[Tuple[Tuple[Any, ...], int, int, ActiveRequest]] = []
+        self._seq = 0
+
+    def add(self, active: ActiveRequest) -> None:
+        """Queue a newly admitted request."""
+        if not self:
+            self._heap.clear()  # an empty queue has no live entries
+        self[active.request.request_id] = active
+        self.requeue(active)
+
+    def requeue(self, active: ActiveRequest) -> None:
+        """File a queued request under its current key (after a grant)."""
+        key = self._key
+        if key is not None:
+            heapq.heappush(
+                self._heap,
+                (key(active), active.request.request_id, self._seq, active),
+            )
+            self._seq += 1
+
+    def select(self, now_s: float) -> ActiveRequest:
+        """Take the request the policy serves next (the queue is not empty).
+
+        Raises:
+            SimulationError: If a keyless policy picks a request that is
+                not in the queue.
+        """
+        if self._key is not None:
+            heap = self._heap
+            get = self.get
+            while True:
+                entry = heapq.heappop(heap)
+                if get(entry[1]) is entry[3]:
+                    return entry[3]
+        chosen = self.policy.select([self[rid] for rid in sorted(self)], now_s)
+        if self.get(chosen.request.request_id) is not chosen:
+            raise SimulationError(
+                f"policy {self.policy.name!r} selected a request that is "
+                "not in the ready queue"
+            )
+        return chosen
+
+
+# ----------------------------------------------------------------------
 # Shipped policies
 # ----------------------------------------------------------------------
 @register_policy
@@ -169,12 +293,14 @@ class FifoPolicy:
     label = "First-come first-served, run-to-completion"
     decode_quantum: Optional[int] = None
 
+    def order_key(self, active: ActiveRequest) -> Tuple[float, int]:
+        request = active.request
+        return (request.arrival_s, request.request_id)
+
     def select(
         self, ready: Sequence[ActiveRequest], now_s: float
     ) -> ActiveRequest:
-        return min(
-            ready, key=lambda a: (a.request.arrival_s, a.request.request_id)
-        )
+        return min(ready, key=self.order_key)
 
 
 @register_policy
@@ -192,17 +318,14 @@ class ShortestPromptPolicy:
     label = "Shortest prompt first (SJF on prefill cost)"
     decode_quantum: Optional[int] = None
 
+    def order_key(self, active: ActiveRequest) -> Tuple[int, float, int]:
+        request = active.request
+        return (request.prompt_tokens, request.arrival_s, request.request_id)
+
     def select(
         self, ready: Sequence[ActiveRequest], now_s: float
     ) -> ActiveRequest:
-        return min(
-            ready,
-            key=lambda a: (
-                a.request.prompt_tokens,
-                a.request.arrival_s,
-                a.request.request_id,
-            ),
-        )
+        return min(ready, key=self.order_key)
 
 
 @register_policy
@@ -217,17 +340,14 @@ class PriorityPolicy:
     label = "Strict priority (larger wins), FIFO within a class"
     decode_quantum: Optional[int] = None
 
+    def order_key(self, active: ActiveRequest) -> Tuple[int, float, int]:
+        request = active.request
+        return (-request.priority, request.arrival_s, request.request_id)
+
     def select(
         self, ready: Sequence[ActiveRequest], now_s: float
     ) -> ActiveRequest:
-        return min(
-            ready,
-            key=lambda a: (
-                -a.request.priority,
-                a.request.arrival_s,
-                a.request.request_id,
-            ),
-        )
+        return min(ready, key=self.order_key)
 
 
 @register_policy
@@ -247,19 +367,15 @@ class ContinuousBatchingPolicy:
     label = "Continuous-batching interleaver (prefill first, token-sliced decode)"
     decode_quantum: Optional[int] = 1
 
+    def order_key(self, active: ActiveRequest) -> Tuple[Any, ...]:
+        # Pending prefills (rank 0) before decodes (rank 1); the key
+        # changes only when a grant prefills or decodes this request.
+        request = active.request
+        if not active.prefill_done:
+            return (0, request.arrival_s, request.request_id)
+        return (1, active.tokens_emitted, request.arrival_s, request.request_id)
+
     def select(
         self, ready: Sequence[ActiveRequest], now_s: float
     ) -> ActiveRequest:
-        pending = [a for a in ready if not a.prefill_done]
-        if pending:
-            return min(
-                pending, key=lambda a: (a.request.arrival_s, a.request.request_id)
-            )
-        return min(
-            ready,
-            key=lambda a: (
-                a.tokens_emitted,
-                a.request.arrival_s,
-                a.request.request_id,
-            ),
-        )
+        return min(ready, key=self.order_key)

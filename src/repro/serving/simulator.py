@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..errors import SimulationError
 from .costs import RequestCostModel
-from .policies import SchedulingPolicy, get_policy
+from .policies import ReadyQueue, SchedulingPolicy, get_policy
 from .request import ActiveRequest, RequestPhase, RequestRecord
 from .traces import RequestSource
 
@@ -105,7 +105,7 @@ class ServingSimulator:
         ]
         heapq.heapify(arrivals)
 
-        active: Dict[int, ActiveRequest] = {}
+        ready = ReadyQueue(self.policy)
         records: List[RequestRecord] = []
         queue_samples: List[Tuple[float, int]] = []
         busy_intervals: List[Tuple[float, float]] = []
@@ -116,29 +116,22 @@ class ServingSimulator:
             """Admit every arrival with ``arrival_s <= time_s``."""
             while arrivals and arrivals[0][0] <= time_s:
                 _, _, request = heapq.heappop(arrivals)
-                if request.request_id in active:
+                if request.request_id in ready:
                     raise SimulationError(
                         f"duplicate request id {request.request_id} admitted"
                     )
-                active[request.request_id] = ActiveRequest(request=request)
-                queue_samples.append((request.arrival_s, len(active)))
+                ready.add(ActiveRequest(request=request))
+                queue_samples.append((request.arrival_s, len(ready)))
 
         while True:
             admit_until(now)
-            if not active:
+            if not ready:
                 if not arrivals:
                     break
                 now = max(now, arrivals[0][0])
                 continue
 
-            ready = [active[request_id] for request_id in sorted(active)]
-            chosen = self.policy.select(ready, now)
-            if chosen.request.request_id not in active:
-                raise SimulationError(
-                    f"policy {self.policy.name!r} selected a request that is "
-                    "not in the ready set"
-                )
-
+            chosen = ready.select(now)
             grant = serve_grant(self.policy, self.costs, chosen, now)
             busy_s += grant
             if busy_intervals and busy_intervals[-1][1] == now:
@@ -154,9 +147,9 @@ class ServingSimulator:
             if chosen.is_done:
                 chosen.phase = RequestPhase.DONE
                 record = chosen.finish(now)
-                del active[chosen.request.request_id]
+                del ready[chosen.request.request_id]
                 records.append(record)
-                queue_samples.append((now, len(active)))
+                queue_samples.append((now, len(ready)))
                 successor = source.follow_up(record)
                 if successor is not None:
                     if successor.arrival_s < now:
@@ -168,6 +161,8 @@ class ServingSimulator:
                         arrivals,
                         (successor.arrival_s, successor.request_id, successor),
                     )
+            else:
+                ready.requeue(chosen)
 
         return ServingResult(
             policy=self.policy.name,

@@ -93,6 +93,14 @@ EMIT_SPEC: Tuple[str, ...] = (
     "tune --parallel 3 --emit-spec",
 )
 
+#: Non-default scheduling policies whose serve and fleet bytes are pinned
+#: at a load that keeps their ready queues several requests deep.
+POLICY_FLAGS: Tuple[str, ...] = (
+    "--policy shortest_prompt",
+    "--policy priority --priority-levels 2",
+    "--policy continuous",
+)
+
 #: ``--json --no-cache`` runs, cheap enough to execute in tier-1.
 JSON_RUNS: Tuple[str, ...] = (
     "evaluate --json --no-cache",
@@ -100,6 +108,15 @@ JSON_RUNS: Tuple[str, ...] = (
     "serve --duration 60 --json --no-cache",
     "fleet --duration 60 --json --no-cache",
     "tune --budget 4 --json --no-cache",
+    *(
+        f"{command} --duration 60 --arrival-rate 6 {flags} --json --no-cache"
+        for command in ("serve", "fleet")
+        for flags in POLICY_FLAGS
+    ),
+    # A crash plus hedged retries: cancelled hedge copies leave the
+    # replica's ready queue mid-wait.
+    "fleet --duration 60 --arrival-rate 6 --platform siracusa-mipi:8x2 "
+    "--faults crash:0@10+20 --retry 30:3:0.5:0.2 --json --no-cache",
 )
 
 #: Malformed flags; each must exit 2 with a single ``error:`` line.

@@ -21,6 +21,7 @@ from repro.fleet import (
     RetryPolicy,
     SLOClass,
 )
+from repro.fleet.faults import MAX_RANDOM_CRASHES
 from repro.serving import PhaseCost, Request
 
 
@@ -155,6 +156,17 @@ class TestFaultModelParsing:
         fields[field] = value
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             FaultModel(**fields)
+
+    def test_random_layer_too_large_to_draw_is_rejected(self):
+        # ~5e17 crash windows per replica would never finish drawing.
+        with pytest.raises(ConfigurationError, match="expects 5e\\+17 crashes"):
+            FaultModel.parse(["random:1e-9:1e-9:1e9"])
+
+    def test_random_layer_bound_is_on_expected_crashes(self):
+        fields = dict(crash_mtbf_s=0.75, crash_mttr_s=0.25)
+        FaultModel(horizon_s=float(MAX_RANDOM_CRASHES), **fields)
+        with pytest.raises(ConfigurationError, match="above the bound"):
+            FaultModel(horizon_s=MAX_RANDOM_CRASHES * 1.001, **fields)
 
     def test_shed_validation(self):
         with pytest.raises(ConfigurationError, match="shed_below"):

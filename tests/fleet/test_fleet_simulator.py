@@ -22,6 +22,7 @@ from repro.fleet import (
     SLOClass,
     iter_requests,
 )
+from repro.fleet.metrics import StreamingSummary
 from repro.serving import ClosedLoopTrace, DiurnalTrace, PhaseCost, Request
 
 
@@ -233,6 +234,16 @@ class TestStreamingMetrics:
         # Counts and means stay exact in histogram mode.
         assert result.completed == 20
         assert result.ttft.mean > 0
+
+    def test_histogram_counts_the_samples_of_the_exact_phase(self):
+        summary = StreamingSummary(threshold=4)
+        for value in [1.0] * 5 + [100.0] * 5:
+            summary.add(value)
+        assert summary.approximate
+        # The median is the fifth sample, 1 s, taken before the switch:
+        # its bin's upper edge is 10**(1/16) s.
+        assert summary.summary().p50 == pytest.approx(10 ** (1 / 16))
+        assert summary.summary().p99 == 100.0
 
     def test_slo_curve_is_exact_at_any_scale(self):
         simulator = FleetSimulator(

@@ -733,6 +733,32 @@ class TestHugeChipCounts:
         )
 
 
+class TestRandomCrashLayerBound:
+    @pytest.mark.parametrize("extra", [[], ["--emit-spec"]], ids=["run", "emit-spec"])
+    def test_undrawable_random_layer_fails_fast(self, extra):
+        # The layer would draw ~5e17 crash windows per replica; it is
+        # rejected when the fault model is built, before any spec prints.
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "fleet",
+                "--faults", "random:1e-9:1e-9:1e9", "--duration", "10",
+                "--no-cache", *extra,
+            ],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: a random crash layer expects 5e+17 crashes per replica"
+        )
+
+
 class TestVersion:
     def test_version_flag_prints_the_package_version(self, capsys):
         import repro
