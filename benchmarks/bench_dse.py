@@ -19,7 +19,7 @@ import time
 from repro.api import Session
 from repro.dse import ChoiceAxis, FloatAxis, SearchSpace, dominates, pareto_front
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 #: Evaluation budget granted to every searcher.
 BUDGET = 24

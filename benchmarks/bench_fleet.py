@@ -67,7 +67,7 @@ def run(mode: str = "full", faulted: bool = False) -> dict:
     """
     from repro.api import Session
     from repro.fleet import FaultModel, RetryPolicy
-    from repro.models.tinyllama import tinyllama_42m
+    from repro.models import tinyllama_42m
     from repro.serving import DiurnalTrace
 
     smoke = mode == "smoke"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.api import Session
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.serving import PoissonTrace, list_policies
 
 #: Virtual seconds of traffic the benchmark serves per policy.

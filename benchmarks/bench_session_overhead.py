@@ -21,7 +21,7 @@ from repro.analysis.evaluate import evaluate_block
 from repro.api import Session
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 #: Evaluations per timed batch.
 BATCH = 8

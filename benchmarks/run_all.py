@@ -189,7 +189,7 @@ def bench_sim_engines(record, mode):
     from repro.core.scheduler import BlockScheduler
     from repro.graph.workload import autoregressive
     from repro.hw.presets import siracusa_platform
-    from repro.models.tinyllama import tinyllama_scaled
+    from repro.models import tinyllama_scaled
     from repro.sim import simulate_block
     from sim_oracle import MultiChipSimulator
 
@@ -231,7 +231,7 @@ def bench_session_overhead(record, mode):
     from repro.api import Session
     from repro.graph.workload import autoregressive
     from repro.hw.presets import siracusa_platform
-    from repro.models.tinyllama import tinyllama_42m
+    from repro.models import tinyllama_42m
 
     batch = 6 if mode == "smoke" else 10
     repeats = 7 if mode == "smoke" else 11
@@ -272,7 +272,7 @@ _SWEEP_CHILD = """
 import json, sys, time
 from repro.api import Session
 from repro.graph.workload import autoregressive, prompt
-from repro.models.tinyllama import tinyllama_scaled
+from repro.models import tinyllama_scaled
 
 session = Session(cache_dir=sys.argv[1])
 chips = (1, 2, 4, 8, 16, 24, 32, 48, 64)
@@ -325,7 +325,7 @@ def bench_persistent_sweep(record, mode):
 def bench_serving(record, mode):
     """Request-level serving throughput (full mode only)."""
     from repro.api import Session
-    from repro.models.tinyllama import tinyllama_42m
+    from repro.models import tinyllama_42m
     from repro.serving import PoissonTrace
 
     session = Session()
@@ -400,29 +400,30 @@ def bench_fleet_faulted(record, mode):
 
 
 def bench_model_zoo(record, mode):
-    """Declarative zoo: spec round-trip + lowering, then one evaluation.
+    """Declarative zoo: spec decoding + lowering, then one evaluation.
 
-    The build loop times the full declarative path — factory to JSON to
-    ``ArchSpec`` to ``TransformerConfig`` — for every zoo entry; the
+    The build loop times the full declarative path — shipped JSON text to
+    ``ArchSpec`` to ``TransformerConfig`` — for every shipped model; the
     evaluation then runs the GQA+MoE decoder through the paper strategy
     so architecture generality cannot silently slow the hot path.
     """
     from repro.api import Session
-    from repro.arch.zoo import ZOO
+    from repro.arch.zoo import SHIPPED_DIR
     from repro.graph.workload import autoregressive
     from repro.hw.presets import siracusa_platform
     from repro.models.registry import get_model
     from repro.spec.specs import loads
 
     iterations = 5 if mode == "smoke" else 20
-    for name in ZOO:
-        get_model(name)  # warm the registries and lazy imports
+    texts = [path.read_text() for path in sorted(SHIPPED_DIR.glob("*.json"))]
+    for text in texts:
+        loads(text).build()  # warm the registries and lazy imports
     start = time.perf_counter()
     for _ in range(iterations):
-        for factory in ZOO.values():
-            loads(factory().to_json()).build()
+        for text in texts:
+            loads(text).build()
     build_wall = time.perf_counter() - start
-    builds = iterations * len(ZOO)
+    builds = iterations * len(texts)
 
     session = Session(memoize=False)
     workload = autoregressive(get_model("gqa-moe-tiny"), 128)
@@ -437,7 +438,7 @@ def bench_model_zoo(record, mode):
         "model_zoo_build_eval",
         wall_s=build_wall + eval_wall,
         metrics={
-            "zoo_entries": len(ZOO),
+            "zoo_entries": len(texts),
             "spec_builds_per_s": builds / build_wall,
             "gqa_moe_eval_ms": eval_wall / evals * 1e3,
         },
@@ -449,7 +450,7 @@ def bench_dse(record, mode):
     """Design-space exploration tuning run (full mode only)."""
     from repro.api import Session
     from repro.graph.workload import autoregressive
-    from repro.models.tinyllama import tinyllama_42m
+    from repro.models import tinyllama_42m
 
     session = Session()
     start = time.perf_counter()

@@ -56,7 +56,6 @@ from .api import (
     EvalSweep,
     PartitionStrategy,
     Session,
-    default_session,
     get_strategy,
     list_strategies,
     register_strategy,
@@ -200,7 +199,6 @@ __all__ = [
     "Workload",
     "autoregressive",
     "chip_footprint",
-    "default_session",
     "default_space",
     "encoder",
     "energy_of",

@@ -41,8 +41,6 @@ from .session import (
     EvalSweep,
     Session,
     content_hash,
-    default_session,
-    set_default_session,
 )
 
 __all__ = [
@@ -63,12 +61,10 @@ __all__ = [
     "StudyResult",
     "content_hash",
     "default_cache_dir",
-    "default_session",
     "get_strategy",
     "open_default_cache",
     "persistent_cache_disabled",
     "list_strategies",
     "register_strategy",
-    "set_default_session",
     "unregister_strategy",
 ]

@@ -55,8 +55,6 @@ __all__ = [
     "Comparison",
     "EvalSweep",
     "Session",
-    "default_session",
-    "set_default_session",
 ]
 
 
@@ -1138,31 +1136,3 @@ class Session:
             parallel=parallel,
         )
 
-
-_DEFAULT_SESSION: Optional[Session] = None
-
-
-def set_default_session(session: Optional[Session]) -> Optional[Session]:
-    """Install ``session`` as the process-wide shared session.
-
-    Code that evaluates through :func:`default_session` then uses the
-    installed session (e.g. one with a persistent cache).  Returns the
-    previously installed session (``None`` if none existed yet) so
-    callers can scope the override and restore it afterwards.
-    """
-    global _DEFAULT_SESSION
-    previous = _DEFAULT_SESSION
-    _DEFAULT_SESSION = session
-    return previous
-
-
-def default_session() -> Session:
-    """The process-wide shared session on the paper's Siracusa preset.
-
-    Every caller shares this session, so a workload/chip-count pair
-    simulated once is reused instead of being recomputed.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

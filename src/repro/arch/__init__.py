@@ -4,10 +4,11 @@
 :class:`ArchSpec` (stacked :class:`BlockGroupSpec` groups choosing
 MHA/GQA/MQA attention, dense/gated/MoE FFNs, norm/activation/dtype
 flavours, long-context KV-cache variants) lowers through
-:func:`build_model` into the same
-:class:`~repro.graph.transformer.TransformerConfig` the hand-coded paper
-models use, so generated models flow through ``Session.run/sweep/tune/
-serve/serve_fleet`` and the DSE unchanged.  See ``docs/MODELS.md``.
+:func:`build_model` into a plain
+:class:`~repro.graph.transformer.TransformerConfig`, so every model flows
+through ``Session.run/sweep/tune/serve/serve_fleet`` and the DSE
+unchanged.  Every registered model, the paper's included, is one shipped
+document (:mod:`repro.arch.zoo`).  See ``docs/MODELS.md``.
 
 Importing this package registers the ``arch`` and ``block_group`` spec
 kinds with :func:`repro.spec.spec_from_dict` (the spec layer also
@@ -17,16 +18,6 @@ without callers importing anything).
 
 from .factory import build_model, model_macs
 from .spec import ATTENTION_KINDS, FFN_KINDS, ROLES, ArchSpec, BlockGroupSpec
-from .zoo import (
-    ZOO,
-    build_zoo_model,
-    encdec_small,
-    gqa_1b,
-    gqa_moe_tiny,
-    longctx_4k,
-    moe_8x,
-    mqa_270m,
-)
 
 __all__ = [
     "ATTENTION_KINDS",
@@ -34,14 +25,6 @@ __all__ = [
     "ROLES",
     "ArchSpec",
     "BlockGroupSpec",
-    "ZOO",
     "build_model",
-    "build_zoo_model",
-    "encdec_small",
-    "gqa_1b",
-    "gqa_moe_tiny",
-    "longctx_4k",
     "model_macs",
-    "moe_8x",
-    "mqa_270m",
 ]

@@ -1,10 +1,10 @@
 """Lowering declarative architectures into the graph representation.
 
 :func:`build_model` turns a validated :class:`~repro.arch.spec.ArchSpec`
-into a plain :class:`~repro.graph.transformer.TransformerConfig` — the
-same type the hand-coded paper models produce — so generated
-architectures flow through partitioning, scheduling, simulation,
-Session, DSE, serving, and fleet without those layers changing.
+into a plain :class:`~repro.graph.transformer.TransformerConfig`, the
+one place a model configuration is constructed, so every architecture
+flows through partitioning, scheduling, simulation, Session, DSE,
+serving, and fleet without those layers changing.
 
 The graph layer models one homogeneous stack of blocks, so the factory
 merges an architecture's block groups per role and requires the merged

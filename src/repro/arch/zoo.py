@@ -1,14 +1,16 @@
-"""Parametric model zoo built from committed architecture descriptions.
+"""The shipped model zoo: each model one ``ArchSpec`` document.
 
-Each factory returns a fresh :class:`~repro.arch.spec.ArchSpec`; the zoo
-table :data:`ZOO` maps registry names to those factories, and
-:mod:`repro.models.registry` registers ``build_model(factory())`` under
-each name so every lookup produces an independent configuration object.
-The canonical JSON form of every zoo entry is committed under
-``examples/specs/arch/`` and sync-tested byte-for-byte against these
-factories, so the declarative documents and the code cannot drift.
+Every registered model — the paper's TinyLlama-42M, its 64-head and
+gated variants, MobileBERT, and the six generated architectures — is a
+canonical :class:`~repro.arch.spec.ArchSpec` JSON document in the
+package-data directory ``shipped/`` next to this module, and is defined
+nowhere else.  :mod:`repro.models.registry` registers each file under its
+stem, with ``_`` turned into ``-`` (``gqa_moe_tiny.json`` is
+``gqa-moe-tiny``).  A document is decoded once, on its first lookup;
+:func:`build_shipped` lowers it with :func:`build_model` on every call,
+so each lookup returns a fresh configuration.
 
-The families stress every new architecture dimension:
+The generated families stress every architecture dimension:
 
 * ``gqa-1b`` — a TinyLlama-1.1B-shaped GQA decoder (32 query heads over
   4 KV heads); its ~1.1 GiB of int8 block weights force the streamed
@@ -26,157 +28,26 @@ The families stress every new architecture dimension:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from functools import lru_cache
+from pathlib import Path
 
 from ..graph.transformer import TransformerConfig
+from ..spec.specs import load_spec
 from .factory import build_model
-from .spec import ArchSpec, BlockGroupSpec
+from .spec import ArchSpec
 
-__all__ = [
-    "ZOO",
-    "build_zoo_model",
-    "encdec_small",
-    "gqa_1b",
-    "gqa_moe_tiny",
-    "longctx_4k",
-    "moe_8x",
-    "mqa_270m",
-]
+__all__ = ["SHIPPED_DIR", "build_shipped", "shipped_spec"]
 
-#: Sliding-window span of the long-context family (positions cached).
-LONGCTX_WINDOW = 1024
-
-#: Context length the long-context family is evaluated at.
-LONGCTX_SEQ_LEN = 4096
+#: The package-data directory holding one JSON document per model.
+SHIPPED_DIR = Path(__file__).resolve().parent / "shipped"
 
 
-def gqa_1b(kv_heads: int = 4) -> ArchSpec:
-    """TinyLlama-1.1B-shaped grouped-query decoder."""
-    return ArchSpec(
-        name="gqa-1b" if kv_heads == 4 else f"gqa-1b-kv{kv_heads}",
-        embed_dim=2048,
-        blocks=(
-            BlockGroupSpec(
-                repeat=22,
-                num_heads=32,
-                ffn_dim=5632,
-                attention="gqa",
-                kv_heads=kv_heads,
-                ffn="gated",
-                norm="rmsnorm",
-                activation="silu",
-            ),
-        ),
-    )
+@lru_cache(maxsize=None)
+def shipped_spec(stem: str) -> ArchSpec:
+    """The decoded document ``shipped/<stem>.json`` (decoded once)."""
+    return load_spec(SHIPPED_DIR / f"{stem}.json")
 
 
-def mqa_270m() -> ArchSpec:
-    """Mid-size multi-query decoder (one shared KV head)."""
-    return ArchSpec(
-        name="mqa-270m",
-        embed_dim=1024,
-        blocks=(
-            BlockGroupSpec(
-                repeat=22,
-                num_heads=16,
-                ffn_dim=2816,
-                attention="mqa",
-                ffn="gated",
-                norm="rmsnorm",
-                activation="silu",
-            ),
-        ),
-    )
-
-
-def moe_8x(num_experts: int = 8, moe_top_k: int = 2) -> ArchSpec:
-    """TinyLlama-42M widened into a mixture of experts."""
-    suffix = "" if (num_experts, moe_top_k) == (8, 2) else (
-        f"-{num_experts}e{moe_top_k}k"
-    )
-    return ArchSpec(
-        name=f"moe-8x{suffix}",
-        embed_dim=512,
-        blocks=(
-            BlockGroupSpec(
-                repeat=8,
-                num_heads=8,
-                ffn_dim=2048,
-                ffn="moe",
-                num_experts=num_experts,
-                moe_top_k=moe_top_k,
-                norm="rmsnorm",
-                activation="silu",
-            ),
-        ),
-    )
-
-
-def longctx_4k(attention_window: int = LONGCTX_WINDOW) -> ArchSpec:
-    """TinyLlama-42M with a sliding attention window for long contexts."""
-    suffix = "" if attention_window == LONGCTX_WINDOW else f"-w{attention_window}"
-    return ArchSpec(
-        name=f"longctx-4k{suffix}",
-        embed_dim=512,
-        blocks=(
-            BlockGroupSpec(
-                repeat=8,
-                num_heads=8,
-                ffn_dim=2048,
-                norm="rmsnorm",
-                activation="silu",
-            ),
-        ),
-        kv_cache_dtype="int8",
-        attention_window=attention_window,
-    )
-
-
-def gqa_moe_tiny() -> ArchSpec:
-    """Small decoder combining GQA and a gated MoE (CI-sized)."""
-    return ArchSpec(
-        name="gqa-moe-tiny",
-        embed_dim=512,
-        blocks=(
-            BlockGroupSpec(
-                repeat=6,
-                num_heads=8,
-                ffn_dim=1024,
-                attention="gqa",
-                kv_heads=2,
-                ffn="moe-gated",
-                num_experts=4,
-                moe_top_k=2,
-                norm="rmsnorm",
-                activation="silu",
-            ),
-        ),
-    )
-
-
-def encdec_small() -> ArchSpec:
-    """Small encoder/decoder pair; the decoder carries cross-attention."""
-    return ArchSpec(
-        name="encdec-small",
-        embed_dim=512,
-        blocks=(
-            BlockGroupSpec(role="encoder", repeat=6, num_heads=8, ffn_dim=2048),
-            BlockGroupSpec(role="decoder", repeat=6, num_heads=8, ffn_dim=2048),
-        ),
-    )
-
-
-#: Registry names to spec factories; the order here is the docs order.
-ZOO: Dict[str, Callable[[], ArchSpec]] = {
-    "gqa-1b": gqa_1b,
-    "mqa-270m": mqa_270m,
-    "moe-8x": moe_8x,
-    "longctx-4k": longctx_4k,
-    "gqa-moe-tiny": gqa_moe_tiny,
-    "encdec-small": encdec_small,
-}
-
-
-def build_zoo_model(name: str) -> TransformerConfig:
-    """Build a fresh configuration for one zoo entry."""
-    return build_model(ZOO[name]())
+def build_shipped(stem: str) -> TransformerConfig:
+    """A fresh configuration lowered from one shipped document."""
+    return build_model(shipped_spec(stem))

@@ -1061,8 +1061,11 @@ def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
 
 
 def _tune_spec_from_args(args: argparse.Namespace) -> TuneSpec:
+    from .dse.pareto import parse_constraint
     from .spec import AxisSpec, SpaceSpec
 
+    for expr in args.constraint:
+        parse_constraint(expr)  # a bad bound fails before any spec is printed
     chips = tuple(args.chips) if args.chips else (1, 2, 4, 8)
     link = (
         tuple(args.link_gbps) if args.link_gbps

@@ -15,6 +15,7 @@ from operator import le
 from typing import List, Sequence, Tuple, TypeVar
 
 from ..errors import AnalysisError, ConfigurationError
+from ..spec.base import require_finite
 from .objectives import Objective, Sense
 
 __all__ = [
@@ -120,6 +121,7 @@ class Constraint:
             raise ConfigurationError(
                 f"constraint operator must be <= or >=, got {self.op!r}"
             )
+        require_finite(f"constraint {self.objective!r} ", self, ("bound",))
 
     def satisfied_by(self, candidate) -> bool:
         """Whether a feasible candidate meets the bound."""

@@ -1,24 +1,16 @@
-"""Model zoo: the workloads evaluated in the paper."""
+"""Model zoo: the workloads evaluated in the paper, by registry name."""
 
-from .mobilebert import (
-    MOBILEBERT_SEQ_LEN,
+from .registry import (
+    get_model,
+    list_models,
     mobilebert,
-)
-from .registry import get_model, list_models, register_model
-from .tinyllama import (
-    TINYLLAMA_AUTOREGRESSIVE_SEQ_LEN,
-    TINYLLAMA_PROMPT_SEQ_LEN,
-    TINYLLAMA_SCALED_NUM_HEADS,
+    register_model,
     tinyllama_42m,
     tinyllama_gated,
     tinyllama_scaled,
 )
 
 __all__ = [
-    "MOBILEBERT_SEQ_LEN",
-    "TINYLLAMA_AUTOREGRESSIVE_SEQ_LEN",
-    "TINYLLAMA_PROMPT_SEQ_LEN",
-    "TINYLLAMA_SCALED_NUM_HEADS",
     "get_model",
     "list_models",
     "mobilebert",

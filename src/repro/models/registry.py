@@ -4,16 +4,22 @@ The registry maps short names to configuration factories so that examples,
 benchmarks, and command-line sweeps can select models by name.  Factories
 (rather than pre-built configurations) are registered so that every lookup
 returns a fresh, independent configuration object.
+
+Every shipped model document (see :mod:`repro.arch.zoo`) is registered
+under its file stem with ``_`` turned into ``-``, and ``tinyllama`` is an
+alias of ``tinyllama-42m``.  The paper's workloads keep their factory
+functions, each a lookup (or a variant of one) over the registry.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, List
 
+from ..arch.zoo import SHIPPED_DIR, build_shipped
 from ..errors import ConfigurationError
 from ..graph.transformer import TransformerConfig
-from .mobilebert import mobilebert
-from .tinyllama import tinyllama_42m, tinyllama_gated, tinyllama_scaled
 
 _FACTORIES: Dict[str, Callable[[], TransformerConfig]] = {}
 
@@ -50,23 +56,40 @@ def list_models() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def _register_zoo() -> None:
-    """Register the declarative model zoo (see :mod:`repro.arch.zoo`).
+def tinyllama_42m() -> TransformerConfig:
+    """Return the TinyLlama-42M configuration used in the paper."""
+    return get_model("tinyllama-42m")
 
-    Each entry is registered as a *factory over a factory*: the lambda
-    rebuilds the :class:`~repro.arch.ArchSpec` and lowers it on every
-    lookup, so parametric families can never share configuration objects
-    between variants (the regression suite checks this freshness).
+
+def tinyllama_gated(ffn_dim: int = 1376) -> TransformerConfig:
+    """Return a gated-FFN (SwiGLU) TinyLlama variant for ablations.
+
+    The llama2.c "stories42M" checkpoint actually uses a gated FFN with an
+    intermediate size of 1376, which lands at the same ~42 M parameters as
+    the paper's two-matrix description.  The partitioning scheme applies
+    unchanged (the third matrix is sliced along ``F`` like the others), so
+    this variant is used to show that the results do not depend on the FFN
+    flavour.
     """
-    from ..arch.zoo import ZOO, build_zoo_model
-
-    for name in ZOO:
-        register_model(name, lambda name=name: build_zoo_model(name))
+    gated = get_model("tinyllama-42m-gated")
+    return replace(gated, name=f"tinyllama-42m-gated-{ffn_dim}", ffn_dim=ffn_dim)
 
 
-register_model("tinyllama-42m", tinyllama_42m)
-register_model("tinyllama", tinyllama_42m)  # convenience alias
-register_model("tinyllama-42m-64h", tinyllama_scaled)
-register_model("tinyllama-42m-gated", tinyllama_gated)
-register_model("mobilebert", mobilebert)
-_register_zoo()
+def tinyllama_scaled(num_heads: int = 64) -> TransformerConfig:
+    """Return the scaled-up TinyLlama used for the 2-64 chip study.
+
+    Only the head count changes; the total projection width, FFN size, and
+    layer count stay identical to :func:`tinyllama_42m`, matching the paper's
+    "we leave all other model parameters unchanged".
+    """
+    return tinyllama_42m().scaled_heads(num_heads, name=f"tinyllama-42m-{num_heads}h")
+
+
+def mobilebert() -> TransformerConfig:
+    """Return the MobileBERT encoder configuration used in the paper."""
+    return get_model("mobilebert")
+
+
+for _path in sorted(SHIPPED_DIR.glob("*.json")):
+    register_model(_path.stem.replace("_", "-"), partial(build_shipped, _path.stem))
+register_model("tinyllama", _FACTORIES["tinyllama-42m"])  # convenience alias

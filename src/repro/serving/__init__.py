@@ -19,7 +19,7 @@ typed layers:
 The front door is :meth:`repro.api.Session.serve`::
 
     from repro.api import Session
-    from repro.models.tinyllama import tinyllama_42m
+    from repro.models import tinyllama_42m
     from repro.serving import PoissonTrace
 
     report = Session().serve(

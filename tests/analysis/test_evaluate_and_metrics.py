@@ -19,7 +19,7 @@ from repro.core.schedule import RuntimeCategory
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive, prompt
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 class TestEvaluateBlock:

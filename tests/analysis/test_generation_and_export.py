@@ -21,7 +21,7 @@ from repro.api import Session
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 @pytest.fixture(scope="module")

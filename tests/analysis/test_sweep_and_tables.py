@@ -15,7 +15,7 @@ from repro.analysis.tables import (
 from repro.api import EvalSweep, Session
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 @pytest.fixture(scope="module")

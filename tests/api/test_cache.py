@@ -24,7 +24,7 @@ from repro.api import EvalCache, Session, default_cache_dir, open_default_cache
 from repro.api.cache import persistent_cache_disabled
 from repro.cli import main
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.baselines.pipeline_parallel import evaluate_pipeline_parallel
 from repro.baselines.weight_replicated import evaluate_weight_replicated
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 #: Each Table I strategy's engine, called without a session.
 _BASELINE_EVALUATORS = {

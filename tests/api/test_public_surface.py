@@ -7,7 +7,8 @@ engine moved to the tests as their oracle.  Each fleet and DSE setting is
 one type: the runtime class is its own spec kind, and the ``*Spec``
 mirrors are gone (see the removal table in ``docs/API.md``).
 :func:`repro.spec.execute` is the one way to run a spec; ``Session``'s
-methods take imperative arguments only.
+methods take imperative arguments only.  Each model is one shipped
+document; its hand-coded configuration and zoo factory are gone.
 """
 
 from __future__ import annotations
@@ -43,12 +44,28 @@ PUBLIC_MODULES = (
     "repro",
     "repro.api",
     "repro.analysis",
+    "repro.arch",
+    "repro.arch.zoo",
     "repro.baselines",
     "repro.dse",
     "repro.fleet",
     "repro.hw",
+    "repro.models",
     "repro.sim",
     "repro.spec",
+)
+
+#: The model factories and constants that each shipped model document
+#: replaced.
+ZOO_FACTORIES = (
+    "ZOO",
+    "build_zoo_model",
+    "encdec_small",
+    "gqa_1b",
+    "gqa_moe_tiny",
+    "longctx_4k",
+    "moe_8x",
+    "mqa_270m",
 )
 
 #: Module -> names it no longer exports.
@@ -58,6 +75,16 @@ REMOVED_NAMES = {
         "MultiChipSimulator",
         "SweepResult",
         "chip_count_sweep",
+        "default_session",
+    ),
+    "repro.api": ("default_session", "set_default_session"),
+    "repro.arch": ZOO_FACTORIES,
+    "repro.arch.zoo": (*ZOO_FACTORIES, "LONGCTX_SEQ_LEN", "LONGCTX_WINDOW"),
+    "repro.models": (
+        "MOBILEBERT_SEQ_LEN",
+        "TINYLLAMA_AUTOREGRESSIVE_SEQ_LEN",
+        "TINYLLAMA_PROMPT_SEQ_LEN",
+        "TINYLLAMA_SCALED_NUM_HEADS",
     ),
     "repro.analysis": ("ChipCountSweep", "SweepResult", "chip_count_sweep"),
     "repro.baselines": (
@@ -106,6 +133,8 @@ REMOVED_MODULES = (
     "repro.baselines.single_chip",
     "repro.baselines.tensor_parallel",
     "repro.experiments",
+    "repro.models.mobilebert",
+    "repro.models.tinyllama",
     "repro.sim.engine",
     "repro.sim.simulator",
 )

@@ -107,7 +107,7 @@ class TestEvalOptions:
 class TestEvalResultValidation:
     def _kwargs(self, **overrides):
         from repro.graph.workload import autoregressive
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         kwargs = dict(
             strategy="paper",

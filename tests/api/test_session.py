@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
-from repro.api import Session, default_session
+import repro.api.session as session_module
+from repro.api import Session
 from repro.errors import AnalysisError, UnknownStrategyError
 from repro.graph.workload import autoregressive, prompt
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import get_model, tinyllama_42m
 
 
 @pytest.fixture
@@ -162,6 +168,43 @@ class TestSweep:
         assert fanout.energies_joules() == serial.energies_joules()
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker function reaches the pool only when forked",
+)
+def test_killed_worker_falls_back_to_the_serial_answer(monkeypatch, tmp_path):
+    # The first pool worker to evaluate a point SIGKILLs itself; the
+    # O_EXCL marker makes it the only one.  The other worker stalls until
+    # the pool notices the death and terminates it, so no chunk finishes
+    # first: the broken pool forfeits every point, and the serial path
+    # must give the serial run's answer.
+    marker = tmp_path / "killed"
+    evaluate = session_module._evaluate_point
+    parent = os.getpid()
+
+    def die_once(payload):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                time.sleep(1.0)
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return evaluate(payload)
+
+    workload = autoregressive(get_model("tinyllama-42m"), 128)
+    serial = Session().tune(workload, searcher="grid", budget=64)
+    monkeypatch.setattr(session_module, "_evaluate_point", die_once)
+    with pytest.warns(
+        RuntimeWarning, match=r"parallel prefill lost 64 of 64 point\(s\)"
+    ):
+        parallel = Session().tune(
+            workload, searcher="grid", budget=64, parallel=2
+        )
+    assert marker.exists()
+    assert parallel == serial
+
+
 class TestCompare:
     def test_default_ablation_order(self, session, workload):
         comparison = session.compare(workload, chips=8)
@@ -202,8 +245,3 @@ class TestCompare:
         assert "Single chip" in text
         assert "Pipeline parallel" in text
         assert "tensor parallel" in text.lower()
-
-
-class TestDefaultSession:
-    def test_default_session_is_shared(self):
-        assert default_session() is default_session()

@@ -14,8 +14,7 @@ from repro.baselines import (
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive, encoder, prompt
 from repro.hw.presets import siracusa_platform
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import mobilebert, tinyllama_42m
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,7 @@ import pytest
 
 from repro.graph.workload import autoregressive, encoder, prompt
 from repro.hw.presets import siracusa_platform
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
+from repro.models import mobilebert, tinyllama_42m, tinyllama_scaled
 
 
 @pytest.fixture(autouse=True)

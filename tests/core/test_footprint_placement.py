@@ -15,8 +15,7 @@ from repro.core.partition import partition_block
 from repro.core.placement import WeightResidency, plan_memory
 from repro.graph.workload import autoregressive, encoder, prompt
 from repro.hw.presets import siracusa_chip
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
+from repro.models import mobilebert, tinyllama_42m, tinyllama_scaled
 from repro.units import mib
 
 

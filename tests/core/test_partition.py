@@ -12,8 +12,7 @@ from repro.core.partition import (
     split_evenly,
 )
 from repro.errors import PartitioningError
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
+from repro.models import mobilebert, tinyllama_42m, tinyllama_scaled
 
 
 class TestSplitEvenly:

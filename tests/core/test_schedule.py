@@ -19,7 +19,7 @@ from repro.core.schedule import (
 from repro.errors import SchedulingError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 def make_plan(chip_id: int) -> MemoryPlan:

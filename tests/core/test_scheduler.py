@@ -19,8 +19,7 @@ from repro.core.scheduler import BlockScheduler
 from repro.errors import SchedulingError
 from repro.graph.workload import autoregressive, encoder
 from repro.hw.presets import siracusa_platform
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import mobilebert, tinyllama_42m
 
 
 class TestProgramStructure:

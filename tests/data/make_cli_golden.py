@@ -7,7 +7,8 @@ The golden document has three sections, each keyed by the command line
   ``evaluate``/``sweep``/``compare``/``serve``/``fleet``/``tune``
   invocations that together set every long flag of those six commands;
 * ``json`` — the ``--json --no-cache`` stdout of runs cheap enough for
-  tier-1 (evaluate, compare, a 60 s serve, a 60 s fleet, a 4-point tune);
+  tier-1 (evaluate, compare, a 60 s serve, a 60 s fleet, a 4-point tune),
+  plus the ``models`` table, its ``--json`` form and its detailed view;
 * ``errors`` — the exit status and stderr of malformed flags, each of
   which must fail with one ``error:`` line.
 
@@ -117,6 +118,11 @@ JSON_RUNS: Tuple[str, ...] = (
     # replica's ready queue mid-wait.
     "fleet --duration 60 --arrival-rate 6 --platform siracusa-mipi:8x2 "
     "--faults crash:0@10+20 --retry 30:3:0.5:0.2 --json --no-cache",
+    # The model registry: the table, the JSON summaries, and the detailed
+    # view of the alias and the three paper workloads it builds on.
+    "models",
+    "models --json",
+    "models tinyllama tinyllama-42m-64h tinyllama-42m-gated mobilebert",
 )
 
 #: Malformed flags; each must exit 2 with a single ``error:`` line.
@@ -133,6 +139,8 @@ ERRORS: Tuple[str, ...] = (
     "serve --policy bogus --no-cache",
     "tune --parallel 0 --no-cache",
     "tune --checkpoint-every 5 --no-cache",
+    "models gpt-4",
+    "evaluate --model gpt-4 --no-cache",
 )
 
 

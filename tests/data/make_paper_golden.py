@@ -38,8 +38,7 @@ from repro.analysis.export import (
     eval_sweep_to_dict,
 )
 from repro.models.registry import get_model
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m, tinyllama_scaled
+from repro.models import mobilebert, tinyllama_42m, tinyllama_scaled
 from repro.spec.studies import get_study
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "paper_golden.json"

@@ -2,8 +2,8 @@
 
 The corpus starts from valid base documents:
 
-* every committed zoo architecture (``examples/specs/arch/*.json``), then
-  every shipped study (``src/repro/spec/shipped/*.json``);
+* every shipped model (``src/repro/arch/shipped/*.json``), then every
+  shipped study (``src/repro/spec/shipped/*.json``);
 * a hand-built, fully populated ``fleet`` (platforms, SLO classes, an
   autoscaler, faults with events, a retry policy, a diurnal trace);
 * a ``tune`` with a three-axis space and a serving scenario;
@@ -45,7 +45,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: Directories of committed base documents, in corpus order.
 SPEC_DIRS = (
-    REPO_ROOT / "examples" / "specs" / "arch",
+    REPO_ROOT / "src" / "repro" / "arch" / "shipped",
     REPO_ROOT / "src" / "repro" / "spec" / "shipped",
 )
 

@@ -25,7 +25,7 @@ from repro.dse.orchestrator import INTERRUPT_ENV, SearchState
 from repro.dse.searchers import GridSearcher, RandomSearcher
 from repro.errors import AnalysisError, SearchInterrupted, SpecError
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.spec import SearchStateSpec
 
 

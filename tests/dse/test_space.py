@@ -192,7 +192,7 @@ class TestMaterialise:
 class TestModelAxes:
     def _workload(self):
         from repro.graph.workload import autoregressive
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         return autoregressive(tinyllama_42m(), 128)
 

@@ -10,7 +10,7 @@ from repro.dse import ChoiceAxis, FloatAxis, SearchSpace, ServingScenario
 from repro.dse.pareto import dominates
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.api import Session, Study
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.serving import DiurnalTrace, LengthModel, PoissonTrace
 
 #: Short prompt/reply lengths: a handful of cost buckets serve every test.

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.kvcache import KVCacheSpec, kv_cache_for_slice
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 
 class TestKVCacheSpec:

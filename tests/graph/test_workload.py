@@ -7,8 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.transformer import InferenceMode
 from repro.graph.workload import Workload, autoregressive, encoder, prompt
-from repro.models.mobilebert import mobilebert
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import mobilebert, tinyllama_42m
 
 
 class TestAutoregressive:

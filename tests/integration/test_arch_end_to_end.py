@@ -1,27 +1,20 @@
 """The acceptance path of the architecture subsystem, end to end.
 
-One committed GQA+MoE ``ArchSpec`` JSON must build, evaluate under the
+One shipped GQA+MoE ``ArchSpec`` JSON must build, evaluate under the
 paper strategy plus baselines, serve through a fleet, and appear as a
 DSE axis — all declaratively, without any layer special-casing it.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.api import Session
+from repro.arch.zoo import SHIPPED_DIR
 from repro.dse.space import ChoiceAxis, SearchSpace
 from repro.graph.workload import InferenceMode, Workload
 from repro.hw.presets import get_platform_preset
 from repro.spec import loads
 
-GQA_MOE_JSON = (
-    Path(__file__).resolve().parents[2]
-    / "examples"
-    / "specs"
-    / "arch"
-    / "gqa_moe_tiny.json"
-)
+GQA_MOE_JSON = SHIPPED_DIR / "gqa_moe_tiny.json"
 
 
 def _workload():

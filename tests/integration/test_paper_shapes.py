@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    Session,
     autoregressive,
-    default_session,
     encoder,
     mobilebert,
     prompt,
@@ -25,23 +25,29 @@ from repro.core.schedule import RuntimeCategory
 
 
 @pytest.fixture(scope="module")
-def autoregressive_sweep():
-    return default_session().sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
+def session():
+    """One session shared by every sweep of this module."""
+    return Session()
 
 
 @pytest.fixture(scope="module")
-def prompt_sweep():
-    return default_session().sweep(prompt(tinyllama_42m(), 16), (1, 2, 4, 8))
+def autoregressive_sweep(session):
+    return session.sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
-def mobilebert_sweep():
-    return default_session().sweep(encoder(mobilebert(), 268), (1, 2, 4))
+def prompt_sweep(session):
+    return session.sweep(prompt(tinyllama_42m(), 16), (1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
-def scaled_sweep():
-    return default_session().sweep(autoregressive(tinyllama_scaled(), 128), (1, 8, 16, 32, 64))
+def mobilebert_sweep(session):
+    return session.sweep(encoder(mobilebert(), 268), (1, 2, 4))
+
+
+@pytest.fixture(scope="module")
+def scaled_sweep(session):
+    return session.sweep(autoregressive(tinyllama_scaled(), 128), (1, 8, 16, 32, 64))
 
 
 class TestAbstractClaims:

@@ -12,8 +12,7 @@ from repro.graph.transformer import FfnKind, TransformerConfig
 from repro.numerics.distributed import DistributedBlock, scatter_weights
 from repro.numerics.reference import BlockWeights, ReferenceBlock
 from repro.numerics.verify import verify_partition_equivalence
-from repro.models.tinyllama import tinyllama_42m
-from repro.models.mobilebert import mobilebert
+from repro.models import mobilebert, tinyllama_42m
 
 
 def tiny_config(**overrides) -> TransformerConfig:

@@ -30,7 +30,7 @@ from repro.dse import ChoiceAxis, FloatAxis, SearchSpace
 from repro.dse.orchestrator import INTERRUPT_ENV
 from repro.errors import SearchInterrupted
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 
 WORKLOAD = autoregressive(tinyllama_42m(), 64)
 

@@ -1,21 +1,26 @@
-"""Property: every fleet shorthand parser answers any text cleanly.
+"""Property: every CLI shorthand parser answers any text cleanly.
 
-The five CLI shorthands live on their types: ``--platform``
+The five fleet shorthands live on their types: ``--platform``
 (:meth:`FleetPlatform.parse`), ``--class`` (:meth:`SLOClass.parse`),
 ``--autoscale`` (:meth:`AutoscalerConfig.parse`), ``--faults``
-(:meth:`FaultModel.parse`) and ``--retry`` (:meth:`RetryPolicy.parse`).
+(:meth:`FaultModel.parse`) and ``--retry`` (:meth:`RetryPolicy.parse`);
+tune's ``--constraint`` is :func:`~repro.dse.parse_constraint`.
 Given arbitrary text, each returns an instance of its type or raises a
 :class:`~repro.errors.ReproError` — which the CLI reports as one
 ``error:`` line — and never any other exception, within one second.
+A parsed constraint's bound is finite, and its rendered text parses
+again.
 """
 
 from __future__ import annotations
 
+import math
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dse import Constraint, parse_constraint
 from repro.errors import ReproError
 from repro.fleet import (
     AutoscalerConfig,
@@ -51,6 +56,22 @@ TOKENS = st.one_of(
 
 TEXT = st.one_of(st.text(), st.lists(TOKENS, max_size=10).map("".join))
 
+#: ``<objective><op><number>`` texts, so that most examples reach the
+#: bound's float conversion and range check.
+CONSTRAINT_TEXT = st.one_of(
+    TEXT,
+    st.tuples(
+        st.sampled_from(["latency", "slo", " energy ", "x1", ""]),
+        st.sampled_from(["<=", ">=", "<", "=="]),
+        st.one_of(
+            st.sampled_from(["1e400", "-1e400", "1e-400", "-0", ".", "e5"]),
+            st.floats().map(repr),
+            st.integers().map(str),
+            st.text(alphabet="0123456789.eE+-", max_size=12),
+        ),
+    ).map("".join),
+)
+
 
 @pytest.mark.parametrize("flag", sorted(PARSERS))
 @settings(max_examples=300, deadline=timedelta(seconds=1))
@@ -62,3 +83,15 @@ def test_parser_returns_an_instance_or_raises_a_repro_error(flag, text):
     except ReproError:
         return
     assert isinstance(parsed, cls)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(text=CONSTRAINT_TEXT)
+def test_constraint_parses_to_a_finite_bound_or_raises_a_repro_error(text):
+    try:
+        parsed = parse_constraint(text)
+    except ReproError:
+        return
+    assert isinstance(parsed, Constraint)
+    assert math.isfinite(parsed.bound)
+    assert isinstance(parse_constraint(parsed.render()), Constraint)

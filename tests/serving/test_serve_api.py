@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import Session
 from repro.errors import ConfigurationError
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.serving import LengthModel, PoissonTrace, RequestCostModel
 
 #: A load slightly past the 8-chip platform's capacity: the regime where

@@ -39,7 +39,7 @@ from repro.graph.transformer import InferenceMode, TransformerConfig
 from repro.graph.workload import Workload, autoregressive, prompt
 from repro.hw.presets import siracusa_platform
 from repro.models import get_model, list_models
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.sim import simulate_block
 
 import sim_oracle

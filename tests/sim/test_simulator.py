@@ -22,7 +22,7 @@ from repro.core.scheduler import BlockScheduler
 from repro.errors import SimulationError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.sim import simulate_block
 
 

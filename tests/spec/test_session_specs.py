@@ -7,7 +7,7 @@ import pytest
 from repro.api import Session
 from repro.errors import SpecError
 from repro.graph.workload import autoregressive
-from repro.models.tinyllama import tinyllama_42m
+from repro.models import tinyllama_42m
 from repro.spec import (
     CompareSpec,
     EvalSpec,

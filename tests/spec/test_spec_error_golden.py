@@ -54,5 +54,5 @@ def test_every_failure_is_a_spec_error(golden):
 
 def test_base_documents_decode(golden):
     bases = {key: value for key, value in golden.items() if key.endswith("(base)")}
-    assert len(bases) == 23  # 20 committed documents plus three hand-built
+    assert len(bases) == 27  # 24 shipped documents plus three hand-built
     assert all(value.startswith("OK ") for value in bases.values())

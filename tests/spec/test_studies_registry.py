@@ -51,7 +51,7 @@ class TestHarnessSubsumption:
 
     def test_fig4a_sweep_matches_the_harness(self):
         from repro.graph.workload import autoregressive
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         harness = Session().sweep(autoregressive(tinyllama_42m(), 128), (1, 2, 4, 8))
         study = Study(get_study("fig4")).run()
@@ -66,7 +66,7 @@ class TestHarnessSubsumption:
     def test_table1_comparison_matches_the_harness(self):
         from repro.graph.workload import autoregressive
         from repro.hw.presets import siracusa_platform
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         harness = Session().compare(
             autoregressive(tinyllama_42m(), 128), platform=siracusa_platform(8)
@@ -79,7 +79,7 @@ class TestHarnessSubsumption:
 
     def test_quickstart_study_matches_direct_session_calls(self):
         from repro.graph.workload import autoregressive
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         session = Session()
         study = Study(get_study("quickstart"), session=session).run()

@@ -169,7 +169,7 @@ class TestImperativeParity:
         )
         from repro.dse.space import materialise
         from repro.graph.workload import autoregressive
-        from repro.models.tinyllama import tinyllama_42m
+        from repro.models import tinyllama_42m
 
         spec = load_spec(SHIPPED_DIR / "paper_pipeline.json")
         study = Study(spec).run()

@@ -276,6 +276,22 @@ class TestTuneCommand:
     def test_tune_unknown_objective_errors(self, capsys):
         expect_cli_error(capsys, self.TUNE + ["--objectives", "karma"], "karma")
 
+    @pytest.mark.parametrize("bound", ["latency<=1e400", "energy>=-1e400"])
+    def test_tune_non_finite_constraint_errors(self, capsys, tmp_path, bound):
+        # A bound beyond float range would print and run as `<=inf`, a
+        # constraint that parse_constraint itself rejects.
+        for extra in (["--emit-spec"], ["--no-cache"]):
+            expect_cli_error(
+                capsys, self.TUNE + ["--constraint", bound, *extra],
+                "bound must be finite",
+            )
+        document = tmp_path / "tune.json"
+        document.write_text(json.dumps({"kind": "tune", "constraints": [bound]}))
+        expect_cli_error(
+            capsys, ["study", "validate", str(document)],
+            "tune.json.constraints[0]", "bound must be finite",
+        )
+
 
 class TestTuneOrchestratorFlags:
     """The orchestrator flags: --parallel/--checkpoint/--resume."""
