@@ -675,10 +675,10 @@ class Session:
         """Simulate request-level serving of ``config`` under a traffic trace.
 
         Materialises the trace deterministically from ``seed``, serves it
-        with the named scheduling policy on a
-        :class:`~repro.serving.simulator.ServingSimulator` whose phase
-        costs are this session's memoised block evaluations, and returns
-        the aggregated :class:`~repro.serving.metrics.ServingReport`.
+        with the named scheduling policy on a one-replica fleet
+        (:func:`~repro.fleet.simulator.serve_source`) whose phase costs
+        are this session's memoised block evaluations, and returns the
+        aggregated :class:`~repro.serving.metrics.ServingReport`.
 
         Args:
             config: The served :class:`~repro.graph.transformer.TransformerConfig`.
@@ -690,18 +690,18 @@ class Session:
             seed: Trace seed; equal seeds give byte-identical reports.
             max_context: Serving window.  The serve fails fast (before
                 simulating) if any request of the materialised trace needs
-                a longer context; closed-loop follow-ups are additionally
-                checked at cost-lookup time.
+                a longer context; a closed-loop follow-up that needs one is
+                rejected when it arrives.
             slo_targets: TTFT targets of the SLO-attainment curve
                 (defaults to the serving package's standard grid).
         """
+        from ..fleet.simulator import serve_source
         from ..serving.costs import RequestCostModel
         from ..serving.metrics import (
             DEFAULT_SLO_TTFT_TARGETS_S,
             ServingMetrics,
             ServingReport,
         )
-        from ..serving.simulator import ServingSimulator
 
         costs = RequestCostModel(
             self,
@@ -711,7 +711,6 @@ class Session:
             strategy=strategy,
             max_context=max_context,
         )
-        simulator = ServingSimulator(costs, policy)
         source = trace.build(seed)
         if not source.initial:
             raise AnalysisError(
@@ -728,7 +727,10 @@ class Session:
                     f"> max_context {max_context}; shorten the trace's "
                     "lengths or raise max_context"
                 )
-        result = simulator.run(source)
+        priority_levels = getattr(trace, "priority_levels", None)
+        if priority_levels is None:  # a replay: the priorities it uses
+            priority_levels = 1 + max(r.priority for r in source.initial)
+        result = serve_source(costs, source, policy, priority_levels)
         metrics = ServingMetrics.from_result(
             result,
             slo_targets=(

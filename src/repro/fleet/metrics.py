@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S, LatencySummary
+from ..serving.metrics import LatencySummary, _latency_line
 from .autoscaler import ScaleEvent
 
 __all__ = [
@@ -509,14 +509,3 @@ class FleetReport:
             )
         return "\n".join(lines)
 
-
-def _latency_line(label: str, summary: LatencySummary) -> str:
-    return (
-        f"  {label:<11} : p50 {summary.p50 * 1e3:.1f} ms, "
-        f"p95 {summary.p95 * 1e3:.1f} ms, p99 {summary.p99 * 1e3:.1f} ms, "
-        f"max {summary.max * 1e3:.1f} ms"
-    )
-
-
-#: Default TTFT targets of the fleet SLO curve (shared with serving).
-DEFAULT_FLEET_SLO_TARGETS_S = DEFAULT_SLO_TTFT_TARGETS_S

@@ -1,18 +1,24 @@
-"""Fleet-level discrete-event simulator over per-replica subsimulators.
+"""The serving engine: a discrete-event simulator over platform replicas.
 
-The single-platform :class:`~repro.serving.simulator.ServingSimulator`
-advances one engine's virtual time internally; the fleet engine inverts
-that structure: every platform replica is a *subsimulator* (its own
-admitted-request set, scheduling policy, and non-preemptive service
-grants, with phase costs from a Session-memoised
+Every platform replica is a *subsimulator* (its own admitted-request
+set, scheduling policy, and non-preemptive service grants,
+:func:`serve_grant`, with phase costs from a Session-memoised
 :class:`~repro.serving.costs.RequestCostModel`), and one fleet-level
 event loop advances all of them together.  The heap holds the event
 kinds below — grant completions, fault transitions, retry/timeout/hedge
-timers, autoscaler ticks, timeline windows, and the *next* trace arrival
+timers, autoscaler ticks, timeline windows, the *next* trace arrival
 (arrivals are pulled lazily from an iterator, so a day-long
-million-request trace never materialises in memory) — and ties break on
-a deterministic sequence number, which together with seeded traces and
-stateless-per-run routers makes equal-input fleet runs byte-identical.
+million-request trace never materialises in memory), and closed-loop
+follow-ups — and ties break on a deterministic sequence number, which
+together with seeded traces and stateless-per-run routers makes
+equal-input fleet runs byte-identical.
+
+A replica picks only after every arrival due at that instant is queued:
+while the heap's head is an arrival at the current time, the pick waits
+(the replica counts as busy meanwhile, as if it had picked).  A
+single-platform ``serve`` is a one-replica fleet, :func:`serve_source`,
+whose ``on_complete`` hook collects the records and returns closed-loop
+follow-ups.
 
 On arrival a request passes admission control
 (:mod:`repro.fleet.admission`), is dispatched by the routing policy
@@ -38,18 +44,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError, ConfigurationError, ReproError, SimulationError
 from ..hw.presets import get_platform_preset
 from ..serving.costs import RequestCostModel
-from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S
+from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S, ServingResult
 from ..serving.policies import ReadyQueue, SchedulingPolicy, get_policy
-from ..serving.request import ActiveRequest, Request, RequestPhase
-from ..serving.simulator import serve_grant
+from ..serving.request import ActiveRequest, Request, RequestPhase, RequestRecord
 from ..serving.traces import RequestSource, TrafficTrace
 from ..spec.base import SpecBase, register, spec_error
-from .admission import AdmissionController
+from .admission import AdmissionController, SLOClass
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .faults import FaultModel, RetryPolicy
 from .metrics import (
@@ -66,6 +71,8 @@ __all__ = [
     "FleetSimulator",
     "ReplicaTemplate",
     "iter_requests",
+    "serve_grant",
+    "serve_source",
 ]
 
 #: Valid routing-pool tags of a replica.
@@ -73,8 +80,9 @@ REPLICA_ROLES = ("any", "prefill", "decode")
 
 #: Event ordering at equal timestamps: completions first, then fault
 #: transitions and failover timers, then scaling and timeline ticks,
-#: then new arrivals.  A fault-free run pushes none of the fault kinds,
-#: so its event sequence is identical to the fault-free engine's.
+#: then new arrivals, the stream's before closed-loop follow-ups.  A
+#: fault-free run pushes none of the fault kinds, so its event sequence
+#: is identical to the fault-free engine's.
 _KIND_GRANT_END = 0
 _KIND_FAULT = 1
 _KIND_TIMEOUT = 2
@@ -83,6 +91,7 @@ _KIND_HEDGE = 4
 _KIND_SCALE_TICK = 5
 _KIND_WINDOW_TICK = 6
 _KIND_ARRIVAL = 7
+_KIND_FOLLOW_UP = 8
 
 
 @register
@@ -346,8 +355,20 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[Request]) -> FleetResult:
-        """Drain the arrival stream and return the aggregated result."""
+    def run(
+        self,
+        requests: Iterable[Request],
+        on_complete: Optional[Callable[[RequestRecord], Optional[Request]]] = None,
+    ) -> FleetResult:
+        """Drain the arrival stream and return the aggregated result.
+
+        Args:
+            requests: Arrivals in time order, pulled one at a time.
+            on_complete: Called with the :class:`RequestRecord` of every
+                completed request; a request it returns is a closed-loop
+                follow-up, which arrives at its ``arrival_s`` (not before
+                the completion) without pulling ``requests``.
+        """
         all_replicas: List[_Replica] = [
             _Replica(index, template, "static", 0.0, self.policy)
             for index, template in enumerate(self._templates)
@@ -373,6 +394,7 @@ class FleetSimulator:
         arrival_iter = iter(requests)
         arrivals_pending = True
         last_arrival_s = 0.0
+        follow_ups_pending = 0
 
         def push_next_arrival() -> None:
             nonlocal arrivals_pending, last_arrival_s
@@ -430,6 +452,7 @@ class FleetSimulator:
         def work_remains() -> bool:
             return (
                 arrivals_pending
+                or follow_ups_pending > 0
                 or in_backoff > 0
                 or any(r.active for r in all_replicas)
             )
@@ -445,8 +468,15 @@ class FleetSimulator:
                 cursor = edge
                 index += 1
 
+        # Replicas whose pick waits for the arrivals due at this instant.
+        deferred: List[_Replica] = []
+
         def start_grant(replica: _Replica, now: float) -> None:
             nonlocal hedge_wins
+            if events and events[0][0] == now and events[0][1] >= _KIND_ARRIVAL:
+                replica.busy = True  # as if it had picked: no second pick
+                deferred.append(replica)
+                return
             chosen = replica.active.select(now)
             if resilient:
                 # First copy to enter service wins a hedge race: cancel
@@ -590,7 +620,15 @@ class FleetSimulator:
                     push(event.start_s, _KIND_FAULT, ("brownout_start", event))
                     push(event.end_s, _KIND_FAULT, ("brownout_end", event))
 
-        while events:
+        now = 0.0
+        while events or deferred:
+            if deferred and not (
+                events and events[0][0] == now and events[0][1] >= _KIND_ARRIVAL
+            ):
+                for replica in deferred:
+                    start_grant(replica, now)
+                deferred.clear()
+                continue
             now, kind, _, payload = heapq.heappop(events)
 
             if kind == _KIND_GRANT_END:
@@ -652,6 +690,16 @@ class FleetSimulator:
                         for position, target in enumerate(self.slo_targets):
                             if ttft_s <= target:
                                 split_hits[position] += 1
+                    if on_complete is not None:
+                        follow_up = on_complete(chosen.finish(now))
+                        if follow_up is not None:
+                            if follow_up.arrival_s < now:
+                                raise SimulationError(
+                                    "closed-loop follow-up arrives before the "
+                                    "reply it reacts to"
+                                )
+                            follow_ups_pending += 1
+                            push(follow_up.arrival_s, _KIND_FOLLOW_UP, follow_up)
                 else:
                     replica.active.requeue(chosen)
                 if replica.active:
@@ -792,8 +840,14 @@ class FleetSimulator:
                                 hedged=True,
                             )
 
-            elif kind == _KIND_ARRIVAL:
+            elif kind >= _KIND_ARRIVAL:
                 request = payload  # type: ignore[assignment]
+                if kind == _KIND_ARRIVAL:
+                    # Pull the next arrival first: a pick below must see
+                    # whether another one is due at this instant.
+                    push_next_arrival()
+                else:
+                    follow_ups_pending -= 1
                 arrived += 1
                 required = request.prompt_tokens + request.output_tokens - 1
                 if required > max_context:
@@ -808,7 +862,6 @@ class FleetSimulator:
                     # door (deterministic stand-in for conn-refused).
                     shed += 1
                     self.admission.shed(request)
-                    push_next_arrival()
                     continue
                 if (
                     kept_classes is not None
@@ -820,7 +873,6 @@ class FleetSimulator:
                     # the floor, shed every class but the protected ones.
                     shed += 1
                     self.admission.shed(request)
-                    push_next_arrival()
                     continue
                 ok, slo_class = self.admission.admit(request)
                 if not ok:
@@ -859,7 +911,6 @@ class FleetSimulator:
                     chosen_replica.active.add(chosen_active)
                     if not chosen_replica.busy:
                         start_grant(chosen_replica, now)
-                push_next_arrival()
 
             elif kind == _KIND_SCALE_TICK:
                 assert self.autoscaler is not None
@@ -1031,6 +1082,94 @@ class FleetSimulator:
             scaling_events=tuple(scaling_events),
             resilience=resilience,
         )
+
+
+def serve_grant(
+    policy: SchedulingPolicy,
+    costs: RequestCostModel,
+    chosen: ActiveRequest,
+    now: float,
+    decode_cache: List[Optional[Tuple[float, float]]],
+) -> float:
+    """Advance ``chosen`` by one service grant; returns its duration.
+
+    A request that has not been prefilled gets its prefill pass; otherwise
+    it decodes ``policy.decode_quantum`` steps (all remaining steps when
+    the quantum is ``None``).  ``decode_cache``, the replica's table
+    indexed by context length, memoises each decode step's
+    ``(seconds, energy)``.
+    """
+    request = chosen.request
+    if not chosen.prefill_done:
+        cost = costs.prefill_cost(request.prompt_tokens)
+        if chosen.first_scheduled_s is None:
+            chosen.first_scheduled_s = now
+        chosen.phase = RequestPhase.PREFILL
+        chosen.first_token_s = now + cost.seconds
+        chosen.tokens_emitted = 1
+        chosen.energy_joules += cost.energy_joules
+        chosen.phase = RequestPhase.DECODE
+        return cost.seconds
+
+    quantum = policy.decode_quantum
+    remaining = chosen.remaining_tokens
+    steps = remaining if quantum is None else min(quantum, remaining)
+    if steps <= 0:
+        raise SimulationError(
+            f"policy {policy.name!r} selected the finished request "
+            f"{request.request_id}"
+        )
+    seconds = 0.0
+    energy = 0.0
+    base = request.prompt_tokens + chosen.tokens_emitted
+    for context in range(base, base + steps):
+        # The k-th decode step of the reply attends to the prompt plus
+        # the tokens emitted so far (matching analysis/generation.py).
+        pair = decode_cache[context]
+        if pair is None:
+            cost = costs.decode_cost(context)
+            pair = decode_cache[context] = (cost.seconds, cost.energy_joules)
+        seconds += pair[0]
+        energy += pair[1]
+    chosen.tokens_emitted += steps
+    chosen.energy_joules += energy
+    return seconds
+
+
+def serve_source(
+    costs: RequestCostModel,
+    source: RequestSource,
+    policy: "str | SchedulingPolicy" = "fifo",
+    priority_levels: int = 1,
+) -> ServingResult:
+    """Serve a request stream on one platform, as a one-replica fleet.
+
+    ``costs`` needs ``prefill_cost``, ``decode_cost`` and ``max_context``.
+    One unlimited admission class per priority level (every request's
+    ``priority`` is below ``priority_levels``) keeps each request's own
+    priority; a closed-loop source's follow-ups arrive as replies complete.
+    """
+    records: List[RequestRecord] = []
+
+    def on_complete(record: RequestRecord) -> Optional[Request]:
+        records.append(record)
+        return source.follow_up(record)
+
+    simulator = FleetSimulator(
+        # The replica's preset and chip count are labels only.
+        [ReplicaTemplate(preset="serve", chips=0, role="any", costs=costs)],
+        policy=policy,
+        admission=AdmissionController(
+            [SLOClass(name=str(level), priority=level) for level in range(priority_levels)]
+        ),
+    )
+    fleet = simulator.run(source.initial, on_complete)
+    return ServingResult(
+        policy=simulator.policy.name,
+        records=tuple(records),
+        makespan_s=fleet.makespan_s,
+        busy_s=fleet.replicas[0].busy_s,
+    )
 
 
 def _replica_utilisation(replica: _Replica, makespan_s: float) -> float:

@@ -10,11 +10,14 @@ typed layers:
 * :mod:`~repro.serving.policies` — pluggable scheduling policies behind a
   registry (FIFO, shortest-prompt-first, priority, continuous-batching
   interleaver);
-* :mod:`~repro.serving.simulator` — a discrete-event loop whose phase
-  costs are Session-memoised block evaluations (nothing is re-simulated
-  per token);
+* :mod:`~repro.serving.costs` — phase costs that are Session-memoised
+  block evaluations (nothing is re-simulated per token);
 * :mod:`~repro.serving.metrics` — TTFT/TPOT/e2e percentiles, throughput,
-  queue and utilisation timelines, energy per request, SLO attainment.
+  utilisation, time-weighted queue depth, energy per request, SLO
+  attainment.
+
+The engine is :class:`repro.fleet.FleetSimulator`: a single-platform
+serve runs as a one-replica fleet (:func:`repro.fleet.simulator.serve_source`).
 
 The front door is :meth:`repro.api.Session.serve`::
 
@@ -38,10 +41,10 @@ from .metrics import (
     LatencySummary,
     ServingMetrics,
     ServingReport,
+    ServingResult,
     attainment_curve,
     percentile,
     slo_attainment,
-    utilisation_timeline,
 )
 from .policies import (
     ContinuousBatchingPolicy,
@@ -56,7 +59,6 @@ from .policies import (
     unregister_policy,
 )
 from .request import ActiveRequest, Request, RequestPhase, RequestRecord
-from .simulator import ServingResult, ServingSimulator
 from .traces import (
     BurstyTrace,
     ClosedLoopTrace,
@@ -94,7 +96,6 @@ __all__ = [
     "ServingMetrics",
     "ServingReport",
     "ServingResult",
-    "ServingSimulator",
     "ShortestPromptPolicy",
     "TrafficTrace",
     "attainment_curve",
@@ -106,5 +107,4 @@ __all__ = [
     "save_trace",
     "slo_attainment",
     "unregister_policy",
-    "utilisation_timeline",
 ]

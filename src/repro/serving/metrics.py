@@ -1,13 +1,13 @@
 """Tail-latency, throughput, and SLO analytics of serving simulations.
 
-Aggregates a raw :class:`~repro.serving.simulator.ServingResult` into the
-numbers a capacity planner cares about: TTFT/TPOT/end-to-end latency
-percentiles, request and token throughput, queue-depth and utilisation
-timelines, energy per request, and SLO-attainment curves.  The aggregate
-plus its provenance (model, platform, policy, seed) is the
-:class:`ServingReport`, whose :meth:`~ServingReport.to_json` form is the
-machine-readable output of ``repro serve --json`` — deterministic down to
-the byte for equal seeds.
+Aggregates a raw :class:`ServingResult` into the numbers a capacity
+planner cares about: TTFT/TPOT/end-to-end latency percentiles, request
+and token throughput, engine utilisation, time-weighted queue depth,
+energy per request, and SLO-attainment curves.  The aggregate plus its
+provenance (model, platform, policy, seed) is the :class:`ServingReport`,
+whose :meth:`~ServingReport.to_json` form is the machine-readable output
+of ``repro serve --json`` — deterministic down to the byte for equal
+seeds.
 """
 
 from __future__ import annotations
@@ -18,17 +18,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from .request import RequestRecord
-from .simulator import ServingResult
 
 __all__ = [
     "DEFAULT_SLO_TTFT_TARGETS_S",
     "LatencySummary",
     "ServingMetrics",
     "ServingReport",
+    "ServingResult",
     "attainment_curve",
     "percentile",
     "slo_attainment",
-    "utilisation_timeline",
 ]
 
 #: Default TTFT targets (seconds) of the SLO-attainment curve.
@@ -124,41 +123,66 @@ def attainment_curve(
 
 
 # ----------------------------------------------------------------------
-# Timelines
+# The raw outcome
 # ----------------------------------------------------------------------
-def utilisation_timeline(
-    result: ServingResult, *, bins: int = 20
-) -> Tuple[Tuple[float, float], ...]:
-    """Windowed engine utilisation: ``((window_end_s, busy_fraction), ...)``."""
-    if bins < 1:
-        raise AnalysisError("bins must be at least 1")
-    if result.makespan_s <= 0:
-        return ()
-    width = result.makespan_s / bins
-    timeline = []
-    for index in range(bins):
-        window_start = index * width
-        window_end = window_start + width
-        busy = 0.0
-        for start, end in result.busy_intervals:
-            overlap = min(end, window_end) - max(start, window_start)
-            if overlap > 0:
-                busy += overlap
-        timeline.append((window_end, busy / width))
-    return tuple(timeline)
+@dataclass(frozen=True)
+class ServingResult:
+    """Raw outcome of one serving simulation (before metric aggregation).
+
+    Attributes:
+        policy: Canonical name of the scheduling policy that ran.
+        records: One :class:`RequestRecord` per request, in completion
+            order (every admitted request is drained).
+        makespan_s: Virtual time at which the last request finished.
+        busy_s: Total virtual time the engine spent serving.
+    """
+
+    policy: str
+    records: Tuple[RequestRecord, ...]
+    makespan_s: float
+    busy_s: float
+
+    @property
+    def num_requests(self) -> int:
+        """Number of completed requests."""
+        return len(self.records)
+
+    @property
+    def utilisation(self) -> float:
+        """Fraction of the makespan the engine spent serving."""
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.busy_s / self.makespan_s
+
+    @property
+    def generated_tokens(self) -> int:
+        """Output tokens emitted across all requests."""
+        return sum(record.request.output_tokens for record in self.records)
+
+    @property
+    def prompt_tokens(self) -> int:
+        """Prompt tokens ingested across all requests."""
+        return sum(record.request.prompt_tokens for record in self.records)
 
 
 def _time_weighted_depth(result: ServingResult) -> Tuple[float, int]:
-    """(time-weighted mean, peak) of the queue-depth timeline."""
-    samples = result.queue_samples
-    if not samples or result.makespan_s <= 0:
+    """(time-weighted mean, peak) of the requests in the system.
+
+    At one instant, arrivals count before completions.
+    """
+    if not result.records or result.makespan_s <= 0:
         return 0.0, 0
-    area = 0.0
-    for (time_s, depth), (next_time_s, _) in zip(samples, samples[1:]):
-        area += depth * (next_time_s - time_s)
-    last_time, last_depth = samples[-1]
-    area += last_depth * (result.makespan_s - last_time)
-    return area / result.makespan_s, max(depth for _, depth in samples)
+    changes = sorted(
+        [(record.request.arrival_s, 0, 1) for record in result.records]
+        + [(record.finish_s, 1, -1) for record in result.records]
+    )
+    area, depth, peak, last_time = 0.0, 0, 0, changes[0][0]
+    for time_s, _, step in changes:
+        area += depth * (time_s - last_time)
+        depth += step
+        peak = max(peak, depth)
+        last_time = time_s
+    return area / result.makespan_s, peak
 
 
 # ----------------------------------------------------------------------

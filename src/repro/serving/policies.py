@@ -22,7 +22,7 @@ clock::
 
 When the choice is "the request with the smallest key", a policy also
 declares ``order_key``, a function of one request's own state, and the
-engines keep the ready requests in a heap ordered by it instead of
+engine keeps the ready requests in a heap ordered by it instead of
 sorting and scanning them on every grant::
 
     @register_policy
@@ -93,7 +93,7 @@ class SchedulingPolicy(Protocol):
     A policy may also define ``order_key(active) -> tuple``, the key its
     ``select`` minimises (see the module docstring).  It is optional, so
     it is not a member of this protocol: policies without one still
-    register, and the engines then call ``select`` on every grant.
+    register, and the engine then calls ``select`` on every grant.
 
     Attributes:
         name: Registry key (lowercase snake_case by convention).

@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Any, Dict, Optional
 
 from ..errors import ConfigurationError, SimulationError
+from ..spec.base import SpecBase, require_finite
 
 
 class RequestPhase(Enum):
@@ -37,8 +38,12 @@ class RequestPhase(Enum):
 
 
 @dataclass(frozen=True)
-class Request:
+class Request(SpecBase):
     """One user query submitted to the serving system.
+
+    Spec kind ``request`` (an entry of a replay trace file, decoded with
+    :meth:`~repro.spec.base.SpecBase.from_dict`; not a document kind of
+    its own).
 
     Attributes:
         request_id: Unique id, also the deterministic tie-breaker everywhere.
@@ -46,10 +51,12 @@ class Request:
         prompt_tokens: Prompt length processed by the prefill pass.
         output_tokens: Total reply length (the prefill emits the first
             token, so ``output_tokens - 1`` decode steps follow).
-        priority: Scheduling priority; larger values are more urgent
-            (only the ``priority`` policy looks at it).
+        priority: Scheduling priority, non-negative; larger values are
+            more urgent (only the ``priority`` policy looks at it).
         client_id: Issuing client for closed-loop traces, else ``None``.
     """
+
+    kind = "request"
 
     request_id: int
     arrival_s: float
@@ -61,12 +68,15 @@ class Request:
     def __post_init__(self) -> None:
         if self.request_id < 0:
             raise ConfigurationError("request_id must be non-negative")
+        require_finite("", self, ("arrival_s",))
         if self.arrival_s < 0:
             raise ConfigurationError("arrival_s must be non-negative")
         if self.prompt_tokens <= 0:
             raise ConfigurationError("prompt_tokens must be positive")
         if self.output_tokens <= 0:
             raise ConfigurationError("output_tokens must be positive")
+        if self.priority < 0:
+            raise ConfigurationError("priority must be non-negative")
 
     @property
     def total_tokens(self) -> int:
@@ -74,7 +84,7 @@ class Request:
         return self.prompt_tokens + self.output_tokens
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (the trace-replay schema)."""
+        """The trace-replay schema: every field, and no ``kind`` tag."""
         return {
             "request_id": self.request_id,
             "arrival_s": self.arrival_s,
@@ -83,18 +93,6 @@ class Request:
             "priority": self.priority,
             "client_id": self.client_id,
         }
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, Any]) -> "Request":
-        """Rebuild a request from its :meth:`to_dict` form."""
-        return cls(
-            request_id=int(record["request_id"]),
-            arrival_s=float(record["arrival_s"]),
-            prompt_tokens=int(record["prompt_tokens"]),
-            output_tokens=int(record["output_tokens"]),
-            priority=int(record.get("priority", 0)),
-            client_id=record.get("client_id"),
-        )
 
 
 @dataclass

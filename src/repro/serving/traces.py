@@ -41,7 +41,7 @@ from typing import (
     runtime_checkable,
 )
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SpecError
 from .request import Request, RequestRecord
 
 __all__ = [
@@ -524,12 +524,23 @@ def save_trace(requests: Sequence[Request], path: str) -> None:
 
 
 def load_trace(path: str) -> ReplayTrace:
-    """Load a :class:`ReplayTrace` from a JSON trace file."""
+    """Load a :class:`ReplayTrace` from a JSON trace file.
+
+    Each entry is decoded as a ``request`` spec; an error names the file
+    and the entry's JSON path.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    records = document.get("requests")
+    records = document.get("requests") if isinstance(document, dict) else None
     if not isinstance(records, list) or not records:
         raise ConfigurationError(
             f"{path!r} is not a trace file (expected a non-empty 'requests' list)"
         )
-    return ReplayTrace(tuple(Request.from_dict(record) for record in records))
+    try:
+        requests = tuple(
+            Request.from_dict(record, f"$.requests[{index}]")
+            for index, record in enumerate(records)
+        )
+    except SpecError as error:
+        raise SpecError(f"{path}: {error}") from None
+    return ReplayTrace(requests)

@@ -9,6 +9,9 @@ mirrors are gone (see the removal table in ``docs/API.md``).
 :func:`repro.spec.execute` is the one way to run a spec; ``Session``'s
 methods take imperative arguments only.  Each model is one shipped
 document; its hand-coded configuration and zoo factory are gone.
+:class:`repro.fleet.FleetSimulator` is the one serving engine: ``serve``
+runs as a one-replica fleet, and the single-platform engine moved to the
+tests as their oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+from dataclasses import fields
 import pathlib
 import subprocess
 import sys
@@ -38,6 +42,7 @@ from repro.fleet import (
     RetryPolicy,
     SLOClass,
 )
+from repro.serving import ServingResult
 from repro.spec import spec_from_dict
 
 PUBLIC_MODULES = (
@@ -49,8 +54,10 @@ PUBLIC_MODULES = (
     "repro.baselines",
     "repro.dse",
     "repro.fleet",
+    "repro.fleet.metrics",
     "repro.hw",
     "repro.models",
+    "repro.serving",
     "repro.sim",
     "repro.spec",
 )
@@ -103,6 +110,8 @@ REMOVED_NAMES = {
         "simulate_block_fast",
     ),
     "repro.hw": ("ChipInstance",),
+    "repro.fleet.metrics": ("DEFAULT_FLEET_SLO_TARGETS_S",),
+    "repro.serving": ("ServingSimulator", "utilisation_timeline"),
     "repro.spec": (
         "AutoscalerSpec",
         "FaultEventSpec",
@@ -135,6 +144,7 @@ REMOVED_MODULES = (
     "repro.experiments",
     "repro.models.mobilebert",
     "repro.models.tinyllama",
+    "repro.serving.simulator",
     "repro.sim.engine",
     "repro.sim.simulator",
 )
@@ -156,6 +166,12 @@ def test_removed_modules_and_converters_are_gone():
     assert not hasattr(EvalResult, "to_baseline_result")
     assert not hasattr(EvalResult, "from_baseline_result")
     assert not hasattr(EvalSweep, "to_sweep_result")
+    assert [field.name for field in fields(ServingResult)] == [
+        "policy",
+        "records",
+        "makespan_s",
+        "busy_s",
+    ]
 
 
 def test_execute_is_the_one_way_to_run_a_spec():

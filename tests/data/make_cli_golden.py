@@ -7,8 +7,9 @@ The golden document has three sections, each keyed by the command line
   ``evaluate``/``sweep``/``compare``/``serve``/``fleet``/``tune``
   invocations that together set every long flag of those six commands;
 * ``json`` — the ``--json --no-cache`` stdout of runs cheap enough for
-  tier-1 (evaluate, compare, a 60 s serve, a 60 s fleet, a 4-point tune),
-  plus the ``models`` table, its ``--json`` form and its detailed view;
+  tier-1 (evaluate, compare, a 60 s serve, a closed-loop serve, a 60 s
+  fleet, a 4-point tune), plus the ``models`` table, its ``--json`` form
+  and its detailed view;
 * ``errors`` — the exit status and stderr of malformed flags, each of
   which must fail with one ``error:`` line.
 
@@ -102,6 +103,11 @@ POLICY_FLAGS: Tuple[str, ...] = (
     "--policy continuous",
 )
 
+#: A closed-loop ``serve`` trace of 4 clients x 8 requests.
+CLOSED_LOOP = (
+    "serve --trace closed --clients 4 --requests-per-client 8 --think-time 0.5"
+)
+
 #: ``--json --no-cache`` runs, cheap enough to execute in tier-1.
 JSON_RUNS: Tuple[str, ...] = (
     "evaluate --json --no-cache",
@@ -114,6 +120,10 @@ JSON_RUNS: Tuple[str, ...] = (
         for command in ("serve", "fleet")
         for flags in POLICY_FLAGS
     ),
+    # Closed loop: each client's next request arrives only after its
+    # previous reply completes.
+    f"{CLOSED_LOOP} --json --no-cache",
+    *(f"{CLOSED_LOOP} {flags} --json --no-cache" for flags in POLICY_FLAGS),
     # A crash plus hedged retries: cancelled hedge copies leave the
     # replica's ready queue mid-wait.
     "fleet --duration 60 --arrival-rate 6 --platform siracusa-mipi:8x2 "

@@ -23,7 +23,14 @@ from repro.fleet import (
     iter_requests,
 )
 from repro.fleet.metrics import StreamingSummary
-from repro.serving import ClosedLoopTrace, DiurnalTrace, PhaseCost, Request
+from repro.fleet.simulator import serve_source
+from repro.serving import (
+    ClosedLoopTrace,
+    DiurnalTrace,
+    PhaseCost,
+    ReplayTrace,
+    Request,
+)
 
 
 class StubCosts:
@@ -119,6 +126,48 @@ class TestSingleReplicaTimeline:
         # The second request waits until 1.002, like the serving FIFO test.
         assert result.queue_wait.max == pytest.approx(0.502)
         assert result.makespan_s == pytest.approx(1.103)
+
+
+class TestSameInstantRule:
+    """Three requests arrive together: prompts of 30, 10 and 20 tokens."""
+
+    TIED = (
+        req(0, 0.0, prompt=30, output=1),
+        req(1, 0.0, prompt=10, output=1),
+        req(2, 0.0, prompt=20, output=1),
+    )
+
+    def test_serve_picks_after_every_tied_arrival(self):
+        result = serve_source(
+            StubCosts(), ReplayTrace(self.TIED).build(0), "shortest_prompt"
+        )
+        finishes = [(r.request.request_id, r.finish_s) for r in result.records]
+        assert finishes == [
+            (1, pytest.approx(0.1)),
+            (2, pytest.approx(0.3)),
+            (0, pytest.approx(0.6)),
+        ]
+
+    def test_a_one_replica_fleet_matches_serve(self):
+        simulator = FleetSimulator([template()], policy="shortest_prompt")
+        result = simulator.run(self.TIED)
+        # First tokens at 0.1, 0.3 and 0.6 s (0.433 s on average if the
+        # first arrival took the idle replica).
+        assert result.ttft.mean == pytest.approx(1.0 / 3.0)
+        assert result.makespan_s == pytest.approx(0.6)
+
+    def test_two_least_loaded_replicas_serve_the_shorter_tied_prompt_first(self):
+        simulator = FleetSimulator(
+            [template(), template()],
+            router="least_loaded",
+            policy="shortest_prompt",
+        )
+        result = simulator.run(self.TIED)
+        # Replica 1 takes request 1 (0.1 s); replica 0 holds requests 0
+        # and 2 and, once both are queued, serves 2 (0.2 s) before 0
+        # (0.5 s); 0.300 s on average if request 0 went first.
+        assert [r.completed for r in result.replicas] == [2, 1]
+        assert result.ttft.mean == pytest.approx(0.8 / 3.0)
 
 
 class TestDispatch:
@@ -283,6 +332,18 @@ class TestArrivalStreams:
         trace = ClosedLoopTrace(clients=2, requests_per_client=2)
         with pytest.raises(ConfigurationError, match="closed-loop"):
             iter_requests(trace, seed=0)
+
+    def test_a_pending_follow_up_keeps_the_timeline_going(self):
+        def on_complete(record):
+            if record.request.request_id == 0:
+                return req(1, record.finish_s + 150.0)
+            return None
+
+        simulator = FleetSimulator([template()], timeline_window_s=60.0)
+        result = simulator.run([req(0, 0.0)], on_complete)
+        assert result.completed == 2
+        assert result.makespan_s == pytest.approx(150.202)
+        assert [window[0] for window in result.timeline] == [60.0, 120.0, 180.0]
 
     def test_diurnal_traces_stream_lazily(self):
         trace = DiurnalTrace(rate_rps=5.0, duration_s=3600.0)

@@ -13,7 +13,10 @@ always did.  These tests hold the two paths to the same choices:
   leaves a stale entry next to its live one);
 * whole serve and faulted-fleet runs give ``==`` results with each
   shipped policy and with the same policy behind a wrapper that hides
-  its ``order_key`` (forcing the scan).
+  its ``order_key`` (forcing the scan);
+* a keyless plugin whose choice depends on the clock sees the same
+  clock and makes the same choices in ``serve`` as in the serving
+  oracle (``tests/serving_oracle.py``).
 """
 
 from __future__ import annotations
@@ -27,21 +30,20 @@ from hypothesis.stateful import (
     rule,
 )
 
+import serving_oracle
 from repro.api import Session
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet import FleetSimulator, ReplicaTemplate
+from repro.fleet.simulator import serve_grant, serve_source
 from repro.serving import (
     ActiveRequest,
     PhaseCost,
     ReadyQueue,
     ReplayTrace,
     Request,
-    ServingSimulator,
     get_policy,
     register_policy,
 )
 from repro.serving import policies
-from repro.serving.simulator import serve_grant
 from repro.spec import execute, spec_from_dict
 
 SHIPPED = ("fifo", "shortest_prompt", "priority", "continuous")
@@ -91,6 +93,7 @@ class ReadyQueueMachine(RuleBasedStateMachine):
         self.admitted = []  # every request ever added, by id
         self.in_service = None
         self.now = 0.0
+        self.decode_cache = [None] * (StubCosts.max_context + 1)
 
     @rule(
         arrivals=st.lists(
@@ -132,7 +135,7 @@ class ReadyQueueMachine(RuleBasedStateMachine):
         expected = self.policy.select(ordered(self.queue), self.now)
         chosen = self.queue.select(self.now)
         assert chosen is expected
-        serve_grant(self.policy, StubCosts(), chosen, self.now)
+        serve_grant(self.policy, StubCosts(), chosen, self.now, self.decode_cache)
         self.in_service = chosen
 
     @precondition(lambda self: self.in_service is not None)
@@ -259,17 +262,15 @@ def test_a_keyless_clock_dependent_plugin_runs_in_both_engines():
         for rid in range(6)
     )
     served = OldestPastOneSecond()
-    result = ServingSimulator(StubCosts(), served).run(
+    result = serve_source(StubCosts(), ReplayTrace(requests).build(0), served)
+    oracle_policy = OldestPastOneSecond()
+    oracle = serving_oracle.ServingSimulator(StubCosts(), oracle_policy).run(
         ReplayTrace(requests).build(0)
     )
-    fleet_policy = OldestPastOneSecond()
-    fleet = FleetSimulator(
-        [ReplicaTemplate(preset="stub", chips=8, role="any", costs=StubCosts())],
-        policy=fleet_policy,
-    ).run(requests)
-    assert result.num_requests == fleet.completed == 6
-    assert result.makespan_s == pytest.approx(fleet.makespan_s)
-    assert served.clock == fleet_policy.clock
+    assert result.num_requests == 6
+    assert result.records == oracle.records
+    assert result.makespan_s == oracle.makespan_s
+    assert served.clock == oracle_policy.clock
     # Request 0 (the long prompt) waits until the aging clause admits it.
     order = [record.request.request_id for record in result.records]
     assert order.index(0) > order.index(1)

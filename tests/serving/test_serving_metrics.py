@@ -1,4 +1,4 @@
-"""Unit tests for the serving analytics (percentiles, SLOs, timelines)."""
+"""Unit tests for the serving analytics (percentiles, SLOs, queue depth)."""
 
 from __future__ import annotations
 
@@ -7,17 +7,17 @@ import json
 import pytest
 
 from repro.errors import AnalysisError
+from repro.fleet.simulator import serve_source
 from repro.serving import (
     LatencySummary,
     PoissonTrace,
     Request,
     ServingMetrics,
     ServingReport,
-    ServingSimulator,
+    ServingResult,
     attainment_curve,
     percentile,
     slo_attainment,
-    utilisation_timeline,
 )
 from repro.serving import PhaseCost
 from repro.serving.request import RequestRecord
@@ -25,6 +25,8 @@ from repro.serving.request import RequestRecord
 
 class StubCosts:
     """Linear phase costs (mirrors the simulator tests' stub)."""
+
+    max_context = 1024
 
     def prefill_cost(self, prompt_tokens):
         seconds = prompt_tokens * 0.01
@@ -51,7 +53,7 @@ def make_record(request_id, ttft_s, e2e_s, output_tokens=4, arrival_s=0.0):
 
 def stub_result(policy="fifo", rate=20.0, duration=10.0, seed=0):
     trace = PoissonTrace(rate_rps=rate, duration_s=duration)
-    return ServingSimulator(StubCosts(), policy).run(trace.build(seed))
+    return serve_source(StubCosts(), trace.build(seed), policy)
 
 
 class TestPercentile:
@@ -110,18 +112,32 @@ class TestSLO:
             slo_attainment([], ttft_s=1.0)
 
 
-class TestTimelines:
-    def test_utilisation_timeline_integrates_to_overall_utilisation(self):
-        result = stub_result(rate=30.0)
-        timeline = utilisation_timeline(result, bins=10)
-        assert len(timeline) == 10
-        mean_busy = sum(fraction for _, fraction in timeline) / len(timeline)
-        assert mean_busy == pytest.approx(result.utilisation, rel=1e-6)
-        assert all(0.0 <= fraction <= 1.0 + 1e-9 for _, fraction in timeline)
+class TestQueueDepth:
+    def depth(self, *spans):
+        records = tuple(
+            make_record(rid, ttft_s=0.0, e2e_s=end - start, arrival_s=start)
+            for rid, (start, end) in enumerate(spans)
+        )
+        result = ServingResult(
+            policy="fifo",
+            records=records,
+            makespan_s=max(end for _, end in spans),
+            busy_s=0.0,
+        )
+        metrics = ServingMetrics.from_result(result)
+        return metrics.mean_queue_depth, metrics.peak_queue_depth
 
-    def test_utilisation_timeline_rejects_zero_bins(self):
-        with pytest.raises(AnalysisError):
-            utilisation_timeline(stub_result(), bins=0)
+    def test_depth_is_time_weighted_over_the_makespan(self):
+        # One request in the system over [0, 0.5) and [1, 2), two over
+        # [0.5, 1).
+        mean, peak = self.depth((0.0, 1.0), (0.5, 2.0))
+        assert mean == pytest.approx((0.5 + 2 * 0.5 + 1.0) / 2.0)
+        assert peak == 2
+
+    def test_an_arrival_counts_before_a_completion_at_the_same_instant(self):
+        mean, peak = self.depth((0.0, 1.0), (1.0, 2.0))
+        assert mean == pytest.approx(1.0)
+        assert peak == 2
 
 
 class TestServingMetrics:
@@ -148,8 +164,6 @@ class TestServingMetrics:
             records=(),
             makespan_s=0.0,
             busy_s=0.0,
-            queue_samples=(),
-            busy_intervals=(),
         )
         with pytest.raises(AnalysisError):
             ServingMetrics.from_result(empty)

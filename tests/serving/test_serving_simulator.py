@@ -1,27 +1,33 @@
-"""Unit tests for the discrete-event serving loop (stubbed phase costs).
+"""Unit tests for single-platform serving (stubbed phase costs).
 
 A linear stub cost model (prefill: 0.01 s/prompt token, decode: 1 ms/step)
 makes every timeline exactly computable by hand, so these tests pin the
 event-loop semantics — admission, grants, preemption points, closed-loop
-follow-ups — independently of the real block engine.
+follow-ups — of :func:`~repro.fleet.simulator.serve_source`, the
+one-replica fleet behind ``Session.serve``, independently of the real
+block engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError, SimulationError
+from repro.fleet.simulator import serve_source
 from repro.serving import (
     ClosedLoopTrace,
     PhaseCost,
     PoissonTrace,
     ReplayTrace,
     Request,
-    ServingSimulator,
+    RequestSource,
 )
 
 
 class StubCosts:
     """Linear phase costs: exact arithmetic for hand-checked timelines."""
+
+    max_context = 1024
 
     def __init__(self, prefill_per_token=0.01, decode_step=0.001):
         self.prefill_per_token = prefill_per_token
@@ -46,8 +52,7 @@ def two_request_trace():
 
 
 def run(policy, trace, **stub_kwargs):
-    simulator = ServingSimulator(StubCosts(**stub_kwargs), policy)
-    result = simulator.run(trace.build(0))
+    result = serve_source(StubCosts(**stub_kwargs), trace.build(0), policy)
     return {record.request.request_id: record for record in result.records}, result
 
 
@@ -125,17 +130,6 @@ class TestConservation:
         assert result.makespan_s == pytest.approx(100.1)
         assert result.busy_s == pytest.approx(0.2)
         assert result.utilisation < 0.01
-        # The idle gap splits the busy timeline into two intervals.
-        assert len(result.busy_intervals) == 2
-
-    def test_queue_samples_are_time_ordered_and_bounded(self):
-        trace = PoissonTrace(rate_rps=50.0, duration_s=5.0)
-        _, result = run("continuous", trace)
-        times = [time_s for time_s, _ in result.queue_samples]
-        assert times == sorted(times)
-        depths = [depth for _, depth in result.queue_samples]
-        assert min(depths) >= 0
-        assert depths[-1] == 0  # drained
 
     def test_timelines_are_causal(self):
         trace = PoissonTrace(rate_rps=30.0, duration_s=5.0)
@@ -168,3 +162,37 @@ class TestClosedLoop:
         ordered = sorted(result.records, key=lambda r: r.request.arrival_s)
         for earlier, later in zip(ordered, ordered[1:]):
             assert later.request.arrival_s > earlier.finish_s
+
+    def follow_up_source(self, delay_s, prompt_tokens=10):
+        """One request, then one follow-up ``delay_s`` after its reply."""
+
+        def follow_up(record):
+            if record.request.request_id > 0:
+                return None
+            return Request(
+                request_id=1,
+                arrival_s=max(0.0, record.finish_s + delay_s),
+                prompt_tokens=prompt_tokens,
+                output_tokens=2,
+            )
+
+        first = Request(request_id=0, arrival_s=0.0, prompt_tokens=10, output_tokens=2)
+        return RequestSource([first], follow_up)
+
+    def test_a_follow_up_arrives_after_its_reply(self):
+        result = serve_source(StubCosts(), self.follow_up_source(0.5), "fifo")
+        first, second = result.records
+        # The first reply ends at 0.101; its follow-up arrives 0.5 s later.
+        assert second.request.arrival_s == pytest.approx(0.601)
+        assert second.first_scheduled_s == second.request.arrival_s
+        assert result.makespan_s == pytest.approx(0.702)
+        assert result.busy_s == pytest.approx(0.202)
+
+    def test_a_follow_up_before_its_reply_is_an_error(self):
+        with pytest.raises(SimulationError, match="before the reply"):
+            serve_source(StubCosts(), self.follow_up_source(-0.05), "fifo")
+
+    def test_a_follow_up_beyond_the_serving_window_is_rejected_on_arrival(self):
+        source = self.follow_up_source(0.5, prompt_tokens=2000)
+        with pytest.raises(ConfigurationError, match="request 1 needs a context"):
+            serve_source(StubCosts(), source, "fifo")

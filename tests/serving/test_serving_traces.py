@@ -253,10 +253,95 @@ class TestReplay:
         replay = load_trace(str(path))
         assert replay.build(99).initial == requests
 
+    def test_save_and_load_round_trip_byte_for_byte(self, tmp_path):
+        requests = (
+            *PoissonTrace(rate_rps=4.0, duration_s=20.0, priority_levels=3)
+            .build(0)
+            .initial,
+            Request(
+                request_id=999,
+                arrival_s=25.0,
+                prompt_tokens=8,
+                output_tokens=4,
+                priority=1,
+                client_id=3,
+            ),
+        )
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_trace(requests, str(first))
+        save_trace(load_trace(str(first)).requests, str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_rejects_non_trace_files(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"nope": []}))
         with pytest.raises(ConfigurationError):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1", "$.requests[0]: expected a 'request' mapping, got int"),
+            (
+                '{"request_id": 0, "prompt_tokens": 4, "output_tokens": 2}',
+                "$.requests[0]: missing required field 'arrival_s' of a request spec",
+            ),
+            (
+                '{"request_id": "a", "arrival_s": 0, "prompt_tokens": 4, "output_tokens": 2}',
+                "$.requests[0].request_id: expected an integer, got 'a'",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": NaN, "prompt_tokens": 4, "output_tokens": 2}',
+                "$.requests[0]: arrival_s must be finite, got nan",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": 1e400, "prompt_tokens": 4, "output_tokens": 2}',
+                "$.requests[0]: arrival_s must be finite, got inf",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": 0, "prompt_tokens": 1.5, "output_tokens": 2}',
+                "$.requests[0].prompt_tokens: expected an integer, got 1.5",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": 0, "prompt_tokens": 4, "output_tokens": 2, '
+                '"priority": 1.5}',
+                "$.requests[0].priority: expected an integer, got 1.5",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": 0, "prompt_tokens": 4, "output_tokens": 2, '
+                '"tokens": 3}',
+                "$.requests[0]: unknown field(s) tokens for a request spec",
+            ),
+            (
+                '{"request_id": 0, "arrival_s": 0, "prompt_tokens": 4, "output_tokens": 2, '
+                '"priority": -1}',
+                "$.requests[0]: priority must be non-negative",
+            ),
+        ],
+        ids=[
+            "not-a-mapping",
+            "no-arrival",
+            "string-id",
+            "nan-arrival",
+            "overflowing-arrival",
+            "fractional-prompt",
+            "fractional-priority",
+            "unknown-field",
+            "negative-priority",
+        ],
+    )
+    def test_malformed_entries_name_their_file_and_path(self, tmp_path, entry, message):
+        path = tmp_path / "t.json"
+        path.write_text('{"requests": [' + entry + "]}")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_trace(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["[]", '"requests"', '{"requests": []}'])
+    def test_rejects_documents_without_a_request_list(self, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="is not a trace file"):
             load_trace(str(path))
 
     def test_replay_rejects_empty(self):

@@ -1,22 +1,18 @@
-"""Discrete-event, request-level serving simulator.
+"""The serving-engine oracle: the single-platform loop serve used to run.
 
-:class:`ServingSimulator` advances virtual time over a request stream:
-requests arrive (open loop) or are issued by thinking clients (closed
-loop), wait in the queue, and are served by the multi-chip platform, which
-the simulator models as one serial engine whose phase costs come from the
-Session-memoised :class:`~repro.serving.costs.RequestCostModel` — no block
-is ever re-simulated per token.
+:class:`repro.fleet.FleetSimulator` is the package's only serving engine;
+``repro serve`` runs as a one-replica fleet
+(:func:`repro.fleet.simulator.serve_source`).  This module keeps the
+engine it replaced, an independent second implementation of the same
+serving semantics: :class:`ServingSimulator` admits every arrival up to
+the current instant before each pick, serves one grant at a time with
+:func:`serve_grant`, and issues closed-loop follow-ups as records
+complete.  Its :class:`ServingResult` also records the queue-depth
+samples, from which ``_time_weighted_depth`` computes the time-weighted
+mean and the peak the way ``ServingMetrics`` used to.
 
-The engine is non-preemptive within a *service grant*: at every decision
-point the scheduling policy picks a request, and the simulator runs either
-its prefill pass or up to ``policy.decode_quantum`` decode steps (all
-remaining steps when the quantum is ``None``) before the next decision.
-Arrivals during a grant are admitted with their true timestamps, so queue
-waits and queue-depth timelines are exact.
-
-Everything is deterministic: traces are seeded, costs are analytical, and
-policies tie-break on request ids, so two runs with equal inputs produce
-identical :class:`ServingResult` objects.
+``tests/serving/test_serving_oracle.py`` requires the fleet path to give
+``==`` records, makespan, busy time and queue depths.
 """
 
 from __future__ import annotations
@@ -25,13 +21,11 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from ..errors import SimulationError
-from .costs import RequestCostModel
-from .policies import ReadyQueue, SchedulingPolicy, get_policy
-from .request import ActiveRequest, RequestPhase, RequestRecord
-from .traces import RequestSource
-
-__all__ = ["ServingResult", "ServingSimulator", "serve_grant"]
+from repro.errors import SimulationError
+from repro.serving.costs import RequestCostModel
+from repro.serving.policies import ReadyQueue, SchedulingPolicy, get_policy
+from repro.serving.request import ActiveRequest, RequestPhase, RequestRecord
+from repro.serving.traces import RequestSource
 
 
 @dataclass(frozen=True)
@@ -226,3 +220,16 @@ def serve_grant(
     chosen.tokens_emitted += steps
     chosen.energy_joules += energy
     return seconds
+
+
+def _time_weighted_depth(result: ServingResult) -> Tuple[float, int]:
+    """(time-weighted mean, peak) of the queue-depth timeline."""
+    samples = result.queue_samples
+    if not samples or result.makespan_s <= 0:
+        return 0.0, 0
+    area = 0.0
+    for (time_s, depth), (next_time_s, _) in zip(samples, samples[1:]):
+        area += depth * (next_time_s - time_s)
+    last_time, last_depth = samples[-1]
+    area += last_depth * (result.makespan_s - last_time)
+    return area / result.makespan_s, max(depth for _, depth in samples)

@@ -749,6 +749,59 @@ class TestHugeChipCounts:
         )
 
 
+#: Malformed replay files: one entry each, or a non-object document.
+MALFORMED_REPLAYS = {
+    "non-object": "[]",
+    "not-a-mapping": '{"requests": [1]}',
+    "no-arrival": '{"requests": [{"request_id": 0, "prompt_tokens": 4, "output_tokens": 2}]}',
+    "nan-arrival": (
+        '{"requests": [{"request_id": 0, "arrival_s": NaN, "prompt_tokens": 4, '
+        '"output_tokens": 2}]}'
+    ),
+    "overflowing-arrival": (
+        '{"requests": [{"request_id": 0, "arrival_s": 1e400, "prompt_tokens": 4, '
+        '"output_tokens": 2}]}'
+    ),
+    "fractional-prompt": (
+        '{"requests": [{"request_id": 0, "arrival_s": 0, "prompt_tokens": 1.5, '
+        '"output_tokens": 2}]}'
+    ),
+    "negative-priority": (
+        '{"requests": [{"request_id": 0, "arrival_s": 0, "prompt_tokens": 4, '
+        '"output_tokens": 2, "priority": -1}]}'
+    ),
+}
+
+
+class TestMalformedReplay:
+    @pytest.mark.parametrize("case", sorted(set(MALFORMED_REPLAYS) - {"nan-arrival"}))
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_malformed_replay_is_one_error_line(self, capsys, tmp_path, command, case):
+        path = tmp_path / "t.json"
+        path.write_text(MALFORMED_REPLAYS[case])
+        expect_cli_error(capsys, [command, "--replay", str(path), "--no-cache"], str(path))
+
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_nan_arrival_replay_fails_fast(self, tmp_path, command):
+        # A NaN arrival once sent serve into an endless loop: run the
+        # command apart, under a timeout.
+        (tmp_path / "t.json").write_text(MALFORMED_REPLAYS["nan-arrival"])
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--replay", "t.json", "--no-cache"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr.splitlines() == [
+            "error: t.json: $.requests[0]: arrival_s must be finite, got nan"
+        ]
+
+
 class TestRandomCrashLayerBound:
     @pytest.mark.parametrize("extra", [[], ["--emit-spec"]], ids=["run", "emit-spec"])
     def test_undrawable_random_layer_fails_fast(self, extra):
