@@ -727,10 +727,7 @@ class Session:
                     f"> max_context {max_context}; shorten the trace's "
                     "lengths or raise max_context"
                 )
-        priority_levels = getattr(trace, "priority_levels", None)
-        if priority_levels is None:  # a replay: the priorities it uses
-            priority_levels = 1 + max(r.priority for r in source.initial)
-        result = serve_source(costs, source, policy, priority_levels)
+        result = serve_source(costs, source, policy)
         metrics = ServingMetrics.from_result(
             result,
             slo_targets=(
@@ -822,6 +819,7 @@ class Session:
             FleetReport,
             FleetSimulator,
             ReplicaTemplate,
+            SLOClass,
             iter_requests,
         )
         from ..hw.presets import get_platform_preset
@@ -887,7 +885,8 @@ class Session:
             templates,
             router=router,
             policy=policy,
-            admission=AdmissionController(classes),
+            # No tenants: every request takes the default class's priority 0.
+            admission=AdmissionController(classes or (SLOClass(),)),
             autoscaler=autoscaler,
             scale_template=scale_template,
             slo_targets=(

@@ -7,7 +7,9 @@ the fleet metrics.  The :class:`AdmissionController` maps every arriving
 request to its class (the request's ``priority`` field indexes the class
 list, clamped to the last entry) and runs one deterministic token bucket
 per limited class: a request is admitted if its class has a token left
-and rejected otherwise — rejected requests never reach the router.
+and rejected otherwise — rejected requests never reach the router.  A
+controller built without classes admits everything into one ``default``
+class and leaves each request's priority as its trace set it.
 
 Everything is virtual-time arithmetic on the arrival stream, so admission
 decisions are exactly reproducible for equal traces.
@@ -141,12 +143,15 @@ class AdmissionController:
     Args:
         classes: The fleet's SLO classes in priority-index order; an
             arriving request's ``priority`` field selects
-            ``classes[min(priority, len(classes) - 1)]``.  Defaults to a
-            single unlimited class, so a fleet without tenants admits
-            everything.
+            ``classes[min(priority, len(classes) - 1)]``, whose priority
+            the fleet stamps onto it.  Without classes, one unlimited
+            ``default`` class admits everything and stamps nothing (how
+            ``serve``'s one-replica fleet keeps trace priorities).
     """
 
     def __init__(self, classes: Sequence[SLOClass] = ()) -> None:
+        #: Whether admitted requests take their class's priority.
+        self.stamps_priority = bool(classes)
         chosen: Tuple[SLOClass, ...] = tuple(classes) or (SLOClass(),)
         names = [cls.name for cls in chosen]
         if len(set(names)) != len(names):
@@ -209,10 +214,6 @@ class AdmissionController:
     def stats(self) -> Tuple[ClassStats, ...]:
         """Per-class counters, in class order."""
         return tuple(self._stats)
-
-    def index_of(self, slo_class: SLOClass) -> int:
-        """Position of ``slo_class`` in the class list."""
-        return self.classes.index(slo_class)
 
     def to_dicts(self, *, include_shed: bool = False) -> List[Dict[str, object]]:
         """JSON-ready per-class summary, in class order.

@@ -14,11 +14,11 @@ together with seeded traces and stateless-per-run routers makes
 equal-input fleet runs byte-identical.
 
 A replica picks only after every arrival due at that instant is queued:
-while the heap's head is an arrival at the current time, the pick waits
-(the replica counts as busy meanwhile, as if it had picked).  A
-single-platform ``serve`` is a one-replica fleet, :func:`serve_source`,
-whose ``on_complete`` hook collects the records and returns closed-loop
-follow-ups.
+while a stream arrival or follow-up at the current time is still in the
+heap, the pick waits (the replica counts as busy meanwhile, as if it had
+picked).  A single-platform ``serve`` is a one-replica fleet,
+:func:`serve_source`, whose ``on_complete`` hook collects the records and
+returns closed-loop follow-ups.
 
 On arrival a request passes admission control
 (:mod:`repro.fleet.admission`), is dispatched by the routing policy
@@ -54,7 +54,7 @@ from ..serving.policies import ReadyQueue, SchedulingPolicy, get_policy
 from ..serving.request import ActiveRequest, Request, RequestPhase, RequestRecord
 from ..serving.traces import RequestSource, TrafficTrace
 from ..spec.base import SpecBase, register, spec_error
-from .admission import AdmissionController, SLOClass
+from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .faults import FaultModel, RetryPolicy
 from .metrics import (
@@ -296,7 +296,8 @@ class FleetSimulator:
             :class:`~repro.fleet.routers.RoutingPolicy` instance.
         policy: Per-replica scheduling policy name (or instance).
         admission: Admission controller; a default-constructed one
-            (single unlimited class) when ``None``.
+            (a single unlimited class that keeps every request's own
+            priority) when ``None``.
         autoscaler: Reactive-scaling knobs; scaling is off when ``None``.
         scale_template: Replica recipe the autoscaler adds from
             (required when ``autoscaler`` is given).
@@ -378,6 +379,7 @@ class FleetSimulator:
 
         fault_model = self.faults
         retry = self.retry
+        stamp = self.admission.stamps_priority
         # One flag guards every fault/failover code path: when False the
         # loop below executes exactly the fault-free engine.
         resilient = fault_model is not None or retry is not None
@@ -392,22 +394,23 @@ class FleetSimulator:
             seq += 1
 
         arrival_iter = iter(requests)
-        arrivals_pending = True
-        last_arrival_s = 0.0
-        follow_ups_pending = 0
+        # Arrival times in the heap: the one stream arrival pulled ahead
+        # (None once the stream is drained) and every pending follow-up.
+        next_arrival_s: Optional[float] = 0.0
+        follow_up_times: List[float] = []
 
         def push_next_arrival() -> None:
-            nonlocal arrivals_pending, last_arrival_s
+            nonlocal next_arrival_s
             request = next(arrival_iter, None)
             if request is None:
-                arrivals_pending = False
+                next_arrival_s = None
                 return
-            if request.arrival_s < last_arrival_s:
+            if request.arrival_s < next_arrival_s:  # type: ignore[operator]
                 raise SimulationError(
                     "trace arrivals are not in time order "
                     f"(request {request.request_id} at {request.arrival_s})"
                 )
-            last_arrival_s = request.arrival_s
+            next_arrival_s = request.arrival_s
             push(request.arrival_s, _KIND_ARRIVAL, request)
 
         # Streaming accumulators.
@@ -423,6 +426,7 @@ class FleetSimulator:
         makespan = 0.0
         window_completed = window_slo_met = 0  # autoscaler window
         busy_bins: Dict[int, float] = {}
+        window_s = self.timeline_window_s
         timeline: List[Tuple[float, int, int, float]] = []
         scaling_events: List[ScaleEvent] = []
         window_index = 0
@@ -451,18 +455,17 @@ class FleetSimulator:
 
         def work_remains() -> bool:
             return (
-                arrivals_pending
-                or follow_ups_pending > 0
+                next_arrival_s is not None
+                or bool(follow_up_times)
                 or in_backoff > 0
                 or any(r.active for r in all_replicas)
             )
 
         def add_busy(start_s: float, end_s: float, sign: float = 1.0) -> None:
-            width = self.timeline_window_s
-            index = int(start_s / width)
+            index = int(start_s / window_s)
             cursor = start_s
             while cursor < end_s:
-                edge = (index + 1) * width
+                edge = (index + 1) * window_s
                 span = min(end_s, edge) - cursor
                 busy_bins[index] = busy_bins.get(index, 0.0) + span * sign
                 cursor = edge
@@ -472,8 +475,8 @@ class FleetSimulator:
         deferred: List[_Replica] = []
 
         def start_grant(replica: _Replica, now: float) -> None:
-            nonlocal hedge_wins
-            if events and events[0][0] == now and events[0][1] >= _KIND_ARRIVAL:
+            nonlocal hedge_wins, seq
+            if next_arrival_s == now or (follow_up_times and follow_up_times[0] == now):
                 replica.busy = True  # as if it had picked: no second pick
                 deferred.append(replica)
                 return
@@ -504,15 +507,18 @@ class FleetSimulator:
                 factor = replica.slow_factor * brownout
                 if factor != 1.0:
                     duration *= factor
+            end = now + duration
             replica.busy = True
             replica.busy_s += duration
-            replica.grant_info = (chosen, now, now + duration)
-            add_busy(now, now + duration)
-            push(
-                now + duration,
-                _KIND_GRANT_END,
-                (replica, chosen, replica.grant_epoch),
-            )
+            replica.grant_info = (chosen, now, end)
+            window = int(now / window_s)
+            if end <= (window + 1) * window_s:  # add_busy's one-window case
+                busy_bins[window] = busy_bins.get(window, 0.0) + (end - now)
+            else:
+                add_busy(now, end)
+            payload = (replica, chosen, replica.grant_epoch)
+            heapq.heappush(events, (end, _KIND_GRANT_END, seq, payload))
+            seq += 1
 
         def retire(replica: _Replica, now: float) -> None:
             nonlocal outage_start
@@ -623,10 +629,16 @@ class FleetSimulator:
         now = 0.0
         while events or deferred:
             if deferred and not (
-                events and events[0][0] == now and events[0][1] >= _KIND_ARRIVAL
+                next_arrival_s == now or (follow_up_times and follow_up_times[0] == now)
             ):
+                # Every arrival of this instant is queued: pick, unless the
+                # instant's other events emptied or retired the replica.
                 for replica in deferred:
-                    start_grant(replica, now)
+                    replica.busy = False
+                    if replica.active:
+                        start_grant(replica, now)
+                    elif replica.draining and replica.drained_s is None:
+                        retire(replica, now)
                 deferred.clear()
                 continue
             now, kind, _, payload = heapq.heappop(events)
@@ -698,7 +710,7 @@ class FleetSimulator:
                                     "closed-loop follow-up arrives before the "
                                     "reply it reacts to"
                                 )
-                            follow_ups_pending += 1
+                            heapq.heappush(follow_up_times, follow_up.arrival_s)
                             push(follow_up.arrival_s, _KIND_FOLLOW_UP, follow_up)
                 else:
                     replica.active.requeue(chosen)
@@ -721,7 +733,12 @@ class FleetSimulator:
                             serving.remove(replica)
                         if not serving and outage_start is None:
                             outage_start = now
-                        if replica.busy:
+                        if replica in deferred:
+                            # Its pick was waiting on this instant's
+                            # arrivals: nothing in flight to abort.
+                            deferred.remove(replica)
+                            replica.busy = False
+                        elif replica.busy:
                             # Abort the in-flight grant: roll back its
                             # unserved remainder, charge the served part
                             # as wasted work.
@@ -847,7 +864,7 @@ class FleetSimulator:
                     # whether another one is due at this instant.
                     push_next_arrival()
                 else:
-                    follow_ups_pending -= 1
+                    heapq.heappop(follow_up_times)
                 arrived += 1
                 required = request.prompt_tokens + request.output_tokens - 1
                 if required > max_context:
@@ -874,12 +891,13 @@ class FleetSimulator:
                     shed += 1
                     self.admission.shed(request)
                     continue
+                index = self.admission.class_index(request)
                 ok, slo_class = self.admission.admit(request)
                 if not ok:
                     rejected += 1
                 else:
                     admitted += 1
-                    if slo_class.priority != request.priority:
+                    if stamp and slo_class.priority != request.priority:
                         request = replace(request, priority=slo_class.priority)
                     if not serving:
                         raise SimulationError(
@@ -888,9 +906,7 @@ class FleetSimulator:
                         )
                     chosen_replica = dispatch(request, serving, now)
                     chosen_active = ActiveRequest(request=request)
-                    class_of[request.request_id] = self.admission.index_of(
-                        slo_class
-                    )
+                    class_of[request.request_id] = index
                     if resilient:
                         rid = request.request_id
                         timeout = slo_class.timeout_s
@@ -1140,14 +1156,14 @@ def serve_source(
     costs: RequestCostModel,
     source: RequestSource,
     policy: "str | SchedulingPolicy" = "fifo",
-    priority_levels: int = 1,
 ) -> ServingResult:
     """Serve a request stream on one platform, as a one-replica fleet.
 
     ``costs`` needs ``prefill_cost``, ``decode_cost`` and ``max_context``.
-    One unlimited admission class per priority level (every request's
-    ``priority`` is below ``priority_levels``) keeps each request's own
-    priority; a closed-loop source's follow-ups arrive as replies complete.
+    The fleet has no tenant classes, so every request is admitted with its
+    own priority; a closed-loop source's follow-ups arrive as replies
+    complete.  The result's metrics come from the records, so the fleet
+    keeps no SLO curve.
     """
     records: List[RequestRecord] = []
 
@@ -1159,9 +1175,7 @@ def serve_source(
         # The replica's preset and chip count are labels only.
         [ReplicaTemplate(preset="serve", chips=0, role="any", costs=costs)],
         policy=policy,
-        admission=AdmissionController(
-            [SLOClass(name=str(level), priority=level) for level in range(priority_levels)]
-        ),
+        slo_targets=(),
     )
     fleet = simulator.run(source.initial, on_complete)
     return ServingResult(

@@ -35,6 +35,7 @@ import repro.spec.runner
 from repro.api import EvalResult, EvalSweep, Session
 from repro.dse import ServingScenario
 from repro.fleet import (
+    AdmissionController,
     AutoscalerConfig,
     FaultEvent,
     FaultModel,
@@ -166,6 +167,7 @@ def test_removed_modules_and_converters_are_gone():
     assert not hasattr(EvalResult, "to_baseline_result")
     assert not hasattr(EvalResult, "from_baseline_result")
     assert not hasattr(EvalSweep, "to_sweep_result")
+    assert not hasattr(AdmissionController, "index_of")
     assert [field.name for field in fields(ServingResult)] == [
         "policy",
         "records",

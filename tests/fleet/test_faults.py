@@ -453,6 +453,52 @@ class TestDegradation:
 
 
 # ----------------------------------------------------------------------
+# Events of an instant whose arrival a replica's pick waits for
+# ----------------------------------------------------------------------
+class TestWaitingPicks:
+    """At t=0.1 a grant ends while request 1 is due to arrive.
+
+    The replica's pick waits for that arrival, and the crash or the
+    timeout due at the same instant sorts before it, so it meets a
+    replica with no grant in flight.
+    """
+
+    def test_a_crash_meets_a_waiting_replica(self):
+        simulator = FleetSimulator(
+            [template()],
+            faults=FaultModel(events=(FaultEvent.parse("crash:0@0.1+0.5"),)),
+            retry=RetryPolicy(max_retries=1, backoff_s=1.0),
+        )
+        # Request 0's prefill ends at 0.1 and its decode step waits; the
+        # crash fails it over (retried at 1.1, after the recovery) and
+        # request 1 arrives to a fleet with no replica in service.
+        result = simulator.run([req(0, 0.0), req(1, 0.1, output=1)])
+        stats = result.resilience
+        assert (result.completed, stats.shed, stats.retries) == (1, 1, 1)
+        assert stats.wasted_busy_s == 0.0  # nothing was in flight
+        assert result.replicas[0].busy_s == pytest.approx(0.1 + 0.101)
+        assert result.makespan_s == pytest.approx(1.201)
+        conserve(result)
+
+    def test_a_timeout_empties_a_waiting_replica(self):
+        # Request 1 (queued at 0.05, deadline 0.1) times out before the
+        # pick, and the class's two-request burst rejects request 2: the
+        # replica is left with nothing to pick.
+        simulator = FleetSimulator(
+            [template()],
+            admission=AdmissionController([SLOClass(rate_rps=0.001, burst=2)]),
+            retry=RetryPolicy(timeout_s=0.05),
+        )
+        result = simulator.run(
+            [req(0, 0.0, output=1), req(1, 0.05), req(2, 0.1)]
+        )
+        stats = result.resilience
+        assert (result.completed, stats.timed_out, result.rejected) == (1, 1, 1)
+        assert result.makespan_s == pytest.approx(0.1)
+        conserve(result)
+
+
+# ----------------------------------------------------------------------
 # Construction-time validation and reporting
 # ----------------------------------------------------------------------
 class TestSimulatorIntegration:

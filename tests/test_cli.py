@@ -802,6 +802,39 @@ class TestMalformedReplay:
         ]
 
 
+class TestFarApartPriorities:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--replay", "t.json"],
+            ["--priority-levels", "100000000", "--duration", "10"],
+        ],
+        ids=["replay-priority-1e12", "priority-levels-1e8"],
+    )
+    def test_serve_keeps_huge_priorities_cheaply(self, tmp_path, argv):
+        # serve admits each request with its own priority; nothing it
+        # builds grows with the priority's value.
+        (tmp_path / "t.json").write_text(
+            '{"requests": [{"request_id": 0, "arrival_s": 0, "prompt_tokens": 4, '
+            '"output_tokens": 2, "priority": 1000000000000}]}'
+        )
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", *argv,
+                "--policy", "priority", "--json", "--no-cache",
+            ],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        assert json.loads(completed.stdout)["metrics"]["requests"] >= 1
+
+
 class TestRandomCrashLayerBound:
     @pytest.mark.parametrize("extra", [[], ["--emit-spec"]], ids=["run", "emit-spec"])
     def test_undrawable_random_layer_fails_fast(self, extra):
