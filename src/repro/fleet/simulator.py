@@ -649,9 +649,9 @@ class FleetSimulator:
                     continue  # the grant was aborted by a crash
                 replica.busy = False
                 replica.grant_info = None
-                if chosen.is_done:
+                request = chosen.request
+                if chosen.tokens_emitted >= request.output_tokens:
                     chosen.phase = RequestPhase.DONE
-                    request = chosen.request
                     del replica.active[request.request_id]
                     index = class_of.pop(request.request_id)
                     wait_s = chosen.first_scheduled_s - request.arrival_s
@@ -1116,7 +1116,7 @@ def serve_grant(
     ``(seconds, energy)``.
     """
     request = chosen.request
-    if not chosen.prefill_done:
+    if chosen.first_token_s is None:
         cost = costs.prefill_cost(request.prompt_tokens)
         if chosen.first_scheduled_s is None:
             chosen.first_scheduled_s = now
@@ -1128,7 +1128,7 @@ def serve_grant(
         return cost.seconds
 
     quantum = policy.decode_quantum
-    remaining = chosen.remaining_tokens
+    remaining = request.output_tokens - chosen.tokens_emitted
     steps = remaining if quantum is None else min(quantum, remaining)
     if steps <= 0:
         raise SimulationError(
