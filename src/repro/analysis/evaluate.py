@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..core.placement import PrefetchAccounting, WeightResidency
 from ..core.schedule import BlockProgram, RuntimeCategory
@@ -168,12 +168,17 @@ class ProgramMemo:
     also shares its compiled simulator sweep (:mod:`repro.sim.fastpath`)
     across its rebinds; one served once keeps none.
 
+    The memo also holds the per-chip blocks of the weight-replicated
+    baseline (:meth:`replicated_block`), which depend on the workload,
+    the rows each chip processes and the chip model only.
+
     A :class:`~repro.api.Session` owns one memo and activates it around
     each engine call.  It lives in memory only and is never persisted.
     """
 
     def __init__(self) -> None:
         self._programs: Dict[str, BlockProgram] = {}
+        self._replicated: Dict[str, tuple] = {}
         # id(chip) -> (chip, the chip at a neutral clock).  Holding the
         # chip keeps its id from being reused while the entry exists.
         self._unpriced: Dict[int, Tuple[ChipModel, ChipModel]] = {}
@@ -182,12 +187,13 @@ class ProgramMemo:
         return len(self._programs)
 
     def clear(self) -> None:
-        """Forget every program and drop its compiled sweep."""
+        """Forget every program and block, and drop each compiled sweep."""
         for program in self._programs.values():
             holder = program.__dict__.get("_compiled_sweep")
             if holder is not None:
                 holder[0] = None
         self._programs.clear()
+        self._replicated.clear()
         self._unpriced.clear()
 
     @contextmanager
@@ -221,12 +227,33 @@ class ProgramMemo:
             object.__setattr__(program, "_compiled_sweep", [None])
         return scheduler.rebind(program, workload)
 
+    def replicated_block(
+        self,
+        workload: Workload,
+        rows_per_chip: int,
+        chip: ChipModel,
+        build: Callable[[Workload, int, ChipModel], tuple],
+    ) -> tuple:
+        """``build(workload, rows_per_chip, chip)``, built once per input."""
+        from ..api.session import content_hash  # repro.api imports this module
+
+        key = content_hash(workload, rows_per_chip, chip)
+        block = self._replicated.get(key)
+        if block is None:
+            block = self._replicated[key] = build(workload, rows_per_chip, chip)
+        return block
+
     def _unpriced_chip(self, chip: ChipModel) -> ChipModel:
         entry = self._unpriced.get(id(chip))
         if entry is None:
             unpriced = replace(chip, cluster=replace(chip.cluster, frequency_hz=1.0))
             entry = self._unpriced[id(chip)] = (chip, unpriced)
         return entry[1]
+
+
+def active_program_memo() -> Optional[ProgramMemo]:
+    """The program memo of the session whose engine call is running, if any."""
+    return _ACTIVE_PROGRAMS.get()
 
 
 def evaluate_block(

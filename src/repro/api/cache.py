@@ -28,6 +28,18 @@ can never be answered with results of the old code.  Corrupt stores are
 rebuilt (and unreadable entries treated as misses) rather than raised:
 the cache is an accelerator, never a correctness dependency.
 
+Writes are batched: :meth:`EvalCache.put` buffers the pickled row and
+commits :data:`WRITE_BATCH_ROWS` rows in one short transaction.  Every
+store of one process on the same file reads that process's buffered
+rows; other processes see a row once it is flushed.  The buffer is
+flushed when it fills, on :meth:`EvalCache.close` and
+:meth:`EvalCache.flush`, at interpreter exit, at the end of each
+``Session.prefill`` worker chunk and before a prefill starts its pool,
+so a killed process loses at most ``WRITE_BATCH_ROWS - 1`` results,
+which are recomputed (to the same bytes) on the next miss.  A forked
+child starts with an empty buffer: it never reads or writes rows its
+parent buffered.
+
 Sessions configured with a custom ``energy`` factory never attach a
 store: arbitrary callables content-hash by qualified name only, which
 is sound within one process (the factory is fixed per session) but
@@ -36,6 +48,7 @@ would collide across processes.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import os
 import pickle
@@ -44,10 +57,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "WRITE_BATCH_ROWS",
     "CacheStats",
     "EvalCache",
     "default_cache_dir",
@@ -68,6 +82,9 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_NO_CACHE = "REPRO_NO_CACHE"
 
 _TRUTHY = {"1", "true", "yes", "on"}
+
+#: Rows :meth:`EvalCache.put` buffers before committing them together.
+WRITE_BATCH_ROWS = 64
 
 
 def default_cache_dir() -> Path:
@@ -144,6 +161,23 @@ def _code_version() -> str:
     return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
+#: This process's uncommitted rows, by store file: the store that
+#: buffered the first of them (it flushes them at exit) and the pickled
+#: rows by key.  Shared by every :class:`EvalCache` on that file.
+_PENDING: Dict[str, Tuple["EvalCache", Dict[str, bytes]]] = {}
+
+
+@atexit.register
+def _flush_pending() -> None:
+    for store, _ in list(_PENDING.values()):
+        store.flush()
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child must neither read nor commit its parent's rows.
+    os.register_at_fork(after_in_child=_PENDING.clear)
+
+
 class EvalCache:
     """A content-hash-keyed persistent store of evaluation results.
 
@@ -158,6 +192,7 @@ class EvalCache:
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory).expanduser()
         self.path = self.directory / _DB_NAME
+        self._pending_key = os.path.realpath(self.path)
         self._connection: Optional[sqlite3.Connection] = None
         self._broken = False
         #: Writes dropped after the bounded retry (store locked or
@@ -227,7 +262,12 @@ class EvalCache:
             )
 
     def _rebuild(self) -> Optional[sqlite3.Connection]:
-        """Last resort for a corrupt store: delete the file and retry once."""
+        """Last resort for a corrupt store: delete the file and retry once.
+
+        Rows this process buffered for the file go with it, as rows
+        already written do.
+        """
+        _PENDING.pop(self._pending_key, None)
         try:
             if self._connection is not None:
                 self._connection.close()
@@ -247,7 +287,11 @@ class EvalCache:
             return None
 
     def close(self) -> None:
-        """Close the underlying sqlite connection (reopened on demand)."""
+        """Flush buffered rows and close the sqlite connection.
+
+        The connection is reopened on demand.
+        """
+        self.flush()
         if self._connection is not None:
             try:
                 self._connection.close()
@@ -263,6 +307,10 @@ class EvalCache:
         connection = self._connect()
         if connection is None:
             return None
+        pending = _PENDING.get(self._pending_key)
+        payload = pending[1].get(key) if pending is not None else None
+        if payload is not None:
+            return pickle.loads(payload)
         try:
             row = connection.execute(
                 "SELECT value FROM evals WHERE key = ?", (key,)
@@ -290,39 +338,66 @@ class EvalCache:
     def put(self, key: str, result) -> None:
         """Store ``result`` under ``key`` (best effort, never raises).
 
-        A locked store gets one bounded retry (after a short sleep, on
-        top of sqlite's own ``busy_timeout``); a write dropped after
-        that is counted in :attr:`dropped_writes` so sustained
-        contention is observable instead of silent.
+        The pickled row joins this process's buffer for the store file,
+        which is committed once it holds :data:`WRITE_BATCH_ROWS` rows
+        (see :meth:`flush`).  A put on a store that cannot be opened is
+        counted in :attr:`dropped_writes` at once.
         """
-        connection = self._connect()
-        if connection is None:
+        if self._connect() is None:
             self.dropped_writes += 1
             return
         try:
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return  # unpicklable result (custom models): skip persisting
-        for attempt in range(2):
-            try:
-                connection.execute(
-                    "INSERT OR REPLACE INTO evals (key, value) VALUES (?, ?)",
-                    (key, payload),
-                )
-                return
-            except sqlite3.OperationalError:
-                if attempt == 0:
-                    time.sleep(0.05)  # one bounded retry, then give up
-            except sqlite3.Error:
-                self._connection = self._rebuild()
-                break
-        self.dropped_writes += 1
+        pending = _PENDING.get(self._pending_key)
+        if pending is None:
+            pending = _PENDING[self._pending_key] = (self, {})
+        rows = pending[1]
+        rows[key] = payload
+        if len(rows) >= WRITE_BATCH_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Commit this process's buffered rows in one transaction.
+
+        Best effort, never raises: a locked store gets one bounded retry
+        (after a short sleep, on top of sqlite's own ``busy_timeout``),
+        and every row of a batch that still fails is counted in
+        :attr:`dropped_writes`, so sustained contention is observable
+        instead of silent.
+        """
+        pending = _PENDING.pop(self._pending_key, None)
+        if pending is None:
+            return
+        rows = pending[1]
+        connection = self._connect()
+        if connection is not None:
+            for attempt in range(2):
+                try:
+                    connection.execute("BEGIN IMMEDIATE")
+                    connection.executemany(
+                        "INSERT OR REPLACE INTO evals (key, value) VALUES (?, ?)",
+                        rows.items(),
+                    )
+                    connection.execute("COMMIT")
+                    return
+                except sqlite3.OperationalError:
+                    _rollback(connection)
+                    if attempt == 0:
+                        time.sleep(0.05)  # one bounded retry, then give up
+                except sqlite3.Error:
+                    _rollback(connection)
+                    self._connection = self._rebuild()
+                    break
+        self.dropped_writes += len(rows)
 
     def clear(self) -> int:
         """Drop every stored entry; returns how many were removed.
 
         The count is taken before connecting, so entries a version
-        mismatch would wipe on connect are still reported as removed.
+        mismatch would wipe on connect are still reported as removed;
+        buffered rows are flushed first and count too.
         """
         count = self.stats().entries
         connection = self._connect()
@@ -338,6 +413,7 @@ class EvalCache:
             return 0
 
     def __len__(self) -> int:
+        self.flush()
         connection = self._connect()
         if connection is None:
             return 0
@@ -359,8 +435,11 @@ class EvalCache:
         it was *written* with), so looking at a store from another
         release never empties it — only the mutating operations
         (``get``/``put``/``clear``/``len``) apply the version-mismatch
-        invalidation.
+        invalidation.  Rows this process has buffered are flushed first
+        (a store with buffered rows was opened, so stamped, by this
+        process), so they count.
         """
+        self.flush()
         entries = 0
         schema = CACHE_SCHEMA_VERSION
         code = _code_version()
@@ -396,3 +475,11 @@ class EvalCache:
             schema_version=schema,
             code_version=code,
         )
+
+
+def _rollback(connection: sqlite3.Connection) -> None:
+    """Abandon a failed batch's open transaction, if any."""
+    try:
+        connection.rollback()
+    except sqlite3.Error:
+        pass

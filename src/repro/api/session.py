@@ -341,7 +341,8 @@ def _evaluate_chunk(payloads):
     is ``"ok"`` (value is ``(ran_engine, result)``), ``"infeasible"``
     (a :class:`ReproError`; the serial path re-raises it cheaply and
     assigns it meaning), or ``"error"`` (value is the repr of an
-    unexpected exception).
+    unexpected exception).  The chunk's store writes are flushed before
+    it returns: a pool worker exits without running exit handlers.
     """
     out = []
     for payload in payloads:
@@ -352,6 +353,8 @@ def _evaluate_chunk(payloads):
             out.append((key, "infeasible", None))
         except Exception as error:  # pragma: no cover - defensive
             out.append((key, "error", repr(error)))
+    for store in _WORKER_STORES.values():
+        store.flush()
     return out
 
 
@@ -1044,6 +1047,8 @@ class Session:
             return
         import warnings
 
+        if self._store is not None:
+            self._store.flush()  # workers read the store, not this buffer
         try:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -16,15 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from ..analysis.evaluate import evaluate_block
 from ..api.result import EvalResult
-from ..core.footprint import chip_footprint
-from ..core.partition import partition_block
-from ..core.placement import plan_memory
-from ..core.scheduler import BlockScheduler
-from ..energy.model import EnergyModel
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
-from ..sim import simulate_block
 
 
 def evaluate_pipeline_parallel(
@@ -33,33 +28,29 @@ def evaluate_pipeline_parallel(
     """Analytically evaluate a layer-wise pipeline across the platform.
 
     Each stage is modelled as a single-chip execution of its layers: the
-    block program is built for a one-chip platform whose weight-residency
-    decision sees only the stage's share of the model (a chip holding
-    ``L/N`` layers may keep them all resident, which is the one advantage
-    pipelining shares with the paper's scheme).  The per-token latency is
-    the sum of all stage latencies plus the inter-stage activation
-    transfers; the per-block figure reported is that latency divided by the
-    layer count, to stay comparable with the other approaches.
+    block is evaluated (:func:`~repro.analysis.evaluate_block`, so a
+    session builds each distinct stage program once) on a one-chip
+    platform whose weight-residency decision sees only the stage's share
+    of the model (a chip holding ``L/N`` layers may keep them all
+    resident, which is the one advantage pipelining shares with the
+    paper's scheme).  The per-token latency is the sum of all stage
+    latencies plus the inter-stage activation transfers; the per-block
+    figure reported is that latency divided by the layer count, to stay
+    comparable with the other approaches.
     """
     config = workload.config
     num_chips = platform.num_chips
     layers_per_stage = max(1, math.ceil(config.num_layers / num_chips))
     num_stages = math.ceil(config.num_layers / layers_per_stage)
 
-    # A single-chip platform for per-stage execution, with the residency
-    # decision based on the stage's (smaller) share of the model.
-    stage_platform = platform.with_num_chips(1)
-    stage_config = replace(config, num_layers=layers_per_stage)
-    stage_workload = Workload(
-        config=stage_config, mode=workload.mode, seq_len=workload.seq_len
+    stage = evaluate_block(
+        Workload(
+            config=replace(config, num_layers=layers_per_stage),
+            mode=workload.mode,
+            seq_len=workload.seq_len,
+        ),
+        platform.with_num_chips(1),
     )
-    scheduler = BlockScheduler(platform=stage_platform)
-    program = scheduler.build(stage_workload)
-    simulation = simulate_block(program)
-    energy = EnergyModel(stage_platform).from_simulation(simulation)
-
-    block_cycles = simulation.total_cycles
-    block_energy = energy.total_joules
 
     # Inter-stage activation transfer: the S x E activations move once per
     # stage boundary per token.
@@ -69,16 +60,13 @@ def evaluate_pipeline_parallel(
     num_boundaries = max(0, num_stages - 1)
 
     inference_cycles = (
-        config.num_layers * block_cycles + num_boundaries * transfer_cycles
+        config.num_layers * stage.block_cycles + num_boundaries * transfer_cycles
     )
     inference_energy = (
-        config.num_layers * block_energy + num_boundaries * transfer_energy
+        config.num_layers * stage.block_energy_joules
+        + num_boundaries * transfer_energy
     )
-
-    footprint = chip_footprint(
-        stage_config, stage_workload, partition_block(stage_config, 1).chips[0]
-    )
-    plan = plan_memory(platform.chip, footprint)
+    plan = stage.program.memory_plans[0]
 
     return EvalResult(
         strategy="pipeline_parallel",
@@ -88,7 +76,7 @@ def evaluate_pipeline_parallel(
         frequency_hz=platform.frequency_hz,
         block_cycles=inference_cycles / config.num_layers,
         block_energy_joules=inference_energy / config.num_layers,
-        l3_bytes_per_block=simulation.total_l3_l2_bytes,
+        l3_bytes_per_block=stage.total_l3_bytes,
         weight_bytes_per_chip=plan.block_weight_bytes * layers_per_stage,
         weights_replicated=False,
         synchronisations_per_block=0,

@@ -20,14 +20,23 @@ spread work at all — all chips except one idle, which the result reflects.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
+from ..analysis.evaluate import active_program_memo
 from ..api.result import EvalResult
 from ..core.footprint import ChipFootprint, activation_footprint
 from ..core.partition import partition_block
-from ..core.placement import WeightResidency, plan_memory
-from ..graph.transformer import BlockSlice, build_block_operators, full_block_slice
+from ..core.placement import MemoryPlan, WeightResidency, plan_memory
+from ..graph.transformer import (
+    BlockSlice,
+    build_block_operators,
+    full_block_slice,
+    slice_weight_bytes,
+)
 from ..graph.workload import Workload
+from ..hw.chip import ChipModel
 from ..hw.platform import MultiChipPlatform
+from ..kernels.base import KernelCost
 from ..kernels.library import KernelLibrary
 
 
@@ -37,45 +46,21 @@ def evaluate_weight_replicated(
     """Analytically evaluate the weight-replicated sequence-parallel scheme."""
     config = workload.config
     num_chips = platform.num_chips
-    library = KernelLibrary(cluster=platform.chip.cluster)
 
     rows_total = workload.query_rows
     rows_per_chip = max(1, math.ceil(rows_total / num_chips))
     active_chips = min(num_chips, rows_total)
 
-    operators = build_block_operators(
-        config,
-        query_rows=rows_per_chip,
-        kv_rows=rows_per_chip,
-        attended_positions=workload.attended_positions,
-        slice_=BlockSlice(
-            num_heads=config.num_heads,
-            ffn_cols=config.ffn_dim,
-            holds_norms=True,
-            holds_residual=True,
-        ),
+    # A session builds each distinct per-chip block once (see
+    # ProgramMemo.replicated_block); chip counts with equal rows share it.
+    memo = active_program_memo()
+    cost, plan = (
+        replicated_block(workload, rows_per_chip, platform.chip)
+        if memo is None
+        else memo.replicated_block(
+            workload, rows_per_chip, platform.chip, replicated_block
+        )
     )
-    cost = library.total_cost(operators.all_operators, name="replicated_block")
-
-    # Memory plan with the FULL block weights on every chip: this is the
-    # point of the comparison — replication keeps the weights off-chip.
-    single_chip_partition = partition_block(config, 1)
-    footprint = ChipFootprint(
-        chip_id=0,
-        block_weight_bytes=full_block_weight_bytes(config),
-        model_weight_bytes=full_block_weight_bytes(config) * config.num_layers,
-        kv_cache_bytes=(
-            single_chip_partition.chips[0]
-            .kv_cache(config, workload)
-            .total_bytes
-            if workload.uses_kv_cache
-            else 0
-        ),
-        activations=activation_footprint(
-            config, workload, single_chip_partition.chips[0]
-        ),
-    )
-    plan = plan_memory(platform.chip, footprint)
 
     dma = platform.chip.dma
     compute_cycles = cost.compute_cycles
@@ -135,7 +120,7 @@ def evaluate_weight_replicated(
         block_cycles=block_cycles,
         block_energy_joules=compute_energy + l2_energy + l3_energy + c2c_energy,
         l3_bytes_per_block=l3_bytes_total,
-        weight_bytes_per_chip=full_block_weight_bytes(config),
+        weight_bytes_per_chip=plan.block_weight_bytes,
         weights_replicated=True,
         synchronisations_per_block=2 if num_chips > 1 else 0,
         uses_pipelining=False,
@@ -146,8 +131,46 @@ def evaluate_weight_replicated(
     )
 
 
+def replicated_block(
+    workload: Workload, rows_per_chip: int, chip: ChipModel
+) -> Tuple[KernelCost, MemoryPlan]:
+    """Kernel price and memory plan of one chip's rows of the block.
+
+    The memory plan holds the FULL block weights on every chip: this is
+    the point of the comparison — replication keeps the weights off-chip.
+    """
+    config = workload.config
+    operators = build_block_operators(
+        config,
+        query_rows=rows_per_chip,
+        kv_rows=rows_per_chip,
+        attended_positions=workload.attended_positions,
+        slice_=BlockSlice(
+            num_heads=config.num_heads,
+            ffn_cols=config.ffn_dim,
+            holds_norms=True,
+            holds_residual=True,
+        ),
+    )
+    cost = KernelLibrary(cluster=chip.cluster).total_cost(
+        operators.all_operators, name="replicated_block"
+    )
+    single_chip = partition_block(config, 1).chips[0]
+    block_weight_bytes = full_block_weight_bytes(config)
+    footprint = ChipFootprint(
+        chip_id=0,
+        block_weight_bytes=block_weight_bytes,
+        model_weight_bytes=block_weight_bytes * config.num_layers,
+        kv_cache_bytes=(
+            single_chip.kv_cache(config, workload).total_bytes
+            if workload.uses_kv_cache
+            else 0
+        ),
+        activations=activation_footprint(config, workload, single_chip),
+    )
+    return cost, plan_memory(chip, footprint)
+
+
 def full_block_weight_bytes(config) -> int:
     """Weight bytes of one un-partitioned block."""
-    from ..graph.transformer import slice_weight_bytes
-
     return slice_weight_bytes(config, full_block_slice(config))

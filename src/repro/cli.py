@@ -1095,6 +1095,7 @@ def _tune_spec_from_args(args: argparse.Namespace) -> TuneSpec:
             AxisSpec(axis="choice", name="strategy", choices=strategies),
         )
     )
+    space.validate("$.space")  # a value that can never run fails here
     return TuneSpec(
         workload=_workload_spec_from_args(args),
         space=space,

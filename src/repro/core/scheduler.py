@@ -28,7 +28,7 @@ exactly the paper's execution scheme (Sec. IV and Fig. 3):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import SchedulingError
@@ -147,7 +147,14 @@ class BlockScheduler:
                 slice_cache[slice_key] = cached
             plan, local = cached
             if plan.chip_id != chip.chip_id:
-                plan = replace(plan, chip_id=chip.chip_id)
+                plan = MemoryPlan(
+                    chip_id=chip.chip_id,
+                    residency=plan.residency,
+                    l2_budget_bytes=plan.l2_budget_bytes,
+                    required_bytes=plan.required_bytes,
+                    block_weight_bytes=plan.block_weight_bytes,
+                    l3_weight_bytes_per_block=plan.l3_weight_bytes_per_block,
+                )
             memory_plans[chip.chip_id] = plan
             staging, attn, ffn, tail = local
             steps = (
@@ -189,12 +196,21 @@ class BlockScheduler:
         ``__post_init__`` validation, which the original passed.
         The simulator and the energy model price a program from its
         platform, so pointing it at the caller's platform is what makes
-        the reuse correct.
+        the reuse correct.  The partition is re-pointed at the caller's
+        (equal) model configuration too, so the copy pickles to the same
+        bytes as a fresh build, which shares one configuration object.
         """
+        partition = program.partition
+        if partition.config is not workload.config:
+            partition = object.__new__(BlockPartition)
+            partition.__dict__.update(program.partition.__dict__, config=workload.config)
         rebound = object.__new__(BlockProgram)
         rebound.__dict__.update(program.__dict__)
         rebound.__dict__.update(
-            workload=workload, platform=self.platform, kernel_library=self._library
+            workload=workload,
+            platform=self.platform,
+            partition=partition,
+            kernel_library=self._library,
         )
         return rebound
 

@@ -140,21 +140,26 @@ class EnergyModel:
         l3_energy = chip.l3.access_energy_pj_per_byte * 1e-12
 
         per_chip: Dict[int, EnergyBreakdown] = {}
+        # The totals add up in chip order from 0.0, as summing the
+        # breakdowns one by one would, without building one per chip.
+        compute = l2_l1 = l3_l2 = chip_to_chip = 0.0
         for chip_id, trace in result.chip_traces.items():
             compute_seconds = trace.compute_cycles / cluster.frequency_hz
-            per_chip[chip_id] = EnergyBreakdown(
+            breakdown = per_chip[chip_id] = EnergyBreakdown(
                 compute=cluster.power_w * compute_seconds,
                 l2_l1=trace.l2_l1_bytes * l2_energy,
                 l3_l2=trace.l3_l2_bytes * l3_energy,
                 chip_to_chip=link.transfer_energy_joules(int(trace.c2c_bytes_sent)),
             )
-
-        total = EnergyBreakdown(compute=0.0, l2_l1=0.0, l3_l2=0.0, chip_to_chip=0.0)
-        for breakdown in per_chip.values():
-            total = total + breakdown
+            compute += breakdown.compute
+            l2_l1 += breakdown.l2_l1
+            l3_l2 += breakdown.l3_l2
+            chip_to_chip += breakdown.chip_to_chip
         return EnergyReport(
             per_chip=per_chip,
-            total=total,
+            total=EnergyBreakdown(
+                compute=compute, l2_l1=l2_l1, l3_l2=l3_l2, chip_to_chip=chip_to_chip
+            ),
             runtime_seconds=result.runtime_seconds,
         )
 

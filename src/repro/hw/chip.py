@@ -23,7 +23,7 @@ class ChipModel:
             runtime, and scratch buffers and therefore unavailable for
             weights, KV-cache, or resident activations.  This is the main
             knob that determines where the on-chip-residency crossover
-            falls (see DESIGN.md).
+            falls (see "Calibrated constants" in ``docs/MODELS.md``).
     """
 
     name: str

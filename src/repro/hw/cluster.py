@@ -14,6 +14,7 @@ accelerator").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -44,6 +45,9 @@ class ClusterModel:
             raise ConfigurationError("cluster must have at least one core")
         if self.frequency_hz <= 0:
             raise ConfigurationError("cluster frequency must be positive")
+        if not math.isfinite(self.frequency_hz):
+            # An infinite clock prices every link transfer at 0 B/cycle.
+            raise ConfigurationError("cluster frequency must be finite")
         if self.macs_per_core_per_cycle <= 0:
             raise ConfigurationError("MAC throughput must be positive")
         if self.power_per_core_w < 0:

@@ -10,7 +10,7 @@ from the Siracusa publication it references:
 * hierarchical collectives in groups of four chips.
 
 Two quantities are not published and are calibration knobs of this
-reproduction (documented in DESIGN.md and EXPERIMENTS.md):
+reproduction (see "Calibrated constants" in ``docs/MODELS.md``):
 
 * the off-chip (L3) interface bandwidth and per-transaction setup cost,
 * the share of L2 reserved for the runtime (code, stacks, I/O buffers),

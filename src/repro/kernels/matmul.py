@@ -15,7 +15,7 @@ Two regimes matter for the paper's story:
 The constants below are calibration parameters of this reproduction (the
 paper does not publish kernel-level numbers); they were chosen so the
 single-chip runtimes land in the range shown in Fig. 5 of the paper and are
-documented in EXPERIMENTS.md.
+documented under "Calibrated constants" in ``docs/MODELS.md``.
 """
 
 from __future__ import annotations

@@ -11,10 +11,15 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..core.schedule import BlockProgram, RuntimeCategory
 from ..errors import SimulationError
+
+
+#: A breakdown dict's values in :data:`RuntimeCategory` order, as a tuple.
+_category_values = itemgetter(*RuntimeCategory)
 
 
 @dataclass
@@ -126,9 +131,7 @@ class SimulationResult:
             state["_packed_chip_traces"] = tuple(
                 (
                     trace.chip_id,
-                    tuple(
-                        trace.cycles[category] for category in RuntimeCategory
-                    ),
+                    _category_values(trace.cycles),
                     trace.l3_l2_bytes,
                     trace.l2_l1_bytes,
                     trace.c2c_bytes_sent,

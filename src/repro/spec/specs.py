@@ -731,10 +731,38 @@ class SpaceSpec(SpecBase):
             raise SpecError("a space needs at least one axis")
 
     def validate(self, path: str = "$") -> None:
+        """Check the axes, and every value a design axis can take.
+
+        A value of a platform axis or of ``strategy`` that
+        :func:`~repro.dse.space.materialise` rejects (a non-positive chip
+        count, an unknown strategy, ...) can never run, so it fails here
+        with its path.  Model axes depend on the tuned workload and are
+        checked when the search materialises them.
+        """
+        from ..dse.space import KNOWN_AXES, MODEL_AXES, FloatAxis, IntAxis, materialise
+
         try:
-            self.build()
+            space = self.build()
         except ReproError as error:
             raise _wrap(path, error) from None
+        for index, axis in enumerate(space.axes):
+            if axis.name not in KNOWN_AXES or axis.name in MODEL_AXES:
+                continue
+            if isinstance(axis, IntAxis) or (
+                isinstance(axis, FloatAxis) and axis.levels is None
+            ):
+                values = (("low", axis.low), ("high", axis.high))
+            else:
+                name = "levels" if isinstance(axis, FloatAxis) else "choices"
+                values = tuple(
+                    (f"{name}[{position}]", value)
+                    for position, value in enumerate(axis.values())
+                )
+            for where, value in values:
+                try:
+                    materialise({axis.name: value})
+                except ReproError as error:
+                    raise _wrap(f"{path}.axes[{index}].{where}", error) from None
 
     def build(self):
         """Build the concrete :class:`~repro.dse.space.SearchSpace`."""

@@ -1,9 +1,10 @@
 """Tests of the persistent cross-process evaluation cache.
 
-Round trips, version-salted invalidation, corruption tolerance, and the
-Session/CLI wiring: a second process (here: a second Session on the same
-directory) must answer warm evaluations from disk without running the
-engine — including the ``sweep --parallel`` worker path.
+Round trips, version-salted invalidation, corruption tolerance, the
+batched writes, and the Session/CLI wiring: a second process (here: a
+second Session on the same directory) must answer warm evaluations from
+disk without running the engine — including the ``sweep --parallel``
+worker path.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sqlite3
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
 import repro
 import repro.analysis.evaluate as evaluate_module
 from repro.api import EvalCache, Session, default_cache_dir, open_default_cache
-from repro.api.cache import persistent_cache_disabled
+from repro.api.cache import WRITE_BATCH_ROWS, persistent_cache_disabled
 from repro.cli import main
 from repro.graph.workload import autoregressive
 from repro.models import tinyllama_42m
@@ -39,6 +41,52 @@ def store(tmp_path):
 
 def _evaluate(workload, chips=2):
     return Session(memoize=False).run(workload, chips=chips)
+
+
+def _stored_rows(directory) -> Dict[str, bytes]:
+    """The committed rows of the store in ``directory``, read directly."""
+    connection = sqlite3.connect(str(Path(directory) / "evals.sqlite"))
+    try:
+        return dict(connection.execute("SELECT key, value FROM evals"))
+    finally:
+        connection.close()
+
+
+#: Evaluates 100 distinct points on a store, prints its cache statistics,
+#: then exits (``exit``) or waits to be killed (``wait``).
+HUNDRED_PUTS = """
+import sys
+from repro.api import Session
+from repro.graph.workload import autoregressive
+from repro.models import tinyllama_42m
+
+session = Session(cache_dir=sys.argv[1])
+config = tinyllama_42m()
+for seq_len in range(8, 58):
+    for strategy in ("paper", "weight_replicated"):
+        session.run(autoregressive(config, seq_len), strategy, chips=2)
+info = session.cache_info()
+print(info.misses, info.disk_hits, flush=True)
+if sys.argv[2] == "wait":
+    sys.stdin.read()
+"""
+
+
+def _hundred_puts(directory, action: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", HUNDRED_PUTS, str(directory), action],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(process: subprocess.Popen) -> str:
+    stdout, stderr = process.communicate(timeout=120)
+    assert process.returncode == 0, stderr
+    return stdout
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +221,7 @@ class TestCorruptionTolerance:
 
     def test_corrupt_entry_degrades_to_a_miss(self, store, workload):
         store.put("key", _evaluate(workload))
+        store.flush()
         store._connect().execute(
             "UPDATE evals SET value = ? WHERE key = 'key'",
             (b"\x80\x04 truncated pickle",),
@@ -195,6 +244,77 @@ class TestCorruptionTolerance:
         assert store.get("key") is None
         assert len(store) == 0
         assert store.stats().entries == 0
+
+
+class TestBatchedWrites:
+    def test_a_normal_exit_commits_every_buffered_row(self, tmp_path):
+        assert _finish(_hundred_puts(tmp_path, "exit")).split() == ["100", "0"]
+        assert len(_stored_rows(tmp_path)) == 100
+
+    def test_a_killed_process_loses_only_its_unflushed_rows(self, tmp_path):
+        clean, killed = tmp_path / "clean", tmp_path / "killed"
+        _finish(_hundred_puts(clean, "exit"))
+        process = _hundred_puts(killed, "wait")
+        try:
+            assert process.stdout.readline().split() == ["100", "0"]
+        finally:
+            process.kill()
+            process.communicate(timeout=60)
+        assert len(_stored_rows(killed)) >= WRITE_BATCH_ROWS
+        # The rerun answers the committed rows from disk and recomputes
+        # the lost ones to the bytes an uninterrupted run stored.
+        misses, disk_hits = map(int, _finish(_hundred_puts(killed, "exit")).split())
+        assert misses + disk_hits == 100 and disk_hits >= WRITE_BATCH_ROWS
+        assert _stored_rows(killed) == _stored_rows(clean)
+
+    def test_a_failed_flush_counts_every_buffered_row_as_dropped(
+        self, store, workload
+    ):
+        result = _evaluate(workload)
+        for key in ("a", "b", "c"):
+            store.put(key, result)
+        store._connect().execute("PRAGMA busy_timeout=0")
+        blocker = sqlite3.connect(str(store.path), isolation_level=None)
+        try:
+            blocker.execute("BEGIN IMMEDIATE")  # hold the write lock
+            store.flush()
+        finally:
+            blocker.close()
+        assert store.dropped_writes == 3
+        assert store.get("a") is None
+        assert len(store) == 0
+
+    def test_a_second_session_reads_a_buffered_row(self, tmp_path, workload):
+        first = Session(cache_dir=tmp_path)
+        result = first.run(workload, chips=4)
+        assert _stored_rows(tmp_path) == {}  # still in the buffer
+        second = Session(cache_dir=tmp_path)
+        again = second.run(workload, chips=4)
+        assert second.cache_info()[:2] == (0, 0)
+        assert second.cache_info().disk_hits == 1
+        assert again == result
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_neither_reads_nor_flushes_the_parents_rows(
+        self, store
+    ):
+        store.put("key", "value")
+        pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            status = 1
+            try:
+                child = EvalCache(store.directory)
+                if child.get("key") is None:
+                    store.flush()
+                    child.close()
+                    status = 0
+            finally:
+                os._exit(status)
+        _, wait_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(wait_status) == 0
+        assert _stored_rows(store.directory) == {}
+        store.flush()
+        assert list(_stored_rows(store.directory)) == ["key"]
 
 
 class TestEnvironment:

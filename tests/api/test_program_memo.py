@@ -10,11 +10,13 @@ pickle.
 from __future__ import annotations
 
 import pickle
+import random
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.evaluate import ProgramMemo
 from repro.api import Session
+from repro.arch.zoo import SHIPPED_DIR
 from repro.core.scheduler import BlockScheduler
 from repro.dse.space import ChoiceAxis, FloatAxis, SearchSpace, materialise
 from repro.errors import ReproError
@@ -247,3 +249,59 @@ def test_cache_clear_drops_compiled_sweeps():
     session.cache_clear()
     assert holder[0] is None
     assert len(session._programs) == 0
+
+
+#: Every strategy, simulator-backed and analytical.
+ALL_STRATEGIES = (
+    "paper",
+    "single_chip",
+    "tensor_parallel",
+    "weight_replicated",
+    "pipeline_parallel",
+)
+
+
+def _zoo_points():
+    """Shipped models x modes x chip counts (up to the head count) x strategies."""
+    points = []
+    for path in sorted(SHIPPED_DIR.glob("*.json")):
+        config = get_model(path.stem.replace("_", "-"))
+        for workload in (
+            autoregressive(config, 128),
+            prompt(config, 16),
+            prompt(config, 64),
+        ):
+            for chips in sorted({1, 2, 3, 5, 8, config.num_heads}):
+                for strategy in ALL_STRATEGIES:
+                    points.append((workload, strategy, chips))
+    return points
+
+
+def test_shared_session_matches_fresh_evaluations_byte_for_byte():
+    # One session shares stage programs (pipeline_parallel) and per-chip
+    # blocks (weight_replicated) across the zoo; an unmemoised session
+    # evaluates every point on its own.  Results and pickles must agree.
+    points = _zoo_points()
+    random.Random(23).shuffle(points)
+    shared = Session()
+
+    def outcome(session: Session, workload, strategy: str, chips: int):
+        try:
+            return session.run(workload, strategy, chips=chips)
+        except ReproError as error:
+            return type(error)
+
+    for workload, strategy, chips in points:
+        expected = outcome(Session(memoize=False), workload, strategy, chips)
+        got = outcome(shared, workload, strategy, chips)
+        if isinstance(expected, type):
+            assert got is expected, (workload.name, strategy, chips)
+            continue
+        assert got == expected, (workload.name, strategy, chips)
+        assert pickle.dumps(got, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            expected, protocol=pickle.HIGHEST_PROTOCOL
+        ), (workload.name, strategy, chips)
+    memo = shared._programs
+    assert len(memo) > 0 and memo._replicated
+    shared.cache_clear()
+    assert len(memo) == 0 and not memo._replicated

@@ -149,6 +149,16 @@ ERRORS: Tuple[str, ...] = (
     "serve --policy bogus --no-cache",
     "tune --parallel 0 --no-cache",
     "tune --checkpoint-every 5 --no-cache",
+    "tune --chips 0 --emit-spec",
+    "tune --chips -3 --no-cache",
+    "tune --link-gbps 0 --emit-spec",
+    "tune --link-gbps -1 --no-cache",
+    "tune --l2-kib 0 --emit-spec",
+    "tune --l2-kib -5 --no-cache",
+    "tune --freq-mhz 0 --emit-spec",
+    "tune --freq-mhz -200 --no-cache",
+    "tune --freq-mhz 1e308 --no-cache",
+    "tune --strategies nope --emit-spec",
     "models gpt-4",
     "evaluate --model gpt-4 --no-cache",
 )

@@ -19,9 +19,13 @@ of that kind.  Each such field is
 
 and the first node of each kind gains one unknown field.  Good and bad
 bare strings for the five kinds with a string shorthand are decoded too.
+Last, the ``tune`` document's space axes are given values that decode
+but can never run (a non-positive chip count, an unknown strategy, ...);
+those documents are also validated.
 
-Every entry records what the document decodes to: ``OK <sha256 of the
-canonical to_json()>``, or ``<ExceptionType>: <message>``.
+Every entry records what the document decodes (and, in that last group,
+validates) to: ``OK <sha256 of the canonical to_json()>``, or
+``<ExceptionType>: <message>``.
 ``tests/spec/test_spec_error_golden.py`` recomputes the document and
 compares it with ``==``.  Regenerate from the repository root with::
 
@@ -228,6 +232,29 @@ SHORTHANDS = (
 )
 
 
+#: (axis index, fields replaced on that axis of the ``tune`` document's
+#: space): values every design axis must reject when validated, and a
+#: strategy alias and a model axis it must accept.
+AXIS_VALUE_FAULTS: Tuple[Tuple[int, Dict[str, Any]], ...] = (
+    (0, {"choices": [0, 2]}),
+    (0, {"choices": [-3]}),
+    (0, {"name": "l2_kib", "choices": [1024, 0]}),
+    (0, {"name": "strategy", "choices": ["paper", "nope"]}),
+    (0, {"name": "strategy", "choices": ["ours", "pipeline_parallel"]}),
+    (0, {"name": "kv_heads", "choices": [0]}),
+    (1, {"low": 0}),
+    (1, {"name": "group_size", "low": 1}),
+    (2, {"low": 0.0, "levels": None}),
+    (2, {"low": -1.0, "levels": [-1.0, 0.5]}),
+    (2, {"name": "freq_mhz", "low": -200.0, "high": 500.0,
+         "levels": [300.0, -200.0]}),
+    (2, {"name": "freq_mhz", "low": -200.0, "high": 500.0,
+         "levels": [300.0, 500.0]}),
+    (2, {"name": "freq_mhz", "low": 300.0, "high": 1e308,
+         "levels": [300.0, 1e308]}),
+)
+
+
 def base_documents() -> List[Tuple[str, Dict[str, Any]]]:
     """(source label, document) for every base document, in a fixed order."""
     documents = [
@@ -330,7 +357,20 @@ def golden_document() -> Dict[str, str]:
             entries[f"shorthand {spec_class.kind} {json.dumps(text)}"] = outcome(
                 lambda: spec_class.from_dict(text, "$")
             )
+    for index, fields in AXIS_VALUE_FAULTS:
+        document = copy.deepcopy(TUNE)
+        document["space"]["axes"][index].update(copy.deepcopy(fields))
+        label = json.dumps(fields, sort_keys=True)
+        entries[f"tune validated $.space.axes[{index}] with {label}"] = outcome(
+            lambda: validated(spec_from_dict(document))
+        )
     return entries
+
+
+def validated(spec):
+    """``spec`` after its ``validate()`` passed."""
+    spec.validate()
+    return spec
 
 
 def render(document: Dict[str, str]) -> str:

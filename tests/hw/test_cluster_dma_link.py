@@ -32,6 +32,8 @@ class TestClusterModel:
     @pytest.mark.parametrize("field,value", [
         ("num_cores", 0),
         ("frequency_hz", 0),
+        ("frequency_hz", float("inf")),
+        ("frequency_hz", float("nan")),
         ("macs_per_core_per_cycle", 0),
         ("power_per_core_w", -1),
         ("l1_bytes_per_core_per_cycle", 0),

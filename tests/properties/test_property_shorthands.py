@@ -10,17 +10,25 @@ Given arbitrary text, each returns an instance of its type or raises a
 ``error:`` line — and never any other exception, within one second.
 A parsed constraint's bound is finite, and its rendered text parses
 again.
+
+Tune's space flags (``--chips``, ``--link-gbps``, ``--l2-kib``,
+``--freq-mhz``, ``--strategies``), given any values of their argument
+types, either raise a :class:`~repro.errors.ReproError` or yield a spec
+whose every axis value materialises, so an emitted spec can run.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import _tune_spec_from_args, build_parser
 from repro.dse import Constraint, parse_constraint
+from repro.dse.space import materialise
 from repro.errors import ReproError
 from repro.fleet import (
     AutoscalerConfig,
@@ -73,6 +81,27 @@ CONSTRAINT_TEXT = st.one_of(
 )
 
 
+#: ``repro tune``'s parsed default arguments.
+TUNE_DEFAULTS = build_parser().parse_args(["tune"])
+
+#: Tune's space flags -> (argparse destination, values of the flag's type).
+TUNE_AXIS_FLAGS = {
+    "--chips": ("chips", st.integers()),
+    "--freq-mhz": ("freq_mhz", st.floats()),
+    "--l2-kib": ("l2_kib", st.integers()),
+    "--link-gbps": ("link_gbps", st.floats()),
+    "--strategies": (
+        "strategies",
+        st.one_of(
+            st.sampled_from(
+                ["paper", "ours", "sequence_parallel", "pipeline_parallel", "nope", ""]
+            ),
+            st.text(max_size=8),
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("flag", sorted(PARSERS))
 @settings(max_examples=300, deadline=timedelta(seconds=1))
 @given(text=TEXT)
@@ -95,3 +124,21 @@ def test_constraint_parses_to_a_finite_bound_or_raises_a_repro_error(text):
     assert isinstance(parsed, Constraint)
     assert math.isfinite(parsed.bound)
     assert isinstance(parse_constraint(parsed.render()), Constraint)
+
+
+@pytest.mark.parametrize("flag", sorted(TUNE_AXIS_FLAGS))
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(data=st.data())
+def test_tune_axis_flag_yields_a_runnable_space_or_raises_a_repro_error(
+    flag, data
+):
+    destination, values = TUNE_AXIS_FLAGS[flag]
+    args = argparse.Namespace(**vars(TUNE_DEFAULTS))
+    setattr(args, destination, data.draw(st.lists(values, min_size=1, max_size=3)))
+    try:
+        spec = _tune_spec_from_args(args)
+    except ReproError:
+        return
+    for axis in spec.space.build().axes:
+        for value in axis.values():
+            materialise({axis.name: value})

@@ -64,7 +64,7 @@ from repro.errors import SimulationError
 from repro.sim.trace import ChipTrace, SimulationResult
 
 #: The modules that call ``simulate_block`` by their own global name.
-CALL_SITES = ("repro.analysis.evaluate", "repro.baselines.pipeline_parallel")
+CALL_SITES = ("repro.analysis.evaluate",)
 
 
 class Event:
