@@ -7,7 +7,8 @@ wrapping).  This benchmark measures that wrapper against a direct
 workload and asserts two properties:
 
 * with memoisation off, the wrapper adds **< 5 %** wall-clock overhead
-  (median of several timed batches, to absorb scheduler noise);
+  (median of several timed batches, to absorb scheduler noise; the two
+  contenders' batches alternate, so a slowdown mid-run hits both);
 * with memoisation on, a repeated evaluation is at least **5x** faster
   than re-running the engine, i.e. the content-hash lookup actually pays.
 """
@@ -33,15 +34,20 @@ REPEATS = 7
 MAX_OVERHEAD = 0.05
 
 
-def _median_batch_seconds(call) -> float:
-    """Median wall-clock time of ``REPEATS`` batches of ``BATCH`` calls."""
-    times = []
+def _median_batch_seconds(*calls) -> tuple:
+    """Median wall-clock time of ``REPEATS`` batches of ``BATCH`` calls, per call.
+
+    The calls' batches alternate, so contention that starts mid-run
+    lands on every contender rather than on the last one timed.
+    """
+    times = [[] for _ in calls]
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(BATCH):
-            call()
-        times.append(time.perf_counter() - start)
-    return median(times)
+        for call, call_times in zip(calls, times):
+            start = time.perf_counter()
+            for _ in range(BATCH):
+                call()
+            call_times.append(time.perf_counter() - start)
+    return tuple(median(call_times) for call_times in times)
 
 
 def test_session_wrapper_overhead(run_once):
@@ -54,11 +60,10 @@ def test_session_wrapper_overhead(run_once):
     session.run(workload, platform=platform)
 
     def measure():
-        direct = _median_batch_seconds(lambda: evaluate_block(workload, platform))
-        wrapped = _median_batch_seconds(
-            lambda: session.run(workload, platform=platform)
+        return _median_batch_seconds(
+            lambda: evaluate_block(workload, platform),
+            lambda: session.run(workload, platform=platform),
         )
-        return direct, wrapped
 
     direct, wrapped = run_once(measure)
     overhead = wrapped / direct - 1.0
@@ -80,11 +85,10 @@ def test_session_memoisation_beats_reevaluation(run_once):
     session.run(workload, platform=platform)  # populate the cache
 
     def measure():
-        direct = _median_batch_seconds(lambda: evaluate_block(workload, platform))
-        cached = _median_batch_seconds(
-            lambda: session.run(workload, platform=platform)
+        return _median_batch_seconds(
+            lambda: evaluate_block(workload, platform),
+            lambda: session.run(workload, platform=platform),
         )
-        return direct, cached
 
     direct, cached = run_once(measure)
     speedup = direct / cached

@@ -241,20 +241,24 @@ def bench_session_overhead(record, mode):
     evaluate_block(workload, platform)
     session.run(workload, platform=platform)
 
-    def best_batch(call):
-        # The minimum over several batches estimates the noise-free cost
-        # (median is still skewed by scheduler preemption on CI boxes).
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(batch):
-                call()
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def batch_seconds(call):
+        start = time.perf_counter()
+        for _ in range(batch):
+            call()
+        return time.perf_counter() - start
 
+    # Direct and wrapped batches alternate, so contention that starts
+    # mid-run slows both sides.  The minimum over each side's batches
+    # estimates its noise-free cost (median is still skewed by scheduler
+    # preemption on CI boxes).
     start = time.perf_counter()
-    direct = best_batch(lambda: evaluate_block(workload, platform))
-    wrapped = best_batch(lambda: session.run(workload, platform=platform))
+    direct_times, wrapped_times = [], []
+    for _ in range(repeats):
+        direct_times.append(batch_seconds(lambda: evaluate_block(workload, platform)))
+        wrapped_times.append(
+            batch_seconds(lambda: session.run(workload, platform=platform))
+        )
+    direct, wrapped = min(direct_times), min(wrapped_times)
     overhead = wrapped / direct - 1.0
     record(
         "session_overhead",

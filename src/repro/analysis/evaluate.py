@@ -168,9 +168,16 @@ class ProgramMemo:
     also shares its compiled simulator sweep (:mod:`repro.sim.fastpath`)
     across its rebinds; one served once keeps none.
 
+    The builds share one step table too: a transfer of a synchronisation
+    (stage, collective, round, sender, receiver, payload and the
+    accumulation's price) is the same send, receive and accumulate steps
+    at every chip count whose reduction tree contains it, so a sweep
+    builds each edge once (see :meth:`BlockScheduler._append_transfers`).
+
     The memo also holds the per-chip blocks of the weight-replicated
     baseline (:meth:`replicated_block`), which depend on the workload,
-    the rows each chip processes and the chip model only.
+    the rows each chip processes and the chip model only, and the
+    pipeline baseline's stage workloads (:meth:`stage_workload`).
 
     A :class:`~repro.api.Session` owns one memo and activates it around
     each engine call.  It lives in memory only and is never persisted.
@@ -178,22 +185,28 @@ class ProgramMemo:
 
     def __init__(self) -> None:
         self._programs: Dict[str, BlockProgram] = {}
+        self._steps: Dict[tuple, tuple] = {}
         self._replicated: Dict[str, tuple] = {}
+        # (id(workload), layers per stage) -> (workload, stage workload);
         # id(chip) -> (chip, the chip at a neutral clock).  Holding the
-        # chip keeps its id from being reused while the entry exists.
+        # keyed object keeps its id from being reused while the entry
+        # exists.
+        self._stages: Dict[Tuple[int, int], Tuple[Workload, Workload]] = {}
         self._unpriced: Dict[int, Tuple[ChipModel, ChipModel]] = {}
 
     def __len__(self) -> int:
         return len(self._programs)
 
     def clear(self) -> None:
-        """Forget every program and block, and drop each compiled sweep."""
+        """Forget every table's entries, and drop each compiled sweep."""
         for program in self._programs.values():
             holder = program.__dict__.get("_compiled_sweep")
             if holder is not None:
                 holder[0] = None
         self._programs.clear()
+        self._steps.clear()
         self._replicated.clear()
+        self._stages.clear()
         self._unpriced.clear()
 
     @contextmanager
@@ -220,6 +233,7 @@ class ProgramMemo:
         )
         program = self._programs.get(key)
         if program is None:
+            scheduler._step_table = self._steps
             program = self._programs[key] = scheduler.build(workload)
             return program
         if "_compiled_sweep" not in program.__dict__:
@@ -242,6 +256,23 @@ class ProgramMemo:
         if block is None:
             block = self._replicated[key] = build(workload, rows_per_chip, chip)
         return block
+
+    def stage_workload(
+        self,
+        workload: Workload,
+        layers_per_stage: int,
+        build: Callable[[Workload, int], Workload],
+    ) -> Workload:
+        """``build(workload, layers_per_stage)``, built once per workload object.
+
+        One stage workload per caller's workload keeps its memoised
+        canonical form, so :meth:`program` hashes each stage once.
+        """
+        key = (id(workload), layers_per_stage)
+        entry = self._stages.get(key)
+        if entry is None:
+            entry = self._stages[key] = (workload, build(workload, layers_per_stage))
+        return entry[1]
 
     def _unpriced_chip(self, chip: ChipModel) -> ChipModel:
         entry = self._unpriced.get(id(chip))

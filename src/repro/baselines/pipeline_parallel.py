@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from ..analysis.evaluate import evaluate_block
+from ..analysis.evaluate import active_program_memo, evaluate_block
 from ..api.result import EvalResult
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
@@ -43,12 +43,13 @@ def evaluate_pipeline_parallel(
     layers_per_stage = max(1, math.ceil(config.num_layers / num_chips))
     num_stages = math.ceil(config.num_layers / layers_per_stage)
 
+    # A session builds one stage workload per workload and stage depth
+    # (see ProgramMemo.stage_workload), so its structure key is hashed once.
+    memo = active_program_memo()
     stage = evaluate_block(
-        Workload(
-            config=replace(config, num_layers=layers_per_stage),
-            mode=workload.mode,
-            seq_len=workload.seq_len,
-        ),
+        stage_workload(workload, layers_per_stage)
+        if memo is None
+        else memo.stage_workload(workload, layers_per_stage, stage_workload),
         platform.with_num_chips(1),
     )
 
@@ -85,4 +86,13 @@ def evaluate_pipeline_parallel(
             f"{layers_per_stage} layer(s) per stage; single-request latency "
             "gains come only from weight residency, not from parallel compute"
         ),
+    )
+
+
+def stage_workload(workload: Workload, layers_per_stage: int) -> Workload:
+    """``workload`` cut to one pipeline stage of ``layers_per_stage`` layers."""
+    return Workload(
+        config=replace(workload.config, num_layers=layers_per_stage),
+        mode=workload.mode,
+        seq_len=workload.seq_len,
     )

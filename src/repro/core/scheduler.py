@@ -69,12 +69,20 @@ class BlockScheduler:
             the platform's cluster.
         prefetch_accounting: How double-buffered prefetches are charged to
             runtime (see :class:`PrefetchAccounting`).
+
+    Each transfer's synchronisation steps come from ``_step_table`` (see
+    :meth:`_append_transfers`).  A scheduler starts with a table of its
+    own; a session's program memo points it at the session's table, so
+    builds at many chip counts share each edge of the reduction tree.
     """
 
     platform: MultiChipPlatform
     kernel_library: Optional[KernelLibrary] = None
     prefetch_accounting: PrefetchAccounting = PrefetchAccounting.HIDDEN
     _library: KernelLibrary = field(init=False, repr=False)
+    _step_table: Dict[tuple, tuple] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self._library = self.kernel_library or KernelLibrary(
@@ -117,7 +125,7 @@ class BlockScheduler:
 
         # The two synchronisations are assembled once for the whole
         # platform (one pass over the collective plans, bucketed per
-        # chip) instead of re-scanning every transfer for every chip.
+        # chip), from transfer steps shared through the step table.
         sync_steps = {
             stage: self._synchronisation_steps_by_chip(
                 stage, workload, partition, all_reduce, broadcast
@@ -340,7 +348,8 @@ class BlockScheduler:
         normalisation on the root chip, and the hierarchical broadcast.
         In the single-chip case only the residual and normalisation
         remain.  The collective plans are walked once, appending each
-        transfer to its two endpoint chips, so building all schedules is
+        transfer's steps, taken from the step table, to its two endpoint
+        chips (:meth:`_append_transfers`), so building all schedules is
         linear in the number of transfers instead of quadratic in the
         chip count.
         """
@@ -361,37 +370,13 @@ class BlockScheduler:
                 act_dtype=config.act_dtype,
             )
         )
-
-        for round_index, round_ in enumerate(all_reduce.rounds):
-            for transfer in round_.transfers:
-                tag = f"{stage}.reduce.r{round_index}.{transfer.src}->{transfer.dst}"
-                steps_by_chip[transfer.src].append(
-                    SendStep(
-                        name=f"{stage}.reduce.send_to_{transfer.dst}",
-                        dst=transfer.dst,
-                        num_bytes=transfer.num_bytes,
-                        tag=tag,
-                    )
-                )
-                if transfer.dst == transfer.src:
-                    continue
-                receiver_steps = steps_by_chip[transfer.dst]
-                receiver_steps.append(
-                    RecvStep(
-                        name=f"{stage}.reduce.recv_from_{transfer.src}",
-                        src=transfer.src,
-                        num_bytes=transfer.num_bytes,
-                        tag=tag,
-                    )
-                )
-                receiver_steps.append(
-                    ComputeStep(
-                        name=f"{stage}.reduce_accumulate_from_{transfer.src}",
-                        compute_cycles=accumulate_cost.compute_cycles,
-                        l2_l1_bytes=accumulate_cost.l2_l1_bytes,
-                        overlap_dma=True,
-                    )
-                )
+        self._append_transfers(
+            steps_by_chip,
+            stage,
+            "reduce",
+            all_reduce,
+            (accumulate_cost.compute_cycles, accumulate_cost.l2_l1_bytes),
+        )
 
         residual = ElementwiseOp(
             name=f"{stage}.residual_add",
@@ -421,25 +406,74 @@ class BlockScheduler:
             if chip.is_reduce_root:
                 steps_by_chip[chip.chip_id].extend(merge_steps)
 
-        for round_index, round_ in enumerate(broadcast.rounds):
-            for transfer in round_.transfers:
-                tag = f"{stage}.bcast.r{round_index}.{transfer.src}->{transfer.dst}"
-                steps_by_chip[transfer.src].append(
-                    SendStep(
-                        name=f"{stage}.bcast.send_to_{transfer.dst}",
-                        dst=transfer.dst,
-                        num_bytes=transfer.num_bytes,
-                        tag=tag,
-                    )
-                )
-                if transfer.dst == transfer.src:
-                    continue
-                steps_by_chip[transfer.dst].append(
-                    RecvStep(
-                        name=f"{stage}.bcast.recv_from_{transfer.src}",
-                        src=transfer.src,
-                        num_bytes=transfer.num_bytes,
-                        tag=tag,
-                    )
-                )
+        self._append_transfers(steps_by_chip, stage, "bcast", broadcast, None)
         return steps_by_chip
+
+    def _append_transfers(
+        self,
+        steps_by_chip: Dict[int, List[Step]],
+        stage: str,
+        collective: str,
+        plan: CollectivePlan,
+        accumulate: Optional[tuple],
+    ) -> None:
+        """Append each transfer of ``plan`` to its two endpoint chips.
+
+        ``accumulate`` is the ``(compute_cycles, l2_l1_bytes)`` price of
+        the receiver's accumulation in a reduction, ``None`` in a
+        broadcast.  A transfer's steps depend on nothing but the key
+        ``(stage, collective, round, sender, receiver, payload bytes,
+        accumulate)``, so they are taken from the step table and built
+        only on a miss.  Within one build every key is distinct; across
+        the builds sharing a table, an edge of the reduction tree is the
+        same key at every chip count whose tree holds it in the same
+        round.
+        """
+        table = self._step_table
+        for round_index, round_ in enumerate(plan.rounds):
+            for transfer in round_.transfers:
+                src, dst, num_bytes = transfer.src, transfer.dst, transfer.num_bytes
+                key = (stage, collective, round_index, src, dst, num_bytes, accumulate)
+                steps = table.get(key)
+                if steps is None:
+                    steps = table[key] = _transfer_steps(*key)
+                send, received = steps
+                steps_by_chip[src].append(send)
+                steps_by_chip[dst].extend(received)
+
+
+def _transfer_steps(
+    stage: str,
+    collective: str,
+    round_index: int,
+    src: int,
+    dst: int,
+    num_bytes: int,
+    accumulate: Optional[tuple],
+) -> tuple:
+    """``(sender's step, receiver's steps)`` of one collective transfer."""
+    tag = f"{stage}.{collective}.r{round_index}.{src}->{dst}"
+    send = SendStep(
+        name=f"{stage}.{collective}.send_to_{dst}",
+        dst=dst,
+        num_bytes=num_bytes,
+        tag=tag,
+    )
+    recv = RecvStep(
+        name=f"{stage}.{collective}.recv_from_{src}",
+        src=src,
+        num_bytes=num_bytes,
+        tag=tag,
+    )
+    if accumulate is None:
+        return send, (recv,)
+    compute_cycles, l2_l1_bytes = accumulate
+    return send, (
+        recv,
+        ComputeStep(
+            name=f"{stage}.reduce_accumulate_from_{src}",
+            compute_cycles=compute_cycles,
+            l2_l1_bytes=l2_l1_bytes,
+            overlap_dma=True,
+        ),
+    )

@@ -17,10 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.analysis.evaluate import ProgramMemo
 from repro.api import Session
 from repro.arch.zoo import SHIPPED_DIR
+from repro.core.schedule import SendStep
 from repro.core.scheduler import BlockScheduler
 from repro.dse.space import ChoiceAxis, FloatAxis, SearchSpace, materialise
 from repro.errors import ReproError
 from repro.graph.workload import autoregressive, prompt
+from repro.hw.presets import siracusa_platform
+from repro.kernels.elementwise import ElementwiseModel
+from repro.kernels.library import KernelLibrary
 from repro.models.registry import get_model
 
 #: Pickled size of ``Session().run(<TinyLlama-42M decode at 128>,
@@ -167,6 +171,49 @@ def test_memoize_false_never_consults_the_memo(monkeypatch):
         design = materialise({"chips": 4, "freq_mhz": freq_mhz}, workload=workload)
         session.run(workload, platform=design.platform)
     assert len(session._programs) == 0
+    assert not session._programs._steps
+
+
+def test_chip_counts_of_one_session_share_the_reduction_trees_steps():
+    workload = autoregressive(get_model("tinyllama-42m-64h"), 128)
+    session = Session()
+    programs = [session.run(workload, chips=chips).report.program for chips in (16, 64)]
+
+    def send(program, tag: str) -> SendStep:
+        (step,) = [
+            step
+            for step in program.schedules[1].steps
+            if isinstance(step, SendStep) and step.tag == tag
+        ]
+        return step
+
+    # Chip 1 -> 0 in the first reduction round is an edge of both trees.
+    tag = "attn.reduce.r0.1->0"
+    assert send(programs[0], tag) is send(programs[1], tag)
+    for program in programs:
+        fresh = BlockScheduler(platform=program.platform).build(workload)
+        assert program.schedules == fresh.schedules
+
+
+def test_the_step_table_keys_the_accumulation_on_its_price():
+    platform = siracusa_platform(8)
+    kernels = KernelLibrary(
+        cluster=platform.chip.cluster,
+        elementwise_model=ElementwiseModel(parallel_efficiency=0.35),
+    )
+    workload = autoregressive(get_model("tinyllama-42m"), 128)
+    session = Session(kernels=kernels)
+    paper = session.run(workload, "paper", platform=platform).report.program
+    # tensor_parallel prices with the default kernels, whatever the session's.
+    default = session.run(workload, "tensor_parallel", platform=platform).report.program
+
+    assert paper.schedules != default.schedules
+    assert paper.schedules == (
+        BlockScheduler(platform=platform, kernel_library=kernels)
+        .build(workload)
+        .schedules
+    )
+    assert default.schedules == BlockScheduler(platform=platform).build(workload).schedules
 
 
 def test_cache_clear_forgets_programs():
@@ -302,6 +349,7 @@ def test_shared_session_matches_fresh_evaluations_byte_for_byte():
             expected, protocol=pickle.HIGHEST_PROTOCOL
         ), (workload.name, strategy, chips)
     memo = shared._programs
-    assert len(memo) > 0 and memo._replicated
+    assert len(memo) > 0 and memo._steps and memo._replicated and memo._stages
     shared.cache_clear()
-    assert len(memo) == 0 and not memo._replicated
+    assert len(memo) == 0
+    assert not memo._steps and not memo._replicated and not memo._stages
