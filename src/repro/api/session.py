@@ -764,7 +764,6 @@ class Session:
         max_context: int = 1024,
         slo_targets: Optional[Sequence[float]] = None,
         record_threshold: Optional[int] = None,
-        timeline_window_s: float = 60.0,
         faults=None,
         retry=None,
     ):
@@ -806,11 +805,10 @@ class Session:
                 percentiles switch to the streaming histogram (bounded
                 memory); defaults to
                 :data:`repro.fleet.DEFAULT_RECORD_THRESHOLD`.
-            timeline_window_s: Aggregation window of the fleet timeline.
             faults: Optional :class:`~repro.fleet.FaultModel` injecting
-                replica crashes, stragglers, and brownouts; ``None``
-                runs the exact fault-free engine (byte-identical
-                output).
+                replica crashes, stragglers, and brownouts; with neither
+                ``faults`` nor ``retry`` the run never builds the fleet's
+                resilience component.
             retry: Optional :class:`~repro.fleet.RetryPolicy` governing
                 failover of requests stranded by a crash (bounded
                 retries, deterministic backoff, timeouts, hedging).
@@ -902,7 +900,6 @@ class Session:
                 if record_threshold is not None
                 else DEFAULT_RECORD_THRESHOLD
             ),
-            timeline_window_s=timeline_window_s,
             faults=faults,
             retry=retry,
         )

@@ -17,6 +17,10 @@ deadline, and an optional hedge dispatches a second copy of a
 slow-to-schedule request to another replica (first copy to enter service
 wins; the other is cancelled).
 
+:class:`Resilience` carries both out inside one fleet run.  The run
+builds it only when a fault model or a retry policy is set, so a
+fault-free run never constructs or calls it.
+
 The fault schedule has two layers that combine freely:
 
 * an explicit event list (:meth:`FaultEvent.parse` grammar, also used by
@@ -33,15 +37,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..serving.request import ActiveRequest, Request, RequestPhase
 from ..spec.base import SpecBase, register, require_finite, spec_error
+from .metrics import ResilienceStats
+
+if TYPE_CHECKING:
+    from .admission import SLOClass
+    from .simulator import _FleetRun, _Replica
 
 __all__ = ["FaultEvent", "FaultModel", "RetryPolicy"]
 
 #: Valid fault-event kinds.
 FAULT_KINDS = ("crash", "slowdown", "brownout")
+
+#: The resilience component's event kinds on the fleet heap.  At equal
+#: timestamps they sort after grant completions (0) and before scaling
+#: ticks (5); :mod:`repro.fleet.simulator` holds the whole order.
+KIND_FAULT = 1
+KIND_TIMEOUT = 2
+KIND_RETRY = 3
+KIND_HEDGE = 4
 
 #: Most crash windows the random layer may expect per replica,
 #: ``horizon_s / (crash_mtbf_s + crash_mttr_s)``; drawing that many
@@ -448,3 +466,347 @@ class RetryPolicy(SpecBase):
             except ConfigurationError as error:
                 raise spec_error(path, str(error)) from None
         return super().from_dict(data, path)
+
+
+class Resilience:
+    """Faults and failover inside one fleet run.
+
+    A run builds it only when a :class:`FaultModel` or a
+    :class:`RetryPolicy` is set.  It schedules the fault events and
+    handles the four resilience event kinds; the run calls its hooks at
+    admission, at each grant start and completion, and when the dispatch
+    set empties or refills.  Only static replicas fault, and the
+    autoscaler never drains them.
+    """
+
+    __slots__ = (
+        "run", "retry", "kept_classes", "shed_floor", "crashes", "recoveries",
+        "retries", "failed", "timed_out", "shed", "hedges", "hedge_wins",
+        "first_attempt_completed", "wasted_busy_s", "unavailable_s",
+        "outage_start", "outage_windows", "faults_active", "in_backoff",
+        "brownout", "slow_factor", "crashed_by", "down_since", "downtime_s",
+        "in_service", "healthy_completed", "degraded_completed",
+        "slo_hits_healthy", "slo_hits_degraded", "attempts_of", "deadline_of",
+        "copies",
+    )
+
+    def __init__(
+        self, run: "_FleetRun", faults: Optional[FaultModel], retry: Optional[RetryPolicy]
+    ) -> None:
+        self.run = run
+        self.retry = retry
+        static_count = len(run.all_replicas)
+        self.kept_classes: Optional[frozenset] = None
+        self.shed_floor = 0.0
+        if faults is not None and faults.shed_below is not None:
+            classes = run.admission.classes
+            ranked = sorted(range(len(classes)), key=lambda i: (-classes[i].priority, i))
+            self.kept_classes = frozenset(ranked[: faults.shed_keep])
+            self.shed_floor = faults.shed_below * static_count
+        self.crashes = self.recoveries = self.retries = 0
+        self.failed = self.timed_out = self.shed = 0
+        self.hedges = self.hedge_wins = self.first_attempt_completed = 0
+        self.wasted_busy_s = self.unavailable_s = 0.0
+        self.outage_start: Optional[float] = None
+        self.outage_windows = 0
+        self.faults_active = 0  # crashes, slowdowns and brownouts under way
+        self.in_backoff = 0
+        self.brownout = 1.0
+        self.slow_factor: Dict[int, float] = {}  # replica id -> slowdown
+        self.crashed_by: Dict[int, FaultEvent] = {}
+        self.down_since: Dict[int, float] = {}
+        self.downtime_s = [0.0] * static_count
+        # Replica id -> (start, duration) of its latest grant.
+        self.in_service: Dict[int, Tuple[float, float]] = {}
+        self.healthy_completed = self.degraded_completed = 0
+        self.slo_hits_healthy = [0] * len(run.slo_targets)
+        self.slo_hits_degraded = [0] * len(run.slo_targets)
+        self.attempts_of: Dict[int, int] = {}  # request_id -> crash failovers
+        self.deadline_of: Dict[int, float] = {}  # request_id -> service deadline
+        self.copies: Dict[int, List["_Replica"]] = {}  # request_id -> live copies
+        if faults is not None:
+            for event in faults.schedule(tuple(range(static_count))):
+                crash = event.fault == "crash"
+                run.push(event.start_s, KIND_FAULT, (self.crash if crash else self.slow, event))
+                if event.end_s is not None:  # only a crash may be permanent
+                    end = self.recover if crash else self.unslow
+                    run.push(event.end_s, KIND_FAULT, (end, event))
+
+    def handlers(self) -> Dict[int, Any]:
+        """The handler of each resilience event kind."""
+        return {
+            KIND_FAULT: self.on_fault,
+            KIND_TIMEOUT: self.on_timeout,
+            KIND_RETRY: self.on_retry,
+            KIND_HEDGE: self.on_hedge,
+        }
+
+    def on_fault(self, now: float, payload: Tuple[Any, FaultEvent]) -> None:
+        transition, event = payload
+        transition(now, event)
+
+    def on_timeout(self, now: float, rid: int) -> None:
+        if rid not in self.run.class_of:
+            return  # already finished or failed
+        race = self.copies.get(rid)
+        if race and any(
+            active is not None and active.first_scheduled_s is not None
+            for active in (replica.active.get(rid) for replica in race)
+        ):
+            return  # in service by its deadline
+        # Abandon every queued copy (an empty race means the request was
+        # waiting out a retry backoff).
+        if race:
+            for replica in race:
+                active = replica.active.pop(rid, None)
+                if active is not None:
+                    active.phase = RequestPhase.TIMED_OUT
+                self.run.retire_if_idle(replica, now)
+        elif race == []:
+            self.in_backoff -= 1
+        self.timed_out += 1
+        self.forget(rid)
+
+    def on_retry(self, now: float, payload: Tuple[int, Request]) -> None:
+        rid, request = payload
+        run = self.run
+        if rid in run.class_of and self.copies.get(rid) == []:
+            self.in_backoff -= 1
+            if run.serving:
+                self.retries += 1
+                run.place(run.dispatch(request, run.serving, now), request, now)
+            else:
+                # Nothing to dispatch to: burn another attempt (bounded),
+                # or fail the request.
+                self.fail_over(rid, request, now)
+
+    def on_hedge(self, now: float, payload: Tuple[int, Request]) -> None:
+        rid, request = payload
+        run = self.run
+        race = self.copies.get(rid)
+        if rid not in run.class_of or race is None or len(race) != 1:
+            return
+        active = race[0].active.get(rid)
+        if active is None or active.first_scheduled_s is not None:
+            return
+        pool = [replica for replica in run.serving if replica is not race[0]]
+        if pool:
+            self.hedges += 1
+            run.place(run.dispatch(request, pool, now), request, now, hedged=True)
+
+    def crash(self, now: float, event: FaultEvent) -> None:
+        run = self.run
+        replica = run.all_replicas[event.replica]  # type: ignore[index]
+        if replica.crashed:
+            return
+        index = replica.replica_id
+        self.crashes += 1
+        self.faults_active += 1
+        replica.crashed = True
+        self.crashed_by[index] = event
+        self.down_since[index] = now
+        if replica in run.serving:
+            run.serving.remove(replica)
+        if not run.serving:
+            self.outage_begins(now)
+        if replica in run.deferred:
+            # Its pick was waiting on this instant's arrivals: nothing in
+            # flight to abort.
+            run.deferred.remove(replica)
+            replica.busy = False
+        elif replica.busy:
+            # Abort the in-flight grant: roll back its unserved remainder,
+            # charge the served part as wasted work.
+            start, duration = self.in_service[index]
+            end = start + duration
+            replica.busy_s -= end - now
+            run.add_busy(now, end, -1.0)
+            self.wasted_busy_s += now - start
+            replica.busy = False
+        victims = [(rid, replica.active[rid]) for rid in sorted(replica.active)]
+        replica.active.clear()
+        for rid, active in victims:
+            active.phase = RequestPhase.FAILED  # its grant end is skipped
+            race = self.copies.get(rid)
+            if race is not None and len(race) > 1:
+                race.remove(replica)  # a hedged sibling survives elsewhere
+            else:
+                self.fail_over(rid, active.request, now)
+
+    def recover(self, now: float, event: FaultEvent) -> None:
+        replica = self.run.all_replicas[event.replica]  # type: ignore[index]
+        index = replica.replica_id
+        if self.crashed_by.get(index) is not event:
+            return  # crashed again since, or never went down
+        self.recoveries += 1
+        self.faults_active -= 1
+        replica.crashed = False
+        del self.crashed_by[index]
+        self.downtime_s[index] += now - self.down_since.pop(index)
+        self.run.restore(replica, now)
+
+    def slow(self, now: float, event: FaultEvent) -> None:
+        """A slowdown (one replica) or a brownout (every replica) begins."""
+        if event.replica is None:
+            self.brownout *= event.factor
+        else:
+            factor = self.slow_factor.get(event.replica, 1.0)
+            self.slow_factor[event.replica] = factor * event.factor
+        self.faults_active += 1
+
+    def unslow(self, now: float, event: FaultEvent) -> None:
+        if event.replica is None:
+            self.brownout /= event.factor
+        else:
+            self.slow_factor[event.replica] /= event.factor
+        self.faults_active -= 1
+
+    def sheds(self, request: Request) -> bool:
+        """Turn an arrival away in total outage or below the shed floor."""
+        run = self.run
+        serving = run.serving
+        if serving and (
+            self.kept_classes is None
+            or len(serving) >= self.shed_floor
+            or run.admission.class_index(request) in self.kept_classes
+        ):
+            return False
+        # Total outage (a deterministic stand-in for a refused
+        # connection), or graceful degradation: healthy capacity is below
+        # the floor, so every class but the protected ones is shed.
+        self.shed += 1
+        run.admission.shed(request)
+        return True
+
+    def admit(self, request: Request, slo_class: "SLOClass") -> None:
+        """Start an admitted request's service deadline, if it has one."""
+        timeout = slo_class.timeout_s
+        if timeout is None and self.retry is not None:
+            timeout = self.retry.timeout_s
+        if timeout is not None:
+            deadline = request.arrival_s + timeout
+            self.deadline_of[request.request_id] = deadline
+            self.run.push(deadline, KIND_TIMEOUT, request.request_id)
+
+    def copy(
+        self, replica: "_Replica", request: Request, now: float, hedged: bool
+    ) -> ActiveRequest:
+        """Record a copy of ``request`` on ``replica`` and arm its hedge."""
+        rid = request.request_id
+        if hedged:
+            self.copies[rid].append(replica)
+        else:
+            self.copies[rid] = [replica]
+        if self.retry is not None and self.retry.hedge_after_s is not None:
+            self.run.push(now + self.retry.hedge_after_s, KIND_HEDGE, (rid, request))
+        return ActiveRequest(
+            request=request,
+            attempt=self.attempts_of.get(rid, 0),
+            deadline_s=self.deadline_of.get(rid),
+            hedged=hedged,
+        )
+
+    def grant_started(
+        self, replica: "_Replica", chosen: ActiveRequest, duration: float, now: float
+    ) -> float:
+        """Settle a hedge race and stretch the grant; returns its duration.
+
+        The first copy to enter service wins: its still-queued siblings
+        are cancelled before any work is charged.
+        """
+        rid = chosen.request.request_id
+        race = self.copies.get(rid)
+        if race is not None and len(race) > 1:
+            for other in race:
+                if other is not replica:
+                    other.active.pop(rid, None)
+                    self.run.retire_if_idle(other, now)
+            if replica is not race[0]:
+                self.hedge_wins += 1
+            self.copies[rid] = [replica]
+        factor = self.slow_factor.get(replica.replica_id, 1.0) * self.brownout
+        if factor != 1.0:
+            duration *= factor
+        self.in_service[replica.replica_id] = (now, duration)
+        return duration
+
+    def complete(self, rid: int, ttft_s: float) -> None:
+        """Count a completion as first-attempt or not, healthy or degraded."""
+        if self.attempts_of.pop(rid, 0) == 0:
+            self.first_attempt_completed += 1
+        self.deadline_of.pop(rid, None)
+        self.copies.pop(rid, None)
+        if self.faults_active > 0:
+            self.degraded_completed += 1
+            hits = self.slo_hits_degraded
+        else:
+            self.healthy_completed += 1
+            hits = self.slo_hits_healthy
+        for position, target in enumerate(self.run.slo_targets):
+            if ttft_s <= target:
+                hits[position] += 1
+
+    def outage_begins(self, now: float) -> None:
+        if self.outage_start is None:
+            self.outage_start = now
+
+    def outage_ends(self, now: float) -> None:
+        if self.outage_start is not None:
+            self.unavailable_s += now - self.outage_start
+            self.outage_windows += 1
+            self.outage_start = None
+
+    def fail_over(self, rid: int, request: Request, now: float) -> None:
+        """Decide a crashed (or stranded) request's next attempt."""
+        attempts = self.attempts_of.get(rid, 0) + 1
+        self.attempts_of[rid] = attempts
+        retry = self.retry
+        if retry is not None and attempts <= retry.max_retries:
+            when = now + retry.backoff_for(attempts)
+            deadline = self.deadline_of.get(rid)
+            if deadline is None or when <= deadline:
+                self.copies[rid] = []  # in backoff: queued nowhere
+                self.in_backoff += 1
+                self.run.push(when, KIND_RETRY, (rid, request))
+                return
+        self.failed += 1
+        self.forget(rid)
+
+    def forget(self, rid: int) -> None:
+        """Drop a failed or timed-out request from the run's books."""
+        self.run.class_of.pop(rid, None)
+        self.attempts_of.pop(rid, None)
+        self.deadline_of.pop(rid, None)
+        self.copies.pop(rid, None)
+
+    def stats(self, makespan: float) -> ResilienceStats:
+        unavailable_s, windows = self.unavailable_s, self.outage_windows
+        if self.outage_start is not None and makespan > self.outage_start:
+            unavailable_s += makespan - self.outage_start
+            windows += 1
+        downtime = 0.0
+        for index, replica_downtime in enumerate(self.downtime_s):
+            downtime += replica_downtime
+            since = self.down_since.get(index)
+            if since is not None and makespan > since:
+                downtime += makespan - since
+        targets = self.run.slo_targets
+        healthy, degraded = self.healthy_completed, self.degraded_completed
+        return ResilienceStats(
+            crashes=self.crashes, recoveries=self.recoveries, retries=self.retries,
+            failed=self.failed, timed_out=self.timed_out, shed=self.shed,
+            hedges=self.hedges, hedge_wins=self.hedge_wins,
+            first_attempt_completed=self.first_attempt_completed,
+            goodput_rps=self.first_attempt_completed / makespan if makespan > 0 else 0.0,
+            wasted_busy_s=self.wasted_busy_s, replica_downtime_s=downtime,
+            unavailable_s=unavailable_s, unavailable_windows=windows,
+            healthy_completed=healthy, degraded_completed=degraded,
+            slo_curve_healthy=tuple(
+                (target, self.slo_hits_healthy[i] / healthy if healthy else 0.0)
+                for i, target in enumerate(targets)
+            ),
+            slo_curve_degraded=tuple(
+                (target, self.slo_hits_degraded[i] / degraded if degraded else 0.0)
+                for i, target in enumerate(targets)
+            ),
+        )

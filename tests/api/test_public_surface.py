@@ -176,6 +176,15 @@ def test_removed_modules_and_converters_are_gone():
     ]
 
 
+def test_the_fleet_timeline_window_is_not_an_option():
+    from repro.fleet import FleetSimulator
+    from repro.fleet.simulator import TIMELINE_WINDOW_S
+
+    assert TIMELINE_WINDOW_S == 60.0
+    for constructor in (FleetSimulator, Session.serve_fleet):
+        assert "timeline_window_s" not in inspect.signature(constructor).parameters
+
+
 def test_execute_is_the_one_way_to_run_a_spec():
     assert "execute" in repro.spec.__all__
     assert repro.spec.execute is repro.spec.runner.execute

@@ -128,6 +128,26 @@ JSON_RUNS: Tuple[str, ...] = (
     # replica's ready queue mid-wait.
     "fleet --duration 60 --arrival-rate 6 --platform siracusa-mipi:8x2 "
     "--faults crash:0@10+20 --retry 30:3:0.5:0.2 --json --no-cache",
+    # An autoscaled diurnal fleet: four adds, drains and retires, one of
+    # them after a drained replica's queue empties.
+    "fleet --trace diurnal --arrival-rate 3 --amplitude 0.9 --period 240 "
+    "--duration 480 --autoscale siracusa-mipi:4 --autoscale-max 2 "
+    "--autoscale-interval 20 --json --no-cache",
+    # Every fault kind, retries, hedges and shedding on an autoscaled,
+    # classed fleet.
+    "fleet --platform siracusa-mipi:8x3 --trace bursty --arrival-rate 4 "
+    "--burst-rate 12 --duration 120 --autoscale siracusa-mipi:4 "
+    "--autoscale-max 2 --autoscale-interval 15 --autoscale-slo 0.8 "
+    "--faults crash:0@10+20 --faults slow:1@5+30x3 "
+    "--faults brownout@40+20x2 --faults random:100:10:500 --fault-seed 5 "
+    "--retry 30:3:0.5:2 --shed-below 0.9 --class gold:6:6:0.5:1 "
+    "--class bronze --priority-levels 2 --json --no-cache",
+    # The two routers no other run uses.
+    "fleet --platform siracusa-mipi:8x2@prefill "
+    "--platform siracusa-low-power:8@decode --router prefill_decode "
+    "--arrival-rate 4 --duration 60 --json --no-cache",
+    "fleet --platform siracusa-mipi:8x3 --router session_affinity "
+    "--arrival-rate 6 --duration 60 --json --no-cache",
     # The model registry: the table, the JSON summaries, and the detailed
     # view of the alias and the three paper workloads it builds on.
     "models",

@@ -9,6 +9,10 @@ independently of the real block engine.
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -21,8 +25,10 @@ from repro.fleet import (
     RetryPolicy,
     SLOClass,
 )
-from repro.fleet.faults import MAX_RANDOM_CRASHES
+from repro.fleet.faults import MAX_RANDOM_CRASHES, Resilience
 from repro.serving import PhaseCost, Request
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 class StubCosts:
@@ -510,6 +516,29 @@ class TestSimulatorIntegration:
                     events=(FaultEvent.parse("crash:3@1"),)
                 ),
             )
+
+    def test_the_fault_free_path_never_builds_the_resilience_component(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the resilience component")
+
+        monkeypatch.setattr(Resilience, "__init__", refuse)
+        spec = importlib.util.spec_from_file_location(
+            "make_cli_golden", DATA / "make_cli_golden.py"
+        )
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        golden = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+        # `fleet` and `serve` (a one-replica fleet) print their pinned bytes.
+        for command in (
+            "fleet --duration 60 --json --no-cache",
+            "serve --duration 60 --json --no-cache",
+        ):
+            assert generator.stdout_of(command) == golden["json"][command]
+        # A retry policy alone builds it.
+        with pytest.raises(AssertionError, match="resilience component"):
+            FleetSimulator([template()], retry=RetryPolicy()).run([req(0, 0.0)])
 
     def test_fault_free_run_has_no_resilience_block(self):
         result = FleetSimulator([template()]).run([req(0, 0.0)])

@@ -303,8 +303,8 @@ class TestStreamingMetrics:
         assert result.slo_curve == ((10.0, 1.0),)
 
     def test_timeline_windows_cover_the_run(self):
-        simulator = FleetSimulator([template()], timeline_window_s=1.0)
-        result = simulator.run(burst(10, spacing=1.0))
+        simulator = FleetSimulator([template()])
+        result = simulator.run(burst(10, spacing=60.0))
         assert len(result.timeline) >= 9
         for end_s, depth, replicas, utilisation in result.timeline:
             assert depth >= 0
@@ -339,7 +339,7 @@ class TestArrivalStreams:
                 return req(1, record.finish_s + 150.0)
             return None
 
-        simulator = FleetSimulator([template()], timeline_window_s=60.0)
+        simulator = FleetSimulator([template()])
         result = simulator.run([req(0, 0.0)], on_complete)
         assert result.completed == 2
         assert result.makespan_s == pytest.approx(150.202)

@@ -13,6 +13,10 @@ fast):
 * **Fault-free bit-identity** — a run with no fault model configured
   reproduces the committed pre-change golden report byte for byte, so
   the resilience layer provably costs nothing when off.
+* **An inert layer changes nothing** — a run with an empty fault model
+  and/or a default retry policy (no events, timeouts, hedges or
+  shedding) reports exactly what the fault-free run reports, apart from
+  its ``resilience`` block and the classes' ``shed`` column.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     AdmissionController,
+    AutoscalerConfig,
     FaultEvent,
     FaultModel,
     FleetSimulator,
@@ -40,6 +45,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 GOLDEN = REPO_ROOT / "tests" / "fleet" / "data" / "fleet_fault_free_golden.json"
 
 ROUTERS = ("round_robin", "least_loaded")
+ALL_ROUTERS = ROUTERS + ("session_affinity", "prefill_decode")
+POLICIES = ("fifo", "shortest_prompt", "priority", "continuous")
 
 
 class StubCosts:
@@ -57,9 +64,9 @@ class StubCosts:
                          energy_joules=self.decode_step)
 
 
-def template(speed=0.01):
+def template(speed=0.01, role="any"):
     return ReplicaTemplate(
-        preset="stub", chips=8, role="any", costs=StubCosts(speed)
+        preset="stub", chips=8, role=role, costs=StubCosts(speed)
     )
 
 
@@ -197,6 +204,63 @@ class TestConservationUnderFaults:
         per_class = result.classes
         assert sum(row["arrived"] for row in per_class) == result.arrived
         assert sum(row["shed"] for row in per_class) == stats.shed
+
+
+class TestInertLayer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=request_lists(),
+        replicas=st.lists(
+            st.tuples(
+                st.sampled_from([0.001, 0.01, 0.05]),
+                st.sampled_from(["any", "prefill", "decode"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        router=st.sampled_from(ALL_ROUTERS),
+        policy=st.sampled_from(POLICIES),
+        classed=st.booleans(),
+        autoscaled=st.booleans(),
+        layer=st.sampled_from(("faults", "retry", "both")),
+    )
+    def test_an_inert_layer_reports_what_the_fault_free_run_reports(
+        self, requests, replicas, router, policy, classed, autoscaled, layer
+    ):
+        def run(**resilience):
+            # Admission keeps per-run token buckets: a fresh one per run.
+            admission = None
+            if classed:
+                admission = AdmissionController([
+                    SLOClass(name="interactive", rate_rps=4.0, burst=2,
+                             priority=1, ttft_slo_s=0.5),
+                    SLOClass(name="batch", priority=0),
+                ])
+            simulator = FleetSimulator(
+                [template(speed, role) for speed, role in replicas],
+                router=router,
+                policy=policy,
+                admission=admission,
+                autoscaler=AutoscalerConfig(
+                    max_extra=2, check_interval_s=0.5,
+                    scale_up_depth=2.0, scale_down_depth=0.5,
+                ) if autoscaled else None,
+                scale_template=template(0.02),
+                **resilience,
+            )
+            return simulator.run(list(requests)).to_dict()
+
+        plain = run()
+        inert = run(
+            faults=FaultModel() if layer != "retry" else None,
+            retry=RetryPolicy() if layer != "faults" else None,
+        )
+        stats = inert.pop("resilience")
+        assert stats["shed"] == 0 and stats["crashes"] == 0
+        for row in inert["classes"]:
+            assert row.pop("shed") == 0
+        assert "resilience" not in plain
+        assert inert == plain
 
 
 class TestFaultDeterminism:
