@@ -7,11 +7,12 @@ everything the examples, benchmarks, and figure harnesses need: runtime,
 runtime breakdown, traffic, energy, energy-delay product, and the
 weight-residency regime of every chip.
 
-:func:`evaluate_block` is the engine of the simulator-backed strategies in
-:mod:`repro.api` (``"paper"``, ``"single_chip"``, ``"tensor_parallel"``),
-which attach its report to the one result schema,
-:class:`~repro.api.EvalResult`.  Evaluate through a session to get that
-schema and memoisation::
+:func:`evaluate_blocks` is the same for one workload on many platforms,
+and :func:`evaluate_block` is its one-platform case.  It is the engine of
+the simulator-backed strategies in :mod:`repro.api` (``"paper"``,
+``"single_chip"``, ``"tensor_parallel"``), which attach its reports to the
+one result schema, :class:`~repro.api.EvalResult`.  Evaluate through a
+session to get that schema and memoisation::
 
     from repro.api import Session
 
@@ -24,12 +25,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.placement import PrefetchAccounting, WeightResidency
 from ..core.schedule import BlockProgram, RuntimeCategory
 from ..core.scheduler import BlockScheduler
 from ..energy.model import EnergyModel, EnergyReport
+from ..errors import ReproError, detached, value_or_raise
 from ..graph.workload import Workload
 from ..hw.chip import ChipModel
 from ..hw.platform import MultiChipPlatform
@@ -149,7 +151,7 @@ class BlockReport:
 
 
 #: The program memo of the session whose engine call is running, if any
-#: (set by :meth:`ProgramMemo.active`); :func:`evaluate_block` consults it.
+#: (set by :meth:`ProgramMemo.active`); :func:`evaluate_blocks` consults it.
 _ACTIVE_PROGRAMS: ContextVar[Optional["ProgramMemo"]] = ContextVar(
     "repro_active_programs", default=None
 )
@@ -164,9 +166,11 @@ class ProgramMemo:
     link energy and the clock only *price* a program, in the simulator
     and the energy model, so design points differing only in them share
     one program: built once, then rebound to each caller's platform
-    (:meth:`BlockScheduler.rebind`).  A program served more than once
-    also shares its compiled simulator sweep (:mod:`repro.sim.fastpath`)
-    across its rebinds; one served once keeps none.
+    (:meth:`BlockScheduler.rebind`).  :meth:`programs` serves every
+    platform of one structure from one lookup.  A program served more
+    than once also shares its compiled simulator sweep
+    (:mod:`repro.sim.fastpath`) across its rebinds; one served once
+    keeps none.
 
     The builds share one step table too: a transfer of a synchronisation
     (stage, collective, round, sender, receiver, payload and the
@@ -190,9 +194,11 @@ class ProgramMemo:
         # (id(workload), layers per stage) -> (workload, stage workload);
         # id(chip) -> (chip, the chip at a neutral clock).  Holding the
         # keyed object keeps its id from being reused while the entry
-        # exists.
+        # exists.  Chips equal but for their clock share one neutral
+        # chip (``_neutral``), so its identity stands for the structure.
         self._stages: Dict[Tuple[int, int], Tuple[Workload, Workload]] = {}
         self._unpriced: Dict[int, Tuple[ChipModel, ChipModel]] = {}
+        self._neutral: Dict[ChipModel, ChipModel] = {}
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -208,38 +214,61 @@ class ProgramMemo:
         self._replicated.clear()
         self._stages.clear()
         self._unpriced.clear()
+        self._neutral.clear()
 
     @contextmanager
     def active(self) -> Iterator["ProgramMemo"]:
-        """Make :func:`evaluate_block` consult this memo inside the block."""
+        """Make :func:`evaluate_blocks` consult this memo inside the block."""
         token = _ACTIVE_PROGRAMS.set(self)
         try:
             yield self
         finally:
             _ACTIVE_PROGRAMS.reset(token)
 
-    def program(self, scheduler: BlockScheduler, workload: Workload) -> BlockProgram:
-        """``scheduler.build(workload)``, built once per structure."""
+    def structure(self, platform: MultiChipPlatform) -> Tuple[int, int, int]:
+        """What a build reads of ``platform``, as a cheap grouping key.
+
+        Platforms with equal keys share a program for a given workload,
+        kernel library and prefetch accounting (see :meth:`programs`).
+        """
+        return (
+            platform.num_chips,
+            platform.group_size,
+            id(self._unpriced_chip(platform.chip)),
+        )
+
+    def programs(
+        self, schedulers: Sequence[BlockScheduler], workload: Workload
+    ) -> List[BlockProgram]:
+        """``scheduler.build(workload)`` for schedulers of one structure.
+
+        One lookup serves them all: the structure is built at most once,
+        by the first scheduler, and every other scheduler gets a rebind.
+        Raises what the build raises.
+        """
         from ..api.session import content_hash  # repro.api imports this module
 
-        platform = scheduler.platform
+        first = schedulers[0]
+        platform = first.platform
         key = content_hash(
             workload,
             platform.num_chips,
             platform.group_size,
             self._unpriced_chip(platform.chip),
-            scheduler.kernel_library,
-            scheduler.prefetch_accounting,
+            first.kernel_library,
+            first.prefetch_accounting,
         )
         program = self._programs.get(key)
         if program is None:
-            scheduler._step_table = self._steps
-            program = self._programs[key] = scheduler.build(workload)
-            return program
-        if "_compiled_sweep" not in program.__dict__:
+            first._step_table = self._steps
+            program = self._programs[key] = first.build(workload)
+            built, rebound = [program], schedulers[1:]
+        else:
+            built, rebound = [], schedulers
+        if rebound and "_compiled_sweep" not in program.__dict__:
             # Reused: the first price fills the slot, rebinds share it.
             object.__setattr__(program, "_compiled_sweep", [None])
-        return scheduler.rebind(program, workload)
+        return built + [scheduler.rebind(program, workload) for scheduler in rebound]
 
     def replicated_block(
         self,
@@ -278,6 +307,7 @@ class ProgramMemo:
         entry = self._unpriced.get(id(chip))
         if entry is None:
             unpriced = replace(chip, cluster=replace(chip.cluster, frequency_hz=1.0))
+            unpriced = self._neutral.setdefault(unpriced, unpriced)
             entry = self._unpriced[id(chip)] = (chip, unpriced)
         return entry[1]
 
@@ -285,6 +315,80 @@ class ProgramMemo:
 def active_program_memo() -> Optional[ProgramMemo]:
     """The program memo of the session whose engine call is running, if any."""
     return _ACTIVE_PROGRAMS.get()
+
+
+def evaluate_blocks(
+    workload: Workload,
+    platforms: Sequence[MultiChipPlatform],
+    *,
+    kernel_library: Optional[KernelLibrary] = None,
+    prefetch_accounting: PrefetchAccounting = PrefetchAccounting.HIDDEN,
+    record_events: bool = False,
+    energy: Optional[Callable[[MultiChipPlatform], EnergyModel]] = None,
+) -> List[Union[BlockReport, ReproError]]:
+    """:func:`evaluate_block` of one workload on each of many platforms.
+
+    Under a session's program memo, the platforms of one program
+    structure (they differ only in clock and link) share one memo lookup
+    and at most one build, or one failed build; each platform is then
+    rebound, simulated and priced on its own.  Without a memo every
+    platform is built on its own, as :func:`evaluate_block` does.
+
+    Args:
+        workload: The model/mode/sequence-length combination to evaluate.
+        platforms: The multi-chip platforms to run on.
+        kernel_library: Optional custom kernel cost models.
+        prefetch_accounting: How double-buffered weight prefetches are
+            charged to runtime.
+        record_events: Keep per-step trace events for debugging.
+        energy: Optional energy-model factory applied to each platform;
+            defaults to the paper's analytical model.
+
+    Returns:
+        One :class:`BlockReport` per platform, in order; a platform whose
+        evaluation failed gets the :class:`ReproError` that
+        :func:`evaluate_block` would raise in its place.
+    """
+    memo = _ACTIVE_PROGRAMS.get()
+    structures: Dict[object, List[int]] = {}
+    for index, platform in enumerate(platforms):
+        key = index if memo is None else memo.structure(platform)
+        structures.setdefault(key, []).append(index)
+    outcomes: List = [None] * len(platforms)
+    for indices in structures.values():
+        schedulers = [
+            BlockScheduler(
+                platform=platforms[index],
+                kernel_library=kernel_library,
+                prefetch_accounting=prefetch_accounting,
+            )
+            for index in indices
+        ]
+        try:
+            programs = (
+                [schedulers[0].build(workload)]
+                if memo is None
+                else memo.programs(schedulers, workload)
+            )
+        except ReproError as error:
+            for index in indices:
+                outcomes[index] = detached(error)
+            continue
+        for index, program in zip(indices, programs):
+            platform = platforms[index]
+            try:
+                simulation = simulate_block(program, record_events=record_events)
+                model = EnergyModel(platform) if energy is None else energy(platform)
+                outcomes[index] = BlockReport(
+                    workload=workload,
+                    platform=platform,
+                    program=program,
+                    simulation=simulation,
+                    energy=model.from_simulation(simulation),
+                )
+            except ReproError as error:
+                outcomes[index] = detached(error)
+    return outcomes
 
 
 def evaluate_block(
@@ -297,6 +401,8 @@ def evaluate_block(
     energy_model: Optional[EnergyModel] = None,
 ) -> BlockReport:
     """Partition, schedule, simulate, and measure one Transformer block.
+
+    The one-platform case of :func:`evaluate_blocks`.
 
     Args:
         workload: The model/mode/sequence-length combination to evaluate.
@@ -311,25 +417,12 @@ def evaluate_block(
     Returns:
         A :class:`BlockReport` with runtime, energy, and placement details.
     """
-    scheduler = BlockScheduler(
-        platform=platform,
+    reports = evaluate_blocks(
+        workload,
+        (platform,),
         kernel_library=kernel_library,
         prefetch_accounting=prefetch_accounting,
+        record_events=record_events,
+        energy=None if energy_model is None else lambda _: energy_model,
     )
-    programs = _ACTIVE_PROGRAMS.get()
-    program = (
-        scheduler.build(workload)
-        if programs is None
-        else programs.program(scheduler, workload)
-    )
-    simulation = simulate_block(program, record_events=record_events)
-    if energy_model is None:
-        energy_model = EnergyModel(platform)
-    energy = energy_model.from_simulation(simulation)
-    return BlockReport(
-        workload=workload,
-        platform=platform,
-        program=program,
-        simulation=simulation,
-        energy=energy,
-    )
+    return value_or_raise(reports.pop())

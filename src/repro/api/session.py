@@ -21,6 +21,7 @@ figure harnesses, tables and exporters consume directly.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
@@ -37,7 +38,7 @@ from typing import (
 
 from ..analysis.evaluate import ProgramMemo
 from ..core.placement import PrefetchAccounting
-from ..errors import AnalysisError, ReproError, UnknownStrategyError
+from ..errors import AnalysisError, ReproError, UnknownStrategyError, detached, value_or_raise
 from ..graph.transformer import TransformerConfig
 from ..graph.workload import Workload
 from ..hw.chip import ChipModel
@@ -330,6 +331,14 @@ def _evaluate_point(payload) -> Tuple[bool, EvalResult]:
     return True, result
 
 
+def _outcome(evaluate, workload, platform, options):
+    """``evaluate(workload, platform, options)``, or the error it raised."""
+    try:
+        return evaluate(workload, platform, options)
+    except ReproError as error:
+        return detached(error)
+
+
 def _evaluate_chunk(payloads):
     """Evaluate a batch of points in one worker task.
 
@@ -540,16 +549,6 @@ class Session:
         self._misses = 0
         self._disk_hits = 0
 
-    def _cache_key(
-        self,
-        strategy: str,
-        workload: Workload,
-        platform: MultiChipPlatform,
-        options: EvalOptions,
-    ) -> str:
-        canonical_name = get_strategy(strategy).name
-        return content_hash(canonical_name, workload, platform, options)
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -571,30 +570,103 @@ class Session:
         program of any earlier call with the same structure (see
         :class:`~repro.analysis.evaluate.ProgramMemo`), so points that
         differ only in clock or link are simulated but not rescheduled.
+        This is the one-request case of :meth:`run_many`.
         """
-        resolved = self.resolve_platform(chips, platform)
+        request = (workload, strategy, self.resolve_platform(chips, platform))
+        return value_or_raise(self.run_many((request,), record_events=record_events)[0])
+
+    def run_many(
+        self,
+        requests: Sequence[Tuple[Workload, str, MultiChipPlatform]],
+        *,
+        record_events: bool = False,
+    ) -> List[Union[EvalResult, ReproError]]:
+        """Evaluate many ``(workload, strategy, platform)`` requests in one call.
+
+        The effects are those of one :meth:`run` per request, in order:
+        the same keys, memo entries and store rows in request order,
+        one miss per evaluated request (a failed one included), and a
+        hit for a request equal to an earlier one of the batch, which
+        gets that earlier result object.  The engine work is grouped:
+        the requests of one simulator-backed strategy and workload are
+        evaluated in one call, which builds each program structure once
+        (:func:`~repro.analysis.evaluate.evaluate_blocks`); the
+        analytical baselines evaluate request by request.
+
+        Returns:
+            One entry per request, in order: the :class:`EvalResult`
+            :meth:`run` would return, or the :class:`ReproError` it would
+            raise.  Any other exception propagates at once.
+        """
         options = self.options(record_events=record_events)
-        impl = get_strategy(strategy)
-        if not self.memoize:
-            return impl.evaluate(workload, resolved, options)
-        key = self._cache_key(strategy, workload, resolved, options)
-        if key in self._cache:
-            self._hits += 1
-            return self._cache[key]
-        store = self._store if _strategy_is_persistable(impl) else None
-        if store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                self._disk_hits += 1
-                self._cache[key] = cached
-                return cached
-        self._misses += 1
-        with self._programs.active():
-            result = impl.evaluate(workload, resolved, options)
-        self._cache[key] = result
-        if store is not None:
-            store.put(key, result)
-        return result
+        outcomes: List = [None] * len(requests)
+        # Request index -> (key, store) of a request this call evaluates,
+        # or the index of the earlier request of the batch it repeats.
+        commits: Dict[int, Union[Tuple[str, Optional[EvalCache]], int]] = {}
+        first: Dict[str, int] = {}
+        # (strategy, id(workload)) -> indices of the requests to evaluate.
+        work: Dict[Tuple[object, int], List[int]] = {}
+        for index, (workload, strategy, platform) in enumerate(requests):
+            try:
+                impl = get_strategy(strategy)
+            except ReproError as error:
+                outcomes[index] = detached(error)
+                continue
+            if self.memoize:
+                key = content_hash(impl.name, workload, platform, options)
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._hits += 1
+                    outcomes[index] = cached
+                    continue
+                if key in first:
+                    commits[index] = first[key]
+                    continue
+                store = self._store if _strategy_is_persistable(impl) else None
+                if store is not None:
+                    cached = store.get(key)
+                    if cached is not None:
+                        self._disk_hits += 1
+                        self._cache[key] = outcomes[index] = cached
+                        continue
+                first[key] = index
+                commits[index] = (key, store)
+            work.setdefault((impl, id(workload)), []).append(index)
+
+        if work:
+            with self._programs.active() if self.memoize else nullcontext():
+                for (impl, _), indices in work.items():
+                    workload = requests[indices[0]][0]
+                    platforms = [requests[index][2] for index in indices]
+                    evaluate_many = getattr(impl, "evaluate_many", None)
+                    if evaluate_many is not None:
+                        results = evaluate_many(workload, platforms, options)
+                    else:
+                        results = [
+                            _outcome(impl.evaluate, workload, platform, options)
+                            for platform in platforms
+                        ]
+                    for index, result in zip(indices, results):
+                        outcomes[index] = result
+
+        # Commit in request order (the order ``commits`` was filled in),
+        # as consecutive runs would.
+        for index, commit in commits.items():
+            if isinstance(commit, int):  # a repeat within the batch
+                outcome = outcomes[index] = outcomes[commit]
+                if isinstance(outcome, ReproError):
+                    self._misses += 1  # failed requests are evaluated again
+                else:
+                    self._hits += 1
+                continue
+            self._misses += 1
+            outcome = outcomes[index]
+            if not isinstance(outcome, ReproError):
+                key, store = commit
+                self._cache[key] = outcome
+                if store is not None:
+                    store.put(key, outcome)
+        return outcomes
 
     def sweep(
         self,
@@ -1027,7 +1099,7 @@ class Session:
             impl = get_strategy(strategy)
             store = self._store if _strategy_is_persistable(impl) else None
             cache_dir = str(store.directory) if store is not None else None
-            key = self._cache_key(impl.name, workload, platform, options)
+            key = content_hash(impl.name, workload, platform, options)
             if key in self._cache or key in seen:
                 continue
             if store is not None:

@@ -27,17 +27,22 @@ PartitionStrategy` interface:
     cycles and energy to ``paper`` under default options, presented with
     the ablation's metadata.  Simulator-backed, report attached.
 
-The simulator-backed strategies wrap :func:`repro.analysis.evaluate_block`;
-the analytical ones return the :class:`EvalResult` their
-:mod:`repro.baselines` cost model builds.  Every number is pinned by
+The simulator-backed strategies also take one workload on many platforms
+(``evaluate_many``, through :func:`repro.analysis.evaluate.evaluate_blocks`,
+which builds each program structure once); their ``evaluate`` is its
+one-platform case.  The analytical ones return the :class:`EvalResult`
+their :mod:`repro.baselines` cost model builds.  Every number is pinned by
 ``tests/data/paper_golden.json``.
 """
 
 from __future__ import annotations
 
-from ..analysis.evaluate import evaluate_block
+from typing import List, Optional, Sequence, Union
+
+from ..analysis.evaluate import evaluate_blocks
 from ..baselines.pipeline_parallel import evaluate_pipeline_parallel
 from ..baselines.weight_replicated import evaluate_weight_replicated
+from ..errors import ReproError, value_or_raise
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
 from .registry import EvalOptions, register_strategy
@@ -55,60 +60,83 @@ BASELINE_STRATEGIES = (
 PAPER_STRATEGY = "paper"
 
 
+class _SimulatedStrategy:
+    """A strategy the block simulator prices, many platforms per call."""
+
+    notes = "head-split MHSA, F-split FFN, hierarchical all-reduce"
+    #: Synchronisations per block (``None``: derived from the chip count).
+    synchronisations: Optional[int] = None
+
+    def evaluate(
+        self,
+        workload: Workload,
+        platform: MultiChipPlatform,
+        options: EvalOptions,
+    ) -> EvalResult:
+        return value_or_raise(self.evaluate_many(workload, (platform,), options)[0])
+
+    def evaluate_many(
+        self,
+        workload: Workload,
+        platforms: Sequence[MultiChipPlatform],
+        options: EvalOptions,
+    ) -> List[Union[EvalResult, ReproError]]:
+        """One result per platform, or the error ``evaluate`` would raise."""
+        reports = evaluate_blocks(
+            workload,
+            [self.engine_platform(platform) for platform in platforms],
+            **self.engine_options(options),
+        )
+        return [
+            report
+            if isinstance(report, ReproError)
+            else EvalResult.from_block_report(
+                report,
+                strategy=self.name,
+                approach=self.label,
+                synchronisations_per_block=self.synchronisations,
+                notes=self.notes,
+            )
+            for report in reports
+        ]
+
+    def engine_platform(self, platform: MultiChipPlatform) -> MultiChipPlatform:
+        """The platform the block runs on."""
+        return platform
+
+    def engine_options(self, options: EvalOptions) -> dict:
+        """Keyword arguments of :func:`evaluate_blocks`: its defaults."""
+        return {}
+
+
 @register_strategy
-class PaperStrategy:
+class PaperStrategy(_SimulatedStrategy):
     """The paper's tensor-parallel scheme through the full simulator."""
 
     name = PAPER_STRATEGY
     aliases = ("ours",)
     label = "Ours (tensor parallel, scattered weights)"
 
-    def evaluate(
-        self,
-        workload: Workload,
-        platform: MultiChipPlatform,
-        options: EvalOptions,
-    ) -> EvalResult:
-        energy_model = (
-            options.energy(platform) if options.energy is not None else None
-        )
-        report = evaluate_block(
-            workload,
-            platform,
-            kernel_library=options.kernel_library,
-            prefetch_accounting=options.prefetch_accounting,
-            record_events=options.record_events,
-            energy_model=energy_model,
-        )
-        return EvalResult.from_block_report(
-            report,
-            strategy=self.name,
-            approach=self.label,
-            notes="head-split MHSA, F-split FFN, hierarchical all-reduce",
-        )
+    def engine_options(self, options: EvalOptions) -> dict:
+        return {
+            "kernel_library": options.kernel_library,
+            "prefetch_accounting": options.prefetch_accounting,
+            "record_events": options.record_events,
+            "energy": options.energy,
+        }
 
 
 @register_strategy
-class SingleChipStrategy:
+class SingleChipStrategy(_SimulatedStrategy):
     """Whole block on one chip of the platform."""
 
     name = "single_chip"
     label = "Single chip"
+    notes = "all weights and traffic on one chip"
+    synchronisations = 0
 
-    def evaluate(
-        self,
-        workload: Workload,
-        platform: MultiChipPlatform,
-        options: EvalOptions,
-    ) -> EvalResult:
-        report = evaluate_block(workload, platform.with_num_chips(1))
-        return EvalResult.from_block_report(
-            report,
-            strategy=self.name,
-            approach=self.label,
-            synchronisations_per_block=0,
-            notes="all weights and traffic on one chip",
-        )
+    def engine_platform(self, platform: MultiChipPlatform) -> MultiChipPlatform:
+        return platform.with_num_chips(1)
 
 
 @register_strategy
@@ -145,23 +173,11 @@ class PipelineParallelStrategy:
 
 
 @register_strategy
-class TensorParallelStrategy:
-    """The paper's scheme presented as a Table-I comparison entry."""
+class TensorParallelStrategy(_SimulatedStrategy):
+    """The paper's scheme presented as a Table-I comparison entry.
+
+    Default options: the Table I entry ignores the session's knobs.
+    """
 
     name = "tensor_parallel"
     label = "Ours (tensor parallel, scattered weights)"
-
-    def evaluate(
-        self,
-        workload: Workload,
-        platform: MultiChipPlatform,
-        options: EvalOptions,
-    ) -> EvalResult:
-        # Default options: the Table I entry ignores the session's knobs.
-        report = evaluate_block(workload, platform)
-        return EvalResult.from_block_report(
-            report,
-            strategy=self.name,
-            approach=self.label,
-            notes="head-split MHSA, F-split FFN, hierarchical all-reduce",
-        )

@@ -12,9 +12,12 @@ the :class:`TuneResult` behind :meth:`repro.api.Session.tune` and the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+from ..api.registry import get_strategy
+from ..api.result import EvalResult
 from ..api.session import CacheInfo, Session
 from ..errors import (
     AnalysisError,
@@ -23,6 +26,8 @@ from ..errors import (
     PartitioningError,
     ReproError,
     SchedulingError,
+    UnknownStrategyError,
+    detached,
 )
 from ..graph.workload import Workload
 from ..spec.base import SpecBase, register, require_finite, spec_error
@@ -174,6 +179,26 @@ class Candidate:
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
+PointKey = Tuple[Tuple[str, Value], ...]
+
+#: Errors that make a point an infeasible candidate instead of failing
+#: the search.
+_INFEASIBLE = (
+    ArchitectureError,
+    PartitioningError,
+    MemoryCapacityError,
+    SchedulingError,
+)
+
+
+def _strategy_name(name: Value) -> str:
+    """The canonical name of a point's strategy, as given if unknown."""
+    try:
+        return get_strategy(name).name
+    except UnknownStrategyError:
+        return str(name)
+
+
 class DesignEvaluator:
     """Evaluates search-space points through one shared session.
 
@@ -186,6 +211,12 @@ class DesignEvaluator:
     (:mod:`repro.api.cache`, the ``repro tune`` default), points
     evaluated by *any previous process* are answered from disk, so
     repeated or resumed searches over the same space start warm.
+
+    Points announced ahead of the walk (:meth:`announce`) are evaluated
+    together: on a miss, :meth:`evaluate` runs the requested point and
+    the announced points that follow it through one
+    :meth:`~repro.api.Session.run_many` call, and records each candidate
+    when the walk reaches its point.
     """
 
     def __init__(
@@ -208,8 +239,12 @@ class DesignEvaluator:
             ServingScenario() if needs_serving else None
         )
         self._needs_serving = needs_serving
-        self._candidates: Dict[Tuple[Tuple[str, Value], ...], Candidate] = {}
+        self._candidates: Dict[PointKey, Candidate] = {}
         self._requested = 0
+        # The points the walk requests next, and the points evaluated
+        # ahead of it: key -> (design or None, result or error).
+        self._upcoming: Deque[Mapping[str, Value]] = deque()
+        self._evaluated: Dict[PointKey, tuple] = {}
 
     @property
     def history(self) -> Tuple[Candidate, ...]:
@@ -243,69 +278,154 @@ class DesignEvaluator:
         for candidate in candidates:
             self._candidates.setdefault(candidate.point, candidate)
 
-    def evaluate(self, point: Mapping[str, Value]) -> Candidate:
-        """Measure one point (memoised by canonical point identity)."""
+    def announce(self, points: Sequence[Point]) -> None:
+        """Queue the points the walk will request next, in order.
+
+        A miss whose point is not the next announced new point drops the
+        queue: the walk left the announced order.
+        """
+        self._upcoming.extend(points)
+
+    def evaluate(
+        self, point: Mapping[str, Value], *, window: Optional[int] = None
+    ) -> Candidate:
+        """Measure one point (memoised by canonical point identity).
+
+        On a miss, the point and the announced new points that follow it
+        (at most ``window`` points in all; every announced one when
+        ``None``) are evaluated in one session call.
+        """
         self._requested += 1
         key = point_key(point)
         cached = self._candidates.get(key)
         if cached is not None:
             return cached
-        try:
-            design = materialise(
-                point,
-                default_strategy=self.default_strategy,
-                workload=self.workload,
-            )
-            workload = design.workload if design.workload is not None else (
-                self.workload
-            )
-            result = self.session.run(
-                workload, design.strategy, platform=design.platform
-            )
-            serving_report = (
-                self._serve(design) if self._needs_serving else None
-            )
-        except (
-            ArchitectureError,
-            PartitioningError,
-            MemoryCapacityError,
-            SchedulingError,
-        ) as error:
-            candidate = Candidate(
-                point=key,
-                strategy=str(point.get("strategy", self.default_strategy)),
-                num_chips=int(point.get("chips", 8)),
-                feasible=False,
-                note=f"{type(error).__name__}: {error}",
-            )
-            self._candidates[key] = candidate
-            return candidate
+        if key not in self._evaluated:
+            self._evaluate_window(key, point, window)
+        candidate = self._candidate(key, point, *self._evaluated.pop(key))
+        self._candidates[key] = candidate
+        return candidate
+
+    def _evaluate_window(
+        self, key: PointKey, point: Mapping[str, Value], window: Optional[int]
+    ) -> None:
+        """Evaluate ``point`` and the announced new points that follow it."""
+        designs = []
+        for batch_key, batch_point in self._window(key, point, window):
+            try:
+                designs.append(
+                    materialise(
+                        batch_point,
+                        default_strategy=self.default_strategy,
+                        workload=self.workload,
+                    )
+                )
+            except ReproError as error:
+                self._evaluated[batch_key] = (None, detached(error))
+        outcomes = self.session.run_many(
+            [
+                (self._workload_of(design), design.strategy, design.platform)
+                for design in designs
+            ]
+        )
+        for design, outcome in zip(designs, outcomes):
+            self._evaluated[design.point] = (design, outcome)
+
+    def _window(
+        self, key: PointKey, point: Mapping[str, Value], window: Optional[int]
+    ) -> Iterator[Tuple[PointKey, Mapping[str, Value]]]:
+        """``point`` and the announced new points after it, taken off the queue."""
+        yield key, point
+        upcoming = self._upcoming
+        while (
+            upcoming
+            and upcoming[0] != point
+            and self._known(point_key(upcoming[0]))
+        ):
+            upcoming.popleft()
+        if not upcoming or upcoming[0] != point:
+            upcoming.clear()  # the walk left the announced order
+            return
+        upcoming.popleft()
+        limit = len(upcoming) + 1 if window is None else window
+        taken = {key}
+        while upcoming and len(taken) < limit:
+            upcoming_key = point_key(upcoming[0])
+            if upcoming_key not in taken and not self._known(upcoming_key):
+                taken.add(upcoming_key)
+                yield upcoming_key, upcoming[0]
+            upcoming.popleft()
+
+    def _known(self, key: PointKey) -> bool:
+        return key in self._candidates or key in self._evaluated
+
+    def _candidate(
+        self,
+        key: PointKey,
+        point: Mapping[str, Value],
+        design: Optional[DesignPoint],
+        outcome: Union[EvalResult, ReproError],
+    ) -> Candidate:
+        """The candidate of an evaluated point, feasible or not.
+
+        Raises the point's error (or its serving error) unless it marks
+        the point infeasible.
+        """
+        if isinstance(outcome, ReproError):
+            if not isinstance(outcome, _INFEASIBLE):
+                raise outcome
+            return self._infeasible(key, point, design, outcome)
+        serving_report = None
+        if self._needs_serving:
+            try:
+                serving_report = self._serve(design)
+            except _INFEASIBLE as error:
+                return self._infeasible(key, point, design, error)
         measurement = Measurement(
-            design=design, result=result, serving=serving_report
+            design=design, result=outcome, serving=serving_report
         )
         values = tuple(
             (objective.name, float(objective.value(measurement)))
             for objective in self.objectives
         )
-        candidate = Candidate(
+        return Candidate(
             point=key,
             strategy=design.strategy,
             num_chips=design.platform.num_chips,
             feasible=True,
             objective_values=values,
-            block_cycles=result.block_cycles,
-            block_runtime_seconds=result.block_runtime_seconds,
-            block_energy_joules=result.block_energy_joules,
+            block_cycles=outcome.block_cycles,
+            block_runtime_seconds=outcome.block_runtime_seconds,
+            block_energy_joules=outcome.block_energy_joules,
         )
-        self._candidates[key] = candidate
-        return candidate
+
+    def _infeasible(
+        self,
+        key: PointKey,
+        point: Mapping[str, Value],
+        design: Optional[DesignPoint],
+        error: ReproError,
+    ) -> Candidate:
+        return Candidate(
+            point=key,
+            strategy=(
+                design.strategy
+                if design is not None
+                else _strategy_name(point.get("strategy", self.default_strategy))
+            ),
+            num_chips=int(point.get("chips", 8)),
+            feasible=False,
+            note=f"{type(error).__name__}: {error}",
+        )
+
+    def _workload_of(self, design: DesignPoint) -> Workload:
+        return design.workload if design.workload is not None else self.workload
 
     def _serve(self, design: DesignPoint):
         scenario = self.serving
         assert scenario is not None
-        workload = design.workload if design.workload is not None else self.workload
         return self.session.serve(
-            workload.config,
+            self._workload_of(design).config,
             scenario.trace(),
             policy=scenario.policy,
             strategy=design.strategy,

@@ -4,17 +4,23 @@
 and a registered search algorithm and adds the production concerns the
 searchers themselves stay free of:
 
-* **Parallel evaluation.**  Candidate batches are fanned across worker
-  processes through :meth:`repro.api.Session.prefill` (the same
-  process-pool plumbing behind ``repro sweep --parallel``), warming the
-  session's caches before the searcher asks.  The searcher still drives
-  every evaluation serially against the (now warm) cache, so the visited
-  sequence — and therefore every artifact — is **byte-identical** for
-  any worker count; only the cache statistics differ.  Searchers opt in
-  by exposing ``plan(space, budget=..., rng=...)`` (a result-independent
-  point schedule, e.g. grid/random) or by calling
+* **Batched evaluation.**  Searchers announce the points they visit
+  next by exposing ``plan(space, budget=..., rng=...)`` (a
+  result-independent point schedule, e.g. grid/random) or by calling
   ``evaluate.prefill(points)`` before evaluating a batch (the
-  multi-fidelity searchers).
+  multi-fidelity searchers).  On a miss the evaluator prices the
+  requested point and the announced ones after it in one
+  :meth:`repro.api.Session.run_many` call
+  (:class:`~repro.dse.engine.DesignEvaluator`); a window never reaches
+  past the next checkpoint or the interrupt hook.
+* **Parallel evaluation.**  With workers, the announced points are also
+  fanned across worker processes through
+  :meth:`repro.api.Session.prefill` (the same process-pool plumbing
+  behind ``repro sweep --parallel``), warming the session's caches
+  before the searcher asks.  The searcher still drives every evaluation
+  serially against the (now warm) cache, so the visited sequence — and
+  therefore every artifact — is **byte-identical** for any worker
+  count; only the cache statistics differ.
 * **Checkpoint/resume.**  Every ``checkpoint_every`` unique evaluations
   (and once more on completion or :class:`KeyboardInterrupt`) the run's
   :class:`SearchState` — searcher identity, RNG state, evaluated
@@ -216,7 +222,9 @@ class _OrchestratedEvaluate:
 
     Delegates to the orchestrator, which tracks fresh evaluations for
     checkpoints and the interrupt hook; ``prefill`` lets batch-oriented
-    searchers warm the session cache across worker processes.
+    searchers announce the points they evaluate next, which the
+    evaluator prices in one session call and, with workers, warms
+    across worker processes.
     """
 
     def __init__(self, orchestrator: "SearchOrchestrator") -> None:
@@ -226,7 +234,7 @@ class _OrchestratedEvaluate:
         return self._orchestrator._evaluate(point)
 
     def prefill(self, points: Sequence[Point]) -> None:
-        """Warm the caches for ``points`` across worker processes."""
+        """Announce ``points`` as the next ones evaluated, in order."""
         self._orchestrator._prefill(points)
 
 
@@ -291,15 +299,14 @@ class SearchOrchestrator:
             self._validate_resume(state)
             self.evaluator.preload(state.candidates)
         evaluate = _OrchestratedEvaluate(self)
-        if self.workers > 1:
-            plan = getattr(self.algorithm, "plan", None)
-            if plan is not None:
-                # A cloned generator keeps the searcher's own draws
-                # untouched; result-independent schedules (grid, random)
-                # are therefore exactly the points `search` will visit.
-                evaluate.prefill(
-                    plan(self.space, budget=self.budget, rng=random.Random(self.seed))
-                )
+        plan = getattr(self.algorithm, "plan", None)
+        if plan is not None:
+            # A cloned generator keeps the searcher's own draws
+            # untouched; result-independent schedules (grid, random)
+            # are therefore exactly the points `search` will visit.
+            evaluate.prefill(
+                plan(self.space, budget=self.budget, rng=random.Random(self.seed))
+            )
         try:
             self.algorithm.search(
                 self.space,
@@ -330,7 +337,7 @@ class SearchOrchestrator:
                 f"({INTERRUPT_ENV}={self._interrupt_after}); resume from "
                 "the last checkpoint to continue"
             )
-        candidate = self.evaluator.evaluate(point)
+        candidate = self.evaluator.evaluate(point, window=self._window())
         if fresh:
             self._fresh += 1
             if (
@@ -341,7 +348,23 @@ class SearchOrchestrator:
                 self._write_checkpoint()
         return candidate
 
+    def _window(self) -> Optional[int]:
+        """How many new points one evaluation may run ahead of the walk.
+
+        A window stops at the next checkpoint and at the interrupt hook,
+        so neither a hard kill nor the hook loses more work than a walk
+        evaluating one point at a time.
+        """
+        bounds = []
+        if self.checkpoint is not None:
+            every = self.checkpoint_every
+            bounds.append(every - self.evaluator.unique_evaluations % every)
+        if self._interrupt_after is not None:
+            bounds.append(self._interrupt_after - self._fresh)
+        return min(bounds) if bounds else None
+
     def _prefill(self, points: Sequence[Point]) -> None:
+        self.evaluator.announce(points)
         if self.workers <= 1:
             return
         requests: List[tuple] = []

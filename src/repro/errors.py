@@ -123,3 +123,32 @@ class UnknownPlatformPresetError(ConfigurationError):
     The message lists the registered names so that callers (and CLI users)
     can see what is available without importing the registry module.
     """
+
+
+def detached(error: ReproError) -> ReproError:
+    """``error`` (and the errors it chains) without their tracebacks.
+
+    A batch call keeps each failed item's error as a value; a traceback
+    would keep every frame it passed through alive, and with them the
+    whole batch, until the cyclic garbage collector finds them.
+    """
+    chained = error
+    while chained is not None:
+        chained.__traceback__ = None
+        chained = chained.__cause__ or chained.__context__
+    return error
+
+
+def value_or_raise(outcome):
+    """``outcome``, or raise it when it is a :class:`ReproError`.
+
+    The batch calls (:meth:`repro.api.Session.run_many`,
+    :func:`repro.analysis.evaluate.evaluate_blocks`) return each failed
+    item's error in its place; their one-item cases raise it with this.
+    """
+    if isinstance(outcome, ReproError):
+        try:
+            raise outcome
+        finally:
+            outcome = None  # the traceback keeps this frame: no cycle
+    return outcome

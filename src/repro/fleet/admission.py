@@ -164,6 +164,10 @@ class AdmissionController:
             for cls in chosen
         ]
 
+    def fresh(self) -> "AdmissionController":
+        """A controller with this one's classes and stamping, and no counts."""
+        return AdmissionController(self.classes if self.stamps_priority else ())
+
     def class_index(self, request: Request) -> int:
         """The class an arriving request belongs to."""
         return min(request.priority, len(self.classes) - 1)

@@ -277,8 +277,10 @@ class FleetSimulator:
         policy: Per-replica scheduling policy name (or instance).
         admission: Admission controller; a default-constructed one
             (a single unlimited class that keeps every request's own
-            priority) when ``None``.
+            priority) when ``None``.  Each run starts from a fresh copy
+            of its classes (:meth:`AdmissionController.fresh`).
         autoscaler: Reactive-scaling knobs; scaling is off when ``None``.
+            Each run starts with no extra replicas.
         scale_template: Replica recipe the autoscaler adds from
             (required when ``autoscaler`` is given).
         slo_targets: TTFT targets of the exact attainment curve.
@@ -320,7 +322,7 @@ class FleetSimulator:
         self.router = get_router(router) if isinstance(router, str) else router
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.admission = admission if admission is not None else AdmissionController()
-        self.autoscaler = Autoscaler(autoscaler) if autoscaler is not None else None
+        self.autoscaler = autoscaler
         self.scale_template = scale_template
         self.slo_targets = tuple(slo_targets)
         self.record_threshold = record_threshold
@@ -383,8 +385,11 @@ class _FleetRun:
     ) -> None:
         self.router = simulator.router
         self.policy = simulator.policy
-        self.admission = simulator.admission
-        self.autoscaler = simulator.autoscaler
+        # Token buckets, class counters and outstanding extras are per run.
+        self.admission = simulator.admission.fresh()
+        self.autoscaler = (
+            Autoscaler(simulator.autoscaler) if simulator.autoscaler is not None else None
+        )
         self.scale_template = simulator.scale_template
         self.slo_targets = simulator.slo_targets
         self.on_complete = on_complete
@@ -480,6 +485,11 @@ class _FleetRun:
                 f"request {request.request_id} needs a context of {required} tokens, "
                 f"beyond the fleet's serving window ({self.max_context}); shorten "
                 "the trace's lengths or raise max_context"
+            )
+        if request.request_id in self.class_of:
+            raise SimulationError(
+                f"duplicate request id {request.request_id}: a request with "
+                "this id is still in flight in the fleet"
             )
         resilience = self.resilience
         if resilience is not None and resilience.sheds(request):

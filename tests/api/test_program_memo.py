@@ -143,7 +143,8 @@ def test_pricing_only_grid_schedules_each_structure_once(monkeypatch):
     monkeypatch.setattr(BlockScheduler, "build", counting_build)
     space = SearchSpace(
         axes=(
-            ChoiceAxis("chips", (2, 8)),
+            # 16 chips cannot split TinyLlama-42M's 8 heads: infeasible.
+            ChoiceAxis("chips", (2, 8, 16)),
             FloatAxis("link_gbps", 0.25, 1.0, levels=(0.25, 0.5, 1.0)),
             FloatAxis("freq_mhz", 200.0, 500.0, levels=(200.0, 500.0)),
             FloatAxis("link_pj_per_byte", 50.0, 100.0, levels=(50.0, 100.0)),
@@ -155,16 +156,20 @@ def test_pricing_only_grid_schedules_each_structure_once(monkeypatch):
         searcher="grid",
         budget=space.size,
     )
-    assert len(result.candidates) == 24
-    assert all(candidate.feasible for candidate in result.candidates)
-    assert sorted(builds) == [2, 8]
+    assert len(result.candidates) == 36
+    feasible = [candidate.feasible for candidate in result.candidates]
+    assert feasible == [candidate.num_chips != 16 for candidate in result.candidates]
+    assert result.cache.misses == 36
+    # One attempt per structure: the failed one is not retried per point.
+    assert sorted(builds) == [2, 8, 16]
 
 
 def test_memoize_false_never_consults_the_memo(monkeypatch):
-    def forbidden(self, scheduler, workload):
+    def forbidden(self, *args):
         raise AssertionError("the program memo was consulted")
 
-    monkeypatch.setattr(ProgramMemo, "program", forbidden)
+    monkeypatch.setattr(ProgramMemo, "structure", forbidden)
+    monkeypatch.setattr(ProgramMemo, "programs", forbidden)
     workload = autoregressive(get_model("tinyllama-42m"), 128)
     session = Session(memoize=False)
     for freq_mhz in (200.0, 400.0):

@@ -201,6 +201,24 @@ def test_execute_is_the_one_way_to_run_a_spec():
         assert trace.default is inspect.Parameter.empty
 
 
+def test_run_is_the_one_request_case_of_run_many():
+    parameters = inspect.signature(Session.run_many).parameters
+    assert list(parameters) == ["self", "requests", "record_events"]
+    assert parameters["record_events"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["record_events"].default is False
+    source = inspect.getsource(Session.run)
+    assert "self.run_many(" in source
+    assert "impl.evaluate" not in source
+    from repro.analysis.evaluate import evaluate_block, evaluate_blocks
+
+    assert "evaluate_blocks(" in inspect.getsource(evaluate_block)
+    assert "simulate_block(" not in inspect.getsource(evaluate_block)
+    assert list(inspect.signature(evaluate_blocks).parameters)[:2] == [
+        "workload",
+        "platforms",
+    ]
+
+
 def test_simulate_block_has_one_engine():
     assert not hasattr(repro.sim.fastpath, "UnsupportedProgramError")
     assert repro.sim.simulate_block is repro.sim.fastpath.simulate_block

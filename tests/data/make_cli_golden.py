@@ -108,6 +108,12 @@ CLOSED_LOOP = (
     "serve --trace closed --clients 4 --requests-per-client 8 --think-time 0.5"
 )
 
+#: A 16-point grid over 2 to 16 chips at two clocks and two link speeds.
+GRID_TUNE = (
+    "tune --searcher grid --chips 2 4 8 16 --link-gbps 0.5 1 "
+    "--freq-mhz 300 400 --l2-kib 1024"
+)
+
 #: ``--json --no-cache`` runs, cheap enough to execute in tier-1.
 JSON_RUNS: Tuple[str, ...] = (
     "evaluate --json --no-cache",
@@ -115,6 +121,13 @@ JSON_RUNS: Tuple[str, ...] = (
     "serve --duration 60 --json --no-cache",
     "fleet --duration 60 --json --no-cache",
     "tune --budget 4 --json --no-cache",
+    # Grid tunes whose 16-chip structures cannot be partitioned: each
+    # failed structure recurs at every clock and link variant, and the
+    # second mixes the simulator-backed strategies with the analytical
+    # baselines in one grid.
+    f"{GRID_TUNE} --budget 16 --json --no-cache",
+    f"{GRID_TUNE} --budget 80 --strategies paper tensor_parallel "
+    "single_chip weight_replicated pipeline_parallel --json --no-cache",
     *(
         f"{command} --duration 60 --arrival-rate 6 {flags} --json --no-cache"
         for command in ("serve", "fleet")

@@ -188,6 +188,47 @@ class TestCheckpointCadence:
                  checkpoint=checkpoint, checkpoint_every=2)
         assert len(load_search_state(checkpoint).candidates) == 2
 
+    @pytest.mark.parametrize(
+        "every, interrupt, windows",
+        [
+            (None, None, [12]),  # the whole plan in one call
+            (5, None, [5, 5, 2]),  # each window ends on a checkpoint
+            (None, "3", [3]),  # the hook stops the walk after 3
+            (5, "7", [5, 2]),
+        ],
+    )
+    def test_windows_stop_at_checkpoints_and_the_interrupt(
+        self, tmp_path, workload, monkeypatch, every, interrupt, windows
+    ):
+        sizes = []
+        run_many = Session.run_many
+
+        def recording(self, requests, **kwargs):
+            sizes.append(len(requests))
+            return run_many(self, requests, **kwargs)
+
+        monkeypatch.setattr(Session, "run_many", recording)
+        if interrupt is not None:
+            monkeypatch.setenv(INTERRUPT_ENV, interrupt)
+        space = SearchSpace(
+            axes=(
+                ChoiceAxis("chips", (1, 2, 4)),
+                FloatAxis("link_gbps", 0.25, 2.0, levels=(0.25, 0.5, 1.0, 2.0)),
+            )
+        )
+        session = Session()
+        checkpoint = tmp_path / "state.json" if every is not None else None
+        try:
+            session.tune(
+                workload, space, searcher="grid", budget=12,
+                checkpoint=checkpoint, checkpoint_every=every,
+            )
+        except SearchInterrupted:
+            assert interrupt is not None
+        assert sizes == windows
+        # No engine work beyond what the walk recorded.
+        assert session.cache_info().misses == sum(windows)
+
     def test_default_cadence_applies_with_checkpoint_only(
         self, tmp_path, workload
     ):

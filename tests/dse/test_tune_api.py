@@ -129,6 +129,24 @@ class TestTune:
         assert "PartitioningError" in by_chips[16].note
         assert [dict(c.point)["chips"] for c in result.front] == [8]
 
+    def test_candidates_name_the_canonical_strategy(self, workload):
+        # "ours" is an alias of "paper"; the infeasible 16-chip candidate
+        # must name the strategy as the feasible one does.
+        space = SearchSpace(
+            axes=(
+                ChoiceAxis("chips", (8, 16)),
+                ChoiceAxis("strategy", ("ours",)),
+            )
+        )
+        result = Session().tune(
+            workload, space, searcher="grid", budget=2, objectives=("latency",)
+        )
+        assert [(c.num_chips, c.feasible) for c in result.candidates] == [
+            (8, True),
+            (16, False),
+        ]
+        assert [c.strategy for c in result.candidates] == ["paper", "paper"]
+
     def test_best_without_feasible_candidates_raises(self, workload):
         session = Session()
         result = session.tune(

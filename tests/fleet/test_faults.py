@@ -12,10 +12,11 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import signal
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fleet import (
     AdmissionController,
     FaultEvent,
@@ -275,6 +276,30 @@ class TestCrashFailover:
         assert stats.unavailable_s == pytest.approx(10.0)
         assert stats.unavailable_windows == 1
         conserve(result)
+
+    def test_a_duplicate_in_flight_id_fails_instead_of_hanging(self):
+        # Both requests carry id 1, on different replicas; the short one
+        # finishes first, then a crash fails the long one over.  Before
+        # the fleet-wide check its retry waited forever.
+        simulator = FleetSimulator(
+            [template(), template()],
+            router="round_robin",
+            faults=FaultModel(events=(FaultEvent.parse("crash:0@0.5+1"),)),
+            retry=RetryPolicy(max_retries=3, backoff_s=0.1),
+        )
+        requests = [req(1, 0.0, prompt=100), req(1, 0.001, prompt=1, output=1)]
+
+        def give_up(signum, frame):
+            raise TimeoutError("the fleet run did not end")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            with pytest.raises(SimulationError, match="duplicate request id 1: "):
+                simulator.run(requests)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_arrivals_during_a_total_outage_are_shed(self):
         simulator = FleetSimulator(

@@ -196,6 +196,13 @@ class TestDispatch:
         with pytest.raises(SimulationError, match="drained or unknown"):
             simulator.run(burst(2))
 
+    def test_an_id_in_flight_on_another_replica_is_rejected(self):
+        # Round robin puts the two requests on different replicas, so
+        # neither replica's own queue holds the id twice.
+        simulator = FleetSimulator([template(), template()], router="round_robin")
+        with pytest.raises(SimulationError, match="duplicate request id 1: "):
+            simulator.run([req(1, 0.0), req(1, 0.001)])
+
     def test_out_of_order_arrivals_are_rejected(self):
         simulator = FleetSimulator([template()])
         with pytest.raises(SimulationError, match="time order"):
@@ -272,6 +279,32 @@ class TestAutoscaling:
     def test_autoscaler_requires_a_scale_template(self):
         with pytest.raises(ConfigurationError, match="scale_template"):
             FleetSimulator([template()], autoscaler=AutoscalerConfig())
+
+
+class TestReuse:
+    def test_a_second_run_of_one_simulator_repeats_the_first(self):
+        # Token buckets, class counters and autoscaled extras belong to
+        # one run: a rerun on the same stream must not inherit them.
+        simulator = FleetSimulator(
+            [template()],
+            router="least_loaded",
+            admission=AdmissionController(
+                (SLOClass(name="limited", rate_rps=3.0, burst=4),)
+            ),
+            autoscaler=AutoscalerConfig(
+                preset="stub",
+                check_interval_s=1.0,
+                scale_up_depth=2.0,
+                scale_down_depth=0.5,
+                max_extra=2,
+            ),
+            scale_template=template(),
+        )
+        requests = burst(100, spacing=0.05, prompt=60, output=2)
+        first = simulator.run(requests).to_dict()
+        assert first["autoscaler_events"]
+        assert first["classes"][0]["arrived"] == 100
+        assert simulator.run(requests).to_dict() == first
 
 
 class TestStreamingMetrics:
