@@ -6,9 +6,8 @@ pays the full simulation price again.  :class:`EvalCache` is the on-disk
 layer behind it: a content-hash-keyed sqlite store of pickled
 :class:`~repro.api.EvalResult` objects that any number of processes can
 read and write concurrently (sqlite WAL mode), shared by ``repro``'s
-CLI, ``sweep --parallel`` workers, the serving
-:class:`~repro.serving.costs.RequestCostModel`, and the DSE searchers —
-all of which evaluate through a session.
+CLI, the serving :class:`~repro.serving.costs.RequestCostModel`, and
+the DSE searchers — all of which evaluate through a session.
 
 Location (first match wins):
 
@@ -33,12 +32,13 @@ commits :data:`WRITE_BATCH_ROWS` rows in one short transaction.  Every
 store of one process on the same file reads that process's buffered
 rows; other processes see a row once it is flushed.  The buffer is
 flushed when it fills, on :meth:`EvalCache.close` and
-:meth:`EvalCache.flush`, at interpreter exit, at the end of each
-``Session.prefill`` worker chunk and before a prefill starts its pool,
-so a killed process loses at most ``WRITE_BATCH_ROWS - 1`` results,
-which are recomputed (to the same bytes) on the next miss.  A forked
-child starts with an empty buffer: it never reads or writes rows its
-parent buffered.
+:meth:`EvalCache.flush`, and at interpreter exit, so a killed process
+loses at most ``WRITE_BATCH_ROWS - 1`` results, which are recomputed
+(to the same bytes) on the next miss.  A forked child starts with an
+empty buffer: it never reads or writes rows its parent buffered.  The
+worker processes of ``Session.run_many(..., parallel=N)`` never open
+the store: the session looks every request up before the pool starts
+and writes every row after it.
 
 Sessions configured with a custom ``energy`` factory never attach a
 store: arbitrary callables content-hash by qualified name only, which

@@ -21,6 +21,7 @@ figure harnesses, tables and exporters consume directly.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -139,7 +140,7 @@ class CacheInfo(NamedTuple):
     Attributes:
         hits: In-memory content-hash cache hits.
         misses: Evaluations that actually ran a strategy's engine
-            (including points evaluated by ``sweep --parallel`` workers).
+            (in this process or in :meth:`Session.run_many`'s workers).
         size: Entries in the in-memory cache.
         disk_hits: Evaluations answered by the persistent on-disk cache
             (:mod:`repro.api.cache`) instead of running the engine.
@@ -283,7 +284,7 @@ class Comparison:
 
 
 # ----------------------------------------------------------------------
-# Process-pool fan-out
+# The engine step of a batch
 # ----------------------------------------------------------------------
 def _strategy_is_persistable(impl) -> bool:
     """Whether a strategy's results may enter the cross-process store.
@@ -296,41 +297,6 @@ def _strategy_is_persistable(impl) -> bool:
     return module == "repro" or module.startswith("repro.")
 
 
-#: Per-worker-process stores, keyed by cache directory, so a worker
-#: evaluating several sweep points opens one sqlite connection, not one
-#: per point.
-_WORKER_STORES: Dict[str, EvalCache] = {}
-
-
-def _worker_store(cache_dir: str) -> EvalCache:
-    store = _WORKER_STORES.get(cache_dir)
-    if store is None:
-        store = _WORKER_STORES[cache_dir] = EvalCache(cache_dir)
-    return store
-
-
-def _evaluate_point(payload) -> Tuple[bool, EvalResult]:
-    """Module-level worker so sweeps can fan out over a process pool.
-
-    Workers share the parent's persistent cache: each one re-checks the
-    on-disk store before simulating (another worker or process may have
-    produced the point meanwhile) and writes its result back, so a
-    repeated parallel sweep performs zero engine runs.  Returns
-    ``(ran_engine, result)`` so the parent's cache statistics stay
-    truthful under concurrent sweeps.
-    """
-    strategy_name, workload, platform, options, key, cache_dir = payload
-    store = _worker_store(cache_dir) if cache_dir is not None else None
-    if store is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return False, cached
-    result = get_strategy(strategy_name).evaluate(workload, platform, options)
-    if store is not None:
-        store.put(key, result)
-    return True, result
-
-
 def _outcome(evaluate, workload, platform, options):
     """``evaluate(workload, platform, options)``, or the error it raised."""
     try:
@@ -339,32 +305,116 @@ def _outcome(evaluate, workload, platform, options):
         return detached(error)
 
 
-def _evaluate_chunk(payloads):
-    """Evaluate a batch of points in one worker task.
+def _evaluate_many(
+    impl,
+    workload: Workload,
+    platforms: Sequence[MultiChipPlatform],
+    options: EvalOptions,
+) -> List[Union[EvalResult, ReproError]]:
+    """The engine step of :meth:`Session.run_many` for one group's requests.
 
-    Chunking amortises the per-task submit/pickle round-trip over many
-    points, which is what lets :meth:`Session.prefill` approach ideal
-    speedup when individual evaluations are only milliseconds (the DSE
-    orchestrator's regime).  Failures are per-point, not per-chunk: each
-    entry of the returned list is ``(key, status, value)`` where status
-    is ``"ok"`` (value is ``(ran_engine, result)``), ``"infeasible"``
-    (a :class:`ReproError`; the serial path re-raises it cheaply and
-    assigns it meaning), or ``"error"`` (value is the repr of an
-    unexpected exception).  The chunk's store writes are flushed before
-    it returns: a pool worker exits without running exit handlers.
+    Every batch evaluates through this function, in process and in pool
+    workers: the strategy's ``evaluate_many`` (one build per program
+    structure), or its ``evaluate`` platform by platform.
     """
-    out = []
-    for payload in payloads:
-        key = payload[4]
-        try:
-            out.append((key, "ok", _evaluate_point(payload)))
-        except ReproError:
-            out.append((key, "infeasible", None))
-        except Exception as error:  # pragma: no cover - defensive
-            out.append((key, "error", repr(error)))
-    for store in _WORKER_STORES.values():
-        store.flush()
-    return out
+    evaluate_many = getattr(impl, "evaluate_many", None)
+    if evaluate_many is not None:
+        return evaluate_many(workload, platforms, options)
+    return [
+        _outcome(impl.evaluate, workload, platform, options)
+        for platform in platforms
+    ]
+
+
+def _evaluate_task(
+    strategy: str,
+    workload: Workload,
+    platforms: Sequence[MultiChipPlatform],
+    options: EvalOptions,
+) -> List[Union[EvalResult, ReproError]]:
+    """One pool task: :func:`_evaluate_many` under a fresh program memo.
+
+    Module-level so that it pickles; it reaches :func:`_evaluate_many`
+    through this module's namespace, so a forked worker runs whatever
+    that name holds in the parent.
+    """
+    with ProgramMemo().active():
+        return _evaluate_many(get_strategy(strategy), workload, platforms, options)
+
+
+def _evaluate_in_workers(groups, requests, options, outcomes, parallel):
+    """Run :meth:`Session.run_many`'s engine step in up to ``parallel`` processes.
+
+    Each task is a contiguous slice of one ``(strategy, workload)``
+    group, a quarter of a worker's share of the pending requests so
+    that uneven slices still balance; its outcomes land in
+    ``outcomes``.  Returns what is left to evaluate in process:
+    every group when the session's models may not pickle, fewer than
+    two requests are pending or no pool starts, else the slices of
+    the tasks that failed (a dead worker, or an exception raised
+    rather than returned), counted in one warning.
+    """
+    pending = sum(len(indices) for _, indices in groups)
+    workers = min(parallel, pending)
+    if (
+        workers < 2
+        or options.kernel_library is not None
+        or options.energy is not None
+    ):
+        return groups
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except Exception as error:  # restricted host, no semaphores, ...
+        warnings.warn(
+            f"parallel evaluation unavailable ({error}); evaluating in process",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return groups
+    size = -(-pending // (4 * workers))
+    tasks = [
+        (group, indices[start:start + size])
+        for group, indices in groups
+        for start in range(0, len(indices), size)
+    ]
+    lost = []
+    first_error = None
+    with pool:
+        futures = []
+        for (impl, _), indices in tasks:
+            try:
+                future = pool.submit(
+                    _evaluate_task,
+                    impl.name,
+                    requests[indices[0]][0],
+                    [requests[index][2] for index in indices],
+                    options,
+                )
+            except Exception as error:  # the pool broke meanwhile
+                future = Future()
+                future.set_exception(error)
+            futures.append(future)
+        for task, future in zip(tasks, futures):
+            try:
+                results = future.result()
+            except Exception as error:
+                lost.append(task)
+                if first_error is None:
+                    first_error = error
+                continue
+            for index, result in zip(task[1], results):
+                outcomes[index] = result
+    if lost:
+        warnings.warn(
+            f"parallel evaluation lost "
+            f"{sum(len(indices) for _, indices in lost)} of {pending} "
+            f"point(s) ({first_error}); evaluating them in process",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return lost
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +630,7 @@ class Session:
         requests: Sequence[Tuple[Workload, str, MultiChipPlatform]],
         *,
         record_events: bool = False,
+        parallel: Optional[int] = None,
     ) -> List[Union[EvalResult, ReproError]]:
         """Evaluate many ``(workload, strategy, platform)`` requests in one call.
 
@@ -592,6 +643,18 @@ class Session:
         evaluated in one call, which builds each program structure once
         (:func:`~repro.analysis.evaluate.evaluate_blocks`); the
         analytical baselines evaluate request by request.
+
+        Args:
+            requests: The ``(workload, strategy, platform)`` triples.
+            record_events: Keep per-step trace events (as :meth:`run`).
+            parallel: Optional process-pool width.  With ``parallel > 1``
+                the engine step runs in worker processes, in slices of
+                each group; this process still does every lookup and
+                every commit, so keys, memo entries, store rows and
+                :meth:`cache_info` are those of a serial call.  Sessions
+                with custom kernel or energy models stay in process (the
+                models may not survive pickling), and so does a batch
+                with fewer than two requests to evaluate.
 
         Returns:
             One entry per request, in order: the :class:`EvalResult`
@@ -634,18 +697,16 @@ class Session:
             work.setdefault((impl, id(workload)), []).append(index)
 
         if work:
+            groups = work.items()
+            if parallel is not None and parallel > 1:
+                groups = _evaluate_in_workers(
+                    groups, requests, options, outcomes, parallel
+                )
             with self._programs.active() if self.memoize else nullcontext():
-                for (impl, _), indices in work.items():
+                for (impl, _), indices in groups:
                     workload = requests[indices[0]][0]
                     platforms = [requests[index][2] for index in indices]
-                    evaluate_many = getattr(impl, "evaluate_many", None)
-                    if evaluate_many is not None:
-                        results = evaluate_many(workload, platforms, options)
-                    else:
-                        results = [
-                            _outcome(impl.evaluate, workload, platform, options)
-                            for platform in platforms
-                        ]
+                    results = _evaluate_many(impl, workload, platforms, options)
                     for index, result in zip(indices, results):
                         outcomes[index] = result
 
@@ -678,14 +739,17 @@ class Session:
     ) -> EvalSweep:
         """Evaluate ``workload`` across several chip counts.
 
+        The chip counts are evaluated in one :meth:`run_many` call; the
+        error of the first failing chip count, in chip order, is raised
+        after every chip count has been evaluated.
+
         Args:
             workload: The workload to sweep.
             chips: Chip counts, in presentation order.
             strategy: Any registered strategy name.
-            parallel: Optional process-pool width; uncached points are
-                evaluated in worker processes when ``parallel > 1``.
-                Sessions with custom kernel or energy models stay serial
-                (the models may not survive pickling).
+            parallel: Optional process-pool width of the :meth:`run_many`
+                call; results and cache statistics are those of a serial
+                sweep.
         """
         if not chips:
             raise AnalysisError("chip_counts must not be empty")
@@ -695,17 +759,11 @@ class Session:
             if count <= 0:
                 raise AnalysisError(f"invalid chip count {count}")
         impl = get_strategy(strategy)
-        if (
-            parallel is not None
-            and parallel > 1
-            and self.memoize
-            and self.kernels is None
-            and self.energy is None
-        ):
-            self._prefill_parallel(workload, chips, impl.name, parallel)
-        results = tuple(
-            self.run(workload, impl.name, chips=count) for count in chips
+        outcomes = self.run_many(
+            [(workload, impl.name, self.resolve_platform(count)) for count in chips],
+            parallel=parallel,
         )
+        results = tuple(value_or_raise(outcome) for outcome in outcomes)
         return EvalSweep(workload=workload, strategy=impl.name, results=results)
 
     def compare(
@@ -1028,10 +1086,10 @@ class Session:
             serving: Optional :class:`~repro.dse.engine.ServingScenario`
                 for serving-level objectives (``slo``,
                 ``energy_per_request``).
-            parallel: Optional worker-process count for batch prefill
-                (:meth:`prefill`); results are byte-identical for any
-                worker count — only wall-clock and cache statistics
-                change.
+            parallel: Optional worker-process count of each
+                :meth:`run_many` call the tune makes; results and cache
+                statistics are byte-identical for any worker count —
+                only wall-clock changes.
             checkpoint: Optional path where the run's resumable
                 :class:`~repro.dse.orchestrator.SearchState` is written
                 (atomically) every ``checkpoint_every`` unique
@@ -1061,153 +1119,3 @@ class Session:
             checkpoint_every=checkpoint_every,
             resume=resume,
         )
-
-    def prefill(
-        self,
-        requests: Sequence[Tuple[Workload, str, MultiChipPlatform]],
-        *,
-        parallel: Optional[int] = None,
-    ) -> None:
-        """Warm the caches for a batch of evaluations using worker processes.
-
-        Each request is a ``(workload, strategy, platform)`` triple; the
-        uncached ones are evaluated in a process pool of up to
-        ``parallel`` workers and merged into this session's caches, so
-        the subsequent serial :meth:`run` calls are all cache hits.
-        This is the fan-out behind ``repro sweep --parallel`` and the
-        DSE orchestrator's parallel evaluation
-        (:mod:`repro.dse.orchestrator`).
-
-        Prefill is best-effort and never changes results — it only moves
-        evaluations into workers ahead of time.  Points already warm in
-        the in-memory *or* persistent cache never reach the pool; worker
-        results are written back to the persistent store (when the
-        session carries one), so a repeated parallel drive — even from a
-        fresh process — performs zero engine runs.  Sessions without
-        memoisation, or carrying custom kernel/energy models (which may
-        not survive pickling), skip the pool silently; a failed pool or
-        worker falls back to the serial path with a warning.
-        """
-        if parallel is None or parallel <= 1:
-            return
-        if not self.memoize or self.kernels is not None or self.energy is not None:
-            return
-        options = self.options()
-        pending: List[Tuple[str, tuple]] = []
-        seen = set()
-        for workload, strategy, platform in requests:
-            impl = get_strategy(strategy)
-            store = self._store if _strategy_is_persistable(impl) else None
-            cache_dir = str(store.directory) if store is not None else None
-            key = content_hash(impl.name, workload, platform, options)
-            if key in self._cache or key in seen:
-                continue
-            if store is not None:
-                cached = store.get(key)
-                if cached is not None:
-                    self._disk_hits += 1
-                    self._cache[key] = cached
-                    continue
-            seen.add(key)
-            pending.append(
-                (key, (impl.name, workload, platform, options, key, cache_dir))
-            )
-        if len(pending) < 2:
-            return
-        import warnings
-
-        if self._store is not None:
-            self._store.flush()  # workers read the store, not this buffer
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=min(parallel, len(pending)))
-        except Exception as error:
-            # Pool creation failure (restricted environment, missing
-            # semaphores, ...): prefill is best-effort, so fall back to
-            # the serial path, which re-raises any genuine evaluation
-            # error.
-            warnings.warn(
-                f"parallel prefill unavailable ({error}); "
-                "evaluating serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return
-        failures = 0
-        first_error = None
-        workers = min(parallel, len(pending))
-        # Several points per task: the submit/pickle round-trip amortises
-        # over the chunk, so millisecond-scale evaluations still win.
-        # Four chunks per worker keeps the pool load-balanced when chunk
-        # costs are uneven (mixed chip counts, infeasible points).
-        chunk_size = max(1, -(-len(pending) // (workers * 4)))
-        chunks = [
-            [payload for _, payload in pending[start:start + chunk_size]]
-            for start in range(0, len(pending), chunk_size)
-        ]
-        with pool:
-            # The workers already wrote their results to the persistent
-            # store; the parent only fills its in-memory layer.  A point
-            # a worker answered from disk (written meanwhile by a
-            # concurrent process) counts as a disk hit, not an engine
-            # run.  A failed worker (spawn start method without the
-            # strategy registered in the child, broken pool, ...) only
-            # forfeits its own chunk: completed results are kept, and
-            # the serial path re-evaluates the remainder, re-raising any
-            # genuine evaluation error.  Infeasible designs
-            # (partitioning, capacity, ...) are expected under
-            # design-space search and fail identically — and cheaply —
-            # on the serial path, which is what assigns them meaning, so
-            # they are not warned about.
-            futures = [pool.submit(_evaluate_chunk, chunk) for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
-                try:
-                    entries = future.result()
-                except Exception as error:
-                    failures += len(chunk)
-                    if first_error is None:
-                        first_error = error
-                    continue
-                for key, status, value in entries:
-                    if status == "infeasible":
-                        continue
-                    if status != "ok":
-                        failures += 1
-                        if first_error is None:
-                            first_error = value
-                        continue
-                    ran_engine, result = value
-                    self._cache[key] = result
-                    if ran_engine:
-                        self._misses += 1
-                    else:
-                        self._disk_hits += 1
-        if failures:
-            warnings.warn(
-                f"parallel prefill lost {failures} of "
-                f"{len(pending)} point(s) ({first_error}); evaluating "
-                "the remainder serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _prefill_parallel(
-        self,
-        workload: Workload,
-        chips: Sequence[int],
-        strategy: str,
-        parallel: int,
-    ) -> None:
-        """Prefill one strategy's chip-count sweep (see :meth:`prefill`)."""
-        self.prefill(
-            [
-                (workload, strategy, self.resolve_platform(count))
-                for count in chips
-            ],
-            parallel=parallel,
-        )
-

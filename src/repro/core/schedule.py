@@ -243,15 +243,18 @@ class BlockProgram:
     # keeps the persistent evaluation cache (`repro.api.cache`) and
     # process-pool result transfers cheap.  A compiled simulator sweep
     # (see `repro.sim.fastpath`) is in-memory reuse state and is dropped.
+    # The two markers always go last, in one order, so an unpickled
+    # program pickles to the same bytes as the program it came from.
     def __getstate__(self) -> Dict:
         state = dict(self.__dict__)
         state.pop("_compiled_sweep", None)
+        packed = state.pop("_packed_memory_plans", None)
         if state.pop("_schedules_are_canonical", False):
             state.pop("schedules", None)
             state["_schedules_are_canonical"] = True
         plans = state.pop("memory_plans", None)
         if plans is not None:
-            state["_packed_memory_plans"] = tuple(
+            packed = tuple(
                 (
                     plan.chip_id,
                     plan.residency,
@@ -262,6 +265,8 @@ class BlockProgram:
                 )
                 for plan in plans.values()
             )
+        if packed is not None:
+            state["_packed_memory_plans"] = packed
         return state
 
     def __getattr__(self, name: str):

@@ -287,13 +287,19 @@ class DesignEvaluator:
         self._upcoming.extend(points)
 
     def evaluate(
-        self, point: Mapping[str, Value], *, window: Optional[int] = None
+        self,
+        point: Mapping[str, Value],
+        *,
+        window: Optional[int] = None,
+        parallel: Optional[int] = None,
     ) -> Candidate:
         """Measure one point (memoised by canonical point identity).
 
         On a miss, the point and the announced new points that follow it
         (at most ``window`` points in all; every announced one when
-        ``None``) are evaluated in one session call.
+        ``None``) are evaluated in one session call, across ``parallel``
+        worker processes when that is above one
+        (:meth:`~repro.api.Session.run_many`).
         """
         self._requested += 1
         key = point_key(point)
@@ -301,13 +307,17 @@ class DesignEvaluator:
         if cached is not None:
             return cached
         if key not in self._evaluated:
-            self._evaluate_window(key, point, window)
+            self._evaluate_window(key, point, window, parallel)
         candidate = self._candidate(key, point, *self._evaluated.pop(key))
         self._candidates[key] = candidate
         return candidate
 
     def _evaluate_window(
-        self, key: PointKey, point: Mapping[str, Value], window: Optional[int]
+        self,
+        key: PointKey,
+        point: Mapping[str, Value],
+        window: Optional[int],
+        parallel: Optional[int],
     ) -> None:
         """Evaluate ``point`` and the announced new points that follow it."""
         designs = []
@@ -326,7 +336,8 @@ class DesignEvaluator:
             [
                 (self._workload_of(design), design.strategy, design.platform)
                 for design in designs
-            ]
+            ],
+            parallel=parallel,
         )
         for design, outcome in zip(designs, outcomes):
             self._evaluated[design.point] = (design, outcome)
@@ -593,7 +604,7 @@ def run_tune(
 
     Every run is driven through the
     :class:`~repro.dse.orchestrator.SearchOrchestrator`, which adds
-    process-pool prefill (``parallel``) and checkpoint/resume
+    process-pool evaluation (``parallel``) and checkpoint/resume
     (``checkpoint``/``checkpoint_every``/``resume``) without changing
     the visited candidate sequence — a parallel or resumed run is
     byte-identical to a serial uninterrupted one.

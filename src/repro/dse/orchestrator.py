@@ -11,16 +11,14 @@ searchers themselves stay free of:
   multi-fidelity searchers).  On a miss the evaluator prices the
   requested point and the announced ones after it in one
   :meth:`repro.api.Session.run_many` call
-  (:class:`~repro.dse.engine.DesignEvaluator`); a window never reaches
-  past the next checkpoint or the interrupt hook.
-* **Parallel evaluation.**  With workers, the announced points are also
-  fanned across worker processes through
-  :meth:`repro.api.Session.prefill` (the same process-pool plumbing
-  behind ``repro sweep --parallel``), warming the session's caches
-  before the searcher asks.  The searcher still drives every evaluation
-  serially against the (now warm) cache, so the visited sequence — and
-  therefore every artifact — is **byte-identical** for any worker
-  count; only the cache statistics differ.
+  (:class:`~repro.dse.engine.DesignEvaluator`); a serial window never
+  reaches past the next checkpoint or the interrupt hook.
+* **Parallel evaluation.**  With workers, a window spans every announced
+  point, and its ``run_many`` call runs the engine step across worker
+  processes (the same call behind ``repro sweep --parallel``).  The
+  session still does every lookup and commit and the searcher still
+  records every candidate in its own order, so every artifact — cache
+  statistics included — is **byte-identical** for any worker count.
 * **Checkpoint/resume.**  Every ``checkpoint_every`` unique evaluations
   (and once more on completion or :class:`KeyboardInterrupt`) the run's
   :class:`SearchState` — searcher identity, RNG state, evaluated
@@ -47,13 +45,13 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import AnalysisError, ReproError, SearchInterrupted
+from ..errors import AnalysisError, SearchInterrupted
 from .engine import Candidate, DesignEvaluator
 from .objectives import Objective
 from .pareto import Constraint, filter_constraints, pareto_front
-from .space import Point, SearchSpace, materialise, point_key
+from .space import Point, SearchSpace
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
@@ -221,21 +219,18 @@ class _OrchestratedEvaluate:
     """The evaluate callable handed to the searcher.
 
     Delegates to the orchestrator, which tracks fresh evaluations for
-    checkpoints and the interrupt hook; ``prefill`` lets batch-oriented
-    searchers announce the points they evaluate next, which the
-    evaluator prices in one session call and, with workers, warms
-    across worker processes.
+    checkpoints and the interrupt hook; ``prefill(points)`` is the
+    evaluator's :meth:`~repro.dse.engine.DesignEvaluator.announce`, by
+    which batch-oriented searchers announce the points they evaluate
+    next, in order, for the evaluator to price in one session call.
     """
 
     def __init__(self, orchestrator: "SearchOrchestrator") -> None:
         self._orchestrator = orchestrator
+        self.prefill = orchestrator.evaluator.announce
 
     def __call__(self, point: Point) -> Candidate:
         return self._orchestrator._evaluate(point)
-
-    def prefill(self, points: Sequence[Point]) -> None:
-        """Announce ``points`` as the next ones evaluated, in order."""
-        self._orchestrator._prefill(points)
 
 
 class SearchOrchestrator:
@@ -337,7 +332,9 @@ class SearchOrchestrator:
                 f"({INTERRUPT_ENV}={self._interrupt_after}); resume from "
                 "the last checkpoint to continue"
             )
-        candidate = self.evaluator.evaluate(point, window=self._window())
+        candidate = self.evaluator.evaluate(
+            point, window=self._window(), parallel=self.workers
+        )
         if fresh:
             self._fresh += 1
             if (
@@ -351,10 +348,13 @@ class SearchOrchestrator:
     def _window(self) -> Optional[int]:
         """How many new points one evaluation may run ahead of the walk.
 
-        A window stops at the next checkpoint and at the interrupt hook,
-        so neither a hard kill nor the hook loses more work than a walk
-        evaluating one point at a time.
+        A serial window stops at the next checkpoint and at the interrupt
+        hook, so neither a hard kill nor the hook loses more work than a
+        walk evaluating one point at a time.  With workers, a window spans
+        every announced point: each window starts a process pool.
         """
+        if self.workers > 1:
+            return None
         bounds = []
         if self.checkpoint is not None:
             every = self.checkpoint_every
@@ -362,36 +362,6 @@ class SearchOrchestrator:
         if self._interrupt_after is not None:
             bounds.append(self._interrupt_after - self._fresh)
         return min(bounds) if bounds else None
-
-    def _prefill(self, points: Sequence[Point]) -> None:
-        self.evaluator.announce(points)
-        if self.workers <= 1:
-            return
-        requests: List[tuple] = []
-        seen = set()
-        for point in points:
-            key = point_key(point)
-            if key in seen or self.evaluator.is_cached(point):
-                continue
-            try:
-                design = materialise(
-                    point,
-                    default_strategy=self.evaluator.default_strategy,
-                    workload=self.evaluator.workload,
-                )
-            except ReproError:
-                # Invalid or infeasible points are diagnosed (and, for
-                # infeasibility, recorded) by the serial evaluation.
-                continue
-            seen.add(key)
-            workload = (
-                design.workload
-                if design.workload is not None
-                else self.evaluator.workload
-            )
-            requests.append((workload, design.strategy, design.platform))
-        if requests:
-            self.evaluator.session.prefill(requests, parallel=self.workers)
 
     # ------------------------------------------------------------------
     # Checkpointing

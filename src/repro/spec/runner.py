@@ -40,7 +40,7 @@ def _session_platform_factory(session: Session, factory):
     """Temporarily make ``factory`` the session's chip-count resolver.
 
     Lets a sweep spec's platform preset ride the native ``Session.sweep``
-    path — including its process-pool prefill — whatever the session was
+    path — including its process-pool evaluation — whatever the session was
     constructed with.  Safe for the caches: results are keyed by the
     content hash of the concrete platform, never by the factory.
     """
@@ -194,7 +194,7 @@ def _execute_sweep(session, spec: SweepSpec):
     with _session_prefetch(session, spec.prefetch), _session_platform_factory(
         session, preset.factory
     ):
-        # The native sweep path honours `parallel` (process-pool prefill)
+        # The native sweep path honours `parallel` (process-pool evaluation)
         # for any preset, since the preset factory is the resolver now.
         return session.sweep(
             workload, spec.chips, strategy=canonical, parallel=spec.parallel

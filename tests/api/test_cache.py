@@ -21,8 +21,14 @@ from typing import Dict
 import pytest
 
 import repro
-import repro.analysis.evaluate as evaluate_module
-from repro.api import EvalCache, Session, default_cache_dir, open_default_cache
+import repro.api.session as session_module
+from repro.api import (
+    CacheInfo,
+    EvalCache,
+    Session,
+    default_cache_dir,
+    open_default_cache,
+)
 from repro.api.cache import WRITE_BATCH_ROWS, persistent_cache_disabled
 from repro.cli import main
 from repro.graph.workload import autoregressive
@@ -437,34 +443,42 @@ class TestSessionPersistence:
 
 
 class TestParallelSweepSharing:
-    """The ``sweep --parallel`` bugfix: workers must share the store."""
+    """Workers never open the store: the parent looks up and writes every row."""
 
     def test_repeated_parallel_sweep_performs_zero_engine_runs(
-        self, tmp_path, workload, monkeypatch
+        self, tmp_path, workload, monkeypatch, pools
     ):
         chips = (1, 2, 4, 8)
-        cold = Session(cache_dir=tmp_path)
-        first = cold.sweep(workload, chips, parallel=2)
-        assert cold.cache_info().misses + cold.cache_info().disk_hits >= len(
-            chips
-        )
-
         engine_runs = []
-        original = evaluate_module.evaluate_block
+        original = session_module._evaluate_many
 
-        def counting_evaluate_block(*args, **kwargs):
-            engine_runs.append(args)
-            return original(*args, **kwargs)
+        def counting_evaluate_many(impl, workload, platforms, options):
+            engine_runs.extend(platforms)
+            return original(impl, workload, platforms, options)
 
         monkeypatch.setattr(
-            evaluate_module, "evaluate_block", counting_evaluate_block
+            session_module, "_evaluate_many", counting_evaluate_many
         )
+        # The patched name is the batch path's engine step: a cold sweep
+        # in this process goes through it once per chip count.
+        Session().sweep(workload, chips)
+        assert len(engine_runs) == len(chips)
+
+        cold = Session(cache_dir=tmp_path)
+        first = cold.sweep(workload, chips, parallel=2)
+        assert len(pools) == 1
+        assert cold.cache_info() == CacheInfo(
+            hits=0, misses=len(chips), size=len(chips)
+        )
+
+        del engine_runs[:], pools[:]
         warm = Session(cache_dir=tmp_path)
         second = warm.sweep(workload, chips, parallel=2)
         info = warm.cache_info()
         assert info.misses == 0  # zero engine runs, asserted via cache_info
         assert info.disk_hits == len(chips)
-        assert not engine_runs  # and via the engine entry point itself
+        assert not engine_runs  # and via the engine step itself
+        assert not pools  # nothing to evaluate, so no pool starts
         assert [r.block_cycles for r in second.results] == [
             r.block_cycles for r in first.results
         ]

@@ -203,9 +203,11 @@ def test_execute_is_the_one_way_to_run_a_spec():
 
 def test_run_is_the_one_request_case_of_run_many():
     parameters = inspect.signature(Session.run_many).parameters
-    assert list(parameters) == ["self", "requests", "record_events"]
+    assert list(parameters) == ["self", "requests", "record_events", "parallel"]
     assert parameters["record_events"].kind is inspect.Parameter.KEYWORD_ONLY
     assert parameters["record_events"].default is False
+    assert parameters["parallel"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["parallel"].default is None
     source = inspect.getsource(Session.run)
     assert "self.run_many(" in source
     assert "impl.evaluate" not in source

@@ -8,6 +8,7 @@ persistent store must all agree.
 
 from __future__ import annotations
 
+import concurrent.futures
 import pickle
 import re
 import sqlite3
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.api.session as session_module
 from repro.api import Session
 from repro.dse.space import materialise
 from repro.errors import ReproError
@@ -217,3 +219,106 @@ def test_session_modes_match_consecutive_runs(mode):
         events = batched[0].report.simulation.chip_traces[0].events
         assert events == expected[0].report.simulation.chip_traces[0].events
         assert events
+
+
+# ----------------------------------------------------------------------
+# Worker processes run only the engine step
+# ----------------------------------------------------------------------
+def test_parallel_run_many_equals_the_serial_call(tmp_path):
+    requests = _requests()
+    fanned = Session(cache_dir=tmp_path / "fanned")
+    serial = Session(cache_dir=tmp_path / "serial")
+    got = fanned.run_many(requests, parallel=2)
+    want = serial.run_many(requests)
+
+    assert [_describe(o) for o in got] == [_describe(o) for o in want]
+    assert list(fanned._cache) == list(serial._cache)
+    assert fanned.cache_info() == serial.cache_info()
+    fanned.persistent_cache.flush()
+    serial.persistent_cache.flush()
+    assert _stored_rows(tmp_path / "fanned") == _stored_rows(tmp_path / "serial")
+    # Every engine step ran in a worker, under the worker's own memo.
+    assert len(fanned._programs) == 0 < len(serial._programs)
+
+
+def _small_batch():
+    base = autoregressive(get_model("tinyllama-42m"), 128)
+    return [
+        (base, strategy, materialise({"chips": chips}, workload=base).platform)
+        for chips in (2, 4)
+        for strategy in ("paper", "weight_replicated")
+    ]
+
+
+@pytest.mark.parametrize("parallel", [None, 1])
+def test_without_workers_run_many_never_enters_pool_code(monkeypatch, parallel):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pool code entered")
+
+    monkeypatch.setattr(session_module, "_evaluate_in_workers", refuse)
+    outcomes = Session().run_many(_small_batch(), parallel=parallel)
+    assert not any(isinstance(outcome, ReproError) for outcome in outcomes)
+
+
+@pytest.mark.parametrize("mode", ["custom_kernels", "custom_energy"])
+def test_sessions_with_custom_models_stay_in_process(mode, pools):
+    make, _ = SESSION_MODES[mode]
+    requests = _small_batch()
+    fanned, serial = make(), make()
+    got = fanned.run_many(requests, parallel=2)
+    assert not pools
+    assert [_describe(o) for o in got] == [
+        _describe(o) for o in serial.run_many(requests)
+    ]
+
+
+def test_a_single_pending_request_starts_no_pool(pools):
+    session = Session()
+    requests = _small_batch()
+    session.run_many(requests[1:])
+    session.run_many(requests, parallel=2)
+    assert not pools
+    assert session.cache_info().misses == len(requests)
+
+
+def _refusing_pool(*args, **kwargs):
+    raise OSError("no semaphores")
+
+
+class _BreakingPool(concurrent.futures.ProcessPoolExecutor):
+    """Takes one task, then reports a dead worker on every submit."""
+
+    def submit(self, *args, **kwargs):
+        if getattr(self, "took_one", False):
+            raise concurrent.futures.process.BrokenProcessPool("a worker died")
+        self.took_one = True
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "pool, warning",
+    [
+        (
+            _refusing_pool,
+            r"parallel evaluation unavailable \(no semaphores\); "
+            r"evaluating in process",
+        ),
+        (  # four one-request tasks at two workers: three never sent
+            _BreakingPool,
+            r"parallel evaluation lost 3 of 4 point\(s\) \(a worker died\); "
+            r"evaluating them in process",
+        ),
+    ],
+)
+def test_a_failing_pool_warns_and_gives_the_serial_answer(
+    monkeypatch, pool, warning
+):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    requests = _small_batch()
+    fanned, serial = Session(), Session()
+    with pytest.warns(RuntimeWarning, match=warning):
+        got = fanned.run_many(requests, parallel=2)
+    assert [_describe(o) for o in got] == [
+        _describe(o) for o in serial.run_many(requests)
+    ]
+    assert fanned.cache_info() == serial.cache_info()

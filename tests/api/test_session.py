@@ -162,10 +162,12 @@ class TestSweep:
         assert sweep.result_for(8).report.num_chips == 8
 
     def test_parallel_sweep_matches_serial(self, workload):
-        serial = Session().sweep(workload, (1, 2, 4))
-        fanout = Session().sweep(workload, (1, 2, 4), parallel=2)
+        serial_session, fanout_session = Session(), Session()
+        serial = serial_session.sweep(workload, (1, 2, 4))
+        fanout = fanout_session.sweep(workload, (1, 2, 4), parallel=2)
         assert fanout.cycles() == serial.cycles()
         assert fanout.energies_joules() == serial.energies_joules()
+        assert fanout_session.cache_info() == serial_session.cache_info()
 
 
 @pytest.mark.skipif(
@@ -179,10 +181,10 @@ def test_killed_worker_falls_back_to_the_serial_answer(monkeypatch, tmp_path):
     # first: the broken pool forfeits every point, and the serial path
     # must give the serial run's answer.
     marker = tmp_path / "killed"
-    evaluate = session_module._evaluate_point
+    evaluate = session_module._evaluate_many
     parent = os.getpid()
 
-    def die_once(payload):
+    def die_once(*payload):
         if os.getpid() != parent:
             try:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -190,13 +192,13 @@ def test_killed_worker_falls_back_to_the_serial_answer(monkeypatch, tmp_path):
                 time.sleep(1.0)
             else:
                 os.kill(os.getpid(), signal.SIGKILL)
-        return evaluate(payload)
+        return evaluate(*payload)
 
     workload = autoregressive(get_model("tinyllama-42m"), 128)
     serial = Session().tune(workload, searcher="grid", budget=64)
-    monkeypatch.setattr(session_module, "_evaluate_point", die_once)
+    monkeypatch.setattr(session_module, "_evaluate_many", die_once)
     with pytest.warns(
-        RuntimeWarning, match=r"parallel prefill lost 64 of 64 point\(s\)"
+        RuntimeWarning, match=r"parallel evaluation lost 64 of 64 point\(s\)"
     ):
         parallel = Session().tune(
             workload, searcher="grid", budget=64, parallel=2

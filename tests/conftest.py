@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from repro.graph.workload import autoregressive, encoder, prompt
@@ -74,3 +76,17 @@ def eight_chip_platform():
 def four_chip_platform():
     """A 4-chip Siracusa system (MobileBERT's operating point)."""
     return siracusa_platform(4)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of every process pool started meanwhile."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return started

@@ -4,7 +4,8 @@ Three properties, each over real simulator evaluations (tiny spaces and
 budgets keep them fast):
 
 * a tune fanned out over 1, 2, or 4 worker processes is byte-identical
-  to the serial run — parallelism may only move evaluations in time;
+  to the serial run, cache statistics included — parallelism may only
+  move evaluations in time;
 * interrupting a checkpointed search (hard kill: no final checkpoint
   write) and resuming from the last checkpoint reproduces the
   uninterrupted result document byte for byte, final checkpoint
@@ -60,9 +61,9 @@ def _tune(session: Session, searcher: str, seed: int, budget: int, **kwargs):
     )
 
 
-def _document(result) -> str:
+def _document(result, include_cache: bool = False) -> str:
     return json.dumps(
-        tune_result_to_dict(result, include_cache=False), sort_keys=True
+        tune_result_to_dict(result, include_cache=include_cache), sort_keys=True
     )
 
 
@@ -86,9 +87,10 @@ def _interrupt_after(count: int):
 def test_parallel_tune_is_byte_identical_to_serial(
     searcher, seed, budget, workers
 ):
-    serial = _document(_tune(Session(), searcher, seed, budget))
+    serial = _document(_tune(Session(), searcher, seed, budget), include_cache=True)
     fanned = _document(
-        _tune(Session(), searcher, seed, budget, parallel=workers)
+        _tune(Session(), searcher, seed, budget, parallel=workers),
+        include_cache=True,
     )
     assert fanned == serial
 

@@ -354,6 +354,24 @@ class TestProgramPickling:
         assert clone.memory_plans == program.memory_plans
         assert_identical_results(simulate_block(program), simulate_block(clone))
 
+    def test_a_round_tripped_program_pickles_to_the_same_bytes(
+        self, eight_chip_platform
+    ):
+        # What crosses a process boundary (a pool worker's result) is
+        # stored again by the parent: its row must be the serial row.
+        import pickle
+
+        program = BlockScheduler(platform=eight_chip_platform).build(
+            autoregressive(tinyllama_42m(), 128)
+        )
+        data = pickle.dumps(program)
+        clone = pickle.loads(data)
+        assert pickle.dumps(clone) == data
+        # Schedules and memory plans rebuilt on access change nothing.
+        assert clone.schedule(0) == program.schedule(0)
+        assert clone.memory_plans == program.memory_plans
+        assert pickle.dumps(clone) == data
+
     def test_hand_built_program_keeps_schedules_verbatim(self):
         import pickle
 
