@@ -172,9 +172,11 @@ class AdmissionController:
         """The class an arriving request belongs to."""
         return min(request.priority, len(self.classes) - 1)
 
-    def admit(self, request: Request) -> Tuple[bool, SLOClass]:
-        """Decide one arrival; returns ``(admitted, its class)``."""
-        index = self.class_index(request)
+    def admit(self, request: Request, index: int) -> Tuple[bool, SLOClass]:
+        """Decide one arrival of class ``index`` (its :meth:`class_index`).
+
+        Returns ``(admitted, its class)``.
+        """
         stats = self._stats[index]
         slo_class = stats.slo_class
         stats.arrived += 1

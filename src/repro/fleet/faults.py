@@ -483,9 +483,9 @@ class Resilience:
         "run", "retry", "kept_classes", "shed_floor", "crashes", "recoveries",
         "retries", "failed", "timed_out", "shed", "hedges", "hedge_wins",
         "first_attempt_completed", "wasted_busy_s", "unavailable_s",
-        "outage_start", "outage_windows", "faults_active", "in_backoff",
-        "brownout", "slow_factor", "crashed_by", "down_since", "downtime_s",
-        "in_service", "healthy_completed", "degraded_completed",
+        "outage_start", "outage_windows", "last_arrival_s", "faults_active",
+        "in_backoff", "brownout", "slow_factor", "crashed_by", "down_since",
+        "downtime_s", "in_service", "healthy_completed", "degraded_completed",
         "slo_hits_healthy", "slo_hits_degraded", "attempts_of", "deadline_of",
         "copies",
     )
@@ -509,6 +509,7 @@ class Resilience:
         self.wasted_busy_s = self.unavailable_s = 0.0
         self.outage_start: Optional[float] = None
         self.outage_windows = 0
+        self.last_arrival_s = 0.0
         self.faults_active = 0  # crashes, slowdowns and brownouts under way
         self.in_backoff = 0
         self.brownout = 1.0
@@ -662,7 +663,12 @@ class Resilience:
         self.faults_active -= 1
 
     def sheds(self, request: Request) -> bool:
-        """Turn an arrival away in total outage or below the shed floor."""
+        """Turn an arrival away in total outage or below the shed floor.
+
+        Every arrival passes here first, so this also notes the latest
+        arrival time, up to which :meth:`stats` counts open outages.
+        """
+        self.last_arrival_s = request.arrival_s
         run = self.run
         serving = run.serving
         if serving and (
@@ -780,16 +786,20 @@ class Resilience:
         self.copies.pop(rid, None)
 
     def stats(self, makespan: float) -> ResilienceStats:
+        # An outage or a crash still open at the end lasts until the last
+        # completion or the last arrival, whichever is later: a fleet that
+        # never recovers turned away every arrival after it went down.
+        end = max(makespan, self.last_arrival_s)
         unavailable_s, windows = self.unavailable_s, self.outage_windows
-        if self.outage_start is not None and makespan > self.outage_start:
-            unavailable_s += makespan - self.outage_start
+        if self.outage_start is not None and end > self.outage_start:
+            unavailable_s += end - self.outage_start
             windows += 1
         downtime = 0.0
         for index, replica_downtime in enumerate(self.downtime_s):
             downtime += replica_downtime
             since = self.down_since.get(index)
-            if since is not None and makespan > since:
-                downtime += makespan - since
+            if since is not None and end > since:
+                downtime += end - since
         targets = self.run.slo_targets
         healthy, degraded = self.healthy_completed, self.degraded_completed
         return ResilienceStats(

@@ -495,7 +495,7 @@ class _FleetRun:
         if resilience is not None and resilience.sheds(request):
             return
         index = self.admission.class_index(request)
-        ok, slo_class = self.admission.admit(request)
+        ok, slo_class = self.admission.admit(request, index)
         if not ok:
             self.rejected += 1
             return
@@ -605,8 +605,10 @@ class _FleetRun:
     def dispatch(self, request: Request, pool: List[_Replica], now: float) -> _Replica:
         """The replica of ``pool`` the router picks for ``request``."""
         chosen = self.router.route(request, pool, now)
-        valid = any(chosen is replica for replica in pool)
-        if not valid or chosen.draining:
+        for replica in pool:
+            if replica is chosen and not replica.draining:
+                break
+        else:
             raise SimulationError(
                 f"router {self.router.name!r} dispatched request "
                 f"{request.request_id} to a drained or unknown replica"
@@ -631,7 +633,9 @@ class _FleetRun:
             self.start_grant(replica, now)
 
     def start_grant(self, replica: _Replica, now: float) -> None:
-        if self.arrival_due(now):
+        follow_ups = self.follow_up_times
+        if self.next_arrival_s == now or (follow_ups and follow_ups[0] == now):
+            # arrival_due(now), inline: the pick waits for this instant's arrivals.
             replica.busy = True  # as if it had picked: no second pick
             self.deferred.append(replica)
             return

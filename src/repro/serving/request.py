@@ -15,12 +15,13 @@ tokens performs ``output_tokens - 1`` decode steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Optional
 
 from ..errors import ConfigurationError, SimulationError
-from ..spec.base import SpecBase, require_finite
+from ..spec.base import SpecBase
 
 
 class RequestPhase(Enum):
@@ -68,7 +69,8 @@ class Request(SpecBase):
     def __post_init__(self) -> None:
         if self.request_id < 0:
             raise ConfigurationError("request_id must be non-negative")
-        require_finite("", self, ("arrival_s",))
+        if not math.isfinite(self.arrival_s):
+            raise ConfigurationError(f"arrival_s must be finite, got {self.arrival_s}")
         if self.arrival_s < 0:
             raise ConfigurationError("arrival_s must be non-negative")
         if self.prompt_tokens <= 0:

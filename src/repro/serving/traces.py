@@ -21,6 +21,15 @@ Five generators ship with the library:
   completions, so the source issues follow-up requests to the simulator);
 * :class:`ReplayTrace` — verbatim replay of a recorded request list,
   loadable from the JSON written by :func:`save_trace`.
+
+The generators draw through CPython's own sampling formulas written out
+in their loops — ``expovariate(rate)`` as ``-log(1.0 - random()) /
+rate``, and a length as Kinderman–Monahan ``normalvariate`` followed by
+``exp`` (``lognormvariate``) — so each stream consumes the same
+``random()`` values in the same order as the ``random.Random`` method
+calls would, and yields equal requests.  ``tests/trace_oracle.py`` keeps
+the method-call versions and a property test holds every generator to
+them.
 """
 
 from __future__ import annotations
@@ -56,6 +65,9 @@ __all__ = [
     "load_trace",
     "save_trace",
 ]
+
+#: ``random.NV_MAGICCONST``, computed as :mod:`random` computes it.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -106,22 +118,56 @@ class LengthModel:
                 f"[{self.output_min}, {self.output_max}]; clamping would "
                 "silently distort the workload — widen the bounds instead"
             )
+        # Each side's (mean, min, max, mu of the underlying normal), so a
+        # draw never recomputes mu.
+        shift = self.sigma**2 / 2.0
+        object.__setattr__(self, "_sides", (
+            (self.prompt_mean, self.prompt_min, self.prompt_max,
+             math.log(self.prompt_mean) - shift),
+            (self.output_mean, self.output_min, self.output_max,
+             math.log(self.output_mean) - shift),
+        ))
 
-    def _sample(self, rng: random.Random, mean: float, lo: int, hi: int) -> int:
-        if self.sigma == 0:
-            value = mean
-        else:
-            mu = math.log(mean) - self.sigma**2 / 2.0
-            value = rng.lognormvariate(mu, self.sigma)
-        return max(lo, min(hi, round(value)))
+    def _samplers(
+        self, rng: random.Random
+    ) -> Tuple[Callable[[], int], Callable[[], int]]:
+        """Draw functions of one prompt length and one reply length.
+
+        A draw is ``rng.lognormvariate(mu, sigma)``, rounded and clamped
+        to its side's bounds, with CPython's formulas written out: it
+        consumes the same ``random()`` values in the same order as the
+        method call.  ``sigma == 0`` draws nothing and gives the mean.
+        """
+        random_, log, exp = rng.random, math.log, math.exp
+        sigma = self.sigma
+
+        def sampler(mean: float, lo: int, hi: int, mu: float) -> Callable[[], int]:
+            if sigma == 0:
+                length = max(lo, min(hi, round(mean)))
+                return lambda: length
+
+            def draw() -> int:
+                while True:  # normalvariate (Kinderman and Monahan)
+                    u1 = random_()
+                    u2 = 1.0 - random_()
+                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                length = round(exp(mu + z * sigma))
+                return lo if length < lo else hi if length > hi else length
+
+            return draw
+
+        prompt, output = self._sides
+        return sampler(*prompt), sampler(*output)
 
     def sample_prompt(self, rng: random.Random) -> int:
         """Draw one prompt length."""
-        return self._sample(rng, self.prompt_mean, self.prompt_min, self.prompt_max)
+        return self._samplers(rng)[0]()
 
     def sample_output(self, rng: random.Random) -> int:
         """Draw one reply length."""
-        return self._sample(rng, self.output_mean, self.output_min, self.output_max)
+        return self._samplers(rng)[1]()
 
     @property
     def max_context(self) -> int:
@@ -180,23 +226,21 @@ def _rng(kind: str, seed: int) -> random.Random:
     return random.Random(f"repro.serving:{kind}:{seed}")
 
 
-def _make_request(
-    request_id: int,
-    arrival_s: float,
-    lengths: LengthModel,
-    rng: random.Random,
-    priority_levels: int,
-    client_id: Optional[int] = None,
-) -> Request:
-    priority = rng.randrange(priority_levels) if priority_levels > 1 else 0
-    return Request(
-        request_id=request_id,
-        arrival_s=arrival_s,
-        prompt_tokens=lengths.sample_prompt(rng),
-        output_tokens=lengths.sample_output(rng),
-        priority=priority,
-        client_id=client_id,
-    )
+def _request_maker(
+    rng: random.Random, lengths: LengthModel, priority_levels: int
+) -> Callable[..., Request]:
+    """``make(request_id, arrival_s, client_id=None)``, drawing from ``rng``.
+
+    Each request draws its priority (with more than one level), then its
+    prompt length, then its reply length.
+    """
+    draw_prompt, draw_output = lengths._samplers(rng)
+
+    def make(request_id: int, arrival_s: float, client_id: Optional[int] = None) -> Request:
+        priority = rng.randrange(priority_levels) if priority_levels > 1 else 0
+        return Request(request_id, arrival_s, draw_prompt(), draw_output(), priority, client_id)
+
+    return make
 
 
 # ----------------------------------------------------------------------
@@ -230,15 +274,13 @@ class PoissonTrace:
 
     def build(self, seed: int) -> RequestSource:
         rng = _rng("poisson", seed)
+        random_, log, rate = rng.random, math.log, self.rate_rps
+        make = _request_maker(rng, self.lengths, self.priority_levels)
         requests: List[Request] = []
-        now = rng.expovariate(self.rate_rps)
+        now = -log(1.0 - random_()) / rate
         while now < self.duration_s:
-            requests.append(
-                _make_request(
-                    len(requests), now, self.lengths, rng, self.priority_levels
-                )
-            )
-            now += rng.expovariate(self.rate_rps)
+            requests.append(make(len(requests), now))
+            now += -log(1.0 - random_()) / rate
         return RequestSource(requests)
 
 
@@ -283,29 +325,28 @@ class BurstyTrace:
 
     def build(self, seed: int) -> RequestSource:
         rng = _rng("bursty", seed)
+        random_, log = rng.random, math.log
+        make = _request_maker(rng, self.lengths, self.priority_levels)
         requests: List[Request] = []
         now = 0.0
         in_burst = False
-        state_end = rng.expovariate(1.0 / self.mean_base_s)
+        # Dwell times are expovariate(1 / mean), hence the division.
+        state_end = -log(1.0 - random_()) / (1.0 / self.mean_base_s)
         while now < self.duration_s:
             rate = self.burst_rate_rps if in_burst else self.base_rate_rps
-            candidate = now + rng.expovariate(rate)
+            candidate = now + -log(1.0 - random_()) / rate
             if candidate >= state_end:
                 # The exponential is memoryless, so jumping to the state
                 # boundary and redrawing is statistically exact.
                 now = state_end
                 in_burst = not in_burst
                 dwell = self.mean_burst_s if in_burst else self.mean_base_s
-                state_end = now + rng.expovariate(1.0 / dwell)
+                state_end = now + -log(1.0 - random_()) / (1.0 / dwell)
                 continue
             now = candidate
             if now >= self.duration_s:
                 break
-            requests.append(
-                _make_request(
-                    len(requests), now, self.lengths, rng, self.priority_levels
-                )
-            )
+            requests.append(make(len(requests), now))
         return RequestSource(requests)
 
 
@@ -395,20 +436,31 @@ class DiurnalTrace:
         The fleet simulator consumes this generator directly, so a
         day-long million-request trace costs O(1) memory; ``build`` wraps
         the same stream, so both paths are request-for-request identical
-        for equal seeds.
+        for equal seeds.  One loop draws each candidate's gap, evaluates
+        :meth:`rate_at` term for term for its thinning test, and draws an
+        accepted candidate's request.
         """
         rng = _rng("diurnal", seed)
-        peak = self.peak_rate_rps
+        random_, log, sin = rng.random, math.log, math.sin
+        make = _request_maker(rng, self.lengths, self.priority_levels)
+        peak, duration_s = self.peak_rate_rps, self.duration_s
+        rate_rps, amplitude = self.rate_rps, self.amplitude
+        phase_s, period_s, two_pi = self.phase_s, self.period_s, 2.0 * math.pi
+        spikes = tuple((start, start + length, extra) for start, length, extra in self.spikes)
         now = 0.0
         count = 0
         while True:
-            now += rng.expovariate(peak)
-            if now >= self.duration_s:
+            now += -log(1.0 - random_()) / peak
+            if now >= duration_s:
                 return
-            if rng.random() * peak <= self.rate_at(now):
-                yield _make_request(
-                    count, now, self.lengths, rng, self.priority_levels
-                )
+            rate = rate_rps * (1.0 + amplitude * sin(two_pi * (now - phase_s) / period_s))
+            for start_s, end_s, extra_rate_rps in spikes:
+                if start_s <= now < end_s:
+                    rate += extra_rate_rps
+            # With amplitude <= 1 the rate is never negative, so rate_at's
+            # clamp at zero cannot change the test.
+            if random_() * peak <= rate:
+                yield make(count, now)
                 count += 1
 
     def build(self, seed: int) -> RequestSource:
@@ -457,18 +509,16 @@ class ClosedLoopTrace:
         # One decorrelated stream per client keeps a client's behaviour
         # independent of how other clients' completions interleave.
         rngs = [_rng(f"closed:{client}", seed) for client in range(self.clients)]
+        makers = [_request_maker(rng, self.lengths, self.priority_levels) for rng in rngs]
         issued = [1] * self.clients
         next_id = [self.clients]  # mutable counter shared with the closure
+        think_rate = 1.0 / self.mean_think_s
+
+        def think_s(client: int) -> float:
+            return -math.log(1.0 - rngs[client].random()) / think_rate
 
         initial = [
-            _make_request(
-                client,
-                rngs[client].expovariate(1.0 / self.mean_think_s),
-                self.lengths,
-                rngs[client],
-                self.priority_levels,
-                client_id=client,
-            )
+            makers[client](client, think_s(client), client)
             for client in range(self.clients)
         ]
 
@@ -477,16 +527,8 @@ class ClosedLoopTrace:
             if client is None or issued[client] >= self.requests_per_client:
                 return None
             issued[client] += 1
-            rng = rngs[client]
-            arrival = record.finish_s + rng.expovariate(1.0 / self.mean_think_s)
-            request = _make_request(
-                next_id[0],
-                arrival,
-                self.lengths,
-                rng,
-                self.priority_levels,
-                client_id=client,
-            )
+            arrival = record.finish_s + think_s(client)
+            request = makers[client](next_id[0], arrival, client)
             next_id[0] += 1
             return request
 

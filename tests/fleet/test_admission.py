@@ -19,6 +19,11 @@ def arrival(request_id, time_s, priority=0):
     )
 
 
+def admit(controller, request):
+    """Decide one arrival as the fleet does: class index first."""
+    return controller.admit(request, controller.class_index(request))
+
+
 class TestSLOClass:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -50,7 +55,7 @@ class TestAdmission:
     def test_default_controller_admits_everything(self):
         controller = AdmissionController()
         for index in range(50):
-            ok, slo_class = controller.admit(arrival(index, index * 0.001))
+            ok, slo_class = admit(controller, arrival(index, index * 0.001))
             assert ok
             assert slo_class.name == "default"
         assert controller.stats[0].admitted == 50
@@ -60,33 +65,33 @@ class TestAdmission:
         # 1 req/s with burst 1: back-to-back arrivals beyond the first
         # are rejected until a full second of budget accrues.
         controller = AdmissionController((SLOClass(rate_rps=1.0, burst=1),))
-        assert controller.admit(arrival(0, 0.0))[0]
-        assert not controller.admit(arrival(1, 0.1))[0]
-        assert not controller.admit(arrival(2, 0.5))[0]
-        assert controller.admit(arrival(3, 1.5))[0]
+        assert admit(controller, arrival(0, 0.0))[0]
+        assert not admit(controller, arrival(1, 0.1))[0]
+        assert not admit(controller, arrival(2, 0.5))[0]
+        assert admit(controller, arrival(3, 1.5))[0]
         stats = controller.stats[0]
         assert (stats.arrived, stats.admitted, stats.rejected) == (4, 2, 2)
 
     def test_burst_allowance_admits_back_to_back_arrivals(self):
         controller = AdmissionController((SLOClass(rate_rps=1.0, burst=3),))
-        verdicts = [controller.admit(arrival(i, 0.0))[0] for i in range(5)]
+        verdicts = [admit(controller, arrival(i, 0.0))[0] for i in range(5)]
         assert verdicts == [True, True, True, False, False]
 
     def test_bucket_never_accrues_beyond_the_burst(self):
         controller = AdmissionController((SLOClass(rate_rps=1.0, burst=2),))
         # A long quiet period must not bank unlimited tokens.
-        assert controller.admit(arrival(0, 100.0))[0]
-        assert controller.admit(arrival(1, 100.0))[0]
-        assert not controller.admit(arrival(2, 100.0))[0]
+        assert admit(controller, arrival(0, 100.0))[0]
+        assert admit(controller, arrival(1, 100.0))[0]
+        assert not admit(controller, arrival(2, 100.0))[0]
 
     def test_priority_indexes_the_class_list_and_clamps(self):
         interactive = SLOClass(name="interactive", priority=1)
         batch = SLOClass(name="batch")
         controller = AdmissionController((interactive, batch))
-        assert controller.admit(arrival(0, 0.0, priority=0))[1] is interactive
-        assert controller.admit(arrival(1, 0.0, priority=1))[1] is batch
+        assert admit(controller, arrival(0, 0.0, priority=0))[1] is interactive
+        assert admit(controller, arrival(1, 0.0, priority=1))[1] is batch
         # Priorities beyond the list clamp to the last class.
-        assert controller.admit(arrival(2, 0.0, priority=9))[1] is batch
+        assert admit(controller, arrival(2, 0.0, priority=9))[1] is batch
 
     def test_duplicate_class_names_are_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
@@ -96,8 +101,8 @@ class TestAdmission:
 class TestClassReporting:
     def test_per_class_ttft_attainment(self):
         controller = AdmissionController((SLOClass(ttft_slo_s=0.5),))
-        controller.admit(arrival(0, 0.0))
-        controller.admit(arrival(1, 0.0))
+        admit(controller, arrival(0, 0.0))
+        admit(controller, arrival(1, 0.0))
         controller.complete(0, ttft_s=0.2)
         controller.complete(0, ttft_s=0.9)
         stats = controller.stats[0]
@@ -114,7 +119,7 @@ class TestClassReporting:
             (SLOClass(name="gold", rate_rps=2.0, ttft_slo_s=0.5),
              SLOClass(name="bulk", priority=1))
         )
-        controller.admit(arrival(0, 0.0))
+        admit(controller, arrival(0, 0.0))
         controller.complete(0, ttft_s=0.1)
         rows = controller.to_dicts()
         assert [row["name"] for row in rows] == ["gold", "bulk"]

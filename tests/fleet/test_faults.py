@@ -277,6 +277,25 @@ class TestCrashFailover:
         assert stats.unavailable_windows == 1
         conserve(result)
 
+    def test_a_crash_that_never_recovers_counts_until_the_last_arrival(self):
+        # Sole replica down for good at 3 s; the ten arrivals before it
+        # finish by 2.801 s, and the fifty after it (the last at 17.7 s)
+        # are shed.  The open outage and crash last until that last
+        # arrival, not until the last completion, which came first.
+        simulator = FleetSimulator(
+            [template()],
+            faults=FaultModel(events=(FaultEvent.parse("crash:0@3"),)),
+        )
+        result = simulator.run([req(index, index * 0.3) for index in range(60)])
+        stats = result.resilience
+        assert (result.completed, stats.shed) == (10, 50)
+        assert result.makespan_s == pytest.approx(2.801)
+        assert stats.unavailable_s == pytest.approx(14.7)
+        assert stats.unavailable_windows == 1
+        assert stats.replica_downtime_s == pytest.approx(14.7)
+        assert stats.goodput_rps == pytest.approx(10 / 2.801)
+        conserve(result)
+
     def test_a_duplicate_in_flight_id_fails_instead_of_hanging(self):
         # Both requests carry id 1, on different replicas; the short one
         # finishes first, then a crash fails the long one over.  Before
