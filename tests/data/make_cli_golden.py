@@ -9,9 +9,10 @@ The golden document has three sections, each keyed by the command line
 * ``json`` — the ``--json --no-cache`` stdout of runs cheap enough for
   tier-1 (evaluate, compare, a 60 s serve, a closed-loop serve, a 60 s
   fleet, a 4-point tune), plus the ``models`` table, its ``--json`` form
-  and its detailed view;
-* ``errors`` — the exit status and stderr of malformed flags, each of
-  which must fail with one ``error:`` line.
+  and its detailed view, and the ``strategies``, ``policies``,
+  ``routers``, ``searchers`` and ``platforms`` listings;
+* ``errors`` — the exit status and stderr of malformed flags and unknown
+  registry names, each of which must fail with one ``error:`` line.
 
 Every command runs in-process through :func:`repro.cli.main` from a
 scratch working directory, so the flags that name files (``--output``,
@@ -166,6 +167,12 @@ JSON_RUNS: Tuple[str, ...] = (
     "models",
     "models --json",
     "models tinyllama tinyllama-42m-64h tinyllama-42m-gated mobilebert",
+    # The plugin registries: every registered name and its label.
+    "strategies",
+    "policies",
+    "routers",
+    "searchers",
+    "platforms",
 )
 
 #: Malformed flags; each must exit 2 with a single ``error:`` line.
@@ -194,6 +201,10 @@ ERRORS: Tuple[str, ...] = (
     "tune --strategies nope --emit-spec",
     "models gpt-4",
     "evaluate --model gpt-4 --no-cache",
+    "evaluate --strategy nope --no-cache",
+    "tune --searcher nope --no-cache",
+    "tune --objectives nope --no-cache",
+    "fleet --platform nope --no-cache",
 )
 
 

@@ -4,9 +4,11 @@
 ``tests/data/make_cli_golden.py``: the ``--emit-spec`` stdout of a flag
 matrix covering every long flag of ``evaluate``, ``sweep``, ``compare``,
 ``serve``, ``fleet`` and ``tune``; the ``--json --no-cache`` stdout of
-cheap runs, plus the ``repro models`` table, JSON and detail view; and
-the exit status and ``error:`` line of malformed flags and unknown
-model names.  Each command is rerun in-process and compared with ``==``.
+cheap runs, plus the ``repro models`` table, JSON and detail view and
+the five plugin-registry listings; and the exit status and ``error:``
+line of malformed flags and unknown model, strategy, searcher,
+objective, platform, router and policy names.  Each command is rerun
+in-process and compared with ``==``.
 """
 
 from __future__ import annotations
