@@ -23,14 +23,15 @@ class::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 from ..core.placement import PrefetchAccounting
 from ..energy.model import EnergyModel
-from ..errors import ConfigurationError, UnknownStrategyError
+from ..errors import UnknownStrategyError
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
 from ..kernels.library import KernelLibrary
+from ..registry import Registry, instantiate
 from .result import EvalResult
 
 #: Factory building an energy model for a platform (``EnergyModel`` itself
@@ -91,8 +92,9 @@ class PartitionStrategy(Protocol):
         ...
 
 
-_STRATEGIES: Dict[str, PartitionStrategy] = {}
-_ALIASES: Dict[str, str] = {}
+_STRATEGIES: Registry[PartitionStrategy] = Registry(
+    "partitioning strategy", UnknownStrategyError, "strategy name"
+)
 
 
 def register_strategy(strategy):
@@ -100,63 +102,26 @@ def register_strategy(strategy):
 
     Accepts either a strategy *class* (instantiated with no arguments) or a
     ready-made instance.  The strategy is registered under its ``name``
-    attribute plus any names in an optional ``aliases`` attribute.
+    attribute plus any names in an optional ``aliases`` tuple.
 
     Returns the argument unchanged so it can be used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, or the
-            object does not implement :class:`PartitionStrategy`.
+        ConfigurationError: If the name is missing or taken, the aliases
+            are not a tuple of names, or the object does not implement
+            :class:`PartitionStrategy`.
     """
-    instance = strategy() if isinstance(strategy, type) else strategy
-    name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            "a strategy must define a non-empty string `name` attribute"
-        )
-    if not isinstance(instance, PartitionStrategy):
-        raise ConfigurationError(
-            f"strategy {name!r} does not implement the PartitionStrategy "
-            "protocol (name, label, evaluate)"
-        )
-    for key in (name, *getattr(instance, "aliases", ())):
-        if key in _STRATEGIES or key in _ALIASES:
-            raise ConfigurationError(f"strategy name {key!r} already registered")
-    _STRATEGIES[name] = instance
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES[alias] = name
+    _STRATEGIES.add(instantiate(strategy, "strategy", PartitionStrategy))
     return strategy
 
 
-def unregister_strategy(name: str) -> None:
-    """Remove a strategy (and its aliases) from the registry."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _STRATEGIES:
-        raise UnknownStrategyError(_unknown_message(name))
-    instance = _STRATEGIES.pop(canonical)
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES.pop(alias, None)
+#: Remove a strategy (and its aliases) from the registry.
+unregister_strategy = _STRATEGIES.remove
 
+#: Look up a registered strategy by name or alias; raises
+#: :class:`~repro.errors.UnknownStrategyError`, listing the available
+#: names, if no strategy is registered under it.
+get_strategy = _STRATEGIES.get
 
-def get_strategy(name: str) -> PartitionStrategy:
-    """Look up a registered strategy by name or alias.
-
-    Raises:
-        UnknownStrategyError: If no strategy is registered under ``name``;
-            the message lists the available names.
-    """
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _STRATEGIES[canonical]
-    except KeyError:
-        raise UnknownStrategyError(_unknown_message(name)) from None
-
-
-def list_strategies() -> List[str]:
-    """Sorted canonical names of all registered strategies."""
-    return sorted(_STRATEGIES)
-
-
-def _unknown_message(name: str) -> str:
-    known = ", ".join(list_strategies()) or "<none>"
-    return f"unknown partitioning strategy {name!r}; registered: {known}"
+#: Sorted canonical names of all registered strategies.
+list_strategies = _STRATEGIES.names

@@ -1177,31 +1177,25 @@ def _command_models(args: argparse.Namespace) -> List[str]:
     return lines
 
 
+def _labels(names: Callable[[], List[str]], get: Callable[[str], object]) -> List[str]:
+    """One ``name  label`` line per registered name of a plugin registry."""
+    return [f"{name:<20} {get(name).label}" for name in names()]
+
+
 def _command_strategies(args: argparse.Namespace) -> List[str]:
-    lines = []
-    for name in list_strategies():
-        strategy = get_strategy(name)
-        lines.append(f"{name:<20} {strategy.label}")
-    return lines
+    return _labels(list_strategies, get_strategy)
 
 
 def _command_policies(args: argparse.Namespace) -> List[str]:
     from .serving import get_policy, list_policies
 
-    lines = []
-    for name in list_policies():
-        policy = get_policy(name)
-        lines.append(f"{name:<20} {policy.label}")
-    return lines
+    return _labels(list_policies, get_policy)
 
 
 def _command_routers(args: argparse.Namespace) -> List[str]:
-    from .fleet import list_routers, router_label
+    from .fleet import get_router, list_routers
 
-    lines = []
-    for name in list_routers():
-        lines.append(f"{name:<20} {router_label(name)}")
-    return lines
+    return _labels(list_routers, get_router)
 
 
 def _command_platforms(args: argparse.Namespace) -> List[str]:
@@ -1228,10 +1222,7 @@ def _command_platforms(args: argparse.Namespace) -> List[str]:
 def _command_searchers(args: argparse.Namespace) -> List[str]:
     from .dse import get_objective, get_searcher, list_objectives, list_searchers
 
-    lines = []
-    for name in list_searchers():
-        searcher = get_searcher(name)
-        lines.append(f"{name:<20} {searcher.label}")
+    lines = _labels(list_searchers, get_searcher)
     lines.append("")
     lines.append("objectives:")
     for name in list_objectives():

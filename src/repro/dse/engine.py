@@ -30,7 +30,7 @@ from ..errors import (
     detached,
 )
 from ..graph.workload import Workload
-from ..spec.base import SpecBase, register, require_finite, spec_error
+from ..spec.base import SpecBase, _check_name, register, require_finite
 from .objectives import Measurement, Objective, Sense, get_objective
 from .pareto import Constraint, filter_constraints, pareto_front, parse_constraint
 from .space import (
@@ -90,10 +90,7 @@ class ServingScenario(SpecBase):
         """Check that the scenario's scheduling policy is registered."""
         from ..serving.policies import get_policy
 
-        try:
-            get_policy(self.policy)
-        except ReproError as error:
-            raise spec_error(f"{path}.policy", str(error)) from None
+        _check_name(get_policy, self.policy, f"{path}.policy")
 
     def trace(self):
         """Build the scenario's traffic trace."""

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError, UnknownObjectiveError
+from ..registry import Registry, instantiate
 from ..units import mib
 from .space import DesignPoint
 
@@ -96,8 +97,7 @@ class Objective(Protocol):
         ...
 
 
-_OBJECTIVES: Dict[str, Objective] = {}
-_ALIASES: Dict[str, str] = {}
+_OBJECTIVES: Registry[Objective] = Registry("objective", UnknownObjectiveError)
 
 
 def register_objective(objective):
@@ -105,69 +105,33 @@ def register_objective(objective):
 
     Accepts either an objective *class* (instantiated with no arguments)
     or a ready-made instance; registered under its ``name`` plus any names
-    in an optional ``aliases`` attribute.  Returns the argument unchanged
-    so it can be used as a decorator.
+    in an optional ``aliases`` tuple.  Returns the argument unchanged so
+    it can be used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, or the
-            object does not implement :class:`Objective`.
+        ConfigurationError: If the name is missing or taken, the aliases
+            are not a tuple of names, the object does not implement
+            :class:`Objective`, or its ``sense`` is not a :class:`Sense`.
     """
-    instance = objective() if isinstance(objective, type) else objective
-    name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            "an objective must define a non-empty string `name` attribute"
-        )
-    if not isinstance(instance, Objective):
-        raise ConfigurationError(
-            f"objective {name!r} does not implement the Objective protocol "
-            "(name, label, sense, requires_serving, value)"
-        )
+    instance = instantiate(objective, "objective", Objective)
     if not isinstance(instance.sense, Sense):
         raise ConfigurationError(
-            f"objective {name!r} has invalid sense {instance.sense!r}"
+            f"objective {instance.name!r} has invalid sense {instance.sense!r}"
         )
-    for key in (name, *getattr(instance, "aliases", ())):
-        if key in _OBJECTIVES or key in _ALIASES:
-            raise ConfigurationError(f"objective name {key!r} already registered")
-    _OBJECTIVES[name] = instance
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES[alias] = name
+    _OBJECTIVES.add(instance)
     return objective
 
 
-def unregister_objective(name: str) -> None:
-    """Remove an objective (and its aliases) from the registry."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _OBJECTIVES:
-        raise UnknownObjectiveError(_unknown_message(name))
-    instance = _OBJECTIVES.pop(canonical)
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES.pop(alias, None)
+#: Remove an objective (and its aliases) from the registry.
+unregister_objective = _OBJECTIVES.remove
 
+#: Look up a registered objective by name or alias; raises
+#: :class:`~repro.errors.UnknownObjectiveError`, listing the available
+#: names, if no objective is registered under it.
+get_objective = _OBJECTIVES.get
 
-def get_objective(name: str) -> Objective:
-    """Look up a registered objective by name or alias.
-
-    Raises:
-        UnknownObjectiveError: If no objective is registered under
-            ``name``; the message lists the available names.
-    """
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _OBJECTIVES[canonical]
-    except KeyError:
-        raise UnknownObjectiveError(_unknown_message(name)) from None
-
-
-def list_objectives() -> List[str]:
-    """Sorted canonical names of all registered objectives."""
-    return sorted(_OBJECTIVES)
-
-
-def _unknown_message(name: str) -> str:
-    known = ", ".join(list_objectives()) or "<none>"
-    return f"unknown objective {name!r}; registered: {known}"
+#: Sorted canonical names of all registered objectives.
+list_objectives = _OBJECTIVES.names
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ import random
 from typing import Callable, Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..errors import ConfigurationError, UnknownSearcherError
+from ..registry import Registry, instantiate
 from .objectives import Objective
 from .pareto import objective_vector
 from .space import Point, SearchSpace, point_key
@@ -97,8 +98,7 @@ class SearchAlgorithm(Protocol):
         ...
 
 
-_SEARCHERS: Dict[str, SearchAlgorithm] = {}
-_ALIASES: Dict[str, str] = {}
+_SEARCHERS: Registry[SearchAlgorithm] = Registry("searcher", UnknownSearcherError)
 
 
 def register_searcher(searcher):
@@ -106,65 +106,28 @@ def register_searcher(searcher):
 
     Accepts either a searcher *class* (instantiated with no arguments) or
     a ready-made instance; registered under its ``name`` plus any names in
-    an optional ``aliases`` attribute.  Returns the argument unchanged so
-    it can be used as a decorator.
+    an optional ``aliases`` tuple.  Returns the argument unchanged so it
+    can be used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, or the
-            object does not implement :class:`SearchAlgorithm`.
+        ConfigurationError: If the name is missing or taken, the aliases
+            are not a tuple of names, or the object does not implement
+            :class:`SearchAlgorithm`.
     """
-    instance = searcher() if isinstance(searcher, type) else searcher
-    name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            "a searcher must define a non-empty string `name` attribute"
-        )
-    if not isinstance(instance, SearchAlgorithm):
-        raise ConfigurationError(
-            f"searcher {name!r} does not implement the SearchAlgorithm "
-            "protocol (name, label, search)"
-        )
-    for key in (name, *getattr(instance, "aliases", ())):
-        if key in _SEARCHERS or key in _ALIASES:
-            raise ConfigurationError(f"searcher name {key!r} already registered")
-    _SEARCHERS[name] = instance
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES[alias] = name
+    _SEARCHERS.add(instantiate(searcher, "searcher", SearchAlgorithm))
     return searcher
 
 
-def unregister_searcher(name: str) -> None:
-    """Remove a searcher (and its aliases) from the registry."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _SEARCHERS:
-        raise UnknownSearcherError(_unknown_message(name))
-    instance = _SEARCHERS.pop(canonical)
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES.pop(alias, None)
+#: Remove a searcher (and its aliases) from the registry.
+unregister_searcher = _SEARCHERS.remove
 
+#: Look up a registered searcher by name or alias; raises
+#: :class:`~repro.errors.UnknownSearcherError`, listing the available
+#: names, if no searcher is registered under it.
+get_searcher = _SEARCHERS.get
 
-def get_searcher(name: str) -> SearchAlgorithm:
-    """Look up a registered searcher by name or alias.
-
-    Raises:
-        UnknownSearcherError: If no searcher is registered under ``name``;
-            the message lists the available names.
-    """
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _SEARCHERS[canonical]
-    except KeyError:
-        raise UnknownSearcherError(_unknown_message(name)) from None
-
-
-def list_searchers() -> List[str]:
-    """Sorted canonical names of all registered searchers."""
-    return sorted(_SEARCHERS)
-
-
-def _unknown_message(name: str) -> str:
-    known = ", ".join(list_searchers()) or "<none>"
-    return f"unknown searcher {name!r}; registered: {known}"
+#: Sorted canonical names of all registered searchers.
+list_searchers = _SEARCHERS.names
 
 
 # ----------------------------------------------------------------------

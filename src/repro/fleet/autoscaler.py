@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError
 from ..hw.presets import get_platform_preset
-from ..spec.base import SpecBase, register, require_finite, spec_error
+from ..spec.base import SpecBase, _check_name, register, require_finite
 
 __all__ = ["Autoscaler", "AutoscalerConfig", "ScaleEvent"]
 
@@ -99,10 +99,7 @@ class AutoscalerConfig(SpecBase):
 
     def validate(self, path: str = "$") -> None:
         """Check that the scaled replicas' preset is registered."""
-        try:
-            get_platform_preset(self.preset)
-        except ReproError as error:
-            raise spec_error(f"{path}.preset", str(error)) from None
+        _check_name(get_platform_preset, self.preset, f"{path}.preset")
 
 
 @dataclass(frozen=True)

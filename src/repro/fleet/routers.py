@@ -20,9 +20,10 @@ small class::
 
 Unlike scheduling policies, routers may be *stateful* (round-robin keeps
 a cursor, session affinity keeps a sticky map), so the registry stores
-factories and :func:`get_router` returns a **fresh instance per call**;
-two fleet runs therefore never share router state, which is part of what
-keeps same-seed runs byte-identical.
+classes and :func:`get_router` returns a **fresh instance per call**, and
+every fleet run routes through its own router (a new one for a name, a
+copy of an instance); two fleet runs therefore never share router state,
+which is part of what keeps same-seed runs byte-identical.
 
 The fleet engine only ever offers replicas that are in service — a
 draining, retired, or crashed replica is filtered out before ``route``
@@ -34,9 +35,10 @@ ties by ``replica_id``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence, runtime_checkable
+from typing import Dict, Protocol, Sequence, runtime_checkable
 
 from ..errors import ConfigurationError, UnknownRouterError
+from ..registry import Registry, instantiate
 from ..serving.request import Request
 
 __all__ = [
@@ -114,8 +116,7 @@ class RoutingPolicy(Protocol):
         ...
 
 
-_ROUTERS: Dict[str, type] = {}
-_ALIASES: Dict[str, str] = {}
+_ROUTERS: Registry[type] = Registry("router", UnknownRouterError)
 
 
 def register_router(router):
@@ -123,48 +124,27 @@ def register_router(router):
 
     Accepts a router *class* instantiable with no arguments; the class is
     registered under its ``name`` plus any names in an optional
-    ``aliases`` attribute.  Because routers may carry per-run state, the
+    ``aliases`` tuple.  Because routers may carry per-run state, the
     registry stores the class and :func:`get_router` instantiates it
     anew on every lookup.  Returns the argument unchanged so it can be
     used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, or an
-            instance does not implement :class:`RoutingPolicy`.
+        ConfigurationError: If the name is missing or taken, the aliases
+            are not a tuple of names, or an instance does not implement
+            :class:`RoutingPolicy`.
     """
     if not isinstance(router, type):
         raise ConfigurationError(
             "register_router takes a router class (routers are stateful, "
             "so the registry instantiates them per run)"
         )
-    instance = router()
-    name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            "a router must define a non-empty string `name` attribute"
-        )
-    if not isinstance(instance, RoutingPolicy):
-        raise ConfigurationError(
-            f"router {name!r} does not implement the RoutingPolicy "
-            "protocol (name, label, route)"
-        )
-    for key in (name, *getattr(instance, "aliases", ())):
-        if key in _ROUTERS or key in _ALIASES:
-            raise ConfigurationError(f"router name {key!r} already registered")
-    _ROUTERS[name] = router
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES[alias] = name
+    _ROUTERS.add(instantiate(router, "router", RoutingPolicy), router)
     return router
 
 
-def unregister_router(name: str) -> None:
-    """Remove a router (and its aliases) from the registry."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _ROUTERS:
-        raise UnknownRouterError(_unknown_message(name))
-    cls = _ROUTERS.pop(canonical)
-    for alias in getattr(cls, "aliases", ()):
-        _ALIASES.pop(alias, None)
+#: Remove a router (and its aliases) from the registry.
+unregister_router = _ROUTERS.remove
 
 
 def get_router(name: str) -> RoutingPolicy:
@@ -177,12 +157,7 @@ def get_router(name: str) -> RoutingPolicy:
         UnknownRouterError: If no router is registered under ``name``;
             the message lists the available names.
     """
-    canonical = _ALIASES.get(name, name)
-    try:
-        cls = _ROUTERS[canonical]
-    except KeyError:
-        raise UnknownRouterError(_unknown_message(name)) from None
-    return cls()
+    return _ROUTERS.get(name)()
 
 
 def router_label(name: str) -> str:
@@ -190,14 +165,8 @@ def router_label(name: str) -> str:
     return get_router(name).label
 
 
-def list_routers() -> List[str]:
-    """Sorted canonical names of all registered routers."""
-    return sorted(_ROUTERS)
-
-
-def _unknown_message(name: str) -> str:
-    known = ", ".join(list_routers()) or "<none>"
-    return f"unknown router {name!r}; registered: {known}"
+#: Sorted canonical names of all registered routers.
+list_routers = _ROUTERS.names
 
 
 def _least_loaded(replicas: Sequence[ReplicaState]) -> ReplicaState:

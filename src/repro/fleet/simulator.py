@@ -39,19 +39,20 @@ policy, so a fault-free run never constructs or calls it.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import AnalysisError, ConfigurationError, ReproError, SimulationError
+from ..errors import AnalysisError, ConfigurationError, SimulationError
 from ..hw.presets import get_platform_preset
 from ..serving.costs import RequestCostModel
 from ..serving.metrics import DEFAULT_SLO_TTFT_TARGETS_S, ServingResult
 from ..serving.policies import ReadyQueue, SchedulingPolicy, get_policy
 from ..serving.request import ActiveRequest, Request, RequestPhase, RequestRecord
 from ..serving.traces import RequestSource, TrafficTrace
-from ..spec.base import SpecBase, register, spec_error
+from ..spec.base import SpecBase, _check_name, register, spec_error
 from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .faults import FaultModel, Resilience, RetryPolicy
@@ -170,10 +171,7 @@ class FleetPlatform(SpecBase):
 
     def validate(self, path: str = "$") -> None:
         """Check that the entry's preset is registered."""
-        try:
-            get_platform_preset(self.preset)
-        except ReproError as error:
-            raise spec_error(f"{path}.preset", str(error)) from None
+        _check_name(get_platform_preset, self.preset, f"{path}.preset")
 
 
 @dataclass(frozen=True)
@@ -272,8 +270,10 @@ class FleetSimulator:
 
     Args:
         replicas: Static replica recipes (at least one).
-        router: Registered router name or a fresh
-            :class:`~repro.fleet.routers.RoutingPolicy` instance.
+        router: Registered router name or a
+            :class:`~repro.fleet.routers.RoutingPolicy` instance.  Each
+            run routes through its own router: a new one from the
+            registry for a name, else a copy of the instance.
         policy: Per-replica scheduling policy name (or instance).
         admission: Admission controller; a default-constructed one
             (a single unlimited class that keeps every request's own
@@ -320,6 +320,7 @@ class FleetSimulator:
         if faults is not None:
             faults.validate_replicas(len(replicas))
         self.router = get_router(router) if isinstance(router, str) else router
+        self._router_name = router if isinstance(router, str) else None
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.admission = admission if admission is not None else AdmissionController()
         self.autoscaler = autoscaler
@@ -383,7 +384,10 @@ class _FleetRun:
         requests: Iterable[Request],
         on_complete: Optional[Callable[[RequestRecord], Optional[Request]]],
     ) -> None:
-        self.router = simulator.router
+        # Routers keep per-run state (cursors, pins): each run starts its
+        # own, a new one by name or else a copy of the instance as passed.
+        name = simulator._router_name
+        self.router = get_router(name) if name else copy.deepcopy(simulator.router)
         self.policy = simulator.policy
         # Token buckets, class counters and outstanding extras are per run.
         self.admission = simulator.admission.fresh()

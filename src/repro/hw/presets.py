@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Tuple
 
-from ..errors import ConfigurationError, UnknownPlatformPresetError
+from ..errors import UnknownPlatformPresetError
+from ..registry import Registry
 from ..units import gigabytes_per_second, kib, mib
 from .chip import ChipModel
 from .cluster import ClusterModel
@@ -255,8 +256,9 @@ class PlatformPreset:
         return self.factory(num_chips if num_chips is not None else self.default_chips)
 
 
-_PRESETS: Dict[str, PlatformPreset] = {}
-_PRESET_ALIASES: Dict[str, str] = {}
+_PRESETS: Registry[PlatformPreset] = Registry(
+    "platform preset", UnknownPlatformPresetError, "platform preset"
+)
 
 
 def register_platform_preset(preset: PlatformPreset) -> PlatformPreset:
@@ -265,37 +267,20 @@ def register_platform_preset(preset: PlatformPreset) -> PlatformPreset:
     Returns the preset unchanged so call sites can keep a reference.
 
     Raises:
-        ConfigurationError: If any name is already taken.
+        ConfigurationError: If any name is taken or the aliases are not
+            a tuple of names.
     """
-    for key in (preset.name, *preset.aliases):
-        if key in _PRESETS or key in _PRESET_ALIASES:
-            raise ConfigurationError(f"platform preset {key!r} already registered")
-    _PRESETS[preset.name] = preset
-    for alias in preset.aliases:
-        _PRESET_ALIASES[alias] = preset.name
+    _PRESETS.add(preset)
     return preset
 
 
-def get_platform_preset(name: str) -> PlatformPreset:
-    """Look up a registered platform preset by name or alias.
+#: Look up a registered platform preset by name or alias; raises
+#: :class:`~repro.errors.UnknownPlatformPresetError`, listing the
+#: available names, if no preset is registered under it.
+get_platform_preset = _PRESETS.get
 
-    Raises:
-        UnknownPlatformPresetError: If no preset is registered under
-            ``name``; the message lists the available names.
-    """
-    canonical = _PRESET_ALIASES.get(name, name)
-    try:
-        return _PRESETS[canonical]
-    except KeyError:
-        known = ", ".join(list_platform_presets()) or "<none>"
-        raise UnknownPlatformPresetError(
-            f"unknown platform preset {name!r}; registered: {known}"
-        ) from None
-
-
-def list_platform_presets() -> List[str]:
-    """Sorted canonical names of all registered platform presets."""
-    return sorted(_PRESETS)
+#: Sorted canonical names of all registered platform presets.
+list_platform_presets = _PRESETS.names
 
 
 register_platform_preset(

@@ -60,7 +60,6 @@ import heapq
 from typing import (
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Protocol,
@@ -70,6 +69,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError, SimulationError, UnknownPolicyError
+from ..registry import Registry, instantiate
 from .request import ActiveRequest
 
 __all__ = [
@@ -119,8 +119,9 @@ class SchedulingPolicy(Protocol):
         ...
 
 
-_POLICIES: Dict[str, SchedulingPolicy] = {}
-_ALIASES: Dict[str, str] = {}
+_POLICIES: Registry[SchedulingPolicy] = Registry(
+    "scheduling policy", UnknownPolicyError, "policy name"
+)
 
 
 def register_policy(policy):
@@ -128,76 +129,40 @@ def register_policy(policy):
 
     Accepts either a policy *class* (instantiated with no arguments) or a
     ready-made instance; the policy is registered under its ``name`` plus
-    any names in an optional ``aliases`` attribute.  Returns the argument
+    any names in an optional ``aliases`` tuple.  Returns the argument
     unchanged so it can be used as a decorator.
 
     Raises:
-        ConfigurationError: If the name is missing, already taken, the
-            object does not implement :class:`SchedulingPolicy`, or its
-            ``order_key`` is set but not callable.
+        ConfigurationError: If the name is missing or taken, the aliases
+            are not a tuple of names, the object does not implement
+            :class:`SchedulingPolicy`, or its ``order_key`` is set but not
+            callable.
     """
-    instance = policy() if isinstance(policy, type) else policy
-    name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            "a policy must define a non-empty string `name` attribute"
-        )
-    if not isinstance(instance, SchedulingPolicy):
-        raise ConfigurationError(
-            f"policy {name!r} does not implement the SchedulingPolicy "
-            "protocol (name, label, decode_quantum, select)"
-        )
+    instance = instantiate(policy, "policy", SchedulingPolicy)
     order_key = getattr(instance, "order_key", None)
     if order_key is not None and not callable(order_key):
         raise ConfigurationError(
-            f"policy {name!r} has a non-callable order_key {order_key!r}"
+            f"policy {instance.name!r} has a non-callable order_key {order_key!r}"
         )
     quantum = instance.decode_quantum
     if quantum is not None and quantum < 1:
         raise ConfigurationError(
-            f"policy {name!r} has invalid decode_quantum {quantum!r}"
+            f"policy {instance.name!r} has invalid decode_quantum {quantum!r}"
         )
-    for key in (name, *getattr(instance, "aliases", ())):
-        if key in _POLICIES or key in _ALIASES:
-            raise ConfigurationError(f"policy name {key!r} already registered")
-    _POLICIES[name] = instance
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES[alias] = name
+    _POLICIES.add(instance)
     return policy
 
 
-def unregister_policy(name: str) -> None:
-    """Remove a policy (and its aliases) from the registry."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _POLICIES:
-        raise UnknownPolicyError(_unknown_message(name))
-    instance = _POLICIES.pop(canonical)
-    for alias in getattr(instance, "aliases", ()):
-        _ALIASES.pop(alias, None)
+#: Remove a policy (and its aliases) from the registry.
+unregister_policy = _POLICIES.remove
 
+#: Look up a registered policy by name or alias; raises
+#: :class:`~repro.errors.UnknownPolicyError`, listing the available
+#: names, if no policy is registered under it.
+get_policy = _POLICIES.get
 
-def get_policy(name: str) -> SchedulingPolicy:
-    """Look up a registered policy by name or alias.
-
-    Raises:
-        UnknownPolicyError: If no policy is registered under ``name``; the
-            message lists the available names.
-    """
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _POLICIES[canonical]
-    except KeyError:
-        raise UnknownPolicyError(_unknown_message(name)) from None
-
-
-def list_policies() -> List[str]:
-    """Sorted canonical names of all registered policies."""
-    return sorted(_POLICIES)
-
-
-def _unknown_message(name: str) -> str:
-    known = ", ".join(list_policies()) or "<none>"
-    return f"unknown scheduling policy {name!r}; registered: {known}"
+#: Sorted canonical names of all registered policies.
+list_policies = _POLICIES.names
 
 
 # ----------------------------------------------------------------------

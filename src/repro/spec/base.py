@@ -36,7 +36,7 @@ import typing
 from dataclasses import MISSING, fields
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple, Type, TypeVar, Union
 
-from ..errors import ConfigurationError, SpecError
+from ..errors import ConfigurationError, ReproError, SpecError
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
@@ -72,6 +72,14 @@ def register(cls: Type[_Spec]) -> Type[_Spec]:
 def spec_error(path: str, message: str) -> SpecError:
     """A :class:`SpecError` whose message leads with the JSON path."""
     return SpecError(f"{path}: {message}")
+
+
+def _check_name(lookup: Callable[[str], object], name: str, path: str) -> None:
+    """Re-raise the error registry ``lookup`` raises for ``name`` at ``path``."""
+    try:
+        lookup(name)
+    except ReproError as error:
+        raise spec_error(path, str(error)) from None
 
 
 def require_finite(prefix: str, owner: object, names: Sequence[str]) -> None:

@@ -33,7 +33,7 @@ from ..errors import ReproError, SpecError
 from ..graph.transformer import InferenceMode, TransformerConfig
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
-from .base import _KINDS, SpecBase, decode_value, register, require_finite, spec_error
+from .base import _KINDS, SpecBase, _check_name, decode_value, register, require_finite, spec_error
 
 if TYPE_CHECKING:
     from ..arch.spec import ArchSpec
@@ -195,10 +195,7 @@ class PlatformSpec(SpecBase):
     def validate(self, path: str = "$") -> None:
         from ..hw.presets import get_platform_preset
 
-        try:
-            get_platform_preset(self.preset)
-        except ReproError as error:
-            raise _wrap(f"{path}.preset", error) from None
+        _check_name(get_platform_preset, self.preset, f"{path}.preset")
 
     def build(self, chips: Optional[int] = None) -> MultiChipPlatform:
         """Materialise the preset (the preset's default chips if unpinned)."""
@@ -227,10 +224,7 @@ def _prefetch_value(value: str) -> str:
 def _check_strategy(name: str, path: str) -> None:
     from ..api.registry import get_strategy
 
-    try:
-        get_strategy(name)
-    except ReproError as error:
-        raise _wrap(path, error) from None
+    _check_name(get_strategy, name, path)
 
 
 def _check_slo_targets(spec: Union["ServingSpec", "FleetSpec"]) -> None:
@@ -515,10 +509,7 @@ class ServingSpec(SpecBase):
         self.trace.validate(f"{path}.trace")
         self.platform.validate(f"{path}.platform")
         _check_strategy(self.strategy, f"{path}.strategy")
-        try:
-            get_policy(self.policy)
-        except ReproError as error:
-            raise _wrap(f"{path}.policy", error) from None
+        _check_name(get_policy, self.policy, f"{path}.policy")
 
 
 # ----------------------------------------------------------------------
@@ -609,14 +600,8 @@ class FleetSpec(SpecBase):
         if self.autoscaler is not None:
             self.autoscaler.validate(f"{path}.autoscaler")
         _check_strategy(self.strategy, f"{path}.strategy")
-        try:
-            get_router(self.router)
-        except ReproError as error:
-            raise _wrap(f"{path}.router", error) from None
-        try:
-            get_policy(self.policy)
-        except ReproError as error:
-            raise _wrap(f"{path}.policy", error) from None
+        _check_name(get_router, self.router, f"{path}.router")
+        _check_name(get_policy, self.policy, f"{path}.policy")
 
 
 # ----------------------------------------------------------------------
@@ -823,15 +808,9 @@ class TuneSpec(SpecBase):
             self.space.validate(f"{path}.space")
         if self.serving is not None:
             self.serving.validate(f"{path}.serving")
-        try:
-            get_searcher(self.searcher)
-        except ReproError as error:
-            raise _wrap(f"{path}.searcher", error) from None
+        _check_name(get_searcher, self.searcher, f"{path}.searcher")
         for index, name in enumerate(self.objectives):
-            try:
-                get_objective(name)
-            except ReproError as error:
-                raise _wrap(f"{path}.objectives[{index}]", error) from None
+            _check_name(get_objective, name, f"{path}.objectives[{index}]")
         for index, expr in enumerate(self.constraints):
             try:
                 constraint = parse_constraint(expr)

@@ -16,9 +16,11 @@ from repro.errors import AnalysisError, ConfigurationError, SimulationError
 from repro.fleet import (
     AdmissionController,
     AutoscalerConfig,
+    FaultModel,
     FleetPlatform,
     FleetSimulator,
     ReplicaTemplate,
+    RoundRobinRouter,
     SLOClass,
     iter_requests,
 )
@@ -281,29 +283,63 @@ class TestAutoscaling:
             FleetSimulator([template()], autoscaler=AutoscalerConfig())
 
 
+def clients(count, spacing=0.05):
+    """``count`` requests from five clients, the first of each the longest."""
+    return [
+        Request(request_id=i, arrival_s=i * spacing,
+                prompt_tokens=60 if i < 5 else 10, output_tokens=2,
+                client_id=i % 5)
+        for i in range(count)
+    ]
+
+
+def autoscaled():
+    return FleetSimulator(
+        [template()],
+        router="least_loaded",
+        admission=AdmissionController(
+            (SLOClass(name="limited", rate_rps=3.0, burst=4),)
+        ),
+        autoscaler=AutoscalerConfig(
+            preset="stub",
+            check_interval_s=1.0,
+            scale_up_depth=2.0,
+            scale_down_depth=0.5,
+            max_extra=2,
+        ),
+        scale_template=template(),
+    )
+
+
 class TestReuse:
-    def test_a_second_run_of_one_simulator_repeats_the_first(self):
-        # Token buckets, class counters and autoscaled extras belong to
-        # one run: a rerun on the same stream must not inherit them.
-        simulator = FleetSimulator(
-            [template()],
-            router="least_loaded",
-            admission=AdmissionController(
-                (SLOClass(name="limited", rate_rps=3.0, burst=4),)
-            ),
-            autoscaler=AutoscalerConfig(
-                preset="stub",
-                check_interval_s=1.0,
-                scale_up_depth=2.0,
-                scale_down_depth=0.5,
-                max_extra=2,
-            ),
-            scale_template=template(),
-        )
-        requests = burst(100, spacing=0.05, prompt=60, output=2)
+    @pytest.mark.parametrize(
+        "simulator, requests",
+        [
+            (autoscaled, burst(100, spacing=0.05, prompt=60, output=2)),
+            (lambda: FleetSimulator([template()] * 2, router="round_robin"),
+             burst(7)),
+            (lambda: FleetSimulator([template()] * 2, router=RoundRobinRouter()),
+             burst(7)),
+            # The crash makes the router re-pin replica 0's clients.
+            (lambda: FleetSimulator([template()] * 2,
+                                    router="session_affinity",
+                                    faults=FaultModel.parse(["crash:0@0.5+0.3"])),
+             clients(20)),
+        ],
+        ids=["least_loaded", "round_robin", "round_robin-instance",
+             "session_affinity"],
+    )
+    def test_a_second_run_of_one_simulator_repeats_the_first(
+        self, simulator, requests
+    ):
+        # Token buckets, class counters, autoscaled extras and the
+        # router's cursor and pins belong to one run: a rerun on the same
+        # stream must not inherit them.
+        simulator = simulator()
         first = simulator.run(requests).to_dict()
-        assert first["autoscaler_events"]
-        assert first["classes"][0]["arrived"] == 100
+        assert first["classes"][0]["arrived"] == len(requests)
+        if simulator.autoscaler is not None:
+            assert first["autoscaler_events"]
         assert simulator.run(requests).to_dict() == first
 
 

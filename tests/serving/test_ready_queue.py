@@ -319,7 +319,7 @@ def test_engines_give_equal_results_with_and_without_the_key(
     spec = spec_from_dict({**document, "trace": trace, "policy": name})
     keyed = execute(session, spec).result
     keyless = Keyless(get_policy(name))
-    monkeypatch.setitem(policies._POLICIES, name, keyless)
+    monkeypatch.setitem(policies._POLICIES._entries, name, keyless)
     scanned = execute(session, spec).result
     assert keyless.selects > 0
     assert scanned == keyed
