@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..serving.request import ActiveRequest, Request, RequestPhase
 from ..spec.base import SpecBase, register, require_finite, spec_error
-from .metrics import ResilienceStats
+from .metrics import ResilienceStats, SLOCounter
 
 if TYPE_CHECKING:
     from .admission import SLOClass
@@ -485,9 +485,8 @@ class Resilience:
         "first_attempt_completed", "wasted_busy_s", "unavailable_s",
         "outage_start", "outage_windows", "last_arrival_s", "faults_active",
         "in_backoff", "brownout", "slow_factor", "crashed_by", "down_since",
-        "downtime_s", "in_service", "healthy_completed", "degraded_completed",
-        "slo_hits_healthy", "slo_hits_degraded", "attempts_of", "deadline_of",
-        "copies",
+        "downtime_s", "in_service", "healthy", "degraded", "attempts_of",
+        "deadline_of", "copies",
     )
 
     def __init__(
@@ -519,9 +518,9 @@ class Resilience:
         self.downtime_s = [0.0] * static_count
         # Replica id -> (start, duration) of its latest grant.
         self.in_service: Dict[int, Tuple[float, float]] = {}
-        self.healthy_completed = self.degraded_completed = 0
-        self.slo_hits_healthy = [0] * len(run.slo_targets)
-        self.slo_hits_degraded = [0] * len(run.slo_targets)
+        # TTFT attainment of completions with no fault active, and with one.
+        self.healthy = SLOCounter(run.slo.targets)
+        self.degraded = SLOCounter(run.slo.targets)
         self.attempts_of: Dict[int, int] = {}  # request_id -> crash failovers
         self.deadline_of: Dict[int, float] = {}  # request_id -> service deadline
         self.copies: Dict[int, List["_Replica"]] = {}  # request_id -> live copies
@@ -742,15 +741,7 @@ class Resilience:
             self.first_attempt_completed += 1
         self.deadline_of.pop(rid, None)
         self.copies.pop(rid, None)
-        if self.faults_active > 0:
-            self.degraded_completed += 1
-            hits = self.slo_hits_degraded
-        else:
-            self.healthy_completed += 1
-            hits = self.slo_hits_healthy
-        for position, target in enumerate(self.run.slo_targets):
-            if ttft_s <= target:
-                hits[position] += 1
+        (self.degraded if self.faults_active > 0 else self.healthy).add(ttft_s)
 
     def outage_begins(self, now: float) -> None:
         if self.outage_start is None:
@@ -800,8 +791,6 @@ class Resilience:
             since = self.down_since.get(index)
             if since is not None and end > since:
                 downtime += end - since
-        targets = self.run.slo_targets
-        healthy, degraded = self.healthy_completed, self.degraded_completed
         return ResilienceStats(
             crashes=self.crashes, recoveries=self.recoveries, retries=self.retries,
             failed=self.failed, timed_out=self.timed_out, shed=self.shed,
@@ -810,13 +799,8 @@ class Resilience:
             goodput_rps=self.first_attempt_completed / makespan if makespan > 0 else 0.0,
             wasted_busy_s=self.wasted_busy_s, replica_downtime_s=downtime,
             unavailable_s=unavailable_s, unavailable_windows=windows,
-            healthy_completed=healthy, degraded_completed=degraded,
-            slo_curve_healthy=tuple(
-                (target, self.slo_hits_healthy[i] / healthy if healthy else 0.0)
-                for i, target in enumerate(targets)
-            ),
-            slo_curve_degraded=tuple(
-                (target, self.slo_hits_degraded[i] / degraded if degraded else 0.0)
-                for i, target in enumerate(targets)
-            ),
+            healthy_completed=self.healthy.count,
+            degraded_completed=self.degraded.count,
+            slo_curve_healthy=self.healthy.curve(),
+            slo_curve_degraded=self.degraded.curve(),
         )

@@ -11,6 +11,8 @@ log-spaced histogram (16 bins per decade, so an approximate percentile
 is within ~15 % of the true value), while counts, means, maxima, and
 SLO attainment stay exact at any scale.  Memory is therefore bounded by
 the threshold plus the histogram, never by the trace length.
+:class:`SLOCounter` keeps the attainment curves: one bisect per
+completion, summed per target when the result is built.
 
 :class:`FleetResult` is the aggregated outcome, and
 :class:`FleetReport` adds provenance (model, strategy, router, seed) and
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..serving.metrics import LatencySummary, _latency_line
 from .autoscaler import ScaleEvent
@@ -34,6 +38,7 @@ __all__ = [
     "FleetResult",
     "ReplicaStats",
     "ResilienceStats",
+    "SLOCounter",
     "StreamingSummary",
 ]
 
@@ -126,6 +131,42 @@ class StreamingSummary:
             p95=self._bin_quantile(95),
             p99=self._bin_quantile(99),
             max=self.max_value,
+        )
+
+
+class SLOCounter:
+    """TTFT SLO attainment at fixed targets, exact at any scale.
+
+    A sample is counted once, in the bucket of the smallest target it
+    meets; a target's hits are the buckets up to its own.  The targets
+    may come in any order and repeat; a NaN target is met by no sample.
+    """
+
+    __slots__ = ("targets", "_edges", "_buckets")
+
+    def __init__(self, targets: Sequence[float]) -> None:
+        self.targets = tuple(targets)
+        self._edges = sorted({t for t in self.targets if t == t})
+        # _buckets[i]: samples above every edge before i, within edge i
+        # (the last bucket: above every edge).
+        self._buckets = [0] * (len(self._edges) + 1)
+
+    def add(self, ttft_s: float) -> None:
+        """Count one completion's time to first token."""
+        self._buckets[bisect_left(self._edges, ttft_s)] += 1
+
+    @property
+    def count(self) -> int:
+        """Samples counted so far."""
+        return sum(self._buckets)
+
+    def curve(self) -> Tuple[Tuple[float, float], ...]:
+        """``((target, fraction met), ...)`` in target order; 0.0 if empty."""
+        count = self.count
+        hits = dict(zip(self._edges, accumulate(self._buckets)))
+        return tuple(
+            (target, hits.get(target, 0) / count if count else 0.0)
+            for target in self.targets
         )
 
 

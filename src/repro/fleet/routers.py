@@ -170,7 +170,15 @@ list_routers = _ROUTERS.names
 
 
 def _least_loaded(replicas: Sequence[ReplicaState]) -> ReplicaState:
-    return min(replicas, key=lambda r: (r.queue_depth, r.replica_id))
+    """``min(replicas, key=(queue_depth, replica_id))``, in one pass."""
+    others = iter(replicas)  # never empty
+    chosen = next(others)
+    depth, rid = chosen.queue_depth, chosen.replica_id
+    for replica in others:
+        other = replica.queue_depth
+        if other < depth or (other == depth and replica.replica_id < rid):
+            chosen, depth, rid = replica, other, replica.replica_id
+    return chosen
 
 
 # ----------------------------------------------------------------------

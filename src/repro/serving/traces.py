@@ -38,6 +38,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import (
     Callable,
     Dict,
@@ -426,8 +428,10 @@ class DiurnalTrace:
     @property
     def peak_rate_rps(self) -> float:
         """Upper bound of the rate profile (the thinning envelope)."""
-        return self.rate_rps * (1.0 + self.amplitude) + sum(
-            extra for _, _, extra in self.spikes
+        # Added left to right: sum() compensates from Python 3.12 on, which
+        # would move the envelope, and so the arrivals, between interpreters.
+        return self.rate_rps * (1.0 + self.amplitude) + reduce(
+            add, (extra for _, _, extra in self.spikes), 0
         )
 
     def stream(self, seed: int) -> Iterable[Request]:

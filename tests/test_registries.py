@@ -37,6 +37,7 @@ from repro.fleet import get_router, register_router, unregister_router
 from repro.hw.presets import (
     PlatformPreset,
     get_platform_preset,
+    list_platform_presets,
     register_platform_preset,
     siracusa_platform,
 )
@@ -107,6 +108,10 @@ def nameless(kind: Kind) -> None:
     kind.register(kind.plugin())
 
 
+def empty_name(kind: Kind) -> None:
+    kind.register(kind.plugin(name=""))
+
+
 def incomplete(kind: Kind) -> None:
     kind.register(type("Incomplete", (), {"name": "incomplete"}))
 
@@ -139,9 +144,9 @@ def string_sense(kind: Kind) -> None:
     kind.register(kind.plugin(name="bad_sense", sense="min"))
 
 
-#: (kind, action, error type, exact message).  Presets have no name or
-#: protocol check and no ``unregister``; the last rows are the rules of
-#: one kind each.
+#: (kind, action, error type, exact message).  Presets have no protocol
+#: check and no ``unregister``; the last rows are the rules of one kind
+#: each.
 MESSAGES = [
     ("strategy", nameless, ConfigurationError,
      "a strategy must define a non-empty string `name` attribute"),
@@ -208,6 +213,8 @@ MESSAGES = [
     ("objective", unregister_unknown, UnknownObjectiveError,
      "unknown objective 'nope'; registered: energy, energy_per_request, "
      "hw_cost, latency, slo"),
+    ("preset", empty_name, ConfigurationError,
+     "a platform preset must define a non-empty string `name` attribute"),
     ("preset", taken, ConfigurationError,
      "platform preset 'siracusa-mipi' already registered"),
     ("preset", unknown, UnknownPlatformPresetError,
@@ -251,6 +258,15 @@ def test_aliases_must_be_a_tuple_of_names(kind, aliases):
     for name in ("lifo_test", "lifo", "l", "ok"):
         with pytest.raises(kind.error):
             kind.get(name)
+
+
+@pytest.mark.parametrize("name", ["", None], ids=["empty", "missing"])
+def test_a_nameless_preset_leaves_the_registry_unchanged(name):
+    before = list_platform_presets()
+    with pytest.raises(ConfigurationError) as excinfo:
+        register_platform_preset(preset(name=name))
+    assert excinfo.type is ConfigurationError
+    assert list_platform_presets() == before
 
 
 UNREGISTERING = {name: kind for name, kind in KINDS.items() if kind.unregister}
