@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one figure or table of the paper, each one a
-shipped study.  The underlying studies are deterministic analytical
-simulations, so a
-single round per benchmark is enough; the value of the harness is the
-printed series (compared against the paper in EXPERIMENTS.md) and the
-shape assertions, not statistical timing.
+The benchmarks time components, ablations, design-space search, serving
+and the session's overhead.  The paper's figures and tables are not
+benchmarked here: the paper golden pins their numbers and
+``tests/integration/test_paper_shapes.py`` their shape.  The evaluations
+are deterministic analytical simulations, so a single round per
+benchmark is enough.
 """
 
 from __future__ import annotations
@@ -30,17 +30,5 @@ def run_once(benchmark):
         return benchmark.pedantic(
             function, args=args, kwargs=kwargs, rounds=1, iterations=1
         )
-
-    return _run
-
-
-@pytest.fixture
-def run_study(run_once):
-    """Run the shipped study ``name`` exactly once and return its result."""
-    from repro.api import Study
-    from repro.spec import get_study
-
-    def _run(name):
-        return run_once(lambda: Study(get_study(name)).run())
 
     return _run

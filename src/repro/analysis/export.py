@@ -20,8 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle with repro.api
     from ..api.result import EvalResult
     from ..api.session import CacheInfo, Comparison, EvalSweep
     from ..dse.engine import TuneResult
-    from ..dse.orchestrator import SearchState
-    from ..fleet.metrics import FleetReport
 
 #: Column order of the sweep CSV export.
 SWEEP_CSV_COLUMNS = (
@@ -163,16 +161,6 @@ def eval_result_to_dict(
     return record
 
 
-def cache_info_to_dict(cache: "CacheInfo") -> Dict[str, int]:
-    """Flatten a session's memoisation statistics for JSON export.
-
-    ``dropped_writes`` only appears once a persistent-store write has
-    actually been dropped (a rare contention signal), keeping the cache
-    block of healthy runs identical to earlier releases.
-    """
-    return cache.to_dict()
-
-
 def eval_sweep_to_dict(sweep: "EvalSweep") -> Dict[str, Any]:
     """Flatten any strategy's chip-count sweep into primitives.
 
@@ -204,7 +192,7 @@ def eval_sweep_to_json(
     """
     document = eval_sweep_to_dict(sweep)
     if cache is not None:
-        document["cache"] = cache_info_to_dict(cache)
+        document["cache"] = cache.to_dict()
     return json.dumps(document, indent=indent, sort_keys=True)
 
 
@@ -240,54 +228,13 @@ def tune_result_to_dict(
         "front": [candidate.as_dict() for candidate in result.front],
     }
     if include_cache:
-        document["cache"] = cache_info_to_dict(result.cache)
+        document["cache"] = result.cache.to_dict()
     return document
 
 
 def tune_result_to_json(result: "TuneResult", *, indent: int = 2) -> str:
     """Serialise a tuning run to a JSON document (``repro tune --json``)."""
     return json.dumps(tune_result_to_dict(result), indent=indent, sort_keys=True)
-
-
-def search_state_to_dict(state: "SearchState") -> Dict[str, Any]:
-    """Flatten a tuning checkpoint into JSON-serialisable primitives.
-
-    The same schema-versioned document ``repro tune --checkpoint``
-    writes (kind ``search_state``); see
-    :class:`~repro.dse.orchestrator.SearchState`.
-    """
-    return state.to_spec().to_dict()
-
-
-def search_state_to_json(state: "SearchState") -> str:
-    """Serialise a tuning checkpoint exactly as written to disk."""
-    return state.to_json()
-
-
-def fleet_report_to_dict(
-    report: "FleetReport", *, cache: "CacheInfo | None" = None
-) -> Dict[str, Any]:
-    """Flatten a :class:`~repro.fleet.FleetReport` into primitives.
-
-    The cache-free form (``cache=None``) is what study artifacts use;
-    fleet TTFT/TPOT/SLO/utilisation summaries, per-replica statistics,
-    the windowed timeline, and the autoscaling event log all live under
-    the ``metrics`` key.  Fault-injected runs (``--faults``/``--retry``)
-    additionally carry a ``metrics.resilience`` block (goodput, retry
-    and shed counts, unavailability windows, healthy/degraded SLO
-    split — see ``docs/RESILIENCE.md``) and a ``shed`` column per SLO
-    class; fault-free documents are byte-identical to earlier releases.
-    """
-    return report.to_dict(cache=cache)
-
-
-def fleet_report_to_json(
-    report: "FleetReport", *, indent: int = 2, cache: "CacheInfo | None" = None
-) -> str:
-    """Serialise a fleet run to a JSON document (``repro fleet --json``)."""
-    return json.dumps(
-        fleet_report_to_dict(report, cache=cache), indent=indent, sort_keys=True
-    )
 
 
 def comparison_to_dict(comparison: "Comparison") -> Dict[str, Any]:

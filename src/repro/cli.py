@@ -71,7 +71,6 @@ from .analysis.export import (
     comparison_to_json,
     eval_result_to_dict,
     eval_sweep_to_json,
-    fleet_report_to_json,
     tune_result_to_json,
     write_sweep,
 )
@@ -1414,7 +1413,7 @@ def _command_fleet(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
         _fleet_spec_from_args(args),
-        lambda report, cache: fleet_report_to_json(report, cache=cache),
+        lambda report, cache: report.to_json(cache=cache),
         lambda report: [report.render()],
     )
 

@@ -172,6 +172,34 @@ class Candidate:
             "note": self.note,
         }
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any], index: int) -> "Candidate":
+        """Rebuild a candidate from its :meth:`as_dict` form.
+
+        ``index`` is the candidate's position in a checkpoint's
+        ``candidates`` list, which the error names.
+
+        Raises:
+            AnalysisError: If ``data`` is not a serialised candidate.
+        """
+        try:
+            return cls(
+                point=tuple(sorted(data["point"].items())),
+                strategy=data["strategy"],
+                num_chips=data["num_chips"],
+                feasible=data["feasible"],
+                objective_values=tuple(data["objectives"].items()),
+                block_cycles=data["block_cycles"],
+                block_runtime_seconds=data["block_runtime_seconds"],
+                block_energy_joules=data["block_energy_joules"],
+                note=data.get("note", ""),
+            )
+        except (KeyError, AttributeError, TypeError) as error:
+            raise AnalysisError(
+                f"checkpoint candidates[{index}] is not a serialised "
+                f"candidate ({error!r})"
+            ) from None
+
 
 # ----------------------------------------------------------------------
 # Evaluation
@@ -262,8 +290,8 @@ class DesignEvaluator:
         """Whether ``point`` already has a candidate (no engine run needed)."""
         return point_key(point) in self._candidates
 
-    def preload(self, candidates: Sequence[Candidate]) -> None:
-        """Seed the memo with previously evaluated candidates.
+    def preload(self, candidates: Sequence[Mapping[str, Any]]) -> None:
+        """Seed the memo with a checkpoint's candidates (``as_dict`` forms).
 
         This is how a checkpoint resume avoids re-paying evaluated
         points: the searcher replays deterministically and every
@@ -271,8 +299,12 @@ class DesignEvaluator:
         without touching :attr:`evaluations_requested`.  Insertion order
         is preserved, so :attr:`history` keeps the original evaluation
         order.
+
+        Raises:
+            AnalysisError: If an entry is not a serialised candidate.
         """
-        for candidate in candidates:
+        for index, data in enumerate(candidates):
+            candidate = Candidate.from_dict(data, index)
             self._candidates.setdefault(candidate.point, candidate)
 
     def announce(self, points: Sequence[Point]) -> None:

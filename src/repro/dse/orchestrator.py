@@ -5,11 +5,10 @@ and a registered search algorithm and adds the production concerns the
 searchers themselves stay free of:
 
 * **Batched evaluation.**  Searchers announce the points they visit
-  next by exposing ``plan(space, budget=..., rng=...)`` (a
-  result-independent point schedule, e.g. grid/random) or by calling
-  ``evaluate.prefill(points)`` before evaluating a batch (the
-  multi-fidelity searchers).  On a miss the evaluator prices the
-  requested point and the announced ones after it in one
+  next by calling ``evaluate.prefill(points)``: grid and random announce
+  their whole schedule before the first evaluation, the multi-fidelity
+  searchers each batch before evaluating it.  On a miss the evaluator
+  prices the requested point and the announced ones after it in one
   :meth:`repro.api.Session.run_many` call
   (:class:`~repro.dse.engine.DesignEvaluator`); a serial window never
   reaches past the next checkpoint or the interrupt hook.
@@ -23,11 +22,12 @@ searchers themselves stay free of:
   (and once more on completion or :class:`KeyboardInterrupt`) the run's
   :class:`SearchState` — searcher identity, RNG state, evaluated
   candidates, incumbent front, budget spent — is written atomically as a
-  schema-versioned JSON document.  Resume *replays* the search: the
-  evaluator is preloaded with the checkpointed candidates and the
-  searcher re-runs from the same seed, so checkpointed points are
-  answered without engine runs while the visited order, budget
-  accounting, and RNG draws exactly reproduce an uninterrupted run.
+  schema-versioned JSON document (spec kind ``search_state``).  Resume
+  *replays* the search: the evaluator is preloaded with the checkpointed
+  candidates and the searcher re-runs from the same seed, so
+  checkpointed points are answered without engine runs while the
+  visited order, budget accounting, and RNG draws exactly reproduce an
+  uninterrupted run.
   Replay keeps every registered searcher resumable without making any
   of them checkpoint-aware.
 
@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import AnalysisError, SearchInterrupted
+from ..errors import AnalysisError, SearchInterrupted, SpecError
+from ..spec.base import SpecBase, register, spec_error
 from .engine import Candidate, DesignEvaluator
 from .objectives import Objective
 from .pareto import Constraint, filter_constraints, pareto_front
@@ -73,9 +74,15 @@ INTERRUPT_ENV = "REPRO_TUNE_INTERRUPT_AFTER"
 # ----------------------------------------------------------------------
 # Search state
 # ----------------------------------------------------------------------
+@register
 @dataclass(frozen=True)
-class SearchState:
-    """A tuning run's resumable state, as written at a checkpoint.
+class SearchState(SpecBase):
+    """A tuning run's resumable state: the checkpoint document.
+
+    Spec kind ``search_state``, written by ``repro tune --checkpoint``
+    and read back by ``repro tune --resume`` and Study-stage resume; it
+    is not a runnable stage.  Every field is required, so a checkpoint
+    document always carries the whole state.
 
     Attributes:
         searcher: Canonical searcher name.
@@ -91,10 +98,13 @@ class SearchState:
             cache-hit repeats included — the budget spent.
         rng_state: JSON-ready :meth:`random.Random.getstate` snapshot at
             checkpoint time.
-        candidates: Unique evaluated candidates, in evaluation order.
+        candidates: Unique evaluated candidates, in evaluation order, in
+            their :meth:`~repro.dse.engine.Candidate.as_dict` form.
         front: Indices into ``candidates`` forming the incumbent
             constraint-feasible Pareto front.
     """
+
+    kind = "search_state"
 
     searcher: str
     seed: int
@@ -106,54 +116,35 @@ class SearchState:
     constraints: Tuple[str, ...]
     evaluations_requested: int
     rng_state: Any
-    candidates: Tuple[Candidate, ...]
+    candidates: Tuple[Mapping[str, Any], ...]
     front: Tuple[int, ...]
 
-    def to_spec(self):
-        """The serialisable :class:`~repro.spec.SearchStateSpec` form."""
-        from ..spec.specs import SearchStateSpec
-
-        return SearchStateSpec(
-            searcher=self.searcher,
-            seed=self.seed,
-            budget=self.budget,
-            workload=self.workload,
-            axes=self.axes,
-            space_size=self.space_size,
-            objectives=self.objectives,
-            constraints=self.constraints,
-            evaluations_requested=self.evaluations_requested,
-            rng_state=self.rng_state,
-            candidates=tuple(
-                candidate.as_dict() for candidate in self.candidates
-            ),
-            front=self.front,
-        )
-
-    def to_json(self) -> str:
-        """Canonical checkpoint text (schema tag, sorted keys, newline)."""
-        return self.to_spec().to_json()
+    def __post_init__(self) -> None:
+        for name in ("axes", "objectives", "constraints", "candidates", "front"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.evaluations_requested < 0:
+            raise SpecError(
+                "evaluations_requested must be >= 0, got "
+                f"{self.evaluations_requested}"
+            )
+        for index in self.front:
+            if not 0 <= index < len(self.candidates):
+                raise SpecError(
+                    f"front index {index} outside the candidate list "
+                    f"(length {len(self.candidates)})"
+                )
 
     @classmethod
-    def from_spec(cls, spec) -> "SearchState":
-        """Rebuild the runtime state from its serialised spec form."""
-        return cls(
-            searcher=spec.searcher,
-            seed=spec.seed,
-            budget=spec.budget,
-            workload=spec.workload,
-            axes=tuple(spec.axes),
-            space_size=spec.space_size,
-            objectives=tuple(spec.objectives),
-            constraints=tuple(spec.constraints),
-            evaluations_requested=spec.evaluations_requested,
-            rng_state=spec.rng_state,
-            candidates=tuple(
-                _candidate_from_dict(data, index)
-                for index, data in enumerate(spec.candidates)
-            ),
-            front=tuple(spec.front),
-        )
+    def from_dict(cls, data: Any, path: str = "$") -> "SearchState":
+        candidates = data.get("candidates") if isinstance(data, Mapping) else None
+        if isinstance(candidates, (list, tuple)):
+            for index, item in enumerate(candidates):
+                if not isinstance(item, Mapping) or "point" not in item:
+                    raise spec_error(
+                        f"{path}.candidates[{index}]",
+                        "expected a serialised candidate mapping with a 'point'",
+                    )
+        return super().from_dict(data, path)
 
     def save(self, path: Union[str, Path]) -> None:
         """Atomically write the checkpoint document to ``path``."""
@@ -164,28 +155,6 @@ class SearchState:
         os.replace(staging, target)
 
 
-def _candidate_from_dict(data: Mapping[str, Any], index: int) -> Candidate:
-    """Rebuild one :class:`Candidate` from its ``as_dict`` form."""
-    try:
-        point = data["point"]
-        return Candidate(
-            point=tuple(sorted(point.items())),
-            strategy=data["strategy"],
-            num_chips=data["num_chips"],
-            feasible=data["feasible"],
-            objective_values=tuple(data["objectives"].items()),
-            block_cycles=data["block_cycles"],
-            block_runtime_seconds=data["block_runtime_seconds"],
-            block_energy_joules=data["block_energy_joules"],
-            note=data.get("note", ""),
-        )
-    except (KeyError, AttributeError, TypeError) as error:
-        raise AnalysisError(
-            f"checkpoint candidates[{index}] is not a serialised "
-            f"candidate ({error!r})"
-        ) from None
-
-
 def load_search_state(path: Union[str, Path]) -> SearchState:
     """Read and validate a checkpoint document.
 
@@ -194,8 +163,6 @@ def load_search_state(path: Union[str, Path]) -> SearchState:
         SpecError: If the document is structurally invalid (with the
             JSON path of the offending field).
     """
-    from ..spec.specs import SearchStateSpec
-
     target = Path(path)
     try:
         text = target.read_text(encoding="utf-8")
@@ -209,7 +176,7 @@ def load_search_state(path: Union[str, Path]) -> SearchState:
         raise AnalysisError(
             f"checkpoint {target} is not valid JSON: {error}"
         ) from None
-    return SearchState.from_spec(SearchStateSpec.from_dict(data, path=str(target)))
+    return SearchState.from_dict(data, path=str(target))
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +188,8 @@ class _OrchestratedEvaluate:
     Delegates to the orchestrator, which tracks fresh evaluations for
     checkpoints and the interrupt hook; ``prefill(points)`` is the
     evaluator's :meth:`~repro.dse.engine.DesignEvaluator.announce`, by
-    which batch-oriented searchers announce the points they evaluate
-    next, in order, for the evaluator to price in one session call.
+    which searchers announce the points they evaluate next, in order,
+    for the evaluator to price in one session call.
     """
 
     def __init__(self, orchestrator: "SearchOrchestrator") -> None:
@@ -293,19 +260,10 @@ class SearchOrchestrator:
             state = load_search_state(self.resume)
             self._validate_resume(state)
             self.evaluator.preload(state.candidates)
-        evaluate = _OrchestratedEvaluate(self)
-        plan = getattr(self.algorithm, "plan", None)
-        if plan is not None:
-            # A cloned generator keeps the searcher's own draws
-            # untouched; result-independent schedules (grid, random)
-            # are therefore exactly the points `search` will visit.
-            evaluate.prefill(
-                plan(self.space, budget=self.budget, rng=random.Random(self.seed))
-            )
         try:
             self.algorithm.search(
                 self.space,
-                evaluate,
+                _OrchestratedEvaluate(self),
                 self.objectives,
                 budget=self.budget,
                 rng=self._rng,
@@ -389,7 +347,7 @@ class SearchOrchestrator:
             ),
             evaluations_requested=self.evaluator.evaluations_requested,
             rng_state=self._rng.getstate(),
-            candidates=candidates,
+            candidates=tuple(candidate.as_dict() for candidate in candidates),
             front=tuple(positions[candidate.point] for candidate in front),
         )
 

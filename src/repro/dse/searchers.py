@@ -35,12 +35,12 @@ rung pools are triaged by a free analytic proxy before any budget is
 spent) and ``surrogate`` (a numpy-only ridge-regression surrogate that
 ranks cheap predictions to propose evaluation batches).
 
-Two optional hooks let the orchestrator parallelise a searcher without
-changing its visited sequence: a ``plan(space, budget=..., rng=...)``
-method returning the exact points ``search`` will request when the
-schedule is result-independent (grid, random), and — for searchers that
-work in batches — calling ``evaluate.prefill(points)`` before
-evaluating a batch when the callable provides it.
+One optional hook lets the orchestrator batch and parallelise a
+searcher without changing its visited sequence: when the ``evaluate``
+callable has a ``prefill`` attribute, a searcher may call
+``evaluate.prefill(points)`` to announce the points it evaluates next,
+in order.  ``grid`` and ``random`` announce their whole schedule before
+the first evaluation, ``halving`` and ``surrogate`` each batch.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ get_searcher = _SEARCHERS.get
 list_searchers = _SEARCHERS.names
 
 
+def _prefill_hook(evaluate):
+    """The orchestrator's announcement hook, if the callable offers one."""
+    return getattr(evaluate, "prefill", None)
+
+
 # ----------------------------------------------------------------------
 # Scalarisation (annealing)
 # ----------------------------------------------------------------------
@@ -178,19 +183,17 @@ class GridSearcher:
     aliases = ("exhaustive",)
     label = "Exhaustive grid enumeration (finite spaces)"
 
-    def plan(self, space, *, budget, rng):
-        """The exact points :meth:`search` will visit (for prefill)."""
+    def search(self, space, evaluate, objectives, *, budget, rng):
         if space.size is None:
             raise ConfigurationError(
                 "grid search needs a finite space; give every float axis "
                 "explicit levels (or use the random/anneal searchers)"
             )
-        return [
-            point for _, point in zip(range(budget), space.grid())
-        ]
-
-    def search(self, space, evaluate, objectives, *, budget, rng):
-        return [evaluate(point) for point in self.plan(space, budget=budget, rng=rng)]
+        points = [point for _, point in zip(range(budget), space.grid())]
+        prefill = _prefill_hook(evaluate)
+        if prefill is not None:
+            prefill(points)
+        return [evaluate(point) for point in points]
 
 
 @register_searcher
@@ -200,15 +203,15 @@ class RandomSearcher:
     name = "random"
     label = "Uniform random sampling"
 
-    def plan(self, space, *, budget, rng):
-        """The exact points :meth:`search` will visit (for prefill).
-
-        ``search`` draws nothing but its samples, so a same-seeded
-        generator reproduces its whole schedule.
-        """
-        return [space.sample(rng) for _ in range(budget)]
-
     def search(self, space, evaluate, objectives, *, budget, rng):
+        prefill = _prefill_hook(evaluate)
+        if prefill is not None:
+            # The walk draws nothing but its samples, so a copy of the
+            # generator announces the whole schedule and leaves the
+            # walk's own draws untouched.
+            ahead = random.Random()
+            ahead.setstate(rng.getstate())
+            prefill([space.sample(ahead) for _ in range(budget)])
         return [evaluate(space.sample(rng)) for _ in range(budget)]
 
 
@@ -335,11 +338,6 @@ class EvolutionarySearcher:
 # ----------------------------------------------------------------------
 # Multi-fidelity searchers (orchestrator-aware)
 # ----------------------------------------------------------------------
-def _prefill_hook(evaluate):
-    """The orchestrator's batch-prefill hook, if the callable offers one."""
-    return getattr(evaluate, "prefill", None)
-
-
 def _proxy_score(point: Point) -> float:
     """A free analytic cost proxy used only to *triage* candidate pools.
 

@@ -18,7 +18,7 @@ analytical model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..errors import AnalysisError
 from ..hw.platform import MultiChipPlatform
@@ -61,50 +61,29 @@ class EnergyReport:
     """System energy of one simulated block.
 
     Attributes:
-        per_chip: Energy breakdown of each chip (chip-to-chip energy is
-            charged to the sending chip).
-        total: System-level breakdown (sum over chips).
+        total: System-level breakdown (sum over chips, in chip order).
         runtime_seconds: Block runtime, kept here so the report can compute
             the energy-delay product on its own.
+        _packed_per_chip: One ``(chip id, compute, l2_l1, l3_l2,
+            chip_to_chip)`` row of joules per chip, in chip order.  Flat
+            rows keep building and pickling a report free of per-chip
+            objects; :attr:`per_chip` builds the breakdowns on read.
     """
 
-    per_chip: Dict[int, EnergyBreakdown]
     total: EnergyBreakdown
     runtime_seconds: float
+    _packed_per_chip: Tuple[Tuple[int, float, float, float, float], ...]
 
-    # ------------------------------------------------------------------
-    # Compact pickling
-    # ------------------------------------------------------------------
-    # One breakdown per chip is persisted for every cached evaluation;
-    # flattening them to a float row per chip keeps the pickle small, and
-    # the objects are only materialised when ``per_chip`` is read.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        per_chip = state.pop("per_chip", None)
-        if per_chip is not None:
-            state["_packed_per_chip"] = tuple(
-                (chip_id, b.compute, b.l2_l1, b.l3_l2, b.chip_to_chip)
-                for chip_id, b in per_chip.items()
-            )
-        return state
+    @property
+    def per_chip(self) -> Dict[int, EnergyBreakdown]:
+        """Energy breakdown of each chip, built from the packed rows.
 
-    def __getattr__(self, name: str):
-        if name == "per_chip":
-            packed = self.__dict__.get("_packed_per_chip")
-            if packed is not None:
-                per_chip = {}
-                for chip_id, compute, l2_l1, l3_l2, chip_to_chip in packed:
-                    breakdown = EnergyBreakdown.__new__(EnergyBreakdown)
-                    breakdown.__dict__.update(
-                        compute=compute, l2_l1=l2_l1, l3_l2=l3_l2,
-                        chip_to_chip=chip_to_chip,
-                    )
-                    per_chip[chip_id] = breakdown
-                object.__setattr__(self, "per_chip", per_chip)
-                return per_chip
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+        Chip-to-chip energy is charged to the sending chip.
+        """
+        return {
+            chip_id: EnergyBreakdown(*energies)
+            for chip_id, *energies in self._packed_per_chip
+        }
 
     @property
     def total_joules(self) -> float:
@@ -139,28 +118,29 @@ class EnergyModel:
         l2_energy = chip.l2.access_energy_pj_per_byte * 1e-12
         l3_energy = chip.l3.access_energy_pj_per_byte * 1e-12
 
-        per_chip: Dict[int, EnergyBreakdown] = {}
+        rows = []
         # The totals add up in chip order from 0.0, as summing the
-        # breakdowns one by one would, without building one per chip.
+        # breakdowns one by one would.  Each row's terms are products of
+        # counters and parameters that the cluster, memory and link
+        # models already reject when negative; the total is checked.
         compute = l2_l1 = l3_l2 = chip_to_chip = 0.0
         for chip_id, trace in result.chip_traces.items():
             compute_seconds = trace.compute_cycles / cluster.frequency_hz
-            breakdown = per_chip[chip_id] = EnergyBreakdown(
-                compute=cluster.power_w * compute_seconds,
-                l2_l1=trace.l2_l1_bytes * l2_energy,
-                l3_l2=trace.l3_l2_bytes * l3_energy,
-                chip_to_chip=link.transfer_energy_joules(int(trace.c2c_bytes_sent)),
-            )
-            compute += breakdown.compute
-            l2_l1 += breakdown.l2_l1
-            l3_l2 += breakdown.l3_l2
-            chip_to_chip += breakdown.chip_to_chip
+            chip_compute = cluster.power_w * compute_seconds
+            chip_l2_l1 = trace.l2_l1_bytes * l2_energy
+            chip_l3_l2 = trace.l3_l2_bytes * l3_energy
+            chip_c2c = link.transfer_energy_joules(int(trace.c2c_bytes_sent))
+            rows.append((chip_id, chip_compute, chip_l2_l1, chip_l3_l2, chip_c2c))
+            compute += chip_compute
+            l2_l1 += chip_l2_l1
+            l3_l2 += chip_l3_l2
+            chip_to_chip += chip_c2c
         return EnergyReport(
-            per_chip=per_chip,
             total=EnergyBreakdown(
                 compute=compute, l2_l1=l2_l1, l3_l2=l3_l2, chip_to_chip=chip_to_chip
             ),
             runtime_seconds=result.runtime_seconds,
+            _packed_per_chip=tuple(rows),
         )
 
 

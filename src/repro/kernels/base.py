@@ -20,7 +20,9 @@ residency decision to produce L3 traffic and exposed DMA time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,14 @@ def merge_costs(name: str, costs) -> KernelCost:
     costs = list(costs)
     if not costs:
         return KernelCost(name=name, compute_cycles=0.0, l2_l1_bytes=0.0)
+    # The float totals add left to right, as `sum` does only before
+    # Python 3.12 (it compensates from 3.12 on, moving the last bit).
     return KernelCost(
         name=name,
-        compute_cycles=sum(cost.compute_cycles for cost in costs),
-        l2_l1_bytes=sum(cost.l2_l1_bytes for cost in costs),
+        compute_cycles=reduce(
+            operator.add, (cost.compute_cycles for cost in costs), 0
+        ),
+        l2_l1_bytes=reduce(operator.add, (cost.l2_l1_bytes for cost in costs), 0),
         weight_bytes=sum(cost.weight_bytes for cost in costs),
         weight_passes=max(cost.weight_passes for cost in costs),
         macs=sum(cost.macs for cost in costs),

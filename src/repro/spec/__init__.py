@@ -10,7 +10,8 @@ leaf specs they compose (:class:`ModelSpec`, :class:`WorkloadSpec`,
 references.  The fleet and DSE settings a spec holds are spec kinds in
 their home packages (:class:`repro.fleet.FleetPlatform`,
 :class:`repro.fleet.FaultModel`, :class:`repro.dse.ServingScenario`,
-...).  A spec can be saved, diffed, shared, validated
+...), and so is a tune's checkpoint (:class:`repro.dse.SearchState`).
+A spec can be saved, diffed, shared, validated
 (:meth:`~repro.spec.specs.StudySpec.validate`, with precise document
 paths), and replayed bit-for-bit:
 
@@ -37,7 +38,6 @@ from .specs import (
     PlatformSpec,
     RUNNABLE_KINDS,
     RunnableSpec,
-    SearchStateSpec,
     ServingSpec,
     SpaceSpec,
     StageSpec,
@@ -64,7 +64,6 @@ __all__ = [
     "RUNNABLE_KINDS",
     "RunnableSpec",
     "SPEC_SCHEMA_VERSION",
-    "SearchStateSpec",
     "ServingSpec",
     "SpaceSpec",
     "SpecBase",

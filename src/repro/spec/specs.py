@@ -50,7 +50,6 @@ __all__ = [
     "PlatformSpec",
     "RUNNABLE_KINDS",
     "RunnableSpec",
-    "SearchStateSpec",
     "ServingSpec",
     "SpaceSpec",
     "StageSpec",
@@ -817,66 +816,6 @@ class TuneSpec(SpecBase):
                 get_objective(constraint.objective)
             except ReproError as error:
                 raise _wrap(f"{path}.constraints[{index}]", error) from None
-
-
-@register
-@dataclass(frozen=True)
-class SearchStateSpec(SpecBase):
-    """A tuning run's checkpoint document (``repro tune --checkpoint``).
-
-    The serialised form of :class:`repro.dse.orchestrator.SearchState`:
-    the search's identity fields (used as a resume fingerprint), the
-    budget spent, the searcher RNG state, every evaluated candidate in
-    evaluation order, and the incumbent front as indices into the
-    candidate list.  All fields are required, so a checkpoint document
-    always carries the whole state.  This spec is *not* runnable — it is
-    consumed by ``repro tune --resume`` and Study-stage resume.
-    """
-
-    kind = "search_state"
-
-    searcher: str
-    seed: int
-    budget: int
-    workload: str
-    axes: Tuple[str, ...]
-    space_size: Optional[int]
-    objectives: Tuple[str, ...]
-    constraints: Tuple[str, ...]
-    evaluations_requested: int
-    rng_state: Any
-    candidates: Tuple[Mapping[str, Any], ...]
-    front: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "objectives", tuple(self.objectives))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "front", tuple(self.front))
-        if self.evaluations_requested < 0:
-            raise SpecError(
-                "evaluations_requested must be >= 0, got "
-                f"{self.evaluations_requested}"
-            )
-        for index in self.front:
-            if not 0 <= index < len(self.candidates):
-                raise SpecError(
-                    f"front index {index} outside the candidate list "
-                    f"(length {len(self.candidates)})"
-                )
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "$") -> "SearchStateSpec":
-        candidates = data.get("candidates") if isinstance(data, Mapping) else None
-        if isinstance(candidates, (list, tuple)):
-            for index, item in enumerate(candidates):
-                if not isinstance(item, Mapping) or "point" not in item:
-                    raise spec_error(
-                        f"{path}.candidates[{index}]",
-                        "expected a serialised candidate mapping with a 'point'",
-                    )
-        return super().from_dict(data, path)
 
 
 #: The six spec kinds :func:`repro.spec.execute` (and so a study stage) can run.

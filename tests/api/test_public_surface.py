@@ -33,7 +33,7 @@ import repro.api.session
 import repro.sim.fastpath
 import repro.spec.runner
 from repro.api import EvalResult, EvalSweep, Session
-from repro.dse import ServingScenario
+from repro.dse import SearchState, ServingScenario
 from repro.fleet import (
     AdmissionController,
     AutoscalerConfig,
@@ -94,7 +94,15 @@ REMOVED_NAMES = {
         "TINYLLAMA_PROMPT_SEQ_LEN",
         "TINYLLAMA_SCALED_NUM_HEADS",
     ),
-    "repro.analysis": ("ChipCountSweep", "SweepResult", "chip_count_sweep"),
+    "repro.analysis": (
+        "ChipCountSweep",
+        "SweepResult",
+        "chip_count_sweep",
+        "fleet_report_to_dict",
+        "fleet_report_to_json",
+        "search_state_to_dict",
+        "search_state_to_json",
+    ),
     "repro.baselines": (
         "BaselineResult",
         "compare_approaches",
@@ -121,6 +129,7 @@ REMOVED_NAMES = {
         "RetryPolicySpec",
         "SLOClassSpec",
         "ScenarioSpec",
+        "SearchStateSpec",
         "study_description",
     ),
 }
@@ -135,6 +144,15 @@ MERGED_KINDS = (
     ({"kind": "faults"}, FaultModel),
     ({"kind": "retry"}, RetryPolicy),
     ({"kind": "serving_scenario"}, ServingScenario),
+    (
+        {
+            "kind": "search_state", "searcher": "grid", "seed": 0,
+            "budget": 1, "workload": "w", "axes": [], "space_size": None,
+            "objectives": [], "constraints": [], "evaluations_requested": 0,
+            "rng_state": None, "candidates": [], "front": [],
+        },
+        SearchState,
+    ),
 )
 
 REMOVED_MODULES = (

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from repro.analysis.export import (
-    search_state_to_dict,
-    search_state_to_json,
-    tune_result_to_dict,
-)
+from repro.analysis.export import tune_result_to_dict
 from repro.api import Session
 from repro.dse import (
     ChoiceAxis,
@@ -21,12 +18,13 @@ from repro.dse import (
     list_searchers,
     load_search_state,
 )
+from repro.dse.engine import Candidate, DesignEvaluator
+from repro.dse.objectives import get_objective
 from repro.dse.orchestrator import INTERRUPT_ENV, SearchState
-from repro.dse.searchers import GridSearcher, RandomSearcher
 from repro.errors import AnalysisError, SearchInterrupted, SpecError
 from repro.graph.workload import autoregressive
 from repro.models import tinyllama_42m
-from repro.spec import SearchStateSpec
+from repro.spec import loads, spec_from_dict
 
 
 @pytest.fixture
@@ -80,12 +78,43 @@ class TestSearchState:
         path = self.checkpoint(tmp_path, workload)
         state = load_search_state(path)
         assert isinstance(state, SearchState)
-        spec = state.to_spec()
-        assert isinstance(spec, SearchStateSpec)
-        assert SearchStateSpec.from_dict(spec.to_dict()) == spec
-        assert SearchState.from_spec(spec).to_json() == state.to_json()
-        assert search_state_to_json(state) == path.read_text()
-        assert search_state_to_dict(state) == spec.to_dict()
+        assert SearchState.from_dict(state.to_dict()) == state
+        assert loads(path.read_text()) == state
+        assert spec_from_dict(json.loads(path.read_text())) == state
+        assert state.to_json() == path.read_text()
+
+    def test_candidates_round_trip_through_their_dict_form(
+        self, tmp_path, workload
+    ):
+        path = self.checkpoint(tmp_path, workload)
+        result = tune(Session(), workload)
+        state = load_search_state(path)
+        assert state.candidates == tuple(
+            candidate.as_dict() for candidate in result.candidates
+        )
+        assert [
+            Candidate.from_dict(data, index).as_dict()
+            for index, data in enumerate(state.candidates)
+        ] == list(state.candidates)
+
+    def test_a_malformed_candidate_fails_the_preload(self, workload):
+        evaluator = DesignEvaluator(
+            Session(), workload, (get_objective("latency"),)
+        )
+        with pytest.raises(
+            AnalysisError,
+            match=r"checkpoint candidates\[1\] is not a serialised candidate "
+            r"\(KeyError\('strategy'\)\)",
+        ):
+            evaluator.preload(
+                [
+                    {"point": {"chips": 1}, "strategy": "paper",
+                     "num_chips": 1, "feasible": False, "objectives": {},
+                     "block_cycles": None, "block_runtime_seconds": None,
+                     "block_energy_joules": None},
+                    {"point": {"chips": 2}},
+                ]
+            )
 
     def test_save_is_atomic_and_creates_parents(self, tmp_path, workload):
         path = self.checkpoint(tmp_path, workload)
@@ -100,7 +129,10 @@ class TestSearchState:
         state = load_search_state(path)
         result = tune(Session(), workload)
         front_points = {candidate.point for candidate in result.front}
-        indexed = {state.candidates[index].point for index in state.front}
+        indexed = {
+            Candidate.from_dict(state.candidates[index], index).point
+            for index in state.front
+        }
         assert indexed == front_points
 
     def test_unreadable_and_malformed_checkpoints_error(self, tmp_path):
@@ -117,7 +149,7 @@ class TestSearchState:
 
     def test_spec_validates_front_indices(self):
         with pytest.raises(SpecError, match="front index"):
-            SearchStateSpec(
+            SearchState(
                 searcher="random",
                 seed=0,
                 budget=4,
@@ -273,18 +305,53 @@ class TestMultiFidelitySearchers:
         ]
         assert documents[0] == documents[1]
 
-    def test_plan_enumerates_the_search_order(self):
-        space = small_space()
-        rng_budget = 4
-        import random
+    @pytest.mark.parametrize("searcher", ["grid", "random"])
+    def test_announces_the_search_order_before_evaluating(
+        self, searcher, workload, monkeypatch
+    ):
+        # Grid and random announce their whole schedule through
+        # ``evaluate.prefill`` before the first evaluation, and then
+        # request exactly the announced points, in order.
+        calls = []
+        announce = DesignEvaluator.announce
+        evaluate = DesignEvaluator.evaluate
 
-        grid_plan = GridSearcher().plan(space, budget=rng_budget,
-                                        rng=random.Random(0))
-        assert grid_plan == [
-            point for _, point in zip(range(rng_budget), space.grid())
-        ]
-        random_plan = RandomSearcher().plan(space, budget=rng_budget,
-                                            rng=random.Random(5))
-        replay = [space.sample(random.Random(5)) for _ in range(1)]
-        assert random_plan[0] == replay[0]
-        assert len(random_plan) == rng_budget
+        def spy_announce(self, points):
+            calls.append(("prefill", [dict(point) for point in points]))
+            return announce(self, points)
+
+        def spy_evaluate(self, point, **kwargs):
+            calls.append(("evaluate", dict(point)))
+            return evaluate(self, point, **kwargs)
+
+        monkeypatch.setattr(DesignEvaluator, "announce", spy_announce)
+        monkeypatch.setattr(DesignEvaluator, "evaluate", spy_evaluate)
+        space = small_space()
+        tune(Session(), workload, searcher=searcher, budget=4, seed=5)
+        (kind, announced), *evaluations = calls
+        assert kind == "prefill"
+        assert evaluations == [("evaluate", point) for point in announced]
+        if searcher == "grid":
+            assert announced == list(space.grid())
+        else:
+            rng = random.Random(5)
+            assert announced == [space.sample(rng) for _ in range(4)]
+
+    def test_random_announces_from_a_copy_of_its_generator(self):
+        # The announcement must not advance the walk's generator: every
+        # checkpoint records that generator's state.
+        rng = random.Random(5)
+        space = small_space()
+        evaluated = []
+
+        def evaluate(point):
+            evaluated.append(point)
+            return point
+
+        evaluate.prefill = lambda points: None
+        get_searcher("random").search(
+            space, evaluate, (), budget=4, rng=rng
+        )
+        replay = random.Random(5)
+        assert evaluated == [space.sample(replay) for _ in range(4)]
+        assert rng.getstate() == replay.getstate()

@@ -63,6 +63,16 @@ class TestKernelCost:
         assert merged.weight_passes == 3
         assert merged.macs == 110
 
+    def test_merge_adds_floats_left_to_right(self):
+        # A compensated sum (`sum` from Python 3.12 on) reads 1e16 + 2
+        # here; every interpreter must give the left-to-right 1e16.
+        merged = merge_costs("sum", [
+            KernelCost(name, value, value)
+            for name, value in (("a", 1.0), ("b", 1e16), ("c", 1.0))
+        ])
+        assert merged.compute_cycles == 1e16
+        assert merged.l2_l1_bytes == 1e16
+
     def test_merge_empty(self):
         merged = merge_costs("empty", [])
         assert merged.compute_cycles == 0 and merged.l2_l1_bytes == 0

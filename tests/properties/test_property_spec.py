@@ -21,7 +21,7 @@ import json
 from hypothesis import given, settings, strategies as st
 from test_property_arch import arch_specs, block_groups
 
-from repro.dse import ServingScenario
+from repro.dse import SearchState, ServingScenario
 from repro.dse.space import SearchSpace
 from repro.errors import SpecError
 from repro.fleet import (
@@ -42,7 +42,6 @@ from repro.spec import (
     FleetSpec,
     ModelSpec,
     PlatformSpec,
-    SearchStateSpec,
     ServingSpec,
     SpaceSpec,
     StageSpec,
@@ -456,7 +455,7 @@ def search_state_specs(draw):
             max_size=len(candidates), unique=True,
         ).map(tuple)
     )
-    return SearchStateSpec(
+    return SearchState(
         searcher=draw(st.sampled_from(["random", "grid", "surrogate"])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
         budget=draw(st.integers(min_value=1, max_value=64)),

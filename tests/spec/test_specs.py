@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro.dse import ServingScenario
+from repro.dse import SearchState, ServingScenario
 from repro.errors import SpecError
 from repro.spec import (
     SPEC_SCHEMA_VERSION,
@@ -21,7 +21,6 @@ from repro.spec import (
     StageSpec,
     StudySpec,
     SweepSpec,
-    SearchStateSpec,
     TraceSpec,
     TuneSpec,
     WorkloadSpec,
@@ -491,7 +490,7 @@ class TestInlineArch:
 
 
 class TestOrchestratorSpecs:
-    """TuneSpec orchestration fields and the SearchStateSpec checkpoint."""
+    """TuneSpec orchestration fields and the SearchState checkpoint."""
 
     STATE = {
         "searcher": "random",
@@ -527,22 +526,22 @@ class TestOrchestratorSpecs:
             TuneSpec(checkpoint_every=0)
 
     def test_search_state_roundtrip(self):
-        spec = SearchStateSpec(**self.STATE)
+        spec = SearchState(**self.STATE)
         assert loads(spec.to_json()) == spec
-        assert SearchStateSpec.from_dict(spec.to_dict()) == spec
+        assert SearchState.from_dict(spec.to_dict()) == spec
 
     def test_search_state_front_must_index_candidates(self):
         with pytest.raises(SpecError, match="front index"):
-            SearchStateSpec(**{**self.STATE, "front": (1,)})
+            SearchState(**{**self.STATE, "front": (1,)})
 
     def test_search_state_candidates_must_carry_points(self):
-        document = SearchStateSpec(**self.STATE).to_dict()
+        document = SearchState(**self.STATE).to_dict()
         document["candidates"] = [{"feasible": True}]
         with pytest.raises(SpecError, match=r"candidates\[0\]"):
             spec_from_dict(document)
 
     def test_search_state_missing_field_reports_path(self):
-        document = SearchStateSpec(**self.STATE).to_dict()
+        document = SearchState(**self.STATE).to_dict()
         del document["rng_state"]
         with pytest.raises(SpecError, match="rng_state"):
             spec_from_dict(document)
