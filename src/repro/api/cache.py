@@ -17,10 +17,19 @@ Location (first match wins):
 
 ``REPRO_NO_CACHE=1`` (or ``--no-cache``) disables the default store.
 
+A row is a pickled :class:`~repro.api.EvalResult` whose model
+configuration and platform are interned (:mod:`repro.interning`): each
+is stored as the pickle of its field values, and loading a row hands
+back the one live object of that value, so a process decodes each
+configuration and platform once, not once per row.  The row's block
+program records only a custom kernel library (``None`` stands for the
+platform's default, which is rebuilt on demand).
+
 Stores are stamped with a schema version and a code version: the
 package version plus a digest of every source on the evaluation path
 (graph, hardware, kernels, partition and scheduler, simulator, energy,
-baselines, architectures, models, the strategies and the result type).
+baselines, architectures, models, the strategies, the result type and
+the interning of stored values).
 Opening a store written under a different stamp drops its entries, so
 editing cost-model code in a working tree — not only a release bump —
 can never be answered with results of the old code.  Corrupt stores are
@@ -132,6 +141,7 @@ _EVALUATION_SOURCES = (
     "energy",
     "graph",
     "hw",
+    "interning.py",
     "kernels",
     "models",
     "sim",

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..errors import SchedulingError
 from ..graph.workload import Workload
 from ..hw.platform import MultiChipPlatform
+from ..interning import shared_rows
 from .partition import BlockPartition
 from .placement import MemoryPlan, PrefetchAccounting
 
@@ -183,8 +184,9 @@ class BlockProgram:
         memory_plans: Per-chip weight-placement decisions.
         schedules: Per-chip step schedules (keyed by chip id).
         prefetch_accounting: The prefetch runtime-accounting policy used.
-        kernel_library: The kernel cost models the schedules were priced
-            with (kept so pickled programs can rebuild their schedules).
+        kernel_library: The custom kernel cost models the schedules were
+            priced with, or ``None`` for the platform's default (kept so
+            pickled programs can rebuild their schedules).
     """
 
     workload: Workload
@@ -239,7 +241,8 @@ class BlockProgram:
     # are a pure deterministic function of the remaining fields, so they
     # are dropped from the pickle and rebuilt on first access; hand-built
     # programs keep their schedules verbatim.  The per-chip memory plans
-    # are flattened to value rows and rebuilt in one batch.  This is what
+    # are flattened to ``(chip id, value row)`` pairs, chips with equal
+    # plans sharing one row, and rebuilt in one batch.  This is what
     # keeps the persistent evaluation cache (`repro.api.cache`) and
     # process-pool result transfers cheap.  A compiled simulator sweep
     # (see `repro.sim.fastpath`) is in-memory reuse state and is dropped.
@@ -254,9 +257,8 @@ class BlockProgram:
             state["_schedules_are_canonical"] = True
         plans = state.pop("memory_plans", None)
         if plans is not None:
-            packed = tuple(
+            rows = shared_rows(
                 (
-                    plan.chip_id,
                     plan.residency,
                     plan.l2_budget_bytes,
                     plan.required_bytes,
@@ -265,6 +267,7 @@ class BlockProgram:
                 )
                 for plan in plans.values()
             )
+            packed = tuple(zip((plan.chip_id for plan in plans.values()), rows))
         if packed is not None:
             state["_packed_memory_plans"] = packed
         return state
@@ -285,7 +288,7 @@ class BlockProgram:
             packed = self.__dict__.get("_packed_memory_plans")
             if packed is not None:
                 plans = {}
-                for chip_id, residency, budget, required, block, l3 in packed:
+                for chip_id, (residency, budget, required, block, l3) in packed:
                     plan = MemoryPlan.__new__(MemoryPlan)
                     plan.__dict__.update(
                         chip_id=chip_id,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..errors import SchedulingError
@@ -65,8 +66,10 @@ class BlockScheduler:
 
     Attributes:
         platform: The multi-chip platform to schedule for.
-        kernel_library: Kernel cost models; defaults to a library built on
-            the platform's cluster.
+        kernel_library: Custom kernel cost models; ``None`` means the
+            platform's default, a library built on its cluster when the
+            scheduler first prices an operator.  Programs record this
+            argument as it is, so a default one carries no library.
         prefetch_accounting: How double-buffered prefetches are charged to
             runtime (see :class:`PrefetchAccounting`).
 
@@ -79,15 +82,14 @@ class BlockScheduler:
     platform: MultiChipPlatform
     kernel_library: Optional[KernelLibrary] = None
     prefetch_accounting: PrefetchAccounting = PrefetchAccounting.HIDDEN
-    _library: KernelLibrary = field(init=False, repr=False)
     _step_table: Dict[tuple, tuple] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    def __post_init__(self) -> None:
-        self._library = self.kernel_library or KernelLibrary(
-            cluster=self.platform.chip.cluster
-        )
+    @cached_property
+    def _library(self) -> KernelLibrary:
+        """The kernel cost models every operator is priced with."""
+        return self.kernel_library or KernelLibrary(cluster=self.platform.chip.cluster)
 
     # ------------------------------------------------------------------
     # Public API
@@ -184,7 +186,7 @@ class BlockScheduler:
             memory_plans=memory_plans,
             schedules=schedules,
             prefetch_accounting=self.prefetch_accounting,
-            kernel_library=self._library,
+            kernel_library=self.kernel_library,
         )
         # Scheduler-built schedules are a deterministic function of the
         # program's other fields, so pickling may drop and rebuild them
@@ -218,7 +220,7 @@ class BlockScheduler:
             workload=workload,
             platform=self.platform,
             partition=partition,
-            kernel_library=self._library,
+            kernel_library=self.kernel_library,
         )
         return rebound
 

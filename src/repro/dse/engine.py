@@ -13,7 +13,7 @@ the :class:`TuneResult` behind :meth:`repro.api.Session.tune` and the
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.registry import get_strategy
@@ -298,13 +298,20 @@ class DesignEvaluator:
         preloaded point is answered from here, without an engine run and
         without touching :attr:`evaluations_requested`.  Insertion order
         is preserved, so :attr:`history` keeps the original evaluation
-        order.
+        order, and each candidate's objective values are put back in
+        measurement order (a checkpoint stores them with sorted keys).
 
         Raises:
             AnalysisError: If an entry is not a serialised candidate.
         """
+        rank = {objective.name: at for at, objective in enumerate(self.objectives)}
         for index, data in enumerate(candidates):
             candidate = Candidate.from_dict(data, index)
+            values = sorted(
+                candidate.objective_values,
+                key=lambda item: rank.get(item[0], len(rank)),
+            )
+            candidate = replace(candidate, objective_values=tuple(values))
             self._candidates.setdefault(candidate.point, candidate)
 
     def announce(self, points: Sequence[Point]) -> None:

@@ -22,6 +22,7 @@ from typing import Dict, Tuple
 
 from ..errors import AnalysisError
 from ..hw.platform import MultiChipPlatform
+from ..interning import shared_rows
 from ..sim.trace import SimulationResult
 
 
@@ -64,15 +65,16 @@ class EnergyReport:
         total: System-level breakdown (sum over chips, in chip order).
         runtime_seconds: Block runtime, kept here so the report can compute
             the energy-delay product on its own.
-        _packed_per_chip: One ``(chip id, compute, l2_l1, l3_l2,
-            chip_to_chip)`` row of joules per chip, in chip order.  Flat
-            rows keep building and pickling a report free of per-chip
-            objects; :attr:`per_chip` builds the breakdowns on read.
+        _packed_per_chip: One ``(chip id, (compute, l2_l1, l3_l2,
+            chip_to_chip))`` pair of joules per chip, in chip order, with
+            one row shared by chips of equal terms.  Flat rows keep
+            building and pickling a report free of per-chip objects;
+            :attr:`per_chip` builds the breakdowns on read.
     """
 
     total: EnergyBreakdown
     runtime_seconds: float
-    _packed_per_chip: Tuple[Tuple[int, float, float, float, float], ...]
+    _packed_per_chip: Tuple[Tuple[int, Tuple[float, float, float, float]], ...]
 
     @property
     def per_chip(self) -> Dict[int, EnergyBreakdown]:
@@ -82,7 +84,7 @@ class EnergyReport:
         """
         return {
             chip_id: EnergyBreakdown(*energies)
-            for chip_id, *energies in self._packed_per_chip
+            for chip_id, energies in self._packed_per_chip
         }
 
     @property
@@ -124,13 +126,13 @@ class EnergyModel:
         # counters and parameters that the cluster, memory and link
         # models already reject when negative; the total is checked.
         compute = l2_l1 = l3_l2 = chip_to_chip = 0.0
-        for chip_id, trace in result.chip_traces.items():
+        for trace in result.chip_traces.values():
             compute_seconds = trace.compute_cycles / cluster.frequency_hz
             chip_compute = cluster.power_w * compute_seconds
             chip_l2_l1 = trace.l2_l1_bytes * l2_energy
             chip_l3_l2 = trace.l3_l2_bytes * l3_energy
             chip_c2c = link.transfer_energy_joules(int(trace.c2c_bytes_sent))
-            rows.append((chip_id, chip_compute, chip_l2_l1, chip_l3_l2, chip_c2c))
+            rows.append((chip_compute, chip_l2_l1, chip_l3_l2, chip_c2c))
             compute += chip_compute
             l2_l1 += chip_l2_l1
             l3_l2 += chip_l3_l2
@@ -140,7 +142,7 @@ class EnergyModel:
                 compute=compute, l2_l1=l2_l1, l3_l2=l3_l2, chip_to_chip=chip_to_chip
             ),
             runtime_seconds=result.runtime_seconds,
-            _packed_per_chip=tuple(rows),
+            _packed_per_chip=tuple(zip(result.chip_traces, shared_rows(rows))),
         )
 
 

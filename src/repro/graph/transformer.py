@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..errors import ConfigurationError
+from ..interning import reduce_interned
 from .dtypes import DType, INT8
 from .ops import (
     ActivationKind,
@@ -157,12 +158,8 @@ class TransformerConfig:
                 f"model {self.name!r}: attention_window must be positive"
             )
 
-    def __getstate__(self) -> dict:
-        # The content-hash memo (repro.api.session) is per-process state
-        # and would bloat every cached evaluation.
-        state = dict(self.__dict__)
-        state.pop("_repro_canonical_memo", None)
-        return state
+    # Stored results share one configuration per value (see repro.interning).
+    __reduce_ex__ = reduce_interned
 
     # ------------------------------------------------------------------
     # Derived sizes

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..errors import ConfigurationError
+from ..interning import reduce_interned
 from .chip import ChipModel
 from .interconnect import ChipToChipLink
 
@@ -41,11 +42,8 @@ class MultiChipPlatform:
         if self.group_size < 2:
             raise ConfigurationError("group size must be at least 2")
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # The content-hash memo (repro.api.session) is per-process state.
-        state.pop("_repro_canonical_memo", None)
-        return state
+    # Stored results share one platform per value (see repro.interning).
+    __reduce_ex__ = reduce_interned
 
     # ------------------------------------------------------------------
     # Structure queries

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 from ..core.schedule import BlockProgram, RuntimeCategory
 from ..errors import SimulationError
+from ..interning import shared_rows
 
 
 #: A breakdown dict's values in :data:`RuntimeCategory` order, as a tuple.
@@ -121,24 +122,28 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # One trace per chip is persisted for every cached evaluation, so
     # the enum-keyed breakdown dicts are flattened to one value row per
-    # chip (in :data:`RuntimeCategory` order) and only materialised back
-    # into :class:`ChipTrace` objects when the traces are actually read;
-    # per-step events (when recorded) keep full fidelity.
+    # chip (in :data:`RuntimeCategory` order; chips with equal counters
+    # share one row) and only materialised back into :class:`ChipTrace`
+    # objects when the traces are actually read; per-step events (when
+    # recorded) keep full fidelity, as one tuple per chip, so a chip
+    # without events costs the shared empty tuple rather than a list.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         traces = state.pop("chip_traces", None)
         if traces is not None:
-            state["_packed_chip_traces"] = tuple(
+            rows = shared_rows(
                 (
-                    trace.chip_id,
                     _category_values(trace.cycles),
                     trace.l3_l2_bytes,
                     trace.l2_l1_bytes,
                     trace.c2c_bytes_sent,
                     trace.finish_cycle,
-                    trace.events,
                 )
                 for trace in traces.values()
+            )
+            state["_packed_chip_traces"] = tuple(
+                (trace.chip_id, row, tuple(trace.events))
+                for trace, row in zip(traces.values(), rows)
             )
         return state
 
@@ -148,7 +153,7 @@ class SimulationResult:
             if packed is not None:
                 categories = tuple(RuntimeCategory)
                 traces = {}
-                for chip_id, values, l3_l2, l2_l1, c2c, finish, events in packed:
+                for chip_id, (values, l3_l2, l2_l1, c2c, finish), events in packed:
                     trace = ChipTrace.__new__(ChipTrace)
                     trace.__dict__.update(
                         chip_id=chip_id,
@@ -157,7 +162,7 @@ class SimulationResult:
                         l2_l1_bytes=l2_l1,
                         c2c_bytes_sent=c2c,
                         finish_cycle=finish,
-                        events=events,
+                        events=list(events),
                     )
                     traces[chip_id] = trace
                 object.__setattr__(self, "chip_traces", traces)

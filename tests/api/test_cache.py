@@ -9,12 +9,15 @@ worker path.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import shutil
 import sqlite3
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict
 
@@ -32,6 +35,8 @@ from repro.api import (
 from repro.api.cache import WRITE_BATCH_ROWS, persistent_cache_disabled
 from repro.cli import main
 from repro.graph.workload import autoregressive
+from repro.hw.interconnect import ChipToChipLink
+from repro.hw.presets import siracusa_platform
 from repro.models import tinyllama_42m
 
 
@@ -126,6 +131,54 @@ class TestRoundTrip:
         assert stats.path == str(store.path)
         assert store.clear() == 2
         assert len(store) == 0
+
+    def test_rows_share_one_configuration_and_platform(self, store):
+        # Equal but distinct inputs give each result its own objects.
+        platforms = [replace(siracusa_platform(2)) for _ in range(2)]
+        results = [
+            Session(memoize=False).run(
+                autoregressive(tinyllama_42m(), 128), platform=platform
+            )
+            for platform in platforms
+        ]
+        assert results[0].workload.config is not results[1].workload.config
+        assert results[0].report.platform is not results[1].report.platform
+        for key, result in zip("ab", results):
+            store.put(key, result)
+        store.flush()
+        rows = _stored_rows(store.directory)
+        loaded = [store.get(key) for key in "ab"]
+        assert loaded[0].workload.config is loaded[1].workload.config
+        assert loaded[0].report.platform is loaded[1].report.platform
+        assert loaded[0].report.program.platform is loaded[0].report.platform
+        assert loaded[0].workload.config == results[0].workload.config
+        assert loaded[0].report.platform == platforms[0]
+        for key, result in zip("ab", loaded):
+            assert pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL) == rows[key]
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_per_chip_rows_round_trip(self, workload, record_events):
+        # A row shared by chips of equal plans, counters or energies must
+        # rebuild every chip's values.
+        computed = Session(memoize=False).run(
+            workload, chips=8, record_events=record_events
+        )
+        loaded = pickle.loads(pickle.dumps(computed, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded.report.simulation.chip_traces == computed.report.simulation.chip_traces
+        assert loaded.report.energy.per_chip == computed.report.energy.per_chip
+        assert loaded.report.program.memory_plans == computed.report.program.memory_plans
+
+    def test_loaded_objects_are_not_kept_alive(self, store, workload):
+        # A link no other test builds, so no live object shares its blob.
+        platform = replace(siracusa_platform(2), link=ChipToChipLink(name="weak"))
+        store.put("key", Session(memoize=False).run(workload, platform=platform))
+        loaded = store.get("key")
+        assert loaded.report.platform == platform
+        assert loaded.report.platform is not platform
+        dead = weakref.ref(loaded.report.platform)
+        del loaded
+        gc.collect()
+        assert dead() is None
 
     def test_unpicklable_value_is_skipped(self, store):
         store.put("weird", lambda: None)  # best effort: silently dropped
@@ -242,6 +295,21 @@ class TestCorruptionTolerance:
             "INSERT INTO evals (key, value) VALUES ('key', ?)", (payload,)
         )
         assert store.get("key") is None
+
+    def test_entry_whose_platform_names_an_unknown_class_is_dropped(
+        self, store, workload
+    ):
+        result = _evaluate(workload)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        # The platform's fields travel as one nested pickle in the row.
+        _, (_, blob) = result.report.platform.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        assert payload.count(blob) == 1 and b"ChipModel" in blob
+        payload = payload.replace(blob, blob.replace(b"ChipModel", b"GoneModel"))
+        store._connect().execute(
+            "INSERT INTO evals (key, value) VALUES ('key', ?)", (payload,)
+        )
+        assert store.get("key") is None
+        assert len(store) == 0  # the unreadable entry was dropped
 
     def test_unwritable_location_behaves_like_an_empty_cache(self, workload):
         store = EvalCache("/proc/no-such-place/repro-cache")

@@ -28,9 +28,11 @@ from repro.kernels.library import KernelLibrary
 from repro.models.registry import get_model
 
 #: Pickled size of ``Session().run(<TinyLlama-42M decode at 128>,
-#: chips=8)`` before the memo existed: memo state must never leak into
-#: stored results.
-PICKLED_DECODE_RESULT_BYTES = 4577
+#: chips=8)``: a row whose configuration and platform are interned, whose
+#: chips of equal plans, counters and energies share one row each, and
+#: whose program carries no default kernel library.  Memo state must
+#: never leak into stored results, and rows must not grow back.
+PICKLED_DECODE_RESULT_BYTES = 3403
 
 SIMULATED_STRATEGIES = ("paper", "single_chip", "tensor_parallel")
 
@@ -253,6 +255,27 @@ def test_pickled_results_carry_no_memo_state():
         assert b"ProgramMemo" not in payload
     assert len(pickled(decode)) <= PICKLED_DECODE_RESULT_BYTES
     assert len(pickled(results[1])) == len(pickled(fresh))
+
+
+def test_a_program_records_only_a_custom_kernel_library():
+    workload = autoregressive(get_model("tinyllama-42m"), 128)
+    platform = siracusa_platform(4)
+    kernels = KernelLibrary(
+        cluster=platform.chip.cluster,
+        elementwise_model=ElementwiseModel(parallel_efficiency=0.35),
+    )
+    custom = BlockScheduler(platform=platform, kernel_library=kernels).build(workload)
+    default = BlockScheduler(platform=platform).build(workload)
+    assert custom.schedules != default.schedules
+    for program, library in ((custom, kernels), (default, None)):
+        assert program.kernel_library is library
+        loaded = pickle.loads(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded.kernel_library == library
+        assert "schedules" not in loaded.__dict__  # rebuilt on first access
+        assert loaded.schedules == program.schedules
+    # A session's builds and rebinds carry no library either.
+    for result in _clock_points(Session(), 200.0, 300.0):
+        assert result.report.program.kernel_library is None
 
 
 def test_nested_sessions_keep_their_own_memos():

@@ -17,6 +17,12 @@ import pathlib
 
 import pytest
 
+from repro.api import Session
+from repro.dse.orchestrator import INTERRUPT_ENV
+from repro.errors import SearchInterrupted
+from repro.graph.workload import autoregressive
+from repro.models import tinyllama_42m
+
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 GOLDEN = json.loads((DATA / "checkpoint_golden.json").read_text(encoding="utf-8"))
 
@@ -55,3 +61,30 @@ def test_golden_checkpoint_is_mid_run_or_final(name):
         # the cadence wrote before the interrupt.
         assert len(document["candidates"]) == interrupt // every * every
         assert document["evaluations_requested"] < budget
+
+
+def test_a_resumed_tune_equals_the_uninterrupted_one(tmp_path, monkeypatch):
+    # The checkpoint stores each candidate's objectives with sorted keys;
+    # the resumed candidates must list them in measurement order again.
+    def tune(checkpoint, **kwargs):
+        return Session().tune(
+            autoregressive(tinyllama_42m(), 64),
+            GENERATOR.SPACE,
+            searcher="random",
+            budget=16,
+            seed=3,
+            objectives=("latency", "energy"),
+            checkpoint=checkpoint,
+            checkpoint_every=4,
+            **kwargs,
+        )
+
+    uninterrupted = tune(tmp_path / "uninterrupted.json")
+    checkpoint = tmp_path / "interrupted.json"
+    monkeypatch.setenv(INTERRUPT_ENV, "6")
+    with pytest.raises(SearchInterrupted):
+        tune(checkpoint)
+    monkeypatch.delenv(INTERRUPT_ENV)
+    resumed = tune(checkpoint, resume=checkpoint)
+    assert resumed.candidates == uninterrupted.candidates
+    assert resumed.front == uninterrupted.front
