@@ -14,14 +14,13 @@ paper's results:
 from __future__ import annotations
 
 from repro import (
-    MultiChipPlatform,
     PrefetchAccounting,
     autoregressive,
     encoder,
     evaluate_block,
     mobilebert,
-    siracusa_chip,
     siracusa_platform,
+    siracusa_variant,
     tinyllama_42m,
     tinyllama_gated,
 )
@@ -30,8 +29,6 @@ from repro.core.collectives import (
     estimate_plan_cycles,
     hierarchical_all_reduce,
 )
-from repro.hw.interconnect import ChipToChipLink
-from repro.units import gigabytes_per_second
 
 
 def test_ablation_prefetch_accounting(run_once):
@@ -99,14 +96,7 @@ def test_ablation_link_bandwidth(run_once):
     def run_links():
         results = {}
         for gbps in (0.125, 0.5, 2.0):
-            link = ChipToChipLink(
-                name=f"MIPI-{gbps}",
-                bandwidth_bytes_per_s=gigabytes_per_second(gbps),
-            )
-            platform = MultiChipPlatform(
-                chip=siracusa_chip(), num_chips=4, link=link, group_size=4
-            )
-            results[gbps] = evaluate_block(workload, platform)
+            results[gbps] = evaluate_block(workload, siracusa_variant(4, link_gbps=gbps))
         return results
 
     results = run_once(run_links)

@@ -12,6 +12,8 @@ pipeline can answer deployment questions the paper leaves open:
 
 Each sweep reuses one :class:`repro.Session`, overriding the platform per
 point; memoisation means shared reference points are simulated only once.
+Every swept platform is the paper's with one value changed, built by
+:func:`repro.siracusa_variant`.
 
 These are hand-rolled one-axis sweeps.  For automated multi-objective
 search over the same knobs (Pareto fronts, constraints, searchers), see
@@ -22,18 +24,16 @@ search over the same knobs (Pareto fronts, constraints, searchers), see
 from __future__ import annotations
 
 from repro import (
-    ChipToChipLink,
-    MultiChipPlatform,
     PrefetchAccounting,
     Session,
     autoregressive,
     mobilebert,
-    siracusa_chip,
     siracusa_platform,
+    siracusa_variant,
     tinyllama_42m,
     encoder,
 )
-from repro.units import format_bytes, format_time, gigabytes_per_second, kib, mib
+from repro.units import format_bytes, format_time, kib
 
 #: One shared session: every sweep below evaluates through it.
 SESSION = Session()
@@ -45,13 +45,7 @@ def link_bandwidth_sweep() -> None:
     workload = encoder(mobilebert(), 268)
     baseline = SESSION.run(workload, chips=1)
     for gbps in (0.125, 0.25, 0.5, 1.0, 2.0):
-        link = ChipToChipLink(
-            name=f"MIPI-{gbps}GBps",
-            bandwidth_bytes_per_s=gigabytes_per_second(gbps),
-        )
-        platform = MultiChipPlatform(
-            chip=siracusa_chip(), num_chips=4, link=link, group_size=4
-        )
+        platform = siracusa_variant(4, link_gbps=gbps)
         report = SESSION.run(workload, platform=platform)
         gain = baseline.block_cycles / report.block_cycles
         print(f"   {gbps:>5.3f} GB/s: {report.block_cycles:>12,.0f} cycles/block, "
@@ -63,20 +57,12 @@ def l2_capacity_sweep() -> None:
     """Where does the on-chip residency crossover move with the L2 size?"""
     print("2) L2 capacity sweep (TinyLlama autoregressive, 4 chips)")
     workload = autoregressive(tinyllama_42m(), 128)
-    for l2_mib in (1.0, 1.5, 2.0, 3.0, 4.0):
-        reserve = kib(496)
-        chip = siracusa_chip()
-        # Rebuild the chip with a different L2 size, keeping everything else.
-        from dataclasses import replace
-
-        memory = replace(chip.memory, l2=replace(chip.memory.l2, size_bytes=mib(l2_mib)))
-        chip = replace(chip, memory=memory, l2_runtime_reserve_bytes=min(reserve, mib(l2_mib) // 2))
-        platform = MultiChipPlatform(
-            chip=chip, num_chips=4, link=siracusa_platform(4).link, group_size=4
-        )
+    for l2_kib in (1024, 1536, 2048, 3072, 4096):
+        # The runtime keeps its 496 KiB, at most half the L2.
+        platform = siracusa_variant(4, l2_kib=l2_kib)
         report = SESSION.run(workload, platform=platform)
         residency = report.residencies()[0].value
-        print(f"   L2 = {format_bytes(mib(l2_mib)):>9}: {residency:<16} "
+        print(f"   L2 = {format_bytes(kib(l2_kib)):>9}: {residency:<16} "
               f"{report.block_cycles:>12,.0f} cycles/block")
     print()
 

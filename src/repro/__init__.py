@@ -109,6 +109,7 @@ from .hw import (
     register_platform_preset,
     siracusa_chip,
     siracusa_platform,
+    siracusa_variant,
 )
 from .kernels import KernelLibrary, MatmulEfficiencyModel
 from .models import (
@@ -226,6 +227,7 @@ __all__ = [
     "simulate_block",
     "siracusa_chip",
     "siracusa_platform",
+    "siracusa_variant",
     "speedup",
     "tinyllama_42m",
     "tinyllama_gated",

@@ -75,8 +75,14 @@ class GenerationReport:
         decode = sum(step.inference_energy_joules for step in self.steps)
         return self.prompt_report.inference_energy_joules + decode
 
-    def total_seconds(self, frequency_hz: float = 500e6) -> float:
-        """Wall-clock duration of the whole reply."""
+    def total_seconds(self, frequency_hz: Optional[float] = None) -> float:
+        """Wall-clock duration of the whole reply.
+
+        ``frequency_hz`` defaults to the clock of the platform the reply
+        was evaluated on.
+        """
+        if frequency_hz is None:
+            frequency_hz = self.prompt_report.platform.frequency_hz
         if frequency_hz <= 0:
             raise AnalysisError("frequency must be positive")
         return self.total_cycles / frequency_hz

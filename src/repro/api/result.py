@@ -75,9 +75,10 @@ class EvalResult:
             raise AnalysisError("num_chips must be positive")
         if self.frequency_hz <= 0:
             raise AnalysisError("frequency_hz must be positive")
-        if self.block_cycles <= 0:
+        # Negated ranges, so a NaN from a broken model fails them too.
+        if not self.block_cycles > 0:
             raise AnalysisError("block_cycles must be positive")
-        if self.block_energy_joules < 0 or self.l3_bytes_per_block < 0:
+        if not (self.block_energy_joules >= 0 and self.l3_bytes_per_block >= 0):
             raise AnalysisError("energy and traffic cannot be negative")
         if self.weight_bytes_per_chip < 0:
             raise AnalysisError("weight bytes cannot be negative")

@@ -27,6 +27,7 @@ from ..api.result import EvalResult
 from ..core.footprint import ChipFootprint, activation_footprint
 from ..core.partition import partition_block
 from ..core.placement import MemoryPlan, WeightResidency, plan_memory
+from ..core.scheduler import l3_transfers
 from ..graph.transformer import (
     BlockSlice,
     build_block_operators,
@@ -68,13 +69,13 @@ def evaluate_weight_replicated(
     if plan.residency is WeightResidency.STREAMED:
         l3_bytes_per_chip = cost.streamed_weight_bytes
         l3_cycles = dma.l3_l2.transfer_cycles(
-            int(l3_bytes_per_chip), max(1, math.ceil(l3_bytes_per_chip / 65536))
+            int(l3_bytes_per_chip), l3_transfers(l3_bytes_per_chip)
         )
         block_cycles = compute_cycles + l3_cycles + l2_l1_cycles
     elif plan.residency is WeightResidency.SINGLE_BUFFERED:
         l3_bytes_per_chip = plan.block_weight_bytes
         l3_cycles = dma.l3_l2.transfer_cycles(
-            int(l3_bytes_per_chip), max(1, math.ceil(l3_bytes_per_chip / 65536))
+            int(l3_bytes_per_chip), l3_transfers(l3_bytes_per_chip)
         )
         block_cycles = max(compute_cycles, l2_l1_cycles) + l3_cycles
     else:

@@ -60,6 +60,15 @@ from .schedule import (
 L3_STREAM_TILE_BYTES = 64 * 1024
 
 
+def l3_transfers(num_bytes: float) -> int:
+    """Tile transfers that move ``num_bytes`` over the L3 interface.
+
+    A transfer of no bytes still counts one; the channel prices it at
+    zero cycles.
+    """
+    return max(1, math.ceil(num_bytes / L3_STREAM_TILE_BYTES))
+
+
 @dataclass
 class BlockScheduler:
     """Builds :class:`BlockProgram` instances for a platform.
@@ -276,9 +285,7 @@ class BlockScheduler:
         """Steps that bring the block's weights on-chip (or start doing so)."""
         if plan.l3_weight_bytes_per_block == 0:
             return []
-        transfers = max(
-            1, math.ceil(plan.block_weight_bytes / L3_STREAM_TILE_BYTES)
-        )
+        transfers = l3_transfers(plan.block_weight_bytes)
         if plan.residency is WeightResidency.SINGLE_BUFFERED:
             return [
                 DmaStep(
@@ -316,13 +323,12 @@ class BlockScheduler:
             cost = self._library.cost(op)
             if streamed and cost.weight_bytes > 0:
                 stream_bytes = cost.streamed_weight_bytes
-                transfers = max(1, math.ceil(stream_bytes / L3_STREAM_TILE_BYTES))
                 steps.append(
                     DmaStep(
                         name=f"{stage}.{op.name}.stream_weights",
                         channel=DmaChannelName.L3_L2,
                         num_bytes=stream_bytes,
-                        num_transfers=transfers,
+                        num_transfers=l3_transfers(stream_bytes),
                     )
                 )
             steps.append(

@@ -25,15 +25,8 @@ from ..api.registry import get_strategy
 from ..errors import ArchitectureError, ConfigurationError
 from ..graph.transformer import TransformerConfig
 from ..graph.workload import Workload
-from ..hw.chip import ChipModel
-from ..hw.interconnect import ChipToChipLink
 from ..hw.platform import MultiChipPlatform
-from ..hw.presets import (
-    SIRACUSA_L2_RUNTIME_RESERVE_BYTES,
-    mipi_link,
-    siracusa_chip,
-)
-from ..units import gigabytes_per_second, kib
+from ..hw.presets import siracusa_variant
 
 __all__ = [
     "Axis",
@@ -366,6 +359,18 @@ def _require_number(name: str, value: Value) -> float:
     return float(value)
 
 
+#: The platform axes :func:`~repro.hw.presets.siracusa_variant` takes by
+#: name besides ``chips``, each with its type check, in checking order.
+_VARIANT_AXES = (
+    ("group_size", _require_int),
+    ("cores", _require_int),
+    ("freq_mhz", _require_number),
+    ("l2_kib", _require_int),
+    ("link_gbps", _require_number),
+    ("link_pj_per_byte", _require_number),
+)
+
+
 def _materialise_workload(
     point: Mapping[str, Value], workload: Optional[Workload]
 ) -> Optional[Workload]:
@@ -444,44 +449,6 @@ def _model_variant(
     return replace(workload, config=config, name=None)
 
 
-@lru_cache(maxsize=256)
-def _design_chip(
-    cores: Optional[int], freq_hz: Optional[float], l2_kib: Optional[int]
-) -> ChipModel:
-    """The paper's Siracusa chip with a point's chip axes applied.
-
-    ``None`` keeps the paper's value.  Equal axis values share one
-    immutable chip, so its memoised content hash serves every design
-    point built around it.
-    """
-    chip = siracusa_chip()
-    if cores is not None:
-        chip = replace(chip, cluster=replace(chip.cluster, num_cores=cores))
-    if freq_hz is not None:
-        chip = replace(chip, cluster=replace(chip.cluster, frequency_hz=freq_hz))
-    if l2_kib is not None:
-        l2_bytes = kib(l2_kib)
-        memory = replace(chip.memory, l2=replace(chip.memory.l2, size_bytes=l2_bytes))
-        # Keep the calibrated runtime reserve, clamped so any L2 size
-        # leaves at least half the scratchpad for model data.
-        reserve = min(SIRACUSA_L2_RUNTIME_RESERVE_BYTES, l2_bytes // 2)
-        chip = replace(chip, memory=memory, l2_runtime_reserve_bytes=reserve)
-    return chip
-
-
-@lru_cache(maxsize=256)
-def _design_link(
-    link_gbps: Optional[float], link_pj_per_byte: Optional[float]
-) -> ChipToChipLink:
-    """The paper's MIPI link with a point's link axes applied (shared)."""
-    link = mipi_link()
-    if link_gbps is not None:
-        link = replace(link, bandwidth_bytes_per_s=gigabytes_per_second(link_gbps))
-    if link_pj_per_byte is not None:
-        link = replace(link, energy_pj_per_byte=link_pj_per_byte)
-    return link
-
-
 def materialise(
     point: Mapping[str, Value],
     *,
@@ -490,9 +457,11 @@ def materialise(
 ) -> DesignPoint:
     """Validate a point and build what it describes.
 
-    Axes absent from the point keep the paper's Siracusa + MIPI values;
-    unknown axis names are rejected so a typo cannot silently evaluate the
-    default platform.  The strategy name is resolved through the strategy
+    Axes absent from the point keep the paper's Siracusa + MIPI values:
+    the platform is :func:`~repro.hw.presets.siracusa_variant` of the
+    point's platform axes, as every registered preset is.  Unknown axis
+    names are rejected so a typo cannot silently evaluate the default
+    platform.  The strategy name is resolved through the strategy
     registry (so aliases canonicalise and unknown names fail here, not
     mid-search).  Model axes (:data:`MODEL_AXES`) are applied to the
     optional base ``workload``; the result lands in
@@ -509,28 +478,15 @@ def materialise(
     chips = _require_int("chips", point.get("chips", 8))
     if chips <= 0:
         raise ConfigurationError(f"axis 'chips' must be positive, got {chips}")
-    group_size = _require_int("group_size", point.get("group_size", 4))
-
     # Axis values are validated (and their types normalised) here, so
     # equal values share one chip and one link object.
-    chip = _design_chip(
-        _require_int("cores", point["cores"]) if "cores" in point else None,
-        (
-            _require_number("freq_mhz", point["freq_mhz"]) * 1e6
-            if "freq_mhz" in point
-            else None
-        ),
-        _require_int("l2_kib", point["l2_kib"]) if "l2_kib" in point else None,
-    )
-    link_gbps = point.get("link_gbps")
-    link_pj = point.get("link_pj_per_byte")
-    link = _design_link(
-        None if link_gbps is None else _require_number("link_gbps", link_gbps),
-        None if link_pj is None else _require_number("link_pj_per_byte", link_pj),
-    )
-
-    platform = MultiChipPlatform(
-        chip=chip, num_chips=chips, link=link, group_size=group_size
+    platform = siracusa_variant(
+        chips,
+        **{
+            name: check(name, point[name])
+            for name, check in _VARIANT_AXES
+            if name in point
+        },
     )
     strategy = point.get("strategy", default_strategy)
     if not isinstance(strategy, str):

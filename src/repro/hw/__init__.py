@@ -3,7 +3,7 @@
 from .chip import ChipModel
 from .cluster import ClusterModel
 from .dma import DmaChannelModel, DmaModel
-from .interconnect import ChipToChipLink, mipi_link
+from .interconnect import ChipToChipLink
 from .memory import MemoryHierarchy, MemoryLevel, MemoryLevelName
 from .platform import MultiChipPlatform
 from .presets import (
@@ -15,14 +15,14 @@ from .presets import (
     PlatformPreset,
     get_platform_preset,
     list_platform_presets,
+    mipi_link,
     register_platform_preset,
-    siracusa_big_l2_platform,
     siracusa_chip,
     siracusa_cluster,
     siracusa_dma,
-    siracusa_fast_link_platform,
     siracusa_memory,
     siracusa_platform,
+    siracusa_variant,
 )
 
 __all__ = [
@@ -45,11 +45,10 @@ __all__ = [
     "list_platform_presets",
     "mipi_link",
     "register_platform_preset",
-    "siracusa_big_l2_platform",
     "siracusa_chip",
     "siracusa_cluster",
     "siracusa_dma",
-    "siracusa_fast_link_platform",
     "siracusa_memory",
     "siracusa_platform",
+    "siracusa_variant",
 ]

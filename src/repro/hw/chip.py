@@ -33,9 +33,10 @@ class ChipModel:
     l2_runtime_reserve_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.l2_runtime_reserve_bytes < 0:
+        # Each check negates the valid range, so NaN fails it too.
+        if not self.l2_runtime_reserve_bytes >= 0:
             raise ConfigurationError("L2 reserve must be non-negative")
-        if self.l2_runtime_reserve_bytes >= self.memory.l2.size_bytes:
+        if not self.l2_runtime_reserve_bytes < self.memory.l2.size_bytes:
             raise ConfigurationError(
                 "L2 reserve must be smaller than the L2 capacity"
             )

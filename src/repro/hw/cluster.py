@@ -3,9 +3,10 @@
 Each Siracusa chip contains an accelerator cluster of eight RISC-V cores
 with DSP/ML instruction extensions, running at 500 MHz, with an average
 power of 13 mW per core (numbers from the paper's experimental setup and
-from the Siracusa publication it cites).  The cores access the 16-bank L1
-memory through a logarithmic interconnect with one 32-bit port per core,
-i.e. 32 bytes per cycle of aggregate L1 bandwidth.
+from the Siracusa publication it cites; :mod:`repro.hw.presets` holds
+them).  The cores access the 16-bank L1 memory through a logarithmic
+interconnect with one 32-bit port per core, i.e. 32 bytes per cycle of
+aggregate L1 bandwidth.
 
 The N-EUREKA accelerator present on Siracusa is intentionally *not*
 modelled, matching the paper ("we do not use Siracusa's N-EUREKA
@@ -34,25 +35,26 @@ class ClusterModel:
             core through its interconnect port (4 bytes for a 32-bit port).
     """
 
-    num_cores: int = 8
-    frequency_hz: float = 500e6
-    macs_per_core_per_cycle: float = 2.0
-    power_per_core_w: float = 13e-3
-    l1_bytes_per_core_per_cycle: float = 4.0
+    num_cores: int
+    frequency_hz: float
+    macs_per_core_per_cycle: float
+    power_per_core_w: float
+    l1_bytes_per_core_per_cycle: float
 
     def __post_init__(self) -> None:
-        if self.num_cores <= 0:
+        # Each check negates the valid range, so NaN fails it too.
+        if not self.num_cores > 0:
             raise ConfigurationError("cluster must have at least one core")
         if self.frequency_hz <= 0:
             raise ConfigurationError("cluster frequency must be positive")
         if not math.isfinite(self.frequency_hz):
             # An infinite clock prices every link transfer at 0 B/cycle.
             raise ConfigurationError("cluster frequency must be finite")
-        if self.macs_per_core_per_cycle <= 0:
+        if not self.macs_per_core_per_cycle > 0:
             raise ConfigurationError("MAC throughput must be positive")
-        if self.power_per_core_w < 0:
+        if not self.power_per_core_w >= 0:
             raise ConfigurationError("core power must be non-negative")
-        if self.l1_bytes_per_core_per_cycle <= 0:
+        if not self.l1_bytes_per_core_per_cycle > 0:
             raise ConfigurationError("L1 port bandwidth must be positive")
 
     @property

@@ -15,7 +15,6 @@ A transfer of ``n`` bytes costs ``setup_cycles + n / bytes_per_cycle``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -37,9 +36,10 @@ class DmaChannelModel:
     setup_cycles: int = 0
 
     def __post_init__(self) -> None:
-        if self.bytes_per_cycle <= 0:
+        # Each check negates the valid range, so NaN fails it too.
+        if not self.bytes_per_cycle > 0:
             raise ConfigurationError(f"DMA {self.name!r} bandwidth must be positive")
-        if self.setup_cycles < 0:
+        if not self.setup_cycles >= 0:
             raise ConfigurationError(f"DMA {self.name!r} setup cost must be >= 0")
 
     def transfer_cycles(self, num_bytes: int, num_transfers: int = 1) -> float:
@@ -52,14 +52,6 @@ class DmaChannelModel:
             return 0.0
         return num_transfers * self.setup_cycles + num_bytes / self.bytes_per_cycle
 
-    def transfers_for(self, num_bytes: int, max_tile_bytes: int) -> int:
-        """Number of tile transfers needed to move ``num_bytes``."""
-        if max_tile_bytes <= 0:
-            raise ConfigurationError("tile size must be positive")
-        if num_bytes <= 0:
-            return 0
-        return math.ceil(num_bytes / max_tile_bytes)
-
 
 @dataclass(frozen=True)
 class DmaModel:
@@ -67,19 +59,3 @@ class DmaModel:
 
     l2_l1: DmaChannelModel
     l3_l2: DmaChannelModel
-
-    @classmethod
-    def default(cls) -> "DmaModel":
-        """A generic Siracusa-like DMA model.
-
-        L2<->L1 runs over the 64-bit AXI cluster DMA (8 B/cycle); L3<->L2
-        runs over the chip I/O at 0.75 B/cycle (375 MB/s at 500 MHz) with a
-        sizeable per-transaction setup cost typical of serial off-chip
-        memories.
-        """
-        return cls(
-            l2_l1=DmaChannelModel(name="L2<->L1", bytes_per_cycle=8.0, setup_cycles=32),
-            l3_l2=DmaChannelModel(
-                name="L3<->L2", bytes_per_cycle=0.75, setup_cycles=512
-            ),
-        )

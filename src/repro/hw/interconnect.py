@@ -2,9 +2,10 @@
 
 The paper connects the Siracusa chips with a MIPI serial interface,
 modelled analytically with a bandwidth of 0.5 GB/s and an energy cost of
-100 pJ per byte.  All-reduce operations are performed hierarchically in
-groups of four chips (Fig. 1 of the paper) to limit contention: transfers
-inside different groups use different physical links and can proceed in
+100 pJ per byte (:mod:`repro.hw.presets` holds those numbers).
+All-reduce operations are performed hierarchically in groups of four
+chips (Fig. 1 of the paper) to limit contention: transfers inside
+different groups use different physical links and can proceed in
 parallel, while transfers converging on the same receiver serialise.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..units import gigabytes_per_second
 
 
 @dataclass(frozen=True)
@@ -25,21 +25,21 @@ class ChipToChipLink:
         bandwidth_bytes_per_s: Sustained link bandwidth.
         energy_pj_per_byte: Energy per transferred byte.
         latency_cycles: Fixed per-message latency in *cluster* cycles
-            (protocol framing, synchronisation handshake; 1000 cycles is
-            2 us at 500 MHz, a typical bring-up cost for a serial link).
+            (protocol framing, synchronisation handshake).
     """
 
-    name: str = "MIPI"
-    bandwidth_bytes_per_s: float = gigabytes_per_second(0.5)
-    energy_pj_per_byte: float = 100.0
-    latency_cycles: int = 1000
+    name: str
+    bandwidth_bytes_per_s: float
+    energy_pj_per_byte: float
+    latency_cycles: int
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
+        # Each check negates the valid range, so NaN fails it too.
+        if not self.bandwidth_bytes_per_s > 0:
             raise ConfigurationError("link bandwidth must be positive")
-        if self.energy_pj_per_byte < 0:
+        if not self.energy_pj_per_byte >= 0:
             raise ConfigurationError("link energy must be non-negative")
-        if self.latency_cycles < 0:
+        if not self.latency_cycles >= 0:
             raise ConfigurationError("link latency must be non-negative")
 
     def __getstate__(self) -> dict:
@@ -68,8 +68,3 @@ class ChipToChipLink:
         if num_bytes < 0:
             raise ConfigurationError("message size must be non-negative")
         return num_bytes * self.energy_pj_per_byte * 1e-12
-
-
-def mipi_link() -> ChipToChipLink:
-    """The MIPI link parameters used throughout the paper."""
-    return ChipToChipLink()

@@ -49,13 +49,14 @@ class MemoryLevel:
     num_banks: int = 1
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+        # Each check negates the valid range, so NaN fails it too.
+        if not self.size_bytes > 0:
             raise ConfigurationError(f"{self.name.value} size must be positive")
-        if self.access_energy_pj_per_byte < 0:
+        if not self.access_energy_pj_per_byte >= 0:
             raise ConfigurationError(
                 f"{self.name.value} access energy must be non-negative"
             )
-        if self.num_banks <= 0:
+        if not self.num_banks > 0:
             raise ConfigurationError(f"{self.name.value} bank count must be positive")
 
     def check_fits(self, num_bytes: int, what: str = "allocation") -> None:

@@ -15,17 +15,22 @@ reproduction (see "Calibrated constants" in ``docs/MODELS.md``):
 * the off-chip (L3) interface bandwidth and per-transaction setup cost,
 * the share of L2 reserved for the runtime (code, stacks, I/O buffers),
   which determines where the on-chip weight-residency crossover falls.
+
+Each value is written once, here.  Every platform of this package is the
+paper's with a few values changed, and :func:`siracusa_variant` builds
+them all: the registered presets and the design points of
+:func:`repro.dse.materialise`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Tuple
 
 from ..errors import UnknownPlatformPresetError
 from ..registry import Registry, require_name
-from ..units import gigabytes_per_second, kib, mib
+from ..units import gigabytes_per_second, kib, megahertz, mib
 from .chip import ChipModel
 from .cluster import ClusterModel
 from .dma import DmaChannelModel, DmaModel
@@ -36,8 +41,11 @@ from .platform import MultiChipPlatform
 #: L1 capacity of one Siracusa chip.
 SIRACUSA_L1_BYTES = kib(256)
 
+#: L2 capacity of one Siracusa chip, in KiB.
+SIRACUSA_L2_KIB = 2048
+
 #: L2 capacity of one Siracusa chip.
-SIRACUSA_L2_BYTES = mib(2)
+SIRACUSA_L2_BYTES = kib(SIRACUSA_L2_KIB)
 
 #: Modelled capacity of the off-chip memory (large enough for any model here).
 SIRACUSA_L3_BYTES = mib(128)
@@ -48,8 +56,11 @@ SIRACUSA_L2_ENERGY_PJ_PER_BYTE = 2.0
 #: L3 access energy used by the paper's analytical energy model.
 SIRACUSA_L3_ENERGY_PJ_PER_BYTE = 100.0
 
+#: Cluster clock frequency, in MHz.
+SIRACUSA_FREQUENCY_MHZ = 500
+
 #: Cluster clock frequency.
-SIRACUSA_FREQUENCY_HZ = 500e6
+SIRACUSA_FREQUENCY_HZ = megahertz(SIRACUSA_FREQUENCY_MHZ)
 
 #: Number of cluster cores.
 SIRACUSA_NUM_CORES = 8
@@ -59,6 +70,9 @@ SIRACUSA_CORE_POWER_W = 13e-3
 
 #: Peak int8 MACs per core per cycle (SIMD dot-product extensions).
 SIRACUSA_MACS_PER_CORE_PER_CYCLE = 2.0
+
+#: L1 load bandwidth of one core: its 32-bit port into the 16-bank TCDM.
+SIRACUSA_L1_BYTES_PER_CORE_PER_CYCLE = 4.0
 
 #: Cluster-DMA bandwidth between L2 and L1 (64-bit AXI).
 SIRACUSA_L2_L1_BYTES_PER_CYCLE = 8.0
@@ -72,162 +86,138 @@ SIRACUSA_L3_SETUP_CYCLES = 512
 #: Calibrated L2 runtime reserve (code, stacks, scratch buffers).
 SIRACUSA_L2_RUNTIME_RESERVE_BYTES = kib(496)
 
+#: MIPI chip-to-chip bandwidth, in GB/s.
+MIPI_BANDWIDTH_GBPS = 0.5
+
 #: MIPI chip-to-chip bandwidth.
-MIPI_BANDWIDTH_BYTES_PER_S = gigabytes_per_second(0.5)
+MIPI_BANDWIDTH_BYTES_PER_S = gigabytes_per_second(MIPI_BANDWIDTH_GBPS)
 
 #: MIPI chip-to-chip energy per byte.
 MIPI_ENERGY_PJ_PER_BYTE = 100.0
+
+#: Assumed per-message latency of a MIPI transfer in cluster cycles
+#: (framing and handshake; 2 us at 500 MHz); the paper publishes none.
+MIPI_LATENCY_CYCLES = 1000
 
 #: Hierarchical-collective group size.
 SIRACUSA_GROUP_SIZE = 4
 
 
-def siracusa_memory() -> MemoryHierarchy:
-    """The memory hierarchy of one Siracusa chip."""
-    return MemoryHierarchy(
-        l1=MemoryLevel(
-            name=MemoryLevelName.L1,
-            size_bytes=SIRACUSA_L1_BYTES,
-            access_energy_pj_per_byte=0.0,
-            num_banks=16,
-        ),
-        l2=MemoryLevel(
-            name=MemoryLevelName.L2,
-            size_bytes=SIRACUSA_L2_BYTES,
-            access_energy_pj_per_byte=SIRACUSA_L2_ENERGY_PJ_PER_BYTE,
-        ),
-        l3=MemoryLevel(
-            name=MemoryLevelName.L3,
-            size_bytes=SIRACUSA_L3_BYTES,
-            access_energy_pj_per_byte=SIRACUSA_L3_ENERGY_PJ_PER_BYTE,
-        ),
-    )
-
-
-def siracusa_cluster() -> ClusterModel:
-    """The octa-core compute cluster of one Siracusa chip."""
-    return ClusterModel(
-        num_cores=SIRACUSA_NUM_CORES,
-        frequency_hz=SIRACUSA_FREQUENCY_HZ,
-        macs_per_core_per_cycle=SIRACUSA_MACS_PER_CORE_PER_CYCLE,
-        power_per_core_w=SIRACUSA_CORE_POWER_W,
-    )
-
-
-def siracusa_dma() -> DmaModel:
-    """The DMA channel models of one Siracusa chip."""
-    return DmaModel(
-        l2_l1=DmaChannelModel(
-            name="L2<->L1",
-            bytes_per_cycle=SIRACUSA_L2_L1_BYTES_PER_CYCLE,
-            setup_cycles=32,
-        ),
-        l3_l2=DmaChannelModel(
-            name="L3<->L2",
-            bytes_per_cycle=SIRACUSA_L3_L2_BYTES_PER_CYCLE,
-            setup_cycles=SIRACUSA_L3_SETUP_CYCLES,
-        ),
-    )
-
-
-def siracusa_chip(
-    l2_runtime_reserve_bytes: int = SIRACUSA_L2_RUNTIME_RESERVE_BYTES,
+# Typed caches: an int value and an equal float make two objects, so no
+# call can hand the paper's platform a field of another type.
+@lru_cache(maxsize=256, typed=True)
+def _chip(
+    cores: int, frequency_hz: float, core_power_w: float, l2_bytes: int
 ) -> ChipModel:
-    """One Siracusa-like chip with the paper's published parameters."""
+    """A Siracusa chip with these values; equal values share one chip."""
     return ChipModel(
         name="siracusa",
-        cluster=siracusa_cluster(),
-        memory=siracusa_memory(),
-        dma=siracusa_dma(),
-        l2_runtime_reserve_bytes=l2_runtime_reserve_bytes,
+        cluster=ClusterModel(
+            num_cores=cores,
+            frequency_hz=frequency_hz,
+            macs_per_core_per_cycle=SIRACUSA_MACS_PER_CORE_PER_CYCLE,
+            power_per_core_w=core_power_w,
+            l1_bytes_per_core_per_cycle=SIRACUSA_L1_BYTES_PER_CORE_PER_CYCLE,
+        ),
+        memory=MemoryHierarchy(
+            l1=MemoryLevel(MemoryLevelName.L1, SIRACUSA_L1_BYTES, 0.0, num_banks=16),
+            l2=MemoryLevel(
+                MemoryLevelName.L2, l2_bytes, SIRACUSA_L2_ENERGY_PJ_PER_BYTE
+            ),
+            l3=MemoryLevel(
+                MemoryLevelName.L3, SIRACUSA_L3_BYTES, SIRACUSA_L3_ENERGY_PJ_PER_BYTE
+            ),
+        ),
+        dma=DmaModel(
+            l2_l1=DmaChannelModel("L2<->L1", SIRACUSA_L2_L1_BYTES_PER_CYCLE, 32),
+            l3_l2=DmaChannelModel(
+                "L3<->L2", SIRACUSA_L3_L2_BYTES_PER_CYCLE, SIRACUSA_L3_SETUP_CYCLES
+            ),
+        ),
+        # The calibrated reserve, clamped so any L2 size leaves at least
+        # half the scratchpad for model data.
+        l2_runtime_reserve_bytes=min(SIRACUSA_L2_RUNTIME_RESERVE_BYTES, l2_bytes // 2),
     )
 
 
-def mipi_link() -> ChipToChipLink:
-    """The MIPI chip-to-chip link used by the paper."""
+@lru_cache(maxsize=256, typed=True)
+def _mipi(bandwidth_bytes_per_s: float, energy_pj_per_byte: float) -> ChipToChipLink:
+    """A MIPI link with these values; equal values share one link."""
     return ChipToChipLink(
         name="MIPI",
-        bandwidth_bytes_per_s=MIPI_BANDWIDTH_BYTES_PER_S,
-        energy_pj_per_byte=MIPI_ENERGY_PJ_PER_BYTE,
+        bandwidth_bytes_per_s=bandwidth_bytes_per_s,
+        energy_pj_per_byte=energy_pj_per_byte,
+        latency_cycles=MIPI_LATENCY_CYCLES,
     )
 
 
-@lru_cache(maxsize=None)
-def siracusa_platform(
+def siracusa_variant(
     num_chips: int,
     *,
+    cores: int = SIRACUSA_NUM_CORES,
+    freq_mhz: float = SIRACUSA_FREQUENCY_MHZ,
+    core_power_w: float = SIRACUSA_CORE_POWER_W,
+    l2_kib: int = SIRACUSA_L2_KIB,
+    link_gbps: float = MIPI_BANDWIDTH_GBPS,
+    link_pj_per_byte: float = MIPI_ENERGY_PJ_PER_BYTE,
     group_size: int = SIRACUSA_GROUP_SIZE,
-    l2_runtime_reserve_bytes: int = SIRACUSA_L2_RUNTIME_RESERVE_BYTES,
 ) -> MultiChipPlatform:
-    """A system of ``num_chips`` Siracusa chips joined by MIPI links.
+    """The paper's platform of ``num_chips`` chips with some values changed.
 
-    Platforms are immutable, so equal arguments share one memoised
-    instance; that keeps the per-instance content-hash memo of
-    :mod:`repro.api.session` warm across every sweep and serving run of
-    the process.
+    Every value not given keeps the paper's.  The L2 runtime reserve
+    follows the L2 size: the calibrated 496 KiB, at most half the L2.
+    Equal values share one chip and one link object, so their memoised
+    content hashes serve every platform built around them; the platform
+    itself is new on every call.
+
+    Raises:
+        ConfigurationError: If a value is out of its model's range; the
+            chip's values are checked before the link's, and those before
+            the chip count and group size.
     """
     return MultiChipPlatform(
-        chip=siracusa_chip(l2_runtime_reserve_bytes=l2_runtime_reserve_bytes),
+        chip=_chip(cores, megahertz(freq_mhz), core_power_w, kib(l2_kib)),
         num_chips=num_chips,
-        link=mipi_link(),
+        link=_mipi(gigabytes_per_second(link_gbps), link_pj_per_byte),
         group_size=group_size,
     )
 
 
-def siracusa_fast_link_platform(num_chips: int) -> MultiChipPlatform:
-    """A what-if Siracusa system with a 2 GB/s chip-to-chip link.
+@lru_cache(maxsize=None)
+def siracusa_platform(num_chips: int) -> MultiChipPlatform:
+    """The paper's system of ``num_chips`` Siracusa chips joined by MIPI links.
 
-    Everything except the link bandwidth matches the paper's platform;
-    this is a hypothetical variant for sensitivity studies, not a
-    published configuration.
+    Platforms are immutable, so each chip count shares one memoised
+    instance; that keeps the per-instance content-hash memo of
+    :mod:`repro.api.session` warm across every sweep and serving run of
+    the process.
     """
-    return MultiChipPlatform(
-        chip=siracusa_chip(),
-        num_chips=num_chips,
-        link=ChipToChipLink(
-            name="MIPI-2G",
-            bandwidth_bytes_per_s=gigabytes_per_second(2.0),
-            energy_pj_per_byte=MIPI_ENERGY_PJ_PER_BYTE,
-        ),
-        group_size=SIRACUSA_GROUP_SIZE,
-    )
+    return siracusa_variant(num_chips)
 
 
-def siracusa_big_l2_platform(num_chips: int) -> MultiChipPlatform:
-    """A what-if Siracusa system with 4 MiB of L2 per chip.
-
-    Doubles the scratchpad (same runtime reserve) so the on-chip
-    weight-residency crossover moves to lower chip counts; a hypothetical
-    variant for sensitivity studies, not a published configuration.
-    """
-    chip = siracusa_chip()
-    memory = replace(chip.memory, l2=replace(chip.memory.l2, size_bytes=mib(4)))
-    return MultiChipPlatform(
-        chip=replace(chip, memory=memory),
-        num_chips=num_chips,
-        link=mipi_link(),
-        group_size=SIRACUSA_GROUP_SIZE,
-    )
+def siracusa_chip() -> ChipModel:
+    """One Siracusa-like chip with the paper's published parameters."""
+    return siracusa_platform(1).chip
 
 
-def siracusa_low_power_platform(num_chips: int) -> MultiChipPlatform:
-    """A what-if Siracusa system clocked down to 300 MHz at 7 mW per core.
+def siracusa_cluster() -> ClusterModel:
+    """The octa-core compute cluster of one Siracusa chip."""
+    return siracusa_chip().cluster
 
-    Same memories, DMAs, and MIPI links as the paper's platform, but the
-    cluster trades 40% of its clock for roughly half the core power — a
-    hypothetical efficiency-tier chip for heterogeneous fleet studies,
-    not a published configuration.
-    """
-    chip = siracusa_chip()
-    cluster = replace(
-        chip.cluster, frequency_hz=300e6, power_per_core_w=7e-3
-    )
-    return MultiChipPlatform(
-        chip=replace(chip, cluster=cluster),
-        num_chips=num_chips,
-        link=mipi_link(),
-        group_size=SIRACUSA_GROUP_SIZE,
-    )
+
+def siracusa_memory() -> MemoryHierarchy:
+    """The memory hierarchy of one Siracusa chip."""
+    return siracusa_chip().memory
+
+
+def siracusa_dma() -> DmaModel:
+    """The DMA channel models of one Siracusa chip."""
+    return siracusa_chip().dma
+
+
+def mipi_link() -> ChipToChipLink:
+    """The MIPI chip-to-chip link used by the paper."""
+    return siracusa_platform(1).link
 
 
 # ----------------------------------------------------------------------
@@ -293,24 +283,30 @@ register_platform_preset(
         aliases=("siracusa",),
     )
 )
+# The what-if variants below are hypothetical configurations for
+# sensitivity and heterogeneous-fleet studies, not published ones.
 register_platform_preset(
     PlatformPreset(
         name="siracusa-fast-link",
         description="What-if variant: 2 GB/s chip-to-chip links",
-        factory=siracusa_fast_link_platform,
+        factory=partial(siracusa_variant, link_gbps=2.0),
     )
 )
+# Doubling the scratchpad (same runtime reserve) moves the on-chip
+# weight-residency crossover to lower chip counts.
 register_platform_preset(
     PlatformPreset(
         name="siracusa-big-l2",
         description="What-if variant: 4 MiB L2 per chip",
-        factory=siracusa_big_l2_platform,
+        factory=partial(siracusa_variant, l2_kib=4096),
     )
 )
+# An efficiency-tier chip: the cluster trades 40% of its clock for
+# roughly half the core power.
 register_platform_preset(
     PlatformPreset(
         name="siracusa-low-power",
         description="What-if variant: 300 MHz cluster at 7 mW per core",
-        factory=siracusa_low_power_platform,
+        factory=partial(siracusa_variant, freq_mhz=300, core_power_w=7e-3),
     )
 )

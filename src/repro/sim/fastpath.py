@@ -50,7 +50,6 @@ rebind shares it, the first price fills it, and pickling drops it.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -66,7 +65,7 @@ from ..core.schedule import (
     RuntimeCategory,
     SendStep,
 )
-from ..core.scheduler import L3_STREAM_TILE_BYTES
+from ..core.scheduler import l3_transfers
 from ..errors import SimulationError
 from .trace import ChipTrace, SimulationResult, TraceEvent
 
@@ -279,8 +278,7 @@ def _resolve(step, dma) -> Optional[tuple]:
 
 def _prefetch_cycles(step: PrefetchStep, dma) -> float:
     """L3->L2 cycles of a prefetch, streamed in L3 tiles."""
-    transfers = max(1, math.ceil(step.num_bytes / L3_STREAM_TILE_BYTES))
-    return dma.l3_l2.transfer_cycles(int(step.num_bytes), transfers)
+    return dma.l3_l2.transfer_cycles(int(step.num_bytes), l3_transfers(step.num_bytes))
 
 
 def _price(

@@ -20,7 +20,7 @@ from repro.analysis.evaluate import evaluate_block
 from repro.api import Session
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
-from repro.hw.presets import siracusa_platform
+from repro.hw.presets import get_platform_preset, siracusa_platform
 from repro.models import tinyllama_42m
 
 
@@ -66,6 +66,14 @@ class TestGeneration:
         assert reply.total_seconds() == pytest.approx(reply.total_cycles / 500e6)
         with pytest.raises(AnalysisError):
             reply.total_seconds(0)
+
+    def test_total_seconds_runs_at_the_platform_clock(self):
+        low_power = get_platform_preset("siracusa-low-power").build(8)
+        reply = evaluate_generation(
+            tinyllama_42m(), low_power, prompt_tokens=16, generated_tokens=4
+        )
+        assert reply.total_seconds() == reply.total_cycles / 300e6
+        assert reply.total_seconds(500e6) == reply.total_cycles / 500e6
 
     def test_distribution_beats_single_chip(self):
         single = evaluate_generation(

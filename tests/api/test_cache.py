@@ -35,7 +35,6 @@ from repro.api import (
 from repro.api.cache import WRITE_BATCH_ROWS, persistent_cache_disabled
 from repro.cli import main
 from repro.graph.workload import autoregressive
-from repro.hw.interconnect import ChipToChipLink
 from repro.hw.presets import siracusa_platform
 from repro.models import tinyllama_42m
 
@@ -170,7 +169,9 @@ class TestRoundTrip:
 
     def test_loaded_objects_are_not_kept_alive(self, store, workload):
         # A link no other test builds, so no live object shares its blob.
-        platform = replace(siracusa_platform(2), link=ChipToChipLink(name="weak"))
+        platform = replace(
+            siracusa_platform(2), link=replace(siracusa_platform(2).link, name="weak")
+        )
         store.put("key", Session(memoize=False).run(workload, platform=platform))
         loaded = store.get("key")
         assert loaded.report.platform == platform

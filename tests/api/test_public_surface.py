@@ -118,7 +118,14 @@ REMOVED_NAMES = {
         "Timeout",
         "simulate_block_fast",
     ),
-    "repro.hw": ("ChipInstance",),
+    "repro.hw": ("ChipInstance", "siracusa_big_l2_platform", "siracusa_fast_link_platform"),
+    "repro.hw.presets": (
+        "siracusa_big_l2_platform",
+        "siracusa_fast_link_platform",
+        "siracusa_low_power_platform",
+    ),
+    "repro.hw.interconnect": ("mipi_link",),
+    "repro.dse.space": ("_design_chip", "_design_link"),
     "repro.fleet.metrics": ("DEFAULT_FLEET_SLO_TARGETS_S",),
     "repro.serving": ("ServingSimulator", "utilisation_timeline"),
     "repro.spec": (
@@ -177,6 +184,32 @@ def test_exported_names_resolve_and_removed_names_are_gone(module_name):
     for name in REMOVED_NAMES.get(module_name, ()):
         assert name not in module.__all__
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "module_name", sorted(set(REMOVED_NAMES) - set(PUBLIC_MODULES))
+)
+def test_removed_names_of_inner_modules_are_gone(module_name):
+    module = importlib.import_module(module_name)
+    for name in REMOVED_NAMES[module_name]:
+        assert not hasattr(module, name)
+
+
+def test_removed_hardware_members_are_gone():
+    from repro.hw import DmaChannelModel, DmaModel, MultiChipPlatform
+
+    assert not hasattr(DmaModel, "default")
+    assert not hasattr(DmaChannelModel, "transfers_for")
+    for name in (
+        "aggregate_l2_bytes",
+        "aggregate_on_chip_bytes",
+        "group_leader",
+        "group_of",
+        "is_single_chip",
+        "num_tree_levels",
+        "_check_chip_id",
+    ):
+        assert not hasattr(MultiChipPlatform, name), name
 
 
 def test_removed_modules_and_converters_are_gone():

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.cluster import ClusterModel
-from repro.hw.dma import DmaChannelModel, DmaModel
-from repro.hw.interconnect import ChipToChipLink, mipi_link
+from repro.hw.dma import DmaChannelModel
+from repro.hw.presets import mipi_link, siracusa_cluster, siracusa_dma
 
 
 class TestClusterModel:
-    def test_siracusa_defaults(self):
-        cluster = ClusterModel()
+    def test_siracusa_values(self):
+        cluster = siracusa_cluster()
         assert cluster.num_cores == 8
         assert cluster.frequency_hz == 500e6
         assert cluster.power_w == pytest.approx(8 * 13e-3)
@@ -20,12 +21,12 @@ class TestClusterModel:
         assert cluster.l1_bandwidth_bytes_per_cycle == pytest.approx(32.0)
 
     def test_time_conversions(self):
-        cluster = ClusterModel()
+        cluster = siracusa_cluster()
         assert cluster.cycles_to_seconds(500e6) == pytest.approx(1.0)
         assert cluster.seconds_to_cycles(2e-3) == pytest.approx(1e6)
 
     def test_compute_energy(self):
-        cluster = ClusterModel()
+        cluster = siracusa_cluster()
         # 500k cycles at 500 MHz is 1 ms at 104 mW -> 104 uJ.
         assert cluster.compute_energy_joules(500e3) == pytest.approx(104e-6)
 
@@ -40,7 +41,7 @@ class TestClusterModel:
     ])
     def test_invalid_parameters_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
-            ClusterModel(**{field: value})
+            replace(siracusa_cluster(), **{field: value})
 
 
 class TestDmaChannelModel:
@@ -56,20 +57,13 @@ class TestDmaChannelModel:
         channel = DmaChannelModel("test", bytes_per_cycle=1.0, setup_cycles=100)
         assert channel.transfer_cycles(0) == 0.0
 
-    def test_transfers_for(self):
-        channel = DmaChannelModel("test", bytes_per_cycle=1.0)
-        assert channel.transfers_for(100, 64) == 2
-        assert channel.transfers_for(0, 64) == 0
-        with pytest.raises(ConfigurationError):
-            channel.transfers_for(100, 0)
-
     def test_negative_size_rejected(self):
         channel = DmaChannelModel("test", bytes_per_cycle=1.0)
         with pytest.raises(ConfigurationError):
             channel.transfer_cycles(-1)
 
-    def test_default_pair(self):
-        dma = DmaModel.default()
+    def test_siracusa_pair(self):
+        dma = siracusa_dma()
         assert dma.l2_l1.bytes_per_cycle > dma.l3_l2.bytes_per_cycle
         assert dma.l3_l2.setup_cycles > dma.l2_l1.setup_cycles
 
@@ -85,12 +79,12 @@ class TestChipToChipLink:
         assert link.bytes_per_cycle(500e6) == pytest.approx(1.0)
 
     def test_transfer_cycles_include_latency(self):
-        link = ChipToChipLink(latency_cycles=1000)
+        link = replace(mipi_link(), latency_cycles=1000)
         cycles = link.transfer_cycles(512, 500e6)
         assert cycles == pytest.approx(1000 + 512)
 
     def test_zero_bytes_is_free(self):
-        assert ChipToChipLink().transfer_cycles(0, 500e6) == 0.0
+        assert mipi_link().transfer_cycles(0, 500e6) == 0.0
 
     def test_transfer_energy_per_paper(self):
         link = mipi_link()
@@ -99,10 +93,10 @@ class TestChipToChipLink:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            ChipToChipLink(bandwidth_bytes_per_s=0)
+            replace(mipi_link(), bandwidth_bytes_per_s=0)
         with pytest.raises(ConfigurationError):
-            ChipToChipLink(energy_pj_per_byte=-1)
+            replace(mipi_link(), energy_pj_per_byte=-1)
         with pytest.raises(ConfigurationError):
-            ChipToChipLink().transfer_cycles(-1, 500e6)
+            mipi_link().transfer_cycles(-1, 500e6)
         with pytest.raises(ConfigurationError):
-            ChipToChipLink().bytes_per_cycle(0)
+            mipi_link().bytes_per_cycle(0)

@@ -17,7 +17,7 @@ from repro.graph.ops import (
     Operator,
     SoftmaxOp,
 )
-from repro.hw.cluster import ClusterModel
+from repro.hw.presets import siracusa_cluster
 from repro.kernels.base import KernelCost, merge_costs
 from repro.kernels.elementwise import ElementwiseModel
 from repro.kernels.library import KernelLibrary
@@ -26,7 +26,7 @@ from repro.kernels.matmul import MatmulEfficiencyModel, linear_cost
 
 @pytest.fixture
 def cluster():
-    return ClusterModel()
+    return siracusa_cluster()
 
 
 @pytest.fixture

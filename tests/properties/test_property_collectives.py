@@ -10,7 +10,7 @@ from repro.core.collectives import (
     hierarchical_all_reduce,
     hierarchical_broadcast,
 )
-from repro.hw.presets import siracusa_platform
+from repro.hw.presets import siracusa_platform, siracusa_variant
 
 
 @settings(max_examples=50, deadline=None)
@@ -31,7 +31,11 @@ def test_all_reduce_structure(num_chips, payload):
     assert plan.total_bytes == (num_chips - 1) * payload
 
     # The number of rounds is the depth of the grouping tree.
-    assert len(plan.rounds) == platform.num_tree_levels
+    levels, remaining = 0, num_chips
+    while remaining > 1:
+        remaining = -(-remaining // platform.group_size)
+        levels += 1
+    assert len(plan.rounds) == levels
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,7 +78,7 @@ def test_hierarchical_never_slower_than_flat(num_chips, payload):
     group_size=st.integers(min_value=2, max_value=8),
 )
 def test_group_size_generalises(num_chips, payload, group_size):
-    platform = siracusa_platform(num_chips, group_size=group_size)
+    platform = siracusa_variant(num_chips, group_size=group_size)
     plan = hierarchical_all_reduce(platform, payload)
     senders = [t.src for round_ in plan.rounds for t in round_.transfers]
     assert len(senders) == num_chips - 1

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.ops import LinearOp, SoftmaxOp
-from repro.hw.cluster import ClusterModel
+from repro.hw.presets import siracusa_cluster
 from repro.kernels.elementwise import ElementwiseModel
 from repro.kernels.library import KernelLibrary
 from repro.kernels.matmul import MatmulEfficiencyModel, linear_cost
 from sim_oracle import Environment
 
 
-CLUSTER = ClusterModel()
+CLUSTER = siracusa_cluster()
 EFFICIENCY = MatmulEfficiencyModel()
 LIBRARY = KernelLibrary(cluster=CLUSTER)
 

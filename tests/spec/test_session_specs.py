@@ -74,13 +74,13 @@ class TestSpecOverloads:
         assert declarative.front == imperative.front
 
     def test_sweep_spec_with_nondefault_preset(self, session, workload):
-        from repro.hw.presets import siracusa_fast_link_platform
+        from repro.hw.presets import get_platform_preset
 
         declarative = execute(
             session,
             SweepSpec(chips=(1, 2), platform=PlatformSpec(preset="siracusa-fast-link")),
         )
-        fast = Session(platform_factory=siracusa_fast_link_platform)
+        fast = Session(platform_factory=get_platform_preset("siracusa-fast-link").factory)
         imperative = fast.sweep(workload, (1, 2))
         assert declarative == imperative
         # The factory override is scoped to the call.
