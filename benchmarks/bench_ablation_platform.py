@@ -1,7 +1,7 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the modelling and design choices behind the paper's results.
 
-These benchmarks quantify the modelling and design decisions behind the
-paper's results:
+These benchmarks quantify them (docs/MODELS.md documents the platform
+constants and the model variants they vary):
 
 * the prefetch-accounting policy (how much of the super-linear speedup
   rests on hiding the double-buffered weight prefetch),

@@ -109,8 +109,6 @@ def test_parallel_tune_is_byte_identical_and_interactive(run_once):
     """
     import json
 
-    from repro.analysis.export import tune_result_to_dict
-
     workload = autoregressive(tinyllama_42m(), 128)
     space = _space()
 
@@ -128,10 +126,7 @@ def test_parallel_tune_is_byte_identical_and_interactive(run_once):
                 objectives=("latency", "hw_cost"),
                 parallel=workers,
             )
-            documents[workers] = json.dumps(
-                tune_result_to_dict(result, include_cache=False),
-                sort_keys=True,
-            )
+            documents[workers] = json.dumps(result.to_dict(), sort_keys=True)
         return time.perf_counter() - start, documents
 
     elapsed, documents = run_once(tour)

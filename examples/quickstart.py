@@ -68,7 +68,8 @@ def main() -> None:
     print(f"EDP improvement                : {edp_gain:.1f}x")
     print()
     print("The paper reports 26.1x speedup and 27.2x EDP improvement for this "
-          "configuration; see EXPERIMENTS.md for the full comparison.")
+          "configuration; run `repro experiments --only headline` for the "
+          "full comparison.")
     print()
 
     # The same session runs the Table I ablation on 8 chips; re-running any

@@ -1,16 +1,7 @@
 """Evaluation, metrics, sweeps, and plain-text figure rendering."""
 
 from .evaluate import BlockReport, evaluate_block
-from .export import (
-    comparison_to_json,
-    eval_result_to_dict,
-    eval_sweep_to_json,
-    report_to_dict,
-    sweep_to_csv,
-    sweep_to_json,
-    sweep_to_records,
-    write_sweep,
-)
+from .export import sweep_to_csv, write_sweep
 from .figures import (
     HeadlineMetric,
     dse_matrix,
@@ -50,10 +41,7 @@ __all__ = [
     "HeadlineMetric",
     "ScalingPoint",
     "comparison_table",
-    "comparison_to_json",
     "dse_matrix",
-    "eval_result_to_dict",
-    "eval_sweep_to_json",
     "edp_improvement",
     "energy_ratio",
     "energy_runtime_table",
@@ -71,14 +59,11 @@ __all__ = [
     "render_headline",
     "render_serving",
     "render_table1",
-    "report_to_dict",
     "runtime_breakdown_table",
     "scaling_points",
     "scaling_table",
     "serving_matrix",
     "speedup",
     "sweep_to_csv",
-    "sweep_to_json",
-    "sweep_to_records",
     "write_sweep",
 ]

@@ -14,14 +14,25 @@ and cross-strategy sweeps possible without per-strategy special cases.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..analysis.evaluate import BlockReport
 from ..core.placement import WeightResidency
 from ..core.schedule import RuntimeCategory
 from ..errors import AnalysisError
 from ..graph.workload import Workload
+
+#: The runtime-breakdown columns of :meth:`EvalResult.to_dict`.
+_BREAKDOWN_COLUMNS = (
+    ("compute_cycles", RuntimeCategory.COMPUTE),
+    ("dma_l3_l2_cycles", RuntimeCategory.DMA_L3_L2),
+    ("dma_l2_l1_cycles", RuntimeCategory.DMA_L2_L1),
+    ("chip_to_chip_cycles", RuntimeCategory.CHIP_TO_CHIP),
+    ("idle_cycles", RuntimeCategory.IDLE),
+)
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,15 @@ class EvalResult:
         # Negated ranges, so a NaN from a broken model fails them too.
         if not self.block_cycles > 0:
             raise AnalysisError("block_cycles must be positive")
+        if not math.isfinite(self.block_cycles):
+            raise AnalysisError("block_cycles must be finite")
         if not (self.block_energy_joules >= 0 and self.l3_bytes_per_block >= 0):
             raise AnalysisError("energy and traffic cannot be negative")
+        if not (
+            math.isfinite(self.block_energy_joules)
+            and math.isfinite(self.l3_bytes_per_block)
+        ):
+            raise AnalysisError("energy and traffic must be finite")
         if self.weight_bytes_per_chip < 0:
             raise AnalysisError("weight bytes cannot be negative")
 
@@ -89,8 +107,6 @@ class EvalResult:
     @property
     def block_runtime_seconds(self) -> float:
         """Runtime of one Transformer block in seconds."""
-        if self.report is not None:
-            return self.report.block_runtime_seconds
         return self.block_cycles / self.frequency_hz
 
     @property
@@ -124,8 +140,6 @@ class EvalResult:
     @property
     def energy_delay_product(self) -> float:
         """Per-block energy-delay product in joule-seconds."""
-        if self.report is not None:
-            return self.report.energy_delay_product
         return self.block_energy_joules * self.block_runtime_seconds
 
     @property
@@ -159,6 +173,55 @@ class EvalResult:
             f"chip(s): {self.block_cycles:,.0f} cycles/block, "
             f"{self.block_energy_joules * 1e3:.3f} mJ/block"
         )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serialisable form (the ``repro evaluate --json`` document).
+
+        Every strategy writes one schema: an analytical result, which
+        carries no :class:`BlockReport`, writes the fields only the
+        simulator fills (residencies, breakdowns) as ``None``.
+        """
+        report = self.report
+        record: Dict[str, Any] = {
+            "workload": self.workload.name,
+            "num_chips": self.num_chips,
+            "block_cycles": self.block_cycles,
+            "block_runtime_seconds": self.block_runtime_seconds,
+            "block_energy_joules": self.block_energy_joules,
+            "energy_delay_product": self.energy_delay_product,
+            "l3_bytes": self.l3_bytes_per_block,
+            "c2c_bytes": self.c2c_bytes_per_block,
+            "on_chip": self.runs_from_on_chip_memory,
+            "residencies": None,
+            "energy_breakdown_joules": None,
+            "strategy": self.strategy,
+            "approach": self.approach,
+            "weight_bytes_per_chip": self.weight_bytes_per_chip,
+            "weights_replicated": self.weights_replicated,
+            "synchronisations_per_block": self.synchronisations_per_block,
+            "uses_pipelining": self.uses_pipelining,
+            "notes": self.notes,
+        }
+        breakdown = self.runtime_breakdown() or {}
+        for column, category in _BREAKDOWN_COLUMNS:
+            record[column] = breakdown.get(category)
+        if report is not None:
+            record["residencies"] = {
+                str(chip_id): residency.value
+                for chip_id, residency in report.residencies().items()
+            }
+            energy = report.energy.total
+            record["energy_breakdown_joules"] = {
+                "compute": energy.compute,
+                "l2_l1": energy.l2_l1,
+                "l3_l2": energy.l3_l2,
+                "chip_to_chip": energy.chip_to_chip,
+            }
+        return record
+
+    def to_json(self) -> str:
+        """Deterministic JSON document (sorted keys, stable float reprs)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_block_report(

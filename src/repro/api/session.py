@@ -21,6 +21,7 @@ figure harnesses, tables and exporters consume directly.
 from __future__ import annotations
 
 import hashlib
+import json
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
@@ -28,6 +29,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import (
+    Any,
     Dict,
     List,
     NamedTuple,
@@ -230,6 +232,32 @@ class EvalSweep:
             for result in self.results
         }
 
+    def to_dict(self, *, cache: Optional[CacheInfo] = None) -> Dict[str, Any]:
+        """JSON-serialisable form (the ``repro sweep --json`` document).
+
+        Each result is :meth:`EvalResult.to_dict` plus its ``speedup``
+        over the first chip count.  Pass the evaluating session's
+        :meth:`Session.cache_info` as ``cache`` to make memoisation reuse
+        observable; a study artifact and ``sweep --output`` leave it out,
+        since it depends on what ran earlier in the session.
+        """
+        document: Dict[str, Any] = {
+            "workload": self.workload.name,
+            "strategy": self.strategy,
+            "chip_counts": self.chip_counts,
+            "results": [
+                dict(result.to_dict(), speedup=result.speedup_over(self.baseline))
+                for result in self.results
+            ],
+        }
+        if cache is not None:
+            document["cache"] = cache.to_dict()
+        return document
+
+    def to_json(self, *, cache: Optional[CacheInfo] = None) -> str:
+        """Deterministic JSON document (sorted keys, stable float reprs)."""
+        return json.dumps(self.to_dict(cache=cache), indent=2, sort_keys=True)
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -281,6 +309,19 @@ class Comparison:
         from ..baselines.compare import render_comparison
 
         return render_comparison(list(self.results))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serialisable form (the ``repro compare --json`` document)."""
+        return {
+            "workload": self.workload.name,
+            "num_chips": self.num_chips,
+            "strategies": self.strategies,
+            "results": [result.to_dict() for result in self.results],
+        }
+
+    def to_json(self) -> str:
+        """Deterministic JSON document (sorted keys, stable float reprs)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

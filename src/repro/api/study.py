@@ -8,9 +8,9 @@ reference earlier ones (``platform_from`` a tune stage, ``chips_from`` a
 sweep stage); the runner resolves those references against completed
 outcomes.
 
-Each stage's result is flattened into the same JSON-ready form the CLI's
-``--json`` flag emits (minus session cache statistics, which depend on
-history rather than inputs), and :meth:`Study.run` can write the whole
+Each stage's payload is its result's ``to_dict()``, the document the
+CLI's ``--json`` flag emits minus session cache statistics (which depend
+on history rather than inputs), and :meth:`Study.run` can write the whole
 pipeline as a byte-deterministic artifact directory::
 
     out/
@@ -39,30 +39,6 @@ from .session import Session
 __all__ = ["StageOutcome", "Study", "StudyResult"]
 
 
-def _stage_payload(kind: str, result: Any) -> Dict[str, Any]:
-    """One stage's JSON-ready artifact body (cache-statistics-free)."""
-    from ..analysis.export import (
-        comparison_to_dict,
-        eval_result_to_dict,
-        eval_sweep_to_dict,
-        tune_result_to_dict,
-    )
-
-    if kind == "evaluate":
-        return eval_result_to_dict(result)
-    if kind == "sweep":
-        return eval_sweep_to_dict(result)
-    if kind == "compare":
-        return comparison_to_dict(result)
-    if kind == "serve":
-        return result.to_dict()
-    if kind == "fleet":
-        return result.to_dict()
-    if kind == "tune":
-        return tune_result_to_dict(result, include_cache=False)
-    raise AnalysisError(f"no artifact encoder for stage kind {kind!r}")
-
-
 def _dumps(document: Dict[str, Any]) -> str:
     """The canonical artifact text: sorted keys, indent 2, trailing newline."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -77,7 +53,7 @@ class StageOutcome:
         kind: The stage spec's kind tag (``sweep``, ``serve``, ...).
         result: The native result object the equivalent imperative
             ``Session`` call would have returned.
-        payload: The JSON-ready artifact body.
+        payload: The JSON-ready artifact body, ``result.to_dict()``.
     """
 
     name: str
@@ -273,7 +249,7 @@ class Study:
                 name=stage.name,
                 kind=stage.spec.kind,
                 result=result,
-                payload=_stage_payload(stage.spec.kind, result),
+                payload=result.to_dict(),
             )
             outcomes[stage.name] = outcome
             ordered.append(outcome)

@@ -66,20 +66,14 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
 from .analysis import figures
-from .analysis.export import (
-    check_sweep_path,
-    comparison_to_json,
-    eval_result_to_dict,
-    eval_sweep_to_json,
-    tune_result_to_json,
-    write_sweep,
-)
+from .analysis.export import check_sweep_path, write_sweep
 from .analysis.tables import energy_runtime_table, format_table, runtime_breakdown_table
 from .api.registry import get_strategy, list_strategies
 from .api.result import EvalResult
 from .api.session import CacheInfo, EvalSweep, Session
 from .api.strategies import BASELINE_STRATEGIES, PAPER_STRATEGY
 from .core.placement import PrefetchAccounting
+from .dse.space import default_space
 from .errors import AnalysisError, ConfigurationError, ReproError
 from .graph.transformer import InferenceMode
 from .models.registry import get_model, list_models
@@ -551,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=None,
-        help="chip-count choices of the space (default: 1 2 4 8)",
+        help=f"chip-count choices of the space (default: {_tune_default_text('chips')})",
     )
     tune.add_argument(
         "--link-gbps",
@@ -559,7 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="GBPS",
-        help="C2C bandwidth levels in GB/s (default: 0.125 0.25 0.5 1 2)",
+        help=(
+            "C2C bandwidth levels in GB/s "
+            f"(default: {_tune_default_text('link_gbps')})"
+        ),
     )
     tune.add_argument(
         "--l2-kib",
@@ -567,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="KIB",
-        help="L2 capacity choices in KiB (default: 1024 2048 4096)",
+        help=f"L2 capacity choices in KiB (default: {_tune_default_text('l2_kib')})",
     )
     tune.add_argument(
         "--freq-mhz",
@@ -575,14 +572,20 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="MHZ",
-        help="cluster frequency levels in MHz (default: 300 500)",
+        help=(
+            "cluster frequency levels in MHz "
+            f"(default: {_tune_default_text('freq_mhz')})"
+        ),
     )
     tune.add_argument(
         "--strategies",
         nargs="+",
         default=None,
         metavar="NAME",
-        help="strategy choices of the space (default: paper)",
+        help=(
+            "strategy choices of the space "
+            f"(default: {_tune_default_text('strategy')})"
+        ),
     )
     tune.add_argument(
         "--parallel",
@@ -1059,20 +1062,30 @@ def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
     )
 
 
+def _tune_default(axis: str) -> tuple:
+    """The values of one axis of :func:`repro.dse.default_space`."""
+    return default_space().axis(axis).values()
+
+
+def _tune_default_text(axis: str) -> str:
+    """An axis of the default tune space as ``--help`` quotes it."""
+    return " ".join(
+        value if isinstance(value, str) else f"{value:g}"
+        for value in _tune_default(axis)
+    )
+
+
 def _tune_spec_from_args(args: argparse.Namespace) -> TuneSpec:
     from .dse.pareto import parse_constraint
     from .spec import AxisSpec, SpaceSpec
 
     for expr in args.constraint:
         parse_constraint(expr)  # a bad bound fails before any spec is printed
-    chips = tuple(args.chips) if args.chips else (1, 2, 4, 8)
-    link = (
-        tuple(args.link_gbps) if args.link_gbps
-        else (0.125, 0.25, 0.5, 1.0, 2.0)
-    )
-    l2 = tuple(args.l2_kib) if args.l2_kib else (1024, 2048, 4096)
-    freq = tuple(args.freq_mhz) if args.freq_mhz else (300.0, 500.0)
-    strategies = tuple(args.strategies) if args.strategies else ("paper",)
+    chips = tuple(args.chips or _tune_default("chips"))
+    link = tuple(args.link_gbps or _tune_default("link_gbps"))
+    l2 = tuple(args.l2_kib or _tune_default("l2_kib"))
+    freq = tuple(args.freq_mhz or _tune_default("freq_mhz"))
+    strategies = tuple(args.strategies or _tune_default("strategy"))
     space = SpaceSpec(
         axes=(
             AxisSpec(axis="choice", name="chips", choices=chips),
@@ -1290,9 +1303,7 @@ def _command_evaluate(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
         _evaluate_spec_from_args(args),
-        lambda result, cache: json.dumps(
-            eval_result_to_dict(result), indent=2, sort_keys=True
-        ),
+        lambda result, cache: result.to_json(),
         _evaluate_text,
     )
 
@@ -1328,7 +1339,7 @@ def _command_sweep(args: argparse.Namespace) -> List[str]:
             check_sweep_path(args.output)
 
     def to_json(sweep: EvalSweep, cache: CacheInfo) -> str:
-        text = eval_sweep_to_json(sweep, cache=cache)
+        text = sweep.to_json(cache=cache)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -1345,16 +1356,11 @@ def _command_sweep(args: argparse.Namespace) -> List[str]:
                 "",
                 energy_runtime_table(sweep),
             ]
-            if args.output:
-                write_sweep(sweep, args.output)
-                lines.append(f"wrote {args.output}")
         else:
             lines.append(_strategy_sweep_table(sweep))
-            if args.output:
-                lines.append(
-                    "export is only supported for simulator-backed strategies "
-                    f"(strategy {sweep.strategy!r} is analytical)"
-                )
+        if args.output:
+            write_sweep(sweep, args.output)
+            lines.append(f"wrote {args.output}")
         return lines
 
     return _run_spec(args, spec, to_json, to_text)
@@ -1379,7 +1385,7 @@ def _command_compare(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
         _compare_spec_from_args(args),
-        lambda comparison, cache: comparison_to_json(comparison),
+        lambda comparison, cache: comparison.to_json(),
         _compare_text,
     )
 
@@ -1470,7 +1476,7 @@ def _command_tune(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
         replace(spec, parallel=parallel, checkpoint_every=checkpoint_every),
-        lambda result, cache: tune_result_to_json(result),
+        lambda result, cache: result.to_json(cache=cache),
         lambda result: [result.render()],
         checkpoint=checkpoint,
         resume=resume,

@@ -12,6 +12,7 @@ the :class:`TuneResult` behind :meth:`repro.api.Session.tune` and the
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -547,6 +548,45 @@ class TuneResult:
         spec = next(obj for obj in self.objectives if obj.name == name)
         chooser = min if spec.sense is Sense.MIN else max
         return chooser(eligible, key=lambda candidate: candidate.value(name))
+
+    def to_dict(self, *, cache: Optional[CacheInfo] = None) -> Dict[str, Any]:
+        """JSON-serialisable form (the ``repro tune --json`` document).
+
+        Candidates and the front appear in evaluation order; together
+        with the deterministic searchers this makes the document
+        byte-identical across runs for equal seed/space/budget.  Pass the
+        session's :meth:`~repro.api.Session.cache_info` (after the run it
+        equals :attr:`cache`) as ``cache`` to include the memoisation
+        statistics, which depend on evaluation history rather than on the
+        tuning inputs; a study artifact leaves them out.
+        """
+        document: Dict[str, Any] = {
+            "workload": self.workload.name,
+            "searcher": self.searcher,
+            "seed": self.seed,
+            "budget": self.budget,
+            "objectives": [
+                {"name": objective.name, "sense": objective.sense.value}
+                for objective in self.objectives
+            ],
+            "constraints": [
+                constraint.render() for constraint in self.constraints
+            ],
+            "space": {
+                "axes": list(self.space.names),
+                "size": self.space.size,
+            },
+            "evaluations_requested": self.evaluations_requested,
+            "candidates": [candidate.as_dict() for candidate in self.candidates],
+            "front": [candidate.as_dict() for candidate in self.front],
+        }
+        if cache is not None:
+            document["cache"] = cache.to_dict()
+        return document
+
+    def to_json(self, *, cache: Optional[CacheInfo] = None) -> str:
+        """Deterministic JSON document (sorted keys, stable float reprs)."""
+        return json.dumps(self.to_dict(cache=cache), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """Plain-text summary: run header plus the Pareto-front table."""

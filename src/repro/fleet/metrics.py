@@ -480,11 +480,9 @@ class FleetReport:
             document["cache"] = cache.to_dict()
         return document
 
-    def to_json(self, *, indent: int = 2, cache=None) -> str:
+    def to_json(self, *, cache=None) -> str:
         """Deterministic JSON document (sorted keys, stable float reprs)."""
-        return json.dumps(
-            self.to_dict(cache=cache), indent=indent, sort_keys=True
-        )
+        return json.dumps(self.to_dict(cache=cache), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """Plain-text summary of the headline fleet numbers."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError
 from .cluster import ClusterModel
 from .dma import DmaModel
-from .memory import MemoryHierarchy, MemoryLevel, MemoryLevelName
+from .memory import MemoryHierarchy, MemoryLevel
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,3 @@ class ChipModel:
     def frequency_hz(self) -> float:
         """Cluster clock frequency."""
         return self.cluster.frequency_hz
-
-    def access_energy_joules(self, level: MemoryLevelName, num_bytes: int) -> float:
-        """Energy to move ``num_bytes`` into or out of the given level."""
-        if num_bytes < 0:
-            raise ConfigurationError("byte count must be non-negative")
-        pj_per_byte = self.memory.level(level).access_energy_pj_per_byte
-        return num_bytes * pj_per_byte * 1e-12

@@ -52,10 +52,16 @@ class ClusterModel:
             raise ConfigurationError("cluster frequency must be finite")
         if not self.macs_per_core_per_cycle > 0:
             raise ConfigurationError("MAC throughput must be positive")
+        if not math.isfinite(self.macs_per_core_per_cycle):
+            raise ConfigurationError("MAC throughput must be finite")
         if not self.power_per_core_w >= 0:
             raise ConfigurationError("core power must be non-negative")
+        if not math.isfinite(self.power_per_core_w):
+            raise ConfigurationError("core power must be finite")
         if not self.l1_bytes_per_core_per_cycle > 0:
             raise ConfigurationError("L1 port bandwidth must be positive")
+        if not math.isfinite(self.l1_bytes_per_core_per_cycle):
+            raise ConfigurationError("L1 port bandwidth must be finite")
 
     @property
     def peak_macs_per_cycle(self) -> float:
@@ -63,23 +69,6 @@ class ClusterModel:
         return self.num_cores * self.macs_per_core_per_cycle
 
     @property
-    def l1_bandwidth_bytes_per_cycle(self) -> float:
-        """Aggregate L1 load bandwidth of the cluster per cycle."""
-        return self.num_cores * self.l1_bytes_per_core_per_cycle
-
-    @property
     def power_w(self) -> float:
         """Total active power of the cluster in watts."""
         return self.num_cores * self.power_per_core_w
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert a cycle count to seconds at the cluster clock."""
-        return cycles / self.frequency_hz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        """Convert seconds to cycles at the cluster clock."""
-        return seconds * self.frequency_hz
-
-    def compute_energy_joules(self, cycles: float) -> float:
-        """Dynamic energy of the cluster being busy for ``cycles`` cycles."""
-        return self.power_w * self.cycles_to_seconds(cycles)

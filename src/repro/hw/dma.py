@@ -15,6 +15,7 @@ A transfer of ``n`` bytes costs ``setup_cycles + n / bytes_per_cycle``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -39,6 +40,8 @@ class DmaChannelModel:
         # Each check negates the valid range, so NaN fails it too.
         if not self.bytes_per_cycle > 0:
             raise ConfigurationError(f"DMA {self.name!r} bandwidth must be positive")
+        if not math.isfinite(self.bytes_per_cycle):
+            raise ConfigurationError(f"DMA {self.name!r} bandwidth must be finite")
         if not self.setup_cycles >= 0:
             raise ConfigurationError(f"DMA {self.name!r} setup cost must be >= 0")
 

@@ -11,6 +11,7 @@ parallel, while transfers converging on the same receiver serialise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -37,8 +38,12 @@ class ChipToChipLink:
         # Each check negates the valid range, so NaN fails it too.
         if not self.bandwidth_bytes_per_s > 0:
             raise ConfigurationError("link bandwidth must be positive")
+        if not math.isfinite(self.bandwidth_bytes_per_s):
+            raise ConfigurationError("link bandwidth must be finite")
         if not self.energy_pj_per_byte >= 0:
             raise ConfigurationError("link energy must be non-negative")
+        if not math.isfinite(self.energy_pj_per_byte):
+            raise ConfigurationError("link energy must be finite")
         if not self.latency_cycles >= 0:
             raise ConfigurationError("link latency must be non-negative")
 

@@ -16,10 +16,10 @@ between adjacent levels (modelled in :mod:`repro.hw.dma`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError, MemoryCapacityError
-from ..units import format_bytes
+from ..errors import ConfigurationError
 
 
 class MemoryLevelName(str, enum.Enum):
@@ -56,20 +56,12 @@ class MemoryLevel:
             raise ConfigurationError(
                 f"{self.name.value} access energy must be non-negative"
             )
+        if not math.isfinite(self.access_energy_pj_per_byte):
+            raise ConfigurationError(
+                f"{self.name.value} access energy must be finite"
+            )
         if not self.num_banks > 0:
             raise ConfigurationError(f"{self.name.value} bank count must be positive")
-
-    def check_fits(self, num_bytes: int, what: str = "allocation") -> None:
-        """Raise :class:`MemoryCapacityError` if ``num_bytes`` exceeds capacity."""
-        if num_bytes > self.size_bytes:
-            raise MemoryCapacityError(
-                f"{what} of {format_bytes(num_bytes)} does not fit in "
-                f"{self.name.value} ({format_bytes(self.size_bytes)})"
-            )
-
-    def fits(self, num_bytes: int) -> bool:
-        """Return whether ``num_bytes`` fits in this level."""
-        return num_bytes <= self.size_bytes
 
 
 @dataclass(frozen=True)
@@ -93,16 +85,3 @@ class MemoryHierarchy:
                     f"hierarchy field {attr!r} must be a {name.value} level, "
                     f"got {level.name.value}"
                 )
-
-    def level(self, name: MemoryLevelName) -> MemoryLevel:
-        """Look up a level by name."""
-        return {
-            MemoryLevelName.L1: self.l1,
-            MemoryLevelName.L2: self.l2,
-            MemoryLevelName.L3: self.l3,
-        }[name]
-
-    @property
-    def on_chip_bytes(self) -> int:
-        """Total on-chip capacity (L1 + L2)."""
-        return self.l1.size_bytes + self.l2.size_bytes

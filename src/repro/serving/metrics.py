@@ -320,9 +320,7 @@ class ServingReport:
     result: ServingResult
     metrics: ServingMetrics
 
-    def to_dict(
-        self, *, include_records: bool = True, cache=None
-    ) -> Dict[str, Any]:
+    def to_dict(self, *, cache=None) -> Dict[str, Any]:
         """JSON-serialisable form (the ``repro serve --json`` document).
 
         Pass the evaluating session's
@@ -339,22 +337,13 @@ class ServingReport:
         }
         if cache is not None:
             document["cache"] = cache.to_dict()
-        if include_records:
-            ordered = sorted(
-                self.result.records, key=lambda r: r.request.request_id
-            )
-            document["records"] = [record.to_dict() for record in ordered]
+        ordered = sorted(self.result.records, key=lambda r: r.request.request_id)
+        document["records"] = [record.to_dict() for record in ordered]
         return document
 
-    def to_json(
-        self, *, indent: int = 2, include_records: bool = True, cache=None
-    ) -> str:
+    def to_json(self, *, cache=None) -> str:
         """Deterministic JSON document (sorted keys, stable float reprs)."""
-        return json.dumps(
-            self.to_dict(include_records=include_records, cache=cache),
-            indent=indent,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(cache=cache), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """Plain-text summary of the headline serving numbers."""

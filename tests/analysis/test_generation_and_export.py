@@ -8,16 +8,10 @@ import json
 
 import pytest
 
-from repro.analysis.export import (
-    report_to_dict,
-    sweep_to_csv,
-    sweep_to_json,
-    sweep_to_records,
-    write_sweep,
-)
+from repro.analysis.export import sweep_to_csv, write_sweep
 from repro.analysis.generation import evaluate_generation
-from repro.analysis.evaluate import evaluate_block
 from repro.api import Session
+from repro.core.schedule import RuntimeCategory
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import get_platform_preset, siracusa_platform
@@ -175,13 +169,11 @@ class TestGenerationEdgeCases:
 
 
 class TestExport:
-    def test_report_to_dict_fields(self):
-        report = evaluate_block(
-            autoregressive(tinyllama_42m(), 128), siracusa_platform(8)
-        )
-        record = report_to_dict(report, speedup=29.0)
+    def test_result_to_dict_fields(self):
+        result = Session().run(autoregressive(tinyllama_42m(), 128), chips=8)
+        record = result.to_dict()
         assert record["num_chips"] == 8
-        assert record["speedup"] == 29.0
+        assert "speedup" not in record
         assert record["on_chip"] is True
         assert set(record["energy_breakdown_joules"]) == {
             "compute", "l2_l1", "l3_l2", "chip_to_chip",
@@ -189,16 +181,18 @@ class TestExport:
         json.dumps(record)  # must be JSON-serialisable
 
     def test_sweep_records_include_speedups(self, sweep):
-        records = sweep_to_records(sweep)
+        records = sweep.to_dict()["results"]
         assert len(records) == 2
         assert records[0]["speedup"] == pytest.approx(1.0)
         assert records[1]["speedup"] > 8
 
     def test_json_round_trip(self, sweep):
-        document = json.loads(sweep_to_json(sweep))
+        document = json.loads(sweep.to_json())
         assert document["workload"] == sweep.workload.name
+        assert document["strategy"] == "paper"
         assert document["chip_counts"] == [1, 8]
         assert len(document["results"]) == 2
+        assert "cache" not in document
 
     def test_csv_has_header_and_rows(self, sweep):
         text = sweep_to_csv(sweep)
@@ -212,18 +206,24 @@ class TestExport:
         csv_path = tmp_path / "sweep.csv"
         write_sweep(sweep, str(json_path))
         write_sweep(sweep, str(csv_path))
-        assert json.loads(json_path.read_text())["chip_counts"] == [1, 8]
+        assert json_path.read_text() == sweep.to_json()
+        assert csv_path.read_bytes() == sweep_to_csv(sweep).encode()
         assert csv_path.read_text().startswith("workload,")
         with pytest.raises(AnalysisError):
             write_sweep(sweep, str(tmp_path / "sweep.txt"))
 
-    def test_sweep_records_need_simulator_backed_results(self):
+    def test_an_analytical_sweep_writes_empty_simulator_cells(self, tmp_path):
         analytical = Session().sweep(
             autoregressive(tinyllama_42m(), 128), (1, 8),
             strategy="weight_replicated",
         )
-        with pytest.raises(AnalysisError, match="weight_replicated"):
-            sweep_to_records(analytical)
+        csv_path = tmp_path / "sweep.csv"
+        write_sweep(analytical, str(csv_path))
+        rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+        assert [row["num_chips"] for row in rows] == ["1", "8"]
+        for row in rows:
+            assert float(row["block_cycles"]) > 0
+            assert row["on_chip"] == row["compute_cycles"] == row["c2c_bytes"] == ""
 
 
 class TestEvalResultExport:
@@ -239,16 +239,24 @@ class TestEvalResultExport:
     def workload(self):
         return autoregressive(tinyllama_42m(), 128)
 
-    def test_simulator_backed_result_matches_report_schema(
+    def test_simulator_backed_result_carries_the_report(
         self, session, workload
     ):
-        from repro.analysis.export import eval_result_to_dict
-
         result = session.run(workload, "paper", chips=8)
-        record = eval_result_to_dict(result)
-        reference = report_to_dict(result.report)
-        for key, value in reference.items():
-            assert record[key] == value
+        report = result.report
+        record = result.to_dict()
+        breakdown = report.runtime_breakdown()
+        assert record["block_cycles"] == report.block_cycles
+        assert record["block_runtime_seconds"] == report.block_runtime_seconds
+        assert record["energy_delay_product"] == report.energy_delay_product
+        assert record["l3_bytes"] == report.total_l3_bytes
+        assert record["c2c_bytes"] == report.total_c2c_bytes
+        assert record["compute_cycles"] == breakdown[RuntimeCategory.COMPUTE]
+        assert record["idle_cycles"] == breakdown[RuntimeCategory.IDLE]
+        assert record["residencies"] == {
+            str(chip): residency.value
+            for chip, residency in report.residencies().items()
+        }
         assert record["strategy"] == "paper"
         assert record["weights_replicated"] is False
         json.dumps(record)
@@ -256,10 +264,8 @@ class TestEvalResultExport:
     def test_analytical_result_fills_simulator_fields_with_none(
         self, session, workload
     ):
-        from repro.analysis.export import eval_result_to_dict
-
         result = session.run(workload, "weight_replicated", chips=8)
-        record = eval_result_to_dict(result)
+        record = result.to_dict()
         assert record["compute_cycles"] is None
         assert record["residencies"] is None
         assert record["block_cycles"] > 0
@@ -267,36 +273,31 @@ class TestEvalResultExport:
         json.dumps(record)
 
     def test_both_branches_share_one_key_set(self, session, workload):
-        from repro.analysis.export import eval_result_to_dict
-
-        simulator = eval_result_to_dict(session.run(workload, "paper", chips=8))
-        analytical = eval_result_to_dict(
-            session.run(workload, "weight_replicated", chips=8)
-        )
-        # One shared schema: a key added to report_to_dict must also be
-        # exported (as None) by the analytical branch.
+        simulator = session.run(workload, "paper", chips=8).to_dict()
+        analytical = session.run(workload, "weight_replicated", chips=8).to_dict()
         assert set(simulator) == set(analytical)
 
-    def test_eval_sweep_to_json_works_for_any_strategy(self, session, workload):
-        from repro.analysis.export import eval_sweep_to_json
-
+    def test_sweep_to_json_works_for_any_strategy(self, session, workload):
         for strategy in ("paper", "weight_replicated"):
             document = json.loads(
-                eval_sweep_to_json(
-                    session.sweep(workload, (1, 8), strategy=strategy)
-                )
+                session.sweep(workload, (1, 8), strategy=strategy).to_json()
             )
             assert document["strategy"] == strategy
             assert document["chip_counts"] == [1, 8]
             assert document["results"][0]["speedup"] == pytest.approx(1.0)
 
+    def test_sweep_cache_block_is_the_one_difference(self, session, workload):
+        sweep = session.sweep(workload, (1, 8))
+        cache = session.cache_info()
+        document = sweep.to_dict(cache=cache)
+        assert document.pop("cache") == cache.to_dict()
+        assert document == sweep.to_dict()
+
     def test_comparison_to_json_lists_strategies_in_order(
         self, session, workload
     ):
-        from repro.analysis.export import comparison_to_json
-
         comparison = session.compare(workload, chips=8)
-        document = json.loads(comparison_to_json(comparison))
+        document = json.loads(comparison.to_json())
         assert document["strategies"] == [
             "single_chip", "weight_replicated", "pipeline_parallel",
             "tensor_parallel",

@@ -11,7 +11,8 @@ methods take imperative arguments only.  Each model is one shipped
 document; its hand-coded configuration and zoo factory are gone.
 :class:`repro.fleet.FleetSimulator` is the one serving engine: ``serve``
 runs as a one-replica fleet, and the single-platform engine moved to the
-tests as their oracle.
+tests as their oracle.  Every result type serialises itself, so the free
+encoders of :mod:`repro.analysis.export` are gone.
 """
 
 from __future__ import annotations
@@ -98,10 +99,28 @@ REMOVED_NAMES = {
         "ChipCountSweep",
         "SweepResult",
         "chip_count_sweep",
+        "comparison_to_json",
+        "eval_result_to_dict",
+        "eval_sweep_to_json",
         "fleet_report_to_dict",
         "fleet_report_to_json",
+        "report_to_dict",
         "search_state_to_dict",
         "search_state_to_json",
+        "sweep_to_json",
+        "sweep_to_records",
+    ),
+    "repro.analysis.export": (
+        "comparison_to_dict",
+        "comparison_to_json",
+        "eval_result_to_dict",
+        "eval_sweep_to_dict",
+        "eval_sweep_to_json",
+        "report_to_dict",
+        "sweep_to_json",
+        "sweep_to_records",
+        "tune_result_to_dict",
+        "tune_result_to_json",
     ),
     "repro.baselines": (
         "BaselineResult",
@@ -196,20 +215,55 @@ def test_removed_names_of_inner_modules_are_gone(module_name):
 
 
 def test_removed_hardware_members_are_gone():
-    from repro.hw import DmaChannelModel, DmaModel, MultiChipPlatform
+    from repro.hw import (
+        ChipModel,
+        ClusterModel,
+        DmaChannelModel,
+        DmaModel,
+        MemoryHierarchy,
+        MemoryLevel,
+        MultiChipPlatform,
+    )
 
-    assert not hasattr(DmaModel, "default")
-    assert not hasattr(DmaChannelModel, "transfers_for")
-    for name in (
-        "aggregate_l2_bytes",
-        "aggregate_on_chip_bytes",
-        "group_leader",
-        "group_of",
-        "is_single_chip",
-        "num_tree_levels",
-        "_check_chip_id",
-    ):
-        assert not hasattr(MultiChipPlatform, name), name
+    removed = {
+        DmaModel: ("default",),
+        DmaChannelModel: ("transfers_for",),
+        MultiChipPlatform: (
+            "aggregate_l2_bytes",
+            "aggregate_on_chip_bytes",
+            "group_leader",
+            "group_of",
+            "is_single_chip",
+            "num_tree_levels",
+            "_check_chip_id",
+        ),
+        MemoryHierarchy: ("level", "on_chip_bytes"),
+        MemoryLevel: ("check_fits", "fits"),
+        ChipModel: ("access_energy_joules",),
+        ClusterModel: (
+            "compute_energy_joules",
+            "cycles_to_seconds",
+            "l1_bandwidth_bytes_per_cycle",
+            "seconds_to_cycles",
+        ),
+    }
+    for cls, names in removed.items():
+        for name in names:
+            assert not hasattr(cls, name), (cls.__name__, name)
+
+
+def test_every_result_serialises_itself_with_at_most_a_cache_option():
+    from repro.api import Comparison
+    from repro.dse import TuneResult
+    from repro.fleet import FleetReport
+    from repro.serving import ServingReport
+
+    takes_cache = (EvalSweep, ServingReport, FleetReport, TuneResult)
+    for cls in (EvalResult, EvalSweep, Comparison, ServingReport, FleetReport, TuneResult):
+        for method in (cls.to_dict, cls.to_json):
+            parameters = list(inspect.signature(method).parameters)
+            expected = ["self", "cache"] if cls in takes_cache else ["self"]
+            assert parameters == expected, (cls.__name__, method.__name__)
 
 
 def test_removed_modules_and_converters_are_gone():

@@ -32,11 +32,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import Session, Study, autoregressive, encoder, prompt
 from repro.analysis import headline_metrics
-from repro.analysis.export import (
-    comparison_to_dict,
-    eval_result_to_dict,
-    eval_sweep_to_dict,
-)
 from repro.models.registry import get_model
 from repro.models import mobilebert, tinyllama_42m, tinyllama_scaled
 from repro.spec.studies import get_study
@@ -92,7 +87,7 @@ def _sweeps(session: Session) -> Dict[str, Any]:
         "fig6_prompt": (prompt(scaled, 16), scalability_counts),
     }
     return {
-        name: eval_sweep_to_dict(session.sweep(workload, chips))
+        name: session.sweep(workload, chips).to_dict()
         for name, (workload, chips) in sweeps.items()
     }
 
@@ -103,7 +98,7 @@ def _models(session: Session) -> Dict[str, Any]:
     for name, most_chips in MODEL_CHIPS.items():
         workload = autoregressive(get_model(name), 128)
         document[name] = {
-            str(chips): eval_result_to_dict(session.run(workload, chips=chips))
+            str(chips): session.run(workload, chips=chips).to_dict()
             for chips in (1, most_chips)
         }
     return document
@@ -125,9 +120,9 @@ def golden_document() -> Dict[str, Any]:
     session = Session()
     document = {
         "sweeps": _sweeps(session),
-        "table1": comparison_to_dict(
-            session.compare(autoregressive(tinyllama_42m(), 128), chips=8)
-        ),
+        "table1": session.compare(
+            autoregressive(tinyllama_42m(), 128), chips=8
+        ).to_dict(),
         "headline": {
             metric.name: metric.measured_value
             for metric in headline_metrics(Study(get_study("headline")).run())

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.analysis.export import tune_result_to_dict
 from repro.api import Session
 from repro.dse import (
     ChoiceAxis,
@@ -295,10 +294,7 @@ class TestMultiFidelitySearchers:
     def test_equal_seeds_are_byte_identical(self, searcher, workload):
         documents = [
             json.dumps(
-                tune_result_to_dict(
-                    tune(Session(), workload, searcher=searcher, seed=3),
-                    include_cache=False,
-                ),
+                tune(Session(), workload, searcher=searcher, seed=3).to_dict(),
                 sort_keys=True,
             )
             for _ in range(2)

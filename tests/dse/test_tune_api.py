@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.export import tune_result_to_json
 from repro.api import Session
 from repro.dse import ChoiceAxis, FloatAxis, SearchSpace, ServingScenario
 from repro.dse.pareto import dominates
@@ -72,23 +71,20 @@ class TestTune:
 
     def test_equal_seeds_give_byte_identical_json(self, workload):
         def run():
-            return tune_result_to_json(
-                Session().tune(
-                    workload, small_space(), searcher="anneal",
-                    budget=10, seed=42, objectives=("latency", "energy"),
-                )
+            result = Session().tune(
+                workload, small_space(), searcher="anneal",
+                budget=10, seed=42, objectives=("latency", "energy"),
             )
+            return result.to_json(cache=result.cache)
 
         assert run() == run()
 
     def test_different_seeds_usually_differ(self, workload):
         results = {
-            seed: tune_result_to_json(
-                Session().tune(
-                    workload, small_space(), searcher="random",
-                    budget=6, seed=seed, objectives=("latency",),
-                )
-            )
+            seed: Session().tune(
+                workload, small_space(), searcher="random",
+                budget=6, seed=seed, objectives=("latency",),
+            ).to_json()
             for seed in (0, 1)
         }
         assert results[0] != results[1]

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.memory import MemoryLevelName
 from repro.hw.platform import MultiChipPlatform
 from repro.hw.presets import (
     SIRACUSA_L2_RUNTIME_RESERVE_BYTES,
@@ -29,13 +28,6 @@ class TestChipModel:
     def test_reserve_cannot_exceed_l2(self):
         with pytest.raises(ConfigurationError):
             replace(siracusa_chip(), l2_runtime_reserve_bytes=mib(2))
-
-    def test_access_energy(self):
-        chip = siracusa_chip()
-        assert chip.access_energy_joules(MemoryLevelName.L3, 1000) == pytest.approx(1e-7)
-        assert chip.access_energy_joules(MemoryLevelName.L2, 1000) == pytest.approx(2e-9)
-        with pytest.raises(ConfigurationError):
-            chip.access_energy_joules(MemoryLevelName.L2, -1)
 
 
 class TestMultiChipPlatform:

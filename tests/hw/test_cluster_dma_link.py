@@ -18,17 +18,6 @@ class TestClusterModel:
         assert cluster.frequency_hz == 500e6
         assert cluster.power_w == pytest.approx(8 * 13e-3)
         assert cluster.peak_macs_per_cycle == pytest.approx(16.0)
-        assert cluster.l1_bandwidth_bytes_per_cycle == pytest.approx(32.0)
-
-    def test_time_conversions(self):
-        cluster = siracusa_cluster()
-        assert cluster.cycles_to_seconds(500e6) == pytest.approx(1.0)
-        assert cluster.seconds_to_cycles(2e-3) == pytest.approx(1e6)
-
-    def test_compute_energy(self):
-        cluster = siracusa_cluster()
-        # 500k cycles at 500 MHz is 1 ms at 104 mW -> 104 uJ.
-        assert cluster.compute_energy_joules(500e3) == pytest.approx(104e-6)
 
     @pytest.mark.parametrize("field,value", [
         ("num_cores", 0),

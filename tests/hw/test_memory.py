@@ -4,27 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, MemoryCapacityError
+from repro.errors import ConfigurationError
 from repro.hw.memory import MemoryHierarchy, MemoryLevel, MemoryLevelName
 from repro.hw.presets import siracusa_memory
 from repro.units import kib, mib
 
 
 class TestMemoryLevel:
-    def test_fits(self):
-        level = MemoryLevel(MemoryLevelName.L2, mib(2), 2.0)
-        assert level.fits(mib(2))
-        assert not level.fits(mib(2) + 1)
-
-    def test_check_fits_raises_with_context(self):
-        level = MemoryLevel(MemoryLevelName.L1, kib(256), 0.0)
-        with pytest.raises(MemoryCapacityError, match="does not fit in L1"):
-            level.check_fits(kib(300), what="weight tile")
-
-    def test_check_fits_accepts_exact_capacity(self):
-        level = MemoryLevel(MemoryLevelName.L1, kib(256), 0.0)
-        level.check_fits(kib(256))
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             MemoryLevel(MemoryLevelName.L1, 0, 0.0)
@@ -42,15 +28,6 @@ class TestMemoryHierarchy:
         assert memory.l2.access_energy_pj_per_byte == 2.0
         assert memory.l3.access_energy_pj_per_byte == 100.0
         assert memory.l1.num_banks == 16
-
-    def test_level_lookup(self):
-        memory = siracusa_memory()
-        assert memory.level(MemoryLevelName.L2) is memory.l2
-        assert memory.level(MemoryLevelName.L3) is memory.l3
-
-    def test_on_chip_bytes(self):
-        memory = siracusa_memory()
-        assert memory.on_chip_bytes == kib(256) + mib(2)
 
     def test_misplaced_level_rejected(self):
         l1 = MemoryLevel(MemoryLevelName.L1, kib(256), 0.0)

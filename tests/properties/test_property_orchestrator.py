@@ -25,7 +25,6 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.export import tune_result_to_dict
 from repro.api import Session
 from repro.dse import ChoiceAxis, FloatAxis, SearchSpace
 from repro.dse.orchestrator import INTERRUPT_ENV
@@ -62,9 +61,8 @@ def _tune(session: Session, searcher: str, seed: int, budget: int, **kwargs):
 
 
 def _document(result, include_cache: bool = False) -> str:
-    return json.dumps(
-        tune_result_to_dict(result, include_cache=include_cache), sort_keys=True
-    )
+    cache = result.cache if include_cache else None
+    return json.dumps(result.to_dict(cache=cache), sort_keys=True)
 
 
 @contextmanager

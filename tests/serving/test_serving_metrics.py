@@ -191,10 +191,6 @@ class TestServingReport:
         assert parsed["metrics"]["requests"] == report.metrics.requests
         assert len(parsed["records"]) == report.metrics.requests
 
-    def test_json_can_omit_records(self):
-        parsed = json.loads(self.report().to_json(include_records=False))
-        assert "records" not in parsed
-
     def test_render_mentions_the_headline_numbers(self):
         text = self.report().render()
         for token in ("TTFT", "TPOT", "e2e", "SLO", "throughput", "energy"):

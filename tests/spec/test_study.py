@@ -162,11 +162,6 @@ class TestImperativeParity:
     Session calls."""
 
     def test_committed_pipeline_matches_imperative_session_calls(self):
-        from repro.analysis.export import (
-            comparison_to_dict,
-            eval_sweep_to_dict,
-            tune_result_to_dict,
-        )
         from repro.dse.space import materialise
         from repro.graph.workload import autoregressive
         from repro.models import tinyllama_42m
@@ -211,13 +206,13 @@ class TestImperativeParity:
             return json.dumps(payload, indent=2, sort_keys=True)
 
         assert study.stage("sweep").artifact_text().rstrip("\n") == dumps(
-            eval_sweep_to_dict(sweep)
+            sweep.to_dict()
         )
         assert study.stage("compare").artifact_text().rstrip("\n") == dumps(
-            comparison_to_dict(comparison)
+            comparison.to_dict()
         )
         assert study.stage("tune").artifact_text().rstrip("\n") == dumps(
-            tune_result_to_dict(tuned, include_cache=False)
+            tuned.to_dict()
         )
         assert study.stage("serve").artifact_text().rstrip("\n") == dumps(
             report.to_dict()

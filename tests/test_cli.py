@@ -177,6 +177,42 @@ class TestJsonOutput:
         document = json.loads(capsys.readouterr().out)
         assert document["strategy"] == "weight_replicated"
 
+    def test_sweep_output_is_the_json_document_without_cache(
+        self, capsys, tmp_path
+    ):
+        output_path = tmp_path / "sweep.json"
+        argv = ["sweep", "--chips", "1", "8", "--no-cache"]
+        assert main(argv + ["--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        del document["cache"]
+        assert main(argv + ["--output", str(output_path)]) == 0
+        assert f"wrote {output_path}" in capsys.readouterr().out
+        assert output_path.read_text() == json.dumps(
+            document, indent=2, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_an_analytical_sweep_writes_its_output(
+        self, capsys, tmp_path, suffix
+    ):
+        output_path = tmp_path / f"sweep{suffix}"
+        assert main(
+            ["sweep", "--strategy", "weight_replicated", "--chips", "1", "8",
+             "--output", str(output_path)]
+        ) == 0
+        assert f"wrote {output_path}" in capsys.readouterr().out
+        text = output_path.read_text()
+        if suffix == ".json":
+            document = json.loads(text)
+            assert document["strategy"] == "weight_replicated"
+            assert [r["compute_cycles"] for r in document["results"]] == [
+                None, None
+            ]
+        else:
+            lines = text.splitlines()
+            assert lines[0].startswith("workload,num_chips,")
+            assert len(lines) == 3
+
     def test_compare_json(self, capsys):
         assert main(["compare", "--chips", "8", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
