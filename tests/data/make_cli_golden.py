@@ -1,6 +1,6 @@
 """Regenerate ``cli_golden.json``, the pinned bytes of the evaluating commands.
 
-The golden document has three sections, each keyed by the command line
+The golden document has four sections, each keyed by the command line
 (``shlex.join`` of the argv after ``repro``):
 
 * ``emit_spec`` — the stdout of ``--emit-spec`` for a matrix of
@@ -11,8 +11,12 @@ The golden document has three sections, each keyed by the command line
   fleet, a 4-point tune), plus the ``models`` table, its ``--json`` form
   and its detailed view, and the ``strategies``, ``policies``,
   ``routers``, ``searchers`` and ``platforms`` listings;
-* ``errors`` — the exit status and stderr of malformed flags and unknown
-  registry names, each of which must fail with one ``error:`` line.
+* ``errors`` — the exit status and stderr of malformed flags, flag
+  values the spec types reject, and unknown registry names, each of which
+  must fail with one ``error:`` line;
+* ``help`` — the ``--help`` stdout of every subcommand at
+  ``COLUMNS=100`` (the root parser's usage line wraps differently across
+  CPython versions, so it is left out).
 
 Every command runs in-process through :func:`repro.cli.main` from a
 scratch working directory, so the flags that name files (``--output``,
@@ -205,6 +209,30 @@ ERRORS: Tuple[str, ...] = (
     "tune --searcher nope --no-cache",
     "tune --objectives nope --no-cache",
     "fleet --platform nope --no-cache",
+    # Flag values the spec types themselves reject.
+    "evaluate --seq-len 0 --emit-spec",
+    "evaluate --chips 0 --emit-spec",
+    "sweep --chips 0 --emit-spec",
+    "sweep --parallel 0 --emit-spec",
+    "serve --arrival-rate nan --emit-spec",
+    "serve --slo-ttft -1 --emit-spec",
+    "fleet --trace diurnal --spike-start nan --emit-spec",
+    "fleet --max-context 0 --emit-spec",
+    "fleet --record-threshold 0 --emit-spec",
+    "fleet --shed-below 2 --emit-spec",
+    "fleet --autoscale --autoscale-max -1 --emit-spec",
+    "tune --budget 0 --emit-spec",
+    "tune --constraint bogus --emit-spec",
+)
+
+#: Every subcommand, whose ``--help`` text is pinned at ``COLUMNS=100``.
+HELP: Tuple[str, ...] = tuple(
+    f"{command} --help"
+    for command in (
+        "models", "strategies", "policies", "routers", "platforms",
+        "searchers", "evaluate", "sweep", "compare", "serve", "fleet",
+        "tune", "studies", "study", "experiments", "verify", "cache",
+    )
 )
 
 
@@ -246,12 +274,33 @@ def error_of(command: str) -> Dict[str, object]:
     return {"status": status, "stderr": err}
 
 
+def help_of(command: str) -> str:
+    """The ``--help`` stdout of ``repro <command>``, wrapped at 100 columns."""
+    out = io.StringIO()
+    previous = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "100"
+    try:
+        with contextlib.redirect_stdout(out):
+            try:
+                cli_main(shlex.split(command))
+            except SystemExit as exit:
+                if exit.code != 0:
+                    raise
+    finally:
+        if previous is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = previous
+    return out.getvalue()
+
+
 def golden_document() -> Dict[str, Dict[str, object]]:
     """Recompute every pinned command."""
     return {
         "emit_spec": {command: stdout_of(command) for command in EMIT_SPEC},
         "json": {command: stdout_of(command) for command in JSON_RUNS},
         "errors": {command: error_of(command) for command in ERRORS},
+        "help": {command: help_of(command) for command in HELP},
     }
 
 

@@ -5,10 +5,12 @@
 matrix covering every long flag of ``evaluate``, ``sweep``, ``compare``,
 ``serve``, ``fleet`` and ``tune``; the ``--json --no-cache`` stdout of
 cheap runs, plus the ``repro models`` table, JSON and detail view and
-the five plugin-registry listings; and the exit status and ``error:``
-line of malformed flags and unknown model, strategy, searcher,
-objective, platform, router and policy names.  Each command is rerun
-in-process and compared with ``==``.
+the five plugin-registry listings; the exit status and ``error:``
+line of malformed flags, of flag values the spec types reject, and of
+unknown model, strategy, searcher, objective, platform, router and
+policy names; and the ``--help`` text of every subcommand at
+``COLUMNS=100``.  Each command is rerun in-process and compared with
+``==``.
 """
 
 from __future__ import annotations
@@ -59,10 +61,23 @@ def test_error_matches_golden(command):
     assert expected["stderr"].count("\n") == 1
 
 
+@pytest.mark.parametrize("command", sorted(GOLDEN["help"]))
+def test_help_matches_golden(command):
+    assert GENERATOR.help_of(command) == GOLDEN["help"][command]
+
+
 def test_golden_holds_exactly_the_generator_commands():
     assert sorted(GOLDEN["emit_spec"]) == sorted(GENERATOR.EMIT_SPEC)
     assert sorted(GOLDEN["json"]) == sorted(GENERATOR.JSON_RUNS)
     assert sorted(GOLDEN["errors"]) == sorted(GENERATOR.ERRORS)
+    assert sorted(GOLDEN["help"]) == sorted(GENERATOR.HELP)
+
+
+def test_help_covers_every_subcommand():
+    subparsers = build_parser()._subparsers._group_actions[0]
+    assert sorted(GENERATOR.HELP) == sorted(
+        f"{command} --help" for command in subparsers.choices
+    )
 
 
 def _long_flags(command: str):
