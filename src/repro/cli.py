@@ -26,13 +26,16 @@ without writing any Python:
 * ``study``       — run, validate, or scaffold declarative study specs,
 * ``studies``     — list the shipped (and registered) example studies.
 
-Each evaluating command builds a :mod:`repro.spec` document from its
-flags and runs it with :func:`repro.spec.execute` on a
-:class:`repro.api.Session` — the path ``repro study run`` takes — so any
-strategy added with :func:`repro.api.register_strategy` (or scheduling
-policy added with :func:`repro.serving.register_policy`, fleet router
-added with :func:`repro.fleet.register_router`, search algorithm
-added with :func:`repro.dse.register_searcher`, objective added with
+Each evaluating command declares its flags once, as rows of
+``_COMMANDS``: a row names the :mod:`repro.spec` field its flag sets, so
+the flags given on the command line build the command's spec document
+and every other field keeps its spec type's default.  The spec runs with
+:func:`repro.spec.execute` on a :class:`repro.api.Session` — the path
+``repro study run`` takes — so any strategy added with
+:func:`repro.api.register_strategy` (or scheduling policy added with
+:func:`repro.serving.register_policy`, fleet router added with
+:func:`repro.fleet.register_router`, search algorithm added with
+:func:`repro.dse.register_searcher`, objective added with
 :func:`repro.dse.register_objective`) is immediately usable from the
 command line.  ``evaluate``, ``sweep``, ``compare``, ``serve``,
 ``fleet``, and ``tune`` all take ``--json`` to emit one shared
@@ -59,11 +62,13 @@ study in a new process is nearly free.  Disable with ``--no-cache`` or
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analysis import figures
 from .analysis.export import check_sweep_path, write_sweep
@@ -71,23 +76,25 @@ from .analysis.tables import energy_runtime_table, format_table, runtime_breakdo
 from .api.registry import get_strategy, list_strategies
 from .api.result import EvalResult
 from .api.session import CacheInfo, EvalSweep, Session
-from .api.strategies import BASELINE_STRATEGIES, PAPER_STRATEGY
 from .core.placement import PrefetchAccounting
-from .dse.space import default_space
+from .dse import parse_constraint
+from .dse.space import FloatAxis, default_space
 from .errors import AnalysisError, ConfigurationError, ReproError
 from .graph.transformer import InferenceMode
+from .hw.presets import get_platform_preset
 from .models.registry import get_model, list_models
 from .spec import (
+    AxisSpec,
     CompareSpec,
     EvalSpec,
     FleetSpec,
-    ModelSpec,
     PlatformSpec,
+    RunnableSpec,
     ServingSpec,
+    SpaceSpec,
     SweepSpec,
     TraceSpec,
     TuneSpec,
-    WorkloadSpec,
     execute,
     get_study,
     list_studies,
@@ -95,11 +102,692 @@ from .spec import (
 from .units import format_bytes, format_energy, format_time
 
 
+def _lazy(name: str) -> Any:
+    """``repro.<name>``, importing its module on first use.
+
+    The fleet types live in :mod:`repro.fleet`, which ``import repro``
+    leaves unloaded, so the rows below name them instead of importing.
+    """
+    module, *attributes = name.split(".")
+    return functools.reduce(
+        getattr, attributes, importlib.import_module(f".{module}", __package__)
+    )
+
+
+class _Flag(NamedTuple):
+    """One flag of an evaluating command, declared once.
+
+    ``field`` is the dotted path of the spec field the flag sets, or
+    ``None`` for a flag that is no spec field.  A flag left off the
+    command line sets nothing, so its field keeps the spec type's
+    default; only a ``default`` in ``form`` (the argparse keywords) is a
+    default of the command's own.  ``parse`` builds the first field of
+    the path (``space`` for ``space.chips``) from the value of the flag
+    that sets that field whole, if given, then the values given under it
+    as keywords.  ``needs`` names the flags one of which must come with
+    this one, and may say why.  ``%(default)s`` in ``help`` quotes the
+    command's own default, else ``repro.<default_from>``, else the
+    field's default; it is looked up only when help is printed.
+    """
+
+    flag: str
+    field: Optional[str]
+    help: str
+    form: Dict[str, Any]
+    parse: Optional[Callable[..., Any]] = None
+    needs: str = ""
+    default_from: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def default(self, spec: type) -> Any:
+        """The value this flag's help quotes as its default."""
+        if "default" in self.form:
+            return self.form["default"]
+        if self.default_from:
+            return _lazy(self.default_from)
+        return functools.reduce(getattr, self.field.split("."), spec)
+
+
+def _flag(
+    flag: str,
+    field: Optional[str],
+    help: str,
+    parse: Optional[Callable[..., Any]] = None,
+    needs: str = "",
+    default_from: str = "",
+    **form: Any,
+) -> _Flag:
+    return _Flag(flag, field, help, form, parse, needs, default_from)
+
+
+def _positive_int_flag(value: Optional[str], flag: str) -> Optional[int]:
+    """Parse an integer CLI flag that must be >= 1.
+
+    Raised as a :class:`ConfigurationError` so every malformed value
+    exits with the CLI's uniform one-line ``error: ...`` contract
+    instead of an argparse usage dump.
+    """
+    if value is None:
+        return None
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} must be an integer, got {value!r}"
+        ) from None
+    if parsed < 1:
+        raise ConfigurationError(f"{flag} must be >= 1, got {parsed}")
+    return parsed
+
+
+def _trace(path: Optional[str] = None, **generator: Any) -> TraceSpec:
+    """``--replay``'s recording verbatim, else the trace the generator flags set."""
+    if path is None:
+        return TraceSpec(**generator)
+    return TraceSpec(source="replay", path=path)
+
+
+#: The value of a bare ``--autoscale``, which keeps the default preset.
+_BARE = object()
+
+
+def _autoscaler(text: Any, **knobs: Any):
+    """``--autoscale [PRESET[:CHIPS]]`` with the knobs of its other flags."""
+    config = _lazy("fleet.AutoscalerConfig")
+    return config(**knobs) if text is _BARE else config.parse(text, **knobs)
+
+
+def _constraints(exprs: List[str]) -> List[str]:
+    for expr in exprs:
+        parse_constraint(expr)  # a bad bound fails before any spec is printed
+    return exprs
+
+
+def _space(**values: List[Any]) -> SpaceSpec:
+    """Tune's search space: every axis of the default space, at its flag's values."""
+    axes = []
+    for axis in default_space().axes:
+        chosen = tuple(values[axis.name])
+        if isinstance(axis, FloatAxis):
+            axes.append(
+                AxisSpec(
+                    axis="float",
+                    name=axis.name,
+                    low=min(chosen),
+                    high=max(chosen),
+                    levels=chosen,
+                )
+            )
+        else:
+            axes.append(AxisSpec(name=axis.name, choices=chosen))
+    space = SpaceSpec(axes=tuple(axes))
+    space.validate("$.space")  # a value that can never run fails here
+    return space
+
+
+def _axis(flag: str, name: str, help: str, **form: Any) -> _Flag:
+    """A flag of one tune axis; its default values are the default space's."""
+    return _flag(
+        flag,
+        f"space.{name}",
+        f"{help} (default: %(default)s)",
+        parse=_space,
+        nargs="+",
+        default=list(default_space().axis(name).values()),
+        **form,
+    )
+
+
+_MODEL = _flag("--model", "model.name", "registered model name (see `repro models`)")
+
+#: The workload flags of ``evaluate``, ``sweep``, ``compare`` and ``tune``.
+_WORKLOAD = (
+    _MODEL._replace(field="workload.model.name"),
+    _flag(
+        "--mode",
+        "workload.mode",
+        "inference mode (default: %(default)s)",
+        choices=[mode.value for mode in InferenceMode],
+    ),
+    _flag(
+        "--seq-len",
+        "workload.seq_len",
+        "sequence/context length (default: the paper's value per mode)",
+        type=int,
+    ),
+    _flag(
+        "--prefetch",
+        "prefetch",
+        "prefetch runtime accounting policy (default: %(default)s)",
+        choices=[policy.value for policy in PrefetchAccounting],
+    ),
+)
+_STRATEGY = _flag(
+    "--strategy",
+    "strategy",
+    "registered partitioning strategy (default: %(default)s; "
+    "see `repro strategies`)",
+    metavar="NAME",
+)
+#: ``evaluate``, ``compare`` and ``serve`` pin the chip count their
+#: platform runs by default in the document they run.
+_CHIPS = _flag(
+    "--chips",
+    "platform.chips",
+    "number of chips (default: %(default)s)",
+    type=int,
+    default=get_platform_preset(PlatformSpec.preset).default_chips,
+)
+
+#: The trace flags that ``serve`` and ``fleet`` share.
+_RATES = (
+    _flag(
+        "--arrival-rate",
+        "trace.rate_rps",
+        "mean arrival rate in requests/s (default: %(default)s)",
+        type=float,
+        metavar="RPS",
+    ),
+    _flag(
+        "--burst-rate",
+        "trace.burst_rate_rps",
+        "burst-state arrival rate for --trace bursty (default: 4x base)",
+        type=float,
+        metavar="RPS",
+    ),
+    _flag(
+        "--duration",
+        "trace.duration_s",
+        "arrival horizon in seconds (default: %(default)s)",
+        type=float,
+        metavar="S",
+    ),
+)
+_LENGTHS = (
+    _flag(
+        "--prompt-mean",
+        "trace.prompt_mean",
+        "mean prompt length in tokens (default: %(default)s)",
+        type=float,
+    ),
+    _flag(
+        "--output-mean",
+        "trace.output_mean",
+        "mean reply length in tokens (default: %(default)s)",
+        type=float,
+    ),
+    _flag(
+        "--prompt-max",
+        "trace.prompt_max",
+        "largest sampled prompt length (default: %(default)s)",
+        type=int,
+    ),
+    _flag(
+        "--output-max",
+        "trace.output_max",
+        "largest sampled reply length (default: %(default)s)",
+        type=int,
+    ),
+    _flag(
+        "--priority-levels",
+        "trace.priority_levels",
+        "uniform priority classes assigned by the trace (default: %(default)s)",
+        type=int,
+    ),
+)
+_SEED_AND_REPLAY = (
+    _flag(
+        "--seed",
+        "seed",
+        "trace seed; equal seeds give byte-identical output "
+        "(default: %(default)s; meaningless with --replay)",
+        type=int,
+        metavar="N",
+    ),
+    _flag(
+        "--replay",
+        "trace",
+        "replay a recorded JSON trace verbatim instead of generating "
+        "one (the generator flags and --seed do not apply)",
+        parse=_trace,
+        metavar="PATH",
+    ),
+)
+_SLO_TTFT = _flag(
+    "--slo-ttft",
+    "slo_targets",
+    "TTFT targets of the SLO-attainment curve (default: standard grid)",
+    type=float,
+    nargs="+",
+    metavar="S",
+)
+
+#: Evaluating command -> (its spec type, its flags in ``--help`` order).
+_COMMANDS: Dict[str, Tuple[type, Tuple[_Flag, ...]]] = {
+    "evaluate": (EvalSpec, (*_WORKLOAD, _STRATEGY, _CHIPS)),
+    "sweep": (
+        SweepSpec,
+        (
+            *_WORKLOAD,
+            _STRATEGY,
+            _flag(
+                "--chips",
+                "chips",
+                "chip counts to sweep (default: %(default)s)",
+                type=int,
+                nargs="+",
+            ),
+            _flag(
+                "--parallel",
+                "parallel",
+                "evaluate sweep points in N worker processes",
+                type=int,
+                metavar="N",
+            ),
+            _flag("--output", None, "optional export path (.csv or .json)"),
+        ),
+    ),
+    "compare": (
+        CompareSpec,
+        (
+            *_WORKLOAD,
+            _CHIPS,
+            _flag(
+                "--strategies",
+                "strategies",
+                "registered strategies to compare, in order "
+                "(default: the Table I ablation)",
+                nargs="+",
+                metavar="NAME",
+            ),
+        ),
+    ),
+    "serve": (
+        ServingSpec,
+        (
+            _MODEL,
+            _CHIPS,
+            _STRATEGY,
+            _flag(
+                "--policy",
+                "policy",
+                "registered scheduling policy (default: %(default)s; "
+                "see `repro policies`)",
+                metavar="NAME",
+            ),
+            _flag(
+                "--trace",
+                "trace.source",
+                "synthetic traffic generator (default: %(default)s)",
+                choices=["poisson", "bursty", "closed"],
+            ),
+            *_RATES,
+            _flag(
+                "--clients",
+                "trace.clients",
+                "client population for --trace closed (default: %(default)s)",
+                type=int,
+            ),
+            _flag(
+                "--requests-per-client",
+                "trace.requests_per_client",
+                "requests each closed-loop client submits (default: %(default)s)",
+                type=int,
+            ),
+            _flag(
+                "--think-time",
+                "trace.mean_think_s",
+                "mean closed-loop think time in seconds (default: %(default)s)",
+                type=float,
+                metavar="S",
+            ),
+            *_LENGTHS,
+            *_SEED_AND_REPLAY,
+            _flag(
+                "--save-trace",
+                None,
+                "write the materialised trace as replayable JSON",
+                metavar="PATH",
+            ),
+            _SLO_TTFT,
+        ),
+    ),
+    "fleet": (
+        FleetSpec,
+        (
+            _MODEL,
+            _flag(
+                "--platform",
+                "platforms",
+                "one platform entry: preset name, optional chip count, "
+                "replica count, and role (any/prefill/decode), e.g. "
+                "siracusa-mipi:8x2@prefill; repeatable (default: %(default)s)",
+                parse=lambda entries: tuple(
+                    map(_lazy("fleet.FleetPlatform.parse"), entries)
+                ),
+                default_from="fleet.FleetPlatform.preset",
+                action="append",
+                metavar="PRESET[:CHIPS][xN][@ROLE]",
+            ),
+            _flag(
+                "--router",
+                "router",
+                "registered routing policy (default: %(default)s; "
+                "see `repro routers`)",
+                metavar="NAME",
+            ),
+            _flag(
+                "--policy",
+                "policy",
+                "per-replica scheduling policy (default: %(default)s; "
+                "see `repro policies`)",
+                metavar="NAME",
+            ),
+            _STRATEGY,
+            _flag(
+                "--trace",
+                "trace.source",
+                "open-loop traffic generator (default: %(default)s; diurnal "
+                "adds a day-long sinusoidal rate with optional spikes)",
+                choices=["poisson", "bursty", "diurnal"],
+            ),
+            *_RATES,
+            _flag(
+                "--amplitude",
+                "trace.amplitude",
+                "diurnal rate-swing amplitude in [0, 1] (default: %(default)s)",
+                type=float,
+            ),
+            _flag(
+                "--period",
+                "trace.period_s",
+                "diurnal period in seconds (default: %(default)s, one day)",
+                type=float,
+                metavar="S",
+            ),
+            _flag(
+                "--phase",
+                "trace.phase_s",
+                "diurnal phase shift in seconds (default: %(default)s)",
+                type=float,
+                metavar="S",
+            ),
+            _flag(
+                "--spike-start",
+                "trace.spike_starts_s",
+                "start one diurnal spike burst at this time (repeatable)",
+                type=float,
+                action="append",
+                metavar="S",
+            ),
+            _flag(
+                "--spike-duration",
+                "trace.spike_duration_s",
+                "duration of each spike burst in seconds (default: %(default)s)",
+                type=float,
+                metavar="S",
+            ),
+            _flag(
+                "--spike-rate",
+                "trace.spike_rate_rps",
+                "extra arrival rate inside a spike (default: 2x base rate)",
+                type=float,
+                metavar="RPS",
+            ),
+            *_LENGTHS,
+            _flag(
+                "--class",
+                "classes",
+                "one multi-tenant SLO class: name, optional sustained "
+                "admission rate in req/s, token-bucket burst, TTFT target in "
+                "seconds, and per-class request timeout (overrides --retry's "
+                "timeout), e.g. interactive:2:4:0.5; repeatable — a request's "
+                "priority field indexes the class list in the given order",
+                parse=lambda texts: tuple(
+                    _lazy("fleet.SLOClass").parse(text, priority=index)
+                    for index, text in enumerate(texts)
+                ),
+                action="append",
+                metavar="NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]",
+            ),
+            _flag(
+                "--autoscale",
+                "autoscaler",
+                "enable the reactive autoscaler; added replicas use this "
+                "platform preset (default preset: %(default)s)",
+                parse=_autoscaler,
+                default_from="fleet.AutoscalerConfig.preset",
+                nargs="?",
+                const=_BARE,
+                metavar="PRESET[:CHIPS]",
+            ),
+            _flag(
+                "--autoscale-max",
+                "autoscaler.max_extra",
+                "most replicas the autoscaler may add (default: %(default)s)",
+                needs="--autoscale",
+                default_from="fleet.AutoscalerConfig.max_extra",
+                type=int,
+                metavar="N",
+            ),
+            _flag(
+                "--autoscale-interval",
+                "autoscaler.check_interval_s",
+                "seconds between autoscaler checks (default: %(default)s)",
+                needs="--autoscale",
+                default_from="fleet.AutoscalerConfig.check_interval_s",
+                type=float,
+                metavar="S",
+            ),
+            _flag(
+                "--autoscale-slo",
+                "autoscaler.ttft_slo_s",
+                "TTFT target the autoscaler defends (scale up when windowed "
+                "attainment drops below 95%%)",
+                needs="--autoscale",
+                type=float,
+                metavar="S",
+            ),
+            _flag(
+                "--faults",
+                "faults",
+                "inject one fault: crash:REPLICA@START[+DURATION], "
+                "slow:REPLICA@START+DURATIONxFACTOR, "
+                "brownout@START+DURATIONxFACTOR, or "
+                "random:MTBF[:MTTR[:HORIZON]] for a seeded random crash "
+                "layer; repeatable",
+                parse=lambda events=(), **fields: _lazy("fleet.FaultModel").parse(
+                    events, **fields
+                ),
+                action="append",
+                metavar="EVENT",
+            ),
+            _flag(
+                "--fault-seed",
+                "faults.seed",
+                "seed of the random crash layer (default: %(default)s)",
+                needs="--faults or --shed-below",
+                default_from="fleet.FaultModel.seed",
+                type=int,
+                metavar="N",
+            ),
+            _flag(
+                "--retry",
+                "retry",
+                "fail-over policy under faults: request timeout in seconds, "
+                "retry budget after a crash, first-retry backoff in seconds, "
+                "and hedge delay after which a second copy is dispatched, "
+                "e.g. 30:3:0.5:2 (empty positions keep defaults)",
+                parse=lambda text: _lazy("fleet.RetryPolicy").parse(text),
+                metavar="[TIMEOUT][:RETRIES[:BACKOFF[:HEDGE]]]",
+            ),
+            _flag(
+                "--shed-below",
+                "faults.shed_below",
+                "healthy-capacity fraction below which admission sheds "
+                "low-priority classes (graceful degradation; default: off)",
+                type=float,
+                metavar="FRACTION",
+            ),
+            _flag(
+                "--shed-keep",
+                "faults.shed_keep",
+                "highest-priority SLO classes still admitted while degraded "
+                "(default: %(default)s)",
+                needs="--faults or --shed-below",
+                default_from="fleet.FaultModel.shed_keep",
+                type=int,
+                metavar="N",
+            ),
+            *_SEED_AND_REPLAY,
+            _flag(
+                "--max-context",
+                "max_context",
+                "serving context window of every replica (default: %(default)s)",
+                type=int,
+                metavar="TOKENS",
+            ),
+            _SLO_TTFT,
+            _flag(
+                "--record-threshold",
+                "record_threshold",
+                "switch from exact to streaming (histogram) latency "
+                "percentiles above this many requests (default: %(default)s)",
+                default_from="fleet.DEFAULT_RECORD_THRESHOLD",
+                type=int,
+                metavar="N",
+            ),
+        ),
+    ),
+    "tune": (
+        TuneSpec,
+        (
+            *_WORKLOAD,
+            _flag(
+                "--searcher",
+                "searcher",
+                "registered search algorithm (default: %(default)s; "
+                "see `repro searchers`)",
+                metavar="NAME",
+            ),
+            _flag(
+                "--budget",
+                "budget",
+                "evaluation budget of the searcher (default: %(default)s)",
+                type=int,
+            ),
+            _flag(
+                "--seed",
+                "seed",
+                "search seed; equal seeds give byte-identical output "
+                "(default: %(default)s)",
+                type=int,
+            ),
+            _flag(
+                "--objectives",
+                "objectives",
+                "objectives of the Pareto front, in order "
+                "(default: %(default)s; see `repro searchers`)",
+                nargs="+",
+                default=["latency", "energy", "hw_cost"],
+                metavar="NAME",
+            ),
+            _flag(
+                "--constraint",
+                "constraints",
+                "feasibility bound like 'latency<=0.01' or 'slo>=0.95' "
+                "(repeatable)",
+                parse=_constraints,
+                action="append",
+                metavar="EXPR",
+            ),
+            _axis("--chips", "chips", "chip-count choices of the space", type=int),
+            _axis(
+                "--link-gbps",
+                "link_gbps",
+                "C2C bandwidth levels in GB/s",
+                type=float,
+                metavar="GBPS",
+            ),
+            _axis(
+                "--l2-kib", "l2_kib", "L2 capacity choices in KiB",
+                type=int, metavar="KIB",
+            ),
+            _axis(
+                "--freq-mhz",
+                "freq_mhz",
+                "cluster frequency levels in MHz",
+                type=float,
+                metavar="MHZ",
+            ),
+            _axis(
+                "--strategies", "strategy", "strategy choices of the space",
+                metavar="NAME",
+            ),
+            _flag(
+                "--parallel",
+                "parallel",
+                "evaluate candidate batches in N worker processes; output is "
+                "byte-identical to --parallel 1 (default: serial)",
+                parse=lambda text: _positive_int_flag(text, "--parallel"),
+                metavar="N",
+            ),
+            _flag(
+                "--checkpoint",
+                None,
+                "write a resumable search checkpoint here every "
+                "--checkpoint-every unique evaluations and on completion",
+                metavar="PATH",
+            ),
+            _flag(
+                "--checkpoint-every",
+                "checkpoint_every",
+                "checkpoint cadence in unique evaluations "
+                "(default: %(default)s; needs --checkpoint)",
+                parse=lambda text: _positive_int_flag(text, "--checkpoint-every"),
+                needs="--checkpoint to set where checkpoints are written",
+                default_from="dse.DEFAULT_CHECKPOINT_EVERY",
+                metavar="N",
+            ),
+            _flag(
+                "--resume",
+                None,
+                "resume from a checkpoint written by an earlier interrupted "
+                "run; the finished search is byte-identical to an "
+                "uninterrupted one",
+                metavar="PATH",
+            ),
+        ),
+    ),
+}
+
+
+def _quoted(value: Any) -> str:
+    """A default as ``--help`` quotes it: numbers in ``%g``, lists spaced."""
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(_quoted, value))
+    return value if isinstance(value, str) else f"{value:g}"
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Quotes each row's default, looked up only when help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        default = getattr(action, "quoted_default", None)
+        if default is None:
+            return action.help
+        return action.help.replace("%(default)s", _quoted(default()))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI.
 
     Each subcommand's parser sets ``args.handler``, the function that
-    turns its parsed arguments into the lines printed on stdout.
+    turns its parsed arguments into the lines printed on stdout, and
+    takes the flags its ``_COMMANDS`` rows declare.
     """
     from . import __version__
 
@@ -120,8 +808,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, **kwargs) -> argparse.ArgumentParser:
-        subparser = subparsers.add_parser(name, help=summary, **kwargs)
+        subparser = subparsers.add_parser(
+            name, help=summary, formatter_class=_HelpFormatter, **kwargs
+        )
         subparser.set_defaults(handler=handler)
+        spec, rows = _COMMANDS.get(name, (None, ()))
+        for row in rows:
+            action = subparser.add_argument(row.flag, help=row.help, **row.form)
+            if "%(default)s" in row.help:
+                action.quoted_default = functools.partial(row.default, spec)
         return subparser
 
     models_parser = command(
@@ -152,479 +847,44 @@ def build_parser() -> argparse.ArgumentParser:
         _command_searchers,
         "list registered design-space searchers and objectives",
     )
-
-    evaluate = command(
-        "evaluate", _command_evaluate, "evaluate one Transformer block on a chip count"
-    )
-    _add_workload_arguments(evaluate)
-    _add_strategy_argument(evaluate)
-    evaluate.add_argument(
-        "--chips", type=int, default=8, help="number of chips (default: 8)"
-    )
-    _add_json_argument(evaluate)
-
-    sweep = command(
-        "sweep", _command_sweep, "run a chip-count sweep and print the figure tables"
-    )
-    _add_workload_arguments(sweep)
-    _add_strategy_argument(sweep)
-    sweep.add_argument(
-        "--chips",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4, 8],
-        help="chip counts to sweep (default: 1 2 4 8)",
-    )
-    sweep.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate sweep points in N worker processes",
-    )
-    sweep.add_argument(
-        "--output",
-        type=str,
-        default=None,
-        help="optional export path (.csv or .json)",
-    )
-    _add_json_argument(sweep)
-
-    compare = command(
-        "compare",
-        _command_compare,
-        "strategy ablation on one chip count (Table I style)",
-    )
-    _add_workload_arguments(compare)
-    compare.add_argument(
-        "--chips", type=int, default=8, help="number of chips (default: 8)"
-    )
-    compare.add_argument(
-        "--strategies",
-        nargs="+",
-        default=list(BASELINE_STRATEGIES),
-        metavar="NAME",
-        help=(
-            "registered strategies to compare, in order "
-            "(default: the Table I ablation)"
+    evaluating = [
+        command(
+            "evaluate",
+            _command_evaluate,
+            "evaluate one Transformer block on a chip count",
         ),
-    )
-    _add_json_argument(compare)
-
-    serve = command(
-        "serve",
-        _command_serve,
-        "request-level serving simulation (queueing + tail latency)",
-    )
-    _add_shared_flags(serve, "--model")
-    serve.add_argument(
-        "--chips", type=int, default=8, help="number of chips (default: 8)"
-    )
-    _add_strategy_argument(serve)
-    serve.add_argument(
-        "--policy",
-        default="fifo",
-        metavar="NAME",
-        help="registered scheduling policy (default: fifo; see `repro policies`)",
-    )
-    serve.add_argument(
-        "--trace",
-        choices=["poisson", "bursty", "closed"],
-        default="poisson",
-        help="synthetic traffic generator (default: poisson)",
-    )
-    _add_shared_flags(serve, "--arrival-rate", "--burst-rate", "--duration")
-    serve.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="client population for --trace closed (default: 8)",
-    )
-    serve.add_argument(
-        "--requests-per-client",
-        type=int,
-        default=16,
-        help="requests each closed-loop client submits (default: 16)",
-    )
-    serve.add_argument(
-        "--think-time",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="mean closed-loop think time in seconds (default: 1)",
-    )
-    _add_shared_flags(
-        serve,
-        "--prompt-mean",
-        "--output-mean",
-        "--prompt-max",
-        "--output-max",
-        "--priority-levels",
-        "--seed",
-        "--replay",
-    )
-    serve.add_argument(
-        "--save-trace",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the materialised trace as replayable JSON",
-    )
-    _add_shared_flags(serve, "--slo-ttft")
-    _add_json_argument(serve)
-
-    fleet = command(
-        "fleet",
-        _command_fleet,
-        "fleet-level serving across heterogeneous platform replicas",
-        description=(
-            "Simulate a fleet of serving platforms behind a routing policy: "
-            "heterogeneous replica pools (repeat --platform), multi-tenant "
-            "admission control (repeat --class), and an optional reactive "
-            "autoscaler (--autoscale)."
+        command(
+            "sweep",
+            _command_sweep,
+            "run a chip-count sweep and print the figure tables",
         ),
-    )
-    _add_shared_flags(fleet, "--model")
-    fleet.add_argument(
-        "--platform",
-        action="append",
-        default=None,
-        metavar="PRESET[:CHIPS][xN][@ROLE]",
-        help=(
-            "one platform entry: preset name, optional chip count, replica "
-            "count, and role (any/prefill/decode), e.g. "
-            "siracusa-mipi:8x2@prefill; repeatable (default: siracusa-mipi)"
+        command(
+            "compare",
+            _command_compare,
+            "strategy ablation on one chip count (Table I style)",
         ),
-    )
-    fleet.add_argument(
-        "--router",
-        default="round_robin",
-        metavar="NAME",
-        help=(
-            "registered routing policy (default: round_robin; "
-            "see `repro routers`)"
+        command(
+            "serve",
+            _command_serve,
+            "request-level serving simulation (queueing + tail latency)",
         ),
-    )
-    fleet.add_argument(
-        "--policy",
-        default="fifo",
-        metavar="NAME",
-        help=(
-            "per-replica scheduling policy (default: fifo; "
-            "see `repro policies`)"
+        command(
+            "fleet",
+            _command_fleet,
+            "fleet-level serving across heterogeneous platform replicas",
+            description=(
+                "Simulate a fleet of serving platforms behind a routing "
+                "policy: heterogeneous replica pools (repeat --platform), "
+                "multi-tenant admission control (repeat --class), and an "
+                "optional reactive autoscaler (--autoscale)."
+            ),
         ),
-    )
-    _add_strategy_argument(fleet)
-    fleet.add_argument(
-        "--trace",
-        choices=["poisson", "bursty", "diurnal"],
-        default="poisson",
-        help=(
-            "open-loop traffic generator (default: poisson; diurnal adds a "
-            "day-long sinusoidal rate with optional spikes)"
+        command(
+            "tune",
+            _command_tune,
+            "design-space exploration (multi-objective platform search)",
         ),
-    )
-    _add_shared_flags(fleet, "--arrival-rate", "--burst-rate", "--duration")
-    fleet.add_argument(
-        "--amplitude",
-        type=float,
-        default=0.6,
-        help="diurnal rate-swing amplitude in [0, 1] (default: 0.6)",
-    )
-    fleet.add_argument(
-        "--period",
-        type=float,
-        default=86_400.0,
-        metavar="S",
-        help="diurnal period in seconds (default: 86400, one day)",
-    )
-    fleet.add_argument(
-        "--phase",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="diurnal phase shift in seconds (default: 0)",
-    )
-    fleet.add_argument(
-        "--spike-start",
-        type=float,
-        action="append",
-        default=[],
-        metavar="S",
-        help="start one diurnal spike burst at this time (repeatable)",
-    )
-    fleet.add_argument(
-        "--spike-duration",
-        type=float,
-        default=600.0,
-        metavar="S",
-        help="duration of each spike burst in seconds (default: 600)",
-    )
-    fleet.add_argument(
-        "--spike-rate",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="extra arrival rate inside a spike (default: 2x base rate)",
-    )
-    _add_shared_flags(
-        fleet,
-        "--prompt-mean",
-        "--output-mean",
-        "--prompt-max",
-        "--output-max",
-        "--priority-levels",
-    )
-    fleet.add_argument(
-        "--class",
-        dest="slo_class",
-        action="append",
-        default=[],
-        metavar="NAME[:RATE[:BURST[:SLO[:TIMEOUT]]]]",
-        help=(
-            "one multi-tenant SLO class: name, optional sustained admission "
-            "rate in req/s, token-bucket burst, TTFT target in seconds, and "
-            "per-class request timeout (overrides --retry's timeout), "
-            "e.g. interactive:2:4:0.5; repeatable — a request's priority "
-            "field indexes the class list in the given order"
-        ),
-    )
-    fleet.add_argument(
-        "--autoscale",
-        nargs="?",
-        const="siracusa-mipi",
-        default=None,
-        metavar="PRESET[:CHIPS]",
-        help=(
-            "enable the reactive autoscaler; added replicas use this "
-            "platform preset (default preset: siracusa-mipi)"
-        ),
-    )
-    fleet.add_argument(
-        "--autoscale-max",
-        type=int,
-        default=4,
-        metavar="N",
-        help="most replicas the autoscaler may add (default: 4)",
-    )
-    fleet.add_argument(
-        "--autoscale-interval",
-        type=float,
-        default=60.0,
-        metavar="S",
-        help="seconds between autoscaler checks (default: 60)",
-    )
-    fleet.add_argument(
-        "--autoscale-slo",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "TTFT target the autoscaler defends (scale up when windowed "
-            "attainment drops below 95%%)"
-        ),
-    )
-    fleet.add_argument(
-        "--faults",
-        action="append",
-        default=[],
-        metavar="EVENT",
-        help=(
-            "inject one fault: crash:REPLICA@START[+DURATION], "
-            "slow:REPLICA@START+DURATIONxFACTOR, "
-            "brownout@START+DURATIONxFACTOR, or random:MTBF[:MTTR[:HORIZON]] "
-            "for a seeded random crash layer; repeatable"
-        ),
-    )
-    fleet.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the random crash layer (default: 0)",
-    )
-    fleet.add_argument(
-        "--retry",
-        type=str,
-        default=None,
-        metavar="[TIMEOUT][:RETRIES[:BACKOFF[:HEDGE]]]",
-        help=(
-            "fail-over policy under faults: request timeout in seconds, "
-            "retry budget after a crash, first-retry backoff in seconds, "
-            "and hedge delay after which a second copy is dispatched, "
-            "e.g. 30:3:0.5:2 (empty positions keep defaults)"
-        ),
-    )
-    fleet.add_argument(
-        "--shed-below",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "healthy-capacity fraction below which admission sheds "
-            "low-priority classes (graceful degradation; default: off)"
-        ),
-    )
-    fleet.add_argument(
-        "--shed-keep",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "highest-priority SLO classes still admitted while degraded "
-            "(default: 1)"
-        ),
-    )
-    _add_shared_flags(fleet, "--seed", "--replay")
-    fleet.add_argument(
-        "--max-context",
-        type=int,
-        default=1024,
-        metavar="TOKENS",
-        help="serving context window of every replica (default: 1024)",
-    )
-    _add_shared_flags(fleet, "--slo-ttft")
-    fleet.add_argument(
-        "--record-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "switch from exact to streaming (histogram) latency percentiles "
-            "above this many requests (default: 100000)"
-        ),
-    )
-    _add_json_argument(fleet)
-
-    tune = command(
-        "tune",
-        _command_tune,
-        "design-space exploration (multi-objective platform search)",
-    )
-    _add_workload_arguments(tune)
-    tune.add_argument(
-        "--searcher",
-        default="random",
-        metavar="NAME",
-        help=(
-            "registered search algorithm (default: random; "
-            "see `repro searchers`)"
-        ),
-    )
-    tune.add_argument(
-        "--budget",
-        type=int,
-        default=24,
-        help="evaluation budget of the searcher (default: 24)",
-    )
-    tune.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="search seed; equal seeds give byte-identical output (default: 0)",
-    )
-    tune.add_argument(
-        "--objectives",
-        nargs="+",
-        default=["latency", "energy", "hw_cost"],
-        metavar="NAME",
-        help=(
-            "objectives of the Pareto front, in order "
-            "(default: latency energy hw_cost; see `repro searchers`)"
-        ),
-    )
-    tune.add_argument(
-        "--constraint",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="feasibility bound like 'latency<=0.01' or 'slo>=0.95' (repeatable)",
-    )
-    tune.add_argument(
-        "--chips",
-        type=int,
-        nargs="+",
-        default=None,
-        help=f"chip-count choices of the space (default: {_tune_default_text('chips')})",
-    )
-    tune.add_argument(
-        "--link-gbps",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="GBPS",
-        help=(
-            "C2C bandwidth levels in GB/s "
-            f"(default: {_tune_default_text('link_gbps')})"
-        ),
-    )
-    tune.add_argument(
-        "--l2-kib",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="KIB",
-        help=f"L2 capacity choices in KiB (default: {_tune_default_text('l2_kib')})",
-    )
-    tune.add_argument(
-        "--freq-mhz",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="MHZ",
-        help=(
-            "cluster frequency levels in MHz "
-            f"(default: {_tune_default_text('freq_mhz')})"
-        ),
-    )
-    tune.add_argument(
-        "--strategies",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help=(
-            "strategy choices of the space "
-            f"(default: {_tune_default_text('strategy')})"
-        ),
-    )
-    tune.add_argument(
-        "--parallel",
-        default=None,
-        metavar="N",
-        help=(
-            "evaluate candidate batches in N worker processes; output is "
-            "byte-identical to --parallel 1 (default: serial)"
-        ),
-    )
-    tune.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write a resumable search checkpoint here every "
-            "--checkpoint-every unique evaluations and on completion"
-        ),
-    )
-    tune.add_argument(
-        "--checkpoint-every",
-        default=None,
-        metavar="N",
-        help=(
-            "checkpoint cadence in unique evaluations "
-            "(default: 25; needs --checkpoint)"
-        ),
-    )
-    tune.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help=(
-            "resume from a checkpoint written by an earlier interrupted "
-            "run; the finished search is byte-identical to an "
-            "uninterrupted one"
-        ),
-    )
-    _add_json_argument(tune)
+    ]
 
     command("studies", _command_studies, "list the registered example studies")
 
@@ -676,7 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
             "artifacts are byte-identical to a serial run"
         ),
     )
-    _add_json_argument(study)
 
     experiments = command(
         "experiments", _command_experiments, "regenerate the paper's figures and tables"
@@ -716,20 +975,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
+    for subparser in (*evaluating, study):
+        subparser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit a machine-readable JSON document instead of the tables",
+        )
+
     # The cache flags are accepted both before the subcommand (the global
     # position) and after it, where most users type them.
-    for evaluating in (
-        evaluate, sweep, compare, serve, fleet, tune, experiments, cache,
-        study,
-    ):
-        _add_cache_arguments(evaluating, suppress=True)
+    for subparser in (*evaluating, experiments, cache, study):
+        _add_cache_arguments(subparser, suppress=True)
 
     # Every spec-expressible command can print its invocation as a
     # replayable spec document instead of running it.
-    for emitting in (
-        evaluate, sweep, compare, serve, fleet, tune, experiments,
-    ):
-        emitting.add_argument(
+    for subparser in (*evaluating, experiments):
+        subparser.add_argument(
             "--emit-spec",
             action="store_true",
             help=(
@@ -739,133 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     return parser
-
-
-#: Flags that ``serve`` and ``fleet`` (and, for ``--model``, every
-#: workload command) declare verbatim, registered from this one table;
-#: each command adds them where its ``--help`` lists them.
-_SHARED_FLAGS = {
-    "--model": dict(
-        default="tinyllama-42m",
-        help="registered model name (see `repro models`)",
-    ),
-    "--arrival-rate": dict(
-        type=float,
-        default=2.0,
-        metavar="RPS",
-        help="mean arrival rate in requests/s (default: 2)",
-    ),
-    "--burst-rate": dict(
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="burst-state arrival rate for --trace bursty (default: 4x base)",
-    ),
-    "--duration": dict(
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="arrival horizon in seconds (default: 300)",
-    ),
-    "--prompt-mean": dict(
-        type=float,
-        default=64.0,
-        help="mean prompt length in tokens (default: 64)",
-    ),
-    "--output-mean": dict(
-        type=float,
-        default=32.0,
-        help="mean reply length in tokens (default: 32)",
-    ),
-    "--prompt-max": dict(
-        type=int,
-        default=256,
-        help="largest sampled prompt length (default: 256)",
-    ),
-    "--output-max": dict(
-        type=int,
-        default=128,
-        help="largest sampled reply length (default: 128)",
-    ),
-    "--priority-levels": dict(
-        type=int,
-        default=1,
-        help="uniform priority classes assigned by the trace (default: 1)",
-    ),
-    # ``None`` (not 0) so that an explicit --seed beside --replay is caught.
-    "--seed": dict(
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "trace seed; equal seeds give byte-identical output "
-            "(default: 0; meaningless with --replay)"
-        ),
-    ),
-    "--replay": dict(
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "replay a recorded JSON trace verbatim instead of generating "
-            "one (the generator flags and --seed do not apply)"
-        ),
-    ),
-    "--slo-ttft": dict(
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="S",
-        help="TTFT targets of the SLO-attainment curve (default: standard grid)",
-    ),
-}
-
-
-def _add_shared_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, **_SHARED_FLAGS[flag])
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_shared_flags(parser, "--model")
-    parser.add_argument(
-        "--mode",
-        choices=[mode.value for mode in InferenceMode],
-        default=InferenceMode.AUTOREGRESSIVE.value,
-        help="inference mode (default: autoregressive)",
-    )
-    parser.add_argument(
-        "--seq-len",
-        type=int,
-        default=None,
-        help="sequence/context length (default: the paper's value per mode)",
-    )
-    parser.add_argument(
-        "--prefetch",
-        choices=[policy.value for policy in PrefetchAccounting],
-        default=PrefetchAccounting.HIDDEN.value,
-        help="prefetch runtime accounting policy (default: hidden)",
-    )
-
-
-def _add_strategy_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy",
-        default=PAPER_STRATEGY,
-        metavar="NAME",
-        help=(
-            "registered partitioning strategy (default: paper; "
-            "see `repro strategies`)"
-        ),
-    )
-
-
-def _add_json_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable JSON document instead of the tables",
-    )
 
 
 def _add_cache_arguments(
@@ -896,228 +1030,70 @@ def _add_cache_arguments(
 
 
 def _session_from_args(args: argparse.Namespace) -> Session:
-    """A session honouring the prefetch and persistent-cache flags.
+    """A session honouring the persistent-cache flags.
 
     CLI sessions persist evaluations on disk by default, so a repeated
     invocation in a fresh process reuses every warm result instead of
-    re-simulating it.
+    re-simulating it.  (A spec's ``prefetch`` reaches the session through
+    :func:`repro.spec.execute`.)
     """
-    prefetch = PrefetchAccounting(
-        getattr(args, "prefetch", PrefetchAccounting.HIDDEN.value)
-    )
     if getattr(args, "no_cache", False):
-        return Session(prefetch_accounting=prefetch, persistent=False)
-    return Session(
-        prefetch_accounting=prefetch,
-        cache_dir=getattr(args, "cache_dir", None),
-        persistent=True,
-    )
+        return Session(persistent=False)
+    return Session(cache_dir=getattr(args, "cache_dir", None), persistent=True)
 
 
-# ----------------------------------------------------------------------
-# Invocation -> spec capture (--emit-spec and the execution path)
-# ----------------------------------------------------------------------
-def _workload_spec_from_args(args: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(
-        model=ModelSpec(name=args.model),
-        mode=args.mode,
-        seq_len=args.seq_len,
-    )
+def _spec_from_flags(args: argparse.Namespace) -> RunnableSpec:
+    """The spec of an evaluating command: each given flag sets its field.
 
-
-def _evaluate_spec_from_args(args: argparse.Namespace) -> EvalSpec:
-    return EvalSpec(
-        workload=_workload_spec_from_args(args),
-        strategy=args.strategy,
-        platform=PlatformSpec(chips=args.chips),
-        prefetch=args.prefetch,
-    )
-
-
-def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    return SweepSpec(
-        workload=_workload_spec_from_args(args),
-        chips=tuple(args.chips),
-        strategy=args.strategy,
-        parallel=args.parallel,
-        prefetch=args.prefetch,
-    )
-
-
-def _compare_spec_from_args(args: argparse.Namespace) -> CompareSpec:
-    return CompareSpec(
-        workload=_workload_spec_from_args(args),
-        strategies=tuple(args.strategies),
-        platform=PlatformSpec(chips=args.chips),
-        prefetch=args.prefetch,
-    )
-
-
-#: The :class:`TraceSpec` field each generator flag sets; a field whose
-#: flag the command lacks (``serve`` has no diurnal shape, ``fleet`` no
-#: closed loop) keeps its default.
-_TRACE_FIELDS = {
-    "trace": "source",
-    "arrival_rate": "rate_rps",
-    "duration": "duration_s",
-    "burst_rate": "burst_rate_rps",
-    "clients": "clients",
-    "requests_per_client": "requests_per_client",
-    "think_time": "mean_think_s",
-    "amplitude": "amplitude",
-    "period": "period_s",
-    "phase": "phase_s",
-    "spike_start": "spike_starts_s",
-    "spike_duration": "spike_duration_s",
-    "spike_rate": "spike_rate_rps",
-    "prompt_mean": "prompt_mean",
-    "output_mean": "output_mean",
-    "prompt_max": "prompt_max",
-    "output_max": "output_max",
-    "priority_levels": "priority_levels",
-}
-
-
-def _trace_spec_from_args(args: argparse.Namespace) -> TraceSpec:
-    """The ``serve``/``fleet`` traffic trace: a replay or a generator."""
-    if args.replay is not None:
-        if args.seed is not None:
-            raise AnalysisError(
-                "--seed has no effect with --replay (the trace is replayed "
-                "verbatim); drop one of the two flags"
-            )
-        return TraceSpec(source="replay", path=args.replay)
-    return TraceSpec(
-        **{
-            field: getattr(args, flag)
-            for flag, field in _TRACE_FIELDS.items()
-            if hasattr(args, flag)
-        }
-    )
-
-
-def _serve_spec_from_args(args: argparse.Namespace) -> ServingSpec:
-    return ServingSpec(
-        model=ModelSpec(name=args.model),
-        trace=_trace_spec_from_args(args),
-        policy=args.policy,
-        strategy=args.strategy,
-        platform=PlatformSpec(chips=args.chips),
-        seed=args.seed if args.seed is not None else 0,
-        slo_targets=tuple(args.slo_ttft) if args.slo_ttft is not None else None,
-    )
-
-
-def _fleet_spec_from_args(args: argparse.Namespace) -> FleetSpec:
-    trace = _trace_spec_from_args(args)
-    from .fleet import (
-        AutoscalerConfig,
-        FaultModel,
-        FleetPlatform,
-        RetryPolicy,
-        SLOClass,
-    )
-
-    # Parse the shorthands directly: a CLI flag error should not carry the
-    # spec-document path that from_dict prefixes.  A malformed value raises
-    # ConfigurationError, which main() reports as one `error:` line.
-    entries = args.platform if args.platform else ["siracusa-mipi"]
-    return FleetSpec(
-        model=ModelSpec(name=args.model),
-        trace=trace,
-        platforms=tuple(FleetPlatform.parse(entry) for entry in entries),
-        router=args.router,
-        policy=args.policy,
-        strategy=args.strategy,
-        # A request's priority field indexes the --class list.
-        classes=tuple(
-            SLOClass.parse(text, priority=index)
-            for index, text in enumerate(args.slo_class)
-        ),
-        autoscaler=(
-            AutoscalerConfig.parse(
-                args.autoscale,
-                max_extra=args.autoscale_max,
-                check_interval_s=args.autoscale_interval,
-                ttft_slo_s=args.autoscale_slo,
-            )
-            if args.autoscale is not None
-            else None
-        ),
-        faults=(
-            FaultModel.parse(
-                args.faults,
-                seed=args.fault_seed,
-                shed_below=args.shed_below,
-                shed_keep=args.shed_keep,
-            )
-            if args.faults or args.shed_below is not None
-            else None
-        ),
-        retry=RetryPolicy.parse(args.retry) if args.retry is not None else None,
-        seed=args.seed if args.seed is not None else 0,
-        max_context=args.max_context,
-        slo_targets=tuple(args.slo_ttft) if args.slo_ttft is not None else None,
-        record_threshold=args.record_threshold,
-    )
-
-
-def _tune_default(axis: str) -> tuple:
-    """The values of one axis of :func:`repro.dse.default_space`."""
-    return default_space().axis(axis).values()
-
-
-def _tune_default_text(axis: str) -> str:
-    """An axis of the default tune space as ``--help`` quotes it."""
-    return " ".join(
-        value if isinstance(value, str) else f"{value:g}"
-        for value in _tune_default(axis)
-    )
-
-
-def _tune_spec_from_args(args: argparse.Namespace) -> TuneSpec:
-    from .dse.pareto import parse_constraint
-    from .spec import AxisSpec, SpaceSpec
-
-    for expr in args.constraint:
-        parse_constraint(expr)  # a bad bound fails before any spec is printed
-    chips = tuple(args.chips or _tune_default("chips"))
-    link = tuple(args.link_gbps or _tune_default("link_gbps"))
-    l2 = tuple(args.l2_kib or _tune_default("l2_kib"))
-    freq = tuple(args.freq_mhz or _tune_default("freq_mhz"))
-    strategies = tuple(args.strategies or _tune_default("strategy"))
-    space = SpaceSpec(
-        axes=(
-            AxisSpec(axis="choice", name="chips", choices=chips),
-            AxisSpec(
-                axis="float",
-                name="link_gbps",
-                low=min(link),
-                high=max(link),
-                levels=link,
-            ),
-            AxisSpec(axis="choice", name="l2_kib", choices=l2),
-            AxisSpec(
-                axis="float",
-                name="freq_mhz",
-                low=min(freq),
-                high=max(freq),
-                levels=freq,
-            ),
-            AxisSpec(axis="choice", name="strategy", choices=strategies),
+    A field that no given flag sets keeps its spec type's default.  The
+    spec types are built directly, in field order, so a value they reject
+    fails with their own message rather than a document path.
+    """
+    spec, rows = _COMMANDS[args.command]
+    given = [(row, getattr(args, row.dest)) for row in rows]
+    given = [(row, value) for row, value in given if value is not None]
+    flags = {row.flag for row, _ in given}
+    for row, _ in given:
+        if row.needs and flags.isdisjoint(row.needs.split()):
+            raise ConfigurationError(f"{row.flag} needs {row.needs}")
+    if {"--replay", "--seed"} <= flags:
+        raise AnalysisError(
+            "--seed has no effect with --replay (the trace is replayed "
+            "verbatim); drop one of the two flags"
         )
+    parsers = {row.field.split(".")[0]: row.parse for row in rows if row.parse}
+    return _with_fields(
+        spec(), {row.field: value for row, value in given if row.field}, parsers
     )
-    space.validate("$.space")  # a value that can never run fails here
-    return TuneSpec(
-        workload=_workload_spec_from_args(args),
-        space=space,
-        searcher=args.searcher,
-        budget=args.budget,
-        seed=args.seed,
-        objectives=tuple(args.objectives),
-        constraints=tuple(args.constraint),
-        prefetch=args.prefetch,
-    )
+
+
+def _with_fields(
+    default: Any, values: Dict[str, Any], parsers: Dict[str, Callable[..., Any]]
+) -> Any:
+    """``default`` with each dotted field of ``values`` set.
+
+    A field with a parser is its parser's value: given the field's own
+    value, if set, then the values under it as keywords.
+    """
+    groups: Dict[str, Dict[str, Any]] = {}
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        groups.setdefault(name, {})[rest] = value
+    changes = {}
+    for field in fields(default):
+        if field.name not in groups:
+            continue
+        under = groups[field.name]
+        own = [under.pop("")] if "" in under else []
+        if field.name in parsers:
+            changes[field.name] = parsers[field.name](*own, **under)
+        elif under:
+            changes[field.name] = _with_fields(
+                getattr(default, field.name), under, {}
+            )
+        else:
+            changes[field.name] = own[0]
+    return replace(default, **changes)
 
 
 def _model_summary(name: str, config) -> dict:
@@ -1211,7 +1187,7 @@ def _command_routers(args: argparse.Namespace) -> List[str]:
 
 
 def _command_platforms(args: argparse.Namespace) -> List[str]:
-    from .hw.presets import get_platform_preset, list_platform_presets
+    from .hw.presets import list_platform_presets
 
     lines = []
     for name in list_platform_presets():
@@ -1302,7 +1278,7 @@ def _evaluate_text(result: EvalResult) -> List[str]:
 def _command_evaluate(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
-        _evaluate_spec_from_args(args),
+        _spec_from_flags(args),
         lambda result, cache: result.to_json(),
         _evaluate_text,
     )
@@ -1327,7 +1303,7 @@ def _strategy_sweep_table(sweep: EvalSweep) -> str:
 
 
 def _command_sweep(args: argparse.Namespace) -> List[str]:
-    spec = _sweep_spec_from_args(args)
+    spec = _spec_from_flags(args)
     if not args.emit_spec:
         # Pure argument validation: fail before the (possibly long) sweep.
         if args.json and args.output and not args.output.lower().endswith(".json"):
@@ -1384,7 +1360,7 @@ def _compare_text(comparison) -> List[str]:
 def _command_compare(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
-        _compare_spec_from_args(args),
+        _spec_from_flags(args),
         lambda comparison, cache: comparison.to_json(),
         _compare_text,
     )
@@ -1409,7 +1385,7 @@ def _command_serve(args: argparse.Namespace) -> List[str]:
 
     return _run_spec(
         args,
-        _serve_spec_from_args(args),
+        _spec_from_flags(args),
         to_json,
         lambda report: [report.render()] + saved(report),
     )
@@ -1418,30 +1394,10 @@ def _command_serve(args: argparse.Namespace) -> List[str]:
 def _command_fleet(args: argparse.Namespace) -> List[str]:
     return _run_spec(
         args,
-        _fleet_spec_from_args(args),
+        _spec_from_flags(args),
         lambda report, cache: report.to_json(cache=cache),
         lambda report: [report.render()],
     )
-
-
-def _positive_int_flag(value: Optional[str], flag: str) -> Optional[int]:
-    """Parse an integer CLI flag that must be >= 1.
-
-    Raised as a :class:`ConfigurationError` so every malformed value
-    exits with the CLI's uniform one-line ``error: ...`` contract
-    instead of an argparse usage dump.
-    """
-    if value is None:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{flag} must be an integer, got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise ConfigurationError(f"{flag} must be >= 1, got {parsed}")
-    return parsed
 
 
 def _checkpoint_path_flag(value: Optional[str], flag: str) -> Optional[str]:
@@ -1459,27 +1415,15 @@ def _checkpoint_path_flag(value: Optional[str], flag: str) -> Optional[str]:
 
 
 def _command_tune(args: argparse.Namespace) -> List[str]:
-    spec = _tune_spec_from_args(args)
-    parallel = _positive_int_flag(args.parallel, "--parallel")
-    checkpoint = _checkpoint_path_flag(args.checkpoint, "--checkpoint")
-    checkpoint_every = _positive_int_flag(
-        args.checkpoint_every, "--checkpoint-every"
-    )
-    resume = _checkpoint_path_flag(args.resume, "--resume")
-    if checkpoint_every is not None and checkpoint is None:
-        raise ConfigurationError(
-            "--checkpoint-every needs --checkpoint to set where "
-            "checkpoints are written"
-        )
-    # The pool width and cadence are spec fields (and so reach
-    # --emit-spec); where checkpoints are written and read is not.
+    spec = _spec_from_flags(args)
+    # Where checkpoints are written and read is no spec field.
     return _run_spec(
         args,
-        replace(spec, parallel=parallel, checkpoint_every=checkpoint_every),
+        spec,
         lambda result, cache: result.to_json(cache=cache),
         lambda result: [result.render()],
-        checkpoint=checkpoint,
-        resume=resume,
+        checkpoint=_checkpoint_path_flag(args.checkpoint, "--checkpoint"),
+        resume=_checkpoint_path_flag(args.resume, "--resume"),
     )
 
 
@@ -1678,8 +1622,9 @@ def _command_studies(args: argparse.Namespace) -> List[str]:
 
 
 def _command_verify(args: argparse.Namespace) -> List[str]:
-    # Imported lazily: the numerical check is the only CLI path that
-    # needs numpy, and every other subcommand must work without it.
+    # Imported lazily: besides the surrogate searcher (`tune --searcher
+    # surrogate`, `experiments --only dse`), the numerical check is the one
+    # CLI path that needs numpy, and every other path must work without it.
     from .numerics.verify import verify_partition_equivalence
 
     config = get_model(args.model)

@@ -32,11 +32,17 @@ from repro.api import (
     default_cache_dir,
     open_default_cache,
 )
-from repro.api.cache import WRITE_BATCH_ROWS, persistent_cache_disabled
+from repro.api.cache import (
+    _EVALUATION_SOURCES,
+    WRITE_BATCH_ROWS,
+    persistent_cache_disabled,
+)
+from repro.api.registry import list_strategies
 from repro.cli import main
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
 from repro.models import tinyllama_42m
+from repro.spec import ModelSpec, PlatformSpec, WorkloadSpec
 
 
 @pytest.fixture
@@ -611,3 +617,55 @@ class TestCacheCli:
         assert main(["--no-cache", "sweep", "--chips", "1"]) == 0
         capsys.readouterr()
         assert not default_cache_dir().exists()
+
+
+#: Files a cold evaluation runs outside the store's code digest: they route
+#: requests, raise errors, or decode the inputs that the key hashes, and a
+#: failed evaluation is never stored.
+OUTSIDE_THE_DIGEST = {
+    "api/session.py",
+    "errors.py",
+    "registry.py",
+    "spec/base.py",
+    "spec/specs.py",
+}
+
+
+def test_the_code_digest_covers_every_file_an_evaluation_runs():
+    package = Path(repro.__file__).resolve().parent
+    executed = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            executed.add(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        # gqa-moe-tiny's 4 experts cannot be spread over 8 chips.
+        for model, mode, chips in (
+            ("tinyllama-42m", "autoregressive", 8),
+            ("gqa-moe-tiny", "prompt", 4),
+        ):
+            workload = WorkloadSpec(model=ModelSpec(name=model), mode=mode).build()
+            platform = PlatformSpec(chips=chips).build()
+            for strategy in list_strategies():
+                Session(persistent=False).run(workload, strategy, platform=platform)
+    finally:
+        sys.setprofile(previous)
+    files = {
+        path.relative_to(package).as_posix()
+        for path in map(Path, executed)
+        if package in path.resolve().parents
+    }
+    outside = {
+        name
+        for name in files
+        if not any(
+            name == entry or name.startswith(f"{entry}/")
+            for entry in _EVALUATION_SOURCES
+        )
+    }
+    assert {"core/scheduler.py", "sim/fastpath.py", "energy/model.py"} <= files
+    assert outside <= OUTSIDE_THE_DIGEST
+    assert all((package / name).is_file() for name in OUTSIDE_THE_DIGEST)

@@ -9,7 +9,6 @@ from repro.energy.model import EnergyBreakdown, EnergyModel, energy_of
 from repro.errors import AnalysisError
 from repro.graph.workload import autoregressive
 from repro.hw.presets import siracusa_platform
-from repro.models import tinyllama_42m
 from repro.sim import simulate_block
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph.dtypes import INT32, INT8
+from repro.graph.dtypes import INT32
 from repro.graph.ops import (
     ActivationKind,
     ActivationOp,

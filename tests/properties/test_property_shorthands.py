@@ -26,7 +26,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import _tune_spec_from_args, build_parser
+from repro.cli import _spec_from_flags, build_parser
 from repro.dse import Constraint, parse_constraint
 from repro.dse.space import materialise
 from repro.errors import ReproError
@@ -136,7 +136,7 @@ def test_tune_axis_flag_yields_a_runnable_space_or_raises_a_repro_error(
     args = argparse.Namespace(**vars(TUNE_DEFAULTS))
     setattr(args, destination, data.draw(st.lists(values, min_size=1, max_size=3)))
     try:
-        spec = _tune_spec_from_args(args)
+        spec = _spec_from_flags(args)
     except ReproError:
         return
     for axis in spec.space.build().axes:

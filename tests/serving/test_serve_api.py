@@ -14,7 +14,7 @@ import pytest
 from repro.api import Session
 from repro.errors import ConfigurationError
 from repro.models import tinyllama_42m
-from repro.serving import LengthModel, PoissonTrace, RequestCostModel
+from repro.serving import PoissonTrace, RequestCostModel
 
 #: A load slightly past the 8-chip platform's capacity: the regime where
 #: scheduling policies differ most (see the capacity study).

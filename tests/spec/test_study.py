@@ -20,7 +20,6 @@ from repro.spec import (
     SweepSpec,
     TraceSpec,
     TuneSpec,
-    WorkloadSpec,
     load_spec,
 )
 from repro.spec.studies import SHIPPED_DIR

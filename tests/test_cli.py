@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_flags, build_parser, main
 
 
 def expect_cli_error(capsys, argv, *needles):
@@ -31,10 +31,30 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["evaluate"])
-        assert args.model == "tinyllama-42m"
-        assert args.mode == "autoregressive"
-        assert args.chips == 8
+        spec = _spec_from_flags(build_parser().parse_args(["evaluate"]))
+        assert spec.workload.model.name == "tinyllama-42m"
+        assert spec.workload.mode == "autoregressive"
+        assert spec.platform.chips == 8
+
+    def test_building_the_parser_imports_nothing(self):
+        # --help quotes fleet defaults, but looks them up only when it is
+        # printed: building the parser loads no module of its own.
+        code = (
+            "import sys, repro.cli\n"
+            "before = set(sys.modules)\n"
+            "repro.cli.build_parser()\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert "repro" not in loaded
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(SystemExit):
@@ -736,6 +756,29 @@ class TestFleetCommand:
             capsys,
             ["fleet", "--replay", "trace.json", "--seed", "7"],
             "--replay",
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, needed",
+        [
+            ("--autoscale-max", "3", "--autoscale"),
+            ("--autoscale-interval", "30", "--autoscale"),
+            ("--autoscale-slo", "0.5", "--autoscale"),
+            ("--fault-seed", "5", "--faults or --shed-below"),
+            ("--shed-keep", "2", "--faults or --shed-below"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "tail", [["--emit-spec"], ["--duration", "30", "--json", "--no-cache"]]
+    )
+    def test_a_setting_without_the_flag_it_refines_errors(
+        self, capsys, flag, value, needed, tail
+    ):
+        # Each of these sets a field of the autoscaler or the fault model,
+        # which exists only when --autoscale, --faults or --shed-below
+        # turns it on; alone it would change neither the spec nor the run.
+        expect_cli_error(
+            capsys, ["fleet", flag, value, *tail], f"error: {flag} needs {needed}"
         )
 
     def test_malformed_fleet_spec_fails_validation(self, capsys, tmp_path):
